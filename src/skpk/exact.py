@@ -250,9 +250,14 @@ class ExactEvaluator:
         status = np.full(n_el, _ST_NONE, dtype=np.int8)
         rec_h = np.full(n_el, -1, dtype=np.int64)
         rec_z = np.full(n_el, -1, dtype=np.int64)
+        # (helper bin, z bin) packs into one uint64 in lexicographic order
+        z_bits = (cb2.num_bins - 1).bit_length()
+        if (cb1.num_bins - 1).bit_length() + z_bits > 64:
+            raise CapacityError(
+                f"{cb1.num_bins} x {cb2.num_bins} bin pairs do not pack into 64 bits")
+        shift = np.uint64(z_bits)
         order = np.argsort(own_idx, kind="stable")
         sorted_own = own_idx[order]
-        shift = np.uint64(32)
         for start, stop in _group_slices(sorted_own):
             members = order[start:stop]
             own = int(sorted_own[start])

@@ -211,6 +211,11 @@ def _worker_count() -> int:
         count = int(raw)
     except ValueError:
         raise UsageError(f"SKPK_WORKERS must be an integer, got {raw!r}")
+    cpus = os.cpu_count() or 1
+    if count > cpus:
+        print(f"warning: SKPK_WORKERS={count} exceeds the {cpus} CPUs; using {cpus}",
+              file=sys.stderr)
+        return cpus
     return max(1, count)
 
 

@@ -213,8 +213,7 @@ class ProtocolRun:
 
 def _unique_decode(engine, observed, cb, target):
     try:
-        count, seq = engine.scan_bin_filter(
-            observed, cb.contribution_table(), cb.finalize_bins, target)
+        count, seq = engine.scan_bin_filter(observed, cb, target)
     except SearchOverflowError:
         return STATUS_OVERFLOW, None
     if count == 0:
@@ -234,8 +233,7 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
     (helper, own) as its observed pair.
     """
     try:
-        survivors = eng1.scan_bin_filter(
-            obs1, cb1.contribution_table(), cb1.finalize_bins, target1, want="all")
+        survivors = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
     except SearchOverflowError:
         return STATUS_OVERFLOW, None, None
     total = 0
@@ -243,8 +241,7 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
     for cand in survivors:
         obs2 = (own, cand) if own_first else (cand, own)
         try:
-            cnt, zseq = eng2.scan_bin_filter(
-                obs2, cb2.contribution_table(), cb2.finalize_bins, target2)
+            cnt, zseq = eng2.scan_bin_filter(obs2, cb2, target2)
         except SearchOverflowError:
             return STATUS_OVERFLOW, None, None
         total += cnt

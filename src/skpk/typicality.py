@@ -16,12 +16,14 @@ product of per-class arrangements, which supports counting, lazy iteration,
 and vectorized bin-filter scans with the same bookkeeping.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binning import MODE_HASH
 from .errors import CapacityError, SearchOverflowError, UsageError
 from .sources import STRUCTURAL_ZERO
 
@@ -33,6 +35,17 @@ DEFAULT_SEARCH_CAP = 2 ** 26
 DEFAULT_ENUM_CAP = 2 ** 24
 # guard on any single class's arrangements-table cells (rows x positions)
 ARRANGE_CELL_CAP = 2 ** 27
+# largest array a scan forms at once, in entries
+_SCAN_CHUNK = 1 << 20
+# KeyedHash spaces at least this large are decoded by the residue join.
+# On a 2-core x86-64 Xeon the join cost about 0.1 ms plus a little per
+# candidate and checking every pair about 10 ns a candidate; the two met
+# near 3e4 candidates
+JOIN_MIN_CANDIDATES = 2 ** 15
+# with fewer bins the join would re-check at least 1/8 of all pairs, while
+# checking every pair can stop at the second match (a rate clamped to 0
+# gives one bin)
+JOIN_MIN_BINS = 16
 
 
 @dataclass(frozen=True)
@@ -145,36 +158,166 @@ def _multinomial(m, counts) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _combination_tables(size, k):
+    """The k-subsets of range(size) in itertools.combinations order, and each
+    subset's complement in ascending order, as two read-only (C(size, k), .)
+    int16 arrays. Class sizes stay far below 2**15: ARRANGE_CELL_CAP bounds
+    C(m, k) * m.
+    """
+    count = math.comb(size, k)
+    chosen = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(size), k)),
+        dtype=np.int16, count=count * k).reshape(count, k)
+    keep = np.ones((count, size), dtype=bool)
+    row = np.arange(count)
+    for col in chosen.T:        # one column at a time bounds the index copies
+        keep[row, col] = False
+    slots = np.broadcast_to(np.arange(size, dtype=np.int16), keep.shape)
+    rest = slots[keep].reshape(count, size - k)
+    chosen.flags.writeable = False
+    rest.flags.writeable = False
+    return chosen, rest
+
+
 def _arrangement_matrix(m, vectors, q) -> np.ndarray:
     """All symbol assignments to m slots realizing each count vector, as one
     (A, m) int8 matrix. Within a vector, symbols are placed in ascending
-    order, each into lexicographic position combinations, so the row order is
-    deterministic.
+    order, each into lexicographic combinations of the slots still free, so
+    the row order is deterministic: earlier symbols' choices vary slowest.
     """
-    rows = []
-    row = np.empty(m, dtype=np.int8)
-
-    def place(avail, b, counts):
-        while b < q and counts[b] == 0:
-            b += 1
-        if b >= q:
-            rows.append(row.copy())
-            return
-        remaining_syms = [s for s in range(b + 1, q) if counts[s] > 0]
-        if not remaining_syms:
-            row[avail] = b
-            rows.append(row.copy())
-            return
-        for comb in itertools.combinations(avail, counts[b]):
-            row[list(comb)] = b
-            taken = set(comb)
-            place([t for t in avail if t not in taken], b + 1, counts)
-
+    blocks = []
     for counts in vectors:
-        place(list(range(m)), 0, list(counts))
-    if not rows:
+        syms = [s for s in range(q) if counts[s] > 0]
+        # the last symbol present takes whatever slots the others leave
+        rows = np.full((1, m), syms[-1] if syms else 0, dtype=np.int8)
+        free = np.arange(m, dtype=np.int16)[None, :]
+        for s in syms[:-1]:
+            chosen, rest = _combination_tables(free.shape[1], counts[s])
+            taken = free[:, chosen].reshape(len(rows) * len(chosen), -1)
+            free = free[:, rest].reshape(len(taken), -1)
+            rows = np.repeat(rows, len(chosen), axis=0)
+            row = np.arange(len(rows))
+            for col in taken.T:
+                rows[row, col] = s
+        blocks.append(rows)
+    if not blocks:
         return np.zeros((0, m), dtype=np.int8)
-    return np.stack(rows)
+    return np.concatenate(blocks)
+
+
+def _group_sums(vals_list) -> np.ndarray:
+    """uint64 sums over the cross product of per-class value vectors, flat in
+    C order: the first class varies slowest, as in candidate order.
+    """
+    if not vals_list:
+        return np.zeros(1, dtype=np.uint64)
+    acc = vals_list[0]
+    for vals in vals_list[1:]:
+        acc = np.add.outer(acc, vals).ravel()
+    return acc
+
+
+def _split_sums(vals_list):
+    """Group sums of the class prefix and suffix whose products are closest
+    to balanced; candidate j pairs left[j // len(right)] with
+    right[j % len(right)].
+    """
+    sizes = [len(v) for v in vals_list]
+    total = math.prod(sizes)
+    best, split, prefix = total, 0, 1
+    for p, a in enumerate(sizes, 1):
+        prefix *= a
+        worst = max(prefix, total // prefix)
+        if worst < best:
+            best, split = worst, p
+    return _group_sums(vals_list[:split]), _group_sums(vals_list[split:])
+
+
+def _full_product(vals_list, finalize, target, limit):
+    """Candidate indices whose bin finalize(sum) is target, ascending. Works
+    in blocks of about _SCAN_CHUNK candidates and stops after the block that
+    reaches limit matches (None: no limit).
+    """
+    if math.prod(len(v) for v in vals_list) <= _SCAN_CHUNK:
+        return np.flatnonzero(finalize(_group_sums(vals_list)) == target).tolist()
+    left, right = _split_sums(vals_list)
+    n_right = len(right)
+    rows = max(1, _SCAN_CHUNK // n_right)
+    cols = min(n_right, _SCAN_CHUNK)
+    hits = []
+    for r0 in range(0, len(left), rows):
+        r1 = min(r0 + rows, len(left))
+        for c0 in range(0, n_right, cols):
+            c1 = min(c0 + cols, n_right)
+            bins = finalize(np.add.outer(left[r0:r1], right[c0:c1]).ravel())
+            local = np.flatnonzero(bins == target)
+            if len(local):
+                width = c1 - c0
+                hits.extend(((r0 + local // width) * n_right + c0 + local % width).tolist())
+                if limit is not None and len(hits) >= limit:
+                    return hits
+    return hits
+
+
+def _expand_ranges(lo, cnt):
+    """Pairs (i, lo[i] + k) for 0 <= k < cnt[i], in pieces of about
+    _SCAN_CHUNK pairs (one i alone may exceed that).
+    """
+    ends = np.cumsum(cnt)
+    start = 0
+    while start < len(cnt):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _SCAN_CHUNK, side="right")))
+        size = int(ends[stop - 1]) - base
+        if size:
+            c = cnt[start:stop]
+            idx = np.repeat(np.arange(start, stop), c)
+            offset = np.arange(size) - np.repeat(ends[start:stop] - c - base, c)
+            yield idx, lo[idx] + offset
+        start = stop
+
+
+def _residue_join(vals_list, codebook, target, limit):
+    """Candidate indices whose KeyedHash bin is target, ascending, found
+    without forming the cross product of the two class groups' sums. Only
+    the limit smallest are kept (None: all).
+
+    A pair's bin is ((l + r) mod 2**64) mod M, so r mod M must equal
+    (target - l mod M) mod M, or that plus 2**64 mod M when l + r wraps.
+    The smaller side's residues are sorted once and each element of the
+    larger side looks up its two target residues. The join only prunes:
+    every pair it finds is re-checked with the codebook's own finalize_bins.
+    """
+    left, right = _split_sums(vals_list)
+    m = np.uint64(codebook.num_bins)
+    wrap = np.uint64((1 << 64) % codebook.num_bins)
+    t = np.uint64(target)
+    small_is_right = len(right) <= len(left)
+    small, large = (right, left) if small_is_right else (left, right)
+    residues = small % m
+    order = np.argsort(residues, kind="stable")
+    residues = residues[order]
+    small = small[order]
+    found = []
+    for s0 in range(0, len(large), _SCAN_CHUNK):
+        part = large[s0:s0 + _SCAN_CHUNK]
+        # t + (m - r) < 2m <= 2**64 never overflows, nor does need + wrap
+        need = (t + (m - part % m)) % m
+        for residue in ((need,) if wrap == 0 else (need, (need + wrap) % m)):
+            lo = np.searchsorted(residues, residue, side="left")
+            cnt = np.searchsorted(residues, residue, side="right") - lo
+            for li, si in _expand_ranges(lo, cnt):
+                ok = codebook.finalize_bins(part[li] + small[si]) == t
+                li = li[ok] + s0
+                si = order[si[ok]]
+                found.append(li * len(right) + si if small_is_right
+                             else si * len(right) + li)
+                if limit is not None:
+                    found = [np.sort(np.concatenate(found))[:limit]]
+    if not found:
+        return []
+    return np.sort(np.concatenate(found))[:limit].tolist()
 
 
 class _ClassBlock:
@@ -182,7 +325,7 @@ class _ClassBlock:
 
     __slots__ = ("vectors", "total", "matrix")
 
-    def __init__(self, m, lo_row, hi_row, q):
+    def __init__(self, m, lo_row, hi_row):
         self.vectors = _count_vectors(m, list(lo_row), list(hi_row))
         self.total = sum(_multinomial(m, v) for v in self.vectors)
         self.matrix = None  # materialized on demand
@@ -218,6 +361,9 @@ class CandidateEngine:
         self.obs_cells = int(np.prod(self.obs_shape)) if self.obs_shape else 1
         flat = pmf.reshape(self.obs_cells, self.q)
         self.lo, self.hi = count_windows(flat, params.n, params.epsilon)
+        # cells whose windows forbid a zero count: absent, they rule out
+        # every candidate
+        self._must_occur = np.flatnonzero(self.lo.max(axis=1) > 0).tolist()
         self._blocks = {}
 
     # -- class bookkeeping ------------------------------------------------
@@ -235,7 +381,8 @@ class CandidateEngine:
         for s, size in zip(observed, self.obs_shape):
             if len(s) != self.params.n:
                 raise UsageError("observed sequence length differs from params.n")
-            if s.min() < 0 or s.max() >= size:
+            # negative symbols wrap to huge unsigned values
+            if s.view(np.uint64).max() >= size:
                 raise UsageError("observed symbol outside the pmf alphabet")
             code = code * size + s
         return code
@@ -244,36 +391,27 @@ class CandidateEngine:
         key = (cell, m)
         block = self._blocks.get(key)
         if block is None:
-            block = _ClassBlock(m, self.lo[cell], self.hi[cell], self.q)
+            block = _ClassBlock(m, self.lo[cell], self.hi[cell])
             self._blocks[key] = block
         return block
 
     def _classes(self, observed):
-        """[(cell, positions, block), ...] by ascending cell code, or None
-        when an absent cell's windows forbid a zero count (no candidates).
+        """[(cell, positions, block), ...] by ascending cell code, positions
+        ascending, or None when an absent cell's windows forbid a zero count
+        (no candidates).
         """
         codes = self._observed_codes(observed)
-        present = np.unique(codes)
-        present_set = set(int(c) for c in present)
-        for cell in range(self.obs_cells):
-            if cell not in present_set and self.lo[cell].max() > 0:
-                return None
+        sizes = np.bincount(codes, minlength=self.obs_cells).tolist()
+        if any(sizes[cell] == 0 for cell in self._must_occur):
+            return None
+        order = np.argsort(codes, kind="stable")
         out = []
-        for cell in present.tolist():
-            positions = np.flatnonzero(codes == cell)
-            out.append((cell, positions, self._block(cell, len(positions))))
+        start = 0
+        for cell, m in enumerate(sizes):
+            if m:
+                out.append((cell, order[start:start + m], self._block(cell, m)))
+                start += m
         return out
-
-    def candidate_count(self, observed) -> int:
-        classes = self._classes(observed)
-        if classes is None:
-            return 0
-        total = 1
-        for _, _, block in classes:
-            total *= block.total
-            if total == 0:
-                return 0
-        return total
 
     # -- enumeration ------------------------------------------------------
 
@@ -303,23 +441,25 @@ class CandidateEngine:
             yield seq.copy()
 
     def candidate_indices(self, observed) -> np.ndarray:
-        """Base-q integer codes of all candidates, most significant position
-        first. Requires q**n to fit comfortably in int64.
+        """Base-q integer codes of all candidates in candidate order, most
+        significant position first. Requires q**n to fit comfortably in int64.
         """
         if self.q ** self.params.n >= 2 ** 62:
             raise CapacityError(
                 f"{self.q}**{self.params.n} sequence codes overflow the index space")
         places = (self.q ** np.arange(self.params.n - 1, -1, -1)).astype(np.uint64)
         contrib = places[:, None] * np.arange(self.q, dtype=np.uint64)[None, :]
-        acc = self._scan_accumulate(observed, contrib)
-        if acc is None:
+        prepared, _ = self._prepared(observed, contrib)
+        if prepared is None:
             return np.zeros(0, dtype=np.int64)
-        return acc.astype(np.int64)
+        return _group_sums([vals for _, _, vals in prepared]).astype(np.int64)
 
     # -- vectorized scans -------------------------------------------------
 
     def _prepared(self, observed, contrib):
-        """Per-class contribution vectors for a fold over candidate space."""
+        """Per-class contribution vectors for a fold over candidate space.
+        The search cap is checked before any arrangement table is built.
+        """
         classes = self._classes(observed)
         if classes is None:
             return None, 0
@@ -334,62 +474,40 @@ class CandidateEngine:
         prepared = []
         for _, pos, block in classes:
             mat = block.materialize(len(pos), self.q)
-            d = contrib[pos, :]                     # (m, q) uint64
-            vals = d[np.arange(len(pos))[None, :], mat].sum(axis=1, dtype=np.uint64)
+            vals = np.add.reduce(contrib[pos[None, :], mat], axis=1, dtype=np.uint64)
             prepared.append((pos, mat, vals))
         return prepared, total
 
-    def _scan_accumulate(self, observed, contrib):
-        prepared, total = self._prepared(observed, contrib)
-        if prepared is None:
-            return None
-        acc = np.zeros(total, dtype=np.uint64)
-        rem = np.arange(total, dtype=np.int64)
-        for _, _, vals in reversed(prepared):
-            a = len(vals)
-            acc += vals[rem % a]
-            rem //= a
-        return acc
+    def scan_bin_filter(self, observed, codebook, target, want="unique"):
+        """Candidates whose bin under codebook (a BinningCodebook) is target.
 
-    def scan_bin_filter(self, observed, contrib, finalize, target, want="unique"):
-        """Fold candidate space against a codebook and keep bin matches.
-
-        contrib and finalize come from a BinningCodebook. want="unique"
-        returns (n_matches capped at 2, first match or None); want="all"
-        returns the full match list. Candidate order is identical to
-        iter_candidates.
+        want="unique" returns (n_matches capped at 2, first match or None);
+        want="all" returns the full match list. Candidate order is identical
+        to iter_candidates. The classes split into two groups whose partial
+        sums pair up into candidates; large KeyedHash spaces are decoded by a
+        residue join of the two groups, everything else by checking every
+        pair.
         """
-        prepared, total = self._prepared(observed, contrib)
+        prepared, total = self._prepared(observed, codebook.contribution_table())
         if prepared is None:
             return (0, None) if want == "unique" else []
-        sizes = [len(vals) for _, _, vals in prepared]
-        target = np.uint64(target) if finalize is not None else target
-        found = []
-        chunk = 1 << 20
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            flat = np.arange(start, stop, dtype=np.int64)
-            acc = np.zeros(stop - start, dtype=np.uint64)
-            rem = flat
-            for (_, _, vals), a in zip(reversed(prepared), reversed(sizes)):
-                acc = acc + vals[rem % a]
-                rem = rem // a
-            bins = finalize(acc)
-            hits = flat[bins == target]
-            for j in hits.tolist():
-                found.append(self._reconstruct(j, prepared, sizes))
-                if want == "unique" and len(found) >= 2:
-                    return (2, found[0])
+        vals = [v for _, _, v in prepared]
+        limit = 2 if want == "unique" else None
+        if (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
+                and codebook.num_bins >= JOIN_MIN_BINS):
+            hits = _residue_join(vals, codebook, target, limit)
+        else:
+            hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
         if want == "unique":
-            return (len(found), found[0] if found else None)
-        return found
+            first = self._reconstruct(hits[0], prepared) if hits else None
+            return (min(len(hits), 2), first)
+        return [self._reconstruct(j, prepared) for j in hits]
 
-    def _reconstruct(self, j, prepared, sizes):
+    def _reconstruct(self, j, prepared):
         seq = np.empty(self.params.n, dtype=np.int64)
-        rem = j
-        for (pos, mat, _), a in zip(reversed(prepared), reversed(sizes)):
-            seq[pos] = mat[rem % a]
-            rem //= a
+        for pos, mat, _ in reversed(prepared):
+            j, i = divmod(j, len(mat))
+            seq[pos] = mat[i]
         return seq
 
 

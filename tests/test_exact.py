@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,3 +195,29 @@ def test_lemma_precondition_errors():
     with pytest.raises(CapacityError):
         lemma1_check(np.full(4, 0.25), n=20, r_s=0.1, r_z=0.1,
                      codebook_count=1, delta=0.05, seed=0)
+
+
+def test_pair_decode_packs_wide_bins():
+    """Z bins wider than 32 bits pack next to the helper bin without loss: at
+    n=4 both 2**20 and 2**36 bins give the 16 Z sequences distinct bins, so
+    decoding, agreement and recovery agree exactly."""
+    base = RunContext(_config("PointP", xor_triple(), n=4)).rates
+    results = []
+    for r_z in (5.0, 9.0):
+        rates = dataclasses.replace(base, r_z=r_z)
+        cfg = _config("PointP", xor_triple(), n=4, rates=rates)
+        results.append(ExactEvaluator(cfg).evaluate(2))
+    narrow, wide = results
+    assert wide.per_codebook[0].status_mass["Y"]["OK"] > 0
+    for a, b in zip(narrow.per_codebook, wide.per_codebook):
+        assert a.status_mass == b.status_mass
+        assert a.agree_kp == b.agree_kp
+        assert a.recovery_error == b.recovery_error
+
+
+def test_pair_decode_bin_width_limit():
+    base = RunContext(_config("PointP", xor_triple(), n=4)).rates
+    rates = dataclasses.replace(base, r_x=8.0, r_z=9.0)   # 32 + 36 bits
+    cfg = _config("PointP", xor_triple(), n=4, rates=rates)
+    with pytest.raises(CapacityError, match="64 bits"):
+        ExactEvaluator(cfg).evaluate(1)

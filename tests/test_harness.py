@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from skpk import harness
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
 from skpk.harness import (MODE_EXACT, MODE_MONTE_CARLO, ExperimentConfig,
@@ -131,3 +132,22 @@ def test_time_share_report():
     assert rec["rates"]["split"] == [4, 4]
     assert rec["rates"]["parts"]["A"]["scheme"] == "PointE"
     assert rec["rates"]["parts"]["B"]["scheme"] == "PointT"
+
+
+def test_search_overflow_tally():
+    rec = run_trials(_mc_config(n_values=(8,), epsilon=0.5, trials=6,
+                                search_cap=1)).records[0]
+    tally = rec["decode_failures"]["X"]
+    assert tally["SearchOverflow"] > 0
+    assert math.isclose(sum(tally.values()), 1.0)
+
+
+def test_worker_count_clamped_to_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SKPK_WORKERS", "64")
+    assert harness._worker_count() == 2
+    assert "SKPK_WORKERS=64" in capsys.readouterr().err
+    for raw, want in (("2", 2), ("1", 1), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("SKPK_WORKERS", raw)
+        assert harness._worker_count() == want
+    assert capsys.readouterr().err == ""

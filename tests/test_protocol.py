@@ -6,11 +6,12 @@ import pytest
 
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
-from skpk.protocol import (STATUS_OK, RunContext, SchemeConfig, derive_rates,
-                           run_trial)
+from skpk.protocol import (STATUS_OK, STATUS_OVERFLOW, RunContext, SchemeConfig,
+                           _pair_decode, _unique_decode, derive_rates, run_trial)
 from skpk.sources import (JointDistribution, doubly_symmetric_xz,
                           identical_bits, info_profile, noisy_copy_triple,
                           xor_triple)
+from skpk.typicality import CandidateEngine
 
 
 def _config(scheme, dist, n, eps, delta, seed, mode=MODE_HASH, **kw):
@@ -223,3 +224,39 @@ def test_mismatch_rate_decreases_with_blocklength():
     for lo, hi in zip(errs[1:], errs[:-1]):
         sigma = math.sqrt(max(hi * (1 - hi), 0.25 / trials) / trials)
         assert lo <= hi + 2 * sigma
+
+
+def test_unique_decode_search_overflow():
+    cfg = _config("PointT", xor_triple(), n=8, eps=0.5, delta=0.05, seed=3)
+    ctx = RunContext(cfg)
+    triple = ctx.run(0).triple
+    cbz = ctx.codebooks["Z"]
+    target = cbz.bin_index(triple.z_seq)
+    observed = (triple.x_seq,)
+    status, _ = _unique_decode(ctx.engines["xz"], observed, cbz, target)
+    assert status != STATUS_OVERFLOW
+    tight = CandidateEngine(ctx.canonical_dist.marginal("XZ"), cfg.params, cap=1)
+    assert _unique_decode(tight, observed, cbz, target) == (STATUS_OVERFLOW, None)
+
+
+def test_pair_decode_search_overflow_in_either_stage():
+    cfg = _config("PointP", xor_triple(), n=8, eps=0.5, delta=0.05, seed=3)
+    ctx = RunContext(cfg)
+    assert not ctx.swapped
+    run = next(r for r in map(ctx.run, range(40)) if r.outcome.statuses["Y"] == STATUS_OK)
+    x, y, z = run.triple.x_seq, run.triple.y_seq, run.triple.z_seq
+    cbx, cbz = ctx.codebooks["X"], ctx.codebooks["Z"]
+    g, f = cbx.bin_index(x), cbz.bin_index(z)
+    d = ctx.canonical_dist
+    args = {"eng1": ctx.engines["yx"], "obs1": (y,), "cb1": cbx, "target1": g,
+            "eng2": ctx.engines["xyz"], "own": y, "cb2": cbz, "target2": f,
+            "own_first": False}
+    status, x_hat, z_hat = _pair_decode(**args)
+    assert status == STATUS_OK
+    assert np.array_equal(x_hat, x) and np.array_equal(z_hat, z)
+    # stage 1 overflows before any helper survives
+    stage1 = CandidateEngine(d.marginal("YX"), cfg.params, cap=1)
+    assert _pair_decode(**dict(args, eng1=stage1)) == (STATUS_OVERFLOW, None, None)
+    # stage 2 overflows on the first survivor: each has one z candidate here
+    stage2 = CandidateEngine(d.marginal("XYZ"), cfg.params, cap=0)
+    assert _pair_decode(**dict(args, eng2=stage2)) == (STATUS_OVERFLOW, None, None)
