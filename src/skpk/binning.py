@@ -98,24 +98,27 @@ class BinningCodebook:
             raise UsageError("sequence symbol outside the alphabet")
         return seq.astype(np.int64)
 
-    def sequence_index(self, seq) -> int:
-        seq = self._check(seq)
+    def _code(self, seq) -> int:
+        """Base-alphabet integer code of a sequence that passed _check."""
         idx = 0
         for v in seq.tolist():
             idx = idx * self.alphabet_size + v
         return idx
 
+    def sequence_index(self, seq) -> int:
+        return self._code(self._check(seq))
+
     def bin_index(self, seq) -> int:
         seq = self._check(seq)
         if self.mode == MODE_TABLE:
-            return int(self._table_bin[self.sequence_index(seq)])
+            return int(self._table_bin[self._code(seq)])
         h = np.add.reduce(self._key_bin[np.arange(self.n), seq], dtype=np.uint64)
         return int(h % np.uint64(self.num_bins))
 
     def sub_bin_index(self, seq) -> int:
         seq = self._check(seq)
         if self.mode == MODE_TABLE:
-            return int(self._table_sub[self.sequence_index(seq)])
+            return int(self._table_sub[self._code(seq)])
         h = np.add.reduce(self._key_sub[np.arange(self.n), seq], dtype=np.uint64)
         return int(h % np.uint64(self.num_sub_bins))
 

@@ -20,6 +20,7 @@ lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -131,6 +132,19 @@ def _group_slices(sorted_vals):
     bounds = np.concatenate([[0], edges, [len(sorted_vals)]])
     for i in range(len(bounds) - 1):
         yield int(bounds[i]), int(bounds[i + 1])
+
+
+def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
+    """Explicit-table codebooks of the k-th ensemble member: the native
+    codebooks' shapes and rates, redrawn from a seed derived from k.
+    """
+    cfg = ctx.config
+    seed = int(np.random.SeedSequence(
+        [cfg.master_seed, _ENSEMBLE_TAG, int(k)]).generate_state(1, np.uint64)[0])
+    return {terminal: make_codebook(MODE_TABLE, cb.n, cb.alphabet_size, cb.bin_rate,
+                                    cb.sub_rate, seed, purpose=cb.purpose,
+                                    table_cap=cfg.table_cap)
+            for terminal, cb in ctx.codebooks.items()}
 
 
 class ExactEvaluator:
@@ -297,7 +311,8 @@ class ExactEvaluator:
     # -- law and mass helpers ----------------------------------------------
 
     def _mass(self, mask) -> float:
-        return _fsum(self.enum.prob[mask])
+        # the memoryview yields Python floats one at a time, with no list
+        return math.fsum(memoryview(self.enum.prob[mask]))
 
     def _status_mass(self, st) -> dict:
         return {name: self._mass(st == code) for code, name in _STATUS_NAMES.items()}
@@ -327,15 +342,7 @@ class ExactEvaluator:
     # -- per-scheme evaluation ----------------------------------------------
 
     def _member_codebooks(self, k: int) -> dict:
-        cfg = self.config
-        seed = int(np.random.SeedSequence(
-            [cfg.master_seed, _ENSEMBLE_TAG, int(k)]).generate_state(1, np.uint64)[0])
-        out = {}
-        for terminal, cb in self.ctx.codebooks.items():
-            out[terminal] = make_codebook(
-                MODE_TABLE, cb.n, cb.alphabet_size, cb.bin_rate, cb.sub_rate,
-                seed, purpose=cb.purpose, table_cap=cfg.table_cap)
-        return out
+        return _draw_member_codebooks(self.ctx, k)
 
     def _eval_one(self, cbs) -> CodebookExact:
         handler = {"PointP": self._eval_p, "PointQ": self._eval_q,
@@ -637,18 +644,31 @@ def exact_secrecy_stats(config: SchemeConfig, num_codebooks: int,
 # Brute-force oracle: a second, deliberately naive computation of the laws
 
 
+class _Lookups(dict):
+    """Sequence -> lookup result, computing each missing entry once."""
+
+    def __init__(self, lookup):
+        super().__init__()
+        self._lookup = lookup
+
+    def __missing__(self, seq):
+        value = self[seq] = self._lookup(seq)
+        return value
+
+
 def oracle_secrecy(config: SchemeConfig, codebooks: dict,
                    full_alphabet: bool = False) -> dict:
     """Recompute leakage and key entropy by direct sequence iteration.
 
     Walks every source sequence triple in pure Python, calls the public
-    bin_index / sub_bin_index on each sequence, accumulates the joint laws in
-    dictionaries, and takes entropies with compensated summation. Shares no
-    law construction with ExactEvaluator, which is the point. Returns
-    normalized {leak_ks, leak_kp, h_ks, h_kp}.
+    bin_index / sub_bin_index once per distinct sequence and codebook,
+    accumulates the joint laws in dictionaries, and takes entropies with
+    compensated summation. Shares no law construction with ExactEvaluator,
+    which is the point. Returns normalized {leak_ks, leak_kp, h_ks, h_kp}.
 
     full_alphabet iterates the whole alphabet cube including zero-probability
-    atoms instead of just the support.
+    atoms instead of just the support; triples of probability zero are
+    skipped before any lookup.
     """
     ctx = RunContext(config)
     if ctx.scheme == "TimeShare":
@@ -662,10 +682,27 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict,
         atoms = [(x, y, z) for x in range(ax) for y in range(ay) for z in range(az)]
     else:
         atoms = dist.support_atoms()
+    pmf = {a: float(dist.pmf[a]) for a in atoms}
     scheme = ctx.scheme
     cbz = codebooks.get("Z")
     cbx = codebooks["X"]
     cby = codebooks.get("Y")
+
+    def z_code(zs):
+        code = 0
+        for v in zs:
+            code = code * az + v
+        return code
+
+    # one public lookup per distinct sequence and codebook
+    x_keys = _Lookups(lambda xs: (cbx.bin_index(xs), cbx.sub_bin_index(xs)))
+    if scheme == "PointE":
+        z_keys = _Lookups(z_code)
+    else:
+        z_keys = _Lookups(lambda zs: (z_code(zs), cbz.bin_index(zs),
+                                      cbz.sub_bin_index(zs)))
+    y_keys = _Lookups(cby.bin_index) if scheme == "PointQ" else None
+    x_of, y_of, z_of = (operator.itemgetter(i) for i in range(3))
     law_key_f = {}
     law_f = {}
     law_kp_fz = {}
@@ -675,28 +712,22 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict,
     for combo in itertools.product(atoms, repeat=n):
         prob = 1.0
         for a in combo:
-            prob *= dist.pmf[a]
+            prob *= pmf[a]
         if prob <= 0.0:
             continue
-        xs = np.array([a[0] for a in combo], dtype=np.int64)
-        ys = np.array([a[1] for a in combo], dtype=np.int64)
-        zs = np.array([a[2] for a in combo], dtype=np.int64)
-        z_code = 0
-        for v in zs.tolist():
-            z_code = z_code * az + v
-        g = cbx.bin_index(xs)
-        psi = cbx.sub_bin_index(xs)
+        g, psi = x_keys[tuple(map(x_of, combo))]
+        zs = tuple(map(z_of, combo))
         if scheme == "PointE":
-            f_tuple = (z_code, g)
+            zc = z_keys[zs]
+            f_tuple = (zc, g)
             phi = None
         else:
-            f = cbz.bin_index(zs)
-            phi = cbz.sub_bin_index(zs)
+            zc, f, phi = z_keys[zs]
             if scheme == "PointQ":
-                f_tuple = (f, g, cby.bin_index(ys))
+                f_tuple = (f, g, y_keys[tuple(map(y_of, combo))])
             else:
                 f_tuple = (f, g)
-        fz_tuple = f_tuple + (z_code,)
+        fz_tuple = f_tuple + (zc,)
         law_f[f_tuple] = law_f.get(f_tuple, 0.0) + prob
         law_fz[fz_tuple] = law_fz.get(fz_tuple, 0.0) + prob
         law_psi[psi] = law_psi.get(psi, 0.0) + prob
@@ -722,7 +753,9 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict,
 
 def oracle_codebooks(config: SchemeConfig, k: int) -> dict:
     """The k-th ensemble member's codebooks, as the evaluator draws them."""
-    return ExactEvaluator(config)._member_codebooks(k)
+    if config.codebook_mode != MODE_TABLE:
+        raise UsageError("exact evaluation requires ExplicitTable codebooks")
+    return _draw_member_codebooks(RunContext(config), k)
 
 
 # ---------------------------------------------------------------------------

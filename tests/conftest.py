@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from skpk.sources import JointDistribution
+
+# property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is deterministic
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_pmf(rng, shape, zero_frac=0.0) -> np.ndarray:

@@ -184,16 +184,30 @@ def test_criterion_6_subbin_entropy_bound():
 
 
 def test_criterion_7_exact_secrecy_trend():
+    """Secret-key leakage must not grow with n, K_S must be near uniform at
+    n=8, and the evaluator must agree with the brute-force oracle on every
+    ensemble member.
+
+    On xor PointP at epsilon=0.25 the secret-key rate r_s clamps to 0, so K_S
+    takes a single value at every n: the leakage is 0, h8 and rate8 are 0,
+    and the first two parts hold trivially. The detail line reports per
+    blocklength the key sizes, r_s, r_p and the clamped rates, so that shows.
+    """
     start = time.monotonic()
     dist = xor_triple()
     leaks = []
     h_at_8 = rate_at_8 = None
     oracle_worst = 0.0
+    sizes = []
     for n in (4, 6, 8):
         cfg = SchemeConfig(scheme="PointP", dist=dist, n=n, epsilon=0.25,
                            delta=0.05, master_seed=7, codebook_mode=MODE_TABLE)
         result = ExactEvaluator(cfg).evaluate(50)
         leaks.append(result.mean.leak_ks)
+        rates = result.rates
+        sizes.append(f"n={n}: ks_size={result.ks_size} kp_size={result.kp_size} "
+                     f"r_s={rates.r_s:.4f} r_p={rates.r_p:.4f} "
+                     f"clamped={','.join(rates.clamped) or 'none'}")
         if n == 8:
             h_at_8 = result.mean.h_ks
             rate_at_8 = math.log2(result.ks_size) / n
@@ -209,7 +223,7 @@ def test_criterion_7_exact_secrecy_trend():
              trend_ok and uniform_ok and oracle_worst <= 1e-12 and elapsed < 600.0,
              f"leaks={[f'{l:.3e}' for l in leaks]} h8={h_at_8:.4f} "
              f"rate8={rate_at_8:.4f} oracle_diff={oracle_worst:.2e} "
-             f"elapsed={elapsed:.1f}s")
+             f"{'; '.join(sizes)} elapsed={elapsed:.1f}s")
 
 
 def test_criterion_8_agreement_trend_markov():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skpk.binning import (MODE_HASH, MODE_TABLE, make_codebook,
                           num_bins_for_rate, stream_tag)
@@ -99,3 +101,39 @@ def test_sequence_validation():
         cb.bin_index(np.array([0, 1, 2, 0]))
     with pytest.raises(UsageError):
         cb.bin_index(np.array([0, 1]))
+
+
+@st.composite
+def _codebooks_and_sequences(draw, mode):
+    """A codebook with random shape, rates and seed, and one of its sequences.
+    Table codebooks stay at most 4**8 entries; rates keep n*rate below the
+    63-bit bin-count cap.
+    """
+    n = draw(st.integers(1, 8 if mode == MODE_TABLE else 24))
+    alphabet = draw(st.integers(1, 4))
+    bin_rate, sub_rate = (draw(st.floats(0.0, 62.0 / n)) for _ in range(2))
+    seed = draw(st.integers(0, 2 ** 63 - 1))
+    cb = make_codebook(mode, n, alphabet, bin_rate, sub_rate, seed, purpose="P")
+    seq = np.array(draw(st.lists(st.integers(0, alphabet - 1), min_size=n,
+                                 max_size=n)), dtype=np.int64)
+    return cb, seq
+
+
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+@given(data=st.data())
+def test_lookup_matches_fold_property(mode, data):
+    """Any codebook, any sequence: the public lookups are in range and equal
+    the contribution-table fold, and in table mode the fold is the sequence's
+    integer code.
+    """
+    cb, seq = data.draw(_codebooks_and_sequences(mode))
+    b, s = cb.bin_index(seq), cb.sub_bin_index(seq)
+    assert 0 <= b < cb.num_bins
+    assert 0 <= s < cb.num_sub_bins
+    pos = np.arange(cb.n)
+    acc = cb.contribution_table()[pos, seq].sum(dtype=np.uint64)
+    acc_sub = cb.sub_contribution_table()[pos, seq].sum(dtype=np.uint64)
+    assert b == int(cb.finalize_bins(np.array([acc]))[0])
+    assert s == int(cb.finalize_sub_bins(np.array([acc_sub]))[0])
+    if mode == MODE_TABLE:
+        assert cb.sequence_index(seq) == int(acc)

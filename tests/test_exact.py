@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from skpk.errors import CapacityError, UsageError
 from skpk.exact import (ExactEvaluator, exact_secrecy_stats, lemma1_check,
                         oracle_codebooks, oracle_secrecy)
 from skpk.protocol import RunContext, SchemeConfig
-from skpk.sources import identical_bits, xor_triple
+from skpk.sources import JointDistribution, identical_bits, xor_triple
 
 
 def _config(scheme, dist, n, seed=7, eps=0.9, delta=0.01, **kw):
@@ -65,6 +66,94 @@ def test_oracle_full_alphabet_option():
     full = oracle_secrecy(cfg, cbs, full_alphabet=True)
     assert support_only["leak_kp"] == pytest.approx(full["leak_kp"], abs=1e-12)
     assert support_only["h_kp"] == pytest.approx(full["h_kp"], abs=1e-12)
+
+
+def _record_lookups(codebooks) -> dict:
+    """Wrap each codebook's public bin_index / sub_bin_index so every call
+    logs its sequence under (terminal, method name).
+    """
+    calls = {}
+    for terminal, cb in codebooks.items():
+        for name in ("bin_index", "sub_bin_index"):
+            log = calls.setdefault((terminal, name), [])
+            original = getattr(cb, name)
+
+            def wrapped(seq, _original=original, _log=log):
+                _log.append(tuple(int(v) for v in seq))
+                return _original(seq)
+
+            setattr(cb, name, wrapped)
+    return calls
+
+
+def _expected_lookups(scheme, dist, n) -> dict:
+    """Every distinct support sequence of each codebook's terminal, once."""
+    atoms = dist.support_atoms()
+    seqs = {t: set(itertools.product(sorted({a[axis] for a in atoms}), repeat=n))
+            for t, axis in (("X", 0), ("Y", 1), ("Z", 2))}
+    expected = {("X", "bin_index"): seqs["X"], ("X", "sub_bin_index"): seqs["X"]}
+    if scheme != "PointE":
+        expected[("Z", "bin_index")] = seqs["Z"]
+        expected[("Z", "sub_bin_index")] = seqs["Z"]
+    if scheme == "PointQ":
+        expected[("Y", "bin_index")] = seqs["Y"]
+        expected[("Y", "sub_bin_index")] = set()
+    return expected
+
+
+def _assert_looked_up_once(calls, expected):
+    assert set(calls) == set(expected)
+    for key, seqs in expected.items():
+        assert len(calls[key]) == len(set(calls[key])), key
+        assert set(calls[key]) == seqs, key
+
+
+@pytest.mark.parametrize("scheme", ["PointP", "PointQ", "PointE"])
+def test_oracle_looks_each_sequence_up_once(scheme):
+    cfg = _config(scheme, xor_triple(), n=4)
+    plain = oracle_secrecy(cfg, oracle_codebooks(cfg, 1))
+    cbs = oracle_codebooks(cfg, 1)
+    calls = _record_lookups(cbs)
+    assert oracle_secrecy(cfg, cbs) == plain
+    _assert_looked_up_once(calls, _expected_lookups(scheme, xor_triple(), 4))
+
+
+def test_oracle_full_alphabet_skips_zero_atoms_before_lookup():
+    # xor on x, y in {0, 1}; the third x symbol has probability zero
+    pmf = np.zeros((3, 2, 2))
+    for x, y in itertools.product(range(2), repeat=2):
+        pmf[x, y, x ^ y] = 0.25
+    dist = JointDistribution(pmf.shape, pmf)
+    cfg = _config("PointP", dist, n=3)
+    support_only = oracle_secrecy(cfg, oracle_codebooks(cfg, 0))
+    cbs = oracle_codebooks(cfg, 0)
+    calls = _record_lookups(cbs)
+    assert oracle_secrecy(cfg, cbs, full_alphabet=True) == support_only
+    _assert_looked_up_once(calls, _expected_lookups("PointP", dist, 3))
+
+
+def test_oracle_lookups_still_validate():
+    cfg = _config("PointP", xor_triple(), n=3)
+    mismatched = oracle_codebooks(_config("PointP", xor_triple(), n=4), 0)
+    with pytest.raises(UsageError, match="does not match n=4"):
+        oracle_secrecy(cfg, mismatched)
+
+
+@pytest.mark.parametrize("scheme", ["PointP", "PointQ", "PointT", "PointE"])
+def test_oracle_codebooks_match_evaluator_members(scheme):
+    cfg = _config(scheme, xor_triple(), n=4)
+    evaluator = ExactEvaluator(cfg)
+    for k in (0, 1, 7):
+        ours = oracle_codebooks(cfg, k)
+        theirs = evaluator._member_codebooks(k)
+        assert list(ours) == list(theirs)
+        for terminal, cb in ours.items():
+            ref = theirs[terminal]
+            codes = np.arange(cb.alphabet_size ** cb.n)
+            assert (cb.num_bins, cb.num_sub_bins) == (ref.num_bins, ref.num_sub_bins)
+            assert np.array_equal(cb.bins_of_indices(codes), ref.bins_of_indices(codes))
+            assert np.array_equal(cb.sub_bins_of_indices(codes),
+                                  ref.sub_bins_of_indices(codes))
 
 
 def test_exact_matches_monte_carlo():
