@@ -2,52 +2,23 @@
 
 Capacity-region computation, random-binning protocol execution at the named
 corner points, exact small-blocklength secrecy evaluation, and a Monte Carlo
-harness, all behind one CLI.
+harness, all behind one CLI. The package exports what the README's library
+example and the benchmark use; everything else is imported from its module.
 """
 
-from .binning import (MODE_HASH, MODE_TABLE, BinningCodebook, make_codebook,
-                      num_bins_for_rate, stream_tag)
-from .errors import CapacityError, SearchOverflowError, UsageError
-from .exact import (CodebookExact, ExactEvaluator, ExactResult, Lemma1Stats,
-                    exact_secrecy_stats, lemma1_check, oracle_codebooks,
-                    oracle_secrecy)
-from .harness import (ExperimentConfig, SimulationReport, emit_report,
-                      exact_secrecy, region_csv, region_summary, run_trials)
-from .protocol import (SCHEMES, STATUS_OK, KeyOutcome, ProtocolRun,
-                       RateAssignment, RunContext, SchemeConfig, Transcript,
-                       derive_rates, run_trial)
-from .region import (RateRegion, RegionConstants, classify_case, halfplanes,
-                     label_vertices, rate_region, region_constants,
-                     require_point_in_region)
-from .sources import (InfoProfile, JointDistribution, SourceTriple,
-                      conditional_entropy, conditional_mutual_information,
-                      doubly_symmetric_xz, dump_pmf, entropy, identical_bits,
-                      independent_bits, info_profile, load_pmf,
-                      mutual_information, noisy_copy_triple, sample,
-                      shared_bit_with_spectator_z, xor_triple)
-from .typicality import (CandidateEngine, TypicalityParams,
-                         conditional_candidates, count_window, count_windows,
-                         enumerate_typical, is_strongly_typical, joint_counts)
+from .binning import MODE_TABLE
+from .exact import ExactEvaluator, exact_secrecy_stats, oracle_codebooks, oracle_secrecy
+from .harness import ExperimentConfig, run_trials
+from .protocol import STATUS_OK, RunContext, SchemeConfig, Transcript
+from .region import rate_region
+from .sources import xor_triple
+from .typicality import TypicalityParams, is_strongly_typical
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinningCodebook", "CandidateEngine", "CapacityError", "CodebookExact",
-    "ExactEvaluator", "ExactResult", "ExperimentConfig", "InfoProfile",
-    "JointDistribution", "KeyOutcome", "Lemma1Stats", "MODE_HASH",
-    "MODE_TABLE", "ProtocolRun", "RateAssignment", "RateRegion",
-    "RegionConstants", "RunContext", "SCHEMES", "STATUS_OK", "SchemeConfig",
-    "SearchOverflowError", "SimulationReport", "SourceTriple", "Transcript",
-    "TypicalityParams", "UsageError", "classify_case",
-    "conditional_candidates", "conditional_entropy",
-    "conditional_mutual_information", "count_window", "count_windows",
-    "derive_rates", "doubly_symmetric_xz", "dump_pmf", "emit_report",
-    "entropy", "enumerate_typical", "exact_secrecy", "exact_secrecy_stats",
-    "halfplanes", "identical_bits", "independent_bits", "info_profile",
-    "is_strongly_typical", "joint_counts", "label_vertices", "lemma1_check",
-    "load_pmf", "make_codebook", "mutual_information", "noisy_copy_triple",
-    "num_bins_for_rate", "oracle_codebooks", "oracle_secrecy", "rate_region",
-    "region_constants", "region_csv", "region_summary",
-    "require_point_in_region", "run_trial", "run_trials", "sample",
-    "shared_bit_with_spectator_z", "stream_tag", "xor_triple",
+    "ExactEvaluator", "ExperimentConfig", "MODE_TABLE", "RunContext", "STATUS_OK",
+    "SchemeConfig", "Transcript", "TypicalityParams", "exact_secrecy_stats",
+    "is_strongly_typical", "oracle_codebooks", "oracle_secrecy", "rate_region",
+    "run_trials", "xor_triple",
 ]

@@ -122,10 +122,7 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
 
 def _cmd_region(args) -> int:
     summary = region_summary(load_pmf(args.pmf))
-    fmt = args.format
-    if fmt is None and args.out:
-        fmt = "csv" if args.out.endswith(".csv") else "json"
-    text = emit_report(summary, path=args.out, fmt=fmt or "json")
+    text = emit_report(summary, path=args.out, fmt=args.format)
     if not args.out:
         sys.stdout.write(text)
     return 0

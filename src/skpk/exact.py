@@ -22,13 +22,13 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .binning import MODE_TABLE, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
-from .protocol import RunContext, SchemeConfig
+from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import JointDistribution, _entropy_of
 from .typicality import count_windows
 
@@ -39,10 +39,6 @@ _LEMMA_TAG = stream_tag("lemma1-codebook")
 
 _ST_OK, _ST_NONE, _ST_AMB = 0, 1, 2
 _STATUS_NAMES = {_ST_OK: "OK", _ST_NONE: "NoCandidate", _ST_AMB: "Ambiguous"}
-
-
-def _fsum(values) -> float:
-    return math.fsum(float(v) for v in values)
 
 
 def _entropy_masses(masses) -> float:
@@ -80,38 +76,36 @@ class ExactResult:
 
 class _Enumeration:
     """All support sequences of the product source, as per-variable sequence
-    codes plus probabilities.
+    codes (idx, keyed by lowercase letter) plus probabilities.
+
+    Atoms are taken in lexicographic order of their coordinates listed in
+    axes; the order fixes the summation order of every law.
     """
 
-    def __init__(self, dist: JointDistribution, n: int, cap: int):
+    def __init__(self, dist: JointDistribution, n: int, cap: int, axes=(0, 1, 2)):
         ax, ay, az = dist.alphabet_sizes
         if (ax * ay * az) ** n > cap:
             raise CapacityError(
                 f"({ax}*{ay}*{az})**{n} sequence triples exceed the exact-mode "
                 f"cap {cap}")
-        atoms = dist.support_atoms()
+        atoms = sorted(dist.support_atoms(), key=lambda a: [a[i] for i in axes])
         m = len(atoms)
         if m == 0:
             raise UsageError("distribution has empty support")
-        x_of = np.array([a[0] for a in atoms], dtype=np.int64)
-        y_of = np.array([a[1] for a in atoms], dtype=np.int64)
-        z_of = np.array([a[2] for a in atoms], dtype=np.int64)
+        of = np.array(atoms, dtype=np.int64).T
         p_of = np.array([dist.pmf[a] for a in atoms], dtype=np.float64)
         total = m ** n
         codes = np.arange(total, dtype=np.int64)
-        x_idx = np.zeros(total, dtype=np.int64)
-        y_idx = np.zeros(total, dtype=np.int64)
-        z_idx = np.zeros(total, dtype=np.int64)
+        idx = np.zeros((3, total), dtype=np.int64)
         prob = np.ones(total, dtype=np.float64)
         for t in range(n):
             d = (codes // (m ** (n - 1 - t))) % m
-            x_idx = x_idx * ax + x_of[d]
-            y_idx = y_idx * ay + y_of[d]
-            z_idx = z_idx * az + z_of[d]
+            for v, size in enumerate(dist.alphabet_sizes):
+                idx[v] = idx[v] * size + of[v][d]
             prob = prob * p_of[d]
         self.n = n
-        self.sizes = (ax, ay, az)
-        self.x_idx, self.y_idx, self.z_idx = x_idx, y_idx, z_idx
+        self.size = dict(zip("xyz", dist.alphabet_sizes))
+        self.idx = dict(zip("xyz", idx))
         self.prob = prob
 
 
@@ -124,14 +118,17 @@ def _seq_of(idx: int, size: int, n: int) -> np.ndarray:
     return seq
 
 
-def _group_slices(sorted_vals):
-    """(start, stop) of each equal-value run in a sorted array."""
-    if len(sorted_vals) == 0:
-        return
-    edges = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
-    bounds = np.concatenate([[0], edges, [len(sorted_vals)]])
-    for i in range(len(bounds) - 1):
-        yield int(bounds[i]), int(bounds[i + 1])
+def _match(codes, targets, *payload):
+    """Status of each target among the codes (OK when exactly one code
+    equals it), and per payload array its entry at that code, -1 elsewhere.
+    """
+    so = np.argsort(codes, kind="stable")
+    codes = codes[so]
+    left = np.searchsorted(codes, targets, side="left")
+    cnt = np.searchsorted(codes, targets, side="right") - left
+    pick = so[np.minimum(left, len(codes) - 1)]
+    status = np.where(cnt == 0, _ST_NONE, np.where(cnt == 1, _ST_OK, _ST_AMB))
+    return (status, *(np.where(cnt == 1, p[pick], -1) for p in payload))
 
 
 def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
@@ -148,7 +145,9 @@ def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
 
 
 class ExactEvaluator:
-    """Per-codebook exact laws for a one-shot scheme configuration."""
+    """Per-codebook exact laws for a one-shot scheme configuration, read off
+    the scheme's description like the sampling runner does.
+    """
 
     def __init__(self, config: SchemeConfig, exact_cap: int = EXACT_PRODUCT_CAP):
         if config.codebook_mode != MODE_TABLE:
@@ -161,151 +160,86 @@ class ExactEvaluator:
             self.enum = None
             return
         self.parts = None
-        self.enum = _Enumeration(self.ctx.canonical_dist, config.n, exact_cap)
-        self._cand1 = {}
-        self._cand2 = {}
+        # the middle terminal's coordinate leads the atom order
+        axes = (1, 0, 2) if self.ctx.desc.kp_owner == "Y" else (0, 1, 2)
+        self.enum = _Enumeration(config.dist, config.n, exact_cap, axes)
+        self._cand = {}
 
-    # -- candidate caches (codebook independent) ---------------------------
-
-    def _cands_single(self, eng_key, obs_size, obs_idx):
-        key = (eng_key, int(obs_idx))
-        got = self._cand1.get(key)
+    def _cands(self, eng_key, sizes, obs_idx):
+        """Candidate indices the engine admits for the observed sequences
+        with these indices; codebook independent, so cached.
+        """
+        key = (eng_key, *obs_idx)
+        got = self._cand.get(key)
         if got is None:
-            seq = _seq_of(obs_idx, obs_size, self.enum.n)
-            got = self.ctx.engines[eng_key].candidate_indices((seq,))
-            self._cand1[key] = got
-        return got
-
-    def _cands_pair(self, eng_key, sizes, idx_pair):
-        key = (eng_key, int(idx_pair[0]), int(idx_pair[1]))
-        got = self._cand2.get(key)
-        if got is None:
-            seqs = (_seq_of(idx_pair[0], sizes[0], self.enum.n),
-                    _seq_of(idx_pair[1], sizes[1], self.enum.n))
-            got = self.ctx.engines[eng_key].candidate_indices(seqs)
-            self._cand2[key] = got
+            seqs = tuple(_seq_of(i, s, self.enum.n) for i, s in zip(obs_idx, sizes))
+            got = self._cand[key] = self.ctx.engines[eng_key].candidate_indices(seqs)
         return got
 
     # -- exact decode tables -----------------------------------------------
 
-    def _unique_exact(self, eng_key, obs_size, obs_idx, cb, targets):
-        n_el = len(obs_idx)
-        status = np.full(n_el, _ST_NONE, dtype=np.int8)
-        rec = np.full(n_el, -1, dtype=np.int64)
-        order = np.argsort(obs_idx, kind="stable")
-        sorted_obs = obs_idx[order]
-        for start, stop in _group_slices(sorted_obs):
-            members = order[start:stop]
-            cands = self._cands_single(eng_key, obs_size, sorted_obs[start])
-            if len(cands) == 0:
-                continue
-            bins = cb.bins_of_indices(cands)
-            bo = np.argsort(bins, kind="stable")
-            sb = bins[bo]
-            firsts = np.concatenate([[0], np.flatnonzero(sb[1:] != sb[:-1]) + 1])
-            ub = sb[firsts]
-            counts = np.diff(np.concatenate([firsts, [len(sb)]]))
-            first_cand = cands[bo[firsts]]
-            fv = targets[members]
-            pos = np.searchsorted(ub, fv)
-            safe = np.minimum(pos, len(ub) - 1)
-            found = ub[safe] == fv
-            cnt = np.where(found, counts[safe], 0)
-            status[members] = np.where(cnt == 0, _ST_NONE,
-                                       np.where(cnt == 1, _ST_OK, _ST_AMB))
-            rec[members] = np.where(cnt == 1, first_cand[safe], -1)
-        return status, rec
-
-    def _unique_exact_pair_obs(self, eng_key, sizes, obs1_idx, obs2_idx, valid,
-                               cb, targets):
-        """Unique decode with two observed sequences; elements where valid is
-        False are left as NoCandidate for the caller to overwrite.
+    def _groups(self, obs_cols, sizes, valid):
+        """The enumerated elements where valid holds, grouped by their
+        observed sequence indices (one column per observed letter): yields
+        each group's members and indices.
         """
-        n_el = len(obs1_idx)
-        status = np.full(n_el, _ST_NONE, dtype=np.int8)
-        rec = np.full(n_el, -1, dtype=np.int64)
         idx_el = np.flatnonzero(valid)
         if len(idx_el) == 0:
-            return status, rec
-        big = int(obs2_idx[idx_el].max()) + 1
-        combo = obs1_idx[idx_el] * big + obs2_idx[idx_el]
-        order = idx_el[np.argsort(combo, kind="stable")]
-        sorted_combo = obs1_idx[order] * big + obs2_idx[order]
-        for start, stop in _group_slices(sorted_combo):
-            members = order[start:stop]
-            pair = (int(obs1_idx[members[0]]), int(obs2_idx[members[0]]))
-            cands = self._cands_pair(eng_key, sizes, pair)
-            if len(cands) == 0:
-                continue
-            bins = cb.bins_of_indices(cands)
-            bo = np.argsort(bins, kind="stable")
-            sb = bins[bo]
-            firsts = np.concatenate([[0], np.flatnonzero(sb[1:] != sb[:-1]) + 1])
-            ub = sb[firsts]
-            counts = np.diff(np.concatenate([firsts, [len(sb)]]))
-            first_cand = cands[bo[firsts]]
-            fv = targets[members]
-            pos = np.searchsorted(ub, fv)
-            safe = np.minimum(pos, len(ub) - 1)
-            found = ub[safe] == fv
-            cnt = np.where(found, counts[safe], 0)
-            status[members] = np.where(cnt == 0, _ST_NONE,
-                                       np.where(cnt == 1, _ST_OK, _ST_AMB))
-            rec[members] = np.where(cnt == 1, first_cand[safe], -1)
+            return
+        code = np.zeros(len(idx_el), dtype=np.int64)
+        for col, size in zip(obs_cols, sizes):
+            code = code * size ** self.enum.n + col[idx_el]
+        so = np.argsort(code, kind="stable")
+        code = code[so]
+        for members in np.split(idx_el[so], np.flatnonzero(code[1:] != code[:-1]) + 1):
+            yield members, tuple(int(col[members[0]]) for col in obs_cols)
+
+    def _unique_exact(self, eng_key, sizes, obs_cols, valid, cb, targets):
+        """Unique decode of each enumerated element where valid holds; the
+        other elements are left as NoCandidate.
+        """
+        status = np.full(len(valid), _ST_NONE, dtype=np.int8)
+        rec = np.full(len(valid), -1, dtype=np.int64)
+        for members, obs in self._groups(obs_cols, sizes, valid):
+            cands = self._cands(eng_key, sizes, obs)
+            if len(cands) > 0:
+                status[members], rec[members] = _match(
+                    cb.bins_of_indices(cands), targets[members], cands)
         return status, rec
 
-    def _pair_exact(self, own_idx, own_size, eng1_key, cb1, t1,
+    # one function serves any number of observed sequences; the benchmark's
+    # tracer still wraps the two-observation name
+    _unique_exact_pair_obs = _unique_exact
+
+    def _pair_exact(self, own_idx, own_size, valid, eng1_key, cb1, t1,
                     eng2_key, pair_sizes, cb2, t2, own_first):
-        """Unique (helper, z) pair decode: helper candidates filtered by bin
-        t1, each extended by z candidates filtered by bin t2; unique means one
-        surviving pair overall. Everything is counted exactly.
+        """Unique (helper, z) pair decode of each element where valid holds:
+        helper candidates filtered by bin t1, each extended by z candidates
+        filtered by bin t2; unique means one surviving pair overall.
+        Everything is counted exactly.
         """
-        n_el = len(own_idx)
-        status = np.full(n_el, _ST_NONE, dtype=np.int8)
-        rec_h = np.full(n_el, -1, dtype=np.int64)
-        rec_z = np.full(n_el, -1, dtype=np.int64)
+        status = np.full(len(valid), _ST_NONE, dtype=np.int8)
+        rec_h = np.full(len(valid), -1, dtype=np.int64)
+        rec_z = np.full(len(valid), -1, dtype=np.int64)
         # (helper bin, z bin) packs into one uint64 in lexicographic order
         z_bits = (cb2.num_bins - 1).bit_length()
         if (cb1.num_bins - 1).bit_length() + z_bits > 64:
             raise CapacityError(
                 f"{cb1.num_bins} x {cb2.num_bins} bin pairs do not pack into 64 bits")
         shift = np.uint64(z_bits)
-        order = np.argsort(own_idx, kind="stable")
-        sorted_own = own_idx[order]
-        for start, stop in _group_slices(sorted_own):
-            members = order[start:stop]
-            own = int(sorted_own[start])
-            helpers = self._cands_single(eng1_key, own_size, own)
-            if len(helpers) == 0:
+        for members, (own,) in self._groups([own_idx], [own_size], valid):
+            helpers = self._cands(eng1_key, (own_size,), (own,))
+            zs = [self._cands(eng2_key, pair_sizes, (own, h) if own_first else (h, own))
+                  for h in helpers.tolist()]
+            per_helper = [len(z) for z in zs]
+            if sum(per_helper) == 0:
                 continue
-            hbins = cb1.bins_of_indices(helpers)
-            z_parts, hb_parts, hid_parts = [], [], []
-            for hj, hb in zip(helpers.tolist(), hbins.tolist()):
-                pair = (own, hj) if own_first else (hj, own)
-                zc = self._cands_pair(eng2_key, pair_sizes, pair)
-                if len(zc) == 0:
-                    continue
-                z_parts.append(zc)
-                hb_parts.append(np.full(len(zc), hb, dtype=np.uint64))
-                hid_parts.append(np.full(len(zc), hj, dtype=np.int64))
-            if not z_parts:
-                continue
-            z_all = np.concatenate(z_parts)
-            hb_all = np.concatenate(hb_parts)
-            hid_all = np.concatenate(hid_parts)
-            zb_all = cb2.bins_of_indices(z_all)
-            code = (hb_all << shift) | zb_all
-            so = np.argsort(code, kind="stable")
-            code_s, h_s, z_s = code[so], hid_all[so], z_all[so]
+            z_all = np.concatenate(zs)
+            code = ((np.repeat(cb1.bins_of_indices(helpers), per_helper) << shift)
+                    | cb2.bins_of_indices(z_all))
             q = (t1[members].astype(np.uint64) << shift) | t2[members].astype(np.uint64)
-            left = np.searchsorted(code_s, q, side="left")
-            right = np.searchsorted(code_s, q, side="right")
-            cnt = right - left
-            status[members] = np.where(cnt == 0, _ST_NONE,
-                                       np.where(cnt == 1, _ST_OK, _ST_AMB))
-            safe = np.minimum(left, len(code_s) - 1)
-            rec_h[members] = np.where(cnt == 1, h_s[safe], -1)
-            rec_z[members] = np.where(cnt == 1, z_s[safe], -1)
+            status[members], rec_h[members], rec_z[members] = _match(
+                code, q, np.repeat(helpers, per_helper), z_all)
         return status, rec_h, rec_z
 
     # -- law and mass helpers ----------------------------------------------
@@ -313,9 +247,6 @@ class ExactEvaluator:
     def _mass(self, mask) -> float:
         # the memoryview yields Python floats one at a time, with no list
         return math.fsum(memoryview(self.enum.prob[mask]))
-
-    def _status_mass(self, st) -> dict:
-        return {name: self._mass(st == code) for code, name in _STATUS_NAMES.items()}
 
     def _law_entropy(self, cols, sizes) -> float:
         """Entropy in bits of the joint law of integer columns."""
@@ -334,23 +265,94 @@ class ExactEvaluator:
         masses = np.bincount(inverse, weights=self.enum.prob)
         return _entropy_masses(masses)
 
-    def _claim(self, sub_table_cb, rec, st, use_sub=True):
-        safe = np.where(rec >= 0, rec, 0)
-        vals = (sub_table_cb.sub_bins_of_indices(safe) if use_sub else safe)
-        return np.where((rec >= 0) & (st == _ST_OK), vals.astype(np.int64), -1)
-
-    # -- per-scheme evaluation ----------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def _member_codebooks(self, k: int) -> dict:
         return _draw_member_codebooks(self.ctx, k)
 
     def _eval_one(self, cbs) -> CodebookExact:
-        handler = {"PointP": self._eval_p, "PointQ": self._eval_q,
-                   "PointT": self._eval_t, "PointE": self._eval_e}[self.ctx.scheme]
-        stats = handler(cbs)
-        if self.ctx.swapped:
-            stats = self._relabel(stats)
-        return stats
+        """Exact laws of one codebook draw, following the scheme's messages
+        and decode steps over the whole enumeration at once.
+        """
+        e, desc = self.enum, self.ctx.desc
+        n_el = len(e.prob)
+        values, sizes = {}, []
+        # "v_at_T" -> (status of the step that recovered it, recovered index);
+        # the status of a copy sent verbatim is None
+        recovered = {}
+        for m in desc.messages:
+            letter = m.sender.lower()
+            if m.role:
+                col, size = cbs[m.sender].bins_of_indices(e.idx[letter]), cbs[m.sender].num_bins
+            else:
+                col, size = e.idx[letter], e.size[letter] ** e.n
+                recovered.update((f"{letter}_at_{t}", (None, col))
+                                 for t in TERMINALS if t != m.sender)
+            values[m.sender] = col
+            sizes.append(size)
+        cols = list(values.values())
+        terminal_status = {}
+        for step in desc.decodes:
+            t, own = step.terminal, step.terminal.lower()
+            keys = step.engine_keys()
+            cb = [cbs[v.upper()] for v in step.decoded]
+            target = [values[v.upper()] for v in step.decoded]
+            prior = terminal_status.get(t)
+            # a terminal stops at its first failed step
+            valid = np.ones(n_el, dtype=bool) if prior is None else prior == _ST_OK
+            obs_sizes = [e.size[v] for v in step.observed]
+            if len(step.decoded) == 1:
+                observed = [e.idx[v] if v == own else recovered[f"{v}_at_{t}"][1]
+                            for v in step.observed]
+                st, *found = self._unique_exact(keys[0], obs_sizes, observed, valid,
+                                                cb[0], target[0])
+            else:
+                st, *found = self._pair_exact(
+                    e.idx[own], e.size[own], valid, keys[0], cb[0], target[0], keys[1],
+                    obs_sizes, cb[1], target[1], own_first=step.observed[0] == own)
+            terminal_status[t] = st if prior is None else np.where(prior != _ST_OK, prior, st)
+            recovered.update((f"{v}_at_{t}", (st, rec)) for v, rec in zip(step.decoded, found))
+
+        n = float(e.n)
+
+        def key_laws(owner, view, view_sizes):
+            """Leakage of the owner's sub-bin to one who sees the view, its
+            entropy, and the mass on which every terminal that decoded the
+            owner's sequence reads the same sub-bin.
+            """
+            cb = cbs[owner]
+            key = cb.sub_bins_of_indices(e.idx[owner.lower()]).astype(np.int64)
+            agree = np.ones(n_el, dtype=bool)
+            for name, (st, rec) in recovered.items():
+                if name[0] == owner.lower() and st is not None:
+                    claim = np.where((rec >= 0) & (st == _ST_OK),
+                                     cb.sub_bins_of_indices(np.where(rec >= 0, rec, 0))
+                                     .astype(np.int64), -1)
+                    agree &= (claim >= 0) & (claim == key)
+            h = self._law_entropy([key], [cb.num_sub_bins])
+            leak = (h + self._law_entropy(view, view_sizes) - self._law_entropy(
+                [key] + view, [cb.num_sub_bins] + view_sizes)) / n
+            return leak, h / n, self._mass(agree)
+
+        # K_S is kept from the eavesdropper, who sees the transcript; K_P
+        # also from Z, who holds Z^n besides (in the transcript already when
+        # Z has no codebook)
+        leak_ks = h_ks = agree_ks = None
+        if "Z" in cbs:
+            leak_ks, h_ks, agree_ks = key_laws("Z", cols, sizes)
+            cols, sizes = cols + [e.idx["z"]], sizes + [e.size["z"] ** e.n]
+        leak_kp, h_kp, agree_kp = key_laws(desc.kp_owner, cols, sizes)
+        ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}
+        return CodebookExact(
+            leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
+            agree_ks=agree_ks, agree_kp=agree_kp,
+            status_mass={t: {name: self._mass(terminal_status[t] == code)
+                             for code, name in _STATUS_NAMES.items()}
+                         if t in terminal_status else dict(ok) for t in TERMINALS},
+            recovery_error={
+                key: 0.0 if st is None else 1.0 - self._mass(
+                    (st == _ST_OK) & (rec == e.idx[key[0]]))
+                for key, (st, rec) in recovered.items()})
 
     def evaluate_native(self) -> CodebookExact:
         """Exact laws for the very codebooks the sampling runner uses, so
@@ -361,9 +363,7 @@ class ExactEvaluator:
             stats = [p.evaluate_native() for p in live]
             if len(stats) == 1:
                 return stats[0]
-            na = live[0].config.n
-            nb = live[1].config.n
-            return _combine_parts(stats[0], stats[1], na, nb, self.config.n)
+            return _combine_parts(*stats, *(p.config.n for p in live), self.config.n)
         return self._eval_one(self.ctx.codebooks)
 
     def evaluate(self, num_codebooks: int) -> ExactResult:
@@ -371,182 +371,21 @@ class ExactEvaluator:
             raise UsageError("exact evaluation needs at least one codebook")
         if self.parts is not None:
             return self._evaluate_time_share(num_codebooks)
-        per = []
-        for k in range(num_codebooks):
-            per.append(self._eval_one(self._member_codebooks(k)))
-        ks_size = self.ctx.codebooks["Z"].num_sub_bins if "Z" in self.ctx.codebooks else 1
-        kp_size = self.ctx.codebooks["X"].num_sub_bins
+        per = [self._eval_one(self._member_codebooks(k)) for k in range(num_codebooks)]
+        cbs = self.ctx.codebooks
         return ExactResult(scheme=self.ctx.scheme, redirected=self.ctx.redirected,
                            n=self.config.n, num_codebooks=num_codebooks,
-                           ks_size=ks_size, kp_size=kp_size, rates=self.ctx.rates,
-                           per_codebook=per, mean=_mean_stats(per))
-
-    def _relabel(self, s: CodebookExact) -> CodebookExact:
-        sw = RunContext._swap_terminal
-        return CodebookExact(
-            leak_ks=s.leak_ks, leak_kp=s.leak_kp, h_ks=s.h_ks, h_kp=s.h_kp,
-            agree_ks=s.agree_ks, agree_kp=s.agree_kp,
-            status_mass={sw(k): v for k, v in s.status_mass.items()},
-            recovery_error={RunContext._swap_recovered_key(k): v
-                            for k, v in s.recovery_error.items()})
-
-    def _eval_p(self, cbs) -> CodebookExact:
-        e = self.enum
-        ax, ay, az = e.sizes
-        cbz, cbx = cbs["Z"], cbs["X"]
-        f = cbz.bins_of_indices(e.z_idx)
-        phi = cbz.sub_bins_of_indices(e.z_idx).astype(np.int64)
-        g = cbx.bins_of_indices(e.x_idx)
-        psi = cbx.sub_bins_of_indices(e.x_idx).astype(np.int64)
-        st_x, z_at_x = self._unique_exact("xz", ax, e.x_idx, cbz, f)
-        st_y, x_at_y, z_at_y = self._pair_exact(
-            e.y_idx, ay, "yx", cbx, g, "xyz", (ax, ay), cbz, f, own_first=False)
-        ks_x = self._claim(cbz, z_at_x, st_x)
-        ks_y = self._claim(cbz, z_at_y, st_y)
-        kp_y = self._claim(cbx, x_at_y, st_y)
-        n = float(e.n)
-        h_f = self._law_entropy([f, g], [cbz.num_bins, cbx.num_bins])
-        h_phi = self._law_entropy([phi], [cbz.num_sub_bins])
-        h_psi = self._law_entropy([psi], [cbx.num_sub_bins])
-        leak_ks = (h_phi + h_f - self._law_entropy(
-            [phi, f, g], [cbz.num_sub_bins, cbz.num_bins, cbx.num_bins])) / n
-        h_fz = self._law_entropy([f, g, e.z_idx],
-                                 [cbz.num_bins, cbx.num_bins, az ** e.n])
-        leak_kp = (h_psi + h_fz - self._law_entropy(
-            [psi, f, g, e.z_idx],
-            [cbx.num_sub_bins, cbz.num_bins, cbx.num_bins, az ** e.n])) / n
-        agree_ks = self._mass((ks_x >= 0) & (ks_y >= 0)
-                              & (ks_x == phi) & (ks_y == phi))
-        agree_kp = self._mass((kp_y >= 0) & (kp_y == psi))
-        return CodebookExact(
-            leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_phi / n, h_kp=h_psi / n,
-            agree_ks=agree_ks, agree_kp=agree_kp,
-            status_mass={"Z": {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0},
-                         "X": self._status_mass(st_x), "Y": self._status_mass(st_y)},
-            recovery_error={
-                "z_at_X": 1.0 - self._mass((st_x == _ST_OK) & (z_at_x == e.z_idx)),
-                "z_at_Y": 1.0 - self._mass((st_y == _ST_OK) & (z_at_y == e.z_idx)),
-                "x_at_Y": 1.0 - self._mass((st_y == _ST_OK) & (x_at_y == e.x_idx))})
-
-    def _eval_q(self, cbs) -> CodebookExact:
-        e = self.enum
-        ax, ay, az = e.sizes
-        cbz, cbx, cby = cbs["Z"], cbs["X"], cbs["Y"]
-        f = cbz.bins_of_indices(e.z_idx)
-        phi = cbz.sub_bins_of_indices(e.z_idx).astype(np.int64)
-        g = cbx.bins_of_indices(e.x_idx)
-        psi = cbx.sub_bins_of_indices(e.x_idx).astype(np.int64)
-        ell = cby.bins_of_indices(e.y_idx)
-        st_x, y_at_x, z_at_x = self._pair_exact(
-            e.x_idx, ax, "xy", cby, ell, "xyz", (ax, ay), cbz, f, own_first=True)
-        st_y, x_at_y, z_at_y = self._pair_exact(
-            e.y_idx, ay, "yx", cbx, g, "xyz", (ax, ay), cbz, f, own_first=False)
-        ks_x = self._claim(cbz, z_at_x, st_x)
-        ks_y = self._claim(cbz, z_at_y, st_y)
-        kp_y = self._claim(cbx, x_at_y, st_y)
-        n = float(e.n)
-        sizes_f = [cbz.num_bins, cbx.num_bins, cby.num_bins]
-        h_f = self._law_entropy([f, g, ell], sizes_f)
-        h_phi = self._law_entropy([phi], [cbz.num_sub_bins])
-        h_psi = self._law_entropy([psi], [cbx.num_sub_bins])
-        leak_ks = (h_phi + h_f - self._law_entropy(
-            [phi, f, g, ell], [cbz.num_sub_bins] + sizes_f)) / n
-        h_fz = self._law_entropy([f, g, ell, e.z_idx], sizes_f + [az ** e.n])
-        leak_kp = (h_psi + h_fz - self._law_entropy(
-            [psi, f, g, ell, e.z_idx],
-            [cbx.num_sub_bins] + sizes_f + [az ** e.n])) / n
-        agree_ks = self._mass((ks_x >= 0) & (ks_y >= 0)
-                              & (ks_x == phi) & (ks_y == phi))
-        agree_kp = self._mass((kp_y >= 0) & (kp_y == psi))
-        return CodebookExact(
-            leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_phi / n, h_kp=h_psi / n,
-            agree_ks=agree_ks, agree_kp=agree_kp,
-            status_mass={"Z": {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0},
-                         "X": self._status_mass(st_x), "Y": self._status_mass(st_y)},
-            recovery_error={
-                "y_at_X": 1.0 - self._mass((st_x == _ST_OK) & (y_at_x == e.y_idx)),
-                "z_at_X": 1.0 - self._mass((st_x == _ST_OK) & (z_at_x == e.z_idx)),
-                "x_at_Y": 1.0 - self._mass((st_y == _ST_OK) & (x_at_y == e.x_idx)),
-                "z_at_Y": 1.0 - self._mass((st_y == _ST_OK) & (z_at_y == e.z_idx))})
-
-    def _eval_t(self, cbs) -> CodebookExact:
-        e = self.enum
-        ax, ay, az = e.sizes
-        cbz, cbx = cbs["Z"], cbs["X"]
-        f = cbz.bins_of_indices(e.z_idx)
-        phi = cbz.sub_bins_of_indices(e.z_idx).astype(np.int64)
-        g = cbx.bins_of_indices(e.x_idx)
-        psi = cbx.sub_bins_of_indices(e.x_idx).astype(np.int64)
-        st_x, z_at_x = self._unique_exact("xz", ax, e.x_idx, cbz, f)
-        st_yz, z_at_y = self._unique_exact("yz", ay, e.y_idx, cbz, f)
-        st_yx, x_at_y = self._unique_exact_pair_obs(
-            "yzx", (ay, az), e.y_idx, z_at_y, st_yz == _ST_OK, cbx, g)
-        st_y = np.where(st_yz != _ST_OK, st_yz, st_yx)
-        ks_x = self._claim(cbz, z_at_x, st_x)
-        ks_y = self._claim(cbz, z_at_y, st_yz)
-        kp_y = self._claim(cbx, x_at_y, st_yx)
-        n = float(e.n)
-        h_f = self._law_entropy([f, g], [cbz.num_bins, cbx.num_bins])
-        h_phi = self._law_entropy([phi], [cbz.num_sub_bins])
-        h_psi = self._law_entropy([psi], [cbx.num_sub_bins])
-        leak_ks = (h_phi + h_f - self._law_entropy(
-            [phi, f, g], [cbz.num_sub_bins, cbz.num_bins, cbx.num_bins])) / n
-        h_fz = self._law_entropy([f, g, e.z_idx],
-                                 [cbz.num_bins, cbx.num_bins, az ** e.n])
-        leak_kp = (h_psi + h_fz - self._law_entropy(
-            [psi, f, g, e.z_idx],
-            [cbx.num_sub_bins, cbz.num_bins, cbx.num_bins, az ** e.n])) / n
-        agree_ks = self._mass((ks_x >= 0) & (ks_y >= 0)
-                              & (ks_x == phi) & (ks_y == phi))
-        agree_kp = self._mass((kp_y >= 0) & (kp_y == psi))
-        return CodebookExact(
-            leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_phi / n, h_kp=h_psi / n,
-            agree_ks=agree_ks, agree_kp=agree_kp,
-            status_mass={"Z": {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0},
-                         "X": self._status_mass(st_x), "Y": self._status_mass(st_y)},
-            recovery_error={
-                "z_at_X": 1.0 - self._mass((st_x == _ST_OK) & (z_at_x == e.z_idx)),
-                "z_at_Y": 1.0 - self._mass((st_yz == _ST_OK) & (z_at_y == e.z_idx)),
-                "x_at_Y": 1.0 - self._mass((st_yx == _ST_OK) & (x_at_y == e.x_idx))})
-
-    def _eval_e(self, cbs) -> CodebookExact:
-        e = self.enum
-        ax, ay, az = e.sizes
-        cbx = cbs["X"]
-        g = cbx.bins_of_indices(e.x_idx)
-        psi = cbx.sub_bins_of_indices(e.x_idx).astype(np.int64)
-        valid = np.ones(len(e.x_idx), dtype=bool)
-        st_y, x_at_y = self._unique_exact_pair_obs(
-            "yzx", (ay, az), e.y_idx, e.z_idx, valid, cbx, g)
-        kp_y = self._claim(cbx, x_at_y, st_y)
-        n = float(e.n)
-        h_psi = self._law_entropy([psi], [cbx.num_sub_bins])
-        h_fz = self._law_entropy([e.z_idx, g], [az ** e.n, cbx.num_bins])
-        leak_kp = (h_psi + h_fz - self._law_entropy(
-            [psi, e.z_idx, g], [cbx.num_sub_bins, az ** e.n, cbx.num_bins])) / n
-        agree_kp = self._mass((kp_y >= 0) & (kp_y == psi))
-        ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}
-        return CodebookExact(
-            leak_ks=None, leak_kp=leak_kp, h_ks=None, h_kp=h_psi / n,
-            agree_ks=None, agree_kp=agree_kp,
-            status_mass={"Z": dict(ok), "X": dict(ok), "Y": self._status_mass(st_y)},
-            recovery_error={
-                "z_at_X": 0.0, "z_at_Y": 0.0,
-                "x_at_Y": 1.0 - self._mass((st_y == _ST_OK) & (x_at_y == e.x_idx))})
+                           ks_size=cbs["Z"].num_sub_bins if "Z" in cbs else 1,
+                           kp_size=cbs[self.ctx.desc.kp_owner].num_sub_bins,
+                           rates=self.ctx.rates, per_codebook=per, mean=_mean_stats(per))
 
     # -- time sharing --------------------------------------------------------
 
     def _evaluate_time_share(self, num_codebooks: int) -> ExactResult:
-        live = [(p, part) for p, part in zip(self.parts, self.ctx.parts)
-                if p is not None]
-        results = [p.evaluate(num_codebooks) for p, _ in live]
+        results = [p.evaluate(num_codebooks) for p in self.parts if p is not None]
         if len(results) == 1:
-            single = results[0]
-            return ExactResult(scheme="TimeShare", redirected=False,
-                               n=self.config.n, num_codebooks=num_codebooks,
-                               ks_size=single.ks_size, kp_size=single.kp_size,
-                               rates=single.rates, per_codebook=single.per_codebook,
-                               mean=single.mean)
+            return replace(results[0], scheme="TimeShare", redirected=False,
+                           n=self.config.n)
         ra, rb = results
         na, nb = ra.n, rb.n
         n = self.config.n
@@ -607,8 +446,7 @@ def _mean_field(values):
     present = [v for v in values if v is not None]
     if not present:
         return None
-    return _fsum(present) / len(values) if len(present) == len(values) else (
-        _fsum(present) / len(present))
+    return math.fsum(present) / len(present)
 
 
 def _mean_stats(per) -> CodebookExact:
@@ -617,9 +455,9 @@ def _mean_stats(per) -> CodebookExact:
         names = set()
         for s in per:
             names |= set(s.status_mass[t])
-        status[t] = {name: _fsum(s.status_mass[t].get(name, 0.0) for s in per) / len(per)
+        status[t] = {name: math.fsum(s.status_mass[t].get(name, 0.0) for s in per) / len(per)
                      for name in sorted(names)}
-    recovery = {key: _fsum(s.recovery_error[key] for s in per) / len(per)
+    recovery = {key: math.fsum(s.recovery_error[key] for s in per) / len(per)
                 for key in per[0].recovery_error}
     return CodebookExact(
         leak_ks=_mean_field([s.leak_ks for s in per]),
@@ -675,7 +513,7 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict,
         raise UsageError("the oracle covers one-shot schemes only")
     if ctx.swapped:
         raise UsageError("the oracle covers the canonical orientation only")
-    dist = ctx.canonical_dist
+    dist = config.dist
     n = config.n
     ax, ay, az = dist.alphabet_sizes
     if full_alphabet:
@@ -829,7 +667,7 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     lo, hi = count_windows(z_pmf, n, epsilon)
     typical = np.all((sym_counts >= lo) & (sym_counts <= hi), axis=1)
     typical_count = int(np.count_nonzero(typical))
-    e1 = 1.0 - _fsum(prob[typical])
+    e1 = 1.0 - math.fsum(prob[typical])
     expected_occupancy = typical_count * 2.0 ** (-n * (r_s + r_z))
 
     per = []
@@ -850,7 +688,7 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
         occupancy = np.bincount(cells[typical], minlength=n_cells)
         e2.append(float(np.count_nonzero(occupancy >= 2.0 * expected_occupancy))
                   / n_cells)
-    mean = _fsum(per) / len(per)
+    mean = math.fsum(per) / len(per)
     bound = h_z - r_s - r_z + delta
     return Lemma1Stats(n=n, r_s=r_s, r_z=r_z, delta=delta, epsilon=epsilon,
                        h_z=h_z, bound=bound, num_bins=num_bins,
@@ -858,4 +696,4 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
                        satisfied=bool(mean <= bound + 1e-12),
                        e1_atypical_mass=e1, typical_count=typical_count,
                        expected_occupancy=expected_occupancy,
-                       e2_fractions=tuple(e2), e2_mean=_fsum(e2) / len(e2))
+                       e2_fractions=tuple(e2), e2_mean=math.fsum(e2) / len(e2))

@@ -1,12 +1,14 @@
 """Random-binning key agreement protocols.
 
-Each runner plays one protocol over an aligned i.i.d. sample triple. A
-terminal announces bin indices of its sequence over the public channel (the
-transcript), other terminals decode that sequence as the unique typical
-candidate inside the announced bin, and keys are read off sub-bin indices of
-recovered sequences. Decoding failures are statuses on the outcome, never
-exceptions: NoCandidate and Ambiguous are ordinary protocol events, and
-SearchOverflow marks a decode whose candidate space exceeded the search cap.
+Each scheme is described once, as data in SCHEME_TABLE: the bin indices the
+terminals announce over the public channel (the transcript), the decode
+steps by which terminals recover sequences as the unique typical candidate
+inside an announced bin, and the sub-bins the keys are read from.
+RunContext plays a description over one sampled triple; the exact evaluator
+reads the same description over every triple at once. Decoding failures are
+statuses on the outcome, never exceptions: NoCandidate and Ambiguous are
+ordinary protocol events, and SearchOverflow marks a decode whose candidate
+space exceeded the search cap.
 
 Four one-shot schemes cover the corner points of the rate region, and a
 time-sharing wrapper splits the blocklength between any two of them:
@@ -21,7 +23,7 @@ PointQ  every terminal bins; X and Y each recover the other two sequences
         rate.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -211,6 +213,88 @@ class ProtocolRun:
     codebooks: dict              # terminal -> BinningCodebook
 
 
+TERMINALS = ("X", "Y", "Z")
+
+_SWAP_XY = str.maketrans("XYxy", "YXyx")
+
+
+@dataclass(frozen=True)
+class Message:
+    """One public announcement. role is the codebook the sender bins with,
+    named by its purpose string, which seeds the codebook's tables and
+    hashes; with no role the sender reveals its sequence verbatim, as its
+    index in the sender's alphabet**n, and every other terminal holds it.
+    """
+
+    sender: str
+    label: str
+    role: str = None
+
+
+@dataclass(frozen=True)
+class Decode:
+    """A terminal recovers the sequences of its decoded letters.
+
+    Lowercase letters name sequences; an observed letter is the terminal's
+    own sequence or its earlier recovered copy. One decoded letter is unique
+    decoding: the single candidate typical with the observed sequences inside
+    the announced bin. Two, (helper, z), are pair decoding: helper candidates
+    typical with the own sequence inside the helper's bin, each extended by
+    the z candidates typical with the observed pair (own sequence and helper
+    candidate, in the order listed) inside z's bin; Decode("Y", "xy", "xz")
+    scans engines "yx", then "xyz". An engine's key is its observed letters
+    followed by the decoded one, in the engine's axis order.
+    """
+
+    terminal: str
+    observed: str
+    decoded: str
+
+    def engine_keys(self) -> tuple:
+        if len(self.decoded) == 1:
+            return (self.observed + self.decoded,)
+        helper, z = self.decoded
+        return (self.terminal.lower() + helper, self.observed + z)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One one-shot scheme: announcements in order, then decode steps in
+    order. A terminal's status is that of its first failed step; steps after
+    it do not run. K_S is Z's sub-bin (none without a Z codebook), claimed
+    by every terminal that decodes z; K_P is kp_owner's sub-bin, claimed by
+    every terminal that decodes kp_owner's sequence.
+    """
+
+    messages: tuple
+    decodes: tuple
+    kp_owner: str = "X"
+
+    def renamed(self) -> "Scheme":
+        """The same scheme with X and Y trading places. Codebook roles keep
+        their names, so the middle terminal still bins as "X".
+        """
+        return Scheme(
+            tuple(replace(m, sender=m.sender.translate(_SWAP_XY)) for m in self.messages),
+            tuple(Decode(*(f.translate(_SWAP_XY) for f in astuple(d))) for d in self.decodes),
+            self.kp_owner.translate(_SWAP_XY))
+
+
+# each scheme in orientation X; PointP in orientation Y runs renamed()
+SCHEME_TABLE = {
+    "PointE": Scheme((Message("Z", "z-index"), Message("X", "g", "X")),
+                     (Decode("Y", "yz", "x"),)),
+    "PointT": Scheme((Message("Z", "f", "Z"), Message("X", "g", "X")),
+                     (Decode("X", "x", "z"), Decode("Y", "y", "z"),
+                      Decode("Y", "yz", "x"))),
+    "PointP": Scheme((Message("Z", "f", "Z"), Message("X", "g", "X")),
+                     (Decode("X", "x", "z"), Decode("Y", "xy", "xz"))),
+    "PointQ": Scheme((Message("Z", "f", "Z"), Message("X", "g", "X"),
+                      Message("Y", "l", "Y")),
+                     (Decode("X", "xy", "yz"), Decode("Y", "xy", "xz"))),
+}
+
+
 def _unique_decode(engine, observed, cb, target):
     try:
         count, seq = engine.scan_bin_filter(observed, cb, target)
@@ -258,7 +342,8 @@ class RunContext:
     """Shared per-config state: codebooks, candidate engines, derived rates.
 
     Build once, then call run(i) per trial; trial i is fully determined by
-    (config, i) regardless of how trials are batched across workers.
+    (config, i) regardless of how trials are batched across workers. The
+    codebooks and engines follow from the scheme's description (desc).
     """
 
     def __init__(self, config: SchemeConfig):
@@ -279,58 +364,20 @@ class RunContext:
         self.redirected = redirected
         self.rates = rates
         self.swapped = (requested == "PointP" and rates.orientation == "Y")
-        dist = config.dist
-        if self.swapped:
-            pmf = np.transpose(config.dist.pmf, (1, 0, 2))
-            dist = JointDistribution(pmf.shape, pmf)
-        self.canonical_dist = dist
-        self._build_codebooks()
-        self._build_engines()
-
-    # -- canonical-space construction ------------------------------------
-
-    def _mk(self, purpose, bin_rate, sub_rate, alphabet):
-        cfg = self.config
-        return make_codebook(cfg.codebook_mode, cfg.n, alphabet, bin_rate, sub_rate,
-                             cfg.master_seed, purpose=purpose, table_cap=cfg.table_cap)
-
-    def _build_codebooks(self):
-        d = self.canonical_dist
-        r = self.rates
-        az, ax, ay = d.alphabet("Z"), d.alphabet("X"), d.alphabet("Y")
-        cbs = {}
-        if self.scheme in ("PointT", "PointP", "PointQ"):
-            # the canonical first-terminal bin rate sits in r_x after an
-            # orientation swap is undone below for reporting only
-            rx = r.r_x if not self.swapped else r.r_y
-            cbs["Z"] = self._mk("Z", r.r_z, r.r_s, az)
-            cbs["X"] = self._mk("X", rx, r.r_p, ax)
-        if self.scheme == "PointQ":
-            cbs["Y"] = self._mk("Y", r.r_y, 0.0, ay)
-        if self.scheme == "PointE":
-            cbs["X"] = self._mk("X", r.r_x, r.r_p, ax)
-        self.codebooks = cbs
-
-    def _build_engines(self):
-        d = self.canonical_dist
-        params = self.config.params
-        cap = self.config.search_cap
-        eng = {}
-        if self.scheme in ("PointT", "PointP"):
-            eng["xz"] = CandidateEngine(d.marginal("XZ"), params, cap=cap)
-        if self.scheme == "PointT":
-            eng["yz"] = CandidateEngine(d.marginal("YZ"), params, cap=cap)
-            eng["yzx"] = CandidateEngine(d.marginal("YZX"), params, cap=cap)
-        if self.scheme == "PointP":
-            eng["yx"] = CandidateEngine(d.marginal("YX"), params, cap=cap)
-            eng["xyz"] = CandidateEngine(d.marginal("XYZ"), params, cap=cap)
-        if self.scheme == "PointQ":
-            eng["xy"] = CandidateEngine(d.marginal("XY"), params, cap=cap)
-            eng["yx"] = CandidateEngine(d.marginal("YX"), params, cap=cap)
-            eng["xyz"] = CandidateEngine(d.marginal("XYZ"), params, cap=cap)
-        if self.scheme == "PointE":
-            eng["yzx"] = CandidateEngine(d.marginal("YZX"), params, cap=cap)
-        self.engines = eng
+        desc = SCHEME_TABLE[requested]
+        self.desc = desc = desc.renamed() if self.swapped else desc
+        bin_rate = {"Z": rates.r_z, "X": rates.r_x, "Y": rates.r_y}
+        sub_rate = {"Z": rates.r_s, desc.kp_owner: rates.r_p}
+        self.codebooks = {
+            m.sender: make_codebook(config.codebook_mode, config.n,
+                                    config.dist.alphabet(m.sender), bin_rate[m.sender],
+                                    sub_rate.get(m.sender, 0.0), config.master_seed,
+                                    purpose=m.role, table_cap=config.table_cap)
+            for m in desc.messages if m.role}
+        self.engines = {
+            key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
+                                 cap=config.search_cap)
+            for step in desc.decodes for key in step.engine_keys()}
 
     def _init_time_share(self):
         cfg = self.config
@@ -365,151 +412,65 @@ class RunContext:
     def run_on_triple(self, triple: SourceTriple) -> ProtocolRun:
         if self.scheme == "TimeShare":
             return self._run_time_share(triple)
-        if self.swapped:
-            canonical = SourceTriple(triple.n, triple.y_seq, triple.x_seq, triple.z_seq)
-            raw = self._run_canonical(canonical)
-            return self._relabeled(raw, triple)
-        return self._run_canonical(triple)
+        desc, cbs = self.desc, self.codebooks
+        seqs = {"X": triple.x_seq, "Y": triple.y_seq, "Z": triple.z_seq}
+        values = {}
+        recovered = {}
+        for m in desc.messages:
+            seq = seqs[m.sender]
+            if m.role:
+                values[m.sender] = cbs[m.sender].bin_index(seq)
+                continue
+            size = self.config.dist.alphabet(m.sender)
+            index = 0
+            for v in seq.tolist():
+                index = index * size + v
+            values[m.sender] = index
+            recovered.update((f"{m.sender.lower()}_at_{t}", seq.copy())
+                             for t in TERMINALS if t != m.sender)
+        statuses = dict.fromkeys(TERMINALS, STATUS_OK)
+        for step in desc.decodes:
+            t, own = step.terminal, step.terminal.lower()
+            if statuses[t] != STATUS_OK:
+                # a terminal stops at its first failed step
+                recovered.update(dict.fromkeys(
+                    (f"{v}_at_{t}" for v in step.decoded), None))
+                continue
+            eng = [self.engines[key] for key in step.engine_keys()]
+            cb = [cbs[v.upper()] for v in step.decoded]
+            target = [values[v.upper()] for v in step.decoded]
+            if len(step.decoded) == 1:
+                observed = tuple(seqs[t] if v == own else recovered[f"{v}_at_{t}"]
+                                 for v in step.observed)
+                status, *found = _unique_decode(eng[0], observed, cb[0], target[0])
+            else:
+                status, *found = _pair_decode(
+                    eng[0], (seqs[t],), cb[0], target[0], eng[1], seqs[t], cb[1],
+                    target[1], own_first=step.observed[0] == own)
+            statuses[t] = status
+            recovered.update((f"{v}_at_{t}", seq) for v, seq in zip(step.decoded, found))
 
-    def _run_canonical(self, triple: SourceTriple) -> ProtocolRun:
-        runner = {"PointE": self._run_e, "PointT": self._run_t,
-                  "PointP": self._run_p, "PointQ": self._run_q}[self.scheme]
-        return runner(triple)
+        def claims(owner):
+            """The owner's sub-bin, and each recovered copy's sub-bin."""
+            cb = cbs[owner]
+            out = {owner: cb.sub_bin_index(seqs[owner])}
+            for key, seq in recovered.items():
+                var, _, t = key.partition("_at_")
+                if var == owner.lower():
+                    out[t] = None if seq is None else int(cb.sub_bin_index(seq))
+            return out
 
-    def _run_p(self, triple):
-        x, y, z = triple.x_seq, triple.y_seq, triple.z_seq
-        cbz, cbx = self.codebooks["Z"], self.codebooks["X"]
-        f = cbz.bin_index(z)
-        phi = cbz.sub_bin_index(z)
-        st_x, z_at_x = _unique_decode(self.engines["xz"], (x,), cbz, f)
-        g = cbx.bin_index(x)
-        psi = cbx.sub_bin_index(x)
-        st_y, x_at_y, z_at_y = _pair_decode(
-            self.engines["yx"], (y,), cbx, g,
-            self.engines["xyz"], y, cbz, f, own_first=False)
+        ks_owner = "Z" if "Z" in cbs else None
+        kp_owner = desc.kp_owner
         outcome = KeyOutcome(
-            ks_claims={"Z": phi,
-                       "X": int(cbz.sub_bin_index(z_at_x)) if st_x == STATUS_OK else None,
-                       "Y": int(cbz.sub_bin_index(z_at_y)) if st_y == STATUS_OK else None},
-            kp_claims={"X": psi,
-                       "Y": int(cbx.sub_bin_index(x_at_y)) if st_y == STATUS_OK else None},
-            statuses={"Z": STATUS_OK, "X": st_x, "Y": st_y},
-            ks_size=cbz.num_sub_bins, kp_size=cbx.num_sub_bins)
-        transcript = Transcript((TranscriptMessage("Z", "f", f),
-                                 TranscriptMessage("X", "g", g)))
-        recovered = {"z_at_X": z_at_x, "z_at_Y": z_at_y, "x_at_Y": x_at_y}
-        return ProtocolRun("PointP", self.redirected, triple.n, triple, transcript,
-                           outcome, self.rates, recovered, dict(self.codebooks))
-
-    def _run_q(self, triple):
-        x, y, z = triple.x_seq, triple.y_seq, triple.z_seq
-        cbz, cbx, cby = self.codebooks["Z"], self.codebooks["X"], self.codebooks["Y"]
-        f = cbz.bin_index(z)
-        phi = cbz.sub_bin_index(z)
-        g = cbx.bin_index(x)
-        psi = cbx.sub_bin_index(x)
-        ell = cby.bin_index(y)
-        st_x, y_at_x, z_at_x = _pair_decode(
-            self.engines["xy"], (x,), cby, ell,
-            self.engines["xyz"], x, cbz, f, own_first=True)
-        st_y, x_at_y, z_at_y = _pair_decode(
-            self.engines["yx"], (y,), cbx, g,
-            self.engines["xyz"], y, cbz, f, own_first=False)
-        outcome = KeyOutcome(
-            ks_claims={"Z": phi,
-                       "X": int(cbz.sub_bin_index(z_at_x)) if st_x == STATUS_OK else None,
-                       "Y": int(cbz.sub_bin_index(z_at_y)) if st_y == STATUS_OK else None},
-            kp_claims={"X": psi,
-                       "Y": int(cbx.sub_bin_index(x_at_y)) if st_y == STATUS_OK else None},
-            statuses={"Z": STATUS_OK, "X": st_x, "Y": st_y},
-            ks_size=cbz.num_sub_bins, kp_size=cbx.num_sub_bins)
-        transcript = Transcript((TranscriptMessage("Z", "f", f),
-                                 TranscriptMessage("X", "g", g),
-                                 TranscriptMessage("Y", "l", ell)))
-        recovered = {"y_at_X": y_at_x, "z_at_X": z_at_x,
-                     "x_at_Y": x_at_y, "z_at_Y": z_at_y}
-        return ProtocolRun("PointQ", self.redirected, triple.n, triple, transcript,
-                           outcome, self.rates, recovered, dict(self.codebooks))
-
-    def _run_t(self, triple):
-        x, y, z = triple.x_seq, triple.y_seq, triple.z_seq
-        cbz, cbx = self.codebooks["Z"], self.codebooks["X"]
-        f = cbz.bin_index(z)
-        phi = cbz.sub_bin_index(z)
-        st_x, z_at_x = _unique_decode(self.engines["xz"], (x,), cbz, f)
-        st_yz, z_at_y = _unique_decode(self.engines["yz"], (y,), cbz, f)
-        g = cbx.bin_index(x)
-        psi = cbx.sub_bin_index(x)
-        if st_yz == STATUS_OK:
-            st_yx, x_at_y = _unique_decode(self.engines["yzx"], (y, z_at_y), cbx, g)
-        else:
-            st_yx, x_at_y = st_yz, None
-        st_y = st_yz if st_yz != STATUS_OK else st_yx
-        outcome = KeyOutcome(
-            ks_claims={"Z": phi,
-                       "X": int(cbz.sub_bin_index(z_at_x)) if st_x == STATUS_OK else None,
-                       "Y": int(cbz.sub_bin_index(z_at_y)) if st_yz == STATUS_OK else None},
-            kp_claims={"X": psi,
-                       "Y": int(cbx.sub_bin_index(x_at_y)) if st_yx == STATUS_OK else None},
-            statuses={"Z": STATUS_OK, "X": st_x, "Y": st_y},
-            ks_size=cbz.num_sub_bins, kp_size=cbx.num_sub_bins)
-        transcript = Transcript((TranscriptMessage("Z", "f", f),
-                                 TranscriptMessage("X", "g", g)))
-        recovered = {"z_at_X": z_at_x, "z_at_Y": z_at_y, "x_at_Y": x_at_y}
-        return ProtocolRun("PointT", self.redirected, triple.n, triple, transcript,
-                           outcome, self.rates, recovered, dict(self.codebooks))
-
-    def _run_e(self, triple):
-        x, y, z = triple.x_seq, triple.y_seq, triple.z_seq
-        cbx = self.codebooks["X"]
-        az = self.canonical_dist.alphabet("Z")
-        z_index = 0
-        for v in z.tolist():
-            z_index = z_index * az + v
-        g = cbx.bin_index(x)
-        psi = cbx.sub_bin_index(x)
-        st_y, x_at_y = _unique_decode(self.engines["yzx"], (y, z), cbx, g)
-        outcome = KeyOutcome(
-            ks_claims={},
-            kp_claims={"X": psi,
-                       "Y": int(cbx.sub_bin_index(x_at_y)) if st_y == STATUS_OK else None},
-            statuses={"Z": STATUS_OK, "X": STATUS_OK, "Y": st_y},
-            ks_size=1, kp_size=cbx.num_sub_bins, ks_owner=None, kp_owner="X")
-        transcript = Transcript((TranscriptMessage("Z", "z-index", z_index),
-                                 TranscriptMessage("X", "g", g)))
-        recovered = {"z_at_X": z.copy(), "z_at_Y": z.copy(), "x_at_Y": x_at_y}
-        return ProtocolRun("PointE", self.redirected, triple.n, triple, transcript,
-                           outcome, self.rates, recovered, dict(self.codebooks))
-
-    # -- orientation relabeling -------------------------------------------
-
-    @staticmethod
-    def _swap_terminal(t):
-        return {"X": "Y", "Y": "X"}.get(t, t)
-
-    @staticmethod
-    def _swap_recovered_key(key):
-        var, _, term = key.partition("_at_")
-        var = {"x": "y", "y": "x"}.get(var, var)
-        term = {"X": "Y", "Y": "X"}.get(term, term)
-        return f"{var}_at_{term}"
-
-    def _relabeled(self, raw: ProtocolRun, actual_triple: SourceTriple) -> ProtocolRun:
-        sw = self._swap_terminal
-        outcome = KeyOutcome(
-            ks_claims={sw(k): v for k, v in raw.outcome.ks_claims.items()},
-            kp_claims={sw(k): v for k, v in raw.outcome.kp_claims.items()},
-            statuses={sw(k): v for k, v in raw.outcome.statuses.items()},
-            ks_size=raw.outcome.ks_size, kp_size=raw.outcome.kp_size,
-            ks_owner=sw(raw.outcome.ks_owner) if raw.outcome.ks_owner else None,
-            kp_owner=sw(raw.outcome.kp_owner))
-        transcript = Transcript(tuple(
-            TranscriptMessage(sw(m.sender), m.label, m.value)
-            for m in raw.transcript.messages))
-        recovered = {self._swap_recovered_key(k): v for k, v in raw.recovered.items()}
-        codebooks = {sw(k): v for k, v in raw.codebooks.items()}
-        return ProtocolRun(raw.scheme, raw.redirected, raw.n, actual_triple,
-                           transcript, outcome, raw.rates, recovered, codebooks)
+            ks_claims=claims(ks_owner) if ks_owner else {},
+            kp_claims=claims(kp_owner), statuses=statuses,
+            ks_size=cbs[ks_owner].num_sub_bins if ks_owner else 1,
+            kp_size=cbs[kp_owner].num_sub_bins, ks_owner=ks_owner, kp_owner=kp_owner)
+        transcript = Transcript(tuple(TranscriptMessage(m.sender, m.label, values[m.sender])
+                                      for m in desc.messages))
+        return ProtocolRun(self.scheme, self.redirected, triple.n, triple, transcript,
+                           outcome, self.rates, recovered, dict(cbs))
 
     # -- time sharing ------------------------------------------------------
 
@@ -520,24 +481,21 @@ class RunContext:
             runs.append(None if ctx is None else ctx.run_on_triple(triple.slice(start, stop)))
         live = [r for r in runs if r is not None]
         if len(live) == 1:
-            single = live[0]
-            return ProtocolRun("TimeShare", False, triple.n, triple, single.transcript,
-                               single.outcome, single.rates, single.recovered,
-                               single.codebooks)
+            return replace(live[0], scheme="TimeShare", redirected=False, n=triple.n,
+                           triple=triple)
         run_a, run_b = runs
 
         def combine_claims(claims_a, size_a, claims_b, size_b):
             terminals = set(claims_a) | set(claims_b)
             out = {}
             for t in terminals:
-                a = claims_a.get(t, 0) if claims_a else 0
-                b = claims_b.get(t, 0) if claims_b else 0
+                a, b = claims_a.get(t, 0), claims_b.get(t, 0)
                 out[t] = None if a is None or b is None else int(a) * size_b + int(b)
             return out
 
         oa, ob = run_a.outcome, run_b.outcome
         statuses = {}
-        for t in ("X", "Y", "Z"):
+        for t in TERMINALS:
             sa = oa.statuses.get(t, STATUS_OK)
             statuses[t] = sa if sa != STATUS_OK else ob.statuses.get(t, STATUS_OK)
         outcome = KeyOutcome(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from skpk.sources import JointDistribution
+from skpk.sources import JointDistribution, noisy_copy_triple
 
 # property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run is deterministic
@@ -27,6 +27,14 @@ def random_pmf(rng, shape, zero_frac=0.0) -> np.ndarray:
 def random_distribution(rng, shape, zero_frac=0.0) -> JointDistribution:
     """random_pmf wrapped as a three-variable source."""
     return JointDistribution(shape, random_pmf(rng, shape, zero_frac))
+
+
+def mirrored_noisy_copy(flip_y, flip_z) -> JointDistribution:
+    """noisy_copy_triple with X and Y swapped: Y is the better-correlated
+    terminal, so PointP runs in orientation Y.
+    """
+    base = noisy_copy_triple(flip_y, flip_z)
+    return JointDistribution((2, 2, 2), np.transpose(base.pmf, (1, 0, 2)))
 
 
 @pytest.fixture

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mirrored_noisy_copy
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
 from skpk.exact import (ExactEvaluator, exact_secrecy_stats, lemma1_check,
                         oracle_codebooks, oracle_secrecy)
-from skpk.protocol import RunContext, SchemeConfig
+from skpk.protocol import STATUS_OK, RunContext, SchemeConfig
 from skpk.sources import JointDistribution, identical_bits, xor_triple
 
 
@@ -156,25 +157,38 @@ def test_oracle_codebooks_match_evaluator_members(scheme):
                                   ref.sub_bins_of_indices(codes))
 
 
-def test_exact_matches_monte_carlo():
-    """Exact masses against sampled frequencies on the same codebooks."""
-    cfg = _config("PointP", xor_triple(), n=4, seed=3)
+@pytest.mark.parametrize("scheme,dist,n,eps,trials,orientation", [
+    ("PointP", xor_triple(), 4, 0.9, 10000, "X"),
+    ("PointT", xor_triple(), 6, 0.5, 5000, "X"),
+    ("PointQ", xor_triple(), 5, 0.9, 5000, "X"),
+    ("PointE", xor_triple(), 6, 0.5, 5000, "X"),
+    ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, 0.5, 5000, "Y"),
+], ids=["PointP-xor", "PointT-xor", "PointQ-xor", "PointE-xor", "PointP-mirrored"])
+def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation):
+    """Exact masses against sampled frequencies on the same codebooks: key
+    agreement, and each decoding terminal's OK rate.
+    """
+    cfg = _config(scheme, dist, n=n, seed=3, eps=eps)
     exact = ExactEvaluator(cfg).evaluate_native()
     ctx = RunContext(cfg)
-    trials = 10000
-    hit_ks = hit_kp = 0
+    assert (ctx.scheme, ctx.redirected, ctx.rates.orientation) == (scheme, False, orientation)
+    hits = {"ks": 0, "kp": 0, "X": 0, "Y": 0}
     for i in range(trials):
         out = ctx.run(i).outcome
-        ks = list(out.ks_claims.values())
-        if all(v is not None for v in ks) and len(set(ks)) == 1:
-            hit_ks += 1
-        kp = list(out.kp_claims.values())
-        if all(v is not None for v in kp) and len(set(kp)) == 1:
-            hit_kp += 1
-    for freq, p in ((hit_ks / trials, exact.agree_ks),
-                    (hit_kp / trials, exact.agree_kp)):
+        for name, claims in (("ks", out.ks_claims), ("kp", out.kp_claims)):
+            values = list(claims.values())
+            if all(v is not None for v in values) and len(set(values)) == 1:
+                hits[name] += 1
+        for t in ("X", "Y"):
+            hits[t] += out.statuses[t] == STATUS_OK
+    expected = {"ks": exact.agree_ks, "kp": exact.agree_kp,
+                "X": exact.status_mass["X"]["OK"], "Y": exact.status_mass["Y"]["OK"]}
+    if exact.agree_ks is None:
+        assert out.ks_claims == {}
+        del expected["ks"]
+    for name, p in expected.items():
         sigma = math.sqrt(max(p * (1 - p), 1e-9) / trials)
-        assert abs(freq - p) <= 3 * sigma
+        assert abs(hits[name] / trials - p) <= 3 * sigma, name
 
 
 def test_status_masses_are_probabilities():

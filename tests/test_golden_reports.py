@@ -16,23 +16,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import mirrored_noisy_copy
 from skpk.cli import main
-from skpk.sources import JointDistribution, dump_pmf, noisy_copy_triple, xor_triple
-
-
-def _mirrored_noisy_copy(flip_y, flip_z):
-    base = noisy_copy_triple(flip_y, flip_z)
-    return JointDistribution((2, 2, 2), np.transpose(base.pmf, (1, 0, 2)))
+from skpk.sources import dump_pmf, noisy_copy_triple, xor_triple
 
 
 # at n <= 6 every window of the first mirrored source is empty, so its PointP
 # decodes all fail; Z = Y in the second, whose decodes succeed in part
 SOURCES = {"xor": xor_triple, "noisy": lambda: noisy_copy_triple(0.3, 0.1),
-           "mirrored": lambda: _mirrored_noisy_copy(0.3, 0.1),
-           "mirrored-echo": lambda: _mirrored_noisy_copy(0.25, 0.0)}
+           "mirrored": lambda: mirrored_noisy_copy(0.3, 0.1),
+           "mirrored-echo": lambda: mirrored_noisy_copy(0.25, 0.0)}
 
 _SCHEMES = {"pointE": [], "pointT": [], "pointP": [], "pointQ": [],
             "timeshare": ["--ts-schemes", "pointP,pointQ", "--ts-lambda", "0.5"]}

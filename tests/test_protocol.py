@@ -235,7 +235,7 @@ def test_unique_decode_search_overflow():
     observed = (triple.x_seq,)
     status, _ = _unique_decode(ctx.engines["xz"], observed, cbz, target)
     assert status != STATUS_OVERFLOW
-    tight = CandidateEngine(ctx.canonical_dist.marginal("XZ"), cfg.params, cap=1)
+    tight = CandidateEngine(cfg.dist.marginal("XZ"), cfg.params, cap=1)
     assert _unique_decode(tight, observed, cbz, target) == (STATUS_OVERFLOW, None)
 
 
@@ -247,7 +247,7 @@ def test_pair_decode_search_overflow_in_either_stage():
     x, y, z = run.triple.x_seq, run.triple.y_seq, run.triple.z_seq
     cbx, cbz = ctx.codebooks["X"], ctx.codebooks["Z"]
     g, f = cbx.bin_index(x), cbz.bin_index(z)
-    d = ctx.canonical_dist
+    d = cfg.dist
     args = {"eng1": ctx.engines["yx"], "obs1": (y,), "cb1": cbx, "target1": g,
             "eng2": ctx.engines["xyz"], "own": y, "cb2": cbz, "target2": f,
             "own_first": False}
