@@ -5,8 +5,8 @@ index and, independently, to a sub-bin index. Two constructions:
 
 ExplicitTable
     One i.i.d. uniform draw per sequence, materialized as arrays indexed by
-    the sequence's base-|alphabet| integer code. Exact ensemble statistics,
-    but memory-bound: alphabet**n is capped.
+    the sequence's integer code (sources.sequence_code). Exact ensemble
+    statistics, but memory-bound: alphabet**n is capped.
 
 KeyedHash
     Additive tabulation hashing. A random uint64 key table of shape
@@ -25,6 +25,7 @@ import hashlib
 import numpy as np
 
 from .errors import CapacityError, UsageError
+from .sources import place_values, sequence_code
 
 MODE_TABLE = "ExplicitTable"
 MODE_HASH = "KeyedHash"
@@ -80,9 +81,7 @@ class BinningCodebook:
                     f"over the {table_cap} table cap")
             self._table_bin = rng_bin.integers(0, self.num_bins, size=size, dtype=np.uint64)
             self._table_sub = rng_sub.integers(0, self.num_sub_bins, size=size, dtype=np.uint64)
-            # base-alphabet place values, most significant position first
-            self._places = (self.alphabet_size
-                            ** np.arange(self.n - 1, -1, -1, dtype=np.uint64))
+            self._places = place_values(self.alphabet_size, self.n)
         else:
             shape = (self.n, self.alphabet_size)
             self._key_bin = rng_bin.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
@@ -98,27 +97,20 @@ class BinningCodebook:
             raise UsageError("sequence symbol outside the alphabet")
         return seq.astype(np.int64)
 
-    def _code(self, seq) -> int:
-        """Base-alphabet integer code of a sequence that passed _check."""
-        idx = 0
-        for v in seq.tolist():
-            idx = idx * self.alphabet_size + v
-        return idx
-
     def sequence_index(self, seq) -> int:
-        return self._code(self._check(seq))
+        return sequence_code(self._check(seq), self.alphabet_size)
 
     def bin_index(self, seq) -> int:
         seq = self._check(seq)
         if self.mode == MODE_TABLE:
-            return int(self._table_bin[self._code(seq)])
+            return int(self._table_bin[sequence_code(seq, self.alphabet_size)])
         h = np.add.reduce(self._key_bin[np.arange(self.n), seq], dtype=np.uint64)
         return int(h % np.uint64(self.num_bins))
 
     def sub_bin_index(self, seq) -> int:
         seq = self._check(seq)
         if self.mode == MODE_TABLE:
-            return int(self._table_sub[self._code(seq)])
+            return int(self._table_sub[sequence_code(seq, self.alphabet_size)])
         h = np.add.reduce(self._key_sub[np.arange(self.n), seq], dtype=np.uint64)
         return int(h % np.uint64(self.num_sub_bins))
 
@@ -127,11 +119,10 @@ class BinningCodebook:
     def contribution_table(self) -> np.ndarray:
         """(n, alphabet) uint64 array C such that folding sum(C[t, seq_t])
         through :meth:`finalize_bins` yields the bin index. In hash mode C is
-        the key table; in table mode C encodes the sequence's integer code.
+        the key table; in table mode C is the place-value table, whose fold
+        is the sequence's integer code.
         """
-        if self.mode == MODE_HASH:
-            return self._key_bin
-        return self._places[:, None] * np.arange(self.alphabet_size, dtype=np.uint64)[None, :]
+        return self._key_bin if self.mode == MODE_HASH else self._places
 
     def finalize_bins(self, acc: np.ndarray) -> np.ndarray:
         if self.mode == MODE_HASH:
@@ -139,9 +130,7 @@ class BinningCodebook:
         return self._table_bin[acc]
 
     def sub_contribution_table(self) -> np.ndarray:
-        if self.mode == MODE_HASH:
-            return self._key_sub
-        return self._places[:, None] * np.arange(self.alphabet_size, dtype=np.uint64)[None, :]
+        return self._key_sub if self.mode == MODE_HASH else self._places
 
     def finalize_sub_bins(self, acc: np.ndarray) -> np.ndarray:
         if self.mode == MODE_HASH:

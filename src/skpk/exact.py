@@ -29,7 +29,7 @@ import numpy as np
 from .binning import MODE_TABLE, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
-from .sources import JointDistribution, _entropy_of
+from .sources import JointDistribution, _entropy_of, sequence_of_code
 from .typicality import count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -109,15 +109,6 @@ class _Enumeration:
         self.prob = prob
 
 
-def _seq_of(idx: int, size: int, n: int) -> np.ndarray:
-    seq = np.empty(n, dtype=np.int64)
-    rem = int(idx)
-    for t in range(n - 1, -1, -1):
-        seq[t] = rem % size
-        rem //= size
-    return seq
-
-
 def _match(codes, targets, *payload):
     """Status of each target among the codes (OK when exactly one code
     equals it), and per payload array its entry at that code, -1 elsewhere.
@@ -172,7 +163,7 @@ class ExactEvaluator:
         key = (eng_key, *obs_idx)
         got = self._cand.get(key)
         if got is None:
-            seqs = tuple(_seq_of(i, s, self.enum.n) for i, s in zip(obs_idx, sizes))
+            seqs = tuple(sequence_of_code(i, s, self.enum.n) for i, s in zip(obs_idx, sizes))
             got = self._cand[key] = self.ctx.engines[eng_key].candidate_indices(seqs)
         return got
 

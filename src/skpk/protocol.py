@@ -29,7 +29,7 @@ import numpy as np
 
 from .binning import MODE_HASH, MODE_TABLE, make_codebook, stream_tag
 from .errors import SearchOverflowError, UsageError
-from .sources import JointDistribution, SourceTriple, info_profile, sample
+from .sources import JointDistribution, SourceTriple, info_profile, sample, sequence_code
 from .typicality import (CandidateEngine, DEFAULT_SEARCH_CAP, TypicalityParams)
 
 STATUS_OK = "OK"
@@ -223,7 +223,7 @@ class Message:
     """One public announcement. role is the codebook the sender bins with,
     named by its purpose string, which seeds the codebook's tables and
     hashes; with no role the sender reveals its sequence verbatim, as its
-    index in the sender's alphabet**n, and every other terminal holds it.
+    sequence code (sources.sequence_code), and every other terminal holds it.
     """
 
     sender: str
@@ -421,11 +421,7 @@ class RunContext:
             if m.role:
                 values[m.sender] = cbs[m.sender].bin_index(seq)
                 continue
-            size = self.config.dist.alphabet(m.sender)
-            index = 0
-            for v in seq.tolist():
-                index = index * size + v
-            values[m.sender] = index
+            values[m.sender] = sequence_code(seq, self.config.dist.alphabet(m.sender))
             recovered.update((f"{m.sender.lower()}_at_{t}", seq.copy())
                              for t in TERMINALS if t != m.sender)
         statuses = dict.fromkeys(TERMINALS, STATUS_OK)

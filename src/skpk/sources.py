@@ -6,9 +6,10 @@ summation over atoms, and :func:`sample` draws i.i.d. sequence triples from a
 counter-based generator so every draw is reproducible from its seed alone.
 """
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,11 +255,44 @@ def sample(dist: JointDistribution, n: int, seed) -> SourceTriple:
     rng = np.random.Generator(np.random.Philox(ss))
     flat = dist.pmf.ravel()
     atoms = rng.choice(len(flat), size=n, p=flat)
-    sx, sy, sz = dist.alphabet_sizes
-    x = (atoms // (sy * sz)).astype(np.int64)
-    y = ((atoms // sz) % sy).astype(np.int64)
-    z = (atoms % sz).astype(np.int64)
+    x, y, z = (a.astype(np.int64) for a in np.unravel_index(atoms, dist.alphabet_sizes))
     return SourceTriple(n, x, y, z)
+
+
+# ---------------------------------------------------------------------------
+# Sequence codes: a length-n sequence over an alphabet of size q is indexed
+# base q, most significant position first. Codebook tables, the PointE
+# announcement and the exact enumeration all use this one rule.
+
+
+def sequence_code(seq, q: int) -> int:
+    """Base-q code of a sequence with symbols in range(q), as a Python int,
+    so exact at any length.
+    """
+    code = 0
+    for v in np.asarray(seq).tolist():
+        code = code * q + v
+    return code
+
+
+def sequence_of_code(code: int, q: int, n: int) -> np.ndarray:
+    """The length-n int64 sequence whose base-q code is code."""
+    seq = np.empty(n, dtype=np.int64)
+    rem = int(code)
+    for t in range(n - 1, -1, -1):
+        rem, seq[t] = divmod(rem, q)
+    return seq
+
+
+@functools.lru_cache(maxsize=64)
+def place_values(q: int, n: int) -> np.ndarray:
+    """Read-only (n, q) uint64 table P with P[t, s] = s * q**(n-1-t): the sum
+    of P[t, seq[t]] over t is sequence_code(seq, q), mod 2**64.
+    """
+    places = q ** np.arange(n - 1, -1, -1, dtype=np.uint64)
+    table = places[:, None] * np.arange(q, dtype=np.uint64)[None, :]
+    table.flags.writeable = False
+    return table
 
 
 def load_pmf(path) -> JointDistribution:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .binning import MODE_HASH
 from .errors import CapacityError, SearchOverflowError, UsageError
-from .sources import STRUCTURAL_ZERO
+from .sources import STRUCTURAL_ZERO, place_values
 
 # absorbs float rounding in window boundaries; deviations of interest are
 # at least one count, i.e. 1/n, many orders of magnitude larger
@@ -89,22 +89,29 @@ def _as_seq_tuple(seqs):
     return (np.asarray(seqs, dtype=np.int64),)
 
 
+def cell_codes(seqs, shape, n) -> np.ndarray:
+    """Row-major cell code, against pmf axes of the given shape, of each
+    position of aligned length-n int64 sequences (one per axis). Raises
+    UsageError on a count, length or symbol mismatch.
+    """
+    if len(seqs) != len(shape):
+        raise UsageError(f"{len(seqs)} sequences against {len(shape)} pmf axes")
+    code = np.zeros(n, dtype=np.int64)
+    for s, size in zip(seqs, shape):
+        if len(s) != n:
+            raise UsageError(f"sequence length {len(s)} differs from n={n}")
+        # negative symbols wrap to huge unsigned values
+        if n and s.view(np.uint64).max() >= size:
+            raise UsageError("sequence symbol outside the pmf alphabet")
+        code = code * size + s
+    return code
+
+
 def joint_counts(seqs, shape) -> np.ndarray:
     """Empirical cell counts of aligned sequences against a pmf shape."""
     seqs = _as_seq_tuple(seqs)
-    if len(seqs) != len(shape):
-        raise UsageError(f"{len(seqs)} sequences against a {len(shape)}-axis pmf")
-    code = np.zeros(len(seqs[0]), dtype=np.int64)
-    for s, size in zip(seqs, shape):
-        if len(s) != len(seqs[0]):
-            raise UsageError("sequences must have equal length")
-        if len(s) and (s.min() < 0 or s.max() >= size):
-            raise UsageError("sequence symbol outside the pmf alphabet")
-        code = code * size + s
-    total = 1
-    for size in shape:
-        total *= size
-    return np.bincount(code, minlength=total).reshape(shape)
+    code = cell_codes(seqs, shape, len(seqs[0]))
+    return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
 
 def is_strongly_typical(seqs, pmf: np.ndarray, params: TypicalityParams) -> bool:
@@ -368,25 +375,6 @@ class CandidateEngine:
 
     # -- class bookkeeping ------------------------------------------------
 
-    def _observed_codes(self, observed) -> np.ndarray:
-        if observed is None or (isinstance(observed, (tuple, list)) and not len(observed)):
-            observed = ()
-        else:
-            observed = _as_seq_tuple(observed)
-        if len(observed) != len(self.obs_shape):
-            raise UsageError(
-                f"{len(observed)} observed sequences against "
-                f"{len(self.obs_shape)} observed pmf axes")
-        code = np.zeros(self.params.n, dtype=np.int64)
-        for s, size in zip(observed, self.obs_shape):
-            if len(s) != self.params.n:
-                raise UsageError("observed sequence length differs from params.n")
-            # negative symbols wrap to huge unsigned values
-            if s.view(np.uint64).max() >= size:
-                raise UsageError("observed symbol outside the pmf alphabet")
-            code = code * size + s
-        return code
-
     def _block(self, cell, m) -> _ClassBlock:
         key = (cell, m)
         block = self._blocks.get(key)
@@ -395,23 +383,40 @@ class CandidateEngine:
             self._blocks[key] = block
         return block
 
-    def _classes(self, observed):
-        """[(cell, positions, block), ...] by ascending cell code, positions
-        ascending, or None when an absent cell's windows forbid a zero count
-        (no candidates).
+    def _class_tables(self, observed):
+        """[(positions, arrangement table), ...] per class, by ascending
+        observed cell code with positions ascending, and the candidate count;
+        (None, 0) when there is no candidate. The search cap is checked
+        before any arrangement table is built.
         """
-        codes = self._observed_codes(observed)
+        if observed is None or (isinstance(observed, (tuple, list)) and not len(observed)):
+            observed = ()
+        else:
+            observed = _as_seq_tuple(observed)
+        codes = cell_codes(observed, self.obs_shape, self.params.n)
         sizes = np.bincount(codes, minlength=self.obs_cells).tolist()
+        # an absent cell whose windows forbid a zero count rules out everything
         if any(sizes[cell] == 0 for cell in self._must_occur):
-            return None
+            return None, 0
         order = np.argsort(codes, kind="stable")
-        out = []
-        start = 0
-        for cell, m in enumerate(sizes):
-            if m:
-                out.append((cell, order[start:start + m], self._block(cell, m)))
-                start += m
-        return out
+        starts = itertools.accumulate(sizes, initial=0)
+        classes = [(order[start:start + m], self._block(cell, m))
+                   for cell, (start, m) in enumerate(zip(starts, sizes)) if m]
+        total = math.prod(block.total for _, block in classes)
+        if total > self.cap:
+            raise SearchOverflowError(
+                f"{total} candidates exceed the search cap {self.cap}")
+        if total == 0:
+            return None, 0
+        return [(pos, block.materialize(len(pos), self.q)) for pos, block in classes], total
+
+    def _reconstruct(self, j, tables):
+        """Candidate j: the first class's arrangement varies slowest."""
+        seq = np.empty(self.params.n, dtype=np.int64)
+        for pos, mat in reversed(tables):
+            j, i = divmod(j, len(mat))
+            seq[pos] = mat[i]
+        return seq
 
     # -- enumeration ------------------------------------------------------
 
@@ -421,62 +426,24 @@ class CandidateEngine:
         class slowest. Raises SearchOverflowError beyond the cap before
         yielding anything.
         """
-        classes = self._classes(observed)
-        if classes is None:
-            return
-        total = 1
-        for _, _, block in classes:
-            total *= block.total
-        if total > self.cap:
-            raise SearchOverflowError(
-                f"{total} candidates exceed the search cap {self.cap}")
-        if total == 0:
-            return
-        mats = [block.materialize(len(pos), self.q) for _, pos, block in classes]
-        positions = [pos for _, pos, _ in classes]
-        seq = np.empty(self.params.n, dtype=np.int64)
-        for choice in itertools.product(*(range(len(m)) for m in mats)):
-            for pos, mat, j in zip(positions, mats, choice):
-                seq[pos] = mat[j]
-            yield seq.copy()
+        tables, total = self._class_tables(observed)
+        for j in range(total):
+            yield self._reconstruct(j, tables)
 
     def candidate_indices(self, observed) -> np.ndarray:
-        """Base-q integer codes of all candidates in candidate order, most
-        significant position first. Requires q**n to fit comfortably in int64.
+        """Sequence codes (sources.sequence_code) of all candidates in
+        candidate order. Requires q**n to fit comfortably in int64.
         """
         if self.q ** self.params.n >= 2 ** 62:
             raise CapacityError(
                 f"{self.q}**{self.params.n} sequence codes overflow the index space")
-        places = (self.q ** np.arange(self.params.n - 1, -1, -1)).astype(np.uint64)
-        contrib = places[:, None] * np.arange(self.q, dtype=np.uint64)[None, :]
-        prepared, _ = self._prepared(observed, contrib)
-        if prepared is None:
+        tables, _ = self._class_tables(observed)
+        if tables is None:
             return np.zeros(0, dtype=np.int64)
-        return _group_sums([vals for _, _, vals in prepared]).astype(np.int64)
+        places = place_values(self.q, self.params.n)
+        return _group_sums(_class_sums(tables, places)).astype(np.int64)
 
     # -- vectorized scans -------------------------------------------------
-
-    def _prepared(self, observed, contrib):
-        """Per-class contribution vectors for a fold over candidate space.
-        The search cap is checked before any arrangement table is built.
-        """
-        classes = self._classes(observed)
-        if classes is None:
-            return None, 0
-        total = 1
-        for _, _, block in classes:
-            total *= block.total
-        if total > self.cap:
-            raise SearchOverflowError(
-                f"{total} candidates exceed the search cap {self.cap}")
-        if total == 0:
-            return None, 0
-        prepared = []
-        for _, pos, block in classes:
-            mat = block.materialize(len(pos), self.q)
-            vals = np.add.reduce(contrib[pos[None, :], mat], axis=1, dtype=np.uint64)
-            prepared.append((pos, mat, vals))
-        return prepared, total
 
     def scan_bin_filter(self, observed, codebook, target, want="unique"):
         """Candidates whose bin under codebook (a BinningCodebook) is target.
@@ -488,10 +455,10 @@ class CandidateEngine:
         residue join of the two groups, everything else by checking every
         pair.
         """
-        prepared, total = self._prepared(observed, codebook.contribution_table())
-        if prepared is None:
+        tables, total = self._class_tables(observed)
+        if tables is None:
             return (0, None) if want == "unique" else []
-        vals = [v for _, _, v in prepared]
+        vals = _class_sums(tables, codebook.contribution_table())
         limit = 2 if want == "unique" else None
         if (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
                 and codebook.num_bins >= JOIN_MIN_BINS):
@@ -499,16 +466,17 @@ class CandidateEngine:
         else:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
         if want == "unique":
-            first = self._reconstruct(hits[0], prepared) if hits else None
+            first = self._reconstruct(hits[0], tables) if hits else None
             return (min(len(hits), 2), first)
-        return [self._reconstruct(j, prepared) for j in hits]
+        return [self._reconstruct(j, tables) for j in hits]
 
-    def _reconstruct(self, j, prepared):
-        seq = np.empty(self.params.n, dtype=np.int64)
-        for pos, mat, _ in reversed(prepared):
-            j, i = divmod(j, len(mat))
-            seq[pos] = mat[i]
-        return seq
+
+def _class_sums(tables, contrib) -> list:
+    """Per class, the uint64 sum of contrib[t, seq_t] over the class's
+    positions for each of its arrangements.
+    """
+    return [np.add.reduce(contrib[pos[None, :], mat], axis=1, dtype=np.uint64)
+            for pos, mat in tables]
 
 
 def conditional_candidates(observed, joint_pmf, params: TypicalityParams,
@@ -535,12 +503,4 @@ def enumerate_typical(pmf, params: TypicalityParams, cap: int = DEFAULT_ENUM_CAP
             f"typical set exceeds the {cap} enumeration cap") from exc
     if pmf.ndim == 1:
         return atoms
-    out = []
-    for atom_seq in atoms:
-        parts = []
-        rest = atom_seq
-        for size in reversed(pmf.shape):
-            parts.append(rest % size)
-            rest = rest // size
-        out.append(tuple(reversed(parts)))
-    return out
+    return [np.unravel_index(a, pmf.shape) for a in atoms]

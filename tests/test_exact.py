@@ -8,10 +8,11 @@ import pytest
 from conftest import mirrored_noisy_copy
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
-from skpk.exact import (ExactEvaluator, exact_secrecy_stats, lemma1_check,
+from skpk.exact import (ExactEvaluator, _Enumeration, exact_secrecy_stats, lemma1_check,
                         oracle_codebooks, oracle_secrecy)
 from skpk.protocol import STATUS_OK, RunContext, SchemeConfig
-from skpk.sources import JointDistribution, identical_bits, xor_triple
+from skpk.sources import (JointDistribution, identical_bits, noisy_copy_triple,
+                          sequence_code, xor_triple)
 
 
 def _config(scheme, dist, n, seed=7, eps=0.9, delta=0.01, **kw):
@@ -24,6 +25,27 @@ def test_requires_table_codebooks():
                        delta=0.01, master_seed=1, codebook_mode=MODE_HASH)
     with pytest.raises(UsageError):
         ExactEvaluator(cfg)
+
+
+def test_point_e_z_index_is_the_enumerations_z_code():
+    """PointE's verbatim announcement, the sequence code and the exact
+    enumeration's code of Z^n are one number.
+    """
+    dist = noisy_copy_triple(0.2, 0.3)
+    ctx = RunContext(SchemeConfig(scheme="PointE", dist=dist, n=5, epsilon=0.5,
+                                  delta=0.02, master_seed=7))
+    enum = _Enumeration(dist, 5, 2 ** 20)
+    atoms = sorted(dist.support_atoms())
+    for i in range(10):
+        run = ctx.run(i)
+        (z_index,) = [m.value for m in run.transcript.messages if m.label == "z-index"]
+        t = run.triple
+        assert z_index == sequence_code(t.z_seq, 2)
+        # the triple's element: its atoms, first position slowest
+        el = 0
+        for atom in zip(t.x_seq.tolist(), t.y_seq.tolist(), t.z_seq.tolist()):
+            el = el * len(atoms) + atoms.index(atom)
+        assert int(enum.idx["z"][el]) == z_index
 
 
 def test_enumeration_cap():

@@ -8,8 +8,8 @@ from skpk.errors import UsageError
 from skpk.sources import (JointDistribution, conditional_entropy,
                           conditional_mutual_information, dump_pmf, entropy,
                           identical_bits, info_profile, load_pmf,
-                          mutual_information, noisy_copy_triple, sample,
-                          xor_triple)
+                          mutual_information, noisy_copy_triple, place_values,
+                          sample, sequence_code, sequence_of_code, xor_triple)
 
 
 def test_xor_entropies():
@@ -131,3 +131,38 @@ def test_identical_bits_profile():
     assert prof.h("XYZ") == pytest.approx(1.0, abs=1e-12)
     assert prof.i_x_y_given_z == pytest.approx(0.0, abs=1e-12)
     assert math.isclose(prof.i_x_yz, 1.0, abs_tol=1e-12)
+
+
+# -- sequence codes -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,long_n", [(2, 70), (3, 41)])
+def test_sequence_code_round_trip(q, long_n):
+    # long_n puts q**n past 2**64, where a uint64 code would wrap
+    assert q ** long_n > 2 ** 64
+    rng = np.random.default_rng(q)
+    for n in (1, 5, 12, long_n):
+        for _ in range(20):
+            seq = rng.integers(0, q, size=n)
+            code = sequence_code(seq, q)
+            assert 0 <= code < q ** n
+            assert np.array_equal(sequence_of_code(code, q, n), seq)
+        top = sequence_of_code(q ** n - 1, q, n)
+        assert top.tolist() == [q - 1] * n
+        assert sequence_code(top, q) == q ** n - 1
+    # most significant position first
+    assert sequence_code([1, 0, 0], q) == q ** 2
+    assert sequence_code([0, 0, 1], q) == 1
+
+
+@pytest.mark.parametrize("q,n", [(1, 4), (2, 1), (2, 10), (3, 7), (3, 30)])
+def test_place_values_fold_to_sequence_code(q, n):
+    table = place_values(q, n)
+    assert table.shape == (n, q)
+    assert table.dtype == np.uint64
+    assert not table.flags.writeable
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        seq = rng.integers(0, q, size=n)
+        fold = table[np.arange(n), seq].sum(dtype=np.uint64)
+        assert int(fold) == sequence_code(seq, q)
