@@ -7,7 +7,7 @@ example and the benchmark use; everything else is imported from its module.
 """
 
 from .binning import MODE_TABLE
-from .exact import ExactEvaluator, exact_secrecy_stats, oracle_codebooks, oracle_secrecy
+from .exact import ExactEvaluator, oracle_codebooks, oracle_secrecy
 from .harness import ExperimentConfig, run_trials
 from .protocol import STATUS_OK, RunContext, SchemeConfig, Transcript
 from .region import rate_region
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactEvaluator", "ExperimentConfig", "MODE_TABLE", "RunContext", "STATUS_OK",
-    "SchemeConfig", "Transcript", "TypicalityParams", "exact_secrecy_stats",
-    "is_strongly_typical", "oracle_codebooks", "oracle_secrecy", "rate_region",
-    "run_trials", "xor_triple",
+    "SchemeConfig", "Transcript", "TypicalityParams", "is_strongly_typical",
+    "oracle_codebooks", "oracle_secrecy", "rate_region", "run_trials", "xor_triple",
 ]

@@ -31,7 +31,6 @@ MODE_TABLE = "ExplicitTable"
 MODE_HASH = "KeyedHash"
 
 DEFAULT_TABLE_CAP = 2 ** 24
-NUM_BINS_CAP = 2 ** 63
 
 
 def stream_tag(tag: str) -> int:

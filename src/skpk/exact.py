@@ -21,7 +21,6 @@ lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -458,15 +457,6 @@ def _mean_stats(per) -> CodebookExact:
         agree_ks=_mean_field([s.agree_ks for s in per]),
         agree_kp=_mean_field([s.agree_kp for s in per]),
         status_mass=status, recovery_error=recovery)
-
-
-def exact_secrecy_stats(config: SchemeConfig, num_codebooks: int,
-                        exact_cap: int = EXACT_PRODUCT_CAP) -> ExactResult:
-    """Exact per-codebook and ensemble-mean quantities for a configuration."""
-    if exact_cap > EXACT_PRODUCT_CAP:
-        print(f"warning: exact-mode cap raised to {exact_cap}; expect long runtimes",
-              file=sys.stderr)
-    return ExactEvaluator(config, exact_cap).evaluate(num_codebooks)
 
 
 # ---------------------------------------------------------------------------

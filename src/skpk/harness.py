@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import MODE_HASH, MODE_TABLE
+from .binning import DEFAULT_TABLE_CAP, MODE_HASH, MODE_TABLE
 from .errors import UsageError
 from .exact import EXACT_PRODUCT_CAP, ExactEvaluator, _entropy_masses
 from .protocol import STATUS_OK, RunContext, SchemeConfig
 from .region import label_vertices, rate_region
 from .sources import JointDistribution
+from .typicality import DEFAULT_SEARCH_CAP
 
 MODE_MONTE_CARLO = "MonteCarlo"
 MODE_EXACT = "Exact"
@@ -57,8 +58,8 @@ class ExperimentConfig:
     evaluation_mode: str = MODE_MONTE_CARLO
     ts_schemes: tuple = None
     ts_lambda: float = 0.5
-    search_cap: int = None
-    table_cap: int = None
+    search_cap: int = DEFAULT_SEARCH_CAP
+    table_cap: int = DEFAULT_TABLE_CAP
     exact_cap: int = EXACT_PRODUCT_CAP
 
     def __post_init__(self):
@@ -72,17 +73,12 @@ class ExperimentConfig:
             raise UsageError("Exact mode requires ExplicitTable codebooks")
 
     def scheme_config(self, n: int) -> SchemeConfig:
-        extra = {}
-        if self.search_cap is not None:
-            extra["search_cap"] = self.search_cap
-        if self.table_cap is not None:
-            extra["table_cap"] = self.table_cap
         return SchemeConfig(scheme=self.scheme, dist=self.dist, n=n,
                             epsilon=self.epsilon, delta=self.delta,
                             master_seed=self.master_seed,
                             codebook_mode=self.codebook_mode,
                             ts_schemes=self.ts_schemes, ts_lambda=self.ts_lambda,
-                            **extra)
+                            search_cap=self.search_cap, table_cap=self.table_cap)
 
 
 @dataclass

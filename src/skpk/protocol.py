@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .binning import MODE_HASH, MODE_TABLE, make_codebook, stream_tag
+from .binning import DEFAULT_TABLE_CAP, MODE_HASH, MODE_TABLE, make_codebook, stream_tag
 from .errors import SearchOverflowError, UsageError
 from .sources import JointDistribution, SourceTriple, info_profile, sample, sequence_code
 from .typicality import (CandidateEngine, DEFAULT_SEARCH_CAP, TypicalityParams)
@@ -143,7 +143,7 @@ class SchemeConfig:
     codebook_mode: str = MODE_HASH
     rates: RateAssignment = None
     search_cap: int = DEFAULT_SEARCH_CAP
-    table_cap: int = 2 ** 24
+    table_cap: int = DEFAULT_TABLE_CAP
     ts_schemes: tuple = None      # (scheme_a, scheme_b) for TimeShare
     ts_lambda: float = 0.5        # fraction of symbols given to scheme_a
 
@@ -513,8 +513,3 @@ class RunContext:
         codebooks.update({f"B.{k}": v for k, v in run_b.codebooks.items()})
         return ProtocolRun("TimeShare", False, triple.n, triple, Transcript(messages),
                            outcome, run_a.rates, recovered, codebooks)
-
-
-def run_trial(config: SchemeConfig, trial_index: int) -> ProtocolRun:
-    """One-off convenience wrapper; batch callers should reuse a RunContext."""
-    return RunContext(config).run(trial_index)

@@ -115,9 +115,6 @@ class SourceTriple:
         if not (len(self.x_seq) == len(self.y_seq) == len(self.z_seq) == self.n):
             raise UsageError("sequence lengths disagree with n")
 
-    def seq(self, variable) -> np.ndarray:
-        return (self.x_seq, self.y_seq, self.z_seq)[_AXIS[variable]]
-
     def slice(self, start, stop) -> "SourceTriple":
         return SourceTriple(stop - start, self.x_seq[start:stop],
                             self.y_seq[start:stop], self.z_seq[start:stop])
@@ -197,7 +194,6 @@ class InfoProfile:
     h_z_given_xy: float
     h_x_given_y: float
     h_x_given_yz: float
-    h_xz_given_y: float
     h_y_given_x: float
     h_y_given_xz: float
 
@@ -231,7 +227,6 @@ def info_profile(dist: JointDistribution) -> InfoProfile:
         h_z_given_xy=H("XYZ") - H("XY"),
         h_x_given_y=H("XY") - H("Y"),
         h_x_given_yz=H("XYZ") - H("YZ"),
-        h_xz_given_y=H("XYZ") - H("Y"),
         h_y_given_x=H("XY") - H("X"),
         h_y_given_xz=H("XYZ") - H("XZ"),
     )

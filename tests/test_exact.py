@@ -8,8 +8,8 @@ import pytest
 from conftest import mirrored_noisy_copy
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
-from skpk.exact import (ExactEvaluator, _Enumeration, exact_secrecy_stats, lemma1_check,
-                        oracle_codebooks, oracle_secrecy)
+from skpk.exact import (ExactEvaluator, _Enumeration, lemma1_check, oracle_codebooks,
+                        oracle_secrecy)
 from skpk.protocol import STATUS_OK, RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, identical_bits, noisy_copy_triple,
                           sequence_code, xor_triple)
@@ -265,13 +265,6 @@ def test_time_share_exact_identical_bits_closed_form():
     assert stats.agree_ks == pytest.approx((7 / 8) ** 2, abs=1e-12)
     assert stats.recovery_error["z_at_X"] == pytest.approx(1 - (7 / 8) ** 2, abs=1e-12)
     assert result.ks_size == 1
-
-
-def test_exact_secrecy_stats_wrapper(capsys):
-    cfg = _config("PointE", xor_triple(), n=3)
-    res = exact_secrecy_stats(cfg, 2, exact_cap=2 ** 25)
-    assert res.num_codebooks == 2
-    assert "warning" in capsys.readouterr().err
 
 
 # -- sub-bin conditional entropy bound ---------------------------------------

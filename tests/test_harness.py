@@ -84,6 +84,15 @@ def test_exact_mode_records():
     assert 0.0 <= rec["agree_kp"] <= 1.0
 
 
+def test_exact_secrecy_warns_on_raised_cap(capsys):
+    cfg = _mc_config(scheme="PointE", codebook_mode=MODE_TABLE,
+                     evaluation_mode=MODE_EXACT, trials=2, n_values=(3,),
+                     epsilon=0.9, delta=0.01, exact_cap=2 ** 25)
+    report = harness.exact_secrecy(cfg)
+    assert report.records[0]["num_codebooks"] == 2
+    assert "warning" in capsys.readouterr().err
+
+
 def test_json_round_trip():
     report = run_trials(_mc_config())
     parsed = json.loads(report.to_json())

@@ -7,7 +7,7 @@ import pytest
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
 from skpk.protocol import (STATUS_OK, STATUS_OVERFLOW, RunContext, SchemeConfig,
-                           _pair_decode, _unique_decode, derive_rates, run_trial)
+                           _pair_decode, _unique_decode, derive_rates)
 from skpk.sources import (JointDistribution, doubly_symmetric_xz,
                           identical_bits, info_profile, noisy_copy_triple,
                           xor_triple)
@@ -61,7 +61,7 @@ def test_derive_rates_rejects_bad_input():
 
 def test_identical_bits_full_agreement():
     cfg = _config("PointT", identical_bits(), n=6, eps=0.5, delta=0.05, seed=2)
-    run = run_trial(cfg, 0)
+    run = RunContext(cfg).run(0)
     out = run.outcome
     assert out.statuses == {"Z": STATUS_OK, "X": STATUS_OK, "Y": STATUS_OK}
     ks = set(out.ks_claims.values())
@@ -108,7 +108,7 @@ def test_no_redirect_when_y_helps():
 
 def test_point_e_shape():
     cfg = _config("PointE", xor_triple(), n=5, eps=0.5, delta=0.02, seed=7)
-    run = run_trial(cfg, 1)
+    run = RunContext(cfg).run(1)
     assert run.outcome.ks_claims == {}
     assert run.outcome.ks_size == 1
     assert run.outcome.ks_owner is None
@@ -152,8 +152,8 @@ def test_time_share_combination():
     assert run.scheme == "TimeShare"
     labels = [m.label for m in run.transcript.messages]
     assert all(l.startswith(("A.", "B.")) for l in labels)
-    part = run_trial(_config("PointT", identical_bits(), n=6, eps=0.5,
-                             delta=0.05, seed=3), 0)
+    part = RunContext(_config("PointT", identical_bits(), n=6, eps=0.5,
+                              delta=0.05, seed=3)).run(0)
     assert run.outcome.ks_size == part.outcome.ks_size ** 2
     assert run.outcome.kp_size == part.outcome.kp_size ** 2
     # recovered copies concatenate when both halves decoded, else stay None
