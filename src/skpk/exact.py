@@ -28,7 +28,7 @@ import numpy as np
 from .binning import MODE_TABLE, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
-from .sources import JointDistribution, _entropy_of, sequence_of_code
+from .sources import JointDistribution, _clamp_mi, _entropy_of, sequence_of_code
 from .typicality import count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -320,9 +320,10 @@ class ExactEvaluator:
                                      .astype(np.int64), -1)
                     agree &= (claim >= 0) & (claim == key)
             h = self._law_entropy([key], [cb.num_sub_bins])
-            leak = (h + self._law_entropy(view, view_sizes) - self._law_entropy(
-                [key] + view, [cb.num_sub_bins] + view_sizes)) / n
-            return leak, h / n, self._mass(agree)
+            leak = h + self._law_entropy(view, view_sizes) - self._law_entropy(
+                [key] + view, [cb.num_sub_bins] + view_sizes)
+            # separately rounded entropies can land a hair below 0
+            return _clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree)
 
         # K_S is kept from the eavesdropper, who sees the transcript; K_P
         # also from Z, who holds Z^n besides (in the transcript already when

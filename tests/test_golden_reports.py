@@ -67,7 +67,7 @@ DIGESTS = {
     "exact-pointP-xor":
         "3229c797d101ff61a32eefd50ad359979fe304e85b7074d07f60e0c997aff773",
     "exact-pointQ-noisy":
-        "f4bb0257b1029089f6377ad6d80210e517472330428746be8494aabb1e7cc024",
+        "6bcfb370a558a998bec8215ab0f86cb20062e373df962f61c07e5021901b78e2",
     "exact-pointQ-xor":
         "683f07ce785486a645c581f4274c00cb621031aa6672ae8121c0d285dafa17a2",
     "exact-pointT-xor":

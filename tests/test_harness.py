@@ -9,7 +9,7 @@ from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
 from skpk.harness import (MODE_EXACT, MODE_MONTE_CARLO, ExperimentConfig,
                           emit_report, region_csv, region_summary, run_trials)
-from skpk.sources import identical_bits, xor_triple
+from skpk.sources import identical_bits, noisy_copy_triple, xor_triple
 
 
 def _mc_config(**kw):
@@ -82,6 +82,19 @@ def test_exact_mode_records():
     assert rec["leak_kp"] >= 0.0
     assert len(rec["per_codebook"]) == 2
     assert 0.0 <= rec["agree_kp"] <= 1.0
+
+
+def test_exact_leaks_and_entropies_are_never_negative():
+    # PointQ redirected to PointP on this source: the key is uniform and
+    # leaks nothing, so separately rounded entropies land around 1e-15
+    cfg = _mc_config(scheme="PointQ", dist=noisy_copy_triple(0.3, 0.1),
+                     codebook_mode=MODE_TABLE, evaluation_mode=MODE_EXACT,
+                     trials=3, n_values=(4,), epsilon=0.5, delta=0.02, master_seed=5)
+    rec = harness.exact_secrecy(cfg).records[0]
+    values = [rec[k] for k in ("leak_ks", "leak_kp", "uniformity_hks", "uniformity_hkp")]
+    for member in rec["per_codebook"]:
+        values += [member[k] for k in ("leak_ks", "leak_kp", "h_ks", "h_kp")]
+    assert all(v >= 0.0 for v in values if v is not None), values
 
 
 def test_exact_secrecy_warns_on_raised_cap(capsys):
