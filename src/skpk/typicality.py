@@ -89,7 +89,7 @@ def _as_seq_tuple(seqs):
     return (np.asarray(seqs, dtype=np.int64),)
 
 
-def cell_codes(seqs, shape, n) -> np.ndarray:
+def _cell_codes(seqs, shape, n) -> np.ndarray:
     """Row-major cell code, against pmf axes of the given shape, of each
     position of aligned length-n int64 sequences (one per axis). Raises
     UsageError on a count, length or symbol mismatch.
@@ -110,7 +110,7 @@ def cell_codes(seqs, shape, n) -> np.ndarray:
 def joint_counts(seqs, shape) -> np.ndarray:
     """Empirical cell counts of aligned sequences against a pmf shape."""
     seqs = _as_seq_tuple(seqs)
-    code = cell_codes(seqs, shape, len(seqs[0]))
+    code = _cell_codes(seqs, shape, len(seqs[0]))
     return np.bincount(code, minlength=math.prod(shape)).reshape(shape)
 
 
@@ -211,6 +211,14 @@ def _arrangement_matrix(m, vectors, q) -> np.ndarray:
     if not blocks:
         return np.zeros((0, m), dtype=np.int8)
     return np.concatenate(blocks)
+
+
+def _class_sums(tables, contrib) -> list:
+    """Per class, the uint64 sum of contrib[t, seq_t] over the class's
+    positions for each of its arrangements.
+    """
+    return [np.add.reduce(contrib[pos[None, :], mat], axis=1, dtype=np.uint64)
+            for pos, mat in tables]
 
 
 def _group_sums(vals_list) -> np.ndarray:
@@ -393,7 +401,7 @@ class CandidateEngine:
             observed = ()
         else:
             observed = _as_seq_tuple(observed)
-        codes = cell_codes(observed, self.obs_shape, self.params.n)
+        codes = _cell_codes(observed, self.obs_shape, self.params.n)
         sizes = np.bincount(codes, minlength=self.obs_cells).tolist()
         # an absent cell whose windows forbid a zero count rules out everything
         if any(sizes[cell] == 0 for cell in self._must_occur):
@@ -469,14 +477,6 @@ class CandidateEngine:
             first = self._reconstruct(hits[0], tables) if hits else None
             return (min(len(hits), 2), first)
         return [self._reconstruct(j, tables) for j in hits]
-
-
-def _class_sums(tables, contrib) -> list:
-    """Per class, the uint64 sum of contrib[t, seq_t] over the class's
-    positions for each of its arrangements.
-    """
-    return [np.add.reduce(contrib[pos[None, :], mat], axis=1, dtype=np.uint64)
-            for pos, mat in tables]
 
 
 def conditional_candidates(observed, joint_pmf, params: TypicalityParams,

@@ -49,6 +49,21 @@ def test_joint_counts():
     assert counts.sum() == 3
 
 
+@pytest.mark.parametrize("bad", [
+    (np.array([0, -1, 0]), np.array([1, 1, 0])),    # negative symbol
+    (np.array([0, 1, 0]), np.array([1, 2, 0])),     # symbol past the alphabet
+    (np.array([0, 1, 0]), np.array([1, 1])),        # length mismatch
+    (np.array([0, 1, 0]),),                         # one sequence, two axes
+])
+def test_cell_code_checks(bad):
+    """joint_counts and the candidate engine share one checked cell code."""
+    with pytest.raises(UsageError):
+        joint_counts(bad, (2, 2))
+    engine = CandidateEngine(np.full((2, 2, 2), 0.125), TypicalityParams(0.5, 3))
+    with pytest.raises(UsageError):
+        engine.candidate_indices(bad)
+
+
 def test_typicality_matches_definition(rng):
     pmf = random_pmf(rng, (2, 2))
     params = TypicalityParams(epsilon=0.4, n=8)
