@@ -8,8 +8,8 @@ import pytest
 from conftest import mirrored_noisy_copy
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
-from skpk.exact import (ExactEvaluator, _Enumeration, lemma1_check, oracle_codebooks,
-                        oracle_secrecy)
+from skpk.exact import (ExactEvaluator, _draw_member_codebooks, _Enumeration, lemma1_check,
+                        oracle_codebooks, oracle_secrecy)
 from skpk.protocol import STATUS_OK, RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, identical_bits, noisy_copy_triple,
                           sequence_code, xor_triple)
@@ -168,7 +168,7 @@ def test_oracle_codebooks_match_evaluator_members(scheme):
     evaluator = ExactEvaluator(cfg)
     for k in (0, 1, 7):
         ours = oracle_codebooks(cfg, k)
-        theirs = evaluator._member_codebooks(k)
+        theirs = _draw_member_codebooks(evaluator.ctx, k)
         assert list(ours) == list(theirs)
         for terminal, cb in ours.items():
             ref = theirs[terminal]
@@ -179,21 +179,27 @@ def test_oracle_codebooks_match_evaluator_members(scheme):
                                   ref.sub_bins_of_indices(codes))
 
 
-@pytest.mark.parametrize("scheme,dist,n,eps,trials,orientation", [
-    ("PointP", xor_triple(), 4, 0.9, 10000, "X"),
-    ("PointT", xor_triple(), 6, 0.5, 5000, "X"),
-    ("PointQ", xor_triple(), 5, 0.9, 5000, "X"),
-    ("PointE", xor_triple(), 6, 0.5, 5000, "X"),
-    ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, 0.5, 5000, "Y"),
-], ids=["PointP-xor", "PointT-xor", "PointQ-xor", "PointE-xor", "PointP-mirrored"])
-def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation):
+@pytest.mark.parametrize("scheme,dist,n,eps,trials,orientation,kw", [
+    ("PointP", xor_triple(), 4, 0.9, 10000, "X", {}),
+    ("PointT", xor_triple(), 6, 0.5, 5000, "X", {}),
+    ("PointQ", xor_triple(), 5, 0.9, 5000, "X", {}),
+    ("PointE", xor_triple(), 6, 0.5, 5000, "X", {}),
+    ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, 0.5, 5000, "Y", {}),
+    ("TimeShare", xor_triple(), 12, 0.5, 5000, None,
+     {"ts_schemes": ("PointE", "PointT"), "ts_lambda": 0.5}),
+], ids=["PointP-xor", "PointT-xor", "PointQ-xor", "PointE-xor", "PointP-mirrored",
+        "TimeShare-xor"])
+def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw):
     """Exact masses against sampled frequencies on the same codebooks: key
-    agreement, and each decoding terminal's OK rate.
+    agreement, and each decoding terminal's OK rate. For time sharing this
+    checks the sampled combination of the parts against the exact one.
     """
-    cfg = _config(scheme, dist, n=n, seed=3, eps=eps)
+    cfg = _config(scheme, dist, n=n, seed=3, eps=eps, **kw)
     exact = ExactEvaluator(cfg).evaluate_native()
     ctx = RunContext(cfg)
-    assert (ctx.scheme, ctx.redirected, ctx.rates.orientation) == (scheme, False, orientation)
+    assert (ctx.scheme, ctx.redirected) == (scheme, False)
+    # a time-shared context has no rates of its own
+    assert getattr(ctx.rates, "orientation", None) == orientation
     hits = {"ks": 0, "kp": 0, "X": 0, "Y": 0}
     for i in range(trials):
         out = ctx.run(i).outcome
@@ -265,6 +271,24 @@ def test_time_share_exact_identical_bits_closed_form():
     assert stats.agree_ks == pytest.approx((7 / 8) ** 2, abs=1e-12)
     assert stats.recovery_error["z_at_X"] == pytest.approx(1 - (7 / 8) ** 2, abs=1e-12)
     assert result.ks_size == 1
+
+
+def test_time_share_lone_part_passes_members_through():
+    """With no symbols for the first part, every member of the time-shared
+    evaluation is the second part's member, unchanged.
+    """
+    cfg = _config("TimeShare", xor_triple(), n=6, eps=0.5, delta=0.05,
+                  ts_schemes=("PointE", "PointT"), ts_lambda=0.0)
+    evaluator = ExactEvaluator(cfg)
+    assert evaluator.parts[0] is None
+    lone = ExactEvaluator(evaluator.ctx.parts[1].config)
+    result, ref = evaluator.evaluate(3), lone.evaluate(3)
+    assert (result.scheme, result.n) == ("TimeShare", 6)
+    assert (result.ks_size, result.kp_size) == (ref.ks_size, ref.kp_size)
+    for k, (ours, theirs) in enumerate(zip(result.per_codebook, ref.per_codebook)):
+        assert ours == theirs, k
+    assert result.mean == ref.mean
+    assert evaluator.evaluate_native() == lone.evaluate_native()
 
 
 # -- sub-bin conditional entropy bound ---------------------------------------

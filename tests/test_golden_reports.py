@@ -3,9 +3,10 @@
 Each case runs one CLI command and compares the sha256 of the report it
 writes with a digest recorded from an earlier build. The cases cover every
 one-shot scheme and time sharing, with hash and table codebooks, for both
-`simulate` and `secrecy-exact`, plus PointP in orientation Y (the mirrored
-noisy-copy sources, where Y is the better-correlated terminal). A refactor
-that keeps these digests keeps every reported number.
+`simulate` and `secrecy-exact`; time sharing whose first part is empty; and
+PointP in orientation Y (the mirrored noisy-copy sources, where Y is the
+better-correlated terminal). A refactor that keeps these digests keeps every
+reported number.
 
 To print the digests of the current build:
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -31,16 +32,20 @@ SOURCES = {"xor": xor_triple, "noisy": lambda: noisy_copy_triple(0.3, 0.1),
 
 _SCHEMES = {"pointE": [], "pointT": [], "pointP": [], "pointQ": [],
             "timeshare": ["--ts-schemes", "pointP,pointQ", "--ts-lambda", "0.5"]}
+# time sharing whose first part gets no symbols: the second runs alone
+_LONE_PART = ["--ts-schemes", "pointE,pointT", "--ts-lambda", "0"]
 
 
-def _simulate(source, scheme, codebook, n=6, trials=40):
-    return (source, ["simulate", "--scheme", scheme, *_SCHEMES[scheme], "--n", str(n),
+def _simulate(source, scheme, codebook, n=6, trials=40, parts=None):
+    parts = _SCHEMES[scheme] if parts is None else parts
+    return (source, ["simulate", "--scheme", scheme, *parts, "--n", str(n),
                      "--trials", str(trials), "--epsilon", "0.5", "--delta", "0.02",
                      "--seed", "5", "--codebook", codebook])
 
 
-def _exact(source, scheme, n=4, codebooks=3):
-    return (source, ["secrecy-exact", "--scheme", scheme, *_SCHEMES[scheme],
+def _exact(source, scheme, n=4, codebooks=3, parts=None):
+    parts = _SCHEMES[scheme] if parts is None else parts
+    return (source, ["secrecy-exact", "--scheme", scheme, *parts,
                      "--n", str(n), "--trials", str(codebooks), "--epsilon", "0.5",
                      "--delta", "0.02", "--seed", "5"])
 
@@ -55,6 +60,9 @@ CASES = {
     **{f"exact-pointP-{src}": _exact(src, "pointP", n=6, codebooks=2)
        for src in ("mirrored", "mirrored-echo")},
     "exact-pointQ-noisy": _exact("noisy", "pointQ"),
+    "simulate-timeshare-lone-hash-xor": _simulate("xor", "timeshare", "hash",
+                                                  parts=_LONE_PART),
+    "exact-timeshare-lone-xor": _exact("xor", "timeshare", parts=_LONE_PART),
 }
 
 DIGESTS = {
@@ -72,6 +80,8 @@ DIGESTS = {
         "683f07ce785486a645c581f4274c00cb621031aa6672ae8121c0d285dafa17a2",
     "exact-pointT-xor":
         "0b0c45aeedf54a5fa425ef61bdf5a319c4e592a5972e6540c82df7afa0004fc1",
+    "exact-timeshare-lone-xor":
+        "c1075352de0473466c7d094512e6346194f0fcbe7735e9046c052d73cf3cf7e6",
     "exact-timeshare-xor":
         "f32be0c1a47a597de8663de646a29bd36090c9a3397f91e42ec0c4437b135a71",
     "simulate-pointE-hash-xor":
@@ -102,6 +112,8 @@ DIGESTS = {
         "f2419b087b8106aad7dd025c95465ea5a34cd986e3282a668b2a5807aa5eaa8b",
     "simulate-timeshare-hash-xor":
         "b828ece4946484f54d3966299ba5b27d6003ec65ac7934ad15c6b69b16a613b0",
+    "simulate-timeshare-lone-hash-xor":
+        "173f972899741554b40100345ba40e2198eb72825dbd8b938117a1f53313fcf1",
     "simulate-timeshare-table-xor":
         "c17d84ba57b96c303a10e6911a1a8069a87163b60e6ecea72f195e9afd96bb5b",
 }

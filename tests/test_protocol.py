@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mirrored_noisy_copy
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
 from skpk.protocol import (STATUS_OK, STATUS_OVERFLOW, RunContext, SchemeConfig,
                            _pair_decode, _unique_decode, derive_rates)
-from skpk.sources import (JointDistribution, doubly_symmetric_xz,
+from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
                           identical_bits, info_profile, noisy_copy_triple,
                           xor_triple)
 from skpk.typicality import CandidateEngine
@@ -119,29 +120,45 @@ def test_point_e_shape():
     assert np.array_equal(run.recovered["z_at_Y"], run.triple.z_seq)
 
 
-def test_swapped_orientation_relabels():
-    """A source with the stronger correlation on the Y side must produce the
-    same numbers as its mirrored twin, with terminals renamed.
-    """
-    base = noisy_copy_triple(0.3, 0.1)
-    mirrored = JointDistribution((2, 2, 2), np.transpose(base.pmf, (1, 0, 2)))
-    cfg_m = _config("PointP", mirrored, n=10, eps=0.45, delta=0.02, seed=13)
-    ctx_m = RunContext(cfg_m)
-    assert ctx_m.swapped
-    run = ctx_m.run(2)
-    assert set(run.outcome.ks_claims) == {"Z", "X", "Y"}
-    assert set(run.recovered) == {"z_at_X", "z_at_Y", "y_at_X"}
-    assert {m.sender for m in run.transcript.messages} == {"Z", "Y"}
-    assert run.outcome.kp_owner == "Y"
+_SWAP = str.maketrans("XYxy", "YXyx")
 
-    cfg_c = _config("PointP", base, n=10, eps=0.45, delta=0.02, seed=13)
-    ctx_c = RunContext(cfg_c)
-    assert not ctx_c.swapped
-    twin = ctx_c.run(2)
-    # the mirrored run with labels swapped back tells the same story
-    assert run.outcome.statuses["X"] == twin.outcome.statuses["Y"]
-    assert run.outcome.statuses["Y"] == twin.outcome.statuses["X"]
-    assert run.outcome.ks_claims["X"] == twin.outcome.ks_claims["Y"]
+
+@pytest.mark.parametrize("flips,decodes", [((0.3, 0.1), False), ((0.25, 0.0), True)],
+                         ids=["noisy", "echo"])
+def test_swapped_orientation_relabels(flips, decodes):
+    """A source with the stronger correlation on the Y side must produce the
+    same numbers as its mirrored twin on the mirrored triple, with terminals
+    renamed. On the first source the yz and yxz count windows are empty, so
+    no decode succeeds; on the second, Z = Y and some trials decode at both
+    X and Y.
+    """
+    cfg_m = _config("PointP", mirrored_noisy_copy(*flips), n=10, eps=0.45,
+                    delta=0.02, seed=13)
+    cfg_c = _config("PointP", noisy_copy_triple(*flips), n=10, eps=0.45,
+                    delta=0.02, seed=13)
+    ctx_m, ctx_c = RunContext(cfg_m), RunContext(cfg_c)
+    assert ctx_m.swapped and not ctx_c.swapped
+    both_ok = 0
+    for i in range(200):
+        run = ctx_m.run(i)
+        t = run.triple
+        twin = ctx_c.run_on_triple(SourceTriple(t.n, t.y_seq, t.x_seq, t.z_seq))
+        out, ref = run.outcome, twin.outcome
+        assert set(out.ks_claims) == {"Z", "X", "Y"}
+        assert set(run.recovered) == {"z_at_X", "z_at_Y", "y_at_X"}
+        assert (out.ks_owner, out.kp_owner) == ("Z", "Y")
+        # the mirrored run with labels swapped back tells the same story
+        for field in ("statuses", "ks_claims", "kp_claims"):
+            assert getattr(out, field) == {
+                k.translate(_SWAP): v for k, v in getattr(ref, field).items()}, field
+        assert (out.ks_size, out.kp_size) == (ref.ks_size, ref.kp_size)
+        for key, seq in twin.recovered.items():
+            mine = run.recovered[key.translate(_SWAP)]
+            assert (mine is None and seq is None) or np.array_equal(mine, seq), key
+        assert [(m.sender, m.label, m.value) for m in run.transcript.messages] == [
+            (m.sender.translate(_SWAP), m.label, m.value) for m in twin.transcript.messages]
+        both_ok += out.statuses["X"] == out.statuses["Y"] == STATUS_OK
+    assert (both_ok > 0) == decodes, both_ok
 
 
 def test_time_share_combination():
