@@ -21,7 +21,7 @@ lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,9 +257,6 @@ class ExactEvaluator:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _member_codebooks(self, k: int) -> dict:
-        return _draw_member_codebooks(self.ctx, k)
-
     def _eval_one(self, cbs) -> CodebookExact:
         """Exact laws of one codebook draw, following the scheme's messages
         and decode steps over the whole enumeration at once.
@@ -345,48 +342,35 @@ class ExactEvaluator:
                     (st == _ST_OK) & (rec == e.idx[key[0]]))
                 for key, (st, rec) in recovered.items()})
 
+    def _member(self, k=None) -> CodebookExact:
+        """Exact laws of the k-th ensemble member, or of the native codebooks
+        when k is None. A time-shared config combines its parts' k-th
+        members; a lone live part passes through unchanged.
+        """
+        if self.parts is not None:
+            live = [p for p in self.parts if p is not None]
+            stats = [p._member(k) for p in live]
+            if len(stats) == 1:
+                return stats[0]
+            return _combine_parts(*stats, *(p.config.n for p in live), self.config.n)
+        return self._eval_one(self.ctx.codebooks if k is None
+                              else _draw_member_codebooks(self.ctx, k))
+
     def evaluate_native(self) -> CodebookExact:
         """Exact laws for the very codebooks the sampling runner uses, so
         Monte Carlo frequencies can be checked against exact masses.
         """
-        if self.parts is not None:
-            live = [p for p in self.parts if p is not None]
-            stats = [p.evaluate_native() for p in live]
-            if len(stats) == 1:
-                return stats[0]
-            return _combine_parts(*stats, *(p.config.n for p in live), self.config.n)
-        return self._eval_one(self.ctx.codebooks)
+        return self._member()
 
     def evaluate(self, num_codebooks: int) -> ExactResult:
         if num_codebooks < 1:
             raise UsageError("exact evaluation needs at least one codebook")
-        if self.parts is not None:
-            return self._evaluate_time_share(num_codebooks)
-        per = [self._eval_one(self._member_codebooks(k)) for k in range(num_codebooks)]
-        cbs = self.ctx.codebooks
-        return ExactResult(scheme=self.ctx.scheme, redirected=self.ctx.redirected,
-                           n=self.config.n, num_codebooks=num_codebooks,
-                           ks_size=cbs["Z"].num_sub_bins if "Z" in cbs else 1,
-                           kp_size=cbs[self.ctx.desc.kp_owner].num_sub_bins,
-                           rates=self.ctx.rates, per_codebook=per, mean=_mean_stats(per))
-
-    # -- time sharing --------------------------------------------------------
-
-    def _evaluate_time_share(self, num_codebooks: int) -> ExactResult:
-        results = [p.evaluate(num_codebooks) for p in self.parts if p is not None]
-        if len(results) == 1:
-            return replace(results[0], scheme="TimeShare", redirected=False,
-                           n=self.config.n)
-        ra, rb = results
-        na, nb = ra.n, rb.n
-        n = self.config.n
-        per = [_combine_parts(a, b, na, nb, n)
-               for a, b in zip(ra.per_codebook, rb.per_codebook)]
-        return ExactResult(scheme="TimeShare", redirected=False, n=n,
-                           num_codebooks=num_codebooks,
-                           ks_size=ra.ks_size * rb.ks_size,
-                           kp_size=ra.kp_size * rb.kp_size,
-                           rates=ra.rates, per_codebook=per, mean=_mean_stats(per))
+        per = [self._member(k) for k in range(num_codebooks)]
+        ctx = self.ctx
+        return ExactResult(scheme=ctx.scheme, redirected=ctx.redirected, n=self.config.n,
+                           num_codebooks=num_codebooks, ks_size=ctx.ks_size,
+                           kp_size=ctx.kp_size, rates=ctx.rates, per_codebook=per,
+                           mean=_mean_stats(per))
 
 
 def _wavg(a, na, b, nb, n):
@@ -404,20 +388,14 @@ def _prod_or_none(a, b):
 
 
 def _combine_parts(a: CodebookExact, b: CodebookExact, na, nb, n) -> CodebookExact:
+    """A time-shared member from its parts' members, of na and nb symbols."""
     status = {}
-    for t in ("X", "Y", "Z"):
-        ma = a.status_mass.get(t, {"OK": 1.0})
-        mb = b.status_mass.get(t, {"OK": 1.0})
-        names = set(ma) | set(mb)
-        combined = {}
-        for s in names:
-            if s == "OK":
-                combined[s] = ma.get("OK", 0.0) * mb.get("OK", 0.0)
-            else:
-                combined[s] = ma.get(s, 0.0) + ma.get("OK", 0.0) * mb.get(s, 0.0)
-        status[t] = combined
+    for t, ma in a.status_mass.items():
+        mb = b.status_mass[t]
+        status[t] = {s: ma[s] * mb[s] if s == "OK" else ma[s] + ma["OK"] * mb[s]
+                     for s in ma}
     recovery = {}
-    for key in set(a.recovery_error) | set(b.recovery_error):
+    for key in {**a.recovery_error, **b.recovery_error}:
         if key in a.recovery_error and key in b.recovery_error:
             ea, eb = a.recovery_error[key], b.recovery_error[key]
             recovery[key] = 1.0 - (1.0 - ea) * (1.0 - eb)

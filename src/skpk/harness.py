@@ -1,9 +1,10 @@
 """Experiment orchestration and report emission.
 
-run_trials drives Monte Carlo campaigns over protocol runs and aggregates
-agreement, failure, uniformity, and recovery statistics. exact_secrecy wraps
-the exact evaluator into the same report shape and adds the leakage numbers
-that sampling cannot estimate honestly. Reports are plain dictionaries with
+run_trials drives a campaign, one record per blocklength. In Monte Carlo
+mode it samples protocol runs and aggregates agreement, failure, uniformity,
+and recovery statistics; in Exact mode it puts the exact evaluator's laws in
+the same report shape and adds the leakage numbers that sampling cannot
+estimate honestly. Reports are plain dictionaries with
 12-significant-digit floats so that identical configurations always emit
 byte-identical files.
 
@@ -259,16 +260,6 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
             "rates": _rates_echo(ctx)}
 
 
-def run_trials(config: ExperimentConfig) -> SimulationReport:
-    """Execute the campaign and aggregate per-blocklength statistics."""
-    if config.evaluation_mode == MODE_EXACT:
-        return exact_secrecy(config)
-    report = SimulationReport(config=_config_echo(config))
-    for n in config.n_values:
-        report.records.append(_run_mc_record(config, n))
-    return report
-
-
 # -- Exact -------------------------------------------------------------------
 
 
@@ -285,31 +276,31 @@ def _run_exact_record(config: ExperimentConfig, n: int) -> dict:
     evaluator = ExactEvaluator(scfg, exact_cap=config.exact_cap)
     result = evaluator.evaluate(config.trials)
     mean = result.mean
-    record = {"n": n, "num_codebooks": result.num_codebooks,
-              "scheme": result.scheme, "redirected": result.redirected,
-              "leak_ks": mean.leak_ks, "leak_kp": mean.leak_kp,
-              "agree_ks": mean.agree_ks, "agree_kp": mean.agree_kp,
-              "uniformity_hks": mean.h_ks, "uniformity_hkp": mean.h_kp,
-              "rate_ks": math.log2(result.ks_size) / n,
-              "rate_kp": math.log2(result.kp_size) / n,
-              "decode_failures": mean.status_mass,
-              "recovery_error": mean.recovery_error,
-              "per_codebook": [_stats_dict(s) for s in result.per_codebook],
-              "rates": _rates_echo(evaluator.ctx)}
-    return record
+    return {"n": n, "num_codebooks": result.num_codebooks,
+            "scheme": result.scheme, "redirected": result.redirected,
+            "leak_ks": mean.leak_ks, "leak_kp": mean.leak_kp,
+            "agree_ks": mean.agree_ks, "agree_kp": mean.agree_kp,
+            "uniformity_hks": mean.h_ks, "uniformity_hkp": mean.h_kp,
+            "rate_ks": math.log2(result.ks_size) / n,
+            "rate_kp": math.log2(result.kp_size) / n,
+            "decode_failures": mean.status_mass,
+            "recovery_error": mean.recovery_error,
+            "per_codebook": [_stats_dict(s) for s in result.per_codebook],
+            "rates": _rates_echo(evaluator.ctx)}
 
 
-def exact_secrecy(config: ExperimentConfig) -> SimulationReport:
-    """Enumerate instead of sample; adds the two leakage rates per record."""
-    if config.codebook_mode != MODE_TABLE:
-        raise UsageError("Exact mode requires ExplicitTable codebooks")
-    if config.exact_cap > EXACT_PRODUCT_CAP:
+# -- campaigns ---------------------------------------------------------------
+
+
+def run_trials(config: ExperimentConfig) -> SimulationReport:
+    """Execute the campaign and aggregate per-blocklength statistics."""
+    exact = config.evaluation_mode == MODE_EXACT
+    if exact and config.exact_cap > EXACT_PRODUCT_CAP:
         print(f"warning: exact-mode cap raised to {config.exact_cap}; "
               "expect long runtimes", file=sys.stderr)
-    report = SimulationReport(config=_config_echo(config))
-    for n in config.n_values:
-        report.records.append(_run_exact_record(config, n))
-    return report
+    run_record = _run_exact_record if exact else _run_mc_record
+    return SimulationReport(config=_config_echo(config),
+                            records=[run_record(config, n) for n in config.n_values])
 
 
 # -- region and file output ---------------------------------------------------

@@ -23,6 +23,7 @@ PointQ  every terminal bins; X and Y each recover the other two sequences
         rate.
 """
 
+import math
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -339,7 +340,8 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
 
 
 class RunContext:
-    """Shared per-config state: codebooks, candidate engines, derived rates.
+    """Shared per-config state: codebooks, candidate engines, derived rates,
+    and each key's owner and size (for time sharing, taken from the parts).
 
     Build once, then call run(i) per trial; trial i is fully determined by
     (config, i) regardless of how trials are batched across workers. The
@@ -378,6 +380,10 @@ class RunContext:
             key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
                                  cap=config.search_cap)
             for step in desc.decodes for key in step.engine_keys()}
+        self.ks_owner = "Z" if "Z" in self.codebooks else None
+        self.kp_owner = desc.kp_owner
+        self.ks_size = self.codebooks["Z"].num_sub_bins if self.ks_owner else 1
+        self.kp_size = self.codebooks[self.kp_owner].num_sub_bins
 
     def _init_time_share(self):
         cfg = self.config
@@ -395,11 +401,14 @@ class RunContext:
                 continue
             seed = int(np.random.SeedSequence(
                 [cfg.master_seed, stream_tag(tag)]).generate_state(1, np.uint64)[0])
-            sub = SchemeConfig(scheme=part_name, dist=cfg.dist, n=part_n,
-                               epsilon=cfg.epsilon, delta=cfg.delta,
-                               master_seed=seed, codebook_mode=cfg.codebook_mode,
-                               search_cap=cfg.search_cap, table_cap=cfg.table_cap)
-            self.parts.append(RunContext(sub))
+            self.parts.append(RunContext(replace(cfg, scheme=part_name, n=part_n,
+                                                 master_seed=seed, rates=None,
+                                                 ts_schemes=None)))
+        live = [p for p in self.parts if p is not None]
+        self.ks_owner = live[0].ks_owner or live[-1].ks_owner
+        self.kp_owner = live[0].kp_owner
+        self.ks_size = math.prod(p.ks_size for p in live)
+        self.kp_size = math.prod(p.kp_size for p in live)
 
     # -- execution --------------------------------------------------------
 
@@ -456,13 +465,10 @@ class RunContext:
                     out[t] = None if seq is None else int(cb.sub_bin_index(seq))
             return out
 
-        ks_owner = "Z" if "Z" in cbs else None
-        kp_owner = desc.kp_owner
         outcome = KeyOutcome(
-            ks_claims=claims(ks_owner) if ks_owner else {},
-            kp_claims=claims(kp_owner), statuses=statuses,
-            ks_size=cbs[ks_owner].num_sub_bins if ks_owner else 1,
-            kp_size=cbs[kp_owner].num_sub_bins, ks_owner=ks_owner, kp_owner=kp_owner)
+            ks_claims=claims(self.ks_owner) if self.ks_owner else {},
+            kp_claims=claims(self.kp_owner), statuses=statuses, ks_size=self.ks_size,
+            kp_size=self.kp_size, ks_owner=self.ks_owner, kp_owner=self.kp_owner)
         transcript = Transcript(tuple(TranscriptMessage(m.sender, m.label, values[m.sender])
                                       for m in desc.messages))
         return ProtocolRun(self.scheme, self.redirected, triple.n, triple, transcript,
@@ -481,31 +487,28 @@ class RunContext:
                            triple=triple)
         run_a, run_b = runs
 
-        def combine_claims(claims_a, size_a, claims_b, size_b):
-            terminals = set(claims_a) | set(claims_b)
+        def combine_claims(claims_a, claims_b, size_b):
+            # a terminal that claims no part of one key counts as claiming 0
             out = {}
-            for t in terminals:
+            for t in {**claims_a, **claims_b}:
                 a, b = claims_a.get(t, 0), claims_b.get(t, 0)
                 out[t] = None if a is None or b is None else int(a) * size_b + int(b)
             return out
 
         oa, ob = run_a.outcome, run_b.outcome
-        statuses = {}
-        for t in TERMINALS:
-            sa = oa.statuses.get(t, STATUS_OK)
-            statuses[t] = sa if sa != STATUS_OK else ob.statuses.get(t, STATUS_OK)
         outcome = KeyOutcome(
-            ks_claims=combine_claims(oa.ks_claims, oa.ks_size, ob.ks_claims, ob.ks_size),
-            kp_claims=combine_claims(oa.kp_claims, oa.kp_size, ob.kp_claims, ob.kp_size),
-            statuses=statuses,
-            ks_size=oa.ks_size * ob.ks_size, kp_size=oa.kp_size * ob.kp_size,
-            ks_owner=oa.ks_owner or ob.ks_owner, kp_owner=oa.kp_owner or ob.kp_owner)
+            ks_claims=combine_claims(oa.ks_claims, ob.ks_claims, ob.ks_size),
+            kp_claims=combine_claims(oa.kp_claims, ob.kp_claims, ob.kp_size),
+            statuses={t: s if s != STATUS_OK else ob.statuses[t]
+                      for t, s in oa.statuses.items()},
+            ks_size=self.ks_size, kp_size=self.kp_size,
+            ks_owner=self.ks_owner, kp_owner=self.kp_owner)
         messages = tuple(
             TranscriptMessage(m.sender, f"{part}.{m.label}", m.value)
             for part, run in (("A", run_a), ("B", run_b))
             for m in run.transcript.messages)
         recovered = {}
-        for key in set(run_a.recovered) | set(run_b.recovered):
+        for key in {**run_a.recovered, **run_b.recovered}:
             ra, rb = run_a.recovered.get(key), run_b.recovered.get(key)
             recovered[key] = (np.concatenate([ra, rb])
                               if ra is not None and rb is not None else None)

@@ -1,10 +1,15 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skpk
 from conftest import mirrored_noisy_copy
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
@@ -289,6 +294,32 @@ def test_time_share_lone_part_passes_members_through():
         assert ours == theirs, k
     assert result.mean == ref.mean
     assert evaluator.evaluate_native() == lone.evaluate_native()
+
+
+# a time-shared result printed whole; key order must not follow string hashes
+_REPR_SCRIPT = """
+from skpk.binning import MODE_TABLE
+from skpk.exact import ExactEvaluator
+from skpk.protocol import RunContext, SchemeConfig
+from skpk.sources import xor_triple
+cfg = SchemeConfig(scheme="TimeShare", dist=xor_triple(), n=8, epsilon=0.5,
+                   delta=0.02, master_seed=5, codebook_mode=MODE_TABLE,
+                   ts_schemes=("PointP", "PointQ"), ts_lambda=0.5)
+run = RunContext(cfg).run(0)
+print(repr(ExactEvaluator(cfg).evaluate(1)))
+print(repr((run.outcome, run.recovered, run.transcript)))
+"""
+
+
+def test_time_share_results_ignore_hash_seed():
+    src = str(Path(skpk.__file__).resolve().parents[1])
+    printed = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _REPR_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]
 
 
 # -- sub-bin conditional entropy bound ---------------------------------------

@@ -90,7 +90,7 @@ def test_exact_leaks_and_entropies_are_never_negative():
     cfg = _mc_config(scheme="PointQ", dist=noisy_copy_triple(0.3, 0.1),
                      codebook_mode=MODE_TABLE, evaluation_mode=MODE_EXACT,
                      trials=3, n_values=(4,), epsilon=0.5, delta=0.02, master_seed=5)
-    rec = harness.exact_secrecy(cfg).records[0]
+    rec = run_trials(cfg).records[0]
     values = [rec[k] for k in ("leak_ks", "leak_kp", "uniformity_hks", "uniformity_hkp")]
     for member in rec["per_codebook"]:
         values += [member[k] for k in ("leak_ks", "leak_kp", "h_ks", "h_kp")]
@@ -101,7 +101,7 @@ def test_exact_secrecy_warns_on_raised_cap(capsys):
     cfg = _mc_config(scheme="PointE", codebook_mode=MODE_TABLE,
                      evaluation_mode=MODE_EXACT, trials=2, n_values=(3,),
                      epsilon=0.9, delta=0.01, exact_cap=2 ** 25)
-    report = harness.exact_secrecy(cfg)
+    report = run_trials(cfg)
     assert report.records[0]["num_codebooks"] == 2
     assert "warning" in capsys.readouterr().err
 
