@@ -39,6 +39,11 @@ def stream_tag(tag: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def child_seed(*words) -> int:
+    """A 64-bit seed derived from a parent seed and stream tags or indices."""
+    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+
+
 def num_bins_for_rate(n: int, rate: float) -> int:
     """Bins for a target rate in bits per symbol: max(1, round(2**(n*rate)))."""
     if rate < 0:
@@ -51,8 +56,7 @@ def num_bins_for_rate(n: int, rate: float) -> int:
 class BinningCodebook:
     """Bin and sub-bin assignment for length-n sequences over one alphabet."""
 
-    def __init__(self, mode, n, alphabet_size, bin_rate, sub_rate, seed, purpose="",
-                 table_cap=DEFAULT_TABLE_CAP):
+    def __init__(self, mode, n, alphabet_size, bin_rate, sub_rate, seed, purpose=""):
         if mode not in (MODE_TABLE, MODE_HASH):
             raise UsageError(f"unknown codebook mode {mode!r}")
         if n < 1 or alphabet_size < 1:
@@ -74,10 +78,10 @@ class BinningCodebook:
 
         if mode == MODE_TABLE:
             size = self.alphabet_size ** self.n
-            if size > table_cap:
+            if size > DEFAULT_TABLE_CAP:
                 raise CapacityError(
                     f"explicit table needs {self.alphabet_size}**{self.n} entries, "
-                    f"over the {table_cap} table cap")
+                    f"over the {DEFAULT_TABLE_CAP} table cap")
             self._table_bin = rng_bin.integers(0, self.num_bins, size=size, dtype=np.uint64)
             self._table_sub = rng_sub.integers(0, self.num_sub_bins, size=size, dtype=np.uint64)
             self._places = place_values(self.alphabet_size, self.n)
@@ -148,8 +152,8 @@ class BinningCodebook:
         return self._table_sub[np.asarray(idx, dtype=np.int64)]
 
 
-def make_codebook(mode, n, alphabet_size, bin_rate, sub_rate, seed, purpose="",
-                  table_cap=DEFAULT_TABLE_CAP) -> BinningCodebook:
+def make_codebook(mode, n, alphabet_size, bin_rate, sub_rate, seed,
+                  purpose="") -> BinningCodebook:
     """Build a codebook. Same arguments always give the same codebook."""
     return BinningCodebook(mode, n, alphabet_size, bin_rate, sub_rate, seed,
-                           purpose=purpose, table_cap=table_cap)
+                           purpose=purpose)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import MODE_TABLE, make_codebook, stream_tag
+from .binning import MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import JointDistribution, _clamp_mi, _entropy_of, sequence_of_code
@@ -125,12 +125,9 @@ def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
     """Explicit-table codebooks of the k-th ensemble member: the native
     codebooks' shapes and rates, redrawn from a seed derived from k.
     """
-    cfg = ctx.config
-    seed = int(np.random.SeedSequence(
-        [cfg.master_seed, _ENSEMBLE_TAG, int(k)]).generate_state(1, np.uint64)[0])
+    seed = child_seed(ctx.config.master_seed, _ENSEMBLE_TAG, int(k))
     return {terminal: make_codebook(MODE_TABLE, cb.n, cb.alphabet_size, cb.bin_rate,
-                                    cb.sub_rate, seed, purpose=cb.purpose,
-                                    table_cap=cfg.table_cap)
+                                    cb.sub_rate, seed, purpose=cb.purpose)
             for terminal, cb in ctx.codebooks.items()}
 
 
@@ -420,11 +417,9 @@ def _mean_field(values):
 
 def _mean_stats(per) -> CodebookExact:
     status = {}
-    for t in per[0].status_mass:
-        names = set()
-        for s in per:
-            names |= set(s.status_mass[t])
-        status[t] = {name: math.fsum(s.status_mass[t].get(name, 0.0) for s in per) / len(per)
+    # every member holds every terminal and status name
+    for t, names in per[0].status_mass.items():
+        status[t] = {name: math.fsum(s.status_mass[t][name] for s in per) / len(per)
                      for name in sorted(names)}
     recovery = {key: math.fsum(s.recovery_error[key] for s in per) / len(per)
                 for key in per[0].recovery_error}
@@ -591,8 +586,7 @@ class Lemma1Stats:
 
 
 def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
-                 delta: float, seed: int, epsilon: float = 0.1,
-                 cap: int = EXACT_PRODUCT_CAP) -> Lemma1Stats:
+                 delta: float, seed: int, epsilon: float = 0.1) -> Lemma1Stats:
     """Exact H(Z^n | f, phi, C) for sampled explicit codebooks.
 
     Since (f, phi) is a deterministic function of z^n, the conditional
@@ -613,8 +607,8 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
         raise UsageError("rates must be >= 0")
     if codebook_count < 1:
         raise UsageError("codebook_count must be >= 1")
-    if az ** n > cap:
-        raise CapacityError(f"{az}**{n} sequences exceed the {cap} enumeration cap")
+    if az ** n > EXACT_PRODUCT_CAP:
+        raise CapacityError(f"{az}**{n} sequences exceed the {EXACT_PRODUCT_CAP} enumeration cap")
 
     total = az ** n
     codes = np.arange(total, dtype=np.int64)
@@ -632,14 +626,12 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
 
     per = []
     e2 = []
-    probe = make_codebook(MODE_TABLE, n, az, r_z, r_s, 0, purpose="Z", table_cap=cap)
+    probe = make_codebook(MODE_TABLE, n, az, r_z, r_s, 0, purpose="Z")
     num_bins, num_sub = probe.num_bins, probe.num_sub_bins
     n_cells = num_bins * num_sub
     for k in range(codebook_count):
-        cb_seed = int(np.random.SeedSequence(
-            [int(seed), _LEMMA_TAG, k]).generate_state(1, np.uint64)[0])
-        cb = make_codebook(MODE_TABLE, n, az, r_z, r_s, cb_seed, purpose="Z",
-                           table_cap=cap)
+        cb_seed = child_seed(int(seed), _LEMMA_TAG, k)
+        cb = make_codebook(MODE_TABLE, n, az, r_z, r_s, cb_seed, purpose="Z")
         cells = (cb.bins_of_indices(codes).astype(np.int64) * num_sub
                  + cb.sub_bins_of_indices(codes).astype(np.int64))
         masses = np.bincount(cells, weights=prob, minlength=n_cells)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import DEFAULT_TABLE_CAP, MODE_HASH, MODE_TABLE
+from .binning import MODE_HASH, MODE_TABLE
 from .errors import UsageError
 from .exact import EXACT_PRODUCT_CAP, ExactEvaluator, _entropy_masses
 from .protocol import STATUS_OK, RunContext, SchemeConfig
@@ -60,7 +60,6 @@ class ExperimentConfig:
     ts_schemes: tuple = None
     ts_lambda: float = 0.5
     search_cap: int = DEFAULT_SEARCH_CAP
-    table_cap: int = DEFAULT_TABLE_CAP
     exact_cap: int = EXACT_PRODUCT_CAP
 
     def __post_init__(self):
@@ -79,7 +78,7 @@ class ExperimentConfig:
                             master_seed=self.master_seed,
                             codebook_mode=self.codebook_mode,
                             ts_schemes=self.ts_schemes, ts_lambda=self.ts_lambda,
-                            search_cap=self.search_cap, table_cap=self.table_cap)
+                            search_cap=self.search_cap)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .binning import DEFAULT_TABLE_CAP, MODE_HASH, MODE_TABLE, make_codebook, stream_tag
+from .binning import MODE_HASH, MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import SearchOverflowError, UsageError
 from .sources import JointDistribution, SourceTriple, info_profile, sample, sequence_code
 from .typicality import (CandidateEngine, DEFAULT_SEARCH_CAP, TypicalityParams)
@@ -144,7 +144,6 @@ class SchemeConfig:
     codebook_mode: str = MODE_HASH
     rates: RateAssignment = None
     search_cap: int = DEFAULT_SEARCH_CAP
-    table_cap: int = DEFAULT_TABLE_CAP
     ts_schemes: tuple = None      # (scheme_a, scheme_b) for TimeShare
     ts_lambda: float = 0.5        # fraction of symbols given to scheme_a
 
@@ -374,7 +373,7 @@ class RunContext:
             m.sender: make_codebook(config.codebook_mode, config.n,
                                     config.dist.alphabet(m.sender), bin_rate[m.sender],
                                     sub_rate.get(m.sender, 0.0), config.master_seed,
-                                    purpose=m.role, table_cap=config.table_cap)
+                                    purpose=m.role)
             for m in desc.messages if m.role}
         self.engines = {
             key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
@@ -399,11 +398,9 @@ class RunContext:
             if part_n == 0:
                 self.parts.append(None)
                 continue
-            seed = int(np.random.SeedSequence(
-                [cfg.master_seed, stream_tag(tag)]).generate_state(1, np.uint64)[0])
-            self.parts.append(RunContext(replace(cfg, scheme=part_name, n=part_n,
-                                                 master_seed=seed, rates=None,
-                                                 ts_schemes=None)))
+            self.parts.append(RunContext(replace(
+                cfg, scheme=part_name, n=part_n, rates=None, ts_schemes=None,
+                master_seed=child_seed(cfg.master_seed, stream_tag(tag)))))
         live = [p for p in self.parts if p is not None]
         self.ks_owner = live[0].ks_owner or live[-1].ks_owner
         self.kp_owner = live[0].kp_owner
