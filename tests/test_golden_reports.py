@@ -3,10 +3,11 @@
 Each case runs one CLI command and compares the sha256 of the report it
 writes with a digest recorded from an earlier build. The cases cover every
 one-shot scheme and time sharing, with hash and table codebooks, for both
-`simulate` and `secrecy-exact`; time sharing whose first part is empty; and
+`simulate` and `secrecy-exact`; time sharing whose first part is empty;
 PointP in orientation Y (the mirrored noisy-copy sources, where Y is the
-better-correlated terminal). A refactor that keeps these digests keeps every
-reported number.
+better-correlated terminal); and `region` and `lemma1`. Cases whose name ends
+in "-csv" write CSV, the others JSON. A refactor that keeps these digests
+keeps every reported number and every serialized byte.
 
 To print the digests of the current build:
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -63,6 +64,17 @@ CASES = {
     "simulate-timeshare-lone-hash-xor": _simulate("xor", "timeshare", "hash",
                                                   parts=_LONE_PART),
     "exact-timeshare-lone-xor": _exact("xor", "timeshare", parts=_LONE_PART),
+    # one CSV row per blocklength
+    "simulate-pointT-hash-sweep-xor-csv": (
+        "xor", ["simulate", "--scheme", "pointT", "--sweep", "4,6", "--trials", "40",
+                "--epsilon", "0.5", "--delta", "0.02", "--seed", "5",
+                "--codebook", "hash"]),
+    "exact-pointQ-xor-csv": _exact("xor", "pointQ"),
+    **{f"region-xor-{fmt}": ("xor", ["region"]) for fmt in ("json", "csv")},
+    **{f"lemma1-xor-{fmt}": ("xor", ["lemma1", "--n", "6", "--rs", "0.2", "--rz", "0.3",
+                                     "--delta", "0.05", "--codebooks", "4",
+                                     "--seed", "5"])
+       for fmt in ("json", "csv")},
 }
 
 DIGESTS = {
@@ -78,12 +90,22 @@ DIGESTS = {
         "6bcfb370a558a998bec8215ab0f86cb20062e373df962f61c07e5021901b78e2",
     "exact-pointQ-xor":
         "683f07ce785486a645c581f4274c00cb621031aa6672ae8121c0d285dafa17a2",
+    "exact-pointQ-xor-csv":
+        "f74d72ca72bc3aaf85a0b773bf2d57fdb6f7cfa759f3f11fb9af26020b61d447",
     "exact-pointT-xor":
         "0b0c45aeedf54a5fa425ef61bdf5a319c4e592a5972e6540c82df7afa0004fc1",
     "exact-timeshare-lone-xor":
         "c1075352de0473466c7d094512e6346194f0fcbe7735e9046c052d73cf3cf7e6",
     "exact-timeshare-xor":
         "f32be0c1a47a597de8663de646a29bd36090c9a3397f91e42ec0c4437b135a71",
+    "lemma1-xor-csv":
+        "57c3a41e42ef11b1cf6dd11d69b67c09b5e26ab65d29d010f24089087f0aaeb1",
+    "lemma1-xor-json":
+        "6ff26c164cb283221ae2f9f7f8d55faa575085cda097854c9b249e8ed897734a",
+    "region-xor-csv":
+        "f4a4d7a7dfdb1e6d0b0f450453663017ffe44df9e4677ae28b17d1bae58b84f0",
+    "region-xor-json":
+        "1ac0cd3154625022ee818c53ccc8fa32a12052c753159cf0235d004f3de1f094",
     "simulate-pointE-hash-xor":
         "db61fb74803349de07e9c3cef8f857f0ab742c3de4d263b07e1d8171e7faa609",
     "simulate-pointE-table-xor":
@@ -106,6 +128,8 @@ DIGESTS = {
         "4061ea5403d46518045cdf5458fef3b31350761429ebd75605cacc817de48439",
     "simulate-pointQ-table-xor":
         "4e11c5f7629ab82ed973a621172df9a5fbf8e37910e7bb58c8fae919b4a379c8",
+    "simulate-pointT-hash-sweep-xor-csv":
+        "f51bb02a89e17c6cbab91b9b1e6b7d55cd8fe939b2a86411cf616fb134c1f701",
     "simulate-pointT-hash-xor":
         "827a17bb6a484bf2fde155dd8f3aea92a02f3a62fbc6b40cb0785d4e8404442d",
     "simulate-pointT-table-xor":
@@ -124,8 +148,10 @@ def _report_digest(workdir: Path, name: str) -> str:
     pmf = workdir / f"{source}.json"
     if not pmf.exists():
         dump_pmf(SOURCES[source](), pmf)
-    out = workdir / f"{name}.json"
-    assert main([argv[0], "--pmf", str(pmf), *argv[1:], "--out", str(out)]) == 0
+    # region takes its pmf positionally
+    pmf_args = [str(pmf)] if argv[0] == "region" else ["--pmf", str(pmf)]
+    out = workdir / (name + (".csv" if name.endswith("-csv") else ".json"))
+    assert main([argv[0], *pmf_args, *argv[1:], "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
