@@ -28,7 +28,8 @@ import numpy as np
 from .binning import MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
-from .sources import JointDistribution, _clamp_mi, _entropy_of, sequence_of_code
+from .sources import (JointDistribution, _clamp_mi, _entropy_of, code_digits,
+                      sequence_of_code)
 from .typicality import count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -46,8 +47,10 @@ def _entropy_masses(masses) -> float:
 
 @dataclass
 class CodebookExact:
-    """Exact quantities for one codebook draw. Entropies and leakages are in
-    bits per symbol; None marks a key the scheme does not assign.
+    """Exact quantities for one ensemble member: a codebook draw, or one
+    sampled trial (a law with mass 1 on what happened). Entropies and
+    leakages are in bits per symbol; None marks a key the scheme does not
+    assign, or a quantity one trial cannot estimate.
     """
 
     leak_ks: float
@@ -97,8 +100,7 @@ class _Enumeration:
         codes = np.arange(total, dtype=np.int64)
         idx = np.zeros((3, total), dtype=np.int64)
         prob = np.ones(total, dtype=np.float64)
-        for t in range(n):
-            d = (codes // (m ** (n - 1 - t))) % m
+        for d in code_digits(codes, m, n):
             for v, size in enumerate(dist.alphabet_sizes):
                 idx[v] = idx[v] * size + of[v][d]
             prob = prob * p_of[d]
@@ -449,8 +451,7 @@ class _Lookups(dict):
         return value
 
 
-def oracle_secrecy(config: SchemeConfig, codebooks: dict,
-                   full_alphabet: bool = False) -> dict:
+def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     """Recompute leakage and key entropy by direct sequence iteration.
 
     Walks every source sequence triple in pure Python, calls the public
@@ -458,10 +459,8 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict,
     accumulates the joint laws in dictionaries, and takes entropies with
     compensated summation. Shares no law construction with ExactEvaluator,
     which is the point. Returns normalized {leak_ks, leak_kp, h_ks, h_kp}.
-
-    full_alphabet iterates the whole alphabet cube including zero-probability
-    atoms instead of just the support; triples of probability zero are
-    skipped before any lookup.
+    Only support atoms are iterated, so a zero-probability symbol is never
+    looked up.
     """
     ctx = RunContext(config)
     if ctx.scheme == "TimeShare":
@@ -470,11 +469,8 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict,
         raise UsageError("the oracle covers the canonical orientation only")
     dist = config.dist
     n = config.n
-    ax, ay, az = dist.alphabet_sizes
-    if full_alphabet:
-        atoms = [(x, y, z) for x in range(ax) for y in range(ay) for z in range(az)]
-    else:
-        atoms = dist.support_atoms()
+    az = dist.alphabet("Z")
+    atoms = dist.support_atoms()
     pmf = {a: float(dist.pmf[a]) for a in atoms}
     scheme = ctx.scheme
     cbz = codebooks.get("Z")
@@ -614,8 +610,7 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     codes = np.arange(total, dtype=np.int64)
     prob = np.ones(total, dtype=np.float64)
     sym_counts = np.zeros((total, az), dtype=np.int16)
-    for t in range(n):
-        d = (codes // (az ** (n - 1 - t))) % az
+    for d in code_digits(codes, az, n):
         prob = prob * z_pmf[d]
         sym_counts[np.arange(total), d] += 1
     lo, hi = count_windows(z_pmf, n, epsilon)

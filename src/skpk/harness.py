@@ -1,12 +1,14 @@
 """Experiment orchestration and report emission.
 
-run_trials drives a campaign, one record per blocklength. In Monte Carlo
-mode it samples protocol runs and aggregates agreement, failure, uniformity,
-and recovery statistics; in Exact mode it puts the exact evaluator's laws in
-the same report shape and adds the leakage numbers that sampling cannot
-estimate honestly. Reports are plain dictionaries with
-12-significant-digit floats so that identical configurations always emit
-byte-identical files.
+run_trials drives a campaign, one record per blocklength. Both evaluation
+modes average ensemble members (exact.CodebookExact) and build the record
+from the mean in one place. In Monte Carlo mode a member is one sampled
+trial, a law with mass 1 on what happened, and key uniformity is the plug-in
+entropy of the owners' claims; in Exact mode a member is one codebook draw's
+exact laws, and the record adds the leakage numbers that sampling cannot
+estimate honestly. emit_report is the one serializer: reports are plain
+dictionaries with 12-significant-digit floats so that identical
+configurations always emit byte-identical files.
 
 Worker fan-out is controlled by the SKPK_WORKERS environment variable; the
 aggregation only ever walks trials in index order, so the worker count never
@@ -21,14 +23,15 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .binning import MODE_HASH, MODE_TABLE
 from .errors import UsageError
-from .exact import EXACT_PRODUCT_CAP, ExactEvaluator, _entropy_masses
-from .protocol import STATUS_OK, RunContext, SchemeConfig
+from .exact import (EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _entropy_masses,
+                    _mean_stats)
+from .protocol import RunContext, SchemeConfig
 from .region import label_vertices, rate_region
 from .sources import JointDistribution
 from .typicality import DEFAULT_SEARCH_CAP
@@ -92,19 +95,7 @@ class SimulationReport:
         return {"config": self.config, "records": self.records}
 
     def to_json(self) -> str:
-        return json.dumps(_round_floats(self.as_dict()), indent=2,
-                          sort_keys=True) + "\n"
-
-    def to_csv(self) -> str:
-        rows = [_flatten(r) for r in _round_floats(self.records)]
-        columns = sorted({k for row in rows for k in row})
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, restval="",
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        return buf.getvalue()
+        return emit_report(self, fmt="json")
 
 
 def _round_floats(obj):
@@ -164,41 +155,36 @@ def _rates_echo(ctx: RunContext) -> dict:
             "redirected": ctx.redirected}
 
 
-# -- Monte Carlo -------------------------------------------------------------
+# -- records -----------------------------------------------------------------
 
 
-def _agreement(claims: dict) -> bool:
-    if not claims:
-        return None
-    values = list(claims.values())
-    if any(v is None for v in values):
-        return False
-    return len(set(values)) == 1
-
-
-def _truth_of(key: str, triple):
-    var = key.partition("_at_")[0]
-    return {"x": triple.x_seq, "y": triple.y_seq, "z": triple.z_seq}[var]
-
-
-def _summarize_run(run) -> dict:
+def _trial_stats(run):
+    """One sampled trial as an ensemble member whose law has mass 1 on what
+    happened, and the two key owners' claims.
+    """
     out = run.outcome
-    rec_err = {}
-    for key, got in run.recovered.items():
-        truth = _truth_of(key, run.triple)
-        rec_err[key] = bool(got is None or len(got) != len(truth)
-                            or not np.array_equal(got, truth))
-    owner_ks = out.ks_claims.get(out.ks_owner) if out.ks_owner else None
-    owner_kp = out.kp_claims.get(out.kp_owner) if out.kp_owner else None
-    return {"ks_ok": _agreement(out.ks_claims), "kp_ok": _agreement(out.kp_claims),
-            "owner_ks": owner_ks, "owner_kp": owner_kp,
-            "statuses": dict(out.statuses), "rec_err": rec_err,
-            "ks_size": out.ks_size, "kp_size": out.kp_size}
+
+    def agreement(claims):
+        if not claims:
+            return None
+        values = list(claims.values())
+        return float(None not in values and len(set(values)) == 1)
+
+    truth = {"x": run.triple.x_seq, "y": run.triple.y_seq, "z": run.triple.z_seq}
+    member = CodebookExact(
+        leak_ks=None, leak_kp=None, h_ks=None, h_kp=None,
+        agree_ks=agreement(out.ks_claims), agree_kp=agreement(out.kp_claims),
+        status_mass={t: {name: float(name == status) for name in _STATUS_FIELDS}
+                     for t, status in out.statuses.items()},
+        recovery_error={key: float(got is None or not np.array_equal(got, truth[key[0]]))
+                        for key, got in run.recovered.items()})
+    # a scheme without a secret key has no claims, so its owner claim is None
+    return member, out.ks_claims.get(out.ks_owner), out.kp_claims.get(out.kp_owner)
 
 
 def _mc_batch(config: SchemeConfig, start: int, stop: int) -> list:
     ctx = RunContext(config)
-    return [_summarize_run(ctx.run(i)) for i in range(start, stop)]
+    return [_trial_stats(ctx.run(i)) for i in range(start, stop)]
 
 
 def _worker_count() -> int:
@@ -215,23 +201,30 @@ def _worker_count() -> int:
     return max(1, count)
 
 
+def _record(n: int, ctx: RunContext, mean: CodebookExact, **fields) -> dict:
+    """The keys both evaluation modes report, from the mean over members."""
+    return {"n": n, "scheme": ctx.scheme, "redirected": ctx.redirected,
+            "agree_ks": mean.agree_ks, "agree_kp": mean.agree_kp,
+            "uniformity_hks": mean.h_ks, "uniformity_hkp": mean.h_kp,
+            "rate_ks": math.log2(ctx.ks_size) / n, "rate_kp": math.log2(ctx.kp_size) / n,
+            "decode_failures": mean.status_mass, "recovery_error": mean.recovery_error,
+            "rates": _rates_echo(ctx), **fields}
+
+
 def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
     scfg = config.scheme_config(n)
     ctx = RunContext(scfg)
     trials = config.trials
     workers = min(_worker_count(), trials)
     if workers <= 1:
-        summaries = [_summarize_run(ctx.run(i)) for i in range(trials)]
+        per_trial = [_trial_stats(ctx.run(i)) for i in range(trials)]
     else:
         bounds = [(trials * w // workers, trials * (w + 1) // workers)
                   for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_mc_batch, scfg, a, b) for a, b in bounds]
-            summaries = [s for fut in futures for s in fut.result()]
-
-    ks_defined = [s["ks_ok"] for s in summaries if s["ks_ok"] is not None]
-    agree_ks = (sum(ks_defined) / trials) if ks_defined else None
-    agree_kp = sum(1 for s in summaries if s["kp_ok"]) / trials
+            per_trial = [s for fut in futures for s in fut.result()]
+    members, owner_ks, owner_kp = zip(*per_trial)
 
     def plug_in(values):
         present = [v for v in values if v is not None]
@@ -240,26 +233,8 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
         counts = Counter(present)
         return _entropy_masses(c / trials for c in counts.values()) / n
 
-    statuses = {}
-    for terminal in summaries[0]["statuses"]:
-        tally = Counter(s["statuses"][terminal] for s in summaries)
-        statuses[terminal] = {name: tally.get(name, 0) / trials
-                              for name in _STATUS_FIELDS}
-    recovery = {key: sum(1 for s in summaries if s["rec_err"][key]) / trials
-                for key in summaries[0]["rec_err"]}
-    ks_size = summaries[0]["ks_size"]
-    kp_size = summaries[0]["kp_size"]
-    return {"n": n, "trials": trials,
-            "scheme": ctx.scheme, "redirected": ctx.redirected,
-            "agree_ks": agree_ks, "agree_kp": agree_kp,
-            "uniformity_hks": plug_in([s["owner_ks"] for s in summaries]),
-            "uniformity_hkp": plug_in([s["owner_kp"] for s in summaries]),
-            "rate_ks": math.log2(ks_size) / n, "rate_kp": math.log2(kp_size) / n,
-            "decode_failures": statuses, "recovery_error": recovery,
-            "rates": _rates_echo(ctx)}
-
-
-# -- Exact -------------------------------------------------------------------
+    mean = replace(_mean_stats(members), h_ks=plug_in(owner_ks), h_kp=plug_in(owner_kp))
+    return _record(n, ctx, mean, trials=trials)
 
 
 def _stats_dict(s) -> dict:
@@ -271,21 +246,12 @@ def _stats_dict(s) -> dict:
 
 
 def _run_exact_record(config: ExperimentConfig, n: int) -> dict:
-    scfg = config.scheme_config(n)
-    evaluator = ExactEvaluator(scfg, exact_cap=config.exact_cap)
+    evaluator = ExactEvaluator(config.scheme_config(n), exact_cap=config.exact_cap)
     result = evaluator.evaluate(config.trials)
     mean = result.mean
-    return {"n": n, "num_codebooks": result.num_codebooks,
-            "scheme": result.scheme, "redirected": result.redirected,
-            "leak_ks": mean.leak_ks, "leak_kp": mean.leak_kp,
-            "agree_ks": mean.agree_ks, "agree_kp": mean.agree_kp,
-            "uniformity_hks": mean.h_ks, "uniformity_hkp": mean.h_kp,
-            "rate_ks": math.log2(result.ks_size) / n,
-            "rate_kp": math.log2(result.kp_size) / n,
-            "decode_failures": mean.status_mass,
-            "recovery_error": mean.recovery_error,
-            "per_codebook": [_stats_dict(s) for s in result.per_codebook],
-            "rates": _rates_echo(evaluator.ctx)}
+    return _record(n, evaluator.ctx, mean, num_codebooks=result.num_codebooks,
+                   leak_ks=mean.leak_ks, leak_kp=mean.leak_kp,
+                   per_codebook=[_stats_dict(s) for s in result.per_codebook])
 
 
 # -- campaigns ---------------------------------------------------------------
@@ -340,23 +306,21 @@ def emit_report(report, path=None, fmt=None) -> str:
         fmt = "csv" if (path and str(path).endswith(".csv")) else "json"
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown report format {fmt!r}")
-    if isinstance(report, SimulationReport):
-        text = report.to_csv() if fmt == "csv" else report.to_json()
+    campaign = isinstance(report, SimulationReport)
+    doc = _round_floats(report.as_dict() if campaign else report)
+    if fmt == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif "vertices" in doc:
+        text = region_csv(doc)
     else:
-        rounded = _round_floats(report)
-        if fmt == "csv":
-            if "vertices" in rounded:
-                text = region_csv(rounded)
-            else:
-                row = _flatten(rounded)
-                buf = io.StringIO()
-                writer = csv.DictWriter(buf, fieldnames=sorted(row),
-                                        lineterminator="\n")
-                writer.writeheader()
-                writer.writerow(row)
-                text = buf.getvalue()
-        else:
-            text = json.dumps(rounded, indent=2, sort_keys=True) + "\n"
+        # one row per record of a campaign, or one for a single document
+        rows = [_flatten(r) for r in (doc["records"] if campaign else [doc])]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=sorted({k for row in rows for k in row}),
+                                restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:

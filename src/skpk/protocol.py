@@ -208,7 +208,6 @@ class ProtocolRun:
     triple: SourceTriple
     transcript: Transcript
     outcome: KeyOutcome
-    rates: RateAssignment
     recovered: dict              # e.g. "z_at_X" -> recovered array or None
     codebooks: dict              # terminal -> BinningCodebook
 
@@ -469,7 +468,7 @@ class RunContext:
         transcript = Transcript(tuple(TranscriptMessage(m.sender, m.label, values[m.sender])
                                       for m in desc.messages))
         return ProtocolRun(self.scheme, self.redirected, triple.n, triple, transcript,
-                           outcome, self.rates, recovered, dict(cbs))
+                           outcome, recovered, dict(cbs))
 
     # -- time sharing ------------------------------------------------------
 
@@ -512,4 +511,4 @@ class RunContext:
         codebooks = {f"A.{k}": v for k, v in run_a.codebooks.items()}
         codebooks.update({f"B.{k}": v for k, v in run_b.codebooks.items()})
         return ProtocolRun("TimeShare", False, triple.n, triple, Transcript(messages),
-                           outcome, run_a.rates, recovered, codebooks)
+                           outcome, recovered, codebooks)

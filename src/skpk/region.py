@@ -14,6 +14,9 @@ import numpy as np
 from .errors import UsageError
 from .sources import InfoProfile, JointDistribution, info_profile
 
+# slack for membership, vertex feasibility and matching named points
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RegionConstants:
@@ -38,8 +41,9 @@ def region_constants(profile: InfoProfile) -> RegionConstants:
     return RegionConstants(r_a=r_a, r_b=r_b, r_c=max(0.0, r_c), pk=profile.i_x_y_given_z)
 
 
-def classify_case(constants: RegionConstants, tol: float = 1e-10) -> str:
+def classify_case(constants: RegionConstants) -> str:
     """Pick the region shape. Ties resolve to the lower-numbered case."""
+    tol = 1e-10
     if constants.r_b <= min(constants.r_a, constants.r_c) + tol:
         return "Case1"
     if constants.r_c <= constants.r_a + tol:
@@ -70,14 +74,14 @@ class RateRegion:
     vertices: tuple          # ((r_s, r_p), ...) counterclockwise from (0, 0)
     named_points: dict       # label -> (r_s, r_p)
 
-    def contains(self, r_s: float, r_p: float, tol: float = 1e-9) -> bool:
+    def contains(self, r_s: float, r_p: float) -> bool:
         for a, b, c in halfplanes(self.constants):
-            if a * r_s + b * r_p > c + tol:
+            if a * r_s + b * r_p > c + TOL:
                 return False
         return True
 
 
-def _polygon_vertices(planes, tol):
+def _polygon_vertices(planes):
     """All feasible pairwise intersections of the halfplane boundaries,
     deduplicated and ordered counterclockwise starting at the corner closest
     to the origin.
@@ -93,11 +97,11 @@ def _polygon_vertices(planes, tol):
                 continue
             s = (c1 * b2 - c2 * b1) / det
             p = (a1 * c2 - a2 * c1) / det
-            if all(a * s + b * p <= c + tol for a, b, c in planes):
+            if all(a * s + b * p <= c + TOL for a, b, c in planes):
                 pts.append((s, p))
     uniq = []
     for s, p in pts:
-        if not any(abs(s - us) <= tol and abs(p - up) <= tol for us, up in uniq):
+        if not any(abs(s - us) <= TOL and abs(p - up) <= TOL for us, up in uniq):
             uniq.append((s, p))
     if not uniq:
         return ()
@@ -129,7 +133,7 @@ def _named_points(constants: RegionConstants, profile: InfoProfile, case_label: 
     return named
 
 
-def rate_region(dist: JointDistribution, tol: float = 1e-9) -> RateRegion:
+def rate_region(dist: JointDistribution) -> RateRegion:
     """Full region description for a distribution.
 
     Corner points come from generic halfplane intersection, not from the named
@@ -138,13 +142,13 @@ def rate_region(dist: JointDistribution, tol: float = 1e-9) -> RateRegion:
     profile = info_profile(dist)
     constants = region_constants(profile)
     case_label = classify_case(constants)
-    vertices = _polygon_vertices(halfplanes(constants), tol)
+    vertices = _polygon_vertices(halfplanes(constants))
     named = _named_points(constants, profile, case_label)
     return RateRegion(constants=constants, case_label=case_label,
                       vertices=vertices, named_points=named)
 
 
-def label_vertices(region: RateRegion, tol: float = 1e-9):
+def label_vertices(region: RateRegion):
     """Attach the matching name to each polygon corner.
 
     Returns [(label, r_s, r_p), ...] in the polygon's counterclockwise order.
@@ -155,7 +159,7 @@ def label_vertices(region: RateRegion, tol: float = 1e-9):
     for s, p in region.vertices:
         label = None
         for name, (ns, np_) in region.named_points.items():
-            if abs(s - ns) <= tol and abs(p - np_) <= tol:
+            if abs(s - ns) <= TOL and abs(p - np_) <= TOL:
                 label = name
                 break
         if label is None:
@@ -165,9 +169,9 @@ def label_vertices(region: RateRegion, tol: float = 1e-9):
     return out
 
 
-def require_point_in_region(dist: JointDistribution, r_s: float, r_p: float, tol: float = 1e-9):
+def require_point_in_region(dist: JointDistribution, r_s: float, r_p: float):
     region = rate_region(dist)
-    if not region.contains(r_s, r_p, tol):
+    if not region.contains(r_s, r_p):
         raise UsageError(
             f"rate pair ({r_s}, {r_p}) lies outside the achievable region "
             f"(case {region.case_label}, constants {region.constants})")

@@ -22,7 +22,7 @@ STRUCTURAL_ZERO = 1e-15
 VARS = ("X", "Y", "Z")
 _AXIS = {"X": 0, "Y": 1, "Z": 2}
 
-DEFAULT_ALPHABET_CAP = 8
+ALPHABET_CAP = 8
 
 
 def as_variable_set(variables) -> frozenset:
@@ -44,7 +44,7 @@ class JointDistribution:
     """Joint pmf over X x Y x Z with validated invariants.
 
     pmf is a dense (|X|, |Y|, |Z|) array, entries nonnegative, summing to 1
-    within 1e-12. Alphabet sizes are capped (default 8 per axis).
+    within 1e-12. Alphabet sizes are capped (8 per axis).
     """
 
     alphabet_sizes: tuple
@@ -71,11 +71,11 @@ class JointDistribution:
         object.__setattr__(self, "pmf", pmf)
 
     @classmethod
-    def create(cls, alphabet_sizes, pmf, alphabet_cap=DEFAULT_ALPHABET_CAP):
+    def create(cls, alphabet_sizes, pmf):
         sizes = tuple(int(s) for s in alphabet_sizes)
         for s in sizes:
-            if s > alphabet_cap:
-                raise UsageError(f"alphabet size {s} exceeds cap {alphabet_cap}")
+            if s > ALPHABET_CAP:
+                raise UsageError(f"alphabet size {s} exceeds cap {ALPHABET_CAP}")
         return cls(sizes, np.asarray(pmf, dtype=np.float64).reshape(sizes))
 
     def marginal(self, variables) -> np.ndarray:
@@ -257,7 +257,7 @@ def sample(dist: JointDistribution, n: int, seed) -> SourceTriple:
 # ---------------------------------------------------------------------------
 # Sequence codes: a length-n sequence over an alphabet of size q is indexed
 # base q, most significant position first. Codebook tables, the PointE
-# announcement and the exact enumeration all use this one rule.
+# announcement, the exact enumeration and lemma1_check all use this one rule.
 
 
 def sequence_code(seq, q: int) -> int:
@@ -277,6 +277,15 @@ def sequence_of_code(code: int, q: int, n: int) -> np.ndarray:
     for t in range(n - 1, -1, -1):
         rem, seq[t] = divmod(rem, q)
     return seq
+
+
+def code_digits(codes, q: int, n: int):
+    """Yield the base-q digits of an array of length-n sequence codes, one
+    array per position, most significant first. Only one position's digits
+    are held at a time.
+    """
+    for t in range(n):
+        yield (codes // q ** (n - 1 - t)) % q
 
 
 @functools.lru_cache(maxsize=64)
@@ -375,12 +384,3 @@ def identical_bits() -> JointDistribution:
 def independent_bits() -> JointDistribution:
     """Three mutually independent uniform bits."""
     return JointDistribution.create((2, 2, 2), np.full((2, 2, 2), 1 / 8))
-
-
-def shared_bit_with_spectator_z() -> JointDistribution:
-    """X = Y uniform bit, Z an independent uniform bit."""
-    pmf = np.zeros((2, 2, 2))
-    for x in range(2):
-        for z in range(2):
-            pmf[x, x, z] = 0.25
-    return JointDistribution.create((2, 2, 2), pmf)

@@ -479,14 +479,12 @@ class CandidateEngine:
         return [self._reconstruct(j, tables) for j in hits]
 
 
-def conditional_candidates(observed, joint_pmf, params: TypicalityParams,
-                           cap: int = DEFAULT_SEARCH_CAP):
+def conditional_candidates(observed, joint_pmf, params: TypicalityParams):
     """Sequences of the last pmf axis jointly typical with the observed
     sequences (earlier axes, in order). Returns a list; deterministic order.
-    Raises SearchOverflowError past the cap.
+    Raises SearchOverflowError past DEFAULT_SEARCH_CAP candidates.
     """
-    engine = CandidateEngine(joint_pmf, params, cap=cap)
-    return list(engine.iter_candidates(observed))
+    return list(CandidateEngine(joint_pmf, params).iter_candidates(observed))
 
 
 def enumerate_typical(pmf, params: TypicalityParams, cap: int = DEFAULT_ENUM_CAP):

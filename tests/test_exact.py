@@ -87,15 +87,6 @@ def test_constant_key_leaks_nothing():
         assert stats.h_ks == 0.0
 
 
-def test_oracle_full_alphabet_option():
-    cfg = _config("PointE", xor_triple(), n=3)
-    cbs = oracle_codebooks(cfg, 0)
-    support_only = oracle_secrecy(cfg, cbs)
-    full = oracle_secrecy(cfg, cbs, full_alphabet=True)
-    assert support_only["leak_kp"] == pytest.approx(full["leak_kp"], abs=1e-12)
-    assert support_only["h_kp"] == pytest.approx(full["h_kp"], abs=1e-12)
-
-
 def _record_lookups(codebooks) -> dict:
     """Wrap each codebook's public bin_index / sub_bin_index so every call
     logs its sequence under (terminal, method name).
@@ -146,17 +137,17 @@ def test_oracle_looks_each_sequence_up_once(scheme):
     _assert_looked_up_once(calls, _expected_lookups(scheme, xor_triple(), 4))
 
 
-def test_oracle_full_alphabet_skips_zero_atoms_before_lookup():
+def test_oracle_never_looks_up_zero_probability_symbols():
     # xor on x, y in {0, 1}; the third x symbol has probability zero
     pmf = np.zeros((3, 2, 2))
     for x, y in itertools.product(range(2), repeat=2):
         pmf[x, y, x ^ y] = 0.25
     dist = JointDistribution(pmf.shape, pmf)
     cfg = _config("PointP", dist, n=3)
-    support_only = oracle_secrecy(cfg, oracle_codebooks(cfg, 0))
+    plain = oracle_secrecy(cfg, oracle_codebooks(cfg, 0))
     cbs = oracle_codebooks(cfg, 0)
     calls = _record_lookups(cbs)
-    assert oracle_secrecy(cfg, cbs, full_alphabet=True) == support_only
+    assert oracle_secrecy(cfg, cbs) == plain
     _assert_looked_up_once(calls, _expected_lookups("PointP", dist, 3))
 
 
@@ -386,6 +377,22 @@ def test_pair_decode_packs_wide_bins():
         assert a.status_mass == b.status_mass
         assert a.agree_kp == b.agree_kp
         assert a.recovery_error == b.recovery_error
+
+
+def test_wide_key_laws_match_the_oracle():
+    """Key laws whose joint code spans 2**62 or more go through the stacked
+    np.unique branch of _law_entropy: PointQ with 2**21 bins per codebook
+    makes the K_P law (sub-bin, three bins, Z^n) span about 2**67 codes.
+    """
+    base = RunContext(_config("PointQ", xor_triple(), n=3)).rates
+    rates = dataclasses.replace(base, r_z=7.0, r_x=7.0, r_y=7.0, r_s=0.5, r_p=0.5)
+    cfg = _config("PointQ", xor_triple(), n=3, rates=rates)
+    result = ExactEvaluator(cfg).evaluate(2)
+    for k, stats in enumerate(result.per_codebook):
+        ref = oracle_secrecy(cfg, oracle_codebooks(cfg, k))
+        for name in ("leak_ks", "leak_kp", "h_ks", "h_kp"):
+            assert getattr(stats, name) == pytest.approx(ref[name], abs=1e-12), name
+        assert stats.leak_kp > 0.1
 
 
 def test_pair_decode_bin_width_limit():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_distribution
 from skpk.errors import UsageError
-from skpk.sources import (JointDistribution, conditional_entropy,
+from skpk.sources import (JointDistribution, code_digits, conditional_entropy,
                           conditional_mutual_information, dump_pmf, entropy,
                           identical_bits, info_profile, load_pmf,
                           mutual_information, noisy_copy_triple, place_values,
@@ -166,3 +166,13 @@ def test_place_values_fold_to_sequence_code(q, n):
         seq = rng.integers(0, q, size=n)
         fold = table[np.arange(n), seq].sum(dtype=np.uint64)
         assert int(fold) == sequence_code(seq, q)
+
+
+@pytest.mark.parametrize("q,n", [(1, 4), (2, 1), (3, 7), (3, 30)])
+def test_code_digits_invert_sequence_code(q, n):
+    rng = np.random.default_rng(n)
+    seqs = rng.integers(0, q, size=(20, n))
+    codes = np.array([sequence_code(seq, q) for seq in seqs], dtype=np.int64)
+    digits = list(code_digits(codes, q, n))
+    assert len(digits) == n
+    assert np.array_equal(np.stack(digits, axis=1), seqs)
