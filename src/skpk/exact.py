@@ -28,8 +28,8 @@ import numpy as np
 from .binning import MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
-from .sources import (JointDistribution, _clamp_mi, _entropy_of, code_digits,
-                      sequence_of_code)
+from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
+                      code_digits, sequence_of_code)
 from .typicality import count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -39,10 +39,6 @@ _LEMMA_TAG = stream_tag("lemma1-codebook")
 
 _ST_OK, _ST_NONE, _ST_AMB = 0, 1, 2
 _STATUS_NAMES = {_ST_OK: "OK", _ST_NONE: "NoCandidate", _ST_AMB: "Ambiguous"}
-
-
-def _entropy_masses(masses) -> float:
-    return math.fsum(-float(m) * math.log2(float(m)) for m in masses if m > 0)
 
 
 @dataclass

@@ -29,11 +29,10 @@ import numpy as np
 
 from .binning import MODE_HASH, MODE_TABLE
 from .errors import UsageError
-from .exact import (EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _entropy_masses,
-                    _mean_stats)
+from .exact import EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _mean_stats
 from .protocol import RunContext, SchemeConfig
 from .region import label_vertices, rate_region
-from .sources import JointDistribution
+from .sources import JointDistribution, _entropy_masses
 from .typicality import DEFAULT_SEARCH_CAP
 
 MODE_MONTE_CARLO = "MonteCarlo"

@@ -87,41 +87,37 @@ def derive_rates(scheme, profile, epsilon, delta) -> RateAssignment:
         raise UsageError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
     if delta < 0:
         raise UsageError(f"delta must be >= 0, got {delta}")
-    H = profile.h
+    h, i = profile.h, profile.i
     clamped = []
     if scheme == "PointE":
         r_z = 0.0
-        r_x = profile.h_x_given_yz + epsilon
+        r_x = h("X", "YZ") + epsilon
         r_y = 0.0
         r_s = 0.0
-        r_p = _clamp("r_p", profile.i_x_y_given_z - 2 * delta - epsilon, clamped)
+        r_p = _clamp("r_p", i("X", "Y", "Z") - 2 * delta - epsilon, clamped)
         orientation = "X"
     elif scheme == "PointT":
-        r_z = max(profile.h_z_given_x, profile.h_z_given_y) + epsilon
-        r_x = profile.h_x_given_yz + epsilon
+        r_z = max(h("Z", "X"), h("Z", "Y")) + epsilon
+        r_x = h("X", "YZ") + epsilon
         r_y = 0.0
-        r_s = _clamp("r_s", min(profile.i_x_z, profile.i_y_z) - 2 * delta - 2 * epsilon,
+        r_s = _clamp("r_s", min(i("X", "Z"), i("Y", "Z")) - 2 * delta - 2 * epsilon,
                      clamped)
-        r_p = _clamp("r_p", profile.i_x_y_given_z - 2 * delta - epsilon, clamped)
+        r_p = _clamp("r_p", i("X", "Y", "Z") - 2 * delta - epsilon, clamped)
         orientation = "X"
     elif scheme == "PointP":
-        orientation = "X" if profile.i_x_z >= profile.i_y_z else "Y"
+        orientation = "X" if i("X", "Z") >= i("Y", "Z") else "Y"
         a, b = ("X", "Y") if orientation == "X" else ("Y", "X")
-        h_z_a = H(a + "Z") - H(a)
-        i_az = H(a) + H("Z") - H(a + "Z")
-        i_b_az = H(b) + H(a + "Z") - H("XYZ")
-        r_z = h_z_a + epsilon
-        r_first = (H("XYZ") - H(b)) - h_z_a
-        r_first = _clamp("r_x" if a == "X" else "r_y", r_first, clamped)
+        r_z = h("Z", a) + epsilon
+        r_first = _clamp("r_x" if a == "X" else "r_y", h(a + "Z", b) - h("Z", a), clamped)
         r_x, r_y = (r_first, 0.0) if a == "X" else (0.0, r_first)
-        r_s = _clamp("r_s", i_az - 2 * delta - 2 * epsilon, clamped)
-        r_p = _clamp("r_p", i_b_az - i_az - 2 * delta - epsilon, clamped)
+        r_s = _clamp("r_s", i(a, "Z") - 2 * delta - 2 * epsilon, clamped)
+        r_p = _clamp("r_p", i(b, a + "Z") - i(a, "Z") - 2 * delta - epsilon, clamped)
     elif scheme == "PointQ":
-        r_z = profile.h_z_given_xy + epsilon + 2 * delta
-        r_x = profile.h_x_given_y + epsilon
-        r_y = _clamp("r_y", profile.h_y_given_x - 2 * delta, clamped)
-        r_s = _clamp("r_s", profile.i_z_xy - 2 * epsilon - 4 * delta, clamped)
-        r_p = _clamp("r_p", profile.i_x_y - profile.i_z_xy - 2 * epsilon - 2 * delta,
+        r_z = h("Z", "XY") + epsilon + 2 * delta
+        r_x = h("X", "Y") + epsilon
+        r_y = _clamp("r_y", h("Y", "X") - 2 * delta, clamped)
+        r_s = _clamp("r_s", i("Z", "XY") - 2 * epsilon - 4 * delta, clamped)
+        r_p = _clamp("r_p", i("X", "Y") - i("Z", "XY") - 2 * epsilon - 2 * delta,
                      clamped)
         orientation = "X"
     else:
@@ -355,7 +351,7 @@ class RunContext:
         rates = config.rates
         requested = config.scheme
         redirected = False
-        if requested == "PointQ" and profile.h_y_given_x <= profile.h_y_given_xz + REDIRECT_TOL:
+        if requested == "PointQ" and profile.h("Y", "X") <= profile.h("Y", "XZ") + REDIRECT_TOL:
             requested = "PointP"
             redirected = True
         if rates is None:

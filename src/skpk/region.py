@@ -35,10 +35,10 @@ class RegionConstants:
 
 
 def region_constants(profile: InfoProfile) -> RegionConstants:
-    r_a = profile.i_z_xy
-    r_b = min(profile.i_x_yz, profile.i_y_xz)
+    r_a = profile.i("Z", "XY")
+    r_b = min(profile.i("X", "YZ"), profile.i("Y", "XZ"))
     r_c = 0.5 * (profile.h("X") + profile.h("Y") + profile.h("Z") - profile.h("XYZ"))
-    return RegionConstants(r_a=r_a, r_b=r_b, r_c=max(0.0, r_c), pk=profile.i_x_y_given_z)
+    return RegionConstants(r_a=r_a, r_b=r_b, r_c=max(0.0, r_c), pk=profile.i("X", "Y", "Z"))
 
 
 def classify_case(constants: RegionConstants) -> str:
@@ -115,7 +115,7 @@ def _polygon_vertices(planes):
 
 def _named_points(constants: RegionConstants, profile: InfoProfile, case_label: str) -> dict:
     ra, rb, rc, pk = constants.r_a, constants.r_b, constants.r_c, constants.pk
-    m = max(profile.i_x_z, profile.i_y_z)
+    m = max(profile.i("X", "Z"), profile.i("Y", "Z"))
     named = {
         "O": (0.0, 0.0),
         "E": (0.0, pk),
@@ -128,7 +128,7 @@ def _named_points(constants: RegionConstants, profile: InfoProfile, case_label: 
         named["C"] = (rc, 0.0)
     else:
         named["P"] = (m, rb - m)
-        named["Q"] = (ra, profile.i_x_y - ra)
+        named["Q"] = (ra, profile.i("X", "Y") - ra)
         named["A"] = (ra, 0.0)
     return named
 

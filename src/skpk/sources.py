@@ -120,118 +120,90 @@ class SourceTriple:
                             self.y_seq[start:stop], self.z_seq[start:stop])
 
 
+def _entropy_masses(masses) -> float:
+    """Entropy in bits of a collection of probability masses; zeros add nothing."""
+    return math.fsum(-float(m) * math.log2(float(m)) for m in masses if m > 0)
+
+
 def _entropy_of(p: np.ndarray) -> float:
     flat = p.ravel()
-    return math.fsum(-v * math.log2(v) for v in flat if v > STRUCTURAL_ZERO)
-
-
-def entropy(dist: JointDistribution, variables) -> float:
-    """Shannon entropy H(S) in bits of the marginal on the variable set S."""
-    vs = as_variable_set(variables)
-    if not vs:
-        raise UsageError("entropy requires a nonempty variable set")
-    return _entropy_of(dist.marginal(sorted(vs)))
-
-
-def conditional_entropy(dist: JointDistribution, vars_a, vars_b) -> float:
-    """H(A | B) = H(A u B) - H(B). vars_b may be empty."""
-    a = as_variable_set(vars_a)
-    b = as_variable_set(vars_b) if vars_b else frozenset()
-    if not a:
-        raise UsageError("conditional_entropy requires nonempty first argument")
-    if a & b:
-        raise UsageError(f"variable sets overlap: {sorted(a & b)}")
-    if not b:
-        return entropy(dist, a)
-    return entropy(dist, a | b) - entropy(dist, b)
+    return _entropy_masses(flat[flat > STRUCTURAL_ZERO].tolist())
 
 
 def _clamp_mi(v: float) -> float:
     return 0.0 if v < 0 else v
 
 
+def _disjoint(*selectors, given=()):
+    """Variable sets of the selectors and of given, checked: every name known
+    and listed once, every selector nonempty (given may be empty), and no two
+    sets overlapping. Raises UsageError otherwise.
+    """
+    sets = [as_variable_set(s) for s in selectors]
+    if not all(sets):
+        raise UsageError("an information measure needs nonempty variable sets")
+    cond = as_variable_set(given or ())
+    if sum(map(len, sets)) + len(cond) != len(cond.union(*sets)):
+        raise UsageError(f"variable sets must be pairwise disjoint, got "
+                         f"{[sorted(s) for s in sets]} given {sorted(cond)}")
+    return sets, cond
+
+
+class InfoProfile:
+    """Conditional entropies and mutual informations of one source, in bits
+    per symbol. The entropy of a variable subset is computed from its
+    marginal on first use and cached; h and i are the only formulas on top.
+    """
+
+    def __init__(self, dist: JointDistribution):
+        self.dist = dist
+        self._entropies = {frozenset(): 0.0}
+
+    def _h(self, vs: frozenset) -> float:
+        if vs not in self._entropies:
+            # the marginal on vs; an entropy does not depend on axis order
+            drop = tuple(_AXIS[v] for v in VARS if v not in vs)
+            self._entropies[vs] = _entropy_of(self.dist.pmf.sum(axis=drop))
+        return self._entropies[vs]
+
+    def h(self, a, given=()) -> float:
+        """H(A | C) = H(A u C) - H(C)."""
+        (a,), c = _disjoint(a, given=given)
+        return self._h(a | c) - self._h(c)
+
+    def i(self, a, b, given=()) -> float:
+        """I(A; B | C) = H(A u C) + H(B u C) - H(C) - H(A u B u C), clamped at
+        0 against rounding.
+        """
+        (a, b), c = _disjoint(a, b, given=given)
+        return _clamp_mi(self._h(a | c) + self._h(b | c) - self._h(c) - self._h(a | b | c))
+
+
+def entropy(dist: JointDistribution, variables) -> float:
+    """H(S) in bits of the marginal on the variable set S."""
+    return InfoProfile(dist).h(variables)
+
+
+def conditional_entropy(dist: JointDistribution, vars_a, vars_b) -> float:
+    """H(A | B); vars_b may be empty."""
+    return InfoProfile(dist).h(vars_a, vars_b)
+
+
 def mutual_information(dist: JointDistribution, vars_a, vars_b) -> float:
-    """I(A; B) = H(A) + H(B) - H(A u B), clamped at 0 against rounding."""
-    a, b = as_variable_set(vars_a), as_variable_set(vars_b)
-    if not a or not b:
-        raise UsageError("mutual_information requires nonempty variable sets")
-    if a & b:
-        raise UsageError(f"variable sets overlap: {sorted(a & b)}")
-    return _clamp_mi(entropy(dist, a) + entropy(dist, b) - entropy(dist, a | b))
+    """I(A; B), clamped at 0."""
+    return InfoProfile(dist).i(vars_a, vars_b)
 
 
 def conditional_mutual_information(dist: JointDistribution, vars_a, vars_b, vars_c) -> float:
-    """I(A; B | C) = H(A|C) - H(A|B u C), clamped at 0 against rounding."""
-    a, b = as_variable_set(vars_a), as_variable_set(vars_b)
-    c = as_variable_set(vars_c) if vars_c else frozenset()
-    if not a or not b:
-        raise UsageError("conditional_mutual_information requires nonempty A and B")
-    if (a & b) or (a & c) or (b & c):
-        raise UsageError("variable sets must be pairwise disjoint")
-    if not c:
-        return mutual_information(dist, a, b)
-    return _clamp_mi(conditional_entropy(dist, a, c) - conditional_entropy(dist, a, b | c))
-
-
-@dataclass(frozen=True)
-class InfoProfile:
-    """Every entropy and mutual information the rate formulas consume.
-
-    All values in bits per symbol. Entropies of arbitrary subsets are
-    available through :meth:`h`.
-    """
-
-    entropies: dict  # frozenset -> float, all 7 nonempty subsets
-    i_x_y: float
-    i_x_z: float
-    i_y_z: float
-    i_z_xy: float
-    i_x_yz: float
-    i_y_xz: float
-    i_x_y_given_z: float
-    h_z_given_x: float
-    h_z_given_y: float
-    h_z_given_xy: float
-    h_x_given_y: float
-    h_x_given_yz: float
-    h_y_given_x: float
-    h_y_given_xz: float
-
-    def h(self, variables) -> float:
-        vs = as_variable_set(variables)
-        if not vs:
-            raise UsageError("h requires a nonempty variable set")
-        return self.entropies[vs]
+    """I(A; B | C), clamped at 0; vars_c may be empty."""
+    return InfoProfile(dist).i(vars_a, vars_b, vars_c)
 
 
 def info_profile(dist: JointDistribution) -> InfoProfile:
-    ent = {}
-    for mask in range(1, 8):
-        vs = frozenset(v for i, v in enumerate(VARS) if mask & (1 << i))
-        ent[vs] = entropy(dist, vs)
-
-    def H(s):
-        return ent[frozenset(s)]
-
-    prof = InfoProfile(
-        entropies=ent,
-        i_x_y=_clamp_mi(H("X") + H("Y") - H("XY")),
-        i_x_z=_clamp_mi(H("X") + H("Z") - H("XZ")),
-        i_y_z=_clamp_mi(H("Y") + H("Z") - H("YZ")),
-        i_z_xy=_clamp_mi(H("Z") + H("XY") - H("XYZ")),
-        i_x_yz=_clamp_mi(H("X") + H("YZ") - H("XYZ")),
-        i_y_xz=_clamp_mi(H("Y") + H("XZ") - H("XYZ")),
-        i_x_y_given_z=_clamp_mi(H("XZ") + H("YZ") - H("Z") - H("XYZ")),
-        h_z_given_x=H("XZ") - H("X"),
-        h_z_given_y=H("YZ") - H("Y"),
-        h_z_given_xy=H("XYZ") - H("XY"),
-        h_x_given_y=H("XY") - H("Y"),
-        h_x_given_yz=H("XYZ") - H("YZ"),
-        h_y_given_x=H("XY") - H("X"),
-        h_y_given_xz=H("XYZ") - H("XZ"),
-    )
-    # chain rule self-check; violation means a broken summation path
-    chain = prof.h("X") + prof.h_y_given_x + prof.h_z_given_xy
+    """The profile of dist, after a chain-rule self-check of its entropies."""
+    prof = InfoProfile(dist)
+    # violation means a broken summation path
+    chain = prof.h("X") + prof.h("Y", "X") + prof.h("Z", "XY")
     if abs(chain - prof.h("XYZ")) > 1e-10:
         raise AssertionError("entropy chain rule violated beyond 1e-10")
     return prof

@@ -1,7 +1,11 @@
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_distribution
 from skpk.errors import UsageError
@@ -25,7 +29,7 @@ def test_noisy_copy_profile_value():
     # oracle: direct summation over the eight atoms of the 0.1/0.3 source
     d = noisy_copy_triple(0.1, 0.3)
     prof = info_profile(d)
-    assert prof.i_z_xy == pytest.approx(0.11870910076930735, abs=1e-12)
+    assert prof.i("Z", "XY") == pytest.approx(0.11870910076930735, abs=1e-12)
 
 
 def test_total_correlation_decompositions(rng):
@@ -62,14 +66,73 @@ def test_variable_set_validation():
         conditional_mutual_information(d, "X", "Z", "Z")
 
 
-def test_profile_is_consistent(rng):
-    for _ in range(20):
-        d = random_distribution(rng, (3, 2, 3), zero_frac=0.3)
-        prof = info_profile(d)
-        assert prof.i_x_y_given_z >= 0
-        assert prof.h("XZ") <= prof.h("XYZ") + 1e-12
-        assert prof.i_z_xy == pytest.approx(
-            prof.h("Z") + prof.h("XY") - prof.h("XYZ"), abs=1e-10)
+def _reference_measures(pmf):
+    """h(A, C) and i(A, B, C) by their definitions, as expectations summed
+    over the atoms of pmf: H(A|C) = E[-log2 p(a,c)/p(c)] and
+    I(A;B|C) = E[log2 p(a,b,c) p(c) / (p(a,c) p(b,c))].
+    """
+    atoms = [(idx, float(p)) for idx, p in np.ndenumerate(pmf) if p > 0]
+
+    def cell(idx, vs):
+        return tuple(idx["XYZ".index(v)] for v in sorted(vs))
+
+    def law(vs):
+        out = defaultdict(float)
+        for idx, p in atoms:
+            out[cell(idx, vs)] += p
+        return lambda idx: out[cell(idx, vs)]
+
+    def h(a, c):
+        p_ac, p_c = law(a + c), law(c)
+        return -math.fsum(p * math.log2(p_ac(idx) / p_c(idx)) for idx, p in atoms)
+
+    def i(a, b, c):
+        p_abc, p_ac, p_bc, p_c = law(a + b + c), law(a + c), law(b + c), law(c)
+        return math.fsum(p * math.log2(p_abc(idx) * p_c(idx) / (p_ac(idx) * p_bc(idx)))
+                         for idx, p in atoms)
+
+    return h, i
+
+
+def _subsets(vs):
+    return ["".join(c) for r in range(len(vs) + 1) for c in itertools.combinations(vs, r)]
+
+
+_pmf_cells = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(
+        st.integers(0, 4), min_size=math.prod(shape), max_size=math.prod(shape))
+        .filter(any)))
+
+
+@given(cells=_pmf_cells)
+def test_profile_matches_reference_sums(cells):
+    shape, weights = cells
+    pmf = np.array(weights, dtype=np.float64).reshape(shape)
+    pmf /= pmf.sum()
+    prof = info_profile(JointDistribution(shape, pmf))
+    h_ref, i_ref = _reference_measures(pmf)
+    for a in _subsets("XYZ")[1:]:
+        rest = "".join(v for v in "XYZ" if v not in a)
+        for c in _subsets(rest):
+            # selector order is immaterial
+            assert prof.h(a[::-1], c) == pytest.approx(h_ref(a, c), abs=1e-10)
+            for b in _subsets("".join(v for v in rest if v not in c))[1:]:
+                assert prof.i(a, b[::-1], c) == pytest.approx(i_ref(a, b, c), abs=1e-10)
+                assert prof.i(a, b, c) >= 0.0
+                # I(A;B|C) = H(A|C) - H(A|BC)
+                assert prof.i(a, b, c) == pytest.approx(
+                    max(0.0, prof.h(a, c) - prof.h(a, b + c)), abs=1e-10)
+    chain = prof.h("X") + prof.h("Y", "X") + prof.h("Z", "XY")
+    assert chain == pytest.approx(prof.h("XYZ"), abs=1e-10)
+
+
+def test_profile_rejects_bad_selectors():
+    prof = info_profile(xor_triple())
+    for call in (lambda: prof.h(""), lambda: prof.h("W"), lambda: prof.h("XX"),
+                 lambda: prof.h("X", "XZ"), lambda: prof.i("X", ""),
+                 lambda: prof.i("X", "YX"), lambda: prof.i("X", "Y", "Y")):
+        with pytest.raises(UsageError):
+            call()
 
 
 def test_sample_matches_distribution():
@@ -129,8 +192,8 @@ def test_invalid_distributions():
 def test_identical_bits_profile():
     prof = info_profile(identical_bits())
     assert prof.h("XYZ") == pytest.approx(1.0, abs=1e-12)
-    assert prof.i_x_y_given_z == pytest.approx(0.0, abs=1e-12)
-    assert math.isclose(prof.i_x_yz, 1.0, abs_tol=1e-12)
+    assert prof.i("X", "Y", "Z") == pytest.approx(0.0, abs=1e-12)
+    assert math.isclose(prof.i("X", "YZ"), 1.0, abs_tol=1e-12)
 
 
 # -- sequence codes -----------------------------------------------------------
