@@ -30,7 +30,7 @@ from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
                       code_digits, sequence_of_code)
-from .typicality import count_windows
+from .typicality import TypicalityParams, count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
 
@@ -456,13 +456,13 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     compensated summation. Shares no law construction with ExactEvaluator,
     which is the point. Returns normalized {leak_ks, leak_kp, h_ks, h_kp}.
     Only support atoms are iterated, so a zero-probability symbol is never
-    looked up.
+    looked up. In PointP's orientation Y the middle terminal is Y: its
+    codebook is codebooks["Y"] and its symbol the atom's second coordinate.
     """
     ctx = RunContext(config)
     if ctx.scheme == "TimeShare":
         raise UsageError("the oracle covers one-shot schemes only")
-    if ctx.swapped:
-        raise UsageError("the oracle covers the canonical orientation only")
+    middle, middle_axis = ("Y", 1) if ctx.swapped else ("X", 0)
     dist = config.dist
     n = config.n
     az = dist.alphabet("Z")
@@ -470,7 +470,7 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     pmf = {a: float(dist.pmf[a]) for a in atoms}
     scheme = ctx.scheme
     cbz = codebooks.get("Z")
-    cbx = codebooks["X"]
+    cbx = codebooks[middle]
     cby = codebooks.get("Y")
 
     def z_code(zs):
@@ -487,7 +487,7 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
         z_keys = _Lookups(lambda zs: (z_code(zs), cbz.bin_index(zs),
                                       cbz.sub_bin_index(zs)))
     y_keys = _Lookups(cby.bin_index) if scheme == "PointQ" else None
-    x_of, y_of, z_of = (operator.itemgetter(i) for i in range(3))
+    x_of, y_of, z_of = (operator.itemgetter(i) for i in (middle_axis, 1, 2))
     law_key_f = {}
     law_f = {}
     law_kp_fz = {}
@@ -599,6 +599,7 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
         raise UsageError("rates must be >= 0")
     if codebook_count < 1:
         raise UsageError("codebook_count must be >= 1")
+    TypicalityParams(epsilon, n)
     if az ** n > EXACT_PRODUCT_CAP:
         raise CapacityError(f"{az}**{n} sequences exceed the {EXACT_PRODUCT_CAP} enumeration cap")
 

@@ -33,7 +33,6 @@ from .exact import EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _mean_stats
 from .protocol import RunContext, SchemeConfig
 from .region import label_vertices, rate_region
 from .sources import JointDistribution, _entropy_masses
-from .typicality import DEFAULT_SEARCH_CAP
 
 MODE_MONTE_CARLO = "MonteCarlo"
 MODE_EXACT = "Exact"
@@ -61,7 +60,6 @@ class ExperimentConfig:
     evaluation_mode: str = MODE_MONTE_CARLO
     ts_schemes: tuple = None
     ts_lambda: float = 0.5
-    search_cap: int = DEFAULT_SEARCH_CAP
     exact_cap: int = EXACT_PRODUCT_CAP
 
     def __post_init__(self):
@@ -79,8 +77,7 @@ class ExperimentConfig:
                             epsilon=self.epsilon, delta=self.delta,
                             master_seed=self.master_seed,
                             codebook_mode=self.codebook_mode,
-                            ts_schemes=self.ts_schemes, ts_lambda=self.ts_lambda,
-                            search_cap=self.search_cap)
+                            ts_schemes=self.ts_schemes, ts_lambda=self.ts_lambda)
 
 
 @dataclass

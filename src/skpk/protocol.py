@@ -85,8 +85,8 @@ def derive_rates(scheme, profile, epsilon, delta) -> RateAssignment:
     """
     if not (0.0 < epsilon < 1.0):
         raise UsageError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
-    if delta < 0:
-        raise UsageError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise UsageError(f"delta must be a finite number >= 0, got {delta}")
     h, i = profile.h, profile.i
     clamped = []
     if scheme == "PointE":
@@ -139,7 +139,6 @@ class SchemeConfig:
     master_seed: int
     codebook_mode: str = MODE_HASH
     rates: RateAssignment = None
-    search_cap: int = DEFAULT_SEARCH_CAP
     ts_schemes: tuple = None      # (scheme_a, scheme_b) for TimeShare
     ts_lambda: float = 0.5        # fraction of symbols given to scheme_a
 
@@ -159,8 +158,8 @@ class SchemeConfig:
             if not (0.0 <= self.ts_lambda <= 1.0):
                 raise UsageError(f"ts_lambda must lie in [0, 1], got {self.ts_lambda}")
         TypicalityParams(self.epsilon, self.n)
-        if self.delta < 0:
-            raise UsageError(f"delta must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise UsageError(f"delta must be a finite number >= 0, got {self.delta}")
 
     @property
     def params(self) -> TypicalityParams:
@@ -372,7 +371,7 @@ class RunContext:
             for m in desc.messages if m.role}
         self.engines = {
             key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
-                                 cap=config.search_cap)
+                                 cap=DEFAULT_SEARCH_CAP)
             for step in desc.decodes for key in step.engine_keys()}
         self.ks_owner = "Z" if "Z" in self.codebooks else None
         self.kp_owner = desc.kp_owner

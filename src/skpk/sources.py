@@ -61,10 +61,12 @@ class JointDistribution:
         for s in sizes:
             if s < 1:
                 raise UsageError("alphabet sizes must be >= 1")
+        if not np.isfinite(pmf).all():
+            raise UsageError("pmf has a non-finite entry")
         if pmf.min() < 0:
             raise UsageError(f"pmf has a negative entry: {pmf.min()}")
         total = float(pmf.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise UsageError(f"pmf sums to {total!r}, expected 1 within 1e-12")
         pmf = pmf.copy()
         pmf.flags.writeable = False
@@ -285,14 +287,18 @@ def load_pmf(path) -> JointDistribution:
         raise UsageError(f"pmf file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "alphabet" not in doc or "pmf" not in doc:
         raise UsageError(f"pmf file {path} must contain 'alphabet' and 'pmf' fields")
-    alphabet = doc["alphabet"]
-    if len(alphabet) != 3 or any(int(a) < 1 for a in alphabet):
-        raise UsageError(f"'alphabet' must list three sizes >= 1, got {alphabet!r}")
-    sizes = tuple(int(a) for a in alphabet)
-    flat = np.asarray(doc["pmf"], dtype=np.float64)
+    alphabet, entries = doc["alphabet"], doc["pmf"]
+    if (not isinstance(alphabet, list) or len(alphabet) != 3
+            or not all(type(a) is int and a >= 1 for a in alphabet)):
+        raise UsageError(f"'alphabet' must list three integer sizes >= 1, got {alphabet!r}")
+    sizes = tuple(alphabet)
     expected = sizes[0] * sizes[1] * sizes[2]
-    if flat.ndim != 1 or len(flat) != expected:
-        raise UsageError(f"'pmf' must be a flat array of length {expected}, got {flat.shape}")
+    if (not isinstance(entries, list) or len(entries) != expected
+            or not all(type(v) in (int, float) for v in entries)):
+        raise UsageError(f"'pmf' must be a flat list of {expected} numbers")
+    flat = np.asarray(entries, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        raise UsageError("pmf has a non-finite entry")
     if flat.min() < 0:
         raise UsageError(f"pmf entry {flat.min()} is negative")
     total = float(flat.sum())

@@ -8,6 +8,7 @@ here first. bench/ is only read.
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -75,3 +76,27 @@ def test_bench_uses_only_existing_skpk_names(script):
                     importlib.import_module(".".join(parts[:depth]))
             assert hasattr(obj, part), f"{script} uses {dotted}, which does not exist"
             obj = getattr(obj, part)
+
+
+_CONFIG_CLASSES = ("ExperimentConfig", "SchemeConfig")
+
+
+def test_bench_config_keywords_are_fields():
+    """Every keyword a bench script passes to skpk.ExperimentConfig(...) or
+    skpk.SchemeConfig(...) names a field of that dataclass.
+    """
+    calls = 0
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = _attribute_chain(node.func)
+            if not chain or len(chain) != 2 or chain[1] not in _CONFIG_CLASSES:
+                continue
+            calls += 1
+            fields = {f.name for f in dataclasses.fields(getattr(skpk, chain[1]))}
+            for kw in node.keywords:
+                assert kw.arg in fields, (
+                    f"{path.name}:{node.lineno} passes {kw.arg}= to skpk.{chain[1]}, "
+                    "which has no such field")
+    assert calls, "no bench script builds a config; the walk found nothing to check"

@@ -124,3 +124,40 @@ def test_output_file_selection(xor_file, tmp_path):
             "--out", str(out)]
     assert main(argv) == 0
     assert out.read_text().startswith("agree_k")
+
+
+_BAD_PMFS = {
+    "nan-entry": '{"alphabet": [2, 1, 2], "pmf": [NaN, 0.5, 0.25, 0.25]}',
+    "null-entry": '{"alphabet": [2, 1, 2], "pmf": [null, 0.5, 0.25, 0.25]}',
+    "infinite-entry": '{"alphabet": [1, 1, 2], "pmf": [Infinity, 0.5]}',
+    "string-entry": '{"alphabet": [1, 1, 2], "pmf": ["x", 1]}',
+    "nested-pmf": '{"alphabet": [1, 1, 2], "pmf": [[0.5, 0.5]]}',
+    "string-sizes": '{"alphabet": ["a", "b", "c"], "pmf": [1.0]}',
+    "scalar-alphabet": '{"alphabet": 3, "pmf": [0.5, 0.5]}',
+    "fractional-size": '{"alphabet": [2.5, 1, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}',
+    "boolean-size": '{"alphabet": [true, 1, 2], "pmf": [0.5, 0.5]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PMFS))
+def test_malformed_pmf_file_is_a_usage_error(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(_BAD_PMFS[case])
+    assert main(["region", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "secrecy-exact"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "-0.1"])
+def test_non_finite_delta_is_a_usage_error(command, delta, xor_file, capsys):
+    argv = [command, "--pmf", xor_file, "--scheme", "pointP", "--n", "4",
+            "--trials", "2", "--epsilon", "0.5", "--delta", delta]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: delta must be a finite number")
+
+
+def test_lemma1_rejects_nan_epsilon(xor_file, capsys):
+    argv = ["lemma1", "--pmf", xor_file, "--n", "4", "--rs", "0.1", "--rz", "0.2",
+            "--delta", "0.1", "--epsilon", "nan"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: epsilon must lie")

@@ -76,6 +76,33 @@ def test_oracle_agrees_with_evaluator(scheme, n):
             assert stats.h_ks == pytest.approx(ref["h_ks"], abs=1e-12)
 
 
+@pytest.mark.parametrize("override", [False, True])
+def test_oracle_agrees_with_evaluator_in_orientation_y(override):
+    """PointP with Y as the middle terminal: the oracle reads Y's codebook and
+    coordinate itself, while the evaluator relabels. The override r_s = r_p =
+    0.4 makes both keys nontrivial, which the derived rates do not.
+    """
+    dist = mirrored_noisy_copy(0.25, 0.0)
+    cfg = _config("PointP", dist, n=5, eps=0.25, delta=0.02)
+    if override:
+        rates = dataclasses.replace(RunContext(cfg).rates, r_s=0.4, r_p=0.4)
+        cfg = dataclasses.replace(cfg, rates=rates)
+    evaluator = ExactEvaluator(cfg)
+    assert evaluator.ctx.swapped
+    result = evaluator.evaluate(3)
+    assert result.ks_size > 1 and (result.kp_size > 1) == override
+    for k, stats in enumerate(result.per_codebook):
+        ref = oracle_secrecy(cfg, oracle_codebooks(cfg, k))
+        assert stats.leak_kp == pytest.approx(ref["leak_kp"], abs=1e-12)
+        assert stats.h_kp == pytest.approx(ref["h_kp"], abs=1e-12)
+        assert stats.leak_ks == pytest.approx(ref["leak_ks"], abs=1e-12)
+        assert stats.h_ks == pytest.approx(ref["h_ks"], abs=1e-12)
+    # leakages far from 0, so the agreement is not between two zeros
+    assert min(s.leak_ks for s in result.per_codebook) > 0.1
+    if override:
+        assert min(s.leak_kp for s in result.per_codebook) > 0.1
+
+
 def test_constant_key_leaks_nothing():
     # the xor source admits no secret key at this corner, so the sub-bin
     # count is 1 and the leakage must be exactly zero

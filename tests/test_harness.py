@@ -156,9 +156,9 @@ def test_time_share_report():
     assert rec["rates"]["parts"]["B"]["scheme"] == "PointT"
 
 
-def test_search_overflow_tally():
-    rec = run_trials(_mc_config(n_values=(8,), epsilon=0.5, trials=6,
-                                search_cap=1)).records[0]
+def test_search_overflow_tally(monkeypatch):
+    monkeypatch.setattr("skpk.protocol.DEFAULT_SEARCH_CAP", 1)
+    rec = run_trials(_mc_config(n_values=(8,), epsilon=0.5, trials=6)).records[0]
     tally = rec["decode_failures"]["X"]
     assert tally["SearchOverflow"] > 0
     assert math.isclose(sum(tally.values()), 1.0)

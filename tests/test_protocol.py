@@ -56,8 +56,9 @@ def test_derive_rates_rejects_bad_input():
         derive_rates("TimeShare", prof, 0.1, 0.05)
     with pytest.raises(UsageError):
         derive_rates("PointT", prof, 0.0, 0.05)
-    with pytest.raises(UsageError):
-        derive_rates("PointT", prof, 0.1, -0.1)
+    for bad_delta in (-0.1, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            derive_rates("PointT", prof, 0.1, bad_delta)
 
 
 def test_identical_bits_full_agreement():

@@ -187,6 +187,9 @@ def test_invalid_distributions():
         JointDistribution((1, 1, 2), neg)
     with pytest.raises(UsageError):
         JointDistribution.create((9, 1, 1), np.full((9, 1, 1), 1 / 9))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(UsageError):
+            JointDistribution((1, 1, 2), np.array([bad, 0.5]).reshape(1, 1, 2))
 
 
 def test_identical_bits_profile():
