@@ -105,9 +105,14 @@ def _round_floats(obj):
 
 
 def _flatten(record, prefix=""):
+    """One CSV cell per leaf. A list of records becomes indexed columns
+    (name.0.key, name.1.key, ...); any other list is one ";"-joined cell.
+    """
     out = {}
     for key, value in record.items():
         name = f"{prefix}{key}"
+        if isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
+            value = {str(k): v for k, v in enumerate(value)}
         if isinstance(value, dict):
             out.update(_flatten(value, name + "."))
         elif isinstance(value, (list, tuple)):

@@ -91,7 +91,7 @@ DIGESTS = {
     "exact-pointQ-xor":
         "683f07ce785486a645c581f4274c00cb621031aa6672ae8121c0d285dafa17a2",
     "exact-pointQ-xor-csv":
-        "f74d72ca72bc3aaf85a0b773bf2d57fdb6f7cfa759f3f11fb9af26020b61d447",
+        "c5ca605a0ebc73fa1cefcfbde4020a20d10796f9131bb09d3b42b9551605963a",
     "exact-pointT-xor":
         "0b0c45aeedf54a5fa425ef61bdf5a319c4e592a5972e6540c82df7afa0004fc1",
     "exact-timeshare-lone-xor":

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -123,6 +125,33 @@ def test_csv_emission(tmp_path):
     assert len(lines) == 3  # header and one row per blocklength
     assert "agree_kp" in lines[0]
     assert path.read_text() == text
+
+
+def _leaves(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def test_exact_csv_has_a_column_per_member_value():
+    cfg = _mc_config(scheme="PointQ", codebook_mode=MODE_TABLE, evaluation_mode=MODE_EXACT,
+                     trials=3, n_values=(3, 4), epsilon=0.5, delta=0.02, master_seed=5)
+    report = run_trials(cfg)
+    records = json.loads(emit_report(report, fmt="json"))["records"]
+    rows = list(csv.DictReader(io.StringIO(emit_report(report, fmt="csv"))))
+    assert len(rows) == len(records) == 2
+    for row, rec in zip(rows, records):
+        assert "per_codebook" not in row
+        assert len(rec["per_codebook"]) == 3
+        for k, member in enumerate(rec["per_codebook"]):
+            cells = list(_leaves(member, f"per_codebook.{k}."))
+            assert any(name.endswith(".decode_failures.X.OK") for name, _ in cells)
+            for name, value in cells:
+                got = None if row[name] == "" else float(row[name])
+                assert got == value, name
+        assert not [c for c in row if c.startswith("per_codebook.3.")]
 
 
 def test_emit_json_to_file(tmp_path):
