@@ -1,9 +1,12 @@
 """Discrete memoryless source model over three terminals.
 
 A :class:`JointDistribution` holds the joint pmf P(x, y, z) on finite
-alphabets. All Shannon measures are computed in bits (log base 2) by direct
-summation over atoms, and :func:`sample` draws i.i.d. sequence triples from a
-counter-based generator so every draw is reproducible from its seed alone.
+alphabets and refuses non-finite, negative or unnormalized entries. Every
+information measure comes from one :class:`InfoProfile`: a table of subset
+entropies in bits (log base 2), each summed over its marginal's atoms on
+first use, read through two formulas, h(A, given=C) and i(A, B, given=C).
+:func:`sample` draws i.i.d. sequence triples from a counter-based generator
+so every draw is reproducible from its seed alone.
 """
 
 import functools
