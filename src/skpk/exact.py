@@ -599,6 +599,8 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
         raise UsageError("rates must be >= 0")
     if codebook_count < 1:
         raise UsageError("codebook_count must be >= 1")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     TypicalityParams(epsilon, n)
     if az ** n > EXACT_PRODUCT_CAP:
         raise CapacityError(f"{az}**{n} sequences exceed the {EXACT_PRODUCT_CAP} enumeration cap")

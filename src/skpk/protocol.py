@@ -160,6 +160,8 @@ class SchemeConfig:
         TypicalityParams(self.epsilon, self.n)
         if not 0.0 <= self.delta < math.inf:
             raise UsageError(f"delta must be a finite number >= 0, got {self.delta}")
+        if self.master_seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.master_seed}")
 
     @property
     def params(self) -> TypicalityParams:

@@ -156,8 +156,18 @@ def test_non_finite_delta_is_a_usage_error(command, delta, xor_file, capsys):
     assert capsys.readouterr().err.startswith("error: delta must be a finite number")
 
 
-def test_lemma1_rejects_nan_epsilon(xor_file, capsys):
+@pytest.mark.parametrize("flag,value,message", [("--epsilon", "nan", "epsilon must lie"),
+                                                ("--seed", "-1", "seed must be >= 0")])
+def test_lemma1_rejects_bad_numbers(flag, value, message, xor_file, capsys):
     argv = ["lemma1", "--pmf", xor_file, "--n", "4", "--rs", "0.1", "--rz", "0.2",
-            "--delta", "0.1", "--epsilon", "nan"]
+            "--delta", "0.1", flag, value]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: epsilon must lie")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "secrecy-exact"])
+def test_negative_seed_is_a_usage_error(command, xor_file, capsys):
+    argv = [command, "--pmf", xor_file, "--scheme", "pointT", "--n", "4",
+            "--trials", "2", "--epsilon", "0.5", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
