@@ -148,12 +148,17 @@ def test_malformed_pmf_file_is_a_usage_error(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "secrecy-exact"])
-@pytest.mark.parametrize("delta", ["nan", "inf", "-0.1"])
-def test_non_finite_delta_is_a_usage_error(command, delta, xor_file, capsys):
+@pytest.mark.parametrize("flag,value,message", [
+    ("--delta", "nan", "delta must be a finite number"),
+    ("--delta", "inf", "delta must be a finite number"),
+    ("--delta", "-0.1", "delta must be a finite number"),
+    ("--epsilon", "nan", "epsilon must lie"),
+    ("--seed", "-1", "seed must be >= 0")])
+def test_bad_number_is_a_usage_error(command, flag, value, message, xor_file, capsys):
     argv = [command, "--pmf", xor_file, "--scheme", "pointP", "--n", "4",
-            "--trials", "2", "--epsilon", "0.5", "--delta", delta]
+            "--trials", "2", "--epsilon", "0.5", "--delta", "0.02", flag, value]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: delta must be a finite number")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("flag,value,message", [("--epsilon", "nan", "epsilon must lie"),
@@ -163,11 +168,3 @@ def test_lemma1_rejects_bad_numbers(flag, value, message, xor_file, capsys):
             "--delta", "0.1", flag, value]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-
-
-@pytest.mark.parametrize("command", ["simulate", "secrecy-exact"])
-def test_negative_seed_is_a_usage_error(command, xor_file, capsys):
-    argv = [command, "--pmf", xor_file, "--scheme", "pointT", "--n", "4",
-            "--trials", "2", "--epsilon", "0.5", "--seed", "-1"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
