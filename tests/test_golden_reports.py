@@ -3,11 +3,12 @@
 Each case runs one CLI command and compares the sha256 of the report it
 writes with a digest recorded from an earlier build. The cases cover every
 one-shot scheme and time sharing, with hash and table codebooks, for both
-`simulate` and `secrecy-exact`; time sharing whose first part is empty;
-PointP in orientation Y (the mirrored noisy-copy sources, where Y is the
-better-correlated terminal); and `region` and `lemma1`. Cases whose name ends
-in "-csv" write CSV, the others JSON. A refactor that keeps these digests
-keeps every reported number and every serialized byte.
+`simulate` and `secrecy-exact`; `simulate` PointP and PointQ at n = 12,
+where pair decoding meets many stage-1 survivors; time sharing whose first
+part is empty; PointP in orientation Y (the mirrored noisy-copy sources,
+where Y is the better-correlated terminal); and `region` and `lemma1`.
+Cases whose name ends in "-csv" write CSV, the others JSON. A refactor that
+keeps these digests keeps every reported number and every serialized byte.
 
 To print the digests of the current build:
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -56,6 +57,9 @@ CASES = {
        for s in _SCHEMES for cb in ("hash", "table")},
     **{f"exact-{s}-xor": _exact("xor", s) for s in _SCHEMES},
     "simulate-pointQ-hash-noisy": _simulate("noisy", "pointQ", "hash"),
+    # pair decoding with tens to hundreds of stage-1 survivors per trial
+    **{f"simulate-{s}-{cb}-xor-n12": _simulate("xor", s, cb, n=12)
+       for s in ("pointP", "pointQ") for cb in ("hash", "table")},
     **{f"simulate-pointP-{cb}-{src}": _simulate(src, "pointP", cb)
        for cb in ("hash", "table") for src in ("mirrored", "mirrored-echo")},
     **{f"exact-pointP-{src}": _exact(src, "pointP", n=6, codebooks=2)
@@ -116,18 +120,26 @@ DIGESTS = {
         "80348f333a4cf27bf1eaa84d9a6cdf016ce55c91355db782b0ae4845ee2ae380",
     "simulate-pointP-hash-xor":
         "9ee7e53bca7cf1d54371ae9f3f8c043fde43e83d1ea14ffec057106e923b9acb",
+    "simulate-pointP-hash-xor-n12":
+        "63d2edae3c5b64f290db46a4f7bea2115b776cfecb32c1252a67bc9b7c8858cc",
     "simulate-pointP-table-mirrored":
         "841750686ec75ec52b26489c7e51c0f7dead2db94b82572dba207232be77d92b",
     "simulate-pointP-table-mirrored-echo":
         "9e8bace2079432f688b867f85dae085a4f1003fdce35bb554d62720ffb9bf9da",
     "simulate-pointP-table-xor":
         "7252abd444deca05f1a066d00f2dc29a61be756285e9a9807c1432445419284e",
+    "simulate-pointP-table-xor-n12":
+        "8804575958c041af6e0bac414921f856197d19b7c5f4376126e524e27b7572bd",
     "simulate-pointQ-hash-noisy":
         "c8801b28263353015c9fc14331c00ab7158c5351a32b1e9eb9ddd11b1d314e5d",
     "simulate-pointQ-hash-xor":
         "4061ea5403d46518045cdf5458fef3b31350761429ebd75605cacc817de48439",
+    "simulate-pointQ-hash-xor-n12":
+        "927159b3bbc893a771ed45fe9371cfb45afdf25d77f2feb469479346102d9aa2",
     "simulate-pointQ-table-xor":
         "4e11c5f7629ab82ed973a621172df9a5fbf8e37910e7bb58c8fae919b4a379c8",
+    "simulate-pointQ-table-xor-n12":
+        "368e3cd6dfbf78844a83234c77d111b86ecbaa11781f9b31cea85b311cc49ddb",
     "simulate-pointT-hash-sweep-xor-csv":
         "f51bb02a89e17c6cbab91b9b1e6b7d55cd8fe939b2a86411cf616fb134c1f701",
     "simulate-pointT-hash-xor":
