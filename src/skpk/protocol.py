@@ -305,33 +305,30 @@ def _unique_decode(engine, observed, cb, target):
 
 def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
     """Unique (helper, z) pair: helper candidates typical with own sequence
-    and inside bin target1 come first, then each survivor is extended by the
-    z candidates typical with the pair and inside bin target2. Unique means
-    one (helper, z) pair overall.
+    and inside bin target1 come first, then every survivor is extended, in
+    one batched scan, by the z candidates typical with the pair and inside
+    bin target2. Unique means one (helper, z) pair overall. Survivors are
+    read in candidate order, and the first overflow or second match decides,
+    as if each survivor were scanned in turn.
 
     own_first says whether stage 2's engine expects (own, helper) or
     (helper, own) as its observed pair.
     """
     try:
-        survivors = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
+        helpers = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
     except SearchOverflowError:
         return STATUS_OVERFLOW, None, None
+    counts, zseq = eng2.scan_bin_filter_rows(helpers, own, own_first, cb2, target2)
     total = 0
-    first = None
-    for cand in survivors:
-        obs2 = (own, cand) if own_first else (cand, own)
-        try:
-            cnt, zseq = eng2.scan_bin_filter(obs2, cb2, target2)
-        except SearchOverflowError:
+    for cnt in counts:
+        if cnt is None:
             return STATUS_OVERFLOW, None, None
         total += cnt
-        if cnt == 1 and first is None:
-            first = (cand, zseq)
         if total >= 2:
             return STATUS_AMBIGUOUS, None, None
     if total == 0:
         return STATUS_NO_CANDIDATE, None, None
-    return STATUS_OK, first[0], first[1]
+    return STATUS_OK, helpers[counts.index(1)], zseq
 
 
 class RunContext:

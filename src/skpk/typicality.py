@@ -91,17 +91,18 @@ def _as_seq_tuple(seqs):
 
 def _cell_codes(seqs, shape, n) -> np.ndarray:
     """Row-major cell code, against pmf axes of the given shape, of each
-    position of aligned length-n int64 sequences (one per axis). Raises
-    UsageError on a count, length or symbol mismatch.
+    position of aligned length-n int64 sequences (one per axis). An axis may
+    also be given as a (rows, n) array, one sequence per row, which makes the
+    codes (rows, n). Raises UsageError on a count, length or symbol mismatch.
     """
     if len(seqs) != len(shape):
         raise UsageError(f"{len(seqs)} sequences against {len(shape)} pmf axes")
     code = np.zeros(n, dtype=np.int64)
     for s, size in zip(seqs, shape):
-        if len(s) != n:
-            raise UsageError(f"sequence length {len(s)} differs from n={n}")
+        if s.shape[-1:] != (n,):
+            raise UsageError(f"sequence shape {s.shape} does not end in n={n}")
         # negative symbols wrap to huge unsigned values
-        if n and s.view(np.uint64).max() >= size:
+        if s.size and s.view(np.uint64).max() >= size:
             raise UsageError("sequence symbol outside the pmf alphabet")
         code = code * size + s
     return code
@@ -213,24 +214,42 @@ def _arrangement_matrix(m, vectors, q) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _class_positions(codes, sizes) -> list:
+    """Positions of each present class along the last axis of codes, by
+    ascending cell code and ascending within a class. codes may be (rows, n)
+    when every row has the given class sizes; each class is then (rows, m).
+    """
+    order = np.argsort(codes, axis=-1, kind="stable")
+    starts = itertools.accumulate(sizes, initial=0)
+    return [order[..., start:start + m] for start, m in zip(starts, sizes) if m]
+
+
 def _class_sums(tables, contrib) -> list:
     """Per class, the uint64 sum of contrib[t, seq_t] over the class's
-    positions for each of its arrangements.
+    positions for each of its arrangements: (A,) per class, or (rows, A)
+    when the positions are (rows, m).
     """
-    return [np.add.reduce(contrib[pos[None, :], mat], axis=1, dtype=np.uint64)
+    return [np.add.reduce(contrib[pos[..., None, :], mat], axis=-1, dtype=np.uint64)
             for pos, mat in tables]
 
 
 def _group_sums(vals_list) -> np.ndarray:
     """uint64 sums over the cross product of per-class value vectors, flat in
-    C order: the first class varies slowest, as in candidate order.
+    C order along the last axis: the first class varies slowest, as in
+    candidate order. Leading axes (rows) pass through.
     """
     if not vals_list:
         return np.zeros(1, dtype=np.uint64)
     acc = vals_list[0]
     for vals in vals_list[1:]:
-        acc = np.add.outer(acc, vals).ravel()
+        acc = (acc[..., :, None] + vals[..., None, :]).reshape(*acc.shape[:-1], -1)
     return acc
+
+
+def _joins(codebook, total) -> bool:
+    """Whether a space of total candidates is decoded by the residue join."""
+    return (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
+            and codebook.num_bins >= JOIN_MIN_BINS)
 
 
 def _split_sums(vals_list):
@@ -391,11 +410,28 @@ class CandidateEngine:
             self._blocks[key] = block
         return block
 
+    def _size_tables(self, sizes):
+        """Arrangement tables of the classes of the given per-cell sizes,
+        present cells by ascending cell code, and the candidate count;
+        (None, 0) when there is no candidate. The search cap is checked
+        before any arrangement table is built.
+        """
+        # an absent cell whose windows forbid a zero count rules out everything
+        if any(sizes[cell] == 0 for cell in self._must_occur):
+            return None, 0
+        classes = [(m, self._block(cell, m)) for cell, m in enumerate(sizes) if m]
+        total = math.prod(block.total for _, block in classes)
+        if total > self.cap:
+            raise SearchOverflowError(
+                f"{total} candidates exceed the search cap {self.cap}")
+        if total == 0:
+            return None, 0
+        return [block.materialize(m, self.q) for m, block in classes], total
+
     def _class_tables(self, observed):
         """[(positions, arrangement table), ...] per class, by ascending
         observed cell code with positions ascending, and the candidate count;
-        (None, 0) when there is no candidate. The search cap is checked
-        before any arrangement table is built.
+        (None, 0) when there is no candidate.
         """
         if observed is None or (isinstance(observed, (tuple, list)) and not len(observed)):
             observed = ()
@@ -403,28 +439,21 @@ class CandidateEngine:
             observed = _as_seq_tuple(observed)
         codes = _cell_codes(observed, self.obs_shape, self.params.n)
         sizes = np.bincount(codes, minlength=self.obs_cells).tolist()
-        # an absent cell whose windows forbid a zero count rules out everything
-        if any(sizes[cell] == 0 for cell in self._must_occur):
+        mats, total = self._size_tables(sizes)
+        if mats is None:
             return None, 0
-        order = np.argsort(codes, kind="stable")
-        starts = itertools.accumulate(sizes, initial=0)
-        classes = [(order[start:start + m], self._block(cell, m))
-                   for cell, (start, m) in enumerate(zip(starts, sizes)) if m]
-        total = math.prod(block.total for _, block in classes)
-        if total > self.cap:
-            raise SearchOverflowError(
-                f"{total} candidates exceed the search cap {self.cap}")
-        if total == 0:
-            return None, 0
-        return [(pos, block.materialize(len(pos), self.q)) for pos, block in classes], total
+        return list(zip(_class_positions(codes, sizes), mats)), total
 
-    def _reconstruct(self, j, tables):
-        """Candidate j: the first class's arrangement varies slowest."""
-        seq = np.empty(self.params.n, dtype=np.int64)
+    def _reconstruct(self, hits, tables) -> np.ndarray:
+        """Candidates of the given indices as the rows of an (H, n) int64
+        array: the first class's arrangement varies slowest.
+        """
+        j = np.asarray(hits, dtype=np.int64)
+        seqs = np.empty((len(j), self.params.n), dtype=np.int64)
         for pos, mat in reversed(tables):
-            j, i = divmod(j, len(mat))
-            seq[pos] = mat[i]
-        return seq
+            j, i = np.divmod(j, len(mat))
+            seqs[:, pos] = mat[i]
+        return seqs
 
     # -- enumeration ------------------------------------------------------
 
@@ -436,7 +465,7 @@ class CandidateEngine:
         """
         tables, total = self._class_tables(observed)
         for j in range(total):
-            yield self._reconstruct(j, tables)
+            yield self._reconstruct([j], tables)[0]
 
     def candidate_indices(self, observed) -> np.ndarray:
         """Sequence codes (sources.sequence_code) of all candidates in
@@ -457,26 +486,90 @@ class CandidateEngine:
         """Candidates whose bin under codebook (a BinningCodebook) is target.
 
         want="unique" returns (n_matches capped at 2, first match or None);
-        want="all" returns the full match list. Candidate order is identical
-        to iter_candidates. The classes split into two groups whose partial
-        sums pair up into candidates; large KeyedHash spaces are decoded by a
-        residue join of the two groups, everything else by checking every
-        pair.
+        want="all" returns every match, as the rows of an (H, n) int64 array.
+        Candidate order is identical to iter_candidates. The classes split
+        into two groups whose partial sums pair up into candidates; large
+        KeyedHash spaces are decoded by a residue join of the two groups,
+        everything else by checking every pair.
         """
         tables, total = self._class_tables(observed)
         if tables is None:
-            return (0, None) if want == "unique" else []
+            return (0, None) if want == "unique" else np.empty((0, self.params.n), np.int64)
         vals = _class_sums(tables, codebook.contribution_table())
         limit = 2 if want == "unique" else None
-        if (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
-                and codebook.num_bins >= JOIN_MIN_BINS):
+        if _joins(codebook, total):
             hits = _residue_join(vals, codebook, target, limit)
         else:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
         if want == "unique":
-            first = self._reconstruct(hits[0], tables) if hits else None
+            first = self._reconstruct(hits[:1], tables)[0] if hits else None
             return (min(len(hits), 2), first)
-        return [self._reconstruct(j, tables) for j in hits]
+        return self._reconstruct(hits, tables)
+
+    def scan_bin_filter_rows(self, helpers, own, own_first, codebook, target):
+        """scan_bin_filter(observed, codebook, target) for every row of the
+        (S, n) helpers array, with observed = (own, row) if own_first else
+        (row, own), for an engine with two observed axes.
+
+        Returns (counts, first): per row the match count capped at 2, or None
+        where scan_bin_filter would raise SearchOverflowError; and the first
+        match of the first row with exactly one (None without such a row).
+        Rows with equal class sizes share their arrangement tables and are
+        scanned in one vectorized pass. A group whose rows times candidates
+        (or arrangement cells) exceed _SCAN_CHUNK, or whose candidates are
+        decoded by the residue join, is scanned row by row by scan_bin_filter.
+        """
+        helpers = np.asarray(helpers, dtype=np.int64)
+        own = np.asarray(own, dtype=np.int64)
+        rows, cells = len(helpers), self.obs_cells
+        if not rows:
+            return [], None
+        observed = (own, helpers) if own_first else (helpers, own)
+        codes = _cell_codes(observed, self.obs_shape, self.params.n)
+        offsets = np.arange(rows)[:, None] * cells
+        sizes = np.bincount((codes + offsets).ravel(),
+                            minlength=rows * cells).reshape(rows, cells)
+        # rows with equal class sizes are adjacent in order, ascending within
+        order = np.lexsort(sizes.T)
+        ranked = sizes[order]
+        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        counts = np.zeros(rows, dtype=np.int64)     # -1: over the search cap
+        first_hit = np.zeros(rows, dtype=np.int64)  # candidate index of a row's first match
+        scanned = {}    # row -> first match, for rows scanned one by one
+
+        def row_observed(r):
+            return (own, helpers[r]) if own_first else (helpers[r], own)
+
+        for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
+            members = order[start:stop]
+            shape = ranked[start].tolist()
+            try:
+                mats, total = self._size_tables(shape)
+            except SearchOverflowError:
+                counts[members] = -1
+                continue
+            if mats is None:
+                continue
+            widest = max(total, max(mat.size for mat in mats))
+            if len(members) * widest > _SCAN_CHUNK or _joins(codebook, total):
+                for r in members.tolist():
+                    counts[r], scanned[r] = self.scan_bin_filter(
+                        row_observed(r), codebook, target)
+                continue
+            tables = zip(_class_positions(codes[members], shape), mats)
+            sums = _group_sums(_class_sums(tables, codebook.contribution_table()))
+            hit = codebook.finalize_bins(sums) == np.uint64(target)
+            counts[members] = np.minimum(hit.sum(axis=1), 2)
+            first_hit[members] = hit.argmax(axis=1)
+        counts = [None if c < 0 else c for c in counts.tolist()]
+        row = next((r for r, c in enumerate(counts) if c == 1), None)
+        if row is None:
+            return counts, None
+        if row in scanned:
+            return counts, scanned[row]
+        # only this row's match is rebuilt as a sequence
+        tables, _ = self._class_tables(row_observed(row))
+        return counts, self._reconstruct(first_hit[row:row + 1], tables)[0]
 
 
 def conditional_candidates(observed, joint_pmf, params: TypicalityParams):

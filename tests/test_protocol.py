@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mirrored_noisy_copy
-from skpk.binning import MODE_HASH, MODE_TABLE
-from skpk.errors import UsageError
-from skpk.protocol import (STATUS_OK, STATUS_OVERFLOW, RunContext, SchemeConfig,
-                           _pair_decode, _unique_decode, derive_rates)
+from conftest import mirrored_noisy_copy, random_distribution
+from skpk import protocol, typicality
+from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
+from skpk.errors import SearchOverflowError, UsageError
+from skpk.protocol import (STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
+                           STATUS_OVERFLOW, RunContext, SchemeConfig, _pair_decode,
+                           _unique_decode, derive_rates)
 from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
                           identical_bits, info_profile, noisy_copy_triple,
                           xor_triple)
-from skpk.typicality import CandidateEngine
+from skpk.typicality import CandidateEngine, TypicalityParams
 
 
 def _config(scheme, dist, n, eps, delta, seed, mode=MODE_HASH, **kw):
@@ -278,3 +280,169 @@ def test_pair_decode_search_overflow_in_either_stage():
     # stage 2 overflows on the first survivor: each has one z candidate here
     stage2 = CandidateEngine(d.marginal("XYZ"), cfg.params, cap=0)
     assert _pair_decode(**dict(args, eng2=stage2)) == (STATUS_OVERFLOW, None, None)
+
+
+# -- batched stage 2 of pair decoding against one scan per survivor ----------
+
+def _reference_rows(eng, helpers, own, own_first, cb, target):
+    """scan_bin_filter_rows as one scan_bin_filter call per helper row."""
+    counts, first = [], None
+    for row in helpers:
+        try:
+            count, z = eng.scan_bin_filter((own, row) if own_first else (row, own),
+                                           cb, target)
+        except SearchOverflowError:
+            count = None
+        counts.append(count)
+        if count == 1 and first is None:
+            first = z
+    return counts, first
+
+
+def _reference_pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
+    """Pair decoding that scans the survivors one at a time and stops at the
+    first overflow or second match."""
+    try:
+        survivors = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
+    except SearchOverflowError:
+        return STATUS_OVERFLOW, None, None
+    total, first = 0, None
+    for cand in survivors:
+        try:
+            count, z = eng2.scan_bin_filter((own, cand) if own_first else (cand, own),
+                                            cb2, target2)
+        except SearchOverflowError:
+            return STATUS_OVERFLOW, None, None
+        total += count
+        if count == 1 and first is None:
+            first = (cand, z)
+        if total >= 2:
+            return STATUS_AMBIGUOUS, None, None
+    if total == 0:
+        return STATUS_NO_CANDIDATE, None, None
+    return STATUS_OK, *first
+
+
+def _assert_same_decode(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk", [None, 16], ids=["batched", "mostly-row-by-row"])
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
+    """On random 2x2x2 sources with zero atoms, PointP's step (own sequence
+    second in stage 2) and PointQ's first step (own sequence first) decode as
+    one scan per survivor does, and each batched stage 2 returns that scan's
+    per-row counts and first match. Halved bin rates leave several survivors
+    and some ambiguous ones. A 16-entry scan chunk sends all but the
+    smallest groups down the row-by-row path.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
+    seen = {"own_first": set(), "status": set(), "counts": set(), "multi_row": 0}
+    batched = protocol._pair_decode
+
+    def checked(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
+        args = (eng1, obs1, cb1, target1, eng2, own, cb2, target2)
+        got = batched(*args, own_first=own_first)
+        _assert_same_decode(got, _reference_pair_decode(*args, own_first=own_first))
+        try:
+            helpers = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
+        except SearchOverflowError:
+            return got
+        counts, first = eng2.scan_bin_filter_rows(helpers, own, own_first, cb2, target2)
+        ref_counts, ref_first = _reference_rows(eng2, helpers, own, own_first, cb2, target2)
+        assert counts == ref_counts
+        assert (first is None and ref_first is None) or np.array_equal(first, ref_first)
+        seen["own_first"].add(own_first)
+        seen["status"].add(got[0])
+        seen["counts"].update(counts)
+        seen["multi_row"] += len(helpers) > 1
+        return got
+
+    monkeypatch.setattr(protocol, "_pair_decode", checked)
+    for _ in range(10):
+        dist = random_distribution(rng, (2, 2, 2), zero_frac=0.25)
+        for scheme in ("PointP", "PointQ"):
+            cfg = _config(scheme, dist, n=10, eps=0.9, delta=0.02,
+                          seed=int(rng.integers(1 << 30)), mode=mode)
+            r = RunContext(cfg).rates
+            cfg.rates = dataclasses.replace(r, r_z=r.r_z / 2, r_x=r.r_x / 2, r_y=r.r_y / 2)
+            ctx = RunContext(cfg)
+            for i in range(6):
+                ctx.run(i)
+    assert seen["own_first"] == {True, False}
+    assert seen["status"] == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
+    assert seen["counts"] == {0, 1, 2}
+    assert seen["multi_row"] > 0
+
+
+class _Survivors:
+    """Stage-1 stand-in whose bin holds the given helper rows, in order."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=np.int64)
+
+    def scan_bin_filter(self, observed, codebook, target, want="unique"):
+        return self.rows
+
+
+# n = 16 on a uniform 2x2x2 pmf at epsilon = 0.9: every (x, y, z) count lies
+# in [1, 3], so a (helper, own) class of size 2, 3, 4, 5 or 6 has 2, 6, 14,
+# 20 or 20 z arrangements
+_OWN = np.repeat([0, 1], 8)
+_SMALL = np.tile(np.repeat([0, 1], [2, 6]), 2)      # class sizes 2, 2, 6, 6: 1,600
+_LARGE = np.tile(np.repeat([0, 1], [4, 4]), 2)      # class sizes 4, 4, 4, 4: 38,416
+_LARGE_TOO = np.tile(np.repeat([1, 0], [4, 4]), 2)  # the same sizes, other positions
+
+
+def _uniform_stage2(cap=typicality.DEFAULT_SEARCH_CAP, rate=0.0):
+    params = TypicalityParams(0.9, 16)
+    eng = CandidateEngine(np.full((2, 2, 2), 1 / 8), params, cap=cap)
+    return eng, make_codebook(MODE_HASH, 16, 2, rate, 0.0, seed=9, purpose="Z")
+
+
+@pytest.mark.parametrize("rows,status", [
+    ([_SMALL], STATUS_AMBIGUOUS),
+    ([_SMALL, _LARGE], STATUS_AMBIGUOUS),
+    ([_LARGE, _SMALL], STATUS_OVERFLOW)],
+    ids=["two-matches", "overflow-after-two", "overflow-before-two"])
+def test_pair_decode_stops_where_a_survivor_scan_would(rows, status):
+    """With one z bin every candidate matches, so the first survivor under
+    the cap has two matches; a survivor over the cap (38,416 > 20,000)
+    overflows only if it comes first.
+    """
+    eng2, cb2 = _uniform_stage2(cap=20_000)
+    args = (_Survivors(rows), None, None, 0, eng2, _OWN, cb2, 0)
+    got = _pair_decode(*args, own_first=False)
+    assert got == (status, None, None)
+    _assert_same_decode(got, _reference_pair_decode(*args, own_first=False))
+
+
+def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch):
+    """A KeyedHash group of at least JOIN_MIN_CANDIDATES candidates per row
+    is scanned row by row, through the residue join; the small group next
+    to it is not."""
+    eng2, cb2 = _uniform_stage2(rate=0.5)
+    assert cb2.num_bins >= typicality.JOIN_MIN_BINS
+    helpers = np.array([_SMALL, _LARGE, _LARGE_TOO])
+    for own_first in (False, True):
+        target = cb2.bin_index(next(eng2.iter_candidates(
+            (_OWN, _LARGE) if own_first else (_LARGE, _OWN))))
+        want = _reference_rows(eng2, helpers, _OWN, own_first, cb2, target)
+        scanned, joins = [], []
+        scan, join = CandidateEngine.scan_bin_filter, typicality._residue_join
+        monkeypatch.setattr(CandidateEngine, "scan_bin_filter",
+                            lambda self, observed, *a: scanned.append(observed) or
+                            scan(self, observed, *a))
+        monkeypatch.setattr(typicality, "_residue_join",
+                            lambda *a: joins.append(1) or join(*a))
+        counts, first = eng2.scan_bin_filter_rows(helpers, _OWN, own_first, cb2, target)
+        monkeypatch.undo()
+        assert counts == want[0] and counts[1] >= 1
+        assert np.array_equal(first, want[1]) if want[1] is not None else first is None
+        assert len(scanned) == len(joins) == 2
+        assert all(np.array_equal(obs[int(own_first)], row)
+                   for obs, row in zip(scanned, (_LARGE, _LARGE_TOO)))
