@@ -12,6 +12,7 @@ so every draw is reproducible from its seed alone.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ def as_variable_set(variables) -> frozenset:
     return frozenset(items)
 
 
+def _integer_sizes(alphabet_sizes) -> tuple:
+    """Alphabet sizes as a tuple of ints. A size that is not an integer (a
+    float, a string or a bool) is refused, not rounded.
+    """
+    sizes = tuple(alphabet_sizes)
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in sizes):
+        raise UsageError(f"alphabet sizes must be integers, got {sizes!r}")
+    return tuple(int(s) for s in sizes)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint pmf over X x Y x Z with validated invariants.
@@ -54,7 +65,7 @@ class JointDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
+        sizes = _integer_sizes(self.alphabet_sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
         if len(sizes) != len(VARS):
             raise UsageError(f"need one alphabet size per variable in {VARS}, got {sizes}")
@@ -77,7 +88,7 @@ class JointDistribution:
 
     @classmethod
     def create(cls, alphabet_sizes, pmf):
-        sizes = tuple(int(s) for s in alphabet_sizes)
+        sizes = _integer_sizes(alphabet_sizes)
         for s in sizes:
             if s > ALPHABET_CAP:
                 raise UsageError(f"alphabet size {s} exceeds cap {ALPHABET_CAP}")

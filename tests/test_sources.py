@@ -188,6 +188,20 @@ def test_invalid_distributions():
             JointDistribution((1, 1, 2), np.array([bad, 0.5]).reshape(1, 1, 2))
 
 
+@pytest.mark.parametrize("sizes", [(2.5, 1, 2), ("2", 1, 2), (2.0, 1, 2), (True, 1, 2)],
+                         ids=["fractional", "string", "float", "bool"])
+@pytest.mark.parametrize("build", [JointDistribution, JointDistribution.create],
+                         ids=["init", "create"])
+def test_alphabet_sizes_must_be_integers(build, sizes):
+    with pytest.raises(UsageError, match="alphabet sizes must be integers"):
+        build(sizes, np.full((2, 1, 2), 0.25))
+
+
+def test_numpy_integer_alphabet_sizes_are_accepted():
+    pmf = np.full((2, 1, 2), 0.25)
+    assert JointDistribution(tuple(np.array([2, 1, 2])), pmf).alphabet_sizes == (2, 1, 2)
+
+
 def test_identical_bits_profile():
     prof = info_profile(identical_bits())
     assert prof.h("XYZ") == pytest.approx(1.0, abs=1e-12)
