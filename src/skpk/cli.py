@@ -29,6 +29,8 @@ def _parse_sweep(text):
         raise argparse.ArgumentTypeError(f"bad sweep list {text!r}")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"bad sweep list {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated blocklength in sweep list {text!r}")
     return values
 
 
@@ -93,7 +95,7 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
     dist = load_pmf(args.pmf)
     if args.sweep:
         n_values = args.sweep
-    elif args.n:
+    elif args.n is not None:
         n_values = (args.n,)
     else:
         raise UsageError("either --n or --sweep is required")

@@ -161,6 +161,22 @@ def test_bad_number_is_a_usage_error(command, flag, value, message, xor_file, ca
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["simulate", "secrecy-exact"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "0", "error: n must be >= 1, got 0"),
+    ("--n", "-2", "error: n must be >= 1, got -2"),
+    ("--sweep", "4,4", "error: argument --sweep: repeated blocklength in sweep list '4,4'")])
+def test_bad_blocklength_is_a_usage_error(command, flag, value, message, xor_file, capsys):
+    argv = [command, "--pmf", xor_file, "--scheme", "pointP", "--trials", "2",
+            "--epsilon", "0.5", "--delta", "0.02", flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:     # argparse refuses a bad --sweep list
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value,message", [("--epsilon", "nan", "epsilon must lie"),
                                                 ("--seed", "-1", "seed must be >= 0")])
 def test_lemma1_rejects_bad_numbers(flag, value, message, xor_file, capsys):
