@@ -1,12 +1,16 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_distribution, random_pmf
 from skpk import typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import CapacityError, SearchOverflowError, UsageError
+from skpk.sources import STRUCTURAL_ZERO
 from skpk.typicality import (CandidateEngine, TypicalityParams,
                              conditional_candidates, count_window,
                              enumerate_typical, is_strongly_typical,
@@ -30,6 +34,27 @@ def test_count_window_values():
     assert count_window(10, 0.5, 0.2) == (4, 6)
     assert count_window(10, 0.0, 0.5) == (0, 0)
     assert count_window(10, 1e-16, 0.5) == (0, 0)
+
+
+@given(n=st.integers(1, 64), p=st.floats(0.0, 1.0),
+       epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_count_window_matches_brute_force(n, p, epsilon):
+    """The window is the least and greatest count k in 0..n with
+    |k/n - p| <= epsilon * p, judged exactly up to the rule's boundary
+    tolerance (in counts); an empty set gives lo > hi, a structural zero
+    (0, 0).
+    """
+    lo, hi = count_window(n, p, epsilon)
+    if p <= STRUCTURAL_ZERO:
+        assert (lo, hi) == (0, 0)
+        return
+    mean, eps = n * Fraction(p), Fraction(epsilon)
+    fuzz = Fraction(typicality.BOUNDARY_FUZZ)
+    admitted = [k for k in range(n + 1) if abs(k - mean) <= eps * mean + fuzz]
+    if admitted:
+        assert (lo, hi) == (admitted[0], admitted[-1])
+    else:
+        assert lo > hi
 
 
 def test_params_validation():
