@@ -421,28 +421,33 @@ def test_pair_decode_stops_where_a_survivor_scan_would(rows, status):
     _assert_same_decode(got, _reference_pair_decode(*args, own_first=False))
 
 
-def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch):
+@pytest.mark.parametrize("own_first", [False, True])
+def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_first):
     """A KeyedHash group of at least JOIN_MIN_CANDIDATES candidates per row
     is scanned row by row, through the residue join; the small group next
     to it is not."""
-    eng2, cb2 = _uniform_stage2(rate=0.5)
+    eng2, cb2 = _uniform_stage2(rate=2.0)
     assert cb2.num_bins >= typicality.JOIN_MIN_BINS
     helpers = np.array([_SMALL, _LARGE, _LARGE_TOO])
-    for own_first in (False, True):
-        target = cb2.bin_index(next(eng2.iter_candidates(
-            (_OWN, _LARGE) if own_first else (_LARGE, _OWN))))
-        want = _reference_rows(eng2, helpers, _OWN, own_first, cb2, target)
-        scanned, joins = [], []
-        scan, join = CandidateEngine.scan_bin_filter, typicality._residue_join
-        monkeypatch.setattr(CandidateEngine, "scan_bin_filter",
-                            lambda self, observed, *a: scanned.append(observed) or
-                            scan(self, observed, *a))
-        monkeypatch.setattr(typicality, "_residue_join",
-                            lambda *a: joins.append(1) or join(*a))
-        counts, first = eng2.scan_bin_filter_rows(helpers, _OWN, own_first, cb2, target)
-        monkeypatch.undo()
-        assert counts == want[0] and counts[1] >= 1
-        assert np.array_equal(first, want[1]) if want[1] is not None else first is None
-        assert len(scanned) == len(joins) == 2
-        assert all(np.array_equal(obs[int(own_first)], row)
-                   for obs, row in zip(scanned, (_LARGE, _LARGE_TOO)))
+    z = next(eng2.iter_candidates((_OWN, _LARGE) if own_first else (_LARGE, _OWN)))
+    target = cb2.bin_index(z)
+    want_counts, want_first = _reference_rows(eng2, helpers, _OWN, own_first, cb2, target)
+    scanned, joins = [], []
+    scan, join = CandidateEngine.scan_bin_filter, typicality._residue_join
+
+    def spy_scan(self, observed, *args):
+        scanned.append(observed[int(own_first)])
+        return scan(self, observed, *args)
+
+    def spy_join(*args):
+        joins.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(CandidateEngine, "scan_bin_filter", spy_scan)
+    monkeypatch.setattr(typicality, "_residue_join", spy_join)
+    counts, first = eng2.scan_bin_filter_rows(helpers, _OWN, own_first, cb2, target)
+    # z is the first candidate of the first large row; the other may hold it too
+    assert counts == want_counts and counts[:2] == [0, 1]
+    assert np.array_equal(first, z) and np.array_equal(want_first, z)
+    assert np.array_equal(scanned, [_LARGE, _LARGE_TOO])
+    assert len(joins) == 2
