@@ -4,9 +4,11 @@ Each case runs one CLI command and compares the sha256 of the report it
 writes with a digest recorded from an earlier build. The cases cover every
 one-shot scheme and time sharing, with hash and table codebooks, for both
 `simulate` and `secrecy-exact`; `simulate` PointP and PointQ at n = 12,
-where pair decoding meets many stage-1 survivors; time sharing whose first
-part is empty; PointP in orientation Y (the mirrored noisy-copy sources,
-where Y is the better-correlated terminal); and `region` and `lemma1`.
+where pair decoding meets many stage-1 survivors; `secrecy-exact` at
+n = 8, where each decode step observes hundreds of distinct sequences;
+time sharing whose first part is empty; PointP in orientation Y (the
+mirrored noisy-copy sources, where Y is the better-correlated terminal);
+and `region` and `lemma1`.
 Cases whose name ends in "-csv" write CSV, the others JSON. A refactor that
 keeps these digests keeps every reported number and every serialized byte.
 
@@ -65,6 +67,10 @@ CASES = {
     **{f"exact-pointP-{src}": _exact(src, "pointP", n=6, codebooks=2)
        for src in ("mirrored", "mirrored-echo")},
     "exact-pointQ-noisy": _exact("noisy", "pointQ"),
+    # n = 8: hundreds of observed sequences per decode step; PointT's second
+    # Y step observes the recovered z, PointE's the verbatim z
+    **{f"exact-{s}-xor-n8": _exact("xor", s, n=8) for s in ("pointT", "pointQ", "pointE")},
+    "exact-pointP-mirrored-echo-n8": _exact("mirrored-echo", "pointP", n=8),
     "simulate-timeshare-lone-hash-xor": _simulate("xor", "timeshare", "hash",
                                                   parts=_LONE_PART),
     "exact-timeshare-lone-xor": _exact("xor", "timeshare", parts=_LONE_PART),
@@ -84,10 +90,14 @@ CASES = {
 DIGESTS = {
     "exact-pointE-xor":
         "f92c7644dd65bf0609548800a6d3816356b4db6b4fb5a32b1a294c1a3809e684",
+    "exact-pointE-xor-n8":
+        "c550b602ab2c361ba661dcba8661c73ec6c0911576e3b275b5136711efd26b94",
     "exact-pointP-mirrored":
         "d78564537008bd3415fcf9e223b96d53d85a747390b0cc9b90c030b857661fb4",
     "exact-pointP-mirrored-echo":
         "78614a92d647770722380fad47c27165fcf1ecdeb9c0aad760df7dfae1028489",
+    "exact-pointP-mirrored-echo-n8":
+        "b2bacb6ac7461f757cc86fa58ec7e920f362d42175461b57ed057b79636c2ffe",
     "exact-pointP-xor":
         "3229c797d101ff61a32eefd50ad359979fe304e85b7074d07f60e0c997aff773",
     "exact-pointQ-noisy":
@@ -96,8 +106,12 @@ DIGESTS = {
         "683f07ce785486a645c581f4274c00cb621031aa6672ae8121c0d285dafa17a2",
     "exact-pointQ-xor-csv":
         "c5ca605a0ebc73fa1cefcfbde4020a20d10796f9131bb09d3b42b9551605963a",
+    "exact-pointQ-xor-n8":
+        "293fb3b696fc8971e9769c6ab82dd0015646e7b61c796b5991b6fb0194a7ab50",
     "exact-pointT-xor":
         "0b0c45aeedf54a5fa425ef61bdf5a319c4e592a5972e6540c82df7afa0004fc1",
+    "exact-pointT-xor-n8":
+        "88d5ec7032adb3ce6468adb629baa1d83c033f4cd073240cd18678cabaa021fa",
     "exact-timeshare-lone-xor":
         "c1075352de0473466c7d094512e6346194f0fcbe7735e9046c052d73cf3cf7e6",
     "exact-timeshare-xor":
