@@ -29,7 +29,7 @@ from .binning import MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
-                      code_digits, sequence_of_code)
+                      code_digits)
 from .typicality import TypicalityParams, count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -106,17 +106,77 @@ class _Enumeration:
         self.prob = prob
 
 
-def _match(codes, targets, *payload):
-    """Status of each target among the codes (OK when exactly one code
-    equals it), and per payload array its entry at that code, -1 elsewhere.
+@dataclass
+class _DecodeTable:
+    """One decode step's candidates for every observed sequence of its valid
+    elements, in one flat table. It depends on the codebooks only through
+    the observed sequences and the valid mask.
+
+    members are the valid elements whose observed sequences admit a
+    candidate, sorted by group: each one's observed sequences, numbered by
+    ascending code. cands holds every group's candidates (sequence codes of
+    the decoded letter, z for a pair step) and cand_group the group of each.
+    A pair step also keeps its stage-1 helpers and each candidate's helper
+    (pair_helper). Index arrays use the narrowest integer type that holds
+    them.
     """
-    so = np.argsort(codes, kind="stable")
-    codes = codes[so]
-    left = np.searchsorted(codes, targets, side="left")
-    cnt = np.searchsorted(codes, targets, side="right") - left
-    pick = so[np.minimum(left, len(codes) - 1)]
+
+    members: np.ndarray
+    group: np.ndarray
+    num_groups: int
+    cand_group: np.ndarray
+    cands: np.ndarray
+    helpers: np.ndarray = None
+    pair_helper: np.ndarray = None
+
+
+def _narrow(a, bound):
+    """a as the narrowest unsigned integer type that holds 0..bound."""
+    return a.astype(np.min_scalar_type(bound))
+
+
+def _table(members, group, counts, cands, helpers=None, pair_helper=None) -> _DecodeTable:
+    """A decode table from the valid elements, their groups, each group's
+    candidate count and the candidates in group order. Members of a group
+    without candidates are dropped: they stay NoCandidate.
+    """
+    # grouped members make the per-member searches nearly sorted
+    order = np.argsort(group, kind="stable")
+    order = order[counts[group[order]] > 0]
+    num_groups = len(counts)
+    return _DecodeTable(
+        _narrow(members[order], members[-1] if len(members) else 0),
+        _narrow(group[order], num_groups), num_groups,
+        _narrow(np.repeat(np.arange(num_groups), counts), num_groups), cands, helpers,
+        None if pair_helper is None else _narrow(pair_helper, len(helpers)))
+
+
+def _match(table, code, span, query):
+    """Status of each member's query among its group's candidate codes (OK
+    when exactly one equals it) and the index of that one candidate, -1
+    elsewhere. Codes lie in range(span). One sort keys every candidate by
+    (group, code) packed into a uint64, or by (group, dense rank of the
+    code) where the pack leaves no room.
+    """
+    if len(code) == 0:     # then there are no members either
+        return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
+    if table.num_groups * span >= 2 ** 64:
+        ranks, code = np.unique(code, return_inverse=True)
+        at = np.minimum(np.searchsorted(ranks, query), len(ranks) - 1)
+        query = np.where(ranks[at] == query, at, len(ranks))
+        span = len(ranks) + 1
+    span = np.uint64(span)
+    key = table.cand_group.astype(np.uint64) * span + code.astype(np.uint64)
+    # a pick is read only where its key is unique, so any sort order serves
+    so = np.argsort(key)
+    key = key[so]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    run_key = key[starts]
+    q = table.group.astype(np.uint64) * span + query.astype(np.uint64)
+    run = np.minimum(np.searchsorted(run_key, q), len(starts) - 1)
+    cnt = np.where(run_key[run] == q, np.diff(starts, append=len(key))[run], 0)
     status = np.where(cnt == 0, _ST_NONE, np.where(cnt == 1, _ST_OK, _ST_AMB))
-    return (status, *(np.where(cnt == 1, p[pick], -1) for p in payload))
+    return status, np.where(cnt == 1, so[starts[run]], -1)
 
 
 def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
@@ -148,83 +208,102 @@ class ExactEvaluator:
         # the middle terminal's coordinate leads the atom order
         axes = (1, 0, 2) if self.ctx.desc.kp_owner == "Y" else (0, 1, 2)
         self.enum = _Enumeration(config.dist, config.n, exact_cap, axes)
-        self._cand = {}
-
-    def _cands(self, eng_key, sizes, obs_idx):
-        """Candidate indices the engine admits for the observed sequences
-        with these indices; codebook independent, so cached.
-        """
-        key = (eng_key, *obs_idx)
-        got = self._cand.get(key)
-        if got is None:
-            seqs = tuple(sequence_of_code(i, s, self.enum.n) for i, s in zip(obs_idx, sizes))
-            got = self._cand[key] = self.ctx.engines[eng_key].candidate_indices(seqs)
-        return got
+        # decode tables of the steps whose observed sequences and valid
+        # mask no codebook draw changes, by step index, built at first use
+        self._tables = {}
 
     # -- exact decode tables -----------------------------------------------
 
-    def _groups(self, obs_cols, sizes, valid):
-        """The enumerated elements where valid holds, grouped by their
-        observed sequence indices (one column per observed letter): yields
-        each group's members and indices.
+    def _decode_table(self, cache_key, build) -> _DecodeTable:
+        """The table cached under cache_key, or build() anew when cache_key
+        is None.
         """
-        idx_el = np.flatnonzero(valid)
-        if len(idx_el) == 0:
-            return
-        code = np.zeros(len(idx_el), dtype=np.int64)
-        for col, size in zip(obs_cols, sizes):
-            code = code * size ** self.enum.n + col[idx_el]
-        so = np.argsort(code, kind="stable")
-        code = code[so]
-        for members in np.split(idx_el[so], np.flatnonzero(code[1:] != code[:-1]) + 1):
-            yield members, tuple(int(col[members[0]]) for col in obs_cols)
+        table = self._tables.get(cache_key)
+        if table is None:
+            table = build()
+            if cache_key is not None:
+                self._tables[cache_key] = table
+        return table
 
-    def _unique_exact(self, eng_key, sizes, obs_cols, valid, cb, targets):
+    def _observed_groups(self, obs_cols, sizes, valid):
+        """The valid elements, each one's group (its distinct observed
+        sequences, numbered by ascending code), and per observed letter the
+        groups' sequences as one (groups, n) array.
+        """
+        n = self.enum.n
+        members = np.flatnonzero(valid)
+        code = np.zeros(len(members), dtype=np.int64)
+        for col, size in zip(obs_cols, sizes):
+            code = code * size ** n + col[members]
+        rest, group = np.unique(code, return_inverse=True)
+        seqs = []
+        for size in reversed(sizes):
+            rest, last = np.divmod(rest, size ** n)
+            seqs.insert(0, np.stack(list(code_digits(last, size, n)), axis=-1))
+        return members, group, seqs
+
+    def _unique_table(self, eng_key, obs_cols, sizes, valid) -> _DecodeTable:
+        members, group, seqs = self._observed_groups(obs_cols, sizes, valid)
+        cands, counts = self.ctx.engines[eng_key].candidate_indices(tuple(seqs))
+        return _table(members, group, counts, cands)
+
+    def _pair_table(self, own_idx, own_size, helper_size, valid, eng1_key, eng2_key,
+                    own_first) -> _DecodeTable:
+        members, group, (own,) = self._observed_groups([own_idx], [own_size], valid)
+        helpers, per_own = self.ctx.engines[eng1_key].candidate_indices((own,))
+        helper_group = np.repeat(np.arange(len(per_own)), per_own)
+        rows = np.stack(list(code_digits(helpers, helper_size, self.enum.n)), axis=-1)
+        pair = (own[helper_group], rows) if own_first else (rows, own[helper_group])
+        zs, per_helper = self.ctx.engines[eng2_key].candidate_indices(pair)
+        counts = np.bincount(helper_group, weights=per_helper, minlength=len(per_own))
+        return _table(members, group, counts.astype(np.int64), zs, helpers,
+                      np.repeat(np.arange(len(helpers)), per_helper))
+
+    def _unique_exact(self, cache_key, eng_key, sizes, obs_cols, valid, cb, targets):
         """Unique decode of each enumerated element where valid holds; the
         other elements are left as NoCandidate.
         """
+        table = self._decode_table(cache_key, lambda: self._unique_table(
+            eng_key, obs_cols, sizes, valid))
         status = np.full(len(valid), _ST_NONE, dtype=np.int8)
         rec = np.full(len(valid), -1, dtype=np.int64)
-        for members, obs in self._groups(obs_cols, sizes, valid):
-            cands = self._cands(eng_key, sizes, obs)
-            if len(cands) > 0:
-                status[members], rec[members] = _match(
-                    cb.bins_of_indices(cands), targets[members], cands)
+        st, pick = _match(table, cb.bins_of_indices(table.cands), cb.num_bins,
+                          targets[table.members])
+        status[table.members] = st
+        rec[table.members] = np.where(pick >= 0, table.cands[pick], -1)
         return status, rec
 
     # one function serves any number of observed sequences; the benchmark's
     # tracer still wraps the two-observation name
     _unique_exact_pair_obs = _unique_exact
 
-    def _pair_exact(self, own_idx, own_size, valid, eng1_key, cb1, t1,
-                    eng2_key, pair_sizes, cb2, t2, own_first):
+    def _pair_exact(self, cache_key, own_idx, own_size, helper_size, valid, eng1_key,
+                    cb1, t1, eng2_key, cb2, t2, own_first):
         """Unique (helper, z) pair decode of each element where valid holds:
         helper candidates filtered by bin t1, each extended by z candidates
         filtered by bin t2; unique means one surviving pair overall.
         Everything is counted exactly.
         """
+        # (helper bin, z bin) packs into one uint64 in lexicographic order
+        z_bits = (cb2.num_bins - 1).bit_length()
+        pair_bits = (cb1.num_bins - 1).bit_length() + z_bits
+        if pair_bits > 64:
+            raise CapacityError(
+                f"{cb1.num_bins} x {cb2.num_bins} bin pairs do not pack into 64 bits")
+        table = self._decode_table(cache_key, lambda: self._pair_table(
+            own_idx, own_size, helper_size, valid, eng1_key, eng2_key, own_first))
+        shift = np.uint64(z_bits)
         status = np.full(len(valid), _ST_NONE, dtype=np.int8)
         rec_h = np.full(len(valid), -1, dtype=np.int64)
         rec_z = np.full(len(valid), -1, dtype=np.int64)
-        # (helper bin, z bin) packs into one uint64 in lexicographic order
-        z_bits = (cb2.num_bins - 1).bit_length()
-        if (cb1.num_bins - 1).bit_length() + z_bits > 64:
-            raise CapacityError(
-                f"{cb1.num_bins} x {cb2.num_bins} bin pairs do not pack into 64 bits")
-        shift = np.uint64(z_bits)
-        for members, (own,) in self._groups([own_idx], [own_size], valid):
-            helpers = self._cands(eng1_key, (own_size,), (own,))
-            zs = [self._cands(eng2_key, pair_sizes, (own, h) if own_first else (h, own))
-                  for h in helpers.tolist()]
-            per_helper = [len(z) for z in zs]
-            if sum(per_helper) == 0:
-                continue
-            z_all = np.concatenate(zs)
-            code = ((np.repeat(cb1.bins_of_indices(helpers), per_helper) << shift)
-                    | cb2.bins_of_indices(z_all))
-            q = (t1[members].astype(np.uint64) << shift) | t2[members].astype(np.uint64)
-            status[members], rec_h[members], rec_z[members] = _match(
-                code, q, np.repeat(helpers, per_helper), z_all)
+        code = ((cb1.bins_of_indices(table.helpers)[table.pair_helper] << shift)
+                | cb2.bins_of_indices(table.cands))
+        m = table.members
+        st, pick = _match(table, code, 1 << pair_bits, (t1[m] << shift) | t2[m])
+        status[m] = st
+        found = pick >= 0
+        rec_h[m] = np.where(found, table.helpers[table.pair_helper[pick]], -1)
+        rec_z[m] = np.where(found, table.cands[pick], -1)
         return status, rec_h, rec_z
 
     # -- law and mass helpers ----------------------------------------------
@@ -233,22 +312,41 @@ class ExactEvaluator:
         # the memoryview yields Python floats one at a time, with no list
         return math.fsum(memoryview(self.enum.prob[mask]))
 
-    def _law_entropy(self, cols, sizes) -> float:
-        """Entropy in bits of the joint law of integer columns."""
-        packed_limit = 2 ** 62
-        span = 1
-        for s in sizes:
-            span *= int(s)
-        if span < packed_limit:
-            code = np.zeros(len(self.enum.prob), dtype=np.int64)
+    def _law_entropy(self, key, key_size, view, view_sizes):
+        """Entropies in bits of the laws of the integer column key, of the
+        view's columns, and of both jointly, from one sort of the joint code
+        with the view leading: the view's runs in that order are unions of
+        the joint runs. Masses are summed in element order.
+        """
+        prob = self.enum.prob
+        cols, sizes = [*view, key], [*view_sizes, key_size]
+        if math.prod(int(s) for s in sizes) < 2 ** 62:
+            code = np.zeros(len(prob), dtype=np.int64)
             for col, s in zip(cols, sizes):
                 code = code * int(s) + col.astype(np.int64)
-            _, inverse = np.unique(code, return_inverse=True)
+            order = np.argsort(code)
+            code = code[order]
+            joint_new = code[1:] != code[:-1]
+            view = code // int(key_size)
+            view_new = view[1:] != view[:-1]
         else:
             stacked = np.stack([c.astype(np.int64) for c in cols], axis=1)
-            _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        masses = np.bincount(inverse, weights=self.enum.prob)
-        return _entropy_masses(masses)
+            order = np.lexsort(stacked.T[::-1])
+            stacked = stacked[order]
+            new = stacked[1:] != stacked[:-1]
+            joint_new, view_new = new.any(axis=1), new[:, :-1].any(axis=1)
+
+        def runs_entropy(new):
+            labels = np.empty(len(prob), dtype=np.int64)
+            labels[order] = np.concatenate(([0], np.cumsum(new)))
+            return _entropy_masses(np.bincount(labels, weights=prob))
+
+        # a key label per sub-bin, unless there are far more sub-bins than
+        # elements
+        labels = (key if key_size <= len(prob)
+                  else np.unique(key, return_inverse=True)[1])
+        return (_entropy_masses(np.bincount(labels, weights=prob)),
+                runs_entropy(view_new), runs_entropy(joint_new))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -274,7 +372,7 @@ class ExactEvaluator:
             sizes.append(size)
         cols = list(values.values())
         terminal_status = {}
-        for step in desc.decodes:
+        for i, step in enumerate(desc.decodes):
             t, own = step.terminal, step.terminal.lower()
             keys = step.engine_keys()
             cb = [cbs[v.upper()] for v in step.decoded]
@@ -282,16 +380,21 @@ class ExactEvaluator:
             prior = terminal_status.get(t)
             # a terminal stops at its first failed step
             valid = np.ones(n_el, dtype=bool) if prior is None else prior == _ST_OK
-            obs_sizes = [e.size[v] for v in step.observed]
             if len(step.decoded) == 1:
                 observed = [e.idx[v] if v == own else recovered[f"{v}_at_{t}"][1]
                             for v in step.observed]
-                st, *found = self._unique_exact(keys[0], obs_sizes, observed, valid,
-                                                cb[0], target[0])
+                # a first step that observes only the own sequence and
+                # verbatim messages has the same table for every codebook
+                fixed = prior is None and all(
+                    v == own or recovered[f"{v}_at_{t}"][0] is None for v in step.observed)
+                st, *found = self._unique_exact(
+                    i if fixed else None, keys[0], [e.size[v] for v in step.observed],
+                    observed, valid, cb[0], target[0])
             else:
                 st, *found = self._pair_exact(
-                    e.idx[own], e.size[own], valid, keys[0], cb[0], target[0], keys[1],
-                    obs_sizes, cb[1], target[1], own_first=step.observed[0] == own)
+                    i if prior is None else None, e.idx[own], e.size[own],
+                    e.size[step.decoded[0]], valid, keys[0], cb[0], target[0], keys[1],
+                    cb[1], target[1], own_first=step.observed[0] == own)
             terminal_status[t] = st if prior is None else np.where(prior != _ST_OK, prior, st)
             recovered.update((f"{v}_at_{t}", (st, rec)) for v, rec in zip(step.decoded, found))
 
@@ -311,9 +414,8 @@ class ExactEvaluator:
                                      cb.sub_bins_of_indices(np.where(rec >= 0, rec, 0))
                                      .astype(np.int64), -1)
                     agree &= (claim >= 0) & (claim == key)
-            h = self._law_entropy([key], [cb.num_sub_bins])
-            leak = h + self._law_entropy(view, view_sizes) - self._law_entropy(
-                [key] + view, [cb.num_sub_bins] + view_sizes)
+            h, h_view, h_joint = self._law_entropy(key, cb.num_sub_bins, view, view_sizes)
+            leak = h + h_view - h_joint
             # separately rounded entropies can land a hair below 0
             return _clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree)
 

@@ -444,6 +444,25 @@ class CandidateEngine:
             return None, 0
         return list(zip(_class_positions(codes, sizes), mats)), total
 
+    def _row_classes(self, observed):
+        """Cell codes of observed sequences with a leading row axis, and the
+        rows grouped by equal per-cell class sizes: (codes, [(rows, sizes),
+        ...]), rows ascending within a group.
+        """
+        codes = _cell_codes(observed, self.obs_shape, self.params.n)
+        rows, cells = len(codes), self.obs_cells
+        if not rows:
+            return codes, []
+        offsets = np.arange(rows)[:, None] * cells
+        sizes = np.bincount((codes + offsets).ravel(),
+                            minlength=rows * cells).reshape(rows, cells)
+        # rows with equal class sizes are adjacent in order, ascending within
+        order = np.lexsort(sizes.T)
+        ranked = sizes[order]
+        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        return codes, [(order[a:b], ranked[a].tolist())
+                       for a, b in zip(starts.tolist(), [*starts[1:].tolist(), rows])]
+
     def _reconstruct(self, hits, tables) -> np.ndarray:
         """Candidates of the given indices as the rows of an (H, n) int64
         array: the first class's arrangement varies slowest.
@@ -467,18 +486,46 @@ class CandidateEngine:
         for j in range(total):
             yield self._reconstruct([j], tables)[0]
 
-    def candidate_indices(self, observed) -> np.ndarray:
+    def candidate_indices(self, observed):
         """Sequence codes (sources.sequence_code) of all candidates in
         candidate order. Requires q**n to fit comfortably in int64.
+
+        Observed sequences may carry a leading row axis, (rows, n) each;
+        then the result is (codes, counts): every row's candidates in row
+        order, each row's in its own candidate order, and each row's count.
+        Rows with equal class sizes share their arrangement tables. Any row
+        over the search cap raises SearchOverflowError, as that row alone
+        would.
         """
         if self.q ** self.params.n >= 2 ** 62:
             raise CapacityError(
                 f"{self.q}**{self.params.n} sequence codes overflow the index space")
-        tables, _ = self._class_tables(observed)
-        if tables is None:
-            return np.zeros(0, dtype=np.int64)
         places = place_values(self.q, self.params.n)
-        return _group_sums(_class_sums(tables, places)).astype(np.int64)
+        seqs = () if observed is None else _as_seq_tuple(observed)
+        if not any(s.ndim == 2 for s in seqs):
+            tables, _ = self._class_tables(seqs)
+            if tables is None:
+                return np.zeros(0, dtype=np.int64)
+            return _group_sums(_class_sums(tables, places)).astype(np.int64)
+        codes, groups = self._row_classes(seqs)
+        counts = np.zeros(len(codes), dtype=np.int64)
+        blocks = []
+        for members, shape in groups:
+            mats, total = self._size_tables(shape)
+            if mats is not None:
+                counts[members] = total
+                blocks.append((members, shape, mats, total))
+        first = np.cumsum(counts) - counts
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        for members, shape, mats, total in blocks:
+            # bounds the (rows, arrangements, m) gathers of _class_sums
+            step = max(1, _SCAN_CHUNK // max(total, max(mat.size for mat in mats)))
+            for a in range(0, len(members), step):
+                part = members[a:a + step]
+                tables = zip(_class_positions(codes[part], shape), mats)
+                out[first[part][:, None] + np.arange(total)] = _group_sums(
+                    _class_sums(tables, places))
+        return out, counts
 
     # -- vectorized scans -------------------------------------------------
 
@@ -521,18 +568,11 @@ class CandidateEngine:
         """
         helpers = np.asarray(helpers, dtype=np.int64)
         own = np.asarray(own, dtype=np.int64)
-        rows, cells = len(helpers), self.obs_cells
+        rows = len(helpers)
         if not rows:
             return [], None
         observed = (own, helpers) if own_first else (helpers, own)
-        codes = _cell_codes(observed, self.obs_shape, self.params.n)
-        offsets = np.arange(rows)[:, None] * cells
-        sizes = np.bincount((codes + offsets).ravel(),
-                            minlength=rows * cells).reshape(rows, cells)
-        # rows with equal class sizes are adjacent in order, ascending within
-        order = np.lexsort(sizes.T)
-        ranked = sizes[order]
-        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        codes, groups = self._row_classes(observed)
         counts = np.zeros(rows, dtype=np.int64)     # -1: over the search cap
         first_hit = np.zeros(rows, dtype=np.int64)  # candidate index of a row's first match
         scanned = {}    # row -> first match, for rows scanned one by one
@@ -540,9 +580,7 @@ class CandidateEngine:
         def row_observed(r):
             return (own, helpers[r]) if own_first else (helpers[r], own)
 
-        for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
-            members = order[start:stop]
-            shape = ranked[start].tolist()
+        for members, shape in groups:
             try:
                 mats, total = self._size_tables(shape)
             except SearchOverflowError:

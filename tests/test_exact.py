@@ -392,10 +392,21 @@ def test_pair_decode_packs_wide_bins():
     """Z bins wider than 32 bits pack next to the helper bin without loss: at
     n=4 both 2**20 and 2**36 bins give the 16 Z sequences distinct bins, so
     decoding, agreement and recovery agree exactly."""
+    _check_wide_bins(None)
+
+
+def test_pair_decode_ranks_bins_that_fill_64_bits():
+    """With 2**28 helper bins next to 2**36 Z bins the bin pair takes all 64
+    bits and leaves no room for the group, so each candidate is keyed by the
+    dense rank of its bin pair; it decodes as 2**20 Z bins do."""
+    _check_wide_bins(7.0)
+
+
+def _check_wide_bins(r_x):
     base = RunContext(_config("PointP", xor_triple(), n=4)).rates
     results = []
     for r_z in (5.0, 9.0):
-        rates = dataclasses.replace(base, r_z=r_z)
+        rates = dataclasses.replace(base, r_z=r_z, r_x=r_x or base.r_x)
         cfg = _config("PointP", xor_triple(), n=4, rates=rates)
         results.append(ExactEvaluator(cfg).evaluate(2))
     narrow, wide = results
@@ -406,9 +417,33 @@ def test_pair_decode_packs_wide_bins():
         assert a.recovery_error == b.recovery_error
 
 
+@pytest.mark.parametrize("scheme,dist,n,kw", [
+    ("PointE", xor_triple(), 6, {}),
+    ("PointT", xor_triple(), 6, {}),
+    ("PointP", xor_triple(), 6, {}),
+    ("PointQ", xor_triple(), 6, {}),
+    ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, {}),
+    ("TimeShare", xor_triple(), 8, {"ts_schemes": ("PointT", "PointQ")}),
+], ids=["E", "T", "P", "Q", "P-orientation-Y", "TimeShare"])
+def test_members_do_not_depend_on_earlier_members(scheme, dist, n, kw):
+    """Decode tables cached across members hold no codebook state: member k
+    of a fresh evaluator equals member k evaluated after members 0..k-1, and
+    the native codebooks' laws do not depend on the members evaluated
+    before them.
+    """
+    cfg = _config(scheme, dist, n=n, eps=0.5, delta=0.02, **kw)
+    warm = ExactEvaluator(cfg)
+    members = warm.evaluate(3).per_codebook
+    assert len({repr(m) for m in members}) == 3
+    assert all(m.status_mass["X"]["OK"] + m.status_mass["Y"]["OK"] > 0 for m in members)
+    for k, member in enumerate(members):
+        assert repr(ExactEvaluator(cfg)._member(k)) == repr(member)
+    assert repr(warm.evaluate_native()) == repr(ExactEvaluator(cfg).evaluate_native())
+
+
 def test_wide_key_laws_match_the_oracle():
     """Key laws whose joint code spans 2**62 or more go through the stacked
-    np.unique branch of _law_entropy: PointQ with 2**21 bins per codebook
+    lexsort branch of _law_entropy: PointQ with 2**21 bins per codebook
     makes the K_P law (sub-bin, three bins, Z^n) span about 2**67 codes.
     """
     base = RunContext(_config("PointQ", xor_triple(), n=3)).rates

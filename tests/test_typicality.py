@@ -319,3 +319,57 @@ def test_enum_capacity_error():
     params = TypicalityParams(epsilon=0.9, n=14)
     with pytest.raises(CapacityError):
         list(enumerate_typical(pmf, params, cap=2 ** 8))
+
+
+def test_row_batched_candidate_indices_match_one_row_calls(rng):
+    """Observed sequences with a leading row axis give every row's
+    candidates, in that row's candidate order, as the one-row call does:
+    rows sampled from the pmf, uniform rows and constant rows, on random
+    pmfs with zero atoms and one or two observed axes. Rows with candidates,
+    rows whose absent cell must occur and rows whose windows admit nothing
+    all appear.
+    """
+    kinds = {"some": 0, "none": 0, "must_occur": 0}
+    for trial in range(30):
+        shape = tuple(int(s) for s in rng.integers(2, 4, size=1 + trial % 2)) + (
+            int(rng.integers(2, 4)),)
+        # a concentrated pmf gives sampled rows candidates more often
+        pmf = (concentrated_pmf(rng, shape) if trial % 3 == 0
+               else random_pmf(rng, shape, zero_frac=0.3))
+        n = int(rng.integers(3, 8))
+        eng = CandidateEngine(pmf, TypicalityParams(float(rng.uniform(0.3, 0.9)), n))
+        sampled = np.unravel_index(rng.choice(pmf.size, size=(6, n), p=pmf.ravel()),
+                                   shape)[:-1]
+        observed = tuple(np.concatenate([s, rng.integers(0, size, size=(3, n)),
+                                         np.zeros((1, n), dtype=np.int64)])
+                         for s, size in zip(sampled, shape))
+        codes, counts = eng.candidate_indices(observed)
+        assert len(counts) == 10 and counts.sum() == len(codes)
+        must_occur = np.flatnonzero(eng.lo.max(axis=1) > 0)
+        for r, start in enumerate((np.cumsum(counts) - counts).tolist()):
+            row = tuple(o[r] for o in observed)
+            want = eng.candidate_indices(row)
+            assert np.array_equal(codes[start:start + counts[r]], want)
+            if len(want):
+                kinds["some"] += 1
+            elif np.any(joint_counts(row, shape[:-1]).ravel()[must_occur] == 0):
+                kinds["must_occur"] += 1
+            else:
+                kinds["none"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_row_batched_candidate_indices_over_the_search_cap():
+    """A row over the search cap raises what the one-row call raises, even
+    among rows without candidates."""
+    eng = CandidateEngine(np.full((2, 2), 0.25), TypicalityParams(epsilon=0.9, n=12),
+                          cap=10)
+    balanced = np.arange(12) % 2
+    rows = np.stack([np.zeros(12, dtype=np.int64), balanced, np.ones(12, dtype=np.int64)])
+    with pytest.raises(SearchOverflowError) as one:
+        eng.candidate_indices((balanced,))
+    with pytest.raises(SearchOverflowError) as batch:
+        eng.candidate_indices((rows,))
+    assert str(batch.value) == str(one.value)
+    codes, counts = eng.candidate_indices((rows[[0, 2]],))
+    assert len(codes) == 0 and counts.tolist() == [0, 0]
