@@ -202,6 +202,26 @@ def _worker_count() -> int:
     return max(1, count)
 
 
+def _empty_windows(ctx: RunContext) -> list:
+    """Decoding engines whose count window is empty for some cell at the
+    context's (n, epsilon): no sequence is typical for them, so every decode
+    that scans them fails. A time-shared context names its parts' engines
+    "A.key" and "B.key".
+    """
+    if ctx.scheme == "TimeShare":
+        return [f"{label}.{key}" for label, part in zip("AB", ctx.parts) if part
+                for key in _empty_windows(part)]
+    return [key for key, eng in sorted(ctx.engines.items()) if np.any(eng.lo > eng.hi)]
+
+
+def _warn_empty_windows(n: int, ctx: RunContext):
+    empty = _empty_windows(ctx)
+    if empty:
+        print(f"warning: n={n}: the count windows of decoding engine(s) "
+              f"{', '.join(empty)} are empty at epsilon={ctx.config.epsilon}; "
+              "every decode through them fails", file=sys.stderr)
+
+
 def _record(n: int, ctx: RunContext, mean: CodebookExact, **fields) -> dict:
     """The keys both evaluation modes report, from the mean over members."""
     return {"n": n, "scheme": ctx.scheme, "redirected": ctx.redirected,
@@ -215,6 +235,7 @@ def _record(n: int, ctx: RunContext, mean: CodebookExact, **fields) -> dict:
 def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
     scfg = config.scheme_config(n)
     ctx = RunContext(scfg)
+    _warn_empty_windows(n, ctx)
     trials = config.trials
     workers = min(_worker_count(), trials)
     if workers <= 1:
@@ -248,6 +269,7 @@ def _stats_dict(s) -> dict:
 
 def _run_exact_record(config: ExperimentConfig, n: int) -> dict:
     evaluator = ExactEvaluator(config.scheme_config(n), exact_cap=config.exact_cap)
+    _warn_empty_windows(n, evaluator.ctx)
     result = evaluator.evaluate(config.trials)
     mean = result.mean
     return _record(n, evaluator.ctx, mean, num_codebooks=result.num_codebooks,

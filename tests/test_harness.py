@@ -108,6 +108,30 @@ def test_exact_secrecy_warns_on_raised_cap(capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_empty_count_windows_warn_once_per_record(capsys):
+    """Criterion 8's chain source has empty count windows at n = 12; each
+    record warns once and names the engines, a time-shared one by part."""
+    chain = noisy_copy_triple(0.1, 0.3)
+    run_trials(_mc_config(scheme="PointQ", dist=chain, n_values=(12,), trials=2,
+                          epsilon=0.1, delta=0.05))
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: n=12: the count windows of decoding engine(s) xyz, xz, yx are "
+        "empty at epsilon=0.1; every decode through them fails"]
+    run_trials(_mc_config(scheme="TimeShare", ts_schemes=("PointQ", "PointE"), dist=chain,
+                          n_values=(24, 12), trials=2, epsilon=0.1, delta=0.05))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert "n=24: the count windows of decoding engine(s) A.xyz, A.xz, A.yx, B.yzx " in err[0]
+    assert "n=12: the count windows of decoding engine(s) A.xyz, A.xz, A.yx, B.yzx " in err[1]
+
+
+@pytest.mark.parametrize("mode", [MODE_MONTE_CARLO, MODE_EXACT])
+def test_nonempty_count_windows_do_not_warn(mode, capsys):
+    run_trials(_mc_config(scheme="PointP", n_values=(8,), trials=2, epsilon=0.25,
+                          codebook_mode=MODE_TABLE, evaluation_mode=mode))
+    assert capsys.readouterr().err == ""
+
+
 def test_json_round_trip():
     report = run_trials(_mc_config())
     parsed = json.loads(report.to_json())
