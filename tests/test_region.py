@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_distribution
 from skpk.errors import UsageError
-from skpk.region import (classify_case, halfplanes, label_vertices,
+from skpk.region import (TOL, classify_case, halfplanes, label_vertices,
                          rate_region, region_constants,
                          require_point_in_region)
-from skpk.sources import (identical_bits, independent_bits, info_profile,
-                          noisy_copy_triple, xor_triple)
+from skpk.sources import (JointDistribution, identical_bits, independent_bits,
+                          info_profile, noisy_copy_triple, xor_triple)
 
 
 def test_xor_region_exact():
@@ -41,6 +45,24 @@ def test_vertices_satisfy_halfplanes(rng):
         for r_s, r_p in region.vertices:
             for a, b, c in planes:
                 assert a * r_s + b * r_p <= c + 1e-9
+
+
+# a pmf shape and integer cell weights, zeros included, not all zero
+_pmf_cells = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(
+        st.integers(0, 9), min_size=math.prod(shape), max_size=math.prod(shape))
+        .filter(any)))
+
+
+@given(cells=_pmf_cells)
+def test_every_vertex_satisfies_every_halfplane(cells):
+    shape, weights = cells
+    pmf = np.array(weights, dtype=np.float64).reshape(shape)
+    region = rate_region(JointDistribution(shape, pmf / pmf.sum()))
+    assert region.vertices
+    for r_s, r_p in region.vertices:
+        for a, b, c in halfplanes(region.constants):
+            assert a * r_s + b * r_p <= c + TOL
 
 
 def test_vertices_match_named_points(rng):
