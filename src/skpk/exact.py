@@ -243,12 +243,18 @@ class ExactEvaluator:
         return members, group, seqs
 
     def _unique_table(self, eng_key, obs_cols, sizes, valid) -> _DecodeTable:
+        """A unique decode step's table: the engine's candidates for every
+        group's observed sequences, from one batched call.
+        """
         members, group, seqs = self._observed_groups(obs_cols, sizes, valid)
         cands, counts = self.ctx.engines[eng_key].candidate_indices(tuple(seqs))
         return _table(members, group, counts, cands)
 
     def _pair_table(self, own_idx, own_size, helper_size, valid, eng1_key, eng2_key,
                     own_first) -> _DecodeTable:
+        """A pair decode step's table: every group's stage-1 helpers, then
+        every (helper, z) candidate pair, from one batched call per stage.
+        """
         members, group, (own,) = self._observed_groups([own_idx], [own_size], valid)
         helpers, per_own = self.ctx.engines[eng1_key].candidate_indices((own,))
         helper_group = np.repeat(np.arange(len(per_own)), per_own)

@@ -141,9 +141,9 @@ def _entropy_masses(masses) -> float:
     """Entropy in bits of a collection of probability masses; zeros add nothing."""
     m = (masses.astype(np.float64) if isinstance(masses, np.ndarray)
          else np.fromiter(masses, dtype=np.float64))
-    m = m[m > 0]
+    m = m[m > 0].tolist()
     # -m * log2(m) term by term, as Python floats, with no per-term bytecode
-    return math.fsum(map(operator.mul, (-m).tolist(), map(math.log2, m.tolist())))
+    return math.fsum(map(operator.mul, map(operator.neg, m), map(math.log2, m)))
 
 
 def _entropy_of(p: np.ndarray) -> float:
