@@ -139,7 +139,7 @@ class SourceTriple:
 
 def _entropy_masses(masses) -> float:
     """Entropy in bits of a collection of probability masses; zeros add nothing."""
-    m = (masses.astype(np.float64) if isinstance(masses, np.ndarray)
+    m = (np.asarray(masses, dtype=np.float64) if isinstance(masses, np.ndarray)
          else np.fromiter(masses, dtype=np.float64))
     m = m[m > 0].tolist()
     # -m * log2(m) term by term, as Python floats, with no per-term bytecode
