@@ -108,47 +108,28 @@ class _Enumeration:
 
 @dataclass
 class _DecodeTable:
-    """One decode step's candidates for every observed sequence of its valid
-    elements, in one flat table. It depends on the codebooks only through
-    the observed sequences and the valid mask.
+    """One decode step's candidates for every observed sequence of the
+    elements it runs on, in one flat table. It depends on the codebooks only
+    through the observed sequences and the terminal's earlier statuses.
 
-    members are the valid elements whose observed sequences admit a
+    members are the elements it runs on whose observed sequences admit a
     candidate, sorted by group: each one's observed sequences, numbered by
-    ascending code. cands holds every group's candidates (sequence codes of
-    the decoded letter, z for a pair step) and cand_group the group of each.
-    A pair step also keeps its stage-1 helpers and each candidate's helper
-    (pair_helper). Index arrays use the narrowest integer type that holds
-    them.
+    ascending code. A candidate holds a sequence code per decoded letter:
+    cands has one aligned code array per letter, and cand_group the group
+    of each candidate. Index arrays use the narrowest integer type that
+    holds them.
     """
 
     members: np.ndarray
     group: np.ndarray
     num_groups: int
     cand_group: np.ndarray
-    cands: np.ndarray
-    helpers: np.ndarray = None
-    pair_helper: np.ndarray = None
+    cands: list
 
 
 def _narrow(a, bound):
     """a as the narrowest unsigned integer type that holds 0..bound."""
     return a.astype(np.min_scalar_type(bound))
-
-
-def _table(members, group, counts, cands, helpers=None, pair_helper=None) -> _DecodeTable:
-    """A decode table from the valid elements, their groups, each group's
-    candidate count and the candidates in group order. Members of a group
-    without candidates are dropped: they stay NoCandidate.
-    """
-    # grouped members make the per-member searches nearly sorted
-    order = np.argsort(group, kind="stable")
-    order = order[counts[group[order]] > 0]
-    num_groups = len(counts)
-    return _DecodeTable(
-        _narrow(members[order], members[-1] if len(members) else 0),
-        _narrow(group[order], num_groups), num_groups,
-        _narrow(np.repeat(np.arange(num_groups), counts), num_groups), cands, helpers,
-        None if pair_helper is None else _narrow(pair_helper, len(helpers)))
 
 
 def _match(table, code, span, query):
@@ -208,109 +189,92 @@ class ExactEvaluator:
         # the middle terminal's coordinate leads the atom order
         axes = (1, 0, 2) if self.ctx.desc.kp_owner == "Y" else (0, 1, 2)
         self.enum = _Enumeration(config.dist, config.n, exact_cap, axes)
-        # decode tables of the steps whose observed sequences and valid
-        # mask no codebook draw changes, by step index, built at first use
+        # decode tables of the steps whose observed sequences and earlier
+        # statuses no codebook draw changes, by step index, built at first use
         self._tables = {}
 
     # -- exact decode tables -----------------------------------------------
 
-    def _decode_table(self, cache_key, build) -> _DecodeTable:
-        """The table cached under cache_key, or build() anew when cache_key
-        is None.
+    def _step_table(self, step, observed, prior) -> _DecodeTable:
+        """A decode step's table over the elements whose terminal has not
+        failed before it, grouped by the sequences the step observes
+        (observed, one column per letter it does not decode). Each decoded
+        letter in turn extends every candidate so far by its engine's
+        candidates, from one batched candidate_indices call per letter.
+        Members of a group without candidates are dropped: they stay
+        NoCandidate.
         """
-        table = self._tables.get(cache_key)
-        if table is None:
-            table = build()
-            if cache_key is not None:
-                self._tables[cache_key] = table
-        return table
-
-    def _observed_groups(self, obs_cols, sizes, valid):
-        """The valid elements, each one's group (its distinct observed
-        sequences, numbered by ascending code), and per observed letter the
-        groups' sequences as one (groups, n) array.
-        """
-        n = self.enum.n
-        members = np.flatnonzero(valid)
+        e = self.enum
+        letters = [v for v in step.observed if v not in step.decoded]
+        members = np.arange(len(e.prob)) if prior is None else np.flatnonzero(prior == _ST_OK)
         code = np.zeros(len(members), dtype=np.int64)
-        for col, size in zip(obs_cols, sizes):
-            code = code * size ** n + col[members]
+        for col, v in zip(observed, letters):
+            code = code * e.size[v] ** e.n + col[members]
         rest, group = np.unique(code, return_inverse=True)
-        seqs = []
-        for size in reversed(sizes):
-            rest, last = np.divmod(rest, size ** n)
-            seqs.insert(0, np.stack(list(code_digits(last, size, n)), axis=-1))
-        return members, group, seqs
+        num_groups, rows = len(rest), {}
+        for v in reversed(letters):
+            rest, last = np.divmod(rest, e.size[v] ** e.n)
+            rows[v] = np.stack(list(code_digits(last, e.size[v], e.n)), axis=-1)
+        cand_group, cands = np.arange(num_groups), []
+        for key in step.engine_keys():
+            found, per_row = self.ctx.engines[key].candidate_indices(
+                tuple(rows[v] for v in key[:-1]))
+            at = np.repeat(np.arange(len(per_row)), per_row)
+            cand_group, cands = cand_group[at], [c[at] for c in cands] + [found]
+            rows = {v: s[at] for v, s in rows.items()}
+            rows[key[-1]] = np.stack(list(code_digits(found, e.size[key[-1]], e.n)), axis=-1)
+        # grouped members make the per-member searches nearly sorted
+        order = np.argsort(group, kind="stable")
+        order = order[np.bincount(cand_group, minlength=num_groups)[group[order]] > 0]
+        return _DecodeTable(
+            _narrow(members[order], members[-1] if len(members) else 0),
+            _narrow(group[order], num_groups), num_groups,
+            _narrow(cand_group, num_groups), cands)
 
-    def _unique_table(self, eng_key, obs_cols, sizes, valid) -> _DecodeTable:
-        """A unique decode step's table: the engine's candidates for every
-        group's observed sequences, from one batched call.
+    def _unique_exact(self, i, step, cbs, values, recovered, prior):
+        """Decode step i of each enumerated element whose terminal has not
+        failed before it (prior: the status after its earlier steps, None
+        at its first). A candidate matches when every decoded letter's bin
+        is the announced one; unique means one match overall. Returns the
+        status, NoCandidate where the step did not run, and per decoded
+        letter the recovered code, -1 where none.
         """
-        members, group, seqs = self._observed_groups(obs_cols, sizes, valid)
-        cands, counts = self.ctx.engines[eng_key].candidate_indices(tuple(seqs))
-        return _table(members, group, counts, cands)
-
-    def _pair_table(self, own_idx, own_size, helper_size, valid, eng1_key, eng2_key,
-                    own_first) -> _DecodeTable:
-        """A pair decode step's table: every group's stage-1 helpers, then
-        every (helper, z) candidate pair, from one batched call per stage.
-        """
-        members, group, (own,) = self._observed_groups([own_idx], [own_size], valid)
-        helpers, per_own = self.ctx.engines[eng1_key].candidate_indices((own,))
-        helper_group = np.repeat(np.arange(len(per_own)), per_own)
-        rows = np.stack(list(code_digits(helpers, helper_size, self.enum.n)), axis=-1)
-        pair = (own[helper_group], rows) if own_first else (rows, own[helper_group])
-        zs, per_helper = self.ctx.engines[eng2_key].candidate_indices(pair)
-        counts = np.bincount(helper_group, weights=per_helper, minlength=len(per_own))
-        return _table(members, group, counts.astype(np.int64), zs, helpers,
-                      np.repeat(np.arange(len(helpers)), per_helper))
-
-    def _unique_exact(self, cache_key, eng_key, sizes, obs_cols, valid, cb, targets):
-        """Unique decode of each enumerated element where valid holds; the
-        other elements are left as NoCandidate.
-        """
-        table = self._decode_table(cache_key, lambda: self._unique_table(
-            eng_key, obs_cols, sizes, valid))
-        status = np.full(len(valid), _ST_NONE, dtype=np.int8)
-        rec = np.full(len(valid), -1, dtype=np.int64)
-        st, pick = _match(table, cb.bins_of_indices(table.cands), cb.num_bins,
-                          targets[table.members])
-        status[table.members] = st
-        rec[table.members] = np.where(pick >= 0, table.cands[pick], -1)
-        return status, rec
-
-    # one function serves any number of observed sequences; the benchmark's
-    # tracer still wraps the two-observation name
-    _unique_exact_pair_obs = _unique_exact
-
-    def _pair_exact(self, cache_key, own_idx, own_size, helper_size, valid, eng1_key,
-                    cb1, t1, eng2_key, cb2, t2, own_first):
-        """Unique (helper, z) pair decode of each element where valid holds:
-        helper candidates filtered by bin t1, each extended by z candidates
-        filtered by bin t2; unique means one surviving pair overall.
-        Everything is counted exactly.
-        """
-        # (helper bin, z bin) packs into one uint64 in lexicographic order
-        z_bits = (cb2.num_bins - 1).bit_length()
-        pair_bits = (cb1.num_bins - 1).bit_length() + z_bits
-        if pair_bits > 64:
-            raise CapacityError(
-                f"{cb1.num_bins} x {cb2.num_bins} bin pairs do not pack into 64 bits")
-        table = self._decode_table(cache_key, lambda: self._pair_table(
-            own_idx, own_size, helper_size, valid, eng1_key, eng2_key, own_first))
-        shift = np.uint64(z_bits)
-        status = np.full(len(valid), _ST_NONE, dtype=np.int8)
-        rec_h = np.full(len(valid), -1, dtype=np.int64)
-        rec_z = np.full(len(valid), -1, dtype=np.int64)
-        code = ((cb1.bins_of_indices(table.helpers)[table.pair_helper] << shift)
-                | cb2.bins_of_indices(table.cands))
+        # the decoded letters' bins pack into one uint64 in order
+        bits = [(cbs[v.upper()].num_bins - 1).bit_length() for v in step.decoded]
+        if sum(bits) > 64:
+            raise CapacityError(" x ".join(str(cbs[v.upper()].num_bins) for v in step.decoded)
+                                + " bins do not pack into 64 bits")
+        t, own = step.terminal, step.terminal.lower()
+        seen = [(None, self.enum.idx[v]) if v == own else recovered[f"{v}_at_{t}"]
+                for v in step.observed if v not in step.decoded]
+        # a first step that observes only the own sequence and verbatim
+        # messages has the same table for every codebook
+        fixed = prior is None and all(st is None for st, _ in seen)
+        table = self._tables.get(i) if fixed else None
+        if table is None:
+            table = self._step_table(step, [col for _, col in seen], prior)
+            if fixed:
+                self._tables[i] = table
         m = table.members
-        st, pick = _match(table, code, 1 << pair_bits, (t1[m] << shift) | t2[m])
+        code = query = top = 0
+        for cand, v, b in zip(table.cands, step.decoded, bits):
+            cb = cbs[v.upper()]
+            code = (code << b) | cb.bins_of_indices(cand)
+            query = (query << b) | values[v.upper()][m]
+            top = (top << b) | (cb.num_bins - 1)
+        st, pick = _match(table, code, top + 1, query)
+        status = np.full(len(self.enum.prob), _ST_NONE, dtype=np.int8)
         status[m] = st
-        found = pick >= 0
-        rec_h[m] = np.where(found, table.helpers[table.pair_helper[pick]], -1)
-        rec_z[m] = np.where(found, table.cands[pick], -1)
-        return status, rec_h, rec_z
+        found = []
+        for cand in table.cands:
+            rec = np.full(len(status), -1, dtype=np.int64)
+            rec[m] = np.where(pick >= 0, cand[pick], -1)
+            found.append(rec)
+        return status, found
+
+    # every decode step runs through _unique_exact; the benchmark's tracer
+    # still wraps these two names
+    _unique_exact_pair_obs = _pair_exact = _unique_exact
 
     # -- law and mass helpers ----------------------------------------------
 
@@ -379,28 +343,10 @@ class ExactEvaluator:
         cols = list(values.values())
         terminal_status = {}
         for i, step in enumerate(desc.decodes):
-            t, own = step.terminal, step.terminal.lower()
-            keys = step.engine_keys()
-            cb = [cbs[v.upper()] for v in step.decoded]
-            target = [values[v.upper()] for v in step.decoded]
+            t = step.terminal
             prior = terminal_status.get(t)
             # a terminal stops at its first failed step
-            valid = np.ones(n_el, dtype=bool) if prior is None else prior == _ST_OK
-            if len(step.decoded) == 1:
-                observed = [e.idx[v] if v == own else recovered[f"{v}_at_{t}"][1]
-                            for v in step.observed]
-                # a first step that observes only the own sequence and
-                # verbatim messages has the same table for every codebook
-                fixed = prior is None and all(
-                    v == own or recovered[f"{v}_at_{t}"][0] is None for v in step.observed)
-                st, *found = self._unique_exact(
-                    i if fixed else None, keys[0], [e.size[v] for v in step.observed],
-                    observed, valid, cb[0], target[0])
-            else:
-                st, *found = self._pair_exact(
-                    i if prior is None else None, e.idx[own], e.size[own],
-                    e.size[step.decoded[0]], valid, keys[0], cb[0], target[0], keys[1],
-                    cb[1], target[1], own_first=step.observed[0] == own)
+            st, found = self._unique_exact(i, step, cbs, values, recovered, prior)
             terminal_status[t] = st if prior is None else np.where(prior != _ST_OK, prior, st)
             recovered.update((f"{v}_at_{t}", (st, rec)) for v, rec in zip(step.decoded, found))
 
