@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import MODE_TABLE, child_seed, make_codebook, stream_tag
+from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
@@ -674,8 +674,7 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
 
     per = []
     e2 = []
-    probe = make_codebook(MODE_TABLE, n, az, r_z, r_s, 0, purpose="Z")
-    num_bins, num_sub = probe.num_bins, probe.num_sub_bins
+    num_bins, num_sub = num_bins_for_rate(n, r_z), num_bins_for_rate(n, r_s)
     n_cells = num_bins * num_sub
     for k in range(codebook_count):
         cb_seed = child_seed(int(seed), _LEMMA_TAG, k)
