@@ -32,7 +32,7 @@ from .errors import UsageError
 from .exact import EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _mean_stats
 from .protocol import RunContext, SchemeConfig
 from .region import label_vertices, rate_region
-from .sources import JointDistribution, _entropy_masses
+from .sources import JointDistribution, _entropy_masses, _integers
 
 MODE_MONTE_CARLO = "MonteCarlo"
 MODE_EXACT = "Exact"
@@ -65,10 +65,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.evaluation_mode not in (MODE_MONTE_CARLO, MODE_EXACT):
             raise UsageError(f"unknown evaluation mode {self.evaluation_mode!r}")
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
         if not self.n_values:
             raise UsageError("at least one blocklength is required")
+        _integers("n_values, trials and master_seed",
+                  (*self.n_values, self.trials, self.master_seed))
+        if self.trials < 1:
+            raise UsageError("trials must be >= 1")
         if self.evaluation_mode == MODE_EXACT and self.codebook_mode != MODE_TABLE:
             raise UsageError("Exact mode requires ExplicitTable codebooks")
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .binning import MODE_HASH, MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import SearchOverflowError, UsageError
-from .sources import JointDistribution, SourceTriple, info_profile, sample, sequence_code
+from .sources import (JointDistribution, SourceTriple, _integers, info_profile, sample,
+                      sequence_code)
 from .typicality import (CandidateEngine, DEFAULT_SEARCH_CAP, TypicalityParams)
 
 STATUS_OK = "OK"
@@ -145,6 +146,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        _integers("n and master_seed", (self.n, self.master_seed))
         if self.n < 1:
             raise UsageError(f"n must be >= 1, got {self.n}")
         if self.codebook_mode not in (MODE_HASH, MODE_TABLE):

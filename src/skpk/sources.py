@@ -44,14 +44,14 @@ def as_variable_set(variables) -> frozenset:
     return frozenset(items)
 
 
-def _integer_sizes(alphabet_sizes) -> tuple:
-    """Alphabet sizes as a tuple of ints. A size that is not an integer (a
-    float, a string or a bool) is refused, not rounded.
+def _integers(what, values) -> tuple:
+    """values as a tuple of ints. A value that is not an integer (a float, a
+    string or a bool) is refused, not rounded.
     """
-    sizes = tuple(alphabet_sizes)
-    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in sizes):
-        raise UsageError(f"alphabet sizes must be integers, got {sizes!r}")
-    return tuple(int(s) for s in sizes)
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+        raise UsageError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class JointDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        sizes = _integer_sizes(self.alphabet_sizes)
+        sizes = _integers("alphabet sizes", self.alphabet_sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
         if len(sizes) != len(VARS):
             raise UsageError(f"need one alphabet size per variable in {VARS}, got {sizes}")
@@ -89,7 +89,7 @@ class JointDistribution:
 
     @classmethod
     def create(cls, alphabet_sizes, pmf):
-        sizes = _integer_sizes(alphabet_sizes)
+        sizes = _integers("alphabet sizes", alphabet_sizes)
         for s in sizes:
             if s > ALPHABET_CAP:
                 raise UsageError(f"alphabet size {s} exceeds cap {ALPHABET_CAP}")

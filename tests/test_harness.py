@@ -33,6 +33,16 @@ def test_config_validation():
         _mc_config(evaluation_mode="sometimes")
 
 
+@pytest.mark.parametrize("kw", [
+    {"n_values": (4, 6.0)}, {"n_values": ("4",)}, {"n_values": (True,)},
+    {"trials": 2.5}, {"trials": "25"}, {"trials": True},
+    {"master_seed": 9.0}, {"master_seed": "9"}, {"master_seed": False},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_config_refuses_non_integers(kw):
+    with pytest.raises(UsageError, match="must be integers"):
+        _mc_config(**kw)
+
+
 def test_deterministic_agreement_on_identical_bits():
     report = run_trials(_mc_config(dist=identical_bits(), trials=1,
                                    epsilon=0.5, delta=0.05, n_values=(6,)))

@@ -212,6 +212,17 @@ def test_config_validation():
         _config("PointT", xor_triple(), n=4, eps=1.2, delta=0.05, seed=0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"n": 6.5}, {"n": True}, {"n": "6"}, {"seed": 3.0}, {"seed": "3"}, {"seed": False},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_config_refuses_non_integers(kw):
+    """n and master_seed must be integers: a float, a string or a bool is
+    refused before it can reach numpy or a comparison.
+    """
+    with pytest.raises(UsageError, match="must be integers"):
+        _config("PointT", xor_triple(), **{"n": 6, "seed": 0, **kw}, eps=0.5, delta=0.05)
+
+
 def test_custom_rates_override():
     dist = doubly_symmetric_xz(0.1)
     prof = info_profile(dist)
