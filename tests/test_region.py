@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distribution
 from skpk.errors import UsageError
+from skpk.protocol import derive_rates
 from skpk.region import (TOL, classify_case, halfplanes, label_vertices,
                          rate_region, region_constants,
                          require_point_in_region)
@@ -47,14 +48,17 @@ def test_vertices_satisfy_halfplanes(rng):
                 assert a * r_s + b * r_p <= c + 1e-9
 
 
-# a pmf shape and integer cell weights, zeros included, not all zero
-_pmf_cells = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
-    lambda shape: st.tuples(st.just(shape), st.lists(
-        st.integers(0, 9), min_size=math.prod(shape), max_size=math.prod(shape))
-        .filter(any)))
+def _pmf_cells(least=1):
+    """A pmf shape of least to 3 symbols per axis and integer cell weights,
+    zeros included, not all zero.
+    """
+    return st.tuples(*[st.integers(least, 3)] * 3).flatmap(
+        lambda shape: st.tuples(st.just(shape), st.lists(
+            st.integers(0, 9), min_size=math.prod(shape), max_size=math.prod(shape))
+            .filter(any)))
 
 
-@given(cells=_pmf_cells)
+@given(cells=_pmf_cells())
 def test_every_vertex_satisfies_every_halfplane(cells):
     shape, weights = cells
     pmf = np.array(weights, dtype=np.float64).reshape(shape)
@@ -63,6 +67,26 @@ def test_every_vertex_satisfies_every_halfplane(cells):
     for r_s, r_p in region.vertices:
         for a, b, c in halfplanes(region.constants):
             assert a * r_s + b * r_p <= c + TOL
+
+
+_SCHEME_OF_VERTEX = {"E": "PointE", "T": "PointT", "P": "PointP", "Q": "PointQ"}
+
+
+# Q is a vertex of about one drawn pmf in ten, so this test draws more
+@settings(max_examples=300)
+@given(cells=_pmf_cells(least=2))
+def test_schemes_reach_their_named_vertices(cells):
+    """As epsilon and delta go to 0, each scheme's derived key rates reach
+    its named point whenever that point is a vertex of the region.
+    """
+    shape, weights = cells
+    pmf = np.array(weights, dtype=np.float64).reshape(shape)
+    dist = JointDistribution(shape, pmf / pmf.sum())
+    for label, r_s, r_p in label_vertices(rate_region(dist)):
+        if label in _SCHEME_OF_VERTEX:
+            rates = derive_rates(_SCHEME_OF_VERTEX[label], info_profile(dist), 1e-9, 0.0)
+            assert abs(rates.r_s - r_s) <= 1e-6, label
+            assert abs(rates.r_p - r_p) <= 1e-6, label
 
 
 def test_vertices_match_named_points(rng):
