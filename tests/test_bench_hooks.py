@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import skpk
+import skpk.exact
+import skpk.harness
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,6 +36,35 @@ def test_every_traced_layer_resolves_to_a_callable():
     for name, targets in spans.LAYERS.items():
         for owner, attr in targets:
             assert callable(getattr(owner, attr, None)), f"{name}: {owner!r}.{attr}"
+
+
+def _traced_work():
+    """One piece of each benchmark workload's work, called through module
+    attributes as bench/run.py calls it.
+    """
+    exact_cfg = skpk.SchemeConfig(scheme="PointP", dist=skpk.xor_triple(), n=4, epsilon=0.25,
+                                  delta=0.05, master_seed=1, codebook_mode=skpk.MODE_TABLE)
+    skpk.ExactEvaluator(exact_cfg).evaluate(2)
+    skpk.exact.oracle_secrecy(exact_cfg, skpk.oracle_codebooks(exact_cfg, 0))
+    skpk.harness.run_trials(skpk.ExperimentConfig(
+        scheme="PointP", dist=skpk.xor_triple(), n_values=(6,), trials=2, epsilon=0.5,
+        delta=0.05, master_seed=1))
+
+
+def test_every_traced_layer_records_a_span(monkeypatch):
+    """A wrapped name that stays bound but is no longer called would read 0
+    in its layer, which the resolve check above cannot see.
+    """
+    monkeypatch.delenv("SKPK_WORKERS", raising=False)   # spans stay in this process
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.span(spans.ROOT_SPAN, _traced_work)
+    finally:
+        tracer.close()
+    recorded = {name for name, *_ in tracer.spans}
+    assert sorted(set(spans.LAYERS) - recorded) == []
 
 
 def _attribute_chain(node):
