@@ -220,7 +220,7 @@ def test_config_refuses_non_integers(kw):
     refused before it can reach numpy or a comparison.
     """
     with pytest.raises(UsageError, match="must be integers"):
-        _config("PointT", xor_triple(), **{"n": 6, "seed": 0, **kw}, eps=0.5, delta=0.05)
+        _config("PointT", xor_triple(), eps=0.5, delta=0.05, **{"n": 6, "seed": 0, **kw})
 
 
 def test_custom_rates_override():
