@@ -255,6 +255,8 @@ class ExactEvaluator:
             table = self._step_table(step, [col for _, col in seen], prior)
             if fixed:
                 self._tables[i] = table
+        status = np.full(len(self.enum.prob), _ST_NONE, dtype=np.int8)
+        found = [np.full(len(status), -1, dtype=np.int64) for _ in table.cands]
         m = table.members
         code = query = top = 0
         for cand, v, b in zip(table.cands, step.decoded, bits):
@@ -262,14 +264,9 @@ class ExactEvaluator:
             code = (code << b) | cb.bins_of_indices(cand)
             query = (query << b) | values[v.upper()][m]
             top = (top << b) | (cb.num_bins - 1)
-        st, pick = _match(table, code, top + 1, query)
-        status = np.full(len(self.enum.prob), _ST_NONE, dtype=np.int8)
-        status[m] = st
-        found = []
-        for cand in table.cands:
-            rec = np.full(len(status), -1, dtype=np.int64)
+        status[m], pick = _match(table, code, top + 1, query)
+        for rec, cand in zip(found, table.cands):
             rec[m] = np.where(pick >= 0, cand[pick], -1)
-            found.append(rec)
         return status, found
 
     # every decode step runs through _unique_exact; the benchmark's tracer
