@@ -6,9 +6,10 @@ one-shot scheme and time sharing, with hash and table codebooks, for both
 `simulate` and `secrecy-exact`; `simulate` PointP and PointQ at n = 12,
 where pair decoding meets many stage-1 survivors; `secrecy-exact` at
 n = 8, where each decode step observes hundreds of distinct sequences;
-time sharing whose first part is empty; PointP in orientation Y (the
-mirrored noisy-copy sources, where Y is the better-correlated terminal);
-and `region` and `lemma1`.
+time sharing whose first part is empty; time sharing whose parts have
+different private-key owners; PointP in orientation Y (the mirrored
+noisy-copy sources, where Y is the better-correlated terminal); and
+`region` and `lemma1`.
 Cases whose name ends in "-csv" write CSV, the others JSON. A refactor that
 keeps these digests keeps every reported number and every serialized byte.
 
@@ -74,6 +75,11 @@ CASES = {
     "simulate-timeshare-lone-hash-xor": _simulate("xor", "timeshare", "hash",
                                                   parts=_LONE_PART),
     "exact-timeshare-lone-xor": _exact("xor", "timeshare", parts=_LONE_PART),
+    # parts with different private-key owners: PointP in orientation Y, then
+    # PointE, whose owner is X
+    "simulate-timeshare-mixed-owner-hash-mirrored-echo": _simulate(
+        "mirrored-echo", "timeshare", "hash", n=12,
+        parts=["--ts-schemes", "pointP,pointE", "--ts-lambda", "0.5"]),
     # one CSV row per blocklength
     "simulate-pointT-hash-sweep-xor-csv": (
         "xor", ["simulate", "--scheme", "pointT", "--sweep", "4,6", "--trials", "40",
@@ -164,6 +170,8 @@ DIGESTS = {
         "b828ece4946484f54d3966299ba5b27d6003ec65ac7934ad15c6b69b16a613b0",
     "simulate-timeshare-lone-hash-xor":
         "173f972899741554b40100345ba40e2198eb72825dbd8b938117a1f53313fcf1",
+    "simulate-timeshare-mixed-owner-hash-mirrored-echo":
+        "8a70320a4c719f4f1aa3229164870b9ee4c044d8a8d604ac73407119a22aefc9",
     "simulate-timeshare-table-xor":
         "c17d84ba57b96c303a10e6911a1a8069a87163b60e6ecea72f195e9afd96bb5b",
 }
