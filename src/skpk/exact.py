@@ -390,15 +390,11 @@ class ExactEvaluator:
 
     def _member(self, k=None) -> CodebookExact:
         """Exact laws of the k-th ensemble member, or of the native codebooks
-        when k is None. A time-shared config combines its parts' k-th
-        members; a lone live part passes through unchanged.
+        when k is None. A time-shared config combines its parts' k-th members.
         """
         if self.parts is not None:
             live = [p for p in self.parts if p is not None]
-            stats = [p._member(k) for p in live]
-            if len(stats) == 1:
-                return stats[0]
-            return _combine_parts(*stats, *(p.config.n for p in live), self.config.n)
+            return _combine_parts([p._member(k) for p in live], [p.config.n for p in live])
         return self._eval_one(self.ctx.codebooks if k is None
                               else _draw_member_codebooks(self.ctx, k))
 
@@ -419,10 +415,10 @@ class ExactEvaluator:
                            mean=_mean_stats(per))
 
 
-def _wavg(a, na, b, nb, n):
+def _wavg(a, na, b, nb):
     if a is None and b is None:
         return None
-    return ((a or 0.0) * na + (b or 0.0) * nb) / n
+    return ((a or 0.0) * na + (b or 0.0) * nb) / (na + nb)
 
 
 def _prod_or_none(a, b):
@@ -433,8 +429,13 @@ def _prod_or_none(a, b):
     return x * y
 
 
-def _combine_parts(a: CodebookExact, b: CodebookExact, na, nb, n) -> CodebookExact:
-    """A time-shared member from its parts' members, of na and nb symbols."""
+def _combine_parts(members, lengths) -> CodebookExact:
+    """A time-shared member (exact or sampled) from its live parts' members
+    and blocklengths; a lone live part's member passes through unchanged.
+    """
+    if len(members) == 1:
+        return members[0]
+    (a, b), (na, nb) = members, lengths
     status = {}
     for t, ma in a.status_mass.items():
         mb = b.status_mass[t]
@@ -448,10 +449,10 @@ def _combine_parts(a: CodebookExact, b: CodebookExact, na, nb, n) -> CodebookExa
         else:
             recovery[key] = 1.0
     return CodebookExact(
-        leak_ks=_wavg(a.leak_ks, na, b.leak_ks, nb, n),
-        leak_kp=_wavg(a.leak_kp, na, b.leak_kp, nb, n),
-        h_ks=_wavg(a.h_ks, na, b.h_ks, nb, n),
-        h_kp=_wavg(a.h_kp, na, b.h_kp, nb, n),
+        leak_ks=_wavg(a.leak_ks, na, b.leak_ks, nb),
+        leak_kp=_wavg(a.leak_kp, na, b.leak_kp, nb),
+        h_ks=_wavg(a.h_ks, na, b.h_ks, nb),
+        h_kp=_wavg(a.h_kp, na, b.h_kp, nb),
         agree_ks=_prod_or_none(a.agree_ks, b.agree_ks),
         agree_kp=_prod_or_none(a.agree_kp, b.agree_kp),
         status_mass=status, recovery_error=recovery)

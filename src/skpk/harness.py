@@ -29,7 +29,8 @@ import numpy as np
 
 from .binning import MODE_HASH, MODE_TABLE
 from .errors import UsageError
-from .exact import EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _mean_stats
+from .exact import (EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _combine_parts,
+                    _mean_stats)
 from .protocol import RunContext, SchemeConfig
 from .region import label_vertices, rate_region
 from .sources import JointDistribution, _entropy_masses, _integers
@@ -161,10 +162,24 @@ def _rates_echo(ctx: RunContext) -> dict:
 # -- records -----------------------------------------------------------------
 
 
-def _trial_stats(run):
+def _trial_stats(ctx: RunContext, run):
     """One sampled trial as an ensemble member whose law has mass 1 on what
-    happened, and the two key owners' claims.
+    happened, and every terminal's claims on the two keys. A time-shared
+    trial (run: its parts' runs) combines its parts' members as the exact
+    path does.
     """
+    if ctx.scheme == "TimeShare":
+        live = [(part, *_trial_stats(part, r)) for part, r in zip(ctx.parts, run) if part]
+        joined = ({}, {})
+        # a claim is part A's times part B's key size plus part B's; a part in
+        # which the terminal claims nothing counts as 0, a failed one fails all
+        for part, _, *claims in live:
+            for out, got, size in zip(joined, claims, (part.ks_size, part.kp_size)):
+                for t in {**out, **got}:
+                    a, b = out.get(t, 0), got.get(t, 0)
+                    out[t] = None if a is None or b is None else a * size + b
+        member = _combine_parts([m for _, m, *_ in live], [p.config.n for p, *_ in live])
+        return member, *joined
     out = run.outcome
 
     def agreement(claims):
@@ -181,13 +196,12 @@ def _trial_stats(run):
                      for t, status in out.statuses.items()},
         recovery_error={key: float(got is None or not np.array_equal(got, truth[key[0]]))
                         for key, got in run.recovered.items()})
-    # a scheme without a secret key has no claims, so its owner claim is None
-    return member, out.ks_claims.get(out.ks_owner), out.kp_claims.get(out.kp_owner)
+    return member, out.ks_claims, out.kp_claims
 
 
 def _mc_batch(config: SchemeConfig, start: int, stop: int) -> list:
     ctx = RunContext(config)
-    return [_trial_stats(ctx.run(i)) for i in range(start, stop)]
+    return [_trial_stats(ctx, ctx.run(i)) for i in range(start, stop)]
 
 
 def _worker_count() -> int:
@@ -241,23 +255,25 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
     trials = config.trials
     workers = min(_worker_count(), trials)
     if workers <= 1:
-        per_trial = [_trial_stats(ctx.run(i)) for i in range(trials)]
+        per_trial = [_trial_stats(ctx, ctx.run(i)) for i in range(trials)]
     else:
         bounds = [(trials * w // workers, trials * (w + 1) // workers)
                   for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_mc_batch, scfg, a, b) for a, b in bounds]
             per_trial = [s for fut in futures for s in fut.result()]
-    members, owner_ks, owner_kp = zip(*per_trial)
+    members, ks_claims, kp_claims = zip(*per_trial)
 
-    def plug_in(values):
-        present = [v for v in values if v is not None]
+    def plug_in(claims, owner):
+        # a scheme without a secret key has no claims, so its owner claim is None
+        present = [c[owner] for c in claims if c.get(owner) is not None]
         if not present:
             return None
         counts = Counter(present)
         return _entropy_masses(c / trials for c in counts.values()) / n
 
-    mean = replace(_mean_stats(members), h_ks=plug_in(owner_ks), h_kp=plug_in(owner_kp))
+    mean = replace(_mean_stats(members), h_ks=plug_in(ks_claims, ctx.ks_owner),
+                   h_kp=plug_in(kp_claims, ctx.kp_owner))
     return _record(n, ctx, mean, trials=trials)
 
 

@@ -404,15 +404,20 @@ class RunContext:
 
     # -- execution --------------------------------------------------------
 
-    def run(self, trial_index: int) -> ProtocolRun:
+    def run(self, trial_index: int):
         ss = np.random.SeedSequence(
             [self.config.master_seed, _TRIAL_TAG, int(trial_index)])
         triple = sample(self.config.dist, self.config.n, ss)
         return self.run_on_triple(triple)
 
-    def run_on_triple(self, triple: SourceTriple) -> ProtocolRun:
+    def run_on_triple(self, triple: SourceTriple):
+        """The ProtocolRun on the triple; for time sharing, the parts' runs on
+        their slices of it, None for a part without symbols.
+        """
         if self.scheme == "TimeShare":
-            return self._run_time_share(triple)
+            n_a = self.split[0]
+            return [None if ctx is None else ctx.run_on_triple(triple.slice(start, stop))
+                    for ctx, (start, stop) in zip(self.parts, ((0, n_a), (n_a, triple.n)))]
         desc, cbs = self.desc, self.codebooks
         seqs = {"X": triple.x_seq, "Y": triple.y_seq, "Z": triple.z_seq}
         values = {}
@@ -465,46 +470,3 @@ class RunContext:
                                       for m in desc.messages))
         return ProtocolRun(self.scheme, self.redirected, triple.n, triple, transcript,
                            outcome, recovered, dict(cbs))
-
-    # -- time sharing ------------------------------------------------------
-
-    def _run_time_share(self, triple: SourceTriple) -> ProtocolRun:
-        n_a, n_b = self.split
-        runs = []
-        for ctx, (start, stop) in zip(self.parts, ((0, n_a), (n_a, n_a + n_b))):
-            runs.append(None if ctx is None else ctx.run_on_triple(triple.slice(start, stop)))
-        live = [r for r in runs if r is not None]
-        if len(live) == 1:
-            return replace(live[0], scheme="TimeShare", redirected=False, n=triple.n,
-                           triple=triple)
-        run_a, run_b = runs
-
-        def combine_claims(claims_a, claims_b, size_b):
-            # a terminal that claims no part of one key counts as claiming 0
-            out = {}
-            for t in {**claims_a, **claims_b}:
-                a, b = claims_a.get(t, 0), claims_b.get(t, 0)
-                out[t] = None if a is None or b is None else int(a) * size_b + int(b)
-            return out
-
-        oa, ob = run_a.outcome, run_b.outcome
-        outcome = KeyOutcome(
-            ks_claims=combine_claims(oa.ks_claims, ob.ks_claims, ob.ks_size),
-            kp_claims=combine_claims(oa.kp_claims, ob.kp_claims, ob.kp_size),
-            statuses={t: s if s != STATUS_OK else ob.statuses[t]
-                      for t, s in oa.statuses.items()},
-            ks_size=self.ks_size, kp_size=self.kp_size,
-            ks_owner=self.ks_owner, kp_owner=self.kp_owner)
-        messages = tuple(
-            TranscriptMessage(m.sender, f"{part}.{m.label}", m.value)
-            for part, run in (("A", run_a), ("B", run_b))
-            for m in run.transcript.messages)
-        recovered = {}
-        for key in {**run_a.recovered, **run_b.recovered}:
-            ra, rb = run_a.recovered.get(key), run_b.recovered.get(key)
-            recovered[key] = (np.concatenate([ra, rb])
-                              if ra is not None and rb is not None else None)
-        codebooks = {f"A.{k}": v for k, v in run_a.codebooks.items()}
-        codebooks.update({f"B.{k}": v for k, v in run_b.codebooks.items()})
-        return ProtocolRun("TimeShare", False, triple.n, triple, Transcript(messages),
-                           outcome, recovered, codebooks)

@@ -15,7 +15,8 @@ from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
 from skpk.exact import (ExactEvaluator, _draw_member_codebooks, _Enumeration, lemma1_check,
                         oracle_codebooks, oracle_secrecy)
-from skpk.protocol import STATUS_OK, RunContext, SchemeConfig
+from skpk.harness import _trial_stats
+from skpk.protocol import RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, identical_bits, noisy_copy_triple,
                           sequence_code, xor_triple)
 
@@ -214,8 +215,9 @@ def test_oracle_codebooks_match_evaluator_members(scheme):
         "TimeShare-xor"])
 def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw):
     """Exact masses against sampled frequencies on the same codebooks: key
-    agreement, and each decoding terminal's OK rate. For time sharing this
-    checks the sampled combination of the parts against the exact one.
+    agreement, and each decoding terminal's OK rate, counted from the
+    sampled members the reports average. For time sharing this checks the
+    sampled combination of the parts against the exact one.
     """
     cfg = _config(scheme, dist, n=n, seed=3, eps=eps, **kw)
     exact = ExactEvaluator(cfg).evaluate_native()
@@ -225,17 +227,15 @@ def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw
     assert getattr(ctx.rates, "orientation", None) == orientation
     hits = {"ks": 0, "kp": 0, "X": 0, "Y": 0}
     for i in range(trials):
-        out = ctx.run(i).outcome
-        for name, claims in (("ks", out.ks_claims), ("kp", out.kp_claims)):
-            values = list(claims.values())
-            if all(v is not None for v in values) and len(set(values)) == 1:
-                hits[name] += 1
+        member, ks_claims, _ = _trial_stats(ctx, ctx.run(i))
+        hits["ks"] += member.agree_ks or 0.0
+        hits["kp"] += member.agree_kp
         for t in ("X", "Y"):
-            hits[t] += out.statuses[t] == STATUS_OK
+            hits[t] += member.status_mass[t]["OK"]
     expected = {"ks": exact.agree_ks, "kp": exact.agree_kp,
                 "X": exact.status_mass["X"]["OK"], "Y": exact.status_mass["Y"]["OK"]}
     if exact.agree_ks is None:
-        assert out.ks_claims == {}
+        assert (member.agree_ks, ks_claims) == (None, {})
         del expected["ks"]
     for name, p in expected.items():
         sigma = math.sqrt(max(p * (1 - p), 1e-9) / trials)
@@ -314,18 +314,20 @@ def test_time_share_lone_part_passes_members_through():
     assert evaluator.evaluate_native() == lone.evaluate_native()
 
 
-# a time-shared result printed whole; key order must not follow string hashes
+# time-shared results printed whole, exact and sampled: the sampled trial
+# as its member and key claims; key order must not follow string hashes
 _REPR_SCRIPT = """
 from skpk.binning import MODE_TABLE
 from skpk.exact import ExactEvaluator
+from skpk.harness import _trial_stats
 from skpk.protocol import RunContext, SchemeConfig
 from skpk.sources import xor_triple
 cfg = SchemeConfig(scheme="TimeShare", dist=xor_triple(), n=8, epsilon=0.5,
                    delta=0.02, master_seed=5, codebook_mode=MODE_TABLE,
                    ts_schemes=("PointP", "PointQ"), ts_lambda=0.5)
-run = RunContext(cfg).run(0)
+ctx = RunContext(cfg)
 print(repr(ExactEvaluator(cfg).evaluate(1)))
-print(repr((run.outcome, run.recovered, run.transcript)))
+print(repr(_trial_stats(ctx, ctx.run(0))))
 """
 
 

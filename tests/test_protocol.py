@@ -8,6 +8,7 @@ from conftest import mirrored_noisy_copy, random_distribution
 from skpk import protocol, typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import SearchOverflowError, UsageError
+from skpk.harness import _trial_stats
 from skpk.protocol import (STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
                            STATUS_OVERFLOW, RunContext, SchemeConfig, _pair_decode,
                            _unique_decode, derive_rates)
@@ -165,26 +166,47 @@ def test_swapped_orientation_relabels(flips, decodes):
 
 
 def test_time_share_combination():
+    """A time-shared trial is its parts' runs on their halves of one triple
+    sampled from the time-shared seed. The sampled member combines them:
+    a terminal is OK and a copy is recovered only when both halves are,
+    and a key claim is part A's claim times part B's key size plus part B's.
+    """
     cfg = _config("TimeShare", identical_bits(), n=12, eps=0.5, delta=0.05,
                   seed=3, ts_schemes=("PointT", "PointT"), ts_lambda=0.5)
     ctx = RunContext(cfg)
-    run = ctx.run(0)
-    assert run.scheme == "TimeShare"
-    labels = [m.label for m in run.transcript.messages]
-    assert all(l.startswith(("A.", "B.")) for l in labels)
     part = RunContext(_config("PointT", identical_bits(), n=6, eps=0.5,
-                              delta=0.05, seed=3)).run(0)
-    assert run.outcome.ks_size == part.outcome.ks_size ** 2
-    assert run.outcome.kp_size == part.outcome.kp_size ** 2
-    # recovered copies concatenate when both halves decoded, else stay None
+                              delta=0.05, seed=3))
+    assert ctx.ks_size == part.ks_size ** 2
+    assert ctx.kp_size == part.kp_size ** 2
+    triple = protocol.sample(cfg.dist, 12, np.random.SeedSequence([3, protocol._TRIAL_TAG, 0]))
+    for run, (start, stop) in zip(ctx.run(0), ((0, 6), (6, 12))):
+        assert (run.scheme, run.n) == ("PointT", 6)
+        assert [m.label for m in run.transcript.messages] == ["f", "g"]
+        for seq in ("x_seq", "y_seq", "z_seq"):
+            assert np.array_equal(getattr(run.triple, seq), getattr(triple, seq)[start:stop])
+    size_b = ctx.parts[1].kp_size
     for i in range(30):
-        trial = ctx.run(i)
-        if trial.outcome.statuses["X"] == STATUS_OK:
-            assert len(trial.recovered["z_at_X"]) == 12
+        runs = ctx.run(i)
+        member, _, kp = _trial_stats(ctx, runs)
+        a, b = (r.outcome.kp_claims for r in runs)
+        assert kp == {t: None if a[t] is None or b[t] is None else a[t] * size_b + b[t]
+                      for t in a}
+        both_ok = all(r.outcome.statuses["X"] == STATUS_OK for r in runs)
+        assert member.status_mass["X"]["OK"] == float(both_ok)
+        recovered = all(r.recovered["z_at_X"] is not None
+                        and np.array_equal(r.recovered["z_at_X"], r.triple.z_seq)
+                        for r in runs)
+        assert member.recovery_error["z_at_X"] == float(not recovered)
+        if both_ok:
             break
-        assert trial.recovered["z_at_X"] is None
     else:
         raise AssertionError("no trial decoded in 30 attempts")
+    # PointE claims no secret key, so PointT's claims on it pass through
+    ctx = RunContext(dataclasses.replace(cfg, dist=xor_triple(), ts_schemes=("PointE", "PointT")))
+    for i in range(5):
+        runs = ctx.run(i)
+        assert runs[0].outcome.ks_claims == {}
+        assert _trial_stats(ctx, runs)[1] == runs[1].outcome.ks_claims
 
 
 def test_time_share_lambda_extremes():
@@ -193,10 +215,13 @@ def test_time_share_lambda_extremes():
     ctx = RunContext(cfg)
     assert ctx.split == (0, 6)
     assert ctx.parts[0] is None
-    run = ctx.run(0)
-    # the lone live part passes through with its own labels
-    assert run.scheme == "TimeShare"
-    assert [m.label for m in run.transcript.messages] == ["f", "g"]
+    first, lone = ctx.run(0)
+    # the lone live part runs on the whole triple with its own labels, and
+    # its member and claims pass through unchanged
+    assert first is None
+    assert (lone.scheme, lone.n) == ("PointT", 6)
+    assert [m.label for m in lone.transcript.messages] == ["f", "g"]
+    assert _trial_stats(ctx, [first, lone]) == _trial_stats(ctx.parts[1], lone)
 
 
 def test_config_validation():
