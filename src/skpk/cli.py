@@ -100,14 +100,15 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
     else:
         raise UsageError("either --n or --sweep is required")
     ts_schemes = None
-    if args.scheme == "timeshare":
-        if not args.ts_schemes:
-            raise UsageError("timeshare needs --ts-schemes A,B")
+    if args.ts_schemes:
+        # a one-shot scheme refuses them when the config is built
         parts = [p.strip() for p in args.ts_schemes.split(",")]
         if len(parts) != 2 or any(p not in _ONE_SHOT for p in parts):
             raise UsageError(
                 f"--ts-schemes expects two of {', '.join(_ONE_SHOT)}")
         ts_schemes = tuple(_SCHEME_NAMES[p] for p in parts)
+    elif args.scheme == "timeshare":
+        raise UsageError("timeshare needs --ts-schemes A,B")
     mode = MODE_TABLE if args.codebook == "table" else MODE_HASH
     if exact and mode != MODE_TABLE:
         print("warning: exact mode needs explicit tables; ignoring --codebook hash",

@@ -29,7 +29,7 @@ from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, s
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
-                      code_digits)
+                      _integers, code_digits)
 from .typicality import TypicalityParams, count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -405,6 +405,7 @@ class ExactEvaluator:
         return self._member()
 
     def evaluate(self, num_codebooks: int) -> ExactResult:
+        (num_codebooks,) = _integers("num_codebooks", (num_codebooks,))
         if num_codebooks < 1:
             raise UsageError("exact evaluation needs at least one codebook")
         per = [self._member(k) for k in range(num_codebooks)]
@@ -638,6 +639,8 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     masses over the full |Z|^n enumeration. epsilon only feeds the typicality
     diagnostics, not the entropy itself.
     """
+    n, codebook_count, seed = _integers("n, codebook_count and seed",
+                                        (n, codebook_count, seed))
     z_pmf = np.asarray(z_pmf, dtype=np.float64).ravel()
     if abs(float(z_pmf.sum()) - 1.0) > 1e-9 or z_pmf.min() < 0:
         raise UsageError("z marginal must be a pmf")
@@ -675,7 +678,7 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     num_bins, num_sub = num_bins_for_rate(n, r_z), num_bins_for_rate(n, r_s)
     n_cells = num_bins * num_sub
     for k in range(codebook_count):
-        cb_seed = child_seed(int(seed), _LEMMA_TAG, k)
+        cb_seed = child_seed(seed, _LEMMA_TAG, k)
         cb = make_codebook(MODE_TABLE, n, az, r_z, r_s, cb_seed, purpose="Z")
         cells = (cb.bins_of_indices(codes).astype(np.int64) * num_sub
                  + cb.sub_bins_of_indices(codes).astype(np.int64))

@@ -159,6 +159,8 @@ class SchemeConfig:
                     raise UsageError(f"TimeShare part {s!r} must be a one-shot scheme")
             if not (0.0 <= self.ts_lambda <= 1.0):
                 raise UsageError(f"ts_lambda must lie in [0, 1], got {self.ts_lambda}")
+        elif self.ts_schemes is not None:
+            raise UsageError(f"ts_schemes is for TimeShare only, not {self.scheme}")
         TypicalityParams(self.epsilon, self.n)
         if not 0.0 <= self.delta < math.inf:
             raise UsageError(f"delta must be a finite number >= 0, got {self.delta}")

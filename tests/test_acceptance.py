@@ -13,9 +13,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import skpk
 from conftest import random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.exact import ExactEvaluator, lemma1_check, oracle_codebooks, oracle_secrecy
@@ -278,11 +280,14 @@ def test_criterion_9_reproducibility(tmp_path):
     exact = [sys.executable, "-m", "skpk.cli", "secrecy-exact", "--pmf", str(pmf),
              "--scheme", "pointP", "--n", "4", "--trials", "3",
              "--epsilon", "0.9", "--delta", "0.01", "--seed", "5"]
+    # the CLI runs import the skpk this process imported
+    src = str(Path(skpk.__file__).resolve().parents[1])
     outputs = []
     for workers in ("1", "3", "1"):
-        env = dict(os.environ, SKPK_WORKERS=workers)
+        env = dict(os.environ, SKPK_WORKERS=workers, PYTHONPATH=src)
         outputs.append(subprocess.run(sim, capture_output=True, env=env).stdout)
-    exact_outputs = [subprocess.run(exact, capture_output=True).stdout
+    exact_outputs = [subprocess.run(exact, capture_output=True,
+                                    env=dict(os.environ, PYTHONPATH=src)).stdout
                      for _ in range(2)]
     same = (outputs[0] == outputs[1] == outputs[2]
             and exact_outputs[0] == exact_outputs[1])

@@ -73,6 +73,16 @@ def test_timeshare_flags(xor_file, capsys):
     assert rc == 2
 
 
+def test_one_shot_scheme_refuses_ts_schemes(xor_file, capsys):
+    """--ts-schemes with a one-shot scheme is an error, not silently dropped."""
+    rc = main(["simulate", "--pmf", xor_file, "--scheme", "pointT",
+               "--ts-schemes", "pointE,pointQ", "--n", "8", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ts_schemes is for TimeShare only")
+
+
 def test_secrecy_exact_forces_tables(xor_file, capsys):
     argv = ["secrecy-exact", "--pmf", xor_file, "--scheme", "pointE", "--n", "3",
             "--trials", "2", "--epsilon", "0.9", "--delta", "0.01",

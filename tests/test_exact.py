@@ -390,6 +390,28 @@ def test_lemma_precondition_errors():
                      codebook_count=1, delta=0.05, seed=0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"n": 6.0}, {"n": True}, {"codebook_count": 2.5}, {"codebook_count": "2"},
+    {"seed": 2.5}, {"seed": True},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_lemma_refuses_non_integers(kw):
+    """n, codebook_count and seed must be integers: a float, a string or a
+    bool is refused, not rounded (seed=2.5 once ran seed 2) or passed on to
+    fail inside numpy.
+    """
+    args = {"n": 6, "r_s": 0.2, "r_z": 0.3, "codebook_count": 2, "delta": 0.05,
+            "seed": 1, **kw}
+    with pytest.raises(UsageError, match="must be integers"):
+        lemma1_check(np.array([0.5, 0.5]), **args)
+
+
+@pytest.mark.parametrize("count", [2.5, True, "2"])
+def test_evaluate_refuses_non_integer_codebook_count(count):
+    evaluator = ExactEvaluator(_config("PointT", xor_triple(), n=4))
+    with pytest.raises(UsageError, match="must be integers"):
+        evaluator.evaluate(count)
+
+
 def test_pair_decode_packs_wide_bins():
     """Z bins wider than 32 bits pack next to the helper bin without loss: at
     n=4 both 2**20 and 2**36 bins give the 16 Z sequences distinct bins, so

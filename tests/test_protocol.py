@@ -235,6 +235,10 @@ def test_config_validation():
                 ts_schemes=("PointE", "PointT"), ts_lambda=1.5)
     with pytest.raises(UsageError):
         _config("PointT", xor_triple(), n=4, eps=1.2, delta=0.05, seed=0)
+    # a one-shot scheme refuses time-sharing parts instead of dropping them
+    with pytest.raises(UsageError, match="ts_schemes is for TimeShare only"):
+        _config("PointT", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
+                ts_schemes=("PointE",))
 
 
 @pytest.mark.parametrize("kw", [
