@@ -4,7 +4,8 @@ run_trials drives a campaign, one record per blocklength. Both evaluation
 modes average ensemble members (exact.CodebookExact) and build the record
 from the mean in one place. In Monte Carlo mode a member is one sampled
 trial, a law with mass 1 on what happened, and key uniformity is the plug-in
-entropy of the owners' claims; in Exact mode a member is one codebook draw's
+entropy of the keys as their owners compute them, a time share's key being
+its parts' keys side by side; in Exact mode a member is one codebook draw's
 exact laws, and the record adds the leakage numbers that sampling cannot
 estimate honestly. emit_report is the one serializer: reports are plain
 dictionaries with 12-significant-digit floats so that identical
@@ -164,22 +165,20 @@ def _rates_echo(ctx: RunContext) -> dict:
 
 def _trial_stats(ctx: RunContext, run):
     """One sampled trial as an ensemble member whose law has mass 1 on what
-    happened, and every terminal's claims on the two keys. A time-shared
-    trial (run: its parts' runs) combines its parts' members as the exact
-    path does.
+    happened, and the two keys as their owners compute them (None: no such
+    key). A time-shared trial (run: its parts' runs) combines its parts'
+    members as the exact path does, and its key is part A's key times part
+    B's key size plus part B's key; a part without a secret key adds nothing.
     """
     if ctx.scheme == "TimeShare":
         live = [(part, *_trial_stats(part, r)) for part, r in zip(ctx.parts, run) if part]
-        joined = ({}, {})
-        # a claim is part A's times part B's key size plus part B's; a part in
-        # which the terminal claims nothing counts as 0, a failed one fails all
-        for part, _, *claims in live:
-            for out, got, size in zip(joined, claims, (part.ks_size, part.kp_size)):
-                for t in {**out, **got}:
-                    a, b = out.get(t, 0), got.get(t, 0)
-                    out[t] = None if a is None or b is None else a * size + b
         member = _combine_parts([m for _, m, *_ in live], [p.config.n for p, *_ in live])
-        return member, *joined
+        ks = kp = None
+        for part, _, part_ks, part_kp in live:
+            if part_ks is not None:
+                ks = part_ks if ks is None else ks * part.ks_size + part_ks
+            kp = part_kp if kp is None else kp * part.kp_size + part_kp
+        return member, ks, kp
     out = run.outcome
 
     def agreement(claims):
@@ -196,7 +195,7 @@ def _trial_stats(ctx: RunContext, run):
                      for t, status in out.statuses.items()},
         recovery_error={key: float(got is None or not np.array_equal(got, truth[key[0]]))
                         for key, got in run.recovered.items()})
-    return member, out.ks_claims, out.kp_claims
+    return member, out.ks_claims.get(ctx.ks_owner), out.kp_claims[ctx.kp_owner]
 
 
 def _mc_batch(config: SchemeConfig, start: int, stop: int) -> list:
@@ -262,18 +261,14 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_mc_batch, scfg, a, b) for a, b in bounds]
             per_trial = [s for fut in futures for s in fut.result()]
-    members, ks_claims, kp_claims = zip(*per_trial)
+    members, ks_keys, kp_keys = zip(*per_trial)
 
-    def plug_in(claims, owner):
-        # a scheme without a secret key has no claims, so its owner claim is None
-        present = [c[owner] for c in claims if c.get(owner) is not None]
-        if not present:
+    def plug_in(keys):
+        if keys[0] is None:   # the scheme has no such key
             return None
-        counts = Counter(present)
-        return _entropy_masses(c / trials for c in counts.values()) / n
+        return _entropy_masses(c / trials for c in Counter(keys).values()) / n
 
-    mean = replace(_mean_stats(members), h_ks=plug_in(ks_claims, ctx.ks_owner),
-                   h_kp=plug_in(kp_claims, ctx.kp_owner))
+    mean = replace(_mean_stats(members), h_ks=plug_in(ks_keys), h_kp=plug_in(kp_keys))
     return _record(n, ctx, mean, trials=trials)
 
 

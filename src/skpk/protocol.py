@@ -188,17 +188,13 @@ class Transcript:
 class KeyOutcome:
     """Per-terminal key claims. A claim is None when that terminal's decode
     chain for the key failed; a scheme that assigns no secret key leaves
-    ks_claims empty with ks_size 1. The owner of a key is the terminal that
-    computes it from its own sequence, so its claim is never None.
+    ks_claims empty. A key's owner (RunContext.ks_owner, kp_owner) computes
+    it from its own sequence, so its claim is never None.
     """
 
     ks_claims: dict
     kp_claims: dict
     statuses: dict
-    ks_size: int
-    kp_size: int
-    ks_owner: str = "Z"
-    kp_owner: str = "X"
 
 
 @dataclass
@@ -337,7 +333,7 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
 
 class RunContext:
     """Shared per-config state: codebooks, candidate engines, derived rates,
-    and each key's owner and size (for time sharing, taken from the parts).
+    key sizes (for time sharing, the parts' products) and one-shot key owners.
 
     Build once, then call run(i) per trial; trial i is fully determined by
     (config, i) regardless of how trials are batched across workers. The
@@ -399,8 +395,6 @@ class RunContext:
                 cfg, scheme=part_name, n=part_n, rates=None, ts_schemes=None,
                 master_seed=child_seed(cfg.master_seed, stream_tag(tag)))))
         live = [p for p in self.parts if p is not None]
-        self.ks_owner = live[0].ks_owner or live[-1].ks_owner
-        self.kp_owner = live[0].kp_owner
         self.ks_size = math.prod(p.ks_size for p in live)
         self.kp_size = math.prod(p.kp_size for p in live)
 
@@ -466,8 +460,7 @@ class RunContext:
 
         outcome = KeyOutcome(
             ks_claims=claims(self.ks_owner) if self.ks_owner else {},
-            kp_claims=claims(self.kp_owner), statuses=statuses, ks_size=self.ks_size,
-            kp_size=self.kp_size, ks_owner=self.ks_owner, kp_owner=self.kp_owner)
+            kp_claims=claims(self.kp_owner), statuses=statuses)
         transcript = Transcript(tuple(TranscriptMessage(m.sender, m.label, values[m.sender])
                                       for m in desc.messages))
         return ProtocolRun(self.scheme, self.redirected, triple.n, triple, transcript,

@@ -259,7 +259,7 @@ def test_criterion_8_agreement_trend_markov():
                          if np.any(eng.lo > eng.hi)) or "none"
         scheme = ctx.scheme + (" (redirected from PointQ)" if ctx.redirected else "")
         runs.append(f"n={n}: scheme={scheme} empty_windows={empty} "
-                    f"ks_size={out.ks_size}")
+                    f"ks_size={ctx.ks_size}")
     p12, p24 = agree[12], agree[24]
     sigma = math.sqrt((p12 * (1 - p12) + p24 * (1 - p24)) / trials)
     separated = p24 - p12 > 2 * max(sigma, 1e-12)

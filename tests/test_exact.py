@@ -227,7 +227,7 @@ def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw
     assert getattr(ctx.rates, "orientation", None) == orientation
     hits = {"ks": 0, "kp": 0, "X": 0, "Y": 0}
     for i in range(trials):
-        member, ks_claims, _ = _trial_stats(ctx, ctx.run(i))
+        member, ks_key, _ = _trial_stats(ctx, ctx.run(i))
         hits["ks"] += member.agree_ks or 0.0
         hits["kp"] += member.agree_kp
         for t in ("X", "Y"):
@@ -235,7 +235,7 @@ def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw
     expected = {"ks": exact.agree_ks, "kp": exact.agree_kp,
                 "X": exact.status_mass["X"]["OK"], "Y": exact.status_mass["Y"]["OK"]}
     if exact.agree_ks is None:
-        assert (member.agree_ks, ks_claims) == (None, {})
+        assert (member.agree_ks, ks_key) == (None, None)
         del expected["ks"]
     for name, p in expected.items():
         sigma = math.sqrt(max(p * (1 - p), 1e-9) / trials)

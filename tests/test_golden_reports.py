@@ -171,7 +171,7 @@ DIGESTS = {
     "simulate-timeshare-lone-hash-xor":
         "173f972899741554b40100345ba40e2198eb72825dbd8b938117a1f53313fcf1",
     "simulate-timeshare-mixed-owner-hash-mirrored-echo":
-        "8a70320a4c719f4f1aa3229164870b9ee4c044d8a8d604ac73407119a22aefc9",
+        "8ffdafb4a989f0a8c1c23b01280fd040a930e1d9ca5ba76eee37cf2f1c0c0d97",
     "simulate-timeshare-table-xor":
         "c17d84ba57b96c303a10e6911a1a8069a87163b60e6ecea72f195e9afd96bb5b",
 }

@@ -113,11 +113,12 @@ def test_no_redirect_when_y_helps():
 
 def test_point_e_shape():
     cfg = _config("PointE", xor_triple(), n=5, eps=0.5, delta=0.02, seed=7)
-    run = RunContext(cfg).run(1)
+    ctx = RunContext(cfg)
+    run = ctx.run(1)
     assert run.outcome.ks_claims == {}
-    assert run.outcome.ks_size == 1
-    assert run.outcome.ks_owner is None
-    assert run.outcome.kp_owner == "X"
+    assert ctx.ks_size == 1
+    assert ctx.ks_owner is None
+    assert ctx.kp_owner == "X"
     labels = [m.label for m in run.transcript.messages]
     assert labels == ["z-index", "g"]
     # Y observes z directly, so the z copies are always right
@@ -142,6 +143,8 @@ def test_swapped_orientation_relabels(flips, decodes):
                     delta=0.02, seed=13)
     ctx_m, ctx_c = RunContext(cfg_m), RunContext(cfg_c)
     assert ctx_m.swapped and not ctx_c.swapped
+    assert (ctx_m.ks_owner, ctx_m.kp_owner) == ("Z", "Y")
+    assert (ctx_m.ks_size, ctx_m.kp_size) == (ctx_c.ks_size, ctx_c.kp_size)
     both_ok = 0
     for i in range(200):
         run = ctx_m.run(i)
@@ -150,12 +153,10 @@ def test_swapped_orientation_relabels(flips, decodes):
         out, ref = run.outcome, twin.outcome
         assert set(out.ks_claims) == {"Z", "X", "Y"}
         assert set(run.recovered) == {"z_at_X", "z_at_Y", "y_at_X"}
-        assert (out.ks_owner, out.kp_owner) == ("Z", "Y")
         # the mirrored run with labels swapped back tells the same story
         for field in ("statuses", "ks_claims", "kp_claims"):
             assert getattr(out, field) == {
                 k.translate(_SWAP): v for k, v in getattr(ref, field).items()}, field
-        assert (out.ks_size, out.kp_size) == (ref.ks_size, ref.kp_size)
         for key, seq in twin.recovered.items():
             mine = run.recovered[key.translate(_SWAP)]
             assert (mine is None and seq is None) or np.array_equal(mine, seq), key
@@ -169,7 +170,8 @@ def test_time_share_combination():
     """A time-shared trial is its parts' runs on their halves of one triple
     sampled from the time-shared seed. The sampled member combines them:
     a terminal is OK and a copy is recovered only when both halves are,
-    and a key claim is part A's claim times part B's key size plus part B's.
+    and a key is part A's key times part B's key size plus part B's, each
+    part's key being its owner's sub-bin on that part's slice.
     """
     cfg = _config("TimeShare", identical_bits(), n=12, eps=0.5, delta=0.05,
                   seed=3, ts_schemes=("PointT", "PointT"), ts_lambda=0.5)
@@ -184,13 +186,13 @@ def test_time_share_combination():
         assert [m.label for m in run.transcript.messages] == ["f", "g"]
         for seq in ("x_seq", "y_seq", "z_seq"):
             assert np.array_equal(getattr(run.triple, seq), getattr(triple, seq)[start:stop])
-    size_b = ctx.parts[1].kp_size
+    part_b = ctx.parts[1]
     for i in range(30):
         runs = ctx.run(i)
-        member, _, kp = _trial_stats(ctx, runs)
-        a, b = (r.outcome.kp_claims for r in runs)
-        assert kp == {t: None if a[t] is None or b[t] is None else a[t] * size_b + b[t]
-                      for t in a}
+        member, ks, kp = _trial_stats(ctx, runs)
+        ks_a, ks_b = (_owner_key(r, "Z") for r in runs)
+        kp_a, kp_b = (_owner_key(r, "X") for r in runs)
+        assert (ks, kp) == (ks_a * part_b.ks_size + ks_b, kp_a * part_b.kp_size + kp_b)
         both_ok = all(r.outcome.statuses["X"] == STATUS_OK for r in runs)
         assert member.status_mass["X"]["OK"] == float(both_ok)
         recovered = all(r.recovered["z_at_X"] is not None
@@ -201,12 +203,27 @@ def test_time_share_combination():
             break
     else:
         raise AssertionError("no trial decoded in 30 attempts")
-    # PointE claims no secret key, so PointT's claims on it pass through
+    # PointE has no secret key, so PointT's passes through
     ctx = RunContext(dataclasses.replace(cfg, dist=xor_triple(), ts_schemes=("PointE", "PointT")))
     for i in range(5):
         runs = ctx.run(i)
         assert runs[0].outcome.ks_claims == {}
-        assert _trial_stats(ctx, runs)[1] == runs[1].outcome.ks_claims
+        assert _trial_stats(ctx, runs)[1] == _owner_key(runs[1], "Z")
+    # the parts' private keys have different owners: Y in PointP here, X in
+    # PointE; each part's owner computes its own part of the key
+    ctx = RunContext(dataclasses.replace(cfg, dist=mirrored_noisy_copy(0.25, 0.0),
+                                         ts_schemes=("PointP", "PointE")))
+    assert [p.kp_owner for p in ctx.parts] == ["Y", "X"]
+    for i in range(5):
+        runs = ctx.run(i)
+        kp = _owner_key(runs[0], "Y") * ctx.parts[1].kp_size + _owner_key(runs[1], "X")
+        assert _trial_stats(ctx, runs)[1:] == (_owner_key(runs[0], "Z"), kp)
+
+
+def _owner_key(run, owner):
+    """The sub-bin of owner's own sequence in a one-shot run."""
+    seq = {"X": run.triple.x_seq, "Y": run.triple.y_seq, "Z": run.triple.z_seq}[owner]
+    return run.codebooks[owner].sub_bin_index(seq)
 
 
 def test_time_share_lambda_extremes():
