@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from conftest import mirrored_noisy_copy
 from skpk import harness
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
@@ -217,6 +218,31 @@ def test_time_share_report():
     assert rec["rates"]["split"] == [4, 4]
     assert rec["rates"]["parts"]["A"]["scheme"] == "PointE"
     assert rec["rates"]["parts"]["B"]["scheme"] == "PointT"
+
+
+_MIXED_OWNER_PARTS = [(a, b) for other in ("PointE", "PointT", "PointQ")
+                      for a, b in (("PointP", other), (other, "PointP"))]
+
+
+@pytest.mark.parametrize("flips", [(0.25, 0.0), (0.3, 0.1)], ids=["echo", "noisy"])
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+@pytest.mark.parametrize("parts", _MIXED_OWNER_PARTS, ids="-".join)
+def test_mixed_owner_time_share_uniformity_is_a_key_entropy(parts, mode, flips):
+    """On a mirrored source PointP's private key is Y's, while PointE, PointT
+    and PointQ give it to X. The sampled uniformity of a time share between
+    them is still the plug-in entropy of one key per trial, so it is present
+    and at most the key rate. PointP always has a secret key.
+    """
+    cfg = _mc_config(scheme="TimeShare", dist=mirrored_noisy_copy(*flips),
+                     ts_schemes=parts, ts_lambda=0.5, n_values=(8, 12), trials=40,
+                     epsilon=0.5, delta=0.02, codebook_mode=mode)
+    for rec in run_trials(cfg).records:
+        owners = [p["orientation"] if p["scheme"] == "PointP" else "X"
+                  for p in rec["rates"]["parts"].values()]
+        assert sorted(owners) == ["X", "Y"], rec["n"]
+        for key in ("ks", "kp"):
+            h = rec[f"uniformity_h{key}"]
+            assert h is not None and h <= rec[f"rate_{key}"] + 1e-12, (rec["n"], key, h)
 
 
 def test_search_overflow_tally(monkeypatch):
