@@ -49,8 +49,8 @@ def _add_simulate_flags(sub, exact: bool):
                      default="table" if exact else "hash")
     sub.add_argument("--ts-schemes",
                      help="two comma-separated one-shot schemes for timeshare")
-    sub.add_argument("--ts-lambda", type=float, default=0.5,
-                     help="fraction of symbols given to the first part")
+    sub.add_argument("--ts-lambda", type=float,
+                     help="fraction of symbols given to the first part (default 0.5)")
     sub.add_argument("--out", help="output file; format from extension")
     if exact:
         sub.add_argument("--exact-cap", type=int, default=EXACT_PRODUCT_CAP,
@@ -109,6 +109,8 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
         ts_schemes = tuple(_SCHEME_NAMES[p] for p in parts)
     elif args.scheme == "timeshare":
         raise UsageError("timeshare needs --ts-schemes A,B")
+    if args.ts_lambda is not None and args.scheme != "timeshare":
+        raise UsageError(f"--ts-lambda is for timeshare only, not {args.scheme}")
     mode = MODE_TABLE if args.codebook == "table" else MODE_HASH
     if exact and mode != MODE_TABLE:
         print("warning: exact mode needs explicit tables; ignoring --codebook hash",
@@ -119,7 +121,7 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
         trials=args.trials, epsilon=args.epsilon, delta=args.delta,
         master_seed=args.seed, codebook_mode=mode,
         evaluation_mode=MODE_EXACT if exact else MODE_MONTE_CARLO,
-        ts_schemes=ts_schemes, ts_lambda=args.ts_lambda,
+        ts_schemes=ts_schemes, ts_lambda=0.5 if args.ts_lambda is None else args.ts_lambda,
         exact_cap=getattr(args, "exact_cap", EXACT_PRODUCT_CAP))
 
 
@@ -145,10 +147,7 @@ def _cmd_lemma1(args) -> int:
     stats = lemma1_check(dist.marginal("Z"), args.n, args.rs, args.rz,
                          args.codebooks, args.delta, args.seed,
                          epsilon=args.epsilon)
-    record = asdict(stats)
-    record["per_codebook"] = list(record["per_codebook"])
-    record["e2_fractions"] = list(record["e2_fractions"])
-    text = emit_report(record, path=args.out)
+    text = emit_report(asdict(stats), path=args.out)
     if not args.out:
         sys.stdout.write(text)
     return 0

@@ -646,6 +646,8 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
         raise UsageError("z marginal must be a pmf")
     az = len(z_pmf)
     h_z = _entropy_of(z_pmf)
+    if not 0.0 <= delta < math.inf:
+        raise UsageError(f"delta must be a finite number >= 0, got {delta}")
     if not (r_s + r_z < h_z - 2 * delta):
         raise UsageError(
             f"precondition violated: R_S + R_Z = {r_s + r_z} is not below "

@@ -83,6 +83,24 @@ def test_one_shot_scheme_refuses_ts_schemes(xor_file, capsys):
     assert captured.err.startswith("error: ts_schemes is for TimeShare only")
 
 
+def test_one_shot_scheme_refuses_ts_lambda(xor_file, capsys):
+    """--ts-lambda with a one-shot scheme is an error, not silently dropped;
+    timeshare without it gives each part half of the symbols.
+    """
+    rc = main(["simulate", "--pmf", xor_file, "--scheme", "pointT", "--ts-lambda", "7",
+               "--n", "6", "--trials", "3", "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --ts-lambda is for timeshare only")
+    assert main(["simulate", "--pmf", xor_file, "--scheme", "timeshare",
+                 "--ts-schemes", "pointE,pointT", "--n", "8", "--trials", "3",
+                 "--epsilon", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["ts_lambda"] == 0.5
+    assert doc["records"][0]["rates"]["split"] == [4, 4]
+
+
 def test_secrecy_exact_forces_tables(xor_file, capsys):
     argv = ["secrecy-exact", "--pmf", xor_file, "--scheme", "pointE", "--n", "3",
             "--trials", "2", "--epsilon", "0.9", "--delta", "0.01",
@@ -187,8 +205,9 @@ def test_bad_blocklength_is_a_usage_error(command, flag, value, message, xor_fil
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,message", [("--epsilon", "nan", "epsilon must lie"),
-                                                ("--seed", "-1", "seed must be >= 0")])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epsilon", "nan", "epsilon must lie"), ("--seed", "-1", "seed must be >= 0"),
+    ("--delta", "-0.5", "delta must be a finite number >= 0")])
 def test_lemma1_rejects_bad_numbers(flag, value, message, xor_file, capsys):
     argv = ["lemma1", "--pmf", xor_file, "--n", "4", "--rs", "0.1", "--rz", "0.2",
             "--delta", "0.1", flag, value]

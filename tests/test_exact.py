@@ -390,6 +390,17 @@ def test_lemma_precondition_errors():
                      codebook_count=1, delta=0.05, seed=0)
 
 
+@pytest.mark.parametrize("delta", [-0.5, -math.inf, math.inf, math.nan], ids=repr)
+def test_lemma_refuses_bad_delta(delta):
+    """delta must be finite and >= 0, as in SchemeConfig: a negative one
+    loosens the precondition and the bound, and a non-finite one is not a
+    JSON number. It is checked before the precondition.
+    """
+    with pytest.raises(UsageError, match="delta must be a finite number >= 0"):
+        lemma1_check(np.array([0.5, 0.5]), n=4, r_s=0.1, r_z=0.3,
+                     codebook_count=2, delta=delta, seed=0)
+
+
 @pytest.mark.parametrize("kw", [
     {"n": 6.0}, {"n": True}, {"codebook_count": 2.5}, {"codebook_count": "2"},
     {"seed": 2.5}, {"seed": True},
