@@ -23,11 +23,15 @@ import skpk.harness
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load_bench("spans")
 
 
 def test_every_traced_layer_resolves_to_a_callable():
@@ -131,3 +135,19 @@ def test_bench_config_keywords_are_fields():
                     f"{path.name}:{node.lineno} passes {kw.arg}= to skpk.{chain[1]}, "
                     "which has no such field")
     assert calls, "no bench script builds a config; the walk found nothing to check"
+
+
+@pytest.mark.parametrize("scheme,n", [("PointT", 12), ("PointP", 8)])
+def test_bench_trial_checker_passes(scheme, n):
+    """bench/checks.py reads fields of ProtocolRun and KeyOutcome (statuses,
+    claims, recovered copies, codebooks), which the name checks above do not
+    see; its trial checker must still run and find nothing on the workloads'
+    schemes.
+    """
+    checks = _load_bench("checks")
+    cfg = skpk.SchemeConfig(scheme=scheme, dist=skpk.xor_triple(), n=n, epsilon=0.5,
+                            delta=0.05, master_seed=3)
+    ctx = skpk.RunContext(cfg)
+    checker = checks.TrialChecker(cfg.dist, cfg.params)
+    problems = [(i, p) for i in range(20) for p in checker.check(ctx.run(i))]
+    assert problems == []
