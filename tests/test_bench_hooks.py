@@ -30,12 +30,8 @@ def _load_bench(name):
     return module
 
 
-def _load_spans():
-    return _load_bench("spans")
-
-
 def test_every_traced_layer_resolves_to_a_callable():
-    spans = _load_spans()
+    spans = _load_bench("spans")
     assert spans.LAYERS
     for name, targets in spans.LAYERS.items():
         for owner, attr in targets:
@@ -60,7 +56,7 @@ def test_every_traced_layer_records_a_span(monkeypatch):
     in its layer, which the resolve check above cannot see.
     """
     monkeypatch.delenv("SKPK_WORKERS", raising=False)   # spans stay in this process
-    spans = _load_spans()
+    spans = _load_bench("spans")
     tracer = spans.Tracer()
     try:
         tracer.install()
