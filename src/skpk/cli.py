@@ -107,8 +107,6 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
             raise UsageError(
                 f"--ts-schemes expects two of {', '.join(_ONE_SHOT)}")
         ts_schemes = tuple(_SCHEME_NAMES[p] for p in parts)
-    elif args.scheme == "timeshare":
-        raise UsageError("timeshare needs --ts-schemes A,B")
     if args.ts_lambda is not None and args.scheme != "timeshare":
         raise UsageError(f"--ts-lambda is for timeshare only, not {args.scheme}")
     mode = MODE_TABLE if args.codebook == "table" else MODE_HASH
@@ -121,7 +119,7 @@ def _experiment_config(args, exact: bool) -> ExperimentConfig:
         trials=args.trials, epsilon=args.epsilon, delta=args.delta,
         master_seed=args.seed, codebook_mode=mode,
         evaluation_mode=MODE_EXACT if exact else MODE_MONTE_CARLO,
-        ts_schemes=ts_schemes, ts_lambda=0.5 if args.ts_lambda is None else args.ts_lambda,
+        ts_schemes=ts_schemes, ts_lambda=args.ts_lambda,
         exact_cap=getattr(args, "exact_cap", EXACT_PRODUCT_CAP))
 
 

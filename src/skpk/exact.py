@@ -98,7 +98,8 @@ class _Enumeration:
         prob = np.ones(total, dtype=np.float64)
         for d in code_digits(codes, m, n):
             for v, size in enumerate(dist.alphabet_sizes):
-                idx[v] = idx[v] * size + of[v][d]
+                if size > 1:    # a one-letter alphabet's codes stay 0
+                    idx[v] = idx[v] * size + of[v][d]
             prob = prob * p_of[d]
         self.n = n
         self.size = dict(zip("xyz", dist.alphabet_sizes))
@@ -388,27 +389,23 @@ class ExactEvaluator:
                     (st == _ST_OK) & (rec == e.idx[key[0]]))
                 for key, (st, rec) in recovered.items()})
 
-    def _member(self, k=None) -> CodebookExact:
-        """Exact laws of the k-th ensemble member, or of the native codebooks
-        when k is None. A time-shared config combines its parts' k-th members.
+    def member(self, k=None) -> CodebookExact:
+        """Exact laws of the k-th ensemble member. With k None, the laws of
+        the very codebooks the sampling runner uses, so Monte Carlo
+        frequencies can be checked against exact masses. A time-shared config
+        combines its parts' k-th members.
         """
         if self.parts is not None:
             live = [p for p in self.parts if p is not None]
-            return _combine_parts([p._member(k) for p in live], [p.config.n for p in live])
+            return _combine_parts([p.member(k) for p in live], [p.config.n for p in live])
         return self._eval_one(self.ctx.codebooks if k is None
                               else _draw_member_codebooks(self.ctx, k))
-
-    def evaluate_native(self) -> CodebookExact:
-        """Exact laws for the very codebooks the sampling runner uses, so
-        Monte Carlo frequencies can be checked against exact masses.
-        """
-        return self._member()
 
     def evaluate(self, num_codebooks: int) -> ExactResult:
         (num_codebooks,) = _integers("num_codebooks", (num_codebooks,))
         if num_codebooks < 1:
             raise UsageError("exact evaluation needs at least one codebook")
-        per = [self._member(k) for k in range(num_codebooks)]
+        per = [self.member(k) for k in range(num_codebooks)]
         ctx = self.ctx
         return ExactResult(scheme=ctx.scheme, redirected=ctx.redirected, n=self.config.n,
                            num_codebooks=num_codebooks, ks_size=ctx.ks_size,
@@ -642,9 +639,8 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     n, codebook_count, seed = _integers("n, codebook_count and seed",
                                         (n, codebook_count, seed))
     z_pmf = np.asarray(z_pmf, dtype=np.float64).ravel()
-    if abs(float(z_pmf.sum()) - 1.0) > 1e-9 or z_pmf.min() < 0:
-        raise UsageError("z marginal must be a pmf")
     az = len(z_pmf)
+    dist = JointDistribution.create((1, 1, az), z_pmf)
     h_z = _entropy_of(z_pmf)
     if not 0.0 <= delta < math.inf:
         raise UsageError(f"delta must be a finite number >= 0, got {delta}")
@@ -659,18 +655,15 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     TypicalityParams(epsilon, n)
-    if az ** n > EXACT_PRODUCT_CAP:
-        raise CapacityError(f"{az}**{n} sequences exceed the {EXACT_PRODUCT_CAP} enumeration cap")
 
-    total = az ** n
-    codes = np.arange(total, dtype=np.int64)
-    prob = np.ones(total, dtype=np.float64)
-    sym_counts = np.zeros((total, az), dtype=np.int16)
+    enum = _Enumeration(dist, n, EXACT_PRODUCT_CAP)
+    codes, prob = enum.idx["z"], enum.prob
+    sym_counts = np.zeros((az, len(codes)), dtype=np.int16)
     for d in code_digits(codes, az, n):
-        prob = prob * z_pmf[d]
-        sym_counts[np.arange(total), d] += 1
+        for sym, row in enumerate(sym_counts):
+            row += d == sym
     lo, hi = count_windows(z_pmf, n, epsilon)
-    typical = np.all((sym_counts >= lo) & (sym_counts <= hi), axis=1)
+    typical = np.all((sym_counts >= lo[:, None]) & (sym_counts <= hi[:, None]), axis=0)
     typical_count = int(np.count_nonzero(typical))
     e1 = 1.0 - math.fsum(prob[typical])
     expected_occupancy = typical_count * 2.0 ** (-n * (r_s + r_z))

@@ -24,15 +24,15 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .binning import MODE_HASH, MODE_TABLE
+from .binning import MODE_TABLE
 from .errors import UsageError
 from .exact import (EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _combine_parts,
                     _mean_stats)
-from .protocol import RunContext, SchemeConfig
+from .protocol import RunContext, SchemeConfig, SchemeFields
 from .region import label_vertices, rate_region
 from .sources import JointDistribution, _entropy_masses, _integers
 
@@ -42,8 +42,8 @@ MODE_EXACT = "Exact"
 _STATUS_FIELDS = ("OK", "NoCandidate", "Ambiguous", "SearchOverflow")
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(SchemeFields):
     """A campaign: one scheme configuration swept over blocklengths.
 
     trials is the Monte Carlo trial count, or the codebook-ensemble size in
@@ -51,17 +51,9 @@ class ExperimentConfig:
     a small enough alphabet-power product; the evaluator enforces the cap.
     """
 
-    scheme: str
-    dist: JointDistribution
     n_values: tuple
     trials: int
-    epsilon: float
-    delta: float
-    master_seed: int
-    codebook_mode: str = MODE_HASH
     evaluation_mode: str = MODE_MONTE_CARLO
-    ts_schemes: tuple = None
-    ts_lambda: float = 0.5
     exact_cap: int = EXACT_PRODUCT_CAP
 
     def __post_init__(self):
@@ -69,19 +61,16 @@ class ExperimentConfig:
             raise UsageError(f"unknown evaluation mode {self.evaluation_mode!r}")
         if not self.n_values:
             raise UsageError("at least one blocklength is required")
-        _integers("n_values, trials and master_seed",
-                  (*self.n_values, self.trials, self.master_seed))
+        _integers("n_values and trials", (*self.n_values, self.trials))
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        self._check(self.n_values)
         if self.evaluation_mode == MODE_EXACT and self.codebook_mode != MODE_TABLE:
             raise UsageError("Exact mode requires ExplicitTable codebooks")
 
     def scheme_config(self, n: int) -> SchemeConfig:
-        return SchemeConfig(scheme=self.scheme, dist=self.dist, n=n,
-                            epsilon=self.epsilon, delta=self.delta,
-                            master_seed=self.master_seed,
-                            codebook_mode=self.codebook_mode,
-                            ts_schemes=self.ts_schemes, ts_lambda=self.ts_lambda)
+        return SchemeConfig(n=n, **{f.name: getattr(self, f.name)
+                                    for f in fields(SchemeFields)})
 
 
 @dataclass

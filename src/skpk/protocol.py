@@ -128,27 +128,26 @@ def derive_rates(scheme, profile, epsilon, delta) -> RateAssignment:
                           clamped=tuple(clamped))
 
 
-@dataclass(eq=False)
-class SchemeConfig:
-    """Everything a reproducible batch of protocol runs depends on."""
+@dataclass(kw_only=True, eq=False)
+class SchemeFields:
+    """The scheme setting a campaign and each of its blocklengths share, with
+    the one check of it. A TimeShare built without ts_lambda gives its first
+    part half of the symbols; a one-shot scheme refuses both ts_ fields.
+    """
 
     scheme: str
     dist: JointDistribution
-    n: int
     epsilon: float
     delta: float
     master_seed: int
     codebook_mode: str = MODE_HASH
-    rates: RateAssignment = None
     ts_schemes: tuple = None      # (scheme_a, scheme_b) for TimeShare
-    ts_lambda: float = 0.5        # fraction of symbols given to scheme_a
+    ts_lambda: float = None       # fraction of symbols given to scheme_a
 
-    def __post_init__(self):
+    def _check(self, n_values):
+        """Refuses a bad setting at any of the (integer) blocklengths."""
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        _integers("n and master_seed", (self.n, self.master_seed))
-        if self.n < 1:
-            raise UsageError(f"n must be >= 1, got {self.n}")
         if self.codebook_mode not in (MODE_HASH, MODE_TABLE):
             raise UsageError(f"unknown codebook mode {self.codebook_mode!r}")
         if self.scheme == "TimeShare":
@@ -157,15 +156,33 @@ class SchemeConfig:
             for s in self.ts_schemes:
                 if s not in SCHEMES or s == "TimeShare":
                     raise UsageError(f"TimeShare part {s!r} must be a one-shot scheme")
+            if self.ts_lambda is None:
+                self.ts_lambda = 0.5
             if not (0.0 <= self.ts_lambda <= 1.0):
                 raise UsageError(f"ts_lambda must lie in [0, 1], got {self.ts_lambda}")
-        elif self.ts_schemes is not None:
-            raise UsageError(f"ts_schemes is for TimeShare only, not {self.scheme}")
-        TypicalityParams(self.epsilon, self.n)
+        else:
+            for name in ("ts_schemes", "ts_lambda"):
+                if getattr(self, name) is not None:
+                    raise UsageError(f"{name} is for TimeShare only, not {self.scheme}")
+        for n in n_values:
+            TypicalityParams(self.epsilon, n)
         if not 0.0 <= self.delta < math.inf:
             raise UsageError(f"delta must be a finite number >= 0, got {self.delta}")
+        _integers("master_seed", (self.master_seed,))
         if self.master_seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.master_seed}")
+
+
+@dataclass(kw_only=True, eq=False)
+class SchemeConfig(SchemeFields):
+    """Everything a reproducible batch of protocol runs depends on."""
+
+    n: int
+    rates: RateAssignment = None
+
+    def __post_init__(self):
+        _integers("n", (self.n,))
+        self._check((self.n,))
 
     @property
     def params(self) -> TypicalityParams:
@@ -393,7 +410,7 @@ class RunContext:
                 continue
             self.parts.append(RunContext(replace(
                 cfg, scheme=part_name, n=part_n, rates=None, ts_schemes=None,
-                master_seed=child_seed(cfg.master_seed, stream_tag(tag)))))
+                ts_lambda=None, master_seed=child_seed(cfg.master_seed, stream_tag(tag)))))
         live = [p for p in self.parts if p is not None]
         self.ks_size = math.prod(p.ks_size for p in live)
         self.kp_size = math.prod(p.kp_size for p in live)

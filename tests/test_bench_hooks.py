@@ -46,9 +46,12 @@ def _traced_work():
                                   delta=0.05, master_seed=1, codebook_mode=skpk.MODE_TABLE)
     skpk.ExactEvaluator(exact_cfg).evaluate(2)
     skpk.exact.oracle_secrecy(exact_cfg, skpk.oracle_codebooks(exact_cfg, 0))
-    skpk.harness.run_trials(skpk.ExperimentConfig(
+    cfg = skpk.ExperimentConfig(
         scheme="PointP", dist=skpk.xor_triple(), n_values=(6,), trials=2, epsilon=0.5,
-        delta=0.05, master_seed=1))
+        delta=0.05, master_seed=1)
+    skpk.RunContext(cfg.scheme_config(6))
+    _load_bench("checks").TrialChecker(cfg.dist, skpk.TypicalityParams(cfg.epsilon, 6))
+    skpk.harness.run_trials(cfg)
 
 
 def test_every_traced_layer_records_a_span(monkeypatch):

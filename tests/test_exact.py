@@ -220,7 +220,7 @@ def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw
     sampled combination of the parts against the exact one.
     """
     cfg = _config(scheme, dist, n=n, seed=3, eps=eps, **kw)
-    exact = ExactEvaluator(cfg).evaluate_native()
+    exact = ExactEvaluator(cfg).member()
     ctx = RunContext(cfg)
     assert (ctx.scheme, ctx.redirected) == (scheme, False)
     # a time-shared context has no rates of its own
@@ -311,7 +311,7 @@ def test_time_share_lone_part_passes_members_through():
     for k, (ours, theirs) in enumerate(zip(result.per_codebook, ref.per_codebook)):
         assert ours == theirs, k
     assert result.mean == ref.mean
-    assert evaluator.evaluate_native() == lone.evaluate_native()
+    assert evaluator.member() == lone.member()
 
 
 # time-shared results printed whole, exact and sampled: the sampled trial
@@ -472,8 +472,8 @@ def test_members_do_not_depend_on_earlier_members(scheme, dist, n, kw):
     assert len({repr(m) for m in members}) == 3
     assert all(m.status_mass["X"]["OK"] + m.status_mass["Y"]["OK"] > 0 for m in members)
     for k, member in enumerate(members):
-        assert repr(ExactEvaluator(cfg)._member(k)) == repr(member)
-    assert repr(warm.evaluate_native()) == repr(ExactEvaluator(cfg).evaluate_native())
+        assert repr(ExactEvaluator(cfg).member(k)) == repr(member)
+    assert repr(warm.member()) == repr(ExactEvaluator(cfg).member())
 
 
 def test_wide_key_laws_match_the_oracle():

@@ -32,6 +32,24 @@ def test_config_validation():
         _mc_config(evaluation_mode=MODE_EXACT)  # hash codebooks
     with pytest.raises(UsageError):
         _mc_config(evaluation_mode="sometimes")
+    # the scheme setting is checked when the config is built, not at the
+    # first record
+    for kw in ({"scheme": "Bogus"}, {"epsilon": 1.2}, {"delta": -0.1},
+               {"delta": math.nan}, {"master_seed": -1}, {"n_values": (4, 0)}):
+        with pytest.raises(UsageError):
+            _mc_config(**kw)
+    with pytest.raises(UsageError, match="ts_schemes is for TimeShare only"):
+        _mc_config(ts_schemes=("PointE", "PointT"))
+    # a one-shot scheme refuses a time-share split, even the default one
+    for ts_lambda in (7.0, 0.5):
+        with pytest.raises(UsageError, match="ts_lambda is for TimeShare only"):
+            run_trials(_mc_config(ts_lambda=ts_lambda))
+
+
+def test_time_share_split_defaults_to_half():
+    cfg = _mc_config(scheme="TimeShare", ts_schemes=("PointE", "PointT"))
+    assert cfg.ts_lambda == 0.5
+    assert cfg.scheme_config(4).ts_lambda == 0.5
 
 
 @pytest.mark.parametrize("kw", [

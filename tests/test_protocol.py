@@ -256,6 +256,18 @@ def test_config_validation():
     with pytest.raises(UsageError, match="ts_schemes is for TimeShare only"):
         _config("PointT", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
                 ts_schemes=("PointE",))
+    # and a time-share split, even the default one
+    for ts_lambda in (7.0, 0.5):
+        with pytest.raises(UsageError, match="ts_lambda is for TimeShare only"):
+            _config("PointT", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
+                    ts_lambda=ts_lambda)
+
+
+def test_time_share_split_defaults_to_half():
+    cfg = _config("TimeShare", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
+                  ts_schemes=("PointE", "PointT"))
+    assert cfg.ts_lambda == 0.5
+    assert RunContext(cfg).split == (2, 2)
 
 
 @pytest.mark.parametrize("kw", [
