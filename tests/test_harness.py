@@ -40,7 +40,7 @@ def test_config_validation():
             _mc_config(**kw)
     with pytest.raises(UsageError, match="ts_schemes is for TimeShare only"):
         _mc_config(ts_schemes=("PointE", "PointT"))
-    # a one-shot scheme refuses a time-share split, even the default one
+    # a one-shot scheme refuses a time-share split, even 0.5, the TimeShare default
     for ts_lambda in (7.0, 0.5):
         with pytest.raises(UsageError, match="ts_lambda is for TimeShare only"):
             run_trials(_mc_config(ts_lambda=ts_lambda))

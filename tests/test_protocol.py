@@ -256,7 +256,7 @@ def test_config_validation():
     with pytest.raises(UsageError, match="ts_schemes is for TimeShare only"):
         _config("PointT", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
                 ts_schemes=("PointE",))
-    # and a time-share split, even the default one
+    # and a time-share split, even 0.5, the TimeShare default
     for ts_lambda in (7.0, 0.5):
         with pytest.raises(UsageError, match="ts_lambda is for TimeShare only"):
             _config("PointT", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
