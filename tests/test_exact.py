@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import skpk
-from conftest import mirrored_noisy_copy
+from conftest import mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
 from skpk.exact import (ExactEvaluator, _draw_member_codebooks, _Enumeration, lemma1_check,
@@ -262,6 +263,37 @@ def test_evaluation_is_repeatable():
         assert sa.leak_kp == sb.leak_kp
         assert sa.agree_kp == sb.agree_kp
         assert sa.recovery_error == sb.recovery_error
+
+
+# sha256 of the repr of every member of the sweep below, in sweep order
+_SWEEP_DIGEST = "a0b2ff27680654733f78dd29de5c3dc28e8a194f5cbc21e91e8d6b6e1a4a706e"
+
+
+def test_member_sweep_is_pinned():
+    """Three members of every scheme, time sharing with parts of different
+    private-key owners included (PointP in orientation Y beside PointE on the
+    mirrored source), at n = 3..6 and three epsilons, on five sources: xor, a
+    noisy copy, a random 3x2x2 pmf, a pmf with structural zeros and the
+    mirrored noisy copy. Enumerations above 2**18 triples are skipped. Any
+    change to a member's laws, masses or their rounding changes the digest.
+    """
+    sources = [xor_triple(), noisy_copy_triple(0.1, 0.3),
+               random_distribution(np.random.default_rng(11), (3, 2, 2)),
+               random_distribution(np.random.default_rng(12), (2, 2, 2), zero_frac=0.4),
+               mirrored_noisy_copy(0.25, 0.0)]
+    schemes = [("PointE", {}), ("PointT", {}), ("PointP", {}), ("PointQ", {}),
+               ("TimeShare", {"ts_schemes": ("PointP", "PointE")})]
+    digest, count = hashlib.sha256(), 0
+    for dist in sources:
+        m = len(dist.support_atoms())
+        for n in (n for n in range(3, 7) if m ** n <= 2 ** 18):
+            for (scheme, kw), eps in itertools.product(schemes, (0.1, 0.25, 0.5)):
+                cfg = _config(scheme, dist, n=n, seed=3, eps=eps, delta=0.02, **kw)
+                for member in ExactEvaluator(cfg).evaluate(3).per_codebook:
+                    digest.update(repr(member).encode())
+                    count += 1
+    assert count == 855
+    assert digest.hexdigest() == _SWEEP_DIGEST
 
 
 def test_time_share_exact_combines_parts():
