@@ -18,6 +18,7 @@ lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
                  argument needs, with the proof's occupancy diagnostics.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -33,6 +34,8 @@ from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of
 from .typicality import TypicalityParams, count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
+# a count up to 2**27 times a 26-bit part of a probability is exact
+_EXACT_COUNT_LIMIT = 2 ** 27
 
 _ENSEMBLE_TAG = stream_tag("codebook-ensemble")
 _LEMMA_TAG = stream_tag("lemma1-codebook")
@@ -77,7 +80,8 @@ class _Enumeration:
     codes (idx, keyed by lowercase letter) plus probabilities.
 
     Atoms are taken in lexicographic order of their coordinates listed in
-    axes; the order fixes the summation order of every law.
+    axes; the order fixes the summation order of every law. At most 2**27
+    triples are enumerated, so that masses can be summed exactly from counts.
     """
 
     def __init__(self, dist: JointDistribution, n: int, cap: int, axes=(0, 1, 2)):
@@ -93,6 +97,10 @@ class _Enumeration:
         of = np.array(atoms, dtype=np.int64).T
         p_of = np.array([dist.pmf[a] for a in atoms], dtype=np.float64)
         total = m ** n
+        if total > _EXACT_COUNT_LIMIT:
+            raise CapacityError(
+                f"{m}**{n} support triples exceed 2**27, the most whose masses "
+                f"are summed exactly")
         codes = np.arange(total, dtype=np.int64)
         idx = np.zeros((3, total), dtype=np.int64)
         prob = np.ones(total, dtype=np.float64)
@@ -105,6 +113,18 @@ class _Enumeration:
         self.size = dict(zip("xyz", dist.alphabet_sizes))
         self.idx = dict(zip("xyz", idx))
         self.prob = prob
+
+    @functools.cached_property
+    def mass_classes(self):
+        """Each triple's probability class (the rank of its probability among
+        the distinct ones), and per class its probability as a high and a low
+        part of at most 26 significant bits each, whose sum is exact. A count
+        of at most 2**27 times either part is then exact too.
+        """
+        values, cls = np.unique(self.prob, return_inverse=True)
+        mant, exp = np.frexp(values)
+        high = np.ldexp(np.rint(np.ldexp(mant, 26)), exp - 26)
+        return _narrow(cls, len(values) - 1), np.stack([high, values - high], axis=1)
 
 
 @dataclass
@@ -133,15 +153,27 @@ def _narrow(a, bound):
     return a.astype(np.min_scalar_type(bound))
 
 
-def _match(table, code, span, query):
+def _match(table, code, span, query, dense_slots):
     """Status of each member's query among its group's candidate codes (OK
     when exactly one equals it) and the index of that one candidate, -1
-    elsewhere. Codes lie in range(span). One sort keys every candidate by
-    (group, code) packed into a uint64, or by (group, dense rank of the
-    code) where the pack leaves no room.
+    elsewhere. Codes lie in range(span). With at most dense_slots (group,
+    code) keys, an int32 slot per key holds its candidate's index, or -2
+    when several candidates share it. Otherwise one sort keys every
+    candidate by (group, code) packed into a uint64, or by (group, dense
+    rank of the code) where the pack leaves no room.
     """
     if len(code) == 0:     # then there are no members either
         return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
+    if table.num_groups * span <= dense_slots and len(code) < 2 ** 31:
+        key = table.cand_group.astype(np.intp) * span + code.astype(np.intp)
+        slot = np.full(table.num_groups * span, -1, dtype=np.int32)
+        own = np.arange(len(key), dtype=np.int32)
+        # whichever candidate a shared key keeps, the others see it
+        slot[key] = own
+        slot[key[slot[key] != own]] = -2
+        hit = slot[table.group.astype(np.intp) * span + query.astype(np.intp)]
+        status = np.where(hit >= 0, _ST_OK, np.where(hit == -1, _ST_NONE, _ST_AMB))
+        return status, np.maximum(hit, -1)
     if table.num_groups * span >= 2 ** 64:
         ranks, code = np.unique(code, return_inverse=True)
         at = np.minimum(np.searchsorted(ranks, query), len(ranks) - 1)
@@ -159,6 +191,32 @@ def _match(table, code, span, query):
     cnt = np.where(run_key[run] == q, np.diff(starts, append=len(key))[run], 0)
     status = np.where(cnt == 0, _ST_NONE, np.where(cnt == 1, _ST_OK, _ST_AMB))
     return status, np.where(cnt == 1, so[starts[run]], -1)
+
+
+def _label_rows(cols, sizes, labels, num):
+    """Labels in range(count) of the rows of the integer columns cols (column
+    i in range(sizes[i])) within the given labelling of num labels, and their
+    count. One column at a time, label * size + col is compacted by its
+    present values, or by np.unique where those outnumber the rows; a column
+    with more values than rows is ranked first, so no code reaches 2**63.
+    """
+    for col, size in zip(cols, sizes):
+        size = int(size)
+        if size == 1:
+            continue
+        if size > len(labels):
+            ranks, col = np.unique(col, return_inverse=True)
+            size = len(ranks)
+        code = labels * size + col.astype(np.intp)
+        if num * size <= len(labels):
+            present = np.zeros(num * size, dtype=bool)
+            present[code] = True
+            rank = np.cumsum(present) - 1
+            labels, num = rank[code], int(rank[-1]) + 1
+        else:
+            ranks, labels = np.unique(code, return_inverse=True)
+            num = len(ranks)
+    return labels, num
 
 
 def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
@@ -265,7 +323,7 @@ class ExactEvaluator:
             code = (code << b) | cb.bins_of_indices(cand)
             query = (query << b) | values[v.upper()][m]
             top = (top << b) | (cb.num_bins - 1)
-        status[m], pick = _match(table, code, top + 1, query)
+        status[m], pick = _match(table, code, top + 1, query, 8 * len(status))
         for rec, cand in zip(found, table.cands):
             rec[m] = np.where(pick >= 0, cand[pick], -1)
         return status, found
@@ -276,45 +334,39 @@ class ExactEvaluator:
 
     # -- law and mass helpers ----------------------------------------------
 
-    def _mass(self, mask) -> float:
+    def _mass(self, labels, num) -> list:
+        """Probability mass of each label in range(num), bit for bit
+        math.fsum(prob[labels == j]): one integer count per (label,
+        probability class) times the class's two exact parts, fsummed.
+        """
+        cls, parts = self.enum.mass_classes
+        if len(parts) > 1:     # with one class the labels count alone
+            labels = labels.astype(np.intp) * len(parts) + cls
+        counts = np.bincount(labels, minlength=num * len(parts))
+        terms = counts.reshape(num, len(parts), 1) * parts
         # the memoryview yields Python floats one at a time, with no list
-        return math.fsum(memoryview(self.enum.prob[mask]))
+        return [math.fsum(memoryview(t.ravel())) for t in terms]
 
-    def _law_entropy(self, key, key_size, view, view_sizes):
-        """Entropies in bits of the laws of the integer column key, of the
-        view's columns, and of both jointly, from one sort of the joint code
-        with the view leading: the view's runs in that order are unions of
-        the joint runs. Masses are summed in element order.
+    def _law_entropy(self, key, key_size, view, cols, sizes):
+        """Entropies in bits of the laws of the integer column key, of a
+        view, and of both jointly, and the view's labelling. The view extends
+        the labelling view (labels and their count, from _label_rows) by the
+        columns cols, and the joint extends the view by the key. Each label's
+        mass is summed in element order, so no entropy depends on how the
+        labels are numbered.
         """
         prob = self.enum.prob
-        cols, sizes = [*view, key], [*view_sizes, key_size]
-        if math.prod(int(s) for s in sizes) < 2 ** 62:
-            code = np.zeros(len(prob), dtype=np.int64)
-            for col, s in zip(cols, sizes):
-                code = code * int(s) + col.astype(np.int64)
-            order = np.argsort(code)
-            code = code[order]
-            joint_new = code[1:] != code[:-1]
-            view = code // int(key_size)
-            view_new = view[1:] != view[:-1]
-        else:
-            stacked = np.stack([c.astype(np.int64) for c in cols], axis=1)
-            order = np.lexsort(stacked.T[::-1])
-            stacked = stacked[order]
-            new = stacked[1:] != stacked[:-1]
-            joint_new, view_new = new.any(axis=1), new[:, :-1].any(axis=1)
 
-        def runs_entropy(new):
-            labels = np.empty(len(prob), dtype=np.int64)
-            labels[order] = np.concatenate(([0], np.cumsum(new)))
+        def entropy(labels):
             return _entropy_masses(np.bincount(labels, weights=prob))
 
+        view = _label_rows(cols, sizes, *view)
+        joint, _ = _label_rows([key], [key_size], *view)
         # a key label per sub-bin, unless there are far more sub-bins than
         # elements
         labels = (key if key_size <= len(prob)
                   else np.unique(key, return_inverse=True)[1])
-        return (_entropy_masses(np.bincount(labels, weights=prob)),
-                runs_entropy(view_new), runs_entropy(joint_new))
+        return entropy(labels), entropy(view[0]), entropy(joint), view
 
     # -- evaluation ----------------------------------------------------------
 
@@ -338,7 +390,6 @@ class ExactEvaluator:
                                  for t in TERMINALS if t != m.sender)
             values[m.sender] = col
             sizes.append(size)
-        cols = list(values.values())
         terminal_status = {}
         for i, step in enumerate(desc.decodes):
             t = step.terminal
@@ -350,10 +401,11 @@ class ExactEvaluator:
 
         n = float(e.n)
 
-        def key_laws(owner, view, view_sizes):
-            """Leakage of the owner's sub-bin to one who sees the view, its
-            entropy, and the mass on which every terminal that decoded the
-            owner's sequence reads the same sub-bin.
+        def key_laws(owner, view, cols, sizes):
+            """Leakage of the owner's sub-bin to one who sees the view
+            extended by the columns cols, its entropy, and the mass on which
+            every terminal that decoded the owner's sequence reads the same
+            sub-bin; and the extended view's labelling.
             """
             cb = cbs[owner]
             key = cb.sub_bins_of_indices(e.idx[owner.lower()]).astype(np.int64)
@@ -364,29 +416,29 @@ class ExactEvaluator:
                                      cb.sub_bins_of_indices(np.where(rec >= 0, rec, 0))
                                      .astype(np.int64), -1)
                     agree &= (claim >= 0) & (claim == key)
-            h, h_view, h_joint = self._law_entropy(key, cb.num_sub_bins, view, view_sizes)
+            h, h_view, h_joint, view = self._law_entropy(key, cb.num_sub_bins, view, cols, sizes)
             leak = h + h_view - h_joint
             # separately rounded entropies can land a hair below 0
-            return _clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree)
+            return (_clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree, 2)[1]), view
 
         # K_S is kept from the eavesdropper, who sees the transcript; K_P
         # also from Z, who holds Z^n besides (in the transcript already when
         # Z has no codebook)
+        view, cols = (np.zeros(n_el, dtype=np.intp), 1), list(values.values())
         leak_ks = h_ks = agree_ks = None
         if "Z" in cbs:
-            leak_ks, h_ks, agree_ks = key_laws("Z", cols, sizes)
-            cols, sizes = cols + [e.idx["z"]], sizes + [e.size["z"] ** e.n]
-        leak_kp, h_kp, agree_kp = key_laws(desc.kp_owner, cols, sizes)
+            (leak_ks, h_ks, agree_ks), view = key_laws("Z", view, cols, sizes)
+            cols, sizes = [e.idx["z"]], [e.size["z"] ** e.n]
+        (leak_kp, h_kp, agree_kp), _ = key_laws(desc.kp_owner, view, cols, sizes)
         ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}
         return CodebookExact(
             leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
             agree_ks=agree_ks, agree_kp=agree_kp,
-            status_mass={t: {name: self._mass(terminal_status[t] == code)
-                             for code, name in _STATUS_NAMES.items()}
+            status_mass={t: dict(zip(_STATUS_NAMES.values(), self._mass(terminal_status[t], 3)))
                          if t in terminal_status else dict(ok) for t in TERMINALS},
             recovery_error={
                 key: 0.0 if st is None else 1.0 - self._mass(
-                    (st == _ST_OK) & (rec == e.idx[key[0]]))
+                    (st == _ST_OK) & (rec == e.idx[key[0]]), 2)[1]
                 for key, (st, rec) in recovered.items()})
 
     def member(self, k=None) -> CodebookExact:

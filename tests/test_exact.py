@@ -14,8 +14,9 @@ import skpk
 from conftest import mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import CapacityError, UsageError
-from skpk.exact import (ExactEvaluator, _draw_member_codebooks, _Enumeration, lemma1_check,
-                        oracle_codebooks, oracle_secrecy)
+from skpk.exact import (_ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator, _DecodeTable,
+                        _draw_member_codebooks, _Enumeration, _label_rows, _match,
+                        lemma1_check, oracle_codebooks, oracle_secrecy)
 from skpk.harness import _trial_stats
 from skpk.protocol import RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, identical_bits, noisy_copy_triple,
@@ -59,6 +60,67 @@ def test_enumeration_cap():
     cfg = _config("PointP", xor_triple(), n=12)
     with pytest.raises(CapacityError):
         ExactEvaluator(cfg, exact_cap=2 ** 10)
+
+
+def test_enumeration_refuses_more_triples_than_counts_sum_exactly():
+    """Past 2**27 triples a class count times a 26-bit part could round, so
+    the enumeration is refused before anything is allocated, whatever the
+    cap: xor has 4**14 = 2**28 support triples.
+    """
+    with pytest.raises(CapacityError, match=r"4\*\*14 support triples exceed 2\*\*27"):
+        _Enumeration(xor_triple(), 14, 2 ** 60)
+    with pytest.raises(CapacityError, match=r"2\*\*27"):
+        ExactEvaluator(_config("PointP", xor_triple(), n=14), exact_cap=2 ** 60)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_masses_exact(evaluator, rng, num=4):
+    """_mass against math.fsum over each label's elements, bit for bit, for
+    random labelings that leave the last label empty.
+    """
+    prob = evaluator.enum.prob
+    for _ in range(3):
+        labels = rng.integers(0, num - 1, size=len(prob)).astype(np.int8)
+        expected = [math.fsum(prob[labels == j]) for j in range(num)]
+        assert expected[-1] == 0.0
+        assert _bits(evaluator._mass(labels, num)) == _bits(expected)
+    mask = rng.random(len(prob)) < 0.5
+    assert _bits(evaluator._mass(mask, 2)) == _bits([math.fsum(prob[~mask]),
+                                                     math.fsum(prob[mask])])
+
+
+@pytest.mark.parametrize("dist,n,classes", [
+    (xor_triple(), 6, (1, 1)),
+    (noisy_copy_triple(0.1, 0.3), 6, (140, 160)),
+    (random_distribution(np.random.default_rng(4), (2, 2, 2)), 6, (5000, 6500)),
+], ids=["one-class", "noisy", "random"])
+def test_masses_from_class_counts_are_exactly_rounded(dist, n, classes, rng):
+    evaluator = ExactEvaluator(_config("PointE", dist, n=n))
+    cls, parts = evaluator.enum.mass_classes
+    assert classes[0] <= len(parts) <= classes[1]
+    _assert_masses_exact(evaluator, rng)
+
+
+def test_masses_stay_exact_where_the_low_parts_are_subnormal(rng):
+    """Probabilities near 1e-300 have low parts below the smallest normal
+    float, and some probabilities are subnormal themselves; each class's two
+    parts still sum to its probability and hold at most 26 significant bits.
+    """
+    evaluator = ExactEvaluator(_config("PointE", xor_triple(), n=8))
+    size = len(evaluator.enum.prob)
+    values = np.concatenate([rng.random(40) * 1e-300, rng.random(10) * 1e-310,
+                             [5e-324, 2.0 ** -1022, 0.1, 0.5]])
+    evaluator.enum.prob = rng.choice(values, size=size)
+    cls, parts = evaluator.enum.mass_classes
+    assert np.array_equal(parts[:, 0] + parts[:, 1], np.unique(evaluator.enum.prob))
+    assert np.any((parts[:, 1] != 0) & (np.abs(parts[:, 1]) < 2.0 ** -1022))
+    for part in parts.T:
+        mant, _ = np.frexp(part)
+        assert np.array_equal(np.ldexp(mant, 26), np.rint(np.ldexp(mant, 26)))
+    _assert_masses_exact(evaluator, rng)
 
 
 @pytest.mark.parametrize("scheme,n", [("PointE", 4), ("PointP", 4),
@@ -509,9 +571,9 @@ def test_members_do_not_depend_on_earlier_members(scheme, dist, n, kw):
 
 
 def test_wide_key_laws_match_the_oracle():
-    """Key laws whose joint code spans 2**62 or more go through the stacked
-    lexsort branch of _law_entropy: PointQ with 2**21 bins per codebook
-    makes the K_P law (sub-bin, three bins, Z^n) span about 2**67 codes.
+    """Key laws whose joint code spans 2**62 or more: PointQ with 2**21
+    bins per codebook makes the K_P law (sub-bin, three bins, Z^n) span
+    about 2**67 codes, so _label_rows ranks each bin column before packing.
     """
     base = RunContext(_config("PointQ", xor_triple(), n=3)).rates
     rates = dataclasses.replace(base, r_z=7.0, r_x=7.0, r_y=7.0, r_s=0.5, r_p=0.5)
@@ -530,3 +592,61 @@ def test_pair_decode_bin_width_limit():
     cfg = _config("PointP", xor_triple(), n=4, rates=rates)
     with pytest.raises(CapacityError, match="64 bits"):
         ExactEvaluator(cfg).evaluate(1)
+
+
+def _brute_force_match(table, code, query):
+    status, pick = [], []
+    for g, q in zip(table.group, query):
+        hits = [c for c in range(len(code)) if table.cand_group[c] == g and code[c] == q]
+        status.append(_ST_OK if len(hits) == 1 else _ST_NONE if not hits else _ST_AMB)
+        pick.append(hits[0] if len(hits) == 1 else -1)
+    return status, pick
+
+
+@pytest.mark.parametrize("span", [5, 40, 2 ** 63])
+def test_match_agrees_with_a_brute_force_count(span, rng):
+    """Random tables whose candidates share keys (ambiguous) and leave some
+    groups without candidates, matched through the dense slots (as many
+    slots allowed as there are keys), the sorted pack (one fewer), and, with
+    2**63 codes, the dense ranks.
+    """
+    num_groups, top = 12, min(span, 8) - 1
+    scale = np.uint64(span // 8 if span > 8 else 1)
+    cand_group = rng.integers(0, num_groups - 3, size=60).astype(np.uint8)
+    code = rng.integers(0, top, size=60).astype(np.uint64) * scale
+    group = rng.integers(0, num_groups, size=200).astype(np.uint8)
+    query = code[rng.integers(0, len(code), size=200)]
+    query[::7] = top * scale     # a code no candidate has
+    table = _DecodeTable(np.arange(200), group, num_groups, cand_group, [code])
+    expected = _brute_force_match(table, code, query)
+    assert {_ST_OK, _ST_NONE, _ST_AMB} <= set(expected[0])
+    dense = num_groups * span
+    for slots in ((dense, dense - 1) if dense < 2 ** 64 else (2 ** 20,)):
+        status, pick = _match(table, code, span, query, slots)
+        assert status.tolist() == expected[0], slots
+        assert pick.tolist() == expected[1], slots
+
+
+@pytest.mark.parametrize("sizes", [
+    (3, 2 ** 62 + 5, 1, 50, 7),
+    (2, 1000, 4, 2 ** 63 + 7),
+    (9, 9, 9, 9),
+], ids=["wide-then-compact", "unique-then-wide", "compact"])
+def test_row_labels_are_the_ranks_of_the_stacked_columns(sizes, rng):
+    """_label_rows labels each row by its rank among the distinct rows, as
+    np.unique of the stacked columns does, whether a step compacts the
+    present codes, runs np.unique, or first ranks a column with more values
+    than rows; unranked, the two wide columns here would take codes past
+    2**63.
+    """
+    rows = 3000
+    cols = []
+    for size in sizes:
+        # a wide column takes a few values spread over its whole range
+        values = (rng.integers(0, size, size=6, dtype=np.uint64) if size > 2 ** 32
+                  else np.arange(size, dtype=np.uint64))
+        cols.append(values[rng.integers(0, len(values), size=rows)])
+    labels, num = _label_rows(cols, sizes, np.zeros(rows, dtype=np.intp), 1)
+    ranks, expected = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
+    assert num == len(ranks)
+    assert np.array_equal(labels, expected.ravel())
