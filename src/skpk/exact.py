@@ -419,7 +419,7 @@ class ExactEvaluator:
             h, h_view, h_joint, view = self._law_entropy(key, cb.num_sub_bins, view, cols, sizes)
             leak = h + h_view - h_joint
             # separately rounded entropies can land a hair below 0
-            return (_clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree, 2)[1]), view
+            return _clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree, 2)[1], view
 
         # K_S is kept from the eavesdropper, who sees the transcript; K_P
         # also from Z, who holds Z^n besides (in the transcript already when
@@ -427,9 +427,9 @@ class ExactEvaluator:
         view, cols = (np.zeros(n_el, dtype=np.intp), 1), list(values.values())
         leak_ks = h_ks = agree_ks = None
         if "Z" in cbs:
-            (leak_ks, h_ks, agree_ks), view = key_laws("Z", view, cols, sizes)
+            leak_ks, h_ks, agree_ks, view = key_laws("Z", view, cols, sizes)
             cols, sizes = [e.idx["z"]], [e.size["z"] ** e.n]
-        (leak_kp, h_kp, agree_kp), _ = key_laws(desc.kp_owner, view, cols, sizes)
+        leak_kp, h_kp, agree_kp, _ = key_laws(desc.kp_owner, view, cols, sizes)
         ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}
         return CodebookExact(
             leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
