@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -349,6 +351,54 @@ def test_pair_decode_search_overflow_in_either_stage():
     # stage 2 overflows on the first survivor: each has one z candidate here
     stage2 = CandidateEngine(d.marginal("XYZ"), cfg.params, cap=0)
     assert _pair_decode(**dict(args, eng2=stage2)) == (STATUS_OVERFLOW, None, None)
+
+
+# sha256 of every decode of the sweep below: per trial and part, the
+# statuses, recovered sequences and key claims
+_DECODE_DIGEST = "6b68da22447f1ee25b3a09bdf92f28ef818b5a2289d988e1d8161f54bf8355ed"
+
+
+@pytest.mark.parametrize("chunk", [None, 16], ids=["default-chunk", "chunk-16"])
+def test_decode_sweep_is_pinned(monkeypatch, chunk):
+    """Six trials of every scheme, time sharing with parts of different
+    private-key owners included, with KeyedHash and ExplicitTable codebooks,
+    at n = 8 and 12 and epsilon 0.6, 0.9, at the derived rates and at
+    halved bin rates (more survivors, more ambiguous decodes), on xor and a
+    random 2x2x2 pmf with zero atoms. A 16-entry scan chunk sends most rows
+    of a batched scan through the single-row path; the decodes must not
+    change.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
+    pmf = random_distribution(np.random.default_rng(14), (2, 2, 2), zero_frac=0.25)
+    cases = [(scheme, dist, {}) for dist in (xor_triple(), pmf)
+             for scheme in ("PointE", "PointT", "PointP", "PointQ")]
+    cases.append(("TimeShare", mirrored_noisy_copy(0.25, 0.0),
+                  {"ts_schemes": ("PointP", "PointE")}))
+    digest, statuses = hashlib.sha256(), set()
+    for (scheme, dist, kw), mode, n, eps, halve in itertools.product(
+            cases, (MODE_HASH, MODE_TABLE), (8, 12), (0.6, 0.9), (False, True)):
+        if halve and scheme == "TimeShare":
+            continue
+        cfg = _config(scheme, dist, n=n, eps=eps, delta=0.02, seed=5, mode=mode, **kw)
+        if halve:
+            r = RunContext(cfg).rates
+            cfg.rates = dataclasses.replace(r, r_z=r.r_z / 2, r_x=r.r_x / 2, r_y=r.r_y / 2)
+        ctx = RunContext(cfg)
+        for i in range(6):
+            run = ctx.run(i)
+            for part in run if isinstance(run, list) else [run]:
+                if part is None:
+                    continue
+                out = part.outcome
+                statuses.update(out.statuses.values())
+                recovered = sorted((k, None if v is None else v.tolist())
+                                   for k, v in part.recovered.items())
+                digest.update(repr((sorted(out.statuses.items()), recovered,
+                                    sorted(out.ks_claims.items()),
+                                    sorted(out.kp_claims.items()))).encode())
+    assert statuses == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
+    assert digest.hexdigest() == _DECODE_DIGEST
 
 
 # -- batched stage 2 of pair decoding against one scan per survivor ----------
