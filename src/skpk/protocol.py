@@ -310,17 +310,17 @@ SCHEME_TABLE = {
 
 def _unique_decode(engine, observed, cb, target):
     try:
-        count, seq = engine.scan_bin_filter(observed, cb, target)
+        found = engine.scan_bin_filter(observed, cb, target, limit=2)
     except SearchOverflowError:
         return STATUS_OVERFLOW, None
-    if count == 0:
+    if len(found) == 0:
         return STATUS_NO_CANDIDATE, None
-    if count >= 2:
+    if len(found) >= 2:
         return STATUS_AMBIGUOUS, None
-    return STATUS_OK, seq
+    return STATUS_OK, found[0]
 
 
-def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
+def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
     """Unique (helper, z) pair: helper candidates typical with own sequence
     and inside bin target1 come first, then every survivor is extended, in
     one batched scan, by the z candidates typical with the pair and inside
@@ -328,14 +328,15 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
     read in candidate order, and the first overflow or second match decides,
     as if each survivor were scanned in turn.
 
-    own_first says whether stage 2's engine expects (own, helper) or
-    (helper, own) as its observed pair.
+    obs2 is stage 2's observed tuple with None where the helper goes; the
+    survivors take that place as one (survivors, n) array.
     """
     try:
-        helpers = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
+        helpers = eng1.scan_bin_filter(obs1, cb1, target1)
     except SearchOverflowError:
         return STATUS_OVERFLOW, None, None
-    counts, zseq = eng2.scan_bin_filter_rows(helpers, own, own_first, cb2, target2)
+    observed = tuple(helpers if s is None else s for s in obs2)
+    counts, zseq = eng2.scan_bin_filter_rows(observed, cb2, target2)
     total = 0
     for cnt in counts:
         if cnt is None:
@@ -460,8 +461,9 @@ class RunContext:
                 status, *found = _unique_decode(eng[0], observed, cb[0], target[0])
             else:
                 status, *found = _pair_decode(
-                    eng[0], (seqs[t],), cb[0], target[0], eng[1], seqs[t], cb[1],
-                    target[1], own_first=step.observed[0] == own)
+                    eng[0], (seqs[t],), cb[0], target[0], eng[1],
+                    tuple(seqs[t] if v == own else None for v in step.observed),
+                    cb[1], target[1])
             statuses[t] = status
             recovered.update((f"{v}_at_{t}", seq) for v, seq in zip(step.decoded, found))
 

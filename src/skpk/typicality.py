@@ -12,8 +12,8 @@ variable (the last pmf axis). Positions group into classes by their observed
 cell, and the typicality rule constrains only the per-class symbol counts of
 the unknown: each class's count vector must fit the joint windows of its row
 and sum to the class size. Candidates therefore factorize into a cross
-product of per-class arrangements, which supports counting, lazy iteration,
-and vectorized bin-filter scans with the same bookkeeping.
+product of per-class arrangements, which supports counting, listing and
+vectorized bin-filter scans with the same bookkeeping.
 """
 
 import functools
@@ -246,6 +246,15 @@ def _group_sums(vals_list) -> np.ndarray:
     return acc
 
 
+def _row_slices(members, mats, total) -> list:
+    """Consecutive slices of a group's rows, each small enough that its
+    (rows, candidates) sums and (rows, arrangements, positions) gathers stay
+    within _SCAN_CHUNK entries; a row wider than that is a slice alone.
+    """
+    step = max(1, _SCAN_CHUNK // max(total, max(mat.size for mat in mats)))
+    return [members[a:a + step] for a in range(0, len(members), step)]
+
+
 def _joins(codebook, total) -> bool:
     """Whether a space of total candidates is decoded by the residue join."""
     return (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
@@ -428,28 +437,33 @@ class CandidateEngine:
             return None, 0
         return [block.materialize(m, self.q) for m, block in classes], total
 
-    def _class_tables(self, observed):
-        """[(positions, arrangement table), ...] per class, by ascending
-        observed cell code with positions ascending, and the candidate count;
-        (None, 0) when there is no candidate.
+    def _one_row(self, observed):
+        """Cell codes of observed sequences without a row axis (() when
+        nothing is observed), and the per-cell class sizes.
         """
-        if observed is None or (isinstance(observed, (tuple, list)) and not len(observed)):
-            observed = ()
-        else:
-            observed = _as_seq_tuple(observed)
-        codes = _cell_codes(observed, self.obs_shape, self.params.n)
-        sizes = np.bincount(codes, minlength=self.obs_cells).tolist()
+        codes = _cell_codes(_as_seq_tuple(observed), self.obs_shape, self.params.n)
+        return codes, np.bincount(codes, minlength=self.obs_cells).tolist()
+
+    def _class_tables(self, codes, sizes):
+        """[(positions, arrangement table), ...] per class of one row of cell
+        codes with the given class sizes, by ascending cell code with
+        positions ascending, and the candidate count; (None, 0) when there is
+        no candidate.
+        """
         mats, total = self._size_tables(sizes)
         if mats is None:
             return None, 0
         return list(zip(_class_positions(codes, sizes), mats)), total
 
     def _row_classes(self, observed):
-        """Cell codes of observed sequences with a leading row axis, and the
-        rows grouped by equal per-cell class sizes: (codes, [(rows, sizes),
-        ...]), rows ascending within a group.
+        """Cell codes of observed sequences as (rows, n), and the rows grouped
+        by equal per-cell class sizes: (codes, [(rows, sizes), ...]), rows
+        ascending within a group. A sequence given as a (rows, n) array has
+        one row per row; one without a row axis is shared by every row, and
+        without any row axis there is one row.
         """
-        codes = _cell_codes(observed, self.obs_shape, self.params.n)
+        codes = np.atleast_2d(_cell_codes(_as_seq_tuple(observed), self.obs_shape,
+                                          self.params.n))
         rows, cells = len(codes), self.obs_cells
         if not rows:
             return codes, []
@@ -476,23 +490,19 @@ class CandidateEngine:
 
     # -- enumeration ------------------------------------------------------
 
-    def iter_candidates(self, observed):
-        """Yield each typical unknown sequence as an int64 array. Candidate
-        order is the cross product of per-class arrangement orders, first
-        class slowest. Raises SearchOverflowError beyond the cap before
-        yielding anything.
+    def _candidates(self, observed) -> list:
+        """Every candidate of observed sequences without a row axis, in
+        candidate order, as int64 arrays.
         """
-        tables, total = self._class_tables(observed)
-        for j in range(total):
-            yield self._reconstruct([j], tables)[0]
+        tables, total = self._class_tables(*self._one_row(observed))
+        return [] if tables is None else list(self._reconstruct(np.arange(total), tables))
 
     def candidate_indices(self, observed):
-        """Sequence codes (sources.sequence_code) of all candidates in
-        candidate order. Requires q**n to fit comfortably in int64.
+        """Sequence codes (sources.sequence_code) of every row's candidates,
+        and each row's count: (codes, counts), the rows in order and each
+        row's candidates in its own candidate order. Requires q**n to fit
+        comfortably in int64. Rows are as in _row_classes.
 
-        Observed sequences may carry a leading row axis, (rows, n) each;
-        then the result is (codes, counts): every row's candidates in row
-        order, each row's in its own candidate order, and each row's count.
         Rows with equal class sizes share their arrangement tables. Any row
         over the search cap raises SearchOverflowError, as that row alone
         would.
@@ -501,13 +511,7 @@ class CandidateEngine:
             raise CapacityError(
                 f"{self.q}**{self.params.n} sequence codes overflow the index space")
         places = place_values(self.q, self.params.n)
-        seqs = () if observed is None else _as_seq_tuple(observed)
-        if not any(s.ndim == 2 for s in seqs):
-            tables, _ = self._class_tables(seqs)
-            if tables is None:
-                return np.zeros(0, dtype=np.int64)
-            return _group_sums(_class_sums(tables, places)).astype(np.int64)
-        codes, groups = self._row_classes(seqs)
+        codes, groups = self._row_classes(observed)
         counts = np.zeros(len(codes), dtype=np.int64)
         blocks = []
         for members, shape in groups:
@@ -518,10 +522,7 @@ class CandidateEngine:
         first = np.cumsum(counts) - counts
         out = np.empty(int(counts.sum()), dtype=np.int64)
         for members, shape, mats, total in blocks:
-            # bounds the (rows, arrangements, m) gathers of _class_sums
-            step = max(1, _SCAN_CHUNK // max(total, max(mat.size for mat in mats)))
-            for a in range(0, len(members), step):
-                part = members[a:a + step]
+            for part in _row_slices(members, mats, total):
                 tables = zip(_class_positions(codes[part], shape), mats)
                 out[first[part][:, None] + np.arange(total)] = _group_sums(
                     _class_sums(tables, places))
@@ -529,57 +530,48 @@ class CandidateEngine:
 
     # -- vectorized scans -------------------------------------------------
 
-    def scan_bin_filter(self, observed, codebook, target, want="unique"):
-        """Candidates whose bin under codebook (a BinningCodebook) is target.
-
-        want="unique" returns (n_matches capped at 2, first match or None);
-        want="all" returns every match, as the rows of an (H, n) int64 array.
-        Candidate order is identical to iter_candidates. The classes split
-        into two groups whose partial sums pair up into candidates; large
-        KeyedHash spaces are decoded by a residue join of the two groups,
-        everything else by checking every pair.
+    def _scan_row(self, codes, sizes, codebook, target, limit):
+        """The first limit candidates (None: all) of one row of cell codes
+        whose bin under codebook is target, as the rows of an (H, n) int64
+        array in candidate order. The classes split into two groups whose
+        partial sums pair up into candidates; large KeyedHash spaces are
+        decoded by a residue join of the two groups, everything else by
+        checking every pair.
         """
-        tables, total = self._class_tables(observed)
+        tables, total = self._class_tables(codes, sizes)
         if tables is None:
-            return (0, None) if want == "unique" else np.empty((0, self.params.n), np.int64)
+            return np.empty((0, self.params.n), dtype=np.int64)
         vals = _class_sums(tables, codebook.contribution_table())
-        limit = 2 if want == "unique" else None
         if _joins(codebook, total):
             hits = _residue_join(vals, codebook, target, limit)
         else:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
-        if want == "unique":
-            first = self._reconstruct(hits[:1], tables)[0] if hits else None
-            return (min(len(hits), 2), first)
-        return self._reconstruct(hits, tables)
+        return self._reconstruct(hits[:limit], tables)
 
-    def scan_bin_filter_rows(self, helpers, own, own_first, codebook, target):
-        """scan_bin_filter(observed, codebook, target) for every row of the
-        (S, n) helpers array, with observed = (own, row) if own_first else
-        (row, own), for an engine with two observed axes.
+    def scan_bin_filter(self, observed, codebook, target, limit=None):
+        """The first limit candidates (None: all) of observed sequences
+        without a row axis whose bin under codebook (a BinningCodebook) is
+        target, as the rows of an (H, n) int64 array in candidate order.
+        """
+        return self._scan_row(*self._one_row(observed), codebook, target, limit)
+
+    def scan_bin_filter_rows(self, observed, codebook, target):
+        """scan_bin_filter(row, codebook, target, limit=2) for every row of
+        observed sequences, rows as in _row_classes.
 
         Returns (counts, first): per row the match count capped at 2, or None
-        where scan_bin_filter would raise SearchOverflowError; and the first
+        where that row's scan would raise SearchOverflowError; and the first
         match of the first row with exactly one (None without such a row).
         Rows with equal class sizes share their arrangement tables and are
-        scanned in one vectorized pass. A group whose rows times candidates
-        (or arrangement cells) exceed _SCAN_CHUNK, or whose candidates are
-        decoded by the residue join, is scanned row by row by scan_bin_filter.
+        scanned in slices of rows, as candidate_indices lists them. A row
+        with more than _SCAN_CHUNK candidates, or whose candidates the
+        residue join decodes, is scanned alone.
         """
-        helpers = np.asarray(helpers, dtype=np.int64)
-        own = np.asarray(own, dtype=np.int64)
-        rows = len(helpers)
-        if not rows:
-            return [], None
-        observed = (own, helpers) if own_first else (helpers, own)
         codes, groups = self._row_classes(observed)
+        rows = len(codes)
         counts = np.zeros(rows, dtype=np.int64)     # -1: over the search cap
         first_hit = np.zeros(rows, dtype=np.int64)  # candidate index of a row's first match
-        scanned = {}    # row -> first match, for rows scanned one by one
-
-        def row_observed(r):
-            return (own, helpers[r]) if own_first else (helpers[r], own)
-
+        alone = {}      # row -> its matches, for rows scanned alone
         for members, shape in groups:
             try:
                 mats, total = self._size_tables(shape)
@@ -588,25 +580,26 @@ class CandidateEngine:
                 continue
             if mats is None:
                 continue
-            widest = max(total, max(mat.size for mat in mats))
-            if len(members) * widest > _SCAN_CHUNK or _joins(codebook, total):
+            if total > _SCAN_CHUNK or _joins(codebook, total):
                 for r in members.tolist():
-                    counts[r], scanned[r] = self.scan_bin_filter(
-                        row_observed(r), codebook, target)
+                    alone[r] = self._scan_row(codes[r], shape, codebook, target, 2)
+                    counts[r] = len(alone[r])
                 continue
-            tables = zip(_class_positions(codes[members], shape), mats)
-            sums = _group_sums(_class_sums(tables, codebook.contribution_table()))
-            hit = codebook.finalize_bins(sums) == np.uint64(target)
-            counts[members] = np.minimum(hit.sum(axis=1), 2)
-            first_hit[members] = hit.argmax(axis=1)
+            for part in _row_slices(members, mats, total):
+                tables = zip(_class_positions(codes[part], shape), mats)
+                sums = _group_sums(_class_sums(tables, codebook.contribution_table()))
+                hit = codebook.finalize_bins(sums) == np.uint64(target)
+                counts[part] = np.minimum(hit.sum(axis=1), 2)
+                first_hit[part] = hit.argmax(axis=1)
         counts = [None if c < 0 else c for c in counts.tolist()]
         row = next((r for r, c in enumerate(counts) if c == 1), None)
         if row is None:
             return counts, None
-        if row in scanned:
-            return counts, scanned[row]
+        if row in alone:
+            return counts, alone[row][0]
         # only this row's match is rebuilt as a sequence
-        tables, _ = self._class_tables(row_observed(row))
+        shape = next(shape for members, shape in groups if row in members)
+        tables, _ = self._class_tables(codes[row], shape)
         return counts, self._reconstruct(first_hit[row:row + 1], tables)[0]
 
 
@@ -615,7 +608,7 @@ def conditional_candidates(observed, joint_pmf, params: TypicalityParams):
     sequences (earlier axes, in order). Returns a list; deterministic order.
     Raises SearchOverflowError past DEFAULT_SEARCH_CAP candidates.
     """
-    return list(CandidateEngine(joint_pmf, params).iter_candidates(observed))
+    return CandidateEngine(joint_pmf, params)._candidates(observed)
 
 
 def enumerate_typical(pmf, params: TypicalityParams, cap: int = DEFAULT_ENUM_CAP):
@@ -626,7 +619,7 @@ def enumerate_typical(pmf, params: TypicalityParams, cap: int = DEFAULT_ENUM_CAP
     flat = pmf.ravel()
     engine = CandidateEngine(flat, params, cap=cap)
     try:
-        atoms = list(engine.iter_candidates(()))
+        atoms = engine._candidates(())
     except SearchOverflowError as exc:
         raise CapacityError(
             f"typical set exceeds the {cap} enumeration cap") from exc

@@ -17,7 +17,7 @@ from skpk.protocol import (STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
 from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
                           identical_bits, info_profile, noisy_copy_triple,
                           xor_triple)
-from skpk.typicality import CandidateEngine, TypicalityParams
+from skpk.typicality import CandidateEngine, TypicalityParams, conditional_candidates
 
 
 def _config(scheme, dist, n, eps, delta, seed, mode=MODE_HASH, **kw):
@@ -340,8 +340,7 @@ def test_pair_decode_search_overflow_in_either_stage():
     g, f = cbx.bin_index(x), cbz.bin_index(z)
     d = cfg.dist
     args = {"eng1": ctx.engines["yx"], "obs1": (y,), "cb1": cbx, "target1": g,
-            "eng2": ctx.engines["xyz"], "own": y, "cb2": cbz, "target2": f,
-            "own_first": False}
+            "eng2": ctx.engines["xyz"], "obs2": (None, y), "cb2": cbz, "target2": f}
     status, x_hat, z_hat = _pair_decode(**args)
     assert status == STATUS_OK
     assert np.array_equal(x_hat, x) and np.array_equal(z_hat, z)
@@ -364,9 +363,9 @@ def test_decode_sweep_is_pinned(monkeypatch, chunk):
     private-key owners included, with KeyedHash and ExplicitTable codebooks,
     at n = 8 and 12 and epsilon 0.6, 0.9, at the derived rates and at
     halved bin rates (more survivors, more ambiguous decodes), on xor and a
-    random 2x2x2 pmf with zero atoms. A 16-entry scan chunk sends most rows
-    of a batched scan through the single-row path; the decodes must not
-    change.
+    random 2x2x2 pmf with zero atoms. A 16-entry scan chunk cuts batched
+    scans into small slices of rows and sends every row of more than 16
+    candidates through the single-row path; the decodes must not change.
     """
     if chunk is not None:
         monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
@@ -403,38 +402,42 @@ def test_decode_sweep_is_pinned(monkeypatch, chunk):
 
 # -- batched stage 2 of pair decoding against one scan per survivor ----------
 
-def _reference_rows(eng, helpers, own, own_first, cb, target):
+def _placed(obs2, helper):
+    """Stage 2's observed tuple with the helper in the place of None."""
+    return tuple(helper if s is None else s for s in obs2)
+
+
+def _reference_rows(eng, helpers, obs2, cb, target):
     """scan_bin_filter_rows as one scan_bin_filter call per helper row."""
     counts, first = [], None
     for row in helpers:
         try:
-            count, z = eng.scan_bin_filter((own, row) if own_first else (row, own),
-                                           cb, target)
+            found = eng.scan_bin_filter(_placed(obs2, row), cb, target, limit=2)
         except SearchOverflowError:
-            count = None
-        counts.append(count)
-        if count == 1 and first is None:
-            first = z
+            counts.append(None)
+            continue
+        counts.append(len(found))
+        if len(found) == 1 and first is None:
+            first = found[0]
     return counts, first
 
 
-def _reference_pair_decode(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
+def _reference_pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
     """Pair decoding that scans the survivors one at a time and stops at the
     first overflow or second match."""
     try:
-        survivors = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
+        survivors = eng1.scan_bin_filter(obs1, cb1, target1)
     except SearchOverflowError:
         return STATUS_OVERFLOW, None, None
     total, first = 0, None
     for cand in survivors:
         try:
-            count, z = eng2.scan_bin_filter((own, cand) if own_first else (cand, own),
-                                            cb2, target2)
+            found = eng2.scan_bin_filter(_placed(obs2, cand), cb2, target2, limit=2)
         except SearchOverflowError:
             return STATUS_OVERFLOW, None, None
-        total += count
-        if count == 1 and first is None:
-            first = (cand, z)
+        total += len(found)
+        if len(found) == 1 and first is None:
+            first = (cand, found[0])
         if total >= 2:
             return STATUS_AMBIGUOUS, None, None
     if total == 0:
@@ -455,27 +458,28 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     second in stage 2) and PointQ's first step (own sequence first) decode as
     one scan per survivor does, and each batched stage 2 returns that scan's
     per-row counts and first match. Halved bin rates leave several survivors
-    and some ambiguous ones. A 16-entry scan chunk sends all but the
-    smallest groups down the row-by-row path.
+    and some ambiguous ones. A 16-entry scan chunk scans rows in small
+    slices and sends rows of more than 16 candidates through the single-row
+    path.
     """
     if chunk is not None:
         monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
     seen = {"own_first": set(), "status": set(), "counts": set(), "multi_row": 0}
     batched = protocol._pair_decode
 
-    def checked(eng1, obs1, cb1, target1, eng2, own, cb2, target2, own_first):
-        args = (eng1, obs1, cb1, target1, eng2, own, cb2, target2)
-        got = batched(*args, own_first=own_first)
-        _assert_same_decode(got, _reference_pair_decode(*args, own_first=own_first))
+    def checked(*args):
+        eng1, obs1, cb1, target1, eng2, obs2, cb2, target2 = args
+        got = batched(*args)
+        _assert_same_decode(got, _reference_pair_decode(*args))
         try:
-            helpers = eng1.scan_bin_filter(obs1, cb1, target1, want="all")
+            helpers = eng1.scan_bin_filter(obs1, cb1, target1)
         except SearchOverflowError:
             return got
-        counts, first = eng2.scan_bin_filter_rows(helpers, own, own_first, cb2, target2)
-        ref_counts, ref_first = _reference_rows(eng2, helpers, own, own_first, cb2, target2)
+        counts, first = eng2.scan_bin_filter_rows(_placed(obs2, helpers), cb2, target2)
+        ref_counts, ref_first = _reference_rows(eng2, helpers, obs2, cb2, target2)
         assert counts == ref_counts
         assert (first is None and ref_first is None) or np.array_equal(first, ref_first)
-        seen["own_first"].add(own_first)
+        seen["own_first"].add(obs2[1] is None)
         seen["status"].add(got[0])
         seen["counts"].update(counts)
         seen["multi_row"] += len(helpers) > 1
@@ -504,7 +508,7 @@ class _Survivors:
     def __init__(self, rows):
         self.rows = np.array(rows, dtype=np.int64)
 
-    def scan_bin_filter(self, observed, codebook, target, want="unique"):
+    def scan_bin_filter(self, observed, codebook, target, limit=None):
         return self.rows
 
 
@@ -534,39 +538,42 @@ def test_pair_decode_stops_where_a_survivor_scan_would(rows, status):
     overflows only if it comes first.
     """
     eng2, cb2 = _uniform_stage2(cap=20_000)
-    args = (_Survivors(rows), None, None, 0, eng2, _OWN, cb2, 0)
-    got = _pair_decode(*args, own_first=False)
+    args = (_Survivors(rows), None, None, 0, eng2, (None, _OWN), cb2, 0)
+    got = _pair_decode(*args)
     assert got == (status, None, None)
-    _assert_same_decode(got, _reference_pair_decode(*args, own_first=False))
+    _assert_same_decode(got, _reference_pair_decode(*args))
 
 
 @pytest.mark.parametrize("own_first", [False, True])
 def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_first):
-    """A KeyedHash group of at least JOIN_MIN_CANDIDATES candidates per row
-    is scanned row by row, through the residue join; the small group next
-    to it is not."""
+    """A KeyedHash row of at least JOIN_MIN_CANDIDATES candidates is scanned
+    alone by the single-row path, through the residue join, on the cell
+    codes the batched scan computed; the small row beside it is not."""
     eng2, cb2 = _uniform_stage2(rate=2.0)
     assert cb2.num_bins >= typicality.JOIN_MIN_BINS
+    obs2 = (_OWN, None) if own_first else (None, _OWN)
     helpers = np.array([_SMALL, _LARGE, _LARGE_TOO])
-    z = next(eng2.iter_candidates((_OWN, _LARGE) if own_first else (_LARGE, _OWN)))
+    z = conditional_candidates(_placed(obs2, _LARGE), np.full((2, 2, 2), 1 / 8),
+                               eng2.params)[0]
     target = cb2.bin_index(z)
-    want_counts, want_first = _reference_rows(eng2, helpers, _OWN, own_first, cb2, target)
+    want_counts, want_first = _reference_rows(eng2, helpers, obs2, cb2, target)
     scanned, joins = [], []
-    scan, join = CandidateEngine.scan_bin_filter, typicality._residue_join
+    scan, join = CandidateEngine._scan_row, typicality._residue_join
 
-    def spy_scan(self, observed, *args):
-        scanned.append(observed[int(own_first)])
-        return scan(self, observed, *args)
+    def spy_scan(self, codes, *args):
+        scanned.append(codes)
+        return scan(self, codes, *args)
 
     def spy_join(*args):
         joins.append(args)
         return join(*args)
 
-    monkeypatch.setattr(CandidateEngine, "scan_bin_filter", spy_scan)
+    monkeypatch.setattr(CandidateEngine, "_scan_row", spy_scan)
     monkeypatch.setattr(typicality, "_residue_join", spy_join)
-    counts, first = eng2.scan_bin_filter_rows(helpers, _OWN, own_first, cb2, target)
+    counts, first = eng2.scan_bin_filter_rows(_placed(obs2, helpers), cb2, target)
     # z is the first candidate of the first large row; the other may hold it too
     assert counts == want_counts and counts[:2] == [0, 1]
     assert np.array_equal(first, z) and np.array_equal(want_first, z)
-    assert np.array_equal(scanned, [_LARGE, _LARGE_TOO])
+    cell_codes = [2 * a + b for a, b in (_placed(obs2, h) for h in (_LARGE, _LARGE_TOO))]
+    assert np.array_equal(scanned, cell_codes)
     assert len(joins) == 2

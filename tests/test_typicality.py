@@ -185,16 +185,11 @@ def _check_bin_filter(eng, observed, cb, cands):
         by_bin.setdefault(cb.bin_index(c), []).append(c)
     for target in sorted(set(sorted(by_bin)[:10]) | {0, cb.num_bins - 1}):
         want = by_bin.get(target, [])
-        count, first = eng.scan_bin_filter(observed, cb, target, want="unique")
-        assert count == min(len(want), 2)
-        if want:
-            assert np.array_equal(first, want[0])
-        else:
-            assert first is None
-        got = eng.scan_bin_filter(observed, cb, target, want="all")
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        for limit in (1, 2, None):
+            got = eng.scan_bin_filter(observed, cb, target, limit=limit)
+            assert got.shape == (len(want[:limit]), eng.params.n)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def _run_bin_filter_cases(rng):
@@ -314,6 +309,13 @@ def test_search_cap_overflow():
     assert "cap" in str(err.value).lower() or "overflow" in type(err.value).__name__.lower()
 
 
+def test_sequence_codes_past_int64_are_refused():
+    """8**21 = 2**63 sequence codes would overflow the int64 codes."""
+    eng = CandidateEngine(np.full(8, 1 / 8), TypicalityParams(epsilon=0.5, n=21))
+    with pytest.raises(CapacityError, match="8\\*\\*21 sequence codes overflow"):
+        eng.candidate_indices(())
+
+
 def test_enum_capacity_error():
     pmf = np.full((2, 2), 0.25)
     params = TypicalityParams(epsilon=0.9, n=14)
@@ -323,7 +325,8 @@ def test_enum_capacity_error():
 
 def test_row_batched_candidate_indices_match_one_row_calls(rng):
     """Observed sequences with a leading row axis give every row's
-    candidates, in that row's candidate order, as the one-row call does:
+    candidates, in that row's candidate order, as the call on that row
+    alone (no row axis, one row) does:
     rows sampled from the pmf, uniform rows and constant rows, on random
     pmfs with zero atoms and one or two observed axes. Rows with candidates,
     rows whose absent cell must occur and rows whose windows admit nothing
@@ -348,7 +351,8 @@ def test_row_batched_candidate_indices_match_one_row_calls(rng):
         must_occur = np.flatnonzero(eng.lo.max(axis=1) > 0)
         for r, start in enumerate((np.cumsum(counts) - counts).tolist()):
             row = tuple(o[r] for o in observed)
-            want = eng.candidate_indices(row)
+            want, count = eng.candidate_indices(row)
+            assert count.tolist() == [len(want)]
             assert np.array_equal(codes[start:start + counts[r]], want)
             if len(want):
                 kinds["some"] += 1
