@@ -100,9 +100,6 @@ class BinningCodebook:
             raise UsageError("sequence symbol outside the alphabet")
         return seq.astype(np.int64)
 
-    def sequence_index(self, seq) -> int:
-        return sequence_code(self._check(seq), self.alphabet_size)
-
     def bin_index(self, seq) -> int:
         seq = self._check(seq)
         if self.mode == MODE_TABLE:

@@ -12,6 +12,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +152,15 @@ def test_bench_trial_checker_passes(scheme, n):
     checker = checks.TrialChecker(cfg.dist, cfg.params)
     problems = [(i, p) for i in range(20) for p in checker.check(ctx.run(i))]
     assert problems == []
+
+
+def test_bench_selftest_passes():
+    """bench/selftest.py runs the benchmark's output checks on genuine runs,
+    members and reports, then on corrupted copies; a change to ProtocolRun,
+    to the exact members or to the report records that breaks those checks
+    fails here first.
+    """
+    done = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "all checks behave"

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skpk.binning import (MODE_HASH, MODE_TABLE, make_codebook,
+from skpk.binning import (MODE_HASH, MODE_TABLE, BinningCodebook, make_codebook,
                           num_bins_for_rate, stream_tag)
 from skpk.errors import CapacityError, UsageError
+from skpk.sources import sequence_code
 
 
 def test_num_bins_for_rate():
@@ -76,7 +77,7 @@ def test_table_index_lookup():
     cb = make_codebook(MODE_TABLE, 4, 2, 1.0, 0.5, seed=9, purpose="Z")
     rng = np.random.default_rng(4)
     seqs = rng.integers(0, 2, size=(10, 4))
-    idx = np.array([cb.sequence_index(s) for s in seqs])
+    idx = np.array([sequence_code(s, 2) for s in seqs])
     bins = cb.bins_of_indices(idx)
     subs = cb.sub_bins_of_indices(idx)
     for k, s in enumerate(seqs):
@@ -88,6 +89,17 @@ def test_hash_mode_rejects_table_lookup():
     cb = make_codebook(MODE_HASH, 4, 2, 1.0, 0.0, seed=9, purpose="Z")
     with pytest.raises(UsageError):
         cb.bins_of_indices(np.arange(4))
+    with pytest.raises(UsageError, match="sub_bins_of_indices requires"):
+        cb.sub_bins_of_indices(np.arange(4))
+
+
+@pytest.mark.parametrize("mode,n,message", [
+    ("bogus", 4, "unknown codebook mode 'bogus'"),
+    (MODE_HASH, 0, "n and alphabet_size must be >= 1"),
+    (MODE_TABLE, 0, "n and alphabet_size must be >= 1")])
+def test_codebook_refuses_bad_shapes(mode, n, message):
+    with pytest.raises(UsageError, match=message):
+        BinningCodebook(mode, n, 2, 1.0, 0.0, seed=1)
 
 
 def test_table_capacity_guard():
@@ -136,4 +148,4 @@ def test_lookup_matches_fold_property(mode, data):
     assert b == int(cb.finalize_bins(np.array([acc]))[0])
     assert s == int(cb.finalize_sub_bins(np.array([acc_sub]))[0])
     if mode == MODE_TABLE:
-        assert cb.sequence_index(seq) == int(acc)
+        assert sequence_code(seq, cb.alphabet_size) == int(acc)

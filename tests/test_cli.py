@@ -120,6 +120,13 @@ def test_secrecy_exact_capacity_exit(xor_file, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_secrecy_exact_names_a_lowered_cap(xor_file, capsys):
+    argv = ["secrecy-exact", "--pmf", xor_file, "--scheme", "pointP", "--n", "4",
+            "--trials", "1", "--epsilon", "0.5", "--delta", "0.02", "--exact-cap", "64"]
+    assert main(argv) == 3
+    assert "exceed the exact-mode cap 64" in capsys.readouterr().err
+
+
 def test_lemma1_command(tmp_path, capsys):
     from skpk.sources import JointDistribution
     import numpy as np
@@ -164,6 +171,10 @@ _BAD_PMFS = {
     "scalar-alphabet": '{"alphabet": 3, "pmf": [0.5, 0.5]}',
     "fractional-size": '{"alphabet": [2.5, 1, 2], "pmf": [0.25, 0.25, 0.25, 0.25]}',
     "boolean-size": '{"alphabet": [true, 1, 2], "pmf": [0.5, 0.5]}',
+    "negative-entry": '{"alphabet": [1, 1, 2], "pmf": [-0.5, 1.5]}',
+    "invalid-json": '{"alphabet": [1, 1, 2], "pmf": [0.5, 0.5]',
+    "missing-pmf": '{"alphabet": [1, 1, 2]}',
+    "missing-alphabet": '{"pmf": [0.5, 0.5]}',
 }
 
 
@@ -193,7 +204,9 @@ def test_bad_number_is_a_usage_error(command, flag, value, message, xor_file, ca
 @pytest.mark.parametrize("flag,value,message", [
     ("--n", "0", "error: n must be >= 1, got 0"),
     ("--n", "-2", "error: n must be >= 1, got -2"),
-    ("--sweep", "4,4", "error: argument --sweep: repeated blocklength in sweep list '4,4'")])
+    ("--sweep", "4,4", "error: argument --sweep: repeated blocklength in sweep list '4,4'"),
+    ("--sweep", "4,x", "error: argument --sweep: bad sweep list '4,x'"),
+    ("--sweep", "0", "error: argument --sweep: bad sweep list '0'")])
 def test_bad_blocklength_is_a_usage_error(command, flag, value, message, xor_file, capsys):
     argv = [command, "--pmf", xor_file, "--scheme", "pointP", "--trials", "2",
             "--epsilon", "0.5", "--delta", "0.02", flag, value]
@@ -203,6 +216,14 @@ def test_bad_blocklength_is_a_usage_error(command, flag, value, message, xor_fil
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parts", ["pointP", "pointP,pointZ", "pointP,timeshare"])
+def test_bad_ts_schemes_is_a_usage_error(parts, xor_file, capsys):
+    argv = ["simulate", "--pmf", xor_file, "--scheme", "timeshare", "--n", "4",
+            "--trials", "2", "--epsilon", "0.5", "--delta", "0.02", "--ts-schemes", parts]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --ts-schemes expects two of")
 
 
 @pytest.mark.parametrize("flag,value,message", [

@@ -242,6 +242,16 @@ def test_oracle_never_looks_up_zero_probability_symbols():
     _assert_looked_up_once(calls, _expected_lookups("PointP", dist, 3))
 
 
+def test_oracle_refuses_what_it_does_not_cover():
+    share = _config("TimeShare", xor_triple(), n=4, ts_schemes=("PointT", "PointE"))
+    with pytest.raises(UsageError, match="one-shot schemes only"):
+        oracle_secrecy(share, {})
+    keyed = dataclasses.replace(_config("PointT", xor_triple(), n=4),
+                                codebook_mode=MODE_HASH)
+    with pytest.raises(UsageError, match="requires ExplicitTable codebooks"):
+        oracle_codebooks(keyed, 0)
+
+
 def test_oracle_lookups_still_validate():
     cfg = _config("PointP", xor_triple(), n=3)
     mismatched = oracle_codebooks(_config("PointP", xor_triple(), n=4), 0)
@@ -482,6 +492,12 @@ def test_lemma_precondition_errors():
     with pytest.raises(CapacityError):
         lemma1_check(np.full(4, 0.25), n=20, r_s=0.1, r_z=0.1,
                      codebook_count=1, delta=0.05, seed=0)
+    with pytest.raises(UsageError, match="rates must be >= 0"):
+        lemma1_check(np.array([0.5, 0.5]), n=6, r_s=-0.1, r_z=0.3,
+                     codebook_count=2, delta=0.05, seed=0)
+    with pytest.raises(UsageError, match="codebook_count must be >= 1"):
+        lemma1_check(np.array([0.5, 0.5]), n=6, r_s=0.1, r_z=0.3,
+                     codebook_count=0, delta=0.05, seed=0)
 
 
 @pytest.mark.parametrize("delta", [-0.5, -math.inf, math.inf, math.nan], ids=repr)
@@ -510,10 +526,12 @@ def test_lemma_refuses_non_integers(kw):
         lemma1_check(np.array([0.5, 0.5]), **args)
 
 
-@pytest.mark.parametrize("count", [2.5, True, "2"])
-def test_evaluate_refuses_non_integer_codebook_count(count):
+@pytest.mark.parametrize("count,message", [
+    (2.5, "must be integers"), (True, "must be integers"), ("2", "must be integers"),
+    (0, "needs at least one codebook")])
+def test_evaluate_refuses_non_integer_codebook_count(count, message):
     evaluator = ExactEvaluator(_config("PointT", xor_triple(), n=4))
-    with pytest.raises(UsageError, match="must be integers"):
+    with pytest.raises(UsageError, match=message):
         evaluator.evaluate(count)
 
 

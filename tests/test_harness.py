@@ -280,3 +280,11 @@ def test_worker_count_clamped_to_cpus(monkeypatch, capsys):
         monkeypatch.setenv("SKPK_WORKERS", raw)
         assert harness._worker_count() == want
     assert capsys.readouterr().err == ""
+    monkeypatch.setenv("SKPK_WORKERS", "abc")
+    with pytest.raises(UsageError, match="SKPK_WORKERS must be an integer, got 'abc'"):
+        harness._worker_count()
+
+
+def test_unknown_report_format_is_refused():
+    with pytest.raises(UsageError, match="unknown report format 'xml'"):
+        emit_report(region_summary(xor_triple()), fmt="xml")

@@ -149,6 +149,8 @@ def test_sample_deterministic():
     assert np.array_equal(a.z_seq, b.z_seq)
     c = sample(d, 64, seed=10)
     assert not (np.array_equal(a.x_seq, c.x_seq) and np.array_equal(a.y_seq, c.y_seq))
+    with pytest.raises(UsageError, match="sample requires n >= 1"):
+        sample(d, 0, seed=9)
 
 
 def test_pmf_file_round_trip(tmp_path):
@@ -176,6 +178,8 @@ def test_invalid_distributions():
         JointDistribution((2, 2, 2), np.full((2, 2, 2), 0.25))
     with pytest.raises(UsageError):
         JointDistribution((2, 2), np.full((2, 2), 0.25))
+    with pytest.raises(UsageError, match="does not match alphabet sizes"):
+        JointDistribution((2, 1, 2), np.full((2, 2, 2), 0.125))
     with pytest.raises(UsageError):
         neg = np.full((1, 1, 2), 0.5)
         neg[0, 0, 0] = -0.5
