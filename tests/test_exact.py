@@ -528,7 +528,7 @@ def test_lemma_refuses_non_integers(kw):
 
 @pytest.mark.parametrize("count,message", [
     (2.5, "must be integers"), (True, "must be integers"), ("2", "must be integers"),
-    (0, "needs at least one codebook")])
+    (0, "needs at least one codebook")], ids=["2.5", "True", "2", "0"])
 def test_evaluate_refuses_non_integer_codebook_count(count, message):
     evaluator = ExactEvaluator(_config("PointT", xor_triple(), n=4))
     with pytest.raises(UsageError, match=message):
