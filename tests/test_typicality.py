@@ -10,7 +10,7 @@ from conftest import random_distribution, random_pmf
 from skpk import typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import CapacityError, SearchOverflowError, UsageError
-from skpk.sources import STRUCTURAL_ZERO
+from skpk.sources import STRUCTURAL_ZERO, sequence_code
 from skpk.typicality import (CandidateEngine, TypicalityParams,
                              conditional_candidates, count_window,
                              enumerate_typical, is_strongly_typical,
@@ -326,8 +326,8 @@ def test_enum_capacity_error():
 def test_row_batched_candidate_indices_match_one_row_calls(rng):
     """Observed sequences with a leading row axis give every row's
     candidates, in that row's candidate order, as the call on that row
-    alone (no row axis, one row) does:
-    rows sampled from the pmf, uniform rows and constant rows, on random
+    alone (no row axis, one row) does, and as the sequence codes of
+    conditional_candidates' list of that row's candidates: rows sampled from the pmf, uniform rows and constant rows, on random
     pmfs with zero atoms and one or two observed axes. Rows with candidates,
     rows whose absent cell must occur and rows whose windows admit nothing
     all appear.
@@ -340,7 +340,8 @@ def test_row_batched_candidate_indices_match_one_row_calls(rng):
         pmf = (concentrated_pmf(rng, shape) if trial % 3 == 0
                else random_pmf(rng, shape, zero_frac=0.3))
         n = int(rng.integers(3, 8))
-        eng = CandidateEngine(pmf, TypicalityParams(float(rng.uniform(0.3, 0.9)), n))
+        params = TypicalityParams(float(rng.uniform(0.3, 0.9)), n)
+        eng = CandidateEngine(pmf, params)
         sampled = np.unravel_index(rng.choice(pmf.size, size=(6, n), p=pmf.ravel()),
                                    shape)[:-1]
         observed = tuple(np.concatenate([s, rng.integers(0, size, size=(3, n)),
@@ -354,6 +355,8 @@ def test_row_batched_candidate_indices_match_one_row_calls(rng):
             want, count = eng.candidate_indices(row)
             assert count.tolist() == [len(want)]
             assert np.array_equal(codes[start:start + counts[r]], want)
+            listed = conditional_candidates(row, pmf, params)
+            assert want.tolist() == [sequence_code(c, shape[-1]) for c in listed]
             if len(want):
                 kinds["some"] += 1
             elif np.any(joint_counts(row, shape[:-1]).ravel()[must_occur] == 0):
