@@ -458,9 +458,9 @@ class CandidateEngine:
     def _row_classes(self, observed):
         """Cell codes of observed sequences as (rows, n), and the rows grouped
         by equal per-cell class sizes: (codes, [(rows, sizes), ...]), rows
-        ascending within a group. A sequence given as a (rows, n) array has
-        one row per row; one without a row axis is shared by every row, and
-        without any row axis there is one row.
+        ascending within a group. A sequence given as a (rows, n) array
+        holds one sequence per row; one without a row axis is shared by every
+        row, and without any row axis there is one row.
         """
         codes = np.atleast_2d(_cell_codes(_as_seq_tuple(observed), self.obs_shape,
                                           self.params.n))
