@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -465,72 +465,56 @@ class ExactEvaluator:
                            mean=_mean_stats(per))
 
 
-def _wavg(a, na, b, nb):
-    if a is None and b is None:
-        return None
-    return ((a or 0.0) * na + (b or 0.0) * nb) / (na + nb)
-
-
-def _prod_or_none(a, b):
-    if a is None and b is None:
-        return None
-    x = 1.0 if a is None else a
-    y = 1.0 if b is None else b
-    return x * y
-
-
 def _combine_parts(members, lengths) -> CodebookExact:
     """A time-shared member (exact or sampled) from its live parts' members
     and blocklengths; a lone live part's member passes through unchanged.
+    Each field combines by the rule its prefix names: leakages and entropies
+    are per symbol and average by length; agreement, a decode and a recovery
+    need both parts, and a copy only one part recovers counts as lost. A
+    quantity neither part has stays None.
     """
     if len(members) == 1:
         return members[0]
     (a, b), (na, nb) = members, lengths
-    status = {}
-    for t, ma in a.status_mass.items():
-        mb = b.status_mass[t]
-        status[t] = {s: ma[s] * mb[s] if s == "OK" else ma[s] + ma["OK"] * mb[s]
-                     for s in ma}
-    recovery = {}
-    for key in {**a.recovery_error, **b.recovery_error}:
-        if key in a.recovery_error and key in b.recovery_error:
-            ea, eb = a.recovery_error[key], b.recovery_error[key]
-            recovery[key] = 1.0 - (1.0 - ea) * (1.0 - eb)
-        else:
-            recovery[key] = 1.0
-    return CodebookExact(
-        leak_ks=_wavg(a.leak_ks, na, b.leak_ks, nb),
-        leak_kp=_wavg(a.leak_kp, na, b.leak_kp, nb),
-        h_ks=_wavg(a.h_ks, na, b.h_ks, nb),
-        h_kp=_wavg(a.h_kp, na, b.h_kp, nb),
-        agree_ks=_prod_or_none(a.agree_ks, b.agree_ks),
-        agree_kp=_prod_or_none(a.agree_kp, b.agree_kp),
-        status_mass=status, recovery_error=recovery)
 
+    def by_length(x, y):
+        if x is None and y is None:
+            return None
+        return ((x or 0.0) * na + (y or 0.0) * nb) / (na + nb)
 
-def _mean_field(values):
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return math.fsum(present) / len(present)
+    def both(x, y):
+        if x is None and y is None:
+            return None
+        return (1.0 if x is None else x) * (1.0 if y is None else y)
+
+    def status(sa, sb):
+        return {t: {s: ma[s] * sb[t][s] if s == "OK" else ma[s] + ma["OK"] * sb[t][s]
+                    for s in ma} for t, ma in sa.items()}
+
+    def recovery(ra, rb):
+        return {key: 1.0 - (1.0 - ra.get(key, 1.0)) * (1.0 - rb.get(key, 1.0))
+                for key in {**ra, **rb}}
+
+    rules = {"leak": by_length, "h": by_length, "agree": both,
+             "status": status, "recovery": recovery}
+    return CodebookExact(**{f.name: rules[f.name.split("_")[0]](getattr(a, f.name),
+                                                                getattr(b, f.name))
+                            for f in fields(CodebookExact)})
 
 
 def _mean_stats(per) -> CodebookExact:
-    status = {}
-    # every member holds every terminal and status name
-    for t, names in per[0].status_mass.items():
-        status[t] = {name: math.fsum(s.status_mass[t][name] for s in per) / len(per)
-                     for name in sorted(names)}
-    recovery = {key: math.fsum(s.recovery_error[key] for s in per) / len(per)
-                for key in per[0].recovery_error}
-    return CodebookExact(
-        leak_ks=_mean_field([s.leak_ks for s in per]),
-        leak_kp=_mean_field([s.leak_kp for s in per]),
-        h_ks=_mean_field([s.h_ks for s in per]),
-        h_kp=_mean_field([s.h_kp for s in per]),
-        agree_ks=_mean_field([s.agree_ks for s in per]),
-        agree_kp=_mean_field([s.agree_kp for s in per]),
-        status_mass=status, recovery_error=recovery)
+    """The mean member: each quantity, nested dicts included, averaged over
+    the members that have it (not None); None where no member has it. Every
+    member holds the first one's dict keys.
+    """
+    def mean(values):
+        if isinstance(values[0], dict):
+            return {key: mean([v[key] for v in values]) for key in values[0]}
+        present = [v for v in values if v is not None]
+        return math.fsum(present) / len(present) if present else None
+
+    return CodebookExact(**{f.name: mean([getattr(m, f.name) for m in per])
+                            for f in fields(CodebookExact)})
 
 
 # ---------------------------------------------------------------------------
@@ -696,16 +680,16 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     h_z = _entropy_of(z_pmf)
     if not 0.0 <= delta < math.inf:
         raise UsageError(f"delta must be a finite number >= 0, got {delta}")
-    if not (r_s + r_z < h_z - 2 * delta):
-        raise UsageError(
-            f"precondition violated: R_S + R_Z = {r_s + r_z} is not below "
-            f"H(Z) - 2*delta = {h_z - 2 * delta}")
     if r_s < 0 or r_z < 0:
         raise UsageError("rates must be >= 0")
     if codebook_count < 1:
         raise UsageError("codebook_count must be >= 1")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
+    if not (r_s + r_z < h_z - 2 * delta):
+        raise UsageError(
+            f"precondition violated: R_S + R_Z = {r_s + r_z} is not below "
+            f"H(Z) - 2*delta = {h_z - 2 * delta}")
     TypicalityParams(epsilon, n)
 
     enum = _Enumeration(dist, n, EXACT_PRODUCT_CAP)

@@ -24,7 +24,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -118,21 +118,17 @@ def _flatten(record, prefix=""):
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {
-        "scheme": config.scheme,
-        "alphabet": list(config.dist.alphabet_sizes),
-        "pmf": [float(v) for v in config.dist.pmf.ravel()],
-        "n_values": list(config.n_values),
-        "trials": config.trials,
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "master_seed": config.master_seed,
-        "codebook_mode": config.codebook_mode,
-        "evaluation_mode": config.evaluation_mode,
-    }
-    if config.scheme == "TimeShare":
-        echo["ts_schemes"] = list(config.ts_schemes)
-        echo["ts_lambda"] = config.ts_lambda
+    """Every set field of the campaign, the source as its alphabet sizes and
+    flat pmf; exact_cap is a resource limit, not a setting, and stays out.
+    """
+    echo = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "dist":
+            echo["alphabet"] = list(value.alphabet_sizes)
+            echo["pmf"] = [float(v) for v in value.pmf.ravel()]
+        elif value is not None and f.name != "exact_cap":
+            echo[f.name] = list(value) if isinstance(value, (tuple, list)) else value
     return echo
 
 
@@ -142,11 +138,7 @@ def _rates_echo(ctx: RunContext) -> dict:
         for name, part in zip(("A", "B"), ctx.parts):
             parts[name] = None if part is None else _rates_echo(part)
         return {"parts": parts, "split": list(ctx.split)}
-    r = ctx.rates
-    return {"r_z": r.r_z, "r_x": r.r_x, "r_y": r.r_y, "r_s": r.r_s,
-            "r_p": r.r_p, "orientation": r.orientation,
-            "clamped": list(r.clamped), "scheme": ctx.scheme,
-            "redirected": ctx.redirected}
+    return {**asdict(ctx.rates), "scheme": ctx.scheme, "redirected": ctx.redirected}
 
 
 # -- records -----------------------------------------------------------------
@@ -261,12 +253,10 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
     return _record(n, ctx, mean, trials=trials)
 
 
-def _stats_dict(s) -> dict:
-    return {"leak_ks": s.leak_ks, "leak_kp": s.leak_kp,
-            "h_ks": s.h_ks, "h_kp": s.h_kp,
-            "agree_ks": s.agree_ks, "agree_kp": s.agree_kp,
-            "decode_failures": s.status_mass,
-            "recovery_error": s.recovery_error}
+def _stats_dict(member: CodebookExact) -> dict:
+    stats = asdict(member)
+    stats["decode_failures"] = stats.pop("status_mass")
+    return stats
 
 
 def _run_exact_record(config: ExperimentConfig, n: int) -> dict:

@@ -64,8 +64,6 @@ class RateAssignment:
     r_y: float
     r_s: float
     r_p: float
-    epsilon: float
-    delta: float
     orientation: str = "X"
     clamped: tuple = ()
 
@@ -124,8 +122,7 @@ def derive_rates(scheme, profile, epsilon, delta) -> RateAssignment:
     else:
         raise UsageError(f"no direct rate assignment for scheme {scheme!r}")
     return RateAssignment(r_z=r_z, r_x=r_x, r_y=r_y, r_s=r_s, r_p=r_p,
-                          epsilon=epsilon, delta=delta, orientation=orientation,
-                          clamped=tuple(clamped))
+                          orientation=orientation, clamped=tuple(clamped))
 
 
 @dataclass(kw_only=True, eq=False)

@@ -32,7 +32,6 @@ from .sources import STRUCTURAL_ZERO, place_values
 BOUNDARY_FUZZ = 1e-12
 
 DEFAULT_SEARCH_CAP = 2 ** 26
-DEFAULT_ENUM_CAP = 2 ** 24
 # guard on any single class's arrangements-table cells (rows x positions)
 ARRANGE_CELL_CAP = 2 ** 27
 # largest array a scan forms at once, in entries
@@ -609,20 +608,3 @@ def conditional_candidates(observed, joint_pmf, params: TypicalityParams):
     Raises SearchOverflowError past DEFAULT_SEARCH_CAP candidates.
     """
     return CandidateEngine(joint_pmf, params)._candidates(observed)
-
-
-def enumerate_typical(pmf, params: TypicalityParams, cap: int = DEFAULT_ENUM_CAP):
-    """All typical sequences for a marginal, or aligned sequence tuples for a
-    joint pmf. Raises CapacityError when the typical set exceeds the cap.
-    """
-    pmf = np.asarray(pmf, dtype=np.float64)
-    flat = pmf.ravel()
-    engine = CandidateEngine(flat, params, cap=cap)
-    try:
-        atoms = engine._candidates(())
-    except SearchOverflowError as exc:
-        raise CapacityError(
-            f"typical set exceeds the {cap} enumeration cap") from exc
-    if pmf.ndim == 1:
-        return atoms
-    return [np.unravel_index(a, pmf.shape) for a in atoms]

@@ -284,8 +284,11 @@ def test_oracle_codebooks_match_evaluator_members(scheme):
     ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, 0.5, 5000, "Y", {}),
     ("TimeShare", xor_triple(), 12, 0.5, 5000, None,
      {"ts_schemes": ("PointE", "PointT"), "ts_lambda": 0.5}),
+    # neither part has a secret key
+    ("TimeShare", xor_triple(), 12, 0.5, 5000, None,
+     {"ts_schemes": ("PointE", "PointE"), "ts_lambda": 0.5}),
 ], ids=["PointP-xor", "PointT-xor", "PointQ-xor", "PointE-xor", "PointP-mirrored",
-        "TimeShare-xor"])
+        "TimeShare-xor", "TimeShare-PointE-PointE-xor"])
 def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw):
     """Exact masses against sampled frequencies on the same codebooks: key
     agreement, and each decoding terminal's OK rate, counted from the
@@ -494,6 +497,11 @@ def test_lemma_precondition_errors():
                      codebook_count=1, delta=0.05, seed=0)
     with pytest.raises(UsageError, match="rates must be >= 0"):
         lemma1_check(np.array([0.5, 0.5]), n=6, r_s=-0.1, r_z=0.3,
+                     codebook_count=2, delta=0.05, seed=0)
+    # a negative rate is refused as such, even beside one that breaks the
+    # precondition
+    with pytest.raises(UsageError, match="rates must be >= 0"):
+        lemma1_check(np.array([0.5, 0.5]), n=6, r_s=-0.1, r_z=2.0,
                      codebook_count=2, delta=0.05, seed=0)
     with pytest.raises(UsageError, match="codebook_count must be >= 1"):
         lemma1_check(np.array([0.5, 0.5]), n=6, r_s=0.1, r_z=0.3,

@@ -71,6 +71,12 @@ def test_deterministic_agreement_on_identical_bits():
     assert rec["decode_failures"]["X"]["OK"] == 1.0
 
 
+# the echoed config of a one-shot campaign: its set fields, the source as
+# alphabet and pmf
+_CONFIG_KEYS = {"scheme", "alphabet", "pmf", "epsilon", "delta", "master_seed",
+                "codebook_mode", "n_values", "trials", "evaluation_mode"}
+
+
 def test_report_shape_and_ranges():
     report = run_trials(_mc_config(n_values=(4, 6), trials=30))
     assert [r["n"] for r in report.records] == [4, 6]
@@ -82,6 +88,9 @@ def test_report_shape_and_ranges():
         for masses in rec["decode_failures"].values():
             assert sum(masses.values()) == pytest.approx(1.0, abs=1e-9)
         assert "leak_ks" not in rec  # sampling cannot estimate leakage
+        assert not {"epsilon", "delta"} & set(rec["rates"])
+    # no resource cap, and no time-share fields for a one-shot scheme
+    assert set(report.config) == _CONFIG_KEYS
 
 
 def test_reports_are_reproducible():
@@ -231,11 +240,33 @@ def test_time_share_report():
     cfg = _mc_config(scheme="TimeShare", ts_schemes=("PointE", "PointT"),
                      ts_lambda=0.5, n_values=(8,), trials=10,
                      epsilon=0.5, delta=0.05)
-    rec = run_trials(cfg).records[0]
+    report = run_trials(cfg)
+    rec = report.records[0]
     assert rec["scheme"] == "TimeShare"
     assert rec["rates"]["split"] == [4, 4]
     assert rec["rates"]["parts"]["A"]["scheme"] == "PointE"
     assert rec["rates"]["parts"]["B"]["scheme"] == "PointT"
+    for part in rec["rates"]["parts"].values():
+        assert not {"epsilon", "delta"} & set(part)
+    assert set(report.config) == _CONFIG_KEYS | {"ts_schemes", "ts_lambda"}
+
+
+@pytest.mark.parametrize("mode", [MODE_MONTE_CARLO, MODE_EXACT])
+def test_time_share_without_a_secret_key_reports_none(mode):
+    """Neither PointE part has a secret key, so the time share has none
+    either: its agreement, uniformity and (exact) leakage are null and its
+    rate is 0, while the private key is reported as usual.
+    """
+    cfg = _mc_config(scheme="TimeShare", ts_schemes=("PointE", "PointE"),
+                     ts_lambda=0.5, n_values=(12,), trials=2, epsilon=0.5,
+                     delta=0.02, codebook_mode=MODE_TABLE, evaluation_mode=mode)
+    rec = run_trials(cfg).records[0]
+    assert (rec["agree_ks"], rec["uniformity_hks"], rec["rate_ks"]) == (None, None, 0.0)
+    assert rec["agree_kp"] is not None and rec["uniformity_hkp"] is not None
+    if mode == MODE_EXACT:
+        assert rec["leak_ks"] is None and rec["leak_kp"] is not None
+        assert all(m["agree_ks"] is None and m["leak_ks"] is None
+                   for m in rec["per_codebook"])
 
 
 _MIXED_OWNER_PARTS = [(a, b) for other in ("PointE", "PointT", "PointQ")

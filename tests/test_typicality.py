@@ -13,8 +13,7 @@ from skpk.errors import CapacityError, SearchOverflowError, UsageError
 from skpk.sources import STRUCTURAL_ZERO, sequence_code
 from skpk.typicality import (CandidateEngine, TypicalityParams,
                              conditional_candidates, count_window,
-                             enumerate_typical, is_strongly_typical,
-                             joint_counts)
+                             is_strongly_typical, joint_counts)
 
 
 def brute_force_candidates(joint_pmf, params, observed):
@@ -110,17 +109,23 @@ def test_typicality_matches_definition(rng):
 
 
 def test_candidates_match_brute_force(rng):
-    """Class-factorized generation against exhaustive filtering."""
+    """Class-factorized generation against exhaustive filtering: one observed
+    sequence on random pmfs, and nothing observed on a flattened joint pmf,
+    whose candidates are the typical set itself (one code per joint symbol).
+    """
+    cases = []
     for trial in range(25):
         n = int(rng.integers(4, 9))
         pmf = random_pmf(rng, (2, 2), zero_frac=0.3)
         params = TypicalityParams(epsilon=float(rng.uniform(0.2, 0.9)), n=n)
-        observed = rng.integers(0, 2, size=n)
-        got = conditional_candidates((observed,), pmf, params)
-        want = brute_force_candidates(pmf, params, (observed,))
-        got_set = {tuple(s) for s in got}
-        want_set = {tuple(s) for s in want}
-        assert got_set == want_set
+        cases.append((pmf, params, (rng.integers(0, 2, size=n),)))
+    cases.append((np.array([[0.1, 0.2], [0.3, 0.4]]).ravel(),
+                  TypicalityParams(epsilon=0.9, n=6), ()))
+    for pmf, params, observed in cases:
+        got = {tuple(s) for s in conditional_candidates(observed, pmf, params)}
+        want = {tuple(s) for s in brute_force_candidates(pmf, params, observed)}
+        assert got == want
+    assert want     # the last case's typical set is not empty
 
 
 def test_three_variable_candidates(rng):
@@ -139,19 +144,6 @@ def test_candidates_are_typical(rng):
     x = rng.integers(0, 2, size=7)
     for cand in conditional_candidates((x,), pmf, params):
         assert is_strongly_typical((x, cand), pmf, params)
-
-
-def test_enumerate_typical_matches_brute_force(rng):
-    pmf = random_pmf(rng, (2, 2))
-    params = TypicalityParams(epsilon=0.5, n=6)
-    got = {tuple(map(tuple, seqs)) for seqs in enumerate_typical(pmf, params)}
-    want = set()
-    for xs in itertools.product(range(2), repeat=6):
-        for ys in itertools.product(range(2), repeat=6):
-            seqs = (np.array(xs), np.array(ys))
-            if is_strongly_typical(seqs, pmf, params):
-                want.add((xs, ys))
-    assert got == want
 
 
 # (pmf shape, n, epsilon, bin rate): one or two observed axes, alphabets of
@@ -314,13 +306,6 @@ def test_sequence_codes_past_int64_are_refused():
     eng = CandidateEngine(np.full(8, 1 / 8), TypicalityParams(epsilon=0.5, n=21))
     with pytest.raises(CapacityError, match="8\\*\\*21 sequence codes overflow"):
         eng.candidate_indices(())
-
-
-def test_enum_capacity_error():
-    pmf = np.full((2, 2), 0.25)
-    params = TypicalityParams(epsilon=0.9, n=14)
-    with pytest.raises(CapacityError):
-        list(enumerate_typical(pmf, params, cap=2 ** 8))
 
 
 def test_row_batched_candidate_indices_match_one_row_calls(rng):
