@@ -101,17 +101,20 @@ class _Enumeration:
             raise CapacityError(
                 f"{m}**{n} support triples exceed 2**27, the most whose masses "
                 f"are summed exactly")
-        codes = np.arange(total, dtype=np.int64)
-        idx = np.zeros((3, total), dtype=np.int64)
-        prob = np.ones(total, dtype=np.float64)
-        for d in code_digits(codes, m, n):
-            for v, size in enumerate(dist.alphabet_sizes):
-                if size > 1:    # a one-letter alphabet's codes stay 0
-                    idx[v] = idx[v] * size + of[v][d]
-            prob = prob * p_of[d]
+        # each position appends one atom as the least significant digit, so
+        # an element's index is its atom code and its probability the product
+        # of its atoms' probabilities from the first
+        idx, prob = {}, p_of
+        for v, size, atom_col in zip("xyz", dist.alphabet_sizes, of):
+            code = atom_col
+            for _ in range(n - 1):
+                code = (code[:, None] * size + atom_col[None, :]).ravel()
+            idx[v] = code
+        for _ in range(n - 1):
+            prob = (prob[:, None] * p_of[None, :]).ravel()
         self.n = n
         self.size = dict(zip("xyz", dist.alphabet_sizes))
-        self.idx = dict(zip("xyz", idx))
+        self.idx = idx
         self.prob = prob
 
     @functools.cached_property
@@ -163,7 +166,7 @@ def _match(table, code, span, query, dense_slots):
     rank of the code) where the pack leaves no room.
     """
     if len(code) == 0:     # then there are no members either
-        return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
     if table.num_groups * span <= dense_slots and len(code) < 2 ** 31:
         key = table.cand_group.astype(np.intp) * span + code.astype(np.intp)
         slot = np.full(table.num_groups * span, -1, dtype=np.int32)
@@ -314,7 +317,7 @@ class ExactEvaluator:
             table = self._step_table(step, [col for _, col in seen], prior)
             if fixed:
                 self._tables[i] = table
-        status = np.full(len(self.enum.prob), _ST_NONE, dtype=np.int8)
+        status = np.full(len(self.enum.prob), _ST_NONE, dtype=np.uint8)
         found = [np.full(len(status), -1, dtype=np.int64) for _ in table.cands]
         m = table.members
         code = query = top = 0
@@ -335,17 +338,43 @@ class ExactEvaluator:
     # -- law and mass helpers ----------------------------------------------
 
     def _mass(self, labels, num) -> list:
-        """Probability mass of each label in range(num), bit for bit
-        math.fsum(prob[labels == j]): one integer count per (label,
-        probability class) times the class's two exact parts, fsummed.
+        """Probability mass of each label of each labelling: labels[i] is an
+        unsigned or bool array with values in range(num[i]), and entry i of
+        the result holds math.fsum(prob[labels[i] == j]) for each j, bit for
+        bit. One bincount counts the elements per (joint label, probability
+        class), where the joint label packs the labellings mixed-radix. The
+        counts sum exactly down to each labelling, and each label's counts
+        times its classes' two exact parts are fsummed. Where the joint count
+        would hold more bins than there are elements, the labellings are
+        packed first fit, most labels first, into counts that do not; one
+        that does not fit alone is counted alone.
         """
         cls, parts = self.enum.mass_classes
-        if len(parts) > 1:     # with one class the labels count alone
-            labels = labels.astype(np.intp) * len(parts) + cls
-        counts = np.bincount(labels, minlength=num * len(parts))
-        terms = counts.reshape(num, len(parts), 1) * parts
-        # the memoryview yields Python floats one at a time, with no list
-        return [math.fsum(memoryview(t.ravel())) for t in terms]
+        size, classes = len(cls), len(parts)
+        groups = []     # [bins, labelling indices] per count
+        for i in sorted(range(len(labels)), key=lambda i: -num[i]):
+            fit = next((g for g in groups if g[0] * num[i] <= size), None)
+            if fit is None:
+                groups.append([num[i] * classes, [i]])
+            else:
+                fit[0] *= num[i]
+                fit[1].append(i)
+        masses = [None] * len(labels)
+        for bins, group in groups:
+            joint = labels[group[0]].astype(np.min_scalar_type(bins - 1))
+            for i in group[1:]:
+                joint *= num[i]
+                joint += labels[i]
+            if classes > 1:     # with one class the labels count alone
+                joint *= classes
+                joint += cls
+            counts = np.bincount(joint, minlength=bins).reshape(
+                *(num[i] for i in group), classes)
+            for axis, i in enumerate(group):
+                per = counts.sum(axis=tuple(a for a in range(len(group)) if a != axis))
+                # the memoryview yields Python floats one at a time, with no list
+                masses[i] = [math.fsum(memoryview(t.ravel())) for t in per[:, :, None] * parts]
+        return masses
 
     def _law_entropy(self, key, key_size, view, cols, sizes):
         """Entropies in bits of the laws of the integer column key, of a
@@ -353,7 +382,8 @@ class ExactEvaluator:
         the labelling view (labels and their count, from _label_rows) by the
         columns cols, and the joint extends the view by the key. Each label's
         mass is summed in element order, so no entropy depends on how the
-        labels are numbered.
+        labels are numbered. A key of one value (key_size 1) is not read: its
+        law is the total mass, and its joint law with the view is the view's.
         """
         prob = self.enum.prob
 
@@ -361,12 +391,21 @@ class ExactEvaluator:
             return _entropy_masses(np.bincount(labels, weights=prob))
 
         view = _label_rows(cols, sizes, *view)
+        h_view = entropy(view[0])
+        if key_size == 1:
+            return self._one_value_entropy, h_view, h_view, view
         joint, _ = _label_rows([key], [key_size], *view)
         # a key label per sub-bin, unless there are far more sub-bins than
         # elements
         labels = (key if key_size <= len(prob)
                   else np.unique(key, return_inverse=True)[1])
-        return entropy(labels), entropy(view[0]), entropy(joint), view
+        return entropy(labels), h_view, entropy(joint), view
+
+    @functools.cached_property
+    def _one_value_entropy(self):
+        """Entropy of a one-valued key: of the total mass, summed like every law."""
+        prob = self.enum.prob
+        return _entropy_masses(np.bincount(np.zeros(len(prob), dtype=np.intp), weights=prob))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -403,23 +442,27 @@ class ExactEvaluator:
 
         def key_laws(owner, view, cols, sizes):
             """Leakage of the owner's sub-bin to one who sees the view
-            extended by the columns cols, its entropy, and the mass on which
-            every terminal that decoded the owner's sequence reads the same
-            sub-bin; and the extended view's labelling.
+            extended by the columns cols, and its entropy; the mask of the
+            elements on which every terminal that decoded the owner's
+            sequence reads the same sub-bin, which for a one-valued key is
+            where those decodes succeeded; and the extended view's labelling.
             """
             cb = cbs[owner]
-            key = cb.sub_bins_of_indices(e.idx[owner.lower()]).astype(np.int64)
+            key = (None if cb.num_sub_bins == 1
+                   else cb.sub_bins_of_indices(e.idx[owner.lower()]))
             agree = np.ones(n_el, dtype=bool)
             for name, (st, rec) in recovered.items():
                 if name[0] == owner.lower() and st is not None:
-                    claim = np.where((rec >= 0) & (st == _ST_OK),
-                                     cb.sub_bins_of_indices(np.where(rec >= 0, rec, 0))
-                                     .astype(np.int64), -1)
-                    agree &= (claim >= 0) & (claim == key)
-            h, h_view, h_joint, view = self._law_entropy(key, cb.num_sub_bins, view, cols, sizes)
+                    # a failed decode's code -1 reads the table's last entry;
+                    # its status excludes it
+                    agree &= st == _ST_OK
+                    if key is not None:
+                        agree &= cb.sub_bins_of_indices(rec) == key
+            h, h_view, h_joint, view = self._law_entropy(
+                None if key is None else key.view(np.int64), cb.num_sub_bins, view, cols, sizes)
             leak = h + h_view - h_joint
             # separately rounded entropies can land a hair below 0
-            return _clamp_mi(leak) / n, _clamp_mi(h) / n, self._mass(agree, 2)[1], view
+            return _clamp_mi(leak) / n, _clamp_mi(h) / n, agree, view
 
         # K_S is kept from the eavesdropper, who sees the transcript; K_P
         # also from Z, who holds Z^n besides (in the transcript already when
@@ -430,16 +473,24 @@ class ExactEvaluator:
             leak_ks, h_ks, agree_ks, view = key_laws("Z", view, cols, sizes)
             cols, sizes = [e.idx["z"]], [e.size["z"] ** e.n]
         leak_kp, h_kp, agree_kp, _ = key_laws(desc.kp_owner, view, cols, sizes)
+        # one joint count for every status, agreement and recovery mass; a
+        # recovered code is -1 unless its step decoded OK
+        decoding = [t for t in TERMINALS if t in terminal_status]
+        agreements = [a for a in (agree_ks, agree_kp) if a is not None]
+        copies = [key for key, (st, _) in recovered.items() if st is not None]
+        masses = iter(self._mass(
+            [terminal_status[t] for t in decoding] + agreements
+            + [recovered[key][1] == e.idx[key[0]] for key in copies],
+            [3] * len(decoding) + [2] * (len(agreements) + len(copies))))
+        status = {t: dict(zip(_STATUS_NAMES.values(), next(masses))) for t in decoding}
+        agree_ks, agree_kp = (None if a is None else next(masses)[1] for a in (agree_ks, agree_kp))
         ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}
         return CodebookExact(
             leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
             agree_ks=agree_ks, agree_kp=agree_kp,
-            status_mass={t: dict(zip(_STATUS_NAMES.values(), self._mass(terminal_status[t], 3)))
-                         if t in terminal_status else dict(ok) for t in TERMINALS},
-            recovery_error={
-                key: 0.0 if st is None else 1.0 - self._mass(
-                    (st == _ST_OK) & (rec == e.idx[key[0]]), 2)[1]
-                for key, (st, rec) in recovered.items()})
+            status_mass={t: status[t] if t in status else dict(ok) for t in TERMINALS},
+            recovery_error={key: 0.0 if st is None else 1.0 - next(masses)[1]
+                            for key, (st, _) in recovered.items()})
 
     def member(self, k=None) -> CodebookExact:
         """Exact laws of the k-th ensemble member. With k None, the laws of

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -237,6 +236,8 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
     if workers <= 1:
         per_trial = [_trial_stats(ctx, ctx.run(i)) for i in range(trials)]
     else:
+        # imported only to fan out: loading multiprocessing takes milliseconds
+        from concurrent.futures import ProcessPoolExecutor
         bounds = [(trials * w // workers, trials * (w + 1) // workers)
                   for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -73,38 +73,107 @@ def test_enumeration_refuses_more_triples_than_counts_sum_exactly():
         ExactEvaluator(_config("PointP", xor_triple(), n=14), exact_cap=2 ** 60)
 
 
+def _digit_loop_enumeration(dist, n, axes):
+    """Codes and probabilities of every support triple, one pass per digit:
+    element e's atoms are its base-m digits, the first position most
+    significant, and its probability their product from the first.
+    """
+    atoms = sorted(dist.support_atoms(), key=lambda a: [a[i] for i in axes])
+    of = np.array(atoms, dtype=np.int64).T
+    p_of = np.array([dist.pmf[a] for a in atoms], dtype=np.float64)
+    m = len(atoms)
+    codes = np.arange(m ** n, dtype=np.int64)
+    idx = np.zeros((3, m ** n), dtype=np.int64)
+    prob = np.ones(m ** n, dtype=np.float64)
+    for t in range(n):
+        d = (codes // m ** (n - 1 - t)) % m
+        for v, size in enumerate(dist.alphabet_sizes):
+            idx[v] = idx[v] * size + of[v][d]
+        prob = prob * p_of[d]
+    return idx, prob
+
+
+@pytest.mark.parametrize("dist,n,axes", [
+    (xor_triple(), 6, (0, 1, 2)),
+    (xor_triple(), 5, (1, 0, 2)),
+    (noisy_copy_triple(0.1, 0.3), 5, (0, 1, 2)),
+    (noisy_copy_triple(0.1, 0.3), 4, (1, 0, 2)),
+    (JointDistribution.create((1, 1, 3), np.array([0.5, 0.3, 0.2])), 7, (0, 1, 2)),
+    (noisy_copy_triple(0.1, 0.3), 1, (0, 1, 2)),
+], ids=["xor", "xor-y-first", "noisy", "noisy-y-first", "lemma1-marginal", "n1"])
+def test_enumeration_matches_a_digit_loop_bit_for_bit(dist, n, axes):
+    enum = _Enumeration(dist, n, 2 ** 24, axes)
+    idx, prob = _digit_loop_enumeration(dist, n, axes)
+    for v, ref in zip("xyz", idx):
+        assert enum.idx[v].dtype == np.int64
+        assert enum.idx[v].tobytes() == ref.tobytes()
+    assert enum.prob.tobytes() == prob.tobytes()
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def _assert_masses_exact(evaluator, rng, num=4):
+def _assert_masses_exact(evaluator, rng, monkeypatch, nums=(4, 2, 3, 2)):
     """_mass against math.fsum over each label's elements, bit for bit, for
-    random labelings that leave the last label empty.
+    random labellings passed at once: uint8 ones that leave their last label
+    empty, and a bool mask. No count holds more bins than there are
+    elements, unless one labelling's labels times the probability classes
+    do, and the labellings share one count exactly when their joint labels
+    times the classes fit in that many bins. Returns the number of counts.
     """
     prob = evaluator.enum.prob
-    for _ in range(3):
-        labels = rng.integers(0, num - 1, size=len(prob)).astype(np.int8)
-        expected = [math.fsum(prob[labels == j]) for j in range(num)]
-        assert expected[-1] == 0.0
-        assert _bits(evaluator._mass(labels, num)) == _bits(expected)
-    mask = rng.random(len(prob)) < 0.5
-    assert _bits(evaluator._mass(mask, 2)) == _bits([math.fsum(prob[~mask]),
-                                                     math.fsum(prob[mask])])
+    labels = [rng.integers(0, num - 1, size=len(prob)).astype(np.uint8) for num in nums]
+    labels.append(rng.random(len(prob)) < 0.5)
+    nums = [*nums, 2]
+    expected = [[math.fsum(prob[lab == j]) for j in range(num)]
+                for lab, num in zip(labels, nums)]
+    assert all(e[-1] == 0.0 for e in expected[:-1])
+    counts, bincount = [], np.bincount
+
+    def recording_bincount(*args, **kwargs):
+        counts.append(bincount(*args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(np, "bincount", recording_bincount)
+    masses = evaluator._mass(labels, nums)
+    monkeypatch.undo()
+    assert [_bits(m) for m in masses] == [_bits(e) for e in expected]
+    classes = len(evaluator.enum.mass_classes[1])
+    assert all(len(c) <= max(len(prob), max(nums) * classes) for c in counts)
+    fits = math.prod(nums) * classes <= len(prob)
+    assert (len(counts) == 1) == fits
+    return len(counts)
 
 
-@pytest.mark.parametrize("dist,n,classes", [
-    (xor_triple(), 6, (1, 1)),
-    (noisy_copy_triple(0.1, 0.3), 6, (140, 160)),
-    (random_distribution(np.random.default_rng(4), (2, 2, 2)), 6, (5000, 6500)),
+# per enumeration, label counts whose joint count fits in one pass
+@pytest.mark.parametrize("dist,n,classes,fitting", [
+    (xor_triple(), 6, (1, 1), (4, 2, 3, 2, 2, 2)),
+    (noisy_copy_triple(0.1, 0.3), 6, (140, 160), (3, 2)),
+    (random_distribution(np.random.default_rng(4), (2, 2, 2)), 6, (5000, 6500), (3, 2, 2)),
 ], ids=["one-class", "noisy", "random"])
-def test_masses_from_class_counts_are_exactly_rounded(dist, n, classes, rng):
+def test_masses_from_class_counts_are_exactly_rounded(dist, n, classes, fitting, rng,
+                                                      monkeypatch):
     evaluator = ExactEvaluator(_config("PointE", dist, n=n))
     cls, parts = evaluator.enum.mass_classes
     assert classes[0] <= len(parts) <= classes[1]
-    _assert_masses_exact(evaluator, rng)
+    assert _assert_masses_exact(evaluator, rng, monkeypatch, fitting) == 1
+    # fourteen labellings of 4 or 3 labels overflow any of the three counts
+    assert _assert_masses_exact(evaluator, rng, monkeypatch, (4, 3) * 7) > 1
 
 
-def test_masses_stay_exact_where_the_low_parts_are_subnormal(rng):
+def test_a_labelling_wider_than_the_elements_is_counted_alone(rng, monkeypatch):
+    """A random 2x2x2 pmf at n = 2 has 64 triples in more than 32 probability
+    classes, so even a two-label count outnumbers the elements: each
+    labelling gets a count of its own, and its masses stay exact.
+    """
+    dist = random_distribution(np.random.default_rng(4), (2, 2, 2))
+    evaluator = ExactEvaluator(_config("PointE", dist, n=2))
+    assert 2 * len(evaluator.enum.mass_classes[1]) > len(evaluator.enum.prob)
+    assert _assert_masses_exact(evaluator, rng, monkeypatch, (3, 2)) == 3
+
+
+def test_masses_stay_exact_where_the_low_parts_are_subnormal(rng, monkeypatch):
     """Probabilities near 1e-300 have low parts below the smallest normal
     float, and some probabilities are subnormal themselves; each class's two
     parts still sum to its probability and hold at most 26 significant bits.
@@ -120,7 +189,7 @@ def test_masses_stay_exact_where_the_low_parts_are_subnormal(rng):
     for part in parts.T:
         mant, _ = np.frexp(part)
         assert np.array_equal(np.ldexp(mant, 26), np.rint(np.ldexp(mant, 26)))
-    _assert_masses_exact(evaluator, rng)
+    _assert_masses_exact(evaluator, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("scheme,n", [("PointE", 4), ("PointP", 4),

@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +112,18 @@ def test_worker_count_does_not_change_bytes():
     finally:
         del os.environ["SKPK_WORKERS"]
     assert fanned == baseline
+
+
+def test_importing_skpk_loads_no_process_pool():
+    """The process pool and multiprocessing load only when trials fan out,
+    so a process that runs one worker never pays for their import.
+    """
+    src = str(Path(harness.__file__).resolve().parents[1])
+    check = ("import sys, skpk; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[]"
 
 
 def test_exact_mode_records():
