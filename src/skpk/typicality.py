@@ -45,6 +45,12 @@ JOIN_MIN_CANDIDATES = 2 ** 15
 # checking every pair can stop at the second match (a rate clamped to 0
 # gives one bin)
 JOIN_MIN_BINS = 16
+# classes with at least this many gathered cells per non-zero symbol
+# (rows x arrangements x positions x (q - 1)) sum by matrix products. On a
+# 2-core x86-64 AMD EPYC the gather cost about 1.7 us plus 3.1 ns a cell and
+# the products about 2 us more set-up plus 0.6 ns a cell per symbol; the
+# two met near 800 cells at q = 2 and 2,000 at q = 3
+MATMUL_MIN_CELLS = 1000
 
 
 @dataclass(frozen=True)
@@ -227,9 +233,26 @@ def _class_sums(tables, contrib) -> list:
     """Per class, the uint64 sum of contrib[t, seq_t] over the class's
     positions for each of its arrangements: (A,) per class, or (rows, A)
     when the positions are (rows, m).
+
+    A small class gathers its (rows, A, m) contributions and adds them up.
+    A larger one forms the sums as matrix products: with c = contrib[pos],
+    every arrangement starts from the all-zero-symbol sum of c[..., 0], and
+    symbol s >= 1 adds (c[..., s] - c[..., 0]) @ (mat == s).T. uint64
+    products and sums wrap mod 2**64 as the gather's sums do, so both give
+    the same bits.
     """
-    return [np.add.reduce(contrib[pos[..., None, :], mat], axis=-1, dtype=np.uint64)
-            for pos, mat in tables]
+    q = contrib.shape[-1]
+    out = []
+    for pos, mat in tables:
+        if pos.size * len(mat) * (q - 1) < MATMUL_MIN_CELLS:
+            sums = np.add.reduce(contrib[pos[..., None, :], mat], axis=-1, dtype=np.uint64)
+        else:
+            c = contrib[pos]
+            sums = c[..., 0].sum(axis=-1)[..., None]
+            for s in range(1, q):
+                sums = sums + (c[..., s] - c[..., 0]) @ (mat == s).T.astype(np.uint64)
+        out.append(sums)
+    return out
 
 
 def _group_sums(vals_list) -> np.ndarray:
@@ -247,8 +270,10 @@ def _group_sums(vals_list) -> np.ndarray:
 
 def _row_slices(members, mats, total) -> list:
     """Consecutive slices of a group's rows, each small enough that its
-    (rows, candidates) sums and (rows, arrangements, positions) gathers stay
-    within _SCAN_CHUNK entries; a row wider than that is a slice alone.
+    (rows, candidates) sums and its rows x arrangement-table cells stay
+    within _SCAN_CHUNK entries; a row wider than that is a slice alone. The
+    latter bounds each class's (rows, positions) contribution rows and
+    (rows, arrangements) products, and any gather _class_sums makes.
     """
     step = max(1, _SCAN_CHUNK // max(total, max(mat.size for mat in mats)))
     return [members[a:a + step] for a in range(0, len(members), step)]
@@ -327,9 +352,10 @@ def _residue_join(vals_list, codebook, target, limit):
 
     A pair's bin is ((l + r) mod 2**64) mod M, so r mod M must equal
     (target - l mod M) mod M, or that plus 2**64 mod M when l + r wraps.
-    The smaller side's residues are sorted once and each element of the
-    larger side looks up its two target residues. The join only prunes:
-    every pair it finds is re-checked with the codebook's own finalize_bins.
+    The smaller side's residues are sorted once, with the end of each run of
+    equal residues, and each element of the larger side finds each of its
+    target residues by one binary search. The join only prunes: every pair
+    it finds is re-checked with the codebook's own finalize_bins.
     """
     left, right = _split_sums(vals_list)
     m = np.uint64(codebook.num_bins)
@@ -341,14 +367,19 @@ def _residue_join(vals_list, codebook, target, limit):
     order = np.argsort(residues, kind="stable")
     residues = residues[order]
     small = small[order]
+    # one past the last index holding residues[i]; sorted keys search fast
+    run_end = np.searchsorted(residues, residues, side="right")
+    last = len(residues) - 1
     found = []
     for s0 in range(0, len(large), _SCAN_CHUNK):
         part = large[s0:s0 + _SCAN_CHUNK]
         # t + (m - r) < 2m <= 2**64 never overflows, nor does need + wrap
         need = (t + (m - part % m)) % m
         for residue in ((need,) if wrap == 0 else (need, (need + wrap) % m)):
-            lo = np.searchsorted(residues, residue, side="left")
-            cnt = np.searchsorted(residues, residue, side="right") - lo
+            lo = np.searchsorted(residues, residue)
+            # past the end, residues[last] < residue gives no run
+            at = np.minimum(lo, last)
+            cnt = np.where(residues[at] == residue, run_end[at] - lo, 0)
             for li, si in _expand_ranges(lo, cnt):
                 ok = codebook.finalize_bins(part[li] + small[si]) == t
                 li = li[ok] + s0
@@ -504,7 +535,8 @@ class CandidateEngine:
 
         Rows with equal class sizes share their arrangement tables. Any row
         over the search cap raises SearchOverflowError, as that row alone
-        would.
+        would; rows within it whose codes add up to more than the cap raise
+        CapacityError before the codes are allocated.
         """
         if self.q ** self.params.n >= 2 ** 62:
             raise CapacityError(
@@ -518,8 +550,12 @@ class CandidateEngine:
             if mats is not None:
                 counts[members] = total
                 blocks.append((members, shape, mats, total))
+        size = int(counts.sum())
+        if size > self.cap:
+            raise CapacityError(
+                f"{size} candidate codes over all rows exceed the search cap {self.cap}")
         first = np.cumsum(counts) - counts
-        out = np.empty(int(counts.sum()), dtype=np.int64)
+        out = np.empty(size, dtype=np.int64)
         for members, shape, mats, total in blocks:
             for part in _row_slices(members, mats, total):
                 tables = zip(_class_positions(codes[part], shape), mats)

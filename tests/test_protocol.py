@@ -357,18 +357,21 @@ def test_pair_decode_search_overflow_in_either_stage():
 _DECODE_DIGEST = "6b68da22447f1ee25b3a09bdf92f28ef818b5a2289d988e1d8161f54bf8355ed"
 
 
-@pytest.mark.parametrize("chunk", [None, 16], ids=["default-chunk", "chunk-16"])
-def test_decode_sweep_is_pinned(monkeypatch, chunk):
+@pytest.mark.parametrize("overrides", [{}, {"_SCAN_CHUNK": 16}, {"MATMUL_MIN_CELLS": 0},
+                                       {"MATMUL_MIN_CELLS": 2 ** 62}],
+                         ids=["default-chunk", "chunk-16", "product-sums", "gathered-sums"])
+def test_decode_sweep_is_pinned(monkeypatch, overrides):
     """Six trials of every scheme, time sharing with parts of different
     private-key owners included, with KeyedHash and ExplicitTable codebooks,
     at n = 8 and 12 and epsilon 0.6, 0.9, at the derived rates and at
     halved bin rates (more survivors, more ambiguous decodes), on xor and a
     random 2x2x2 pmf with zero atoms. A 16-entry scan chunk cuts batched
     scans into small slices of rows and sends every row of more than 16
-    candidates through the single-row path; the decodes must not change.
+    candidates through the single-row path, and every class sum may be
+    formed by matrix products or by gathers; the decodes must not change.
     """
-    if chunk is not None:
-        monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
+    for name, value in overrides.items():
+        monkeypatch.setattr(typicality, name, value)
     pmf = random_distribution(np.random.default_rng(14), (2, 2, 2), zero_frac=0.25)
     cases = [(scheme, dist, {}) for dist in (xor_triple(), pmf)
              for scheme in ("PointE", "PointT", "PointP", "PointQ")]

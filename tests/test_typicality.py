@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import random_distribution, random_pmf
 from skpk import typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import CapacityError, SearchOverflowError, UsageError
-from skpk.sources import STRUCTURAL_ZERO, sequence_code
+from skpk.sources import STRUCTURAL_ZERO, place_values, sequence_code
 from skpk.typicality import (CandidateEngine, TypicalityParams,
                              conditional_candidates, count_window,
                              is_strongly_typical, joint_counts)
@@ -238,6 +239,54 @@ def test_bin_filter_table_codebook(rng):
     _check_bin_filter(eng, (x,), cb, cands)
 
 
+@pytest.mark.parametrize("min_cells", [0, 2 ** 62], ids=["products", "gathers"])
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-row", "row-axis"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_class_sums_match_per_arrangement_sums(rng, monkeypatch, min_cells, rows, q):
+    """Each class sum is the sum of its arrangement's contributions mod
+    2**64, whichever way it is formed: for KeyedHash keys near 2**64, whose
+    sums wrap, and for place values."""
+    monkeypatch.setattr(typicality, "MATMUL_MIN_CELLS", min_cells)
+    n = 9
+    near_top = np.uint64(2 ** 64 - 1) - rng.integers(0, 2 ** 20, size=(n, q), dtype=np.uint64)
+    for contrib in (near_top, place_values(q, n)):
+        tables = []
+        for m in (1, 4, 7):
+            mat = rng.integers(0, q, size=(int(rng.integers(1, 40)), m)).astype(np.int8)
+            pos = np.stack([rng.permutation(n)[:m] for _ in range(rows or 1)])
+            tables.append((pos if rows else pos[0], mat))
+        for (pos, mat), sums in zip(tables, typicality._class_sums(tables, contrib)):
+            assert sums.dtype == np.uint64
+            assert sums.shape == (*pos.shape[:-1], len(mat))
+            for r, row in enumerate(np.atleast_2d(pos)):
+                want = [sum(int(contrib[t, s]) for t, s in zip(row, arr)) % 2 ** 64
+                        for arr in mat.tolist()]
+                assert np.atleast_2d(sums)[r].tolist() == want
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+@pytest.mark.parametrize("bins", [3, 5, 6, 7])
+def test_residue_join_matches_every_pair(rng, bins, limit):
+    """The join finds exactly the pairs, checked one by one, whose
+    KeyedHash bin is the target, where the smaller side's residues repeat
+    and sums near 2**64 wrap (2**64 mod bins is not 0)."""
+    cb = make_codebook(MODE_HASH, 8, 2, math.log2(bins) / 8, 0.0, seed=1, purpose="Z")
+    assert cb.num_bins == bins and 2 ** 64 % bins
+    wrapped = repeats = 0
+    for trial in range(20):
+        large = rng.integers(2 ** 63, 2 ** 64, size=24, dtype=np.uint64)
+        # the smaller side, a few values drawn six times, repeats residues
+        small = rng.choice(rng.integers(0, 2 ** 64, size=3, dtype=np.uint64), size=6)
+        vals = [large, small] if trial % 2 else [small, large]
+        sums = [int(a) + int(b) for a in vals[0] for b in vals[1]]
+        for target in range(bins):
+            want = [j for j, s in enumerate(sums) if s % 2 ** 64 % bins == target]
+            assert typicality._residue_join(vals, cb, target, limit) == want[:limit]
+            wrapped += sum(sums[j] >= 2 ** 64 for j in want)
+        repeats += len(np.unique(small % np.uint64(bins))) < len(small)
+    assert wrapped and repeats
+
+
 def reference_arrangements(m, vectors, q):
     """Every distinct sequence with each count vector, sorted by the
     positions of the first symbol present, then of the next, and so on."""
@@ -365,3 +414,19 @@ def test_row_batched_candidate_indices_over_the_search_cap():
     assert str(batch.value) == str(one.value)
     codes, counts = eng.candidate_indices((rows[[0, 2]],))
     assert len(codes) == 0 and counts.tolist() == [0, 0]
+
+
+def test_candidate_indices_refuse_a_summed_count_over_the_search_cap(monkeypatch):
+    """Rows each within the search cap whose counts add up past it are
+    refused before any code is formed."""
+    eng = CandidateEngine(np.full((2, 2), 0.25), TypicalityParams(epsilon=0.9, n=8),
+                          cap=200)
+    rows = np.tile(np.arange(8) % 2, (5, 1))
+    assert eng.candidate_indices((rows[:1],))[1].tolist() == [196]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("codes formed past the search cap")
+
+    monkeypatch.setattr(typicality, "_group_sums", forbidden)
+    with pytest.raises(CapacityError, match="980 candidate codes .* search cap 200"):
+        eng.candidate_indices((rows,))
