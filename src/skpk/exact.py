@@ -377,13 +377,13 @@ class ExactEvaluator:
         return masses
 
     def _law_entropy(self, key, key_size, view, cols, sizes):
-        """Entropies in bits of the laws of the integer column key, of a
-        view, and of both jointly, and the view's labelling. The view extends
-        the labelling view (labels and their count, from _label_rows) by the
-        columns cols, and the joint extends the view by the key. Each label's
-        mass is summed in element order, so no entropy depends on how the
-        labels are numbered. A key of one value (key_size 1) is not read: its
-        law is the total mass, and its joint law with the view is the view's.
+        """Entropy in bits of the law of the integer column key, the key's
+        leakage I(key; view) to a view, and the view's labelling. The view
+        extends the labelling view (labels and their count, from _label_rows)
+        by the columns cols; the leakage is H(key) + H(view) - H(key, view).
+        Each label's mass is summed in element order, so no entropy depends on
+        how the labels are numbered. A key of one value (key_size 1) is not
+        read: its law is the total mass, and it leaks its own entropy.
         """
         prob = self.enum.prob
 
@@ -391,15 +391,15 @@ class ExactEvaluator:
             return _entropy_masses(np.bincount(labels, weights=prob))
 
         view = _label_rows(cols, sizes, *view)
-        h_view = entropy(view[0])
         if key_size == 1:
-            return self._one_value_entropy, h_view, h_view, view
+            return self._one_value_entropy, self._one_value_entropy, view
         joint, _ = _label_rows([key], [key_size], *view)
         # a key label per sub-bin, unless there are far more sub-bins than
         # elements
         labels = (key if key_size <= len(prob)
                   else np.unique(key, return_inverse=True)[1])
-        return entropy(labels), h_view, entropy(joint), view
+        h = entropy(labels)
+        return h, h + entropy(view[0]) - entropy(joint), view
 
     @functools.cached_property
     def _one_value_entropy(self):
@@ -458,9 +458,8 @@ class ExactEvaluator:
                     agree &= st == _ST_OK
                     if key is not None:
                         agree &= cb.sub_bins_of_indices(rec) == key
-            h, h_view, h_joint, view = self._law_entropy(
+            h, leak, view = self._law_entropy(
                 None if key is None else key.view(np.int64), cb.num_sub_bins, view, cols, sizes)
-            leak = h + h_view - h_joint
             # separately rounded entropies can land a hair below 0
             return _clamp_mi(leak) / n, _clamp_mi(h) / n, agree, view
 

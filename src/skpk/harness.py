@@ -1,15 +1,16 @@
 """Experiment orchestration and report emission.
 
 run_trials drives a campaign, one record per blocklength. Both evaluation
-modes average ensemble members (exact.CodebookExact) and build the record
-from the mean in one place. In Monte Carlo mode a member is one sampled
-trial, a law with mass 1 on what happened, and key uniformity is the plug-in
-entropy of the keys as their owners compute them, a time share's key being
-its parts' keys side by side; in Exact mode a member is one codebook draw's
-exact laws, and the record adds the leakage numbers that sampling cannot
-estimate honestly. emit_report is the one serializer: reports are plain
-dictionaries with 12-significant-digit floats so that identical
-configurations always emit byte-identical files.
+modes average ensemble members (exact.CodebookExact), and a record is the
+mean member under its own field names plus the run's context. In Monte Carlo
+mode a member is one sampled trial, a law with mass 1 on what happened, and
+key uniformity is the plug-in entropy of the keys as their owners compute
+them, a time share's key being its parts' keys side by side; its leakage is
+null, since sampling cannot estimate it honestly. In Exact mode a member is
+one codebook draw's exact laws, and the record also lists every member.
+emit_report is the one serializer: reports are plain dictionaries with
+12-significant-digit floats so that identical configurations always emit
+byte-identical files.
 
 Worker fan-out is controlled by the SKPK_WORKERS environment variable; the
 aggregation only ever walks trials in index order, so the worker count never
@@ -218,12 +219,11 @@ def _warn_empty_windows(n: int, ctx: RunContext):
 
 
 def _record(n: int, ctx: RunContext, mean: CodebookExact, **fields) -> dict:
-    """The keys both evaluation modes report, from the mean over members."""
-    return {"n": n, "scheme": ctx.scheme, "redirected": ctx.redirected,
-            "agree_ks": mean.agree_ks, "agree_kp": mean.agree_kp,
-            "uniformity_hks": mean.h_ks, "uniformity_hkp": mean.h_kp,
+    """A record: the mean member under its own field names, then the run's
+    context; each mode adds its own context fields.
+    """
+    return {**_stats_dict(mean), "n": n, "scheme": ctx.scheme, "redirected": ctx.redirected,
             "rate_ks": math.log2(ctx.ks_size) / n, "rate_kp": math.log2(ctx.kp_size) / n,
-            "decode_failures": mean.status_mass, "recovery_error": mean.recovery_error,
             "rates": _rates_echo(ctx), **fields}
 
 
@@ -255,6 +255,7 @@ def _run_mc_record(config: ExperimentConfig, n: int) -> dict:
 
 
 def _stats_dict(member: CodebookExact) -> dict:
+    """A member's fields by name; status_mass is reported as decode_failures."""
     stats = asdict(member)
     stats["decode_failures"] = stats.pop("status_mass")
     return stats
@@ -264,9 +265,7 @@ def _run_exact_record(config: ExperimentConfig, n: int) -> dict:
     evaluator = ExactEvaluator(config.scheme_config(n), exact_cap=config.exact_cap)
     _warn_empty_windows(n, evaluator.ctx)
     result = evaluator.evaluate(config.trials)
-    mean = result.mean
-    return _record(n, evaluator.ctx, mean, num_codebooks=result.num_codebooks,
-                   leak_ks=mean.leak_ks, leak_kp=mean.leak_kp,
+    return _record(n, evaluator.ctx, result.mean, num_codebooks=result.num_codebooks,
                    per_codebook=[_stats_dict(s) for s in result.per_codebook])
 
 

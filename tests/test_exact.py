@@ -410,7 +410,7 @@ def test_evaluation_is_repeatable():
 
 
 # sha256 of the repr of every member of the sweep below, in sweep order
-_SWEEP_DIGEST = "a0b2ff27680654733f78dd29de5c3dc28e8a194f5cbc21e91e8d6b6e1a4a706e"
+_SWEEP_DIGEST = "a626c2e0c658e1f0a41a3e6f4413dd0f2ae1f815b7d2e9e269c3ce26929aba68"
 
 
 def test_member_sweep_is_pinned():

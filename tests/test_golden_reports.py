@@ -95,33 +95,33 @@ CASES = {
 
 DIGESTS = {
     "exact-pointE-xor":
-        "f92c7644dd65bf0609548800a6d3816356b4db6b4fb5a32b1a294c1a3809e684",
+        "e06e3ac21a61949895208966d1387c3a53d4b66b393f8aff1a7c0dda6af32214",
     "exact-pointE-xor-n8":
-        "c550b602ab2c361ba661dcba8661c73ec6c0911576e3b275b5136711efd26b94",
+        "dcd73d1e6af4c86bc463b98a3f983cfd2ccb55d7e0f4cdc10be031b24c4c42e0",
     "exact-pointP-mirrored":
-        "d78564537008bd3415fcf9e223b96d53d85a747390b0cc9b90c030b857661fb4",
+        "127fef74421c178be4473515432b25987a5aff18f0108fa3bcd8320d546cd1a9",
     "exact-pointP-mirrored-echo":
-        "78614a92d647770722380fad47c27165fcf1ecdeb9c0aad760df7dfae1028489",
+        "6e03b0891b1bb3cea63de77c21dfa3314575dfc759dd39d1925c8a9a8ad57f7c",
     "exact-pointP-mirrored-echo-n8":
-        "b2bacb6ac7461f757cc86fa58ec7e920f362d42175461b57ed057b79636c2ffe",
+        "4a8a4569c6b63cd018b23b1480314f4d09e286612f0e5fc3e3c984aeecfe3e04",
     "exact-pointP-xor":
-        "3229c797d101ff61a32eefd50ad359979fe304e85b7074d07f60e0c997aff773",
+        "6806313202279414902ee3209f20339e395e1fcfba87f2cce4d7ff4ab6a65185",
     "exact-pointQ-noisy":
-        "6bcfb370a558a998bec8215ab0f86cb20062e373df962f61c07e5021901b78e2",
+        "3562f44064f7b74486320118c5d447f7c9c5eb5ebabadf612cf922bd775a015c",
     "exact-pointQ-xor":
-        "683f07ce785486a645c581f4274c00cb621031aa6672ae8121c0d285dafa17a2",
+        "f2c3d577c1b2a98b21098fa5a774e280ef223965452a471e90355ff8327b9131",
     "exact-pointQ-xor-csv":
-        "c5ca605a0ebc73fa1cefcfbde4020a20d10796f9131bb09d3b42b9551605963a",
+        "16abaff147c7f86b1bc3a57211273ed931e1f3922e2ddd8cf8965788c051bd46",
     "exact-pointQ-xor-n8":
-        "293fb3b696fc8971e9769c6ab82dd0015646e7b61c796b5991b6fb0194a7ab50",
+        "5b3655fde79cc50cdba049c1ffa3e14b03dad07b50ad8a8c4514ad3cc0257f36",
     "exact-pointT-xor":
-        "0b0c45aeedf54a5fa425ef61bdf5a319c4e592a5972e6540c82df7afa0004fc1",
+        "bf6dbb341e86ba43cf244524cf86b3ac57fefef75d10a7c838f0570cd4ad189c",
     "exact-pointT-xor-n8":
-        "88d5ec7032adb3ce6468adb629baa1d83c033f4cd073240cd18678cabaa021fa",
+        "0c3ed8703b3b59d0a1ad698074b950514bd20922bf76ad4f8d5dcb3cd7695f9e",
     "exact-timeshare-lone-xor":
-        "c1075352de0473466c7d094512e6346194f0fcbe7735e9046c052d73cf3cf7e6",
+        "86dc2a443dfe65ca3f344b3a2fcbb333589cc6ae7e96bc8429984e9a28608708",
     "exact-timeshare-xor":
-        "f32be0c1a47a597de8663de646a29bd36090c9a3397f91e42ec0c4437b135a71",
+        "8a093414ac6d1e610ec5d019043e3bda79921c927a3bd912d15befde3da3047a",
     "lemma1-xor-csv":
         "57c3a41e42ef11b1cf6dd11d69b67c09b5e26ab65d29d010f24089087f0aaeb1",
     "lemma1-xor-json":
@@ -131,49 +131,49 @@ DIGESTS = {
     "region-xor-json":
         "1ac0cd3154625022ee818c53ccc8fa32a12052c753159cf0235d004f3de1f094",
     "simulate-pointE-hash-xor":
-        "db61fb74803349de07e9c3cef8f857f0ab742c3de4d263b07e1d8171e7faa609",
+        "0f5a6946e3241624093e0986c5b6dafb9cad4be3c06939a56844fb9988b20b6f",
     "simulate-pointE-table-xor":
-        "111b91d6e07bd0fe59d90a937446ee3631c6b8cd290e431992ccaec03d8d5969",
+        "f1eb356a02ea6686bc63bcbd7e2aa7b6732e2451f4c0c2ac8d96136337e9240c",
     "simulate-pointP-hash-mirrored":
-        "ef3fd5fff4b2b36f92c538a95355dfee2b62958284c0e4780ff3b44982029a0c",
+        "5f5f50cb810a2bb86c02bde4d000add6685d0aca3a9303389706573b357dca3d",
     "simulate-pointP-hash-mirrored-echo":
-        "80348f333a4cf27bf1eaa84d9a6cdf016ce55c91355db782b0ae4845ee2ae380",
+        "2a3a0aea354228953498875d4afd4352748d13573a8559201104c4409410da8d",
     "simulate-pointP-hash-xor":
-        "9ee7e53bca7cf1d54371ae9f3f8c043fde43e83d1ea14ffec057106e923b9acb",
+        "4d9661b85646a3cab740587d88d88c845f441166f59bcaf1571b64db137d3eb9",
     "simulate-pointP-hash-xor-n12":
-        "63d2edae3c5b64f290db46a4f7bea2115b776cfecb32c1252a67bc9b7c8858cc",
+        "8e032266e0376754ce20f4c1a36285c8cb991ea110c8775a903e3cce61cbe023",
     "simulate-pointP-table-mirrored":
-        "841750686ec75ec52b26489c7e51c0f7dead2db94b82572dba207232be77d92b",
+        "e3e2b8706ee194b73e06d9b6e9edb6a6b130e09835bd539870b2460e59508008",
     "simulate-pointP-table-mirrored-echo":
-        "9e8bace2079432f688b867f85dae085a4f1003fdce35bb554d62720ffb9bf9da",
+        "440cafb11d779faf826f2c86f381f50dc097b749c40d920dcf6d8a04b060028e",
     "simulate-pointP-table-xor":
-        "7252abd444deca05f1a066d00f2dc29a61be756285e9a9807c1432445419284e",
+        "90e658f045ba7953dbb725f92a5139bcce850d338f0fa4fa790dc0e66a95c02f",
     "simulate-pointP-table-xor-n12":
-        "8804575958c041af6e0bac414921f856197d19b7c5f4376126e524e27b7572bd",
+        "267f53eab4d02255fd0532a72c1eb8e12d771696be0be3f642673add9946f7fe",
     "simulate-pointQ-hash-noisy":
-        "c8801b28263353015c9fc14331c00ab7158c5351a32b1e9eb9ddd11b1d314e5d",
+        "f8e0acda2fa3ed43f60f26b44178b3bf4aae7f0fe01307195ce27e4dae1c34ab",
     "simulate-pointQ-hash-xor":
-        "4061ea5403d46518045cdf5458fef3b31350761429ebd75605cacc817de48439",
+        "8b5b5dc522df0961971c4b668a2c04af10a143b30c77fd6dfa564d9b2cc85634",
     "simulate-pointQ-hash-xor-n12":
-        "927159b3bbc893a771ed45fe9371cfb45afdf25d77f2feb469479346102d9aa2",
+        "9f3a2b0d513edaa4efc30225563c8f42de99d30a945fee994b7db64c072575ee",
     "simulate-pointQ-table-xor":
-        "4e11c5f7629ab82ed973a621172df9a5fbf8e37910e7bb58c8fae919b4a379c8",
+        "75faadfcb0063eb35619bda4725d4a81c5ade61154ac8843ddb94eadae6708ba",
     "simulate-pointQ-table-xor-n12":
-        "368e3cd6dfbf78844a83234c77d111b86ecbaa11781f9b31cea85b311cc49ddb",
+        "37fbfa8f0a9d91dc2d8a4719901a5cfd01a6fd0d1904c3db24164db2e0d9e8e3",
     "simulate-pointT-hash-sweep-xor-csv":
-        "f51bb02a89e17c6cbab91b9b1e6b7d55cd8fe939b2a86411cf616fb134c1f701",
+        "77d6976f660478fdd4fd0d118b5692aa44e07ad28bd1baf650cf5da7acefe352",
     "simulate-pointT-hash-xor":
-        "827a17bb6a484bf2fde155dd8f3aea92a02f3a62fbc6b40cb0785d4e8404442d",
+        "0c81df981c6795ff231528ada17e5b3442fa9bbccb0ed55f1c872fd96dd2887c",
     "simulate-pointT-table-xor":
-        "f2419b087b8106aad7dd025c95465ea5a34cd986e3282a668b2a5807aa5eaa8b",
+        "ac200463805ad2c549d3dbc6d7e88a8b301ef4bbbdfe6327b98ff221dc968985",
     "simulate-timeshare-hash-xor":
-        "b828ece4946484f54d3966299ba5b27d6003ec65ac7934ad15c6b69b16a613b0",
+        "26abf9e83284d6eb8dfd3ff4a3030771f66d41d6dc1e13b266ca62f120e567f2",
     "simulate-timeshare-lone-hash-xor":
-        "173f972899741554b40100345ba40e2198eb72825dbd8b938117a1f53313fcf1",
+        "56dee13c517370521d6971bcc7f5d592f7db87290573bd64d11418875cbb1bee",
     "simulate-timeshare-mixed-owner-hash-mirrored-echo":
-        "8ffdafb4a989f0a8c1c23b01280fd040a930e1d9ca5ba76eee37cf2f1c0c0d97",
+        "3c267d58d33d2d31d461e5b7950b0027c150ee7e1fbc2ea23abaa4a3f34aad37",
     "simulate-timeshare-table-xor":
-        "c17d84ba57b96c303a10e6911a1a8069a87163b60e6ecea72f195e9afd96bb5b",
+        "8c51f0992383076864cea818c9ca74b8db80b435330b6f4e27f54ca073526e46",
 }
 
 

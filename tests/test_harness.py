@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from conftest import mirrored_noisy_copy
 from skpk import harness
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
+from skpk.exact import CodebookExact
 from skpk.harness import (MODE_EXACT, MODE_MONTE_CARLO, ExperimentConfig,
                           emit_report, region_csv, region_summary, run_trials)
 from skpk.sources import identical_bits, noisy_copy_triple, xor_triple
@@ -86,14 +88,39 @@ def test_report_shape_and_ranges():
     for rec in report.records:
         for key in ("agree_ks", "agree_kp"):
             assert 0.0 <= rec[key] <= 1.0
-        assert rec["uniformity_hks"] <= rec["rate_ks"] + 1e-9
-        assert rec["uniformity_hkp"] <= rec["rate_kp"] + 1e-9
+        assert rec["h_ks"] <= rec["rate_ks"] + 1e-9
+        assert rec["h_kp"] <= rec["rate_kp"] + 1e-9
         for masses in rec["decode_failures"].values():
             assert sum(masses.values()) == pytest.approx(1.0, abs=1e-9)
-        assert "leak_ks" not in rec  # sampling cannot estimate leakage
+        # sampling cannot estimate leakage
+        assert rec["leak_ks"] is None and rec["leak_kp"] is None
         assert not {"epsilon", "delta"} & set(rec["rates"])
     # no resource cap, and no time-share fields for a one-shot scheme
     assert set(report.config) == _CONFIG_KEYS
+
+
+# what a record adds to its mean member: the run's context, and per mode the
+# trial count or the ensemble size and its members
+_CONTEXT_KEYS = {"n", "scheme", "redirected", "rate_ks", "rate_kp", "rates"}
+_MODE_KEYS = {MODE_MONTE_CARLO: {"trials"}, MODE_EXACT: {"num_codebooks", "per_codebook"}}
+
+
+@pytest.mark.parametrize("scheme", ["PointT", "TimeShare"])
+@pytest.mark.parametrize("mode", [MODE_MONTE_CARLO, MODE_EXACT])
+def test_record_is_the_mean_member_plus_context(mode, scheme):
+    """Every record key is a member field, under the name _stats_dict gives
+    it, or a named context key; each listed member has exactly the record's
+    member keys.
+    """
+    parts = {"ts_schemes": ("PointE", "PointT")} if scheme == "TimeShare" else {}
+    cfg = _mc_config(scheme=scheme, codebook_mode=MODE_TABLE, evaluation_mode=mode,
+                     trials=2, n_values=(4,), **parts)
+    member_keys = set(harness._stats_dict(
+        CodebookExact(**{f.name: None for f in dataclasses.fields(CodebookExact)})))
+    rec = run_trials(cfg).records[0]
+    assert set(rec) == member_keys | _CONTEXT_KEYS | _MODE_KEYS[mode]
+    for member in rec.get("per_codebook", []):
+        assert set(member) == set(rec) - _CONTEXT_KEYS - _MODE_KEYS[mode]
 
 
 def test_reports_are_reproducible():
@@ -146,7 +173,7 @@ def test_exact_leaks_and_entropies_are_never_negative():
                      codebook_mode=MODE_TABLE, evaluation_mode=MODE_EXACT,
                      trials=3, n_values=(4,), epsilon=0.5, delta=0.02, master_seed=5)
     rec = run_trials(cfg).records[0]
-    values = [rec[k] for k in ("leak_ks", "leak_kp", "uniformity_hks", "uniformity_hkp")]
+    values = [rec[k] for k in ("leak_ks", "leak_kp", "h_ks", "h_kp")]
     for member in rec["per_codebook"]:
         values += [member[k] for k in ("leak_ks", "leak_kp", "h_ks", "h_kp")]
     assert all(v >= 0.0 for v in values if v is not None), values
@@ -276,8 +303,8 @@ def test_time_share_without_a_secret_key_reports_none(mode):
                      ts_lambda=0.5, n_values=(12,), trials=2, epsilon=0.5,
                      delta=0.02, codebook_mode=MODE_TABLE, evaluation_mode=mode)
     rec = run_trials(cfg).records[0]
-    assert (rec["agree_ks"], rec["uniformity_hks"], rec["rate_ks"]) == (None, None, 0.0)
-    assert rec["agree_kp"] is not None and rec["uniformity_hkp"] is not None
+    assert (rec["agree_ks"], rec["h_ks"], rec["rate_ks"]) == (None, None, 0.0)
+    assert rec["agree_kp"] is not None and rec["h_kp"] is not None
     if mode == MODE_EXACT:
         assert rec["leak_ks"] is None and rec["leak_kp"] is not None
         assert all(m["agree_ks"] is None and m["leak_ks"] is None
@@ -305,7 +332,7 @@ def test_mixed_owner_time_share_uniformity_is_a_key_entropy(parts, mode, flips):
                   for p in rec["rates"]["parts"].values()]
         assert sorted(owners) == ["X", "Y"], rec["n"]
         for key in ("ks", "kp"):
-            h = rec[f"uniformity_h{key}"]
+            h = rec[f"h_{key}"]
             assert h is not None and h <= rec[f"rate_{key}"] + 1e-12, (rec["n"], key, h)
 
 
