@@ -200,26 +200,6 @@ class InfoProfile:
         return _clamp_mi(self._h(a | c) + self._h(b | c) - self._h(c) - self._h(a | b | c))
 
 
-def entropy(dist: JointDistribution, variables) -> float:
-    """H(S) in bits of the marginal on the variable set S."""
-    return InfoProfile(dist).h(variables)
-
-
-def conditional_entropy(dist: JointDistribution, vars_a, vars_b) -> float:
-    """H(A | B); vars_b may be empty."""
-    return InfoProfile(dist).h(vars_a, vars_b)
-
-
-def mutual_information(dist: JointDistribution, vars_a, vars_b) -> float:
-    """I(A; B), clamped at 0."""
-    return InfoProfile(dist).i(vars_a, vars_b)
-
-
-def conditional_mutual_information(dist: JointDistribution, vars_a, vars_b, vars_c) -> float:
-    """I(A; B | C), clamped at 0; vars_c may be empty."""
-    return InfoProfile(dist).i(vars_a, vars_b, vars_c)
-
-
 def info_profile(dist: JointDistribution) -> InfoProfile:
     """The profile of dist, after a chain-rule self-check of its entropies."""
     prof = InfoProfile(dist)
@@ -261,15 +241,6 @@ def sequence_code(seq, q: int) -> int:
     for v in np.asarray(seq).tolist():
         code = code * q + v
     return code
-
-
-def sequence_of_code(code: int, q: int, n: int) -> np.ndarray:
-    """The length-n int64 sequence whose base-q code is code."""
-    seq = np.empty(n, dtype=np.int64)
-    rem = int(code)
-    for t in range(n - 1, -1, -1):
-        rem, seq[t] = divmod(rem, q)
-    return seq
 
 
 def code_digits(codes, q: int, n: int):

@@ -23,9 +23,8 @@ from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.exact import ExactEvaluator, lemma1_check, oracle_codebooks, oracle_secrecy
 from skpk.protocol import RunContext, SchemeConfig, derive_rates
 from skpk.region import halfplanes, rate_region
-from skpk.sources import (conditional_entropy, dump_pmf, entropy, info_profile,
-                          mutual_information, noisy_copy_triple, xor_triple,
-                          doubly_symmetric_xz)
+from skpk.sources import (InfoProfile, dump_pmf, info_profile, noisy_copy_triple,
+                          xor_triple, doubly_symmetric_xz)
 from skpk.typicality import TypicalityParams, conditional_candidates, is_strongly_typical
 
 
@@ -53,13 +52,13 @@ def test_criterion_1_information_identities():
     start = time.monotonic()
     worst = 0.0
     for d in _PMFS:
-        total = (entropy(d, "X") + entropy(d, "Y") + entropy(d, "Z")
-                 - entropy(d, "XYZ"))
+        prof = InfoProfile(d)
+        total = prof.h("X") + prof.h("Y") + prof.h("Z") - prof.h("XYZ")
         for split in ((("X", "Z"), ("Y", "XZ")),
                       (("Y", "Z"), ("X", "YZ")),
                       (("XY", "Z"), ("X", "Y"))):
             (a1, b1), (a2, b2) = split
-            value = mutual_information(d, a1, b1) + mutual_information(d, a2, b2)
+            value = prof.i(a1, b1) + prof.i(a2, b2)
             worst = max(worst, abs(total - value))
     elapsed = time.monotonic() - start
     _verdict("criterion 1: three total-correlation identities on 1000 pmfs",
@@ -142,7 +141,7 @@ def test_criterion_5_binning_rate_contrast():
     """
     start = time.monotonic()
     dist = doubly_symmetric_xz(0.1)
-    h_z_given_x = conditional_entropy(dist, "Z", "X")
+    h_z_given_x = InfoProfile(dist).h("Z", "X")
     xz_pmf = dist.marginal("XZ")
     trials = 500
     arms = {}

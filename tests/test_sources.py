@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import random_distribution
 from skpk.errors import UsageError
-from skpk.sources import (JointDistribution, code_digits, conditional_entropy,
-                          conditional_mutual_information, dump_pmf, entropy,
-                          identical_bits, info_profile, load_pmf,
-                          mutual_information, noisy_copy_triple, place_values,
-                          sample, sequence_code, sequence_of_code, xor_triple)
+from skpk.sources import (InfoProfile, JointDistribution, code_digits, dump_pmf,
+                          identical_bits, info_profile, load_pmf, noisy_copy_triple,
+                          place_values, sample, sequence_code, xor_triple)
 
 
 def test_xor_entropies():
-    d = xor_triple()
-    assert entropy(d, "XYZ") == pytest.approx(2.0, abs=1e-12)
-    assert conditional_entropy(d, "Z", "X") == pytest.approx(1.0, abs=1e-12)
-    assert conditional_mutual_information(d, "X", "Y", "Z") == pytest.approx(1.0, abs=1e-12)
-    assert mutual_information(d, "X", "Z") == pytest.approx(0.0, abs=1e-12)
-    assert mutual_information(d, "XY", "Z") == pytest.approx(1.0, abs=1e-12)
+    prof = InfoProfile(xor_triple())
+    assert prof.h("XYZ") == pytest.approx(2.0, abs=1e-12)
+    assert prof.h("Z", "X") == pytest.approx(1.0, abs=1e-12)
+    assert prof.i("X", "Y", "Z") == pytest.approx(1.0, abs=1e-12)
+    assert prof.i("X", "Z") == pytest.approx(0.0, abs=1e-12)
+    assert prof.i("XY", "Z") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noisy_copy_profile_value():
@@ -35,18 +33,11 @@ def test_noisy_copy_profile_value():
 def test_total_correlation_decompositions(rng):
     for _ in range(80):
         shape = tuple(rng.integers(1, 5, size=3))
-        d = random_distribution(rng, shape, zero_frac=0.2)
-        total = (entropy(d, "X") + entropy(d, "Y") + entropy(d, "Z")
-                 - entropy(d, "XYZ"))
-        assert total == pytest.approx(
-            mutual_information(d, "X", "Z") + mutual_information(d, "Y", "XZ"),
-            abs=1e-10)
-        assert total == pytest.approx(
-            mutual_information(d, "Y", "Z") + mutual_information(d, "X", "YZ"),
-            abs=1e-10)
-        assert total == pytest.approx(
-            mutual_information(d, "XY", "Z") + mutual_information(d, "X", "Y"),
-            abs=1e-10)
+        prof = InfoProfile(random_distribution(rng, shape, zero_frac=0.2))
+        total = prof.h("X") + prof.h("Y") + prof.h("Z") - prof.h("XYZ")
+        assert total == pytest.approx(prof.i("X", "Z") + prof.i("Y", "XZ"), abs=1e-10)
+        assert total == pytest.approx(prof.i("Y", "Z") + prof.i("X", "YZ"), abs=1e-10)
+        assert total == pytest.approx(prof.i("XY", "Z") + prof.i("X", "Y"), abs=1e-10)
 
 
 def test_marginal_axis_order(rng):
@@ -57,14 +48,13 @@ def test_marginal_axis_order(rng):
 
 
 def test_variable_set_validation():
-    d = xor_triple()
+    prof = info_profile(xor_triple())
     with pytest.raises(UsageError):
-        entropy(d, "")
+        prof.h("")
     with pytest.raises(UsageError):
-        mutual_information(d, "X", "XY")
+        prof.i("X", "XY")
     with pytest.raises(UsageError):
-        conditional_mutual_information(d, "X", "Z", "Z")
-    prof = info_profile(d)
+        prof.i("X", "Z", "Z")
     for call in (lambda: prof.h("W"), lambda: prof.h("XX"), lambda: prof.h("X", "XZ"),
                  lambda: prof.i("X", ""), lambda: prof.i("X", "Y", "Y")):
         with pytest.raises(UsageError):
@@ -226,8 +216,8 @@ def test_sequence_code_round_trip(q, long_n):
             seq = rng.integers(0, q, size=n)
             code = sequence_code(seq, q)
             assert 0 <= code < q ** n
-            assert np.array_equal(sequence_of_code(code, q, n), seq)
-        top = sequence_of_code(q ** n - 1, q, n)
+            assert np.array_equal(list(code_digits(code, q, n)), seq)
+        top = np.array(list(code_digits(q ** n - 1, q, n)))
         assert top.tolist() == [q - 1] * n
         assert sequence_code(top, q) == q ** n - 1
     # most significant position first
