@@ -154,6 +154,18 @@ def test_bench_trial_checker_passes(scheme, n):
     assert problems == []
 
 
+@pytest.mark.parametrize("mode", [skpk.harness.MODE_MONTE_CARLO, skpk.harness.MODE_EXACT])
+def test_bench_report_check_reads_records(mode):
+    """bench/checks.py reads every record's decode_failures by name, in both
+    evaluation modes; a record field renamed under it fails here first.
+    """
+    checks = _load_bench("checks")
+    cfg = skpk.ExperimentConfig(
+        scheme="PointP", dist=skpk.xor_triple(), n_values=(4, 6), trials=2, epsilon=0.5,
+        delta=0.05, master_seed=1, codebook_mode=skpk.MODE_TABLE, evaluation_mode=mode)
+    assert checks.check_report(skpk.run_trials(cfg)) == []
+
+
 def test_bench_selftest_passes():
     """bench/selftest.py runs the benchmark's output checks on genuine runs,
     members and reports, then on corrupted copies; a change to ProtocolRun,
