@@ -120,7 +120,7 @@ def test_record_is_the_mean_member_plus_context(mode, scheme):
     rec = run_trials(cfg).records[0]
     assert set(rec) == member_keys | _CONTEXT_KEYS | _MODE_KEYS[mode]
     for member in rec.get("per_codebook", []):
-        assert set(member) == set(rec) - _CONTEXT_KEYS - _MODE_KEYS[mode]
+        assert set(member) == member_keys
 
 
 def test_reports_are_reproducible():
