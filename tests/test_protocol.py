@@ -358,8 +358,10 @@ _DECODE_DIGEST = "6b68da22447f1ee25b3a09bdf92f28ef818b5a2289d988e1d8161f54bf8355
 
 
 @pytest.mark.parametrize("overrides", [{}, {"_SCAN_CHUNK": 16}, {"MATMUL_MIN_CELLS": 0},
-                                       {"MATMUL_MIN_CELLS": 2 ** 62}],
-                         ids=["default-chunk", "chunk-16", "product-sums", "gathered-sums"])
+                                       {"MATMUL_MIN_CELLS": 2 ** 62},
+                                       {"JOIN_MIN_CANDIDATES": 1}],
+                         ids=["default-chunk", "chunk-16", "product-sums", "gathered-sums",
+                              "join"])
 def test_decode_sweep_is_pinned(monkeypatch, overrides):
     """Six trials of every scheme, time sharing with parts of different
     private-key owners included, with KeyedHash and ExplicitTable codebooks,
@@ -367,11 +369,16 @@ def test_decode_sweep_is_pinned(monkeypatch, overrides):
     halved bin rates (more survivors, more ambiguous decodes), on xor and a
     random 2x2x2 pmf with zero atoms. A 16-entry scan chunk cuts batched
     scans into small slices of rows and sends every row of more than 16
-    candidates through the single-row path, and every class sum may be
-    formed by matrix products or by gathers; the decodes must not change.
+    candidates through the single-row path, every class sum may be formed
+    by matrix products or by gathers, and every KeyedHash space with enough
+    bins may be decoded by the residue join; the decodes must not change.
     """
     for name, value in overrides.items():
         monkeypatch.setattr(typicality, name, value)
+    joins = []
+    join = typicality._residue_join
+    monkeypatch.setattr(typicality, "_residue_join",
+                        lambda *a: joins.append(1) or join(*a))
     pmf = random_distribution(np.random.default_rng(14), (2, 2, 2), zero_frac=0.25)
     cases = [(scheme, dist, {}) for dist in (xor_triple(), pmf)
              for scheme in ("PointE", "PointT", "PointP", "PointQ")]
@@ -400,6 +407,7 @@ def test_decode_sweep_is_pinned(monkeypatch, overrides):
                                     sorted(out.ks_claims.items()),
                                     sorted(out.kp_claims.items()))).encode())
     assert statuses == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
+    assert bool(joins) == ("JOIN_MIN_CANDIDATES" in overrides)
     assert digest.hexdigest() == _DECODE_DIGEST
 
 
