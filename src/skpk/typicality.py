@@ -352,9 +352,10 @@ def _residue_join(vals_list, codebook, target, limit):
 
     A pair's bin is ((l + r) mod 2**64) mod M, so r mod M must equal
     (target - l mod M) mod M, or that plus 2**64 mod M when l + r wraps.
-    The smaller side's residues are sorted once, with the end of each run of
-    equal residues, and each element of the larger side finds each of its
-    target residues by one binary search. The join only prunes: every pair
+    The smaller side's residues are sorted once, and a bitmap of their low
+    bits drops the larger side's elements whose target residue cannot
+    occur. Each survivor finds the run of its target residue by binary
+    search. The join only prunes: every pair
     it finds is re-checked with the codebook's own finalize_bins.
     """
     left, right = _split_sums(vals_list)
@@ -367,20 +368,25 @@ def _residue_join(vals_list, codebook, target, limit):
     order = np.argsort(residues, kind="stable")
     residues = residues[order]
     small = small[order]
-    # one past the last index holding residues[i]; sorted keys search fast
-    run_end = np.searchsorted(residues, residues, side="right")
-    last = len(residues) - 1
+    # about 64 bits per small-side element, so a random residue passes with
+    # chance under 1/64. The balanced split keeps the small side within
+    # sqrt(search cap) = 2**13 elements, so this is at most 2**19 entries;
+    # the clamp holds the bitmap to 2**20 entries under any cap
+    mask = np.uint64((1 << min(20, (64 * len(residues) - 1).bit_length())) - 1)
+    seen = np.zeros(int(mask) + 1, dtype=bool)
+    seen[residues & mask] = True
     found = []
     for s0 in range(0, len(large), _SCAN_CHUNK):
         part = large[s0:s0 + _SCAN_CHUNK]
         # t + (m - r) < 2m <= 2**64 never overflows, nor does need + wrap
         need = (t + (m - part % m)) % m
         for residue in ((need,) if wrap == 0 else (need, (need + wrap) % m)):
+            keep = np.flatnonzero(seen[residue & mask])
+            residue = residue[keep]
             lo = np.searchsorted(residues, residue)
-            # past the end, residues[last] < residue gives no run
-            at = np.minimum(lo, last)
-            cnt = np.where(residues[at] == residue, run_end[at] - lo, 0)
+            cnt = np.searchsorted(residues, residue, side="right") - lo
             for li, si in _expand_ranges(lo, cnt):
+                li = keep[li]
                 ok = codebook.finalize_bins(part[li] + small[si]) == t
                 li = li[ok] + s0
                 si = order[si[ok]]
@@ -394,7 +400,7 @@ def _residue_join(vals_list, codebook, target, limit):
 
 
 class _ClassBlock:
-    """Cached per-(observed cell, class size) arrangement data."""
+    """Cached per-(window row, class size) arrangement data."""
 
     __slots__ = ("vectors", "total", "matrix")
 
@@ -418,8 +424,8 @@ class CandidateEngine:
 
     joint_pmf has the observed variables' axes first (in the order observed
     sequences will be passed) and the unknown variable's axis last. The
-    engine caches per-class arrangement tables, so reuse one instance across
-    trials that share (pmf, params).
+    engine caches an arrangement table per (window row, class size), so
+    reuse one instance across trials that share (pmf, params).
     """
 
     def __init__(self, joint_pmf: np.ndarray, params: TypicalityParams,
@@ -437,12 +443,16 @@ class CandidateEngine:
         # cells whose windows forbid a zero count: absent, they rule out
         # every candidate
         self._must_occur = np.flatnonzero(self.lo.max(axis=1) > 0).tolist()
+        # a block depends on a cell only through its windows, so cells with
+        # equal windows share their blocks
+        _, window = np.unique(np.hstack([self.lo, self.hi]), axis=0, return_inverse=True)
+        self._window = window.ravel().tolist()
         self._blocks = {}
 
     # -- class bookkeeping ------------------------------------------------
 
     def _block(self, cell, m) -> _ClassBlock:
-        key = (cell, m)
+        key = (self._window[cell], m)
         block = self._blocks.get(key)
         if block is None:
             block = _ClassBlock(m, self.lo[cell], self.hi[cell])

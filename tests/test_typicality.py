@@ -11,7 +11,7 @@ from conftest import random_distribution, random_pmf
 from skpk import typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import CapacityError, SearchOverflowError, UsageError
-from skpk.sources import STRUCTURAL_ZERO, place_values, sequence_code
+from skpk.sources import STRUCTURAL_ZERO, place_values, sequence_code, xor_triple
 from skpk.typicality import (CandidateEngine, TypicalityParams,
                              conditional_candidates, count_window,
                              is_strongly_typical, joint_counts)
@@ -285,6 +285,73 @@ def test_residue_join_matches_every_pair(rng, bins, limit):
             wrapped += sum(sums[j] >= 2 ** 64 for j in want)
         repeats += len(np.unique(small % np.uint64(bins))) < len(small)
     assert wrapped and repeats
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+@pytest.mark.parametrize("bins", [2 ** 30, 3 * 2 ** 29 + 1])
+def test_residue_join_bitmap_keeps_every_match(rng, bins, limit):
+    """With 2**30 bins or more, the join's bitmap over the smaller side's
+    low residue bits is narrower than the bin count. Smaller-side residues
+    here share their low 20 bits and differ above them, and the larger side
+    holds elements that need one of them, elements that need a residue
+    with the same low bits that no element has, and random elements. The
+    join still finds exactly the pairs, checked one by one, whose bin is
+    the target, among them sums that wrap past 2**64 (for a bin count that
+    does not divide 2**64, a wrapped sum needs the second target residue).
+    """
+    cb = make_codebook(MODE_HASH, 8, 2, math.log2(bins) / 8, 0.0, seed=1, purpose="Z")
+    assert cb.num_bins == bins
+    low = 2 ** 20
+    wrap = 2 ** 64 % bins
+    found = wrapped = 0
+
+    def above(r):
+        """A uniform 64-bit value of residue r."""
+        return r + bins * int(rng.integers(0, (2 ** 64 - r) // bins))
+
+    for trial in range(10):
+        target = int(rng.integers(0, bins))
+        residues = (int(rng.integers(0, low))
+                    + low * rng.choice(bins // low - 1, size=12, replace=False)).tolist()
+        small = [above(r) for r in residues[:6]]
+        # one element per needed residue and sum branch, one per decoy
+        large = [above((target + w - r) % bins) for r in residues for w in (0, wrap)]
+        large += rng.integers(0, 2 ** 64, size=6, dtype=np.uint64).tolist()
+        vals = [np.array(v, dtype=np.uint64) for v in
+                ((large, small) if trial % 2 else (small, large))]
+        sums = [a + b for a in vals[0].tolist() for b in vals[1].tolist()]
+        want = [j for j, s in enumerate(sums) if s % 2 ** 64 % bins == target]
+        assert typicality._residue_join(vals, cb, target, limit) == want[:limit]
+        found += len(want)
+        wrapped += sum(sums[j] >= 2 ** 64 for j in want)
+    assert found > wrapped > 0
+
+
+def test_cells_with_equal_windows_share_arrangement_tables(rng, monkeypatch):
+    """On xor's XZ marginal both cells of X have the same windows, so the
+    engine builds one arrangement table per class size, not one per cell
+    and class size, and candidate_indices and scan_bin_filter still give
+    conditional_candidates' candidates."""
+    pmf = xor_triple().marginal("XZ")
+    params = TypicalityParams(epsilon=0.5, n=12)
+    rows = rng.integers(0, 2, size=(20, 12))
+    listed = [conditional_candidates((row,), pmf, params) for row in rows]
+    eng = CandidateEngine(pmf, params)
+    assert np.array_equal(eng.lo[0], eng.lo[1]) and np.array_equal(eng.hi[0], eng.hi[1])
+    built = []
+    arrange = typicality._arrangement_matrix
+    monkeypatch.setattr(typicality, "_arrangement_matrix",
+                        lambda m, *args: built.append(m) or arrange(m, *args))
+    cb = make_codebook(MODE_HASH, 12, 2, 0.5, 0.0, seed=3, purpose="Z")
+    codes, counts = eng.candidate_indices((rows,))
+    starts = (np.cumsum(counts) - counts).tolist()
+    sizes = set()
+    for row, want, start, count in zip(rows, listed, starts, counts.tolist()):
+        assert codes[start:start + count].tolist() == [sequence_code(c, 2) for c in want]
+        _check_bin_filter(eng, (row,), cb, want)
+        if want:
+            sizes.update(np.bincount(row, minlength=2).tolist())
+    assert len(sizes) > 1 and sorted(built) == sorted(sizes)
 
 
 def reference_arrangements(m, vectors, q):
