@@ -376,23 +376,26 @@ class ExactEvaluator:
                 masses[i] = [math.fsum(memoryview(t.ravel())) for t in per[:, :, None] * parts]
         return masses
 
-    def _law_entropy(self, key, key_size, view, cols, sizes):
+    def _law_entropy(self, key, key_size, view, cols, sizes, extend):
         """Entropy in bits of the law of the integer column key, the key's
         leakage I(key; view) to a view, and the view's labelling. The view
         extends the labelling view (labels and their count, from _label_rows)
         by the columns cols; the leakage is H(key) + H(view) - H(key, view).
         Each label's mass is summed in element order, so no entropy depends on
         how the labels are numbered. A key of one value (key_size 1) is not
-        read: its law is the total mass, and it leaks its own entropy.
+        read: its law is the total mass, and it leaks its own entropy. Its
+        view is labelled only to extend it further (extend), and is None
+        otherwise.
         """
         prob = self.enum.prob
 
         def entropy(labels):
             return _entropy_masses(np.bincount(labels, weights=prob))
 
-        view = _label_rows(cols, sizes, *view)
         if key_size == 1:
+            view = _label_rows(cols, sizes, *view) if extend else None
             return self._one_value_entropy, self._one_value_entropy, view
+        view = _label_rows(cols, sizes, *view)
         joint, _ = _label_rows([key], [key_size], *view)
         # a key label per sub-bin, unless there are far more sub-bins than
         # elements
@@ -440,12 +443,13 @@ class ExactEvaluator:
 
         n = float(e.n)
 
-        def key_laws(owner, view, cols, sizes):
+        def key_laws(owner, view, cols, sizes, extend=False):
             """Leakage of the owner's sub-bin to one who sees the view
             extended by the columns cols, and its entropy; the mask of the
             elements on which every terminal that decoded the owner's
             sequence reads the same sub-bin, which for a one-valued key is
-            where those decodes succeeded; and the extended view's labelling.
+            where those decodes succeeded; and the extended view's labelling
+            (None for a one-valued key unless extend).
             """
             cb = cbs[owner]
             key = (None if cb.num_sub_bins == 1
@@ -459,17 +463,19 @@ class ExactEvaluator:
                     if key is not None:
                         agree &= cb.sub_bins_of_indices(rec) == key
             h, leak, view = self._law_entropy(
-                None if key is None else key.view(np.int64), cb.num_sub_bins, view, cols, sizes)
+                None if key is None else key.view(np.int64), cb.num_sub_bins, view, cols,
+                sizes, extend)
             # separately rounded entropies can land a hair below 0
             return _clamp_mi(leak) / n, _clamp_mi(h) / n, agree, view
 
         # K_S is kept from the eavesdropper, who sees the transcript; K_P
         # also from Z, who holds Z^n besides (in the transcript already when
-        # Z has no codebook)
+        # Z has no codebook), so K_P's view extends K_S's
         view, cols = (np.zeros(n_el, dtype=np.intp), 1), list(values.values())
         leak_ks = h_ks = agree_ks = None
         if "Z" in cbs:
-            leak_ks, h_ks, agree_ks, view = key_laws("Z", view, cols, sizes)
+            leak_ks, h_ks, agree_ks, view = key_laws(
+                "Z", view, cols, sizes, extend=cbs[desc.kp_owner].num_sub_bins > 1)
             cols, sizes = [e.idx["z"]], [e.size["z"] ** e.n]
         leak_kp, h_kp, agree_kp, _ = key_laws(desc.kp_owner, view, cols, sizes)
         # one joint count for every status, agreement and recovery mass; a
