@@ -37,10 +37,10 @@ ARRANGE_CELL_CAP = 2 ** 27
 # largest array a scan forms at once, in entries
 _SCAN_CHUNK = 1 << 20
 # KeyedHash spaces at least this large are decoded by the residue join.
-# On a 2-core x86-64 Xeon the join cost about 0.1 ms plus a little per
-# candidate and checking every pair about 10 ns a candidate; the two met
-# near 3e4 candidates
-JOIN_MIN_CANDIDATES = 2 ** 15
+# On a 2-core x86-64 AMD EPYC, over the scans of PointT, PointE and PointQ
+# trials on xor at n = 13-18, the join cost about 30 us and checking every
+# pair about 3 ns a candidate; the two met near 2**13 candidates
+JOIN_MIN_CANDIDATES = 2 ** 13
 # with fewer bins the join would re-check at least 1/8 of all pairs, while
 # checking every pair can stop at the second match (a rate clamped to 0
 # gives one bin)
