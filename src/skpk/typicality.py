@@ -355,8 +355,8 @@ def _residue_join(vals_list, codebook, target, limit):
     The smaller side's residues are sorted once, and a bitmap of their low
     bits drops the larger side's elements whose target residue cannot
     occur. Each survivor finds the run of its target residue by binary
-    search. The join only prunes: every pair
-    it finds is re-checked with the codebook's own finalize_bins.
+    search. The join only prunes: every pair it finds is re-checked with the
+    codebook's own finalize_bins.
     """
     left, right = _split_sums(vals_list)
     m = np.uint64(codebook.num_bins)
