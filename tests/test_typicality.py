@@ -314,7 +314,7 @@ def test_residue_join_bitmap_keeps_every_match(rng, bins, limit):
         residues = (int(rng.integers(0, low))
                     + low * rng.choice(bins // low - 1, size=12, replace=False)).tolist()
         small = [above(r) for r in residues[:6]]
-        # one element per needed residue and sum branch, one per decoy
+        # per residue, a needed or a decoy one, an element for each sum branch
         large = [above((target + w - r) % bins) for r in residues for w in (0, wrap)]
         large += rng.integers(0, 2 ** 64, size=6, dtype=np.uint64).tolist()
         vals = [np.array(v, dtype=np.uint64) for v in
