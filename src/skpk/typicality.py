@@ -14,6 +14,12 @@ the unknown: each class's count vector must fit the joint windows of its row
 and sum to the class size. Candidates therefore factorize into a cross
 product of per-class arrangements, which supports counting, listing and
 vectorized bin-filter scans with the same bookkeeping.
+
+A cell is forced when its window row admits at most one symbol s*: every
+other symbol's window is [0, 0]. Its class of size m then has the single
+arrangement s* * m when lo[s*] <= m <= hi[s*], and none otherwise. Forced
+classes build no arrangement table; their positions only add a per-row base
+to every candidate's sum, a factor of one that moves no candidate index.
 """
 
 import functools
@@ -219,12 +225,16 @@ def _arrangement_matrix(m, vectors, q) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _class_positions(codes, sizes) -> list:
-    """Positions of each present class along the last axis of codes, by
-    ascending cell code and ascending within a class. codes may be (rows, n)
-    when every row has the given class sizes; each class is then (rows, m).
+def _class_positions(keys, sizes) -> list:
+    """Positions of each present class along the last axis of keys, by
+    ascending key and ascending within a class; sizes are those of the
+    smallest keys, and positions of larger keys are left out. keys may be
+    (rows, n) when every row has the given class sizes; each class is then
+    (rows, m).
     """
-    order = np.argsort(codes, axis=-1, kind="stable")
+    if not any(sizes):
+        return []
+    order = np.argsort(keys, axis=-1, kind="stable")
     starts = itertools.accumulate(sizes, initial=0)
     return [order[..., start:start + m] for start, m in zip(starts, sizes) if m]
 
@@ -275,7 +285,7 @@ def _row_slices(members, mats, total) -> list:
     latter bounds each class's (rows, positions) contribution rows and
     (rows, arrangements) products, and any gather _class_sums makes.
     """
-    step = max(1, _SCAN_CHUNK // max(total, max(mat.size for mat in mats)))
+    step = max(1, _SCAN_CHUNK // max(total, max((mat.size for mat in mats), default=0)))
     return [members[a:a + step] for a in range(0, len(members), step)]
 
 
@@ -424,8 +434,9 @@ class CandidateEngine:
 
     joint_pmf has the observed variables' axes first (in the order observed
     sequences will be passed) and the unknown variable's axis last. The
-    engine caches an arrangement table per (window row, class size), so
-    reuse one instance across trials that share (pmf, params).
+    engine caches an arrangement table per (window row, class size) of its
+    free (not forced) cells, so reuse one instance across trials that share
+    (pmf, params).
     """
 
     def __init__(self, joint_pmf: np.ndarray, params: TypicalityParams,
@@ -440,9 +451,20 @@ class CandidateEngine:
         self.obs_cells = int(np.prod(self.obs_shape)) if self.obs_shape else 1
         flat = pmf.reshape(self.obs_cells, self.q)
         self.lo, self.hi = count_windows(flat, params.n, params.epsilon)
-        # cells whose windows forbid a zero count: absent, they rule out
-        # every candidate
-        self._must_occur = np.flatnonzero(self.lo.max(axis=1) > 0).tolist()
+        # a forced cell admits at most one symbol, its fill: every other
+        # symbol's window is [0, 0]
+        admitted = (self.lo != 0) | (self.hi != 0)
+        self._forced = admitted.sum(axis=1) <= 1
+        self._fill = admitted.argmax(axis=1)
+        self._forced_cells = cells = np.flatnonzero(self._forced)
+        self._forced_lo = self.lo[cells, self._fill[cells]]
+        self._forced_hi = self.hi[cells, self._fill[cells]]
+        self._free_cells = np.flatnonzero(~self._forced).tolist()
+        # free cells sort by cell code, every forced position after them
+        self._rank = np.where(self._forced, self.obs_cells, np.arange(self.obs_cells))
+        # free cells (by their place among the free cells) whose windows
+        # forbid a zero count: absent, they rule out every candidate
+        self._must_occur = np.flatnonzero(self.lo[self._free_cells].max(axis=1) > 0).tolist()
         # a block depends on a cell only through its windows, so cells with
         # equal windows share their blocks
         _, window = np.unique(np.hstack([self.lo, self.hi]), axis=0, return_inverse=True)
@@ -460,15 +482,16 @@ class CandidateEngine:
         return block
 
     def _size_tables(self, sizes):
-        """Arrangement tables of the classes of the given per-cell sizes,
-        present cells by ascending cell code, and the candidate count;
-        (None, 0) when there is no candidate. The search cap is checked
-        before any arrangement table is built.
+        """Arrangement tables of the classes of the given free-cell sizes
+        (None: a forced class fits no window), present cells by ascending
+        cell code, and the candidate count; (None, 0) when there is no
+        candidate. The search cap is checked before any arrangement table is
+        built.
         """
         # an absent cell whose windows forbid a zero count rules out everything
-        if any(sizes[cell] == 0 for cell in self._must_occur):
+        if sizes is None or any(sizes[i] == 0 for i in self._must_occur):
             return None, 0
-        classes = [(m, self._block(cell, m)) for cell, m in enumerate(sizes) if m]
+        classes = [(m, self._block(cell, m)) for cell, m in zip(self._free_cells, sizes) if m]
         total = math.prod(block.total for _, block in classes)
         if total > self.cap:
             raise SearchOverflowError(
@@ -477,52 +500,87 @@ class CandidateEngine:
             return None, 0
         return [block.materialize(m, self.q) for m, block in classes], total
 
+    def _free_sizes(self, sizes):
+        """Per row of per-cell class sizes, whether every forced class fits
+        its fill's window (absent ones included), and the free cells' sizes.
+        """
+        if not self._forced_cells.size:
+            return np.ones(sizes.shape[:-1], dtype=bool), sizes
+        counts = sizes[..., self._forced_cells]
+        fits = ((counts >= self._forced_lo) & (counts <= self._forced_hi)).all(axis=-1)
+        return fits, sizes[..., self._free_cells]
+
     def _one_row(self, observed):
-        """Cell codes of observed sequences without a row axis (() when
-        nothing is observed), and the per-cell class sizes.
+        """Cell codes of observed sequences without a row axis, and the free
+        cells' class sizes (None when a forced class rules out every
+        candidate).
         """
         codes = _cell_codes(_as_seq_tuple(observed), self.obs_shape, self.params.n)
-        return codes, np.bincount(codes, minlength=self.obs_cells).tolist()
+        fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
+        return codes, (sizes.tolist() if fits else None)
 
     def _class_tables(self, codes, sizes):
-        """[(positions, arrangement table), ...] per class of one row of cell
-        codes with the given class sizes, by ascending cell code with
+        """[(positions, arrangement table), ...] per free class of one row of
+        cell codes with the given free-cell sizes, by ascending cell code with
         positions ascending, and the candidate count; (None, 0) when there is
         no candidate.
         """
         mats, total = self._size_tables(sizes)
         if mats is None:
             return None, 0
-        return list(zip(_class_positions(codes, sizes), mats)), total
+        return list(zip(self._positions(codes, sizes), mats)), total
+
+    def _positions(self, codes, sizes) -> list:
+        """_class_positions of the free classes of codes, one row or (rows, n)."""
+        return _class_positions(self._rank[codes], sizes)
+
+    def _sums(self, codes, tables, contrib) -> list:
+        """_class_sums of the (positions, table) pairs of one row of cell
+        codes or of (rows, n), led by the rows' forced base as a class of one
+        arrangement: the uint64 sum of contrib[t, fill] over the positions t
+        of forced cells. Without forced cells there is no base.
+        """
+        if not self._forced_cells.size:
+            return _class_sums(tables, contrib)
+        picked = contrib[np.arange(self.params.n), self._fill[codes]]
+        base = np.where(self._forced[codes], picked, np.uint64(0)).sum(
+            axis=-1, dtype=np.uint64)
+        return [base[..., None], *_class_sums(tables, contrib)]
 
     def _row_classes(self, observed):
         """Cell codes of observed sequences as (rows, n), and the rows grouped
-        by equal per-cell class sizes: (codes, [(rows, sizes), ...]), rows
-        ascending within a group. A sequence given as a (rows, n) array
+        by equal free-cell class sizes: (codes, [(rows, sizes), ...]), rows
+        ascending within a group. Rows whose forced classes rule out every
+        candidate are in no group. A sequence given as a (rows, n) array
         holds one sequence per row; one without a row axis is shared by every
         row, and without any row axis there is one row.
         """
         codes = np.atleast_2d(_cell_codes(_as_seq_tuple(observed), self.obs_shape,
                                           self.params.n))
         rows, cells = len(codes), self.obs_cells
-        if not rows:
-            return codes, []
         offsets = np.arange(rows)[:, None] * cells
-        sizes = np.bincount((codes + offsets).ravel(),
-                            minlength=rows * cells).reshape(rows, cells)
-        # rows with equal class sizes are adjacent in order, ascending within
-        order = np.lexsort(sizes.T)
+        fits, sizes = self._free_sizes(np.bincount(
+            (codes + offsets).ravel(), minlength=rows * cells).reshape(rows, cells))
+        order = np.flatnonzero(fits)
+        if not len(order):
+            return codes, []
+        # rows with equal class sizes are adjacent in order, ascending within;
+        # without free cells every row has the same (empty) sizes
+        if self._free_cells:
+            order = order[np.lexsort(sizes[order].T)]
         ranked = sizes[order]
-        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-        return codes, [(order[a:b], ranked[a].tolist())
-                       for a, b in zip(starts.tolist(), [*starts[1:].tolist(), rows])]
+        ends = np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1
+        bounds = [0, *ends.tolist(), len(order)]
+        return codes, [(order[a:b], ranked[a].tolist()) for a, b in zip(bounds, bounds[1:])]
 
-    def _reconstruct(self, hits, tables) -> np.ndarray:
-        """Candidates of the given indices as the rows of an (H, n) int64
-        array: the first class's arrangement varies slowest.
+    def _reconstruct(self, hits, tables, codes) -> np.ndarray:
+        """Candidates of the given indices of one row of cell codes as the
+        rows of an (H, n) int64 array: forced positions hold their fill, and
+        the first free class's arrangement varies slowest.
         """
         j = np.asarray(hits, dtype=np.int64)
         seqs = np.empty((len(j), self.params.n), dtype=np.int64)
+        seqs[:] = self._fill[codes]
         for pos, mat in reversed(tables):
             j, i = np.divmod(j, len(mat))
             seqs[:, pos] = mat[i]
@@ -534,8 +592,11 @@ class CandidateEngine:
         """Every candidate of observed sequences without a row axis, in
         candidate order, as int64 arrays.
         """
-        tables, total = self._class_tables(*self._one_row(observed))
-        return [] if tables is None else list(self._reconstruct(np.arange(total), tables))
+        codes, sizes = self._one_row(observed)
+        tables, total = self._class_tables(codes, sizes)
+        if tables is None:
+            return []
+        return list(self._reconstruct(np.arange(total), tables, codes))
 
     def candidate_indices(self, observed):
         """Sequence codes (sources.sequence_code) of every row's candidates,
@@ -543,7 +604,8 @@ class CandidateEngine:
         row's candidates in its own candidate order. Requires q**n to fit
         comfortably in int64. Rows are as in _row_classes.
 
-        Rows with equal class sizes share their arrangement tables. Any row
+        Rows with equal free-cell class sizes share their arrangement tables,
+        and rows of forced cells only have one candidate each. Any row
         over the search cap raises SearchOverflowError, as that row alone
         would; rows within it whose codes add up to more than the cap raise
         CapacityError before the codes are allocated.
@@ -568,9 +630,9 @@ class CandidateEngine:
         out = np.empty(size, dtype=np.int64)
         for members, shape, mats, total in blocks:
             for part in _row_slices(members, mats, total):
-                tables = zip(_class_positions(codes[part], shape), mats)
+                tables = zip(self._positions(codes[part], shape), mats)
                 out[first[part][:, None] + np.arange(total)] = _group_sums(
-                    _class_sums(tables, places))
+                    self._sums(codes[part], tables, places))
         return out, counts
 
     # -- vectorized scans -------------------------------------------------
@@ -586,12 +648,12 @@ class CandidateEngine:
         tables, total = self._class_tables(codes, sizes)
         if tables is None:
             return np.empty((0, self.params.n), dtype=np.int64)
-        vals = _class_sums(tables, codebook.contribution_table())
+        vals = self._sums(codes, tables, codebook.contribution_table())
         if _joins(codebook, total):
             hits = _residue_join(vals, codebook, target, limit)
         else:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
-        return self._reconstruct(hits[:limit], tables)
+        return self._reconstruct(hits[:limit], tables, codes)
 
     def scan_bin_filter(self, observed, codebook, target, limit=None):
         """The first limit candidates (None: all) of observed sequences
@@ -606,8 +668,9 @@ class CandidateEngine:
 
         Returns (counts, first): per row the match count capped at 2, or None
         where that row's scan would raise SearchOverflowError; and the first
-        match of the first row with exactly one (None without such a row).
-        Rows with equal class sizes share their arrangement tables and are
+        match of the first row with exactly one (None without such a row),
+        as an array of its own. Rows with equal free-cell class sizes share
+        their arrangement tables and are
         scanned in slices of rows, as candidate_indices lists them. A row
         with more than _SCAN_CHUNK candidates, or whose candidates the
         residue join decodes, is scanned alone.
@@ -631,8 +694,9 @@ class CandidateEngine:
                     counts[r] = len(alone[r])
                 continue
             for part in _row_slices(members, mats, total):
-                tables = zip(_class_positions(codes[part], shape), mats)
-                sums = _group_sums(_class_sums(tables, codebook.contribution_table()))
+                tables = zip(self._positions(codes[part], shape), mats)
+                sums = _group_sums(self._sums(codes[part], tables,
+                                              codebook.contribution_table()))
                 hit = codebook.finalize_bins(sums) == np.uint64(target)
                 counts[part] = np.minimum(hit.sum(axis=1), 2)
                 first_hit[part] = hit.argmax(axis=1)
@@ -641,11 +705,14 @@ class CandidateEngine:
         if row is None:
             return counts, None
         if row in alone:
-            return counts, alone[row][0]
-        # only this row's match is rebuilt as a sequence
-        shape = next(shape for members, shape in groups if row in members)
-        tables, _ = self._class_tables(codes[row], shape)
-        return counts, self._reconstruct(first_hit[row:row + 1], tables)[0]
+            first = alone[row][0]
+        else:
+            # only this row's match is rebuilt as a sequence
+            shape = next(shape for members, shape in groups if row in members)
+            tables, _ = self._class_tables(codes[row], shape)
+            first = self._reconstruct(first_hit[row:row + 1], tables, codes[row])[0]
+        # a copy, so the match does not keep the scan's arrays alive
+        return counts, first.copy()
 
 
 def conditional_candidates(observed, joint_pmf, params: TypicalityParams):

@@ -354,6 +354,150 @@ def test_cells_with_equal_windows_share_arrangement_tables(rng, monkeypatch):
     assert len(sizes) > 1 and sorted(built) == sorted(sizes)
 
 
+def brute_force_in_candidate_order(pmf, params, observed):
+    """Every typical candidate, by exhaustive filtering, sorted into
+    candidate order: class by class in ascending observed cell code, by the
+    class's count vector, then by the positions each symbol present takes.
+    """
+    q = pmf.shape[-1]
+    cells = np.ravel_multi_index(observed, pmf.shape[:-1])
+
+    def key(z):
+        out = []
+        for cell in np.unique(cells).tolist():
+            sub = z[cells == cell]
+            counts = np.bincount(sub, minlength=q)
+            out.append((counts.tolist(), [np.flatnonzero(sub == s).tolist()
+                                          for s in range(q) if counts[s]]))
+        return out
+
+    return sorted(brute_force_candidates(pmf, params, observed), key=key)
+
+
+def _check_against_brute_force(eng, pmf, rows, codebooks):
+    """candidate_indices, scan_bin_filter (limit None and 2) and
+    scan_bin_filter_rows on the given observed rows against the brute-force
+    candidates in candidate order.
+    """
+    observed = tuple(np.stack(axis) for axis in zip(*rows))
+    want = [brute_force_in_candidate_order(pmf, eng.params, row) for row in rows]
+    codes, counts = eng.candidate_indices(observed)
+    assert counts.tolist() == [len(w) for w in want]
+    assert codes.tolist() == [sequence_code(c, pmf.shape[-1]) for w in want for c in w]
+    for cb in codebooks:
+        in_bin = [[cb.bin_index(c) for c in w] for w in want]
+        for target in range(cb.num_bins):
+            matches = [[c for c, b in zip(w, bins) if b == target]
+                       for w, bins in zip(want, in_bin)]
+            for row, match in zip(rows, matches):
+                for limit in (None, 2):
+                    got = eng.scan_bin_filter(row, cb, target, limit=limit)
+                    assert got.tolist() == [c.tolist() for c in match[:limit]]
+            got_counts, first = eng.scan_bin_filter_rows(observed, cb, target)
+            assert got_counts == [min(len(m), 2) for m in matches]
+            ones = [m[0] for m in matches if len(m) == 1]
+            assert (first is None) == (not ones)
+            if ones:
+                assert np.array_equal(first, ones[0]) and first.base is None
+    return want
+
+
+def _admitted_symbols(eng):
+    """Per observed cell, how many symbols have a window other than [0, 0]."""
+    return ((eng.lo != 0) | (eng.hi != 0)).sum(axis=1).tolist()
+
+
+def _rows_of(rng, cell_counts, shape):
+    """One observed row per cell-count vector: each cell's symbols as often
+    as its count says, in a random order.
+    """
+    rows = []
+    for counts in cell_counts:
+        cells = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        rows.append(np.unravel_index(cells, shape))
+    return rows
+
+
+def test_forced_classes_match_brute_force(rng):
+    """z is forced in the (x, y) cells (0, 0) and (1, 0), whose structural
+    zeros leave one symbol each, and free in (0, 1) and (1, 1). The scans and
+    candidate_indices agree with brute force on rows with candidates, rows
+    whose forced class is larger than its symbol's window, rows without a
+    forced cell that must occur, rows of forced cells only (every free cell
+    must occur) and random rows.
+    """
+    pmf = np.array([[[0.2, 0.0], [0.25, 0.15]], [[0.0, 0.2], [0.1, 0.1]]])
+    params = TypicalityParams(epsilon=0.6, n=8)
+    eng = CandidateEngine(pmf, params)
+    assert _admitted_symbols(eng) == [1, 2, 1, 2]
+    kinds = {
+        "some": [[2, 2, 2, 2], [1, 3, 2, 2], [2, 3, 1, 2], [1, 4, 1, 2]],
+        "too_large": [[3, 2, 1, 2], [1, 2, 3, 2]],
+        "absent": [[0, 4, 2, 2], [2, 4, 0, 2]],
+        "forced_only": [[4, 0, 4, 0], [5, 0, 3, 0]],
+    }
+    rows = _rows_of(rng, [c for counts in kinds.values() for c in counts], (2, 2))
+    rows += [tuple(rng.integers(0, 2, size=(2, 8))) for _ in range(6)]
+    codebooks = [make_codebook(MODE_HASH, 8, 2, 0.25, 0.0, seed=7, purpose="Z"),
+                 make_codebook(MODE_TABLE, 8, 2, 0.25, 0.0, seed=7, purpose="Z")]
+    want = _check_against_brute_force(eng, pmf, rows, codebooks)
+    got = iter(len(w) for w in want)
+    for kind, counts in kinds.items():
+        lengths = [next(got) for _ in counts]
+        assert all(lengths) if kind == "some" else not any(lengths), kind
+    assert max(len(w) for w in want) > 2
+
+
+def test_observed_cell_without_mass_is_forced_empty(rng):
+    """An observed cell without mass admits no symbol: a row that holds it
+    has no candidate, and rows that do not agree with brute force."""
+    pmf = np.array([[0.5, 0.0], [0.25, 0.25], [0.0, 0.0]])
+    params = TypicalityParams(epsilon=0.6, n=6)
+    eng = CandidateEngine(pmf, params)
+    assert _admitted_symbols(eng) == [1, 2, 0]
+    rows = _rows_of(rng, [[3, 3, 0], [2, 3, 1], [4, 2, 0], [3, 2, 1]], (3,))
+    cb = make_codebook(MODE_HASH, 6, 2, 0.3, 0.0, seed=2, purpose="Z")
+    want = _check_against_brute_force(eng, pmf, rows, [cb])
+    assert [bool(w) for w in want] == [True, False, True, False]
+
+
+def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
+    """On xor's XYZ marginal z is forced in every (x, y) cell: survivors of
+    different class sizes build no arrangement table, a typical row is its
+    own single candidate, x xor y, and with a search cap of 0 it still
+    counts one candidate and overflows."""
+    pmf = xor_triple().marginal("XYZ")
+    params = TypicalityParams(epsilon=0.5, n=8)
+    eng = CandidateEngine(pmf, params)
+    capped = CandidateEngine(pmf, params, cap=0)
+
+    def forbidden(*args):
+        raise AssertionError("arrangement table built for forced classes")
+
+    monkeypatch.setattr(typicality, "_arrangement_matrix", forbidden)
+    x, y = rng.integers(0, 2, size=(2, 40, 8))
+    sizes = {tuple(joint_counts((a, b), (2, 2)).ravel()) for a, b in zip(x, y)}
+    typical = [bool(is_strongly_typical((a, b, a ^ b), pmf, params)) for a, b in zip(x, y)]
+    assert len(sizes) > 10 and 0 < sum(typical) < len(typical)
+    codes, counts = eng.candidate_indices((x, y))
+    assert counts.tolist() == [int(t) for t in typical]
+    assert codes.tolist() == [sequence_code(a ^ b, 2) for a, b, t in zip(x, y, typical) if t]
+    cb = make_codebook(MODE_HASH, 8, 2, 0.25, 0.0, seed=5, purpose="Z")
+    _check_against_brute_force(eng, pmf, list(zip(x[:6], y[:6])), [cb])
+    for target in range(cb.num_bins):
+        got, first = eng.scan_bin_filter_rows((x, y), cb, target)
+        want = [int(t and cb.bin_index(a ^ b) == target) for a, b, t in zip(x, y, typical)]
+        assert got == want
+        if 1 in want:
+            r = want.index(1)
+            assert np.array_equal(first, x[r] ^ y[r])
+        assert capped.scan_bin_filter_rows((x, y), cb, target)[0] == [
+            None if t else 0 for t in typical]
+    r = typical.index(True)
+    with pytest.raises(SearchOverflowError, match="1 candidates exceed the search cap 0"):
+        capped.scan_bin_filter((x[r], y[r]), cb, 0)
+
+
 def reference_arrangements(m, vectors, q):
     """Every distinct sequence with each count vector, sorted by the
     positions of the first symbol present, then of the next, and so on."""
