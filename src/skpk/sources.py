@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +140,11 @@ def _entropy_masses(masses) -> float:
     """Entropy in bits of a collection of probability masses; zeros add nothing."""
     m = (np.asarray(masses, dtype=np.float64) if isinstance(masses, np.ndarray)
          else np.fromiter(masses, dtype=np.float64))
-    m = m[m > 0].tolist()
-    # -m * log2(m) term by term, as Python floats, with no per-term bytecode
-    return math.fsum(map(operator.mul, map(operator.neg, m), map(math.log2, m)))
+    m, counts = np.unique(m[m > 0], return_counts=True)
+    # -m * log2(m) once per distinct mass, as Python floats, then each term as
+    # often as its mass occurs: the same terms, so fsum gives the same bits
+    terms = [-v * math.log2(v) for v in m.tolist()]
+    return math.fsum(np.repeat(terms, counts).tolist())
 
 
 def _entropy_of(p: np.ndarray) -> float:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import random_distribution
 from skpk.errors import UsageError
-from skpk.sources import (InfoProfile, JointDistribution, code_digits, dump_pmf,
-                          identical_bits, info_profile, load_pmf, noisy_copy_triple,
-                          place_values, sample, sequence_code, xor_triple)
+from skpk.sources import (InfoProfile, JointDistribution, _entropy_masses, code_digits,
+                          dump_pmf, identical_bits, info_profile, load_pmf,
+                          noisy_copy_triple, place_values, sample, sequence_code, xor_triple)
 
 
 def test_xor_entropies():
@@ -119,6 +119,30 @@ def test_profile_matches_reference_sums(cells):
                     max(0.0, prof.h(a, c) - prof.h(a, b + c)), abs=1e-10)
     chain = prof.h("X") + prof.h("Y", "X") + prof.h("Z", "XY")
     assert chain == pytest.approx(prof.h("XYZ"), abs=1e-10)
+
+
+@pytest.mark.parametrize("masses", [
+    [0.125] * 8,                                  # one mass, repeated
+    [0.5, 0.0, 0.25, 0.0, 0.125, 0.125],          # zeros add nothing
+    [1.0],
+    [0.1, 0.2, 0.3, 0.4],                         # all distinct
+    [0.3, 0.1, 0.3, 0.05, 0.1, 0.05, 0.1],        # repeats in any order
+    [],
+], ids=["repeats", "zeros", "one-mass", "distinct", "mixed", "empty"])
+def test_entropy_masses_matches_per_term_formula(masses):
+    """_entropy_masses takes one log per distinct mass, yet sums the same
+    terms -m * log2(m) as the per-term formula, so the bits agree: on lists,
+    arrays and generators."""
+    want = math.fsum(-m * math.log2(m) for m in masses if m > 0)
+    assert _entropy_masses(masses) == want
+    assert _entropy_masses(np.array(masses, dtype=np.float64)) == want
+    assert _entropy_masses(m for m in masses) == want
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-300, 1 / 3, 0.1, 0.5, 0.7]), max_size=40))
+def test_entropy_masses_matches_per_term_formula_on_repeats(masses):
+    want = math.fsum(-m * math.log2(m) for m in masses if m > 0)
+    assert _entropy_masses(iter(masses)) == want
 
 
 def test_sample_matches_distribution():
