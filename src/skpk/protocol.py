@@ -314,7 +314,8 @@ def _unique_decode(engine, observed, cb, target):
         return STATUS_NO_CANDIDATE, None
     if len(found) >= 2:
         return STATUS_AMBIGUOUS, None
-    return STATUS_OK, found[0]
+    # a copy: a view would keep the scan's whole array alive in the run
+    return STATUS_OK, found[0].copy()
 
 
 def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
@@ -343,7 +344,8 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
             return STATUS_AMBIGUOUS, None, None
     if total == 0:
         return STATUS_NO_CANDIDATE, None, None
-    return STATUS_OK, helpers[counts.index(1)], zseq
+    # a copy: a view would keep every stage-1 survivor alive in the run
+    return STATUS_OK, helpers[counts.index(1)].copy(), zseq
 
 
 class RunContext:

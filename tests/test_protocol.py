@@ -352,6 +352,20 @@ def test_pair_decode_search_overflow_in_either_stage():
     assert _pair_decode(**dict(args, eng2=stage2)) == (STATUS_OVERFLOW, None, None)
 
 
+@pytest.mark.parametrize("scheme", ["PointP", "PointQ"])
+def test_recovered_sequences_own_their_data(scheme):
+    """Every recovered sequence is an array of its own, not a view that
+    would keep a decode's whole candidate or survivor array alive in the
+    run: helpers and z from pair decoding among them."""
+    ctx = RunContext(_config(scheme, xor_triple(), n=8, eps=0.5, delta=0.05, seed=3))
+    assert ctx.scheme == scheme
+    runs = [ctx.run(i) for i in range(30)]
+    pairs = [r for r in runs if r.outcome.statuses["Y"] == STATUS_OK]
+    assert pairs and all(r.recovered["x_at_Y"] is not None for r in pairs)
+    recovered = [seq for r in runs for seq in r.recovered.values() if seq is not None]
+    assert all(seq.base is None for seq in recovered)
+
+
 # sha256 of every decode of the sweep below: per trial and part, the
 # statuses, recovered sequences and key claims
 _DECODE_DIGEST = "6b68da22447f1ee25b3a09bdf92f28ef818b5a2289d988e1d8161f54bf8355ed"
