@@ -314,7 +314,7 @@ def _unique_decode(engine, observed, cb, target):
         return STATUS_NO_CANDIDATE, None
     if len(found) >= 2:
         return STATUS_AMBIGUOUS, None
-    # a copy: a view would keep the scan's whole array alive in the run
+    # a copy, so no recovered sequence views a scan's array
     return STATUS_OK, found[0].copy()
 
 
