@@ -440,6 +440,45 @@ def test_member_sweep_is_pinned():
     assert digest.hexdigest() == _SWEEP_DIGEST
 
 
+def _wide_code_sources():
+    """Three-atom sources with one ternary letter, x, z or (PointP in
+    orientation Y) y, the others binary.
+    """
+    pmf = np.zeros((3, 2, 2))
+    pmf[0, 0, 0], pmf[1, 0, 1], pmf[2, 1, 1] = 0.5, 0.3, 0.2
+    ternary_z = np.zeros((2, 2, 3))
+    ternary_z[0, 0, 0], ternary_z[1, 1, 1], ternary_z[1, 0, 2] = 0.45, 0.35, 0.2
+    return [JointDistribution((3, 2, 2), pmf),
+            JointDistribution((2, 2, 3), ternary_z),
+            JointDistribution((2, 3, 2), np.transpose(pmf, (1, 0, 2)))]
+
+
+# sha256 of the repr of every member of the sweep below, in sweep order
+_WIDE_CODE_DIGEST = "327ed82a93736222a0b1d74d501cd21a1aa09fb2d008410dddf8ceb69fcfd09e"
+
+
+def test_wide_code_members_are_pinned():
+    """Members whose ternary letter takes 3**11 = 177,147 sequence codes,
+    more than 16 bits hold, over 3**11 support triples: PointP (in
+    orientation Y on the third source) and PointT, with the derived rates
+    and with both keys at rate 0.3.
+    """
+    digest, count = hashlib.sha256(), 0
+    for dist, scheme, keys in itertools.product(_wide_code_sources(), ("PointP", "PointT"),
+                                                (False, True)):
+        cfg = _config(scheme, dist, n=11, seed=3, eps=0.25, delta=0.02)
+        if keys:
+            rates = dataclasses.replace(RunContext(cfg).rates, r_s=0.3, r_p=0.3)
+            cfg = dataclasses.replace(cfg, rates=rates)
+        evaluator = ExactEvaluator(cfg, exact_cap=2 ** 40)
+        assert len(evaluator.enum.prob) == 3 ** 11
+        for member in evaluator.evaluate(4).per_codebook:
+            digest.update(repr(member).encode())
+            count += 1
+    assert count == 48
+    assert digest.hexdigest() == _WIDE_CODE_DIGEST
+
+
 def test_time_share_exact_combines_parts():
     cfg = _config("TimeShare", xor_triple(), n=8, eps=0.5, delta=0.05,
                   ts_schemes=("PointT", "PointT"), ts_lambda=0.5)
