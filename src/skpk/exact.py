@@ -30,7 +30,7 @@ from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, s
 from .errors import CapacityError, UsageError
 from .protocol import TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
-                      _integers, code_digits)
+                      _integers, _split26, code_digits)
 from .typicality import TypicalityParams, count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -77,7 +77,8 @@ class ExactResult:
 
 class _Enumeration:
     """All support sequences of the product source, as per-variable sequence
-    codes (idx, keyed by lowercase letter) plus probabilities.
+    codes (idx, keyed by lowercase letter, each in the narrowest unsigned
+    type that holds the letter's codes) plus probabilities.
 
     Atoms are taken in lexicographic order of their coordinates listed in
     axes; the order fixes the summation order of every law. At most 2**27
@@ -106,7 +107,7 @@ class _Enumeration:
         # of its atoms' probabilities from the first
         idx, prob = {}, p_of
         for v, size, atom_col in zip("xyz", dist.alphabet_sizes, of):
-            code = atom_col
+            code = atom_col = _narrow(atom_col, size ** n - 1)
             for _ in range(n - 1):
                 code = (code[:, None] * size + atom_col[None, :]).ravel()
             idx[v] = code
@@ -116,18 +117,33 @@ class _Enumeration:
         self.size = dict(zip("xyz", dist.alphabet_sizes))
         self.idx = idx
         self.prob = prob
+        self._domains = {}
+
+    def domain(self, v):
+        """The sequence codes letter v takes, in ascending order, and each
+        element's position among them: every code below size**n when there
+        are no more of those than elements (the position is then the code),
+        else the codes that occur.
+        """
+        if v not in self._domains:
+            code = self.idx[v]
+            if self.size[v] ** self.n <= len(code):
+                self._domains[v] = np.arange(self.size[v] ** self.n, dtype=code.dtype), code
+            else:
+                codes, at = np.unique(code, return_inverse=True)
+                self._domains[v] = codes, _narrow(at, len(codes) - 1)
+        return self._domains[v]
 
     @functools.cached_property
     def mass_classes(self):
         """Each triple's probability class (the rank of its probability among
         the distinct ones), and per class its probability as a high and a low
-        part of at most 26 significant bits each, whose sum is exact. A count
-        of at most 2**27 times either part is then exact too.
+        part of at most 26 significant bits each (sources._split26), whose
+        sum is exact. A count of at most 2**27 times either part is then
+        exact too.
         """
         values, cls = np.unique(self.prob, return_inverse=True)
-        mant, exp = np.frexp(values)
-        high = np.ldexp(np.rint(np.ldexp(mant, 26)), exp - 26)
-        return _narrow(cls, len(values) - 1), np.stack([high, values - high], axis=1)
+        return _narrow(cls, len(values) - 1), np.stack(_split26(values), axis=1)
 
 
 @dataclass
@@ -251,27 +267,26 @@ class ExactEvaluator:
         # the middle terminal's coordinate leads the atom order
         axes = (1, 0, 2) if self.ctx.desc.kp_owner == "Y" else (0, 1, 2)
         self.enum = _Enumeration(config.dist, config.n, exact_cap, axes)
-        # decode tables of the steps whose observed sequences and earlier
-        # statuses no codebook draw changes, by step index, built at first use
+        # decode tables of every terminal's first step, whose observed
+        # sequences no codebook draw changes, by step index
         self._tables = {}
+        self._reached = {}
 
     # -- exact decode tables -----------------------------------------------
 
-    def _step_table(self, step, observed, prior) -> _DecodeTable:
-        """A decode step's table over the elements whose terminal has not
-        failed before it, grouped by the sequences the step observes
-        (observed, one column per letter it does not decode). Each decoded
-        letter in turn extends every candidate so far by its engine's
-        candidates, from one batched candidate_indices call per letter.
-        Members of a group without candidates are dropped: they stay
-        NoCandidate.
+    def _step_table(self, step, observed) -> _DecodeTable:
+        """A decode step's table over the rows it runs on, grouped by the
+        sequences the step observes (observed, one code column per letter it
+        does not decode). Each decoded letter in turn extends every candidate
+        so far by its engine's candidates, from one batched candidate_indices
+        call per letter. Rows of a group without candidates are dropped: they
+        stay NoCandidate.
         """
         e = self.enum
         letters = [v for v in step.observed if v not in step.decoded]
-        members = np.arange(len(e.prob)) if prior is None else np.flatnonzero(prior == _ST_OK)
-        code = np.zeros(len(members), dtype=np.int64)
+        code = np.zeros(len(observed[0]), dtype=np.int64)
         for col, v in zip(observed, letters):
-            code = code * e.size[v] ** e.n + col[members]
+            code = code * e.size[v] ** e.n + col
         rest, group = np.unique(code, return_inverse=True)
         num_groups, rows = len(rest), {}
         for v in reversed(letters):
@@ -289,46 +304,79 @@ class ExactEvaluator:
         order = np.argsort(group, kind="stable")
         order = order[np.bincount(cand_group, minlength=num_groups)[group[order]] > 0]
         return _DecodeTable(
-            _narrow(members[order], members[-1] if len(members) else 0),
-            _narrow(group[order], num_groups), num_groups,
-            _narrow(cand_group, num_groups), cands)
+            _narrow(order, len(code)), _narrow(group[order], num_groups), num_groups,
+            _narrow(cand_group, num_groups),
+            [_narrow(c, e.size[v] ** e.n - 1) for c, v in zip(cands, step.decoded)])
+
+    @functools.cached_property
+    def _reach(self):
+        """The elements some terminal's first decode step can decode, its
+        table's members, in ascending order; and per first step, its
+        members' positions among them. Outside them every decoding terminal
+        stays NoCandidate and recovers nothing, so every decode-dependent
+        labelling is constant there. Builds the first steps' tables.
+        """
+        e, seen = self.enum, set()
+        inside = np.zeros(len(e.prob), dtype=bool)
+        for i, step in enumerate(self.ctx.desc.decodes):
+            if step.terminal not in seen:
+                seen.add(step.terminal)
+                self._tables[i] = self._step_table(
+                    step, [e.idx[v] for v in step.observed if v not in step.decoded])
+                inside[self._tables[i].members] = True
+        slot = np.cumsum(inside) - 1
+        elements = np.flatnonzero(inside)
+        return (_narrow(elements, len(inside)),
+                {i: _narrow(slot[t.members], len(elements)) for i, t in self._tables.items()})
+
+    def _reach_codes(self, v):
+        """Letter v's sequence code and domain position (enum.domain) at each
+        reach element.
+        """
+        if v not in self._reached:
+            elements = self._reach[0]
+            code, at = self.enum.idx[v], self.enum.domain(v)[1]
+            reached = code[elements]
+            self._reached[v] = reached, reached if at is code else at[elements]
+        return self._reached[v]
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
-        """Decode step i of each enumerated element whose terminal has not
-        failed before it (prior: the status after its earlier steps, None
-        at its first). A candidate matches when every decoded letter's bin
-        is the announced one; unique means one match overall. Returns the
-        status, NoCandidate where the step did not run, and per decoded
-        letter the recovered code, -1 where none.
+        """Decode step i at each reach element whose terminal has not failed
+        before it (prior: the status after its earlier steps, None at its
+        first). A candidate matches when every decoded letter's bin is the
+        announced one (values: a binned sender's bins over its letter's
+        domain); unique means one match overall. Returns the status over the
+        reach, NoCandidate where the step did not run, and per decoded letter
+        the recovered code, which only an OK status makes meaningful.
         """
         # the decoded letters' bins pack into one uint64 in order
         bits = [(cbs[v.upper()].num_bins - 1).bit_length() for v in step.decoded]
         if sum(bits) > 64:
             raise CapacityError(" x ".join(str(cbs[v.upper()].num_bins) for v in step.decoded)
                                 + " bins do not pack into 64 bits")
-        t, own = step.terminal, step.terminal.lower()
-        seen = [(None, self.enum.idx[v]) if v == own else recovered[f"{v}_at_{t}"]
-                for v in step.observed if v not in step.decoded]
-        # a first step that observes only the own sequence and verbatim
-        # messages has the same table for every codebook
-        fixed = prior is None and all(st is None for st, _ in seen)
-        table = self._tables.get(i) if fixed else None
-        if table is None:
-            table = self._step_table(step, [col for _, col in seen], prior)
-            if fixed:
-                self._tables[i] = table
-        status = np.full(len(self.enum.prob), _ST_NONE, dtype=np.uint8)
-        found = [np.full(len(status), -1, dtype=np.int64) for _ in table.cands]
-        m = table.members
+        elements, first = self._reach
+        if prior is None:
+            table, slots = self._tables[i], first[i]
+        else:
+            t, own = step.terminal, step.terminal.lower()
+            run = np.flatnonzero(prior == _ST_OK)
+            table = self._step_table(step, [
+                (self._reach_codes(v)[0] if v == own else recovered[f"{v}_at_{t}"][1])[run]
+                for v in step.observed if v not in step.decoded])
+            slots = run[table.members]
+        status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
+        found = [np.zeros(len(elements), dtype=cand.dtype) for cand in table.cands]
         code = query = top = 0
         for cand, v, b in zip(table.cands, step.decoded, bits):
             cb = cbs[v.upper()]
             code = (code << b) | cb.bins_of_indices(cand)
-            query = (query << b) | values[v.upper()][m]
+            query = (query << b) | values[v.upper()][self._reach_codes(v)[1][slots]]
             top = (top << b) | (cb.num_bins - 1)
-        status[m], pick = _match(table, code, top + 1, query, 8 * len(status))
+        status[slots], pick = _match(table, code, top + 1, query, 8 * len(self.enum.prob))
+        # where no candidate is picked, -1 reads the last one; its status
+        # excludes it
         for rec, cand in zip(found, table.cands):
-            rec[m] = np.where(pick >= 0, cand[pick], -1)
+            rec[slots] = cand[pick]
         return status, found
 
     # every decode step runs through _unique_exact; the benchmark's tracer
@@ -337,19 +385,36 @@ class ExactEvaluator:
 
     # -- law and mass helpers ----------------------------------------------
 
-    def _mass(self, labels, num) -> list:
+    @functools.cached_property
+    def _reach_classes(self):
+        """The reach elements' probability classes, and per class the count
+        of the elements outside the reach.
+        """
+        cls, parts = self.enum.mass_classes
+        inside = cls[self._reach[0]]
+        outside = (np.bincount(cls, minlength=len(parts))
+                   - np.bincount(inside, minlength=len(parts)))
+        return inside, outside
+
+    def _mass(self, labels, num, rest=None) -> list:
         """Probability mass of each label of each labelling: labels[i] is an
         unsigned or bool array with values in range(num[i]), and entry i of
         the result holds math.fsum(prob[labels[i] == j]) for each j, bit for
-        bit. One bincount counts the elements per (joint label, probability
-        class), where the joint label packs the labellings mixed-radix. The
-        counts sum exactly down to each labelling, and each label's counts
-        times its classes' two exact parts are fsummed. Where the joint count
-        would hold more bins than there are elements, the labellings are
-        packed first fit, most labels first, into counts that do not; one
-        that does not fit alone is counted alone.
+        bit. With rest, labels[i] holds only the reach elements' labels
+        (_reach) and rest[i] is the label of every other element. One
+        bincount counts the elements per (joint label, probability class),
+        where the joint label packs the labellings mixed-radix, and the
+        elements outside the reach join the count at their labels' cell as
+        one block per class. The counts sum exactly down to each labelling,
+        and each label's counts times its classes' two exact parts are
+        fsummed. Where the joint count would hold more bins than there are
+        labelled elements, the labellings are packed first fit, most labels
+        first, into counts that do not; one that does not fit alone is
+        counted alone.
         """
         cls, parts = self.enum.mass_classes
+        if rest is not None:
+            cls, outside = self._reach_classes
         size, classes = len(cls), len(parts)
         groups = []     # [bins, labelling indices] per count
         for i in sorted(range(len(labels)), key=lambda i: -num[i]):
@@ -370,39 +435,72 @@ class ExactEvaluator:
                 joint += cls
             counts = np.bincount(joint, minlength=bins).reshape(
                 *(num[i] for i in group), classes)
+            if rest is not None:
+                counts[tuple(rest[i] for i in group)] += outside
             for axis, i in enumerate(group):
                 per = counts.sum(axis=tuple(a for a in range(len(group)) if a != axis))
                 # the memoryview yields Python floats one at a time, with no list
                 masses[i] = [math.fsum(memoryview(t.ravel())) for t in per[:, :, None] * parts]
         return masses
 
-    def _law_entropy(self, key, key_size, view, cols, sizes, extend):
-        """Entropy in bits of the law of the integer column key, the key's
-        leakage I(key; view) to a view, and the view's labelling. The view
-        extends the labelling view (labels and their count, from _label_rows)
-        by the columns cols; the leakage is H(key) + H(view) - H(key, view).
-        Each label's mass is summed in element order, so no entropy depends on
-        how the labels are numbered. A key of one value (key_size 1) is not
-        read: its law is the total mass, and it leaks its own entropy. Its
-        view is labelled only to extend it further (extend), and is None
-        otherwise.
+    def _labels(self, view):
+        """Labels of the enumerated elements under a view: per letter, the
+        columns it reads of that letter's sequence, each a labelling of the
+        letter's domain (enum.domain) with its size, or None for the
+        sequence itself. Each letter's columns are labelled once on its
+        domain; an element's label packs its letters' labels mixed-radix,
+        one gather per letter, or is ranked by _label_rows where the packed
+        labels would outnumber the elements. Two elements share a label
+        exactly when they share every column.
         """
+        e = self.enum
+        parts = []      # (labels over the domain or None for the code, count, positions)
+        for v, cols in view.items():
+            codes, at = e.domain(v)
+            if any(col is None for col, _ in cols):
+                parts.append((None, len(codes), at))
+                continue
+            lab, num = _label_rows([c for c, _ in cols], [s for _, s in cols],
+                                   np.zeros(len(codes), dtype=np.intp), 1)
+            if num > 1:
+                parts.append((lab, num, at))
+        # a sequence itself goes last, where its position is its label
+        parts.sort(key=lambda p: p[0] is None)
+        total = math.prod(num for _, num, _ in parts)
+        if total > len(e.prob):
+            return _label_rows([at if lab is None else lab[at] for lab, _, at in parts],
+                               [num for _, num, _ in parts],
+                               np.zeros(len(e.prob), dtype=np.intp), 1)[0]
+        dtype, labels, radix = np.min_scalar_type(total - 1), None, total
+        for lab, num, at in parts:
+            radix //= num
+            if lab is None and radix == 1:
+                term = at
+            else:
+                lab = np.arange(num) if lab is None else lab
+                term = (lab * radix).astype(dtype)[at]
+            labels = term if labels is None else np.add(labels, term, out=labels)
+        return np.zeros(len(e.prob), dtype=np.uint8) if labels is None else labels
+
+    def _law_entropy(self, letter, key, key_size, view):
+        """Entropy in bits of the law of a key, a function of one letter's
+        sequence given as a column over that letter's domain with key_size
+        values, and its leakage I(key; view) = H(key) + H(view) - H(key, view)
+        to a view (as in _labels). Each label's mass is summed in element
+        order by one bincount, so no entropy depends on how the labels are
+        numbered, only on which elements share one. A key of one value is
+        not read: its law is the total mass, and it leaks its own entropy.
+        """
+        if key_size == 1:
+            return self._one_value_entropy, self._one_value_entropy
         prob = self.enum.prob
 
-        def entropy(labels):
-            return _entropy_masses(np.bincount(labels, weights=prob))
+        def entropy(view):
+            return _entropy_masses(np.bincount(self._labels(view), weights=prob))
 
-        if key_size == 1:
-            view = _label_rows(cols, sizes, *view) if extend else None
-            return self._one_value_entropy, self._one_value_entropy, view
-        view = _label_rows(cols, sizes, *view)
-        joint, _ = _label_rows([key], [key_size], *view)
-        # a key label per sub-bin, unless there are far more sub-bins than
-        # elements
-        labels = (key if key_size <= len(prob)
-                  else np.unique(key, return_inverse=True)[1])
-        h = entropy(labels)
-        return h, h + entropy(view[0]) - entropy(joint), view
+        h = entropy({letter: [(key, key_size)]})
+        joint = {**view, letter: [*view.get(letter, ()), (key, key_size)]}
+        return h, h + entropy(view) - entropy(joint)
 
     @functools.cached_property
     def _one_value_entropy(self):
@@ -414,24 +512,27 @@ class ExactEvaluator:
 
     def _eval_one(self, cbs) -> CodebookExact:
         """Exact laws of one codebook draw, following the scheme's messages
-        and decode steps over the whole enumeration at once.
+        and decode steps. Every law column is a function of one letter's
+        sequence, so the laws label each letter's domain; the decode steps
+        run over the reach elements only.
         """
         e, desc = self.enum, self.ctx.desc
-        n_el = len(e.prob)
-        values, sizes = {}, []
-        # "v_at_T" -> (status of the step that recovered it, recovered index);
-        # the status of a copy sent verbatim is None
+        # per letter, the transcript's columns of its sequence (None: the
+        # sequence itself); per binned sender, its bins over its domain
+        transcript, values = {}, {}
+        # "v_at_T" -> (status over the reach of the step that recovered it,
+        # recovered codes there); the status of a copy sent verbatim is None
         recovered = {}
         for m in desc.messages:
             letter = m.sender.lower()
             if m.role:
-                col, size = cbs[m.sender].bins_of_indices(e.idx[letter]), cbs[m.sender].num_bins
+                cb = cbs[m.sender]
+                values[m.sender] = cb.bins_of_indices(e.domain(letter)[0])
+                transcript.setdefault(letter, []).append((values[m.sender], cb.num_bins))
             else:
-                col, size = e.idx[letter], e.size[letter] ** e.n
-                recovered.update((f"{letter}_at_{t}", (None, col))
+                transcript.setdefault(letter, []).append((None, None))
+                recovered.update((f"{letter}_at_{t}", (None, self._reach_codes(letter)[0]))
                                  for t in TERMINALS if t != m.sender)
-            values[m.sender] = col
-            sizes.append(size)
         terminal_status = {}
         for i, step in enumerate(desc.decodes):
             t = step.terminal
@@ -443,50 +544,43 @@ class ExactEvaluator:
 
         n = float(e.n)
 
-        def key_laws(owner, view, cols, sizes, extend=False):
-            """Leakage of the owner's sub-bin to one who sees the view
-            extended by the columns cols, and its entropy; the mask of the
-            elements on which every terminal that decoded the owner's
-            sequence reads the same sub-bin, which for a one-valued key is
-            where those decodes succeeded; and the extended view's labelling
-            (None for a one-valued key unless extend).
+        def key_laws(owner, view):
+            """Leakage of the owner's sub-bin to one who sees the view, and
+            its entropy; and over the reach, the mask of the elements on
+            which every terminal that decoded the owner's sequence reads the
+            same sub-bin, which for a one-valued key is where those decodes
+            succeeded, with the mask's value elsewhere.
             """
-            cb = cbs[owner]
-            key = (None if cb.num_sub_bins == 1
-                   else cb.sub_bins_of_indices(e.idx[owner.lower()]))
-            agree = np.ones(n_el, dtype=bool)
+            cb, letter = cbs[owner], owner.lower()
+            key = cb.sub_bins_of_indices(e.domain(letter)[0])
+            agree, decoded = np.ones(len(self._reach[0]), dtype=bool), False
             for name, (st, rec) in recovered.items():
-                if name[0] == owner.lower() and st is not None:
-                    # a failed decode's code -1 reads the table's last entry;
-                    # its status excludes it
+                if name[0] == letter and st is not None:
                     agree &= st == _ST_OK
-                    if key is not None:
-                        agree &= cb.sub_bins_of_indices(rec) == key
-            h, leak, view = self._law_entropy(
-                None if key is None else key.view(np.int64), cb.num_sub_bins, view, cols,
-                sizes, extend)
+                    if cb.num_sub_bins > 1:
+                        agree &= cb.sub_bins_of_indices(rec) == key[self._reach_codes(letter)[1]]
+                    decoded = True
+            h, leak = self._law_entropy(letter, key, cb.num_sub_bins, view)
             # separately rounded entropies can land a hair below 0
-            return _clamp_mi(leak) / n, _clamp_mi(h) / n, agree, view
+            return _clamp_mi(leak) / n, _clamp_mi(h) / n, (agree, int(not decoded))
 
         # K_S is kept from the eavesdropper, who sees the transcript; K_P
-        # also from Z, who holds Z^n besides (in the transcript already when
-        # Z has no codebook), so K_P's view extends K_S's
-        view, cols = (np.zeros(n_el, dtype=np.intp), 1), list(values.values())
+        # also from Z, who holds Z^n besides
         leak_ks = h_ks = agree_ks = None
         if "Z" in cbs:
-            leak_ks, h_ks, agree_ks, view = key_laws(
-                "Z", view, cols, sizes, extend=cbs[desc.kp_owner].num_sub_bins > 1)
-            cols, sizes = [e.idx["z"]], [e.size["z"] ** e.n]
-        leak_kp, h_kp, agree_kp, _ = key_laws(desc.kp_owner, view, cols, sizes)
+            leak_ks, h_ks, agree_ks = key_laws("Z", transcript)
+        leak_kp, h_kp, agree_kp = key_laws(desc.kp_owner, {**transcript, "z": [(None, None)]})
         # one joint count for every status, agreement and recovery mass; a
-        # recovered code is -1 unless its step decoded OK
+        # recovered code counts where its step decoded OK
         decoding = [t for t in TERMINALS if t in terminal_status]
         agreements = [a for a in (agree_ks, agree_kp) if a is not None]
         copies = [key for key, (st, _) in recovered.items() if st is not None]
         masses = iter(self._mass(
-            [terminal_status[t] for t in decoding] + agreements
-            + [recovered[key][1] == e.idx[key[0]] for key in copies],
-            [3] * len(decoding) + [2] * (len(agreements) + len(copies))))
+            [terminal_status[t] for t in decoding] + [a for a, _ in agreements]
+            + [(recovered[key][0] == _ST_OK) & (recovered[key][1] == self._reach_codes(key[0])[0])
+               for key in copies],
+            [3] * len(decoding) + [2] * (len(agreements) + len(copies)),
+            [_ST_NONE] * len(decoding) + [r for _, r in agreements] + [0] * len(copies)))
         status = {t: dict(zip(_STATUS_NAMES.values(), next(masses))) for t in decoding}
         agree_ks, agree_kp = (None if a is None else next(masses)[1] for a in (agree_ks, agree_kp))
         ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}

@@ -136,15 +136,49 @@ class SourceTriple:
                             self.y_seq[start:stop], self.z_seq[start:stop])
 
 
+def _split26(values: np.ndarray):
+    """Each float as a high part, rounded to 26 significant bits, and the low
+    remainder; each part has at most 26 significant bits and their sum is
+    exact, so an integer below 2**27 times either part is exact too.
+    """
+    mant, exp = np.frexp(values)
+    high = np.ldexp(np.rint(np.ldexp(mant, 26)), exp - 26)
+    return high, values - high
+
+
+# a count digit of this many bits times a 26-bit part is exact
+_COUNT_DIGIT_BITS = 27
+
+
 def _entropy_masses(masses) -> float:
     """Entropy in bits of a collection of probability masses; zeros add nothing."""
     m = (np.asarray(masses, dtype=np.float64) if isinstance(masses, np.ndarray)
          else np.fromiter(masses, dtype=np.float64))
-    m, counts = np.unique(m[m > 0], return_counts=True)
-    # -m * log2(m) once per distinct mass, as Python floats, then each term as
-    # often as its mass occurs: the same terms, so fsum gives the same bits
-    terms = [-v * math.log2(v) for v in m.tolist()]
-    return math.fsum(np.repeat(terms, counts).tolist())
+    return _entropy_counted(*np.unique(m[m > 0], return_counts=True))
+
+
+def _entropy_counted(values, counts) -> float:
+    """Entropy in bits of counts[i] masses values[i] each (positive values),
+    bit for bit math.fsum over the expanded terms -m * log2(m), one per mass.
+
+    Each distinct term is split into two parts of at most 26 significant
+    bits (_split26), so a count below 2**27 times either part is exact, and
+    one fsum over the products sums exactly what the expanded terms sum. A
+    larger count (harness plug_in passes per-trial key masses, whose counts
+    only the number of trials bounds) is taken in base-2**27 digits: each
+    digit's products are scaled by the digit's power of two, which keeps
+    them exact.
+    """
+    terms = np.array([-v * math.log2(v) for v in np.asarray(values).tolist()])
+    parts = np.concatenate(_split26(terms))
+    digits = np.concatenate([counts, counts]).astype(np.int64)
+    products, scale = [], 1.0
+    while digits.any():
+        low = digits & (2 ** _COUNT_DIGIT_BITS - 1)
+        products += (parts * (low * scale)).tolist()
+        digits >>= _COUNT_DIGIT_BITS
+        scale *= 2.0 ** _COUNT_DIGIT_BITS
+    return math.fsum(products)
 
 
 def _entropy_of(p: np.ndarray) -> float:

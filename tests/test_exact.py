@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +105,10 @@ def _digit_loop_enumeration(dist, n, axes):
 def test_enumeration_matches_a_digit_loop_bit_for_bit(dist, n, axes):
     enum = _Enumeration(dist, n, 2 ** 24, axes)
     idx, prob = _digit_loop_enumeration(dist, n, axes)
-    for v, ref in zip("xyz", idx):
-        assert enum.idx[v].dtype == np.int64
-        assert enum.idx[v].tobytes() == ref.tobytes()
+    for v, ref, size in zip("xyz", idx, dist.alphabet_sizes):
+        # the narrowest unsigned type that holds the letter's codes
+        assert enum.idx[v].dtype == np.min_scalar_type(size ** n - 1)
+        assert enum.idx[v].astype(np.int64).tobytes() == ref.tobytes()
     assert enum.prob.tobytes() == prob.tobytes()
 
 
@@ -477,6 +479,30 @@ def test_wide_code_members_are_pinned():
             count += 1
     assert count == 48
     assert digest.hexdigest() == _WIDE_CODE_DIGEST
+
+
+def test_a_member_allocates_at_most_64_bytes_per_triple():
+    """A warm evaluator's member of the PointP xor ensemble at n = 8 (65,536
+    triples, as the exact_ensemble benchmark runs it) holds at most 64 bytes
+    per triple at its peak above what it started with: per-letter labels,
+    and decode arrays over the reach elements only, in narrow types.
+    """
+    cfg = SchemeConfig(scheme="PointP", dist=xor_triple(), n=8, epsilon=0.25, delta=0.05,
+                       master_seed=1, codebook_mode=MODE_TABLE)
+    evaluator = ExactEvaluator(cfg)
+    evaluator.member(0)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        evaluator.member(1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(evaluator.enum.prob) == 2 ** 16
+    assert peak <= 64 * 2 ** 16
 
 
 def test_time_share_exact_combines_parts():

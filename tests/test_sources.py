@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_distribution
 from skpk.errors import UsageError
-from skpk.sources import (InfoProfile, JointDistribution, _entropy_masses, code_digits,
+from skpk.sources import (InfoProfile, JointDistribution, _entropy_counted,
+                          _entropy_masses, code_digits,
                           dump_pmf, identical_bits, info_profile, load_pmf,
                           noisy_copy_triple, place_values, sample, sequence_code, xor_triple)
 
@@ -143,6 +145,46 @@ def test_entropy_masses_matches_per_term_formula(masses):
 def test_entropy_masses_matches_per_term_formula_on_repeats(masses):
     want = math.fsum(-m * math.log2(m) for m in masses if m > 0)
     assert _entropy_masses(iter(masses)) == want
+
+
+def _expanded_fsum(values, counts) -> float:
+    """math.fsum over counts[i] copies of the term -m * log2(m) of values[i],
+    without the copies: fsum rounds the exact sum once, to nearest even, and
+    so does converting the exact rational sum to a float.
+    """
+    return float(sum(Fraction(-v * math.log2(v)) * c for v, c in zip(values, counts)))
+
+
+_masses = st.floats(min_value=2.0 ** -200, max_value=1.0)
+
+
+@given(st.lists(st.tuples(_masses, st.integers(1, 40)), max_size=12))
+def test_rounded_rational_sum_is_the_expanded_fsum(pairs):
+    """The reference below, on counts small enough to expand."""
+    values, counts = [v for v, _ in pairs], [c for _, c in pairs]
+    expanded = [-v * math.log2(v) for v, c in pairs for _ in range(c)]
+    assert _expanded_fsum(values, counts) == math.fsum(expanded)
+    assert _entropy_counted(values, np.array(counts, dtype=np.int64)) == math.fsum(expanded)
+    assert _entropy_masses([v for v, c in pairs for _ in range(c)]) == math.fsum(expanded)
+
+
+@given(st.lists(st.tuples(_masses, st.integers(1, 2 ** 27)), max_size=20))
+def test_counted_entropy_is_the_expanded_fsum(pairs):
+    """Masses from 2**-200 to 1, each repeated up to 2**27 times: one fsum
+    over each distinct term's two 26-bit parts times its count gives the
+    bits of fsum over every copy.
+    """
+    values, counts = [v for v, _ in pairs], np.array([c for _, c in pairs], dtype=np.int64)
+    assert _entropy_counted(values, counts) == _expanded_fsum(values, counts.tolist())
+
+
+@given(st.lists(st.tuples(_masses, st.integers(2 ** 27, 2 ** 50)), min_size=1, max_size=8))
+def test_counts_past_2_27_stay_exact(pairs):
+    """A count of 2**27 or more, as a plug-in estimate over that many trials
+    can hold, is taken in base-2**27 digits and stays exact.
+    """
+    values, counts = [v for v, _ in pairs], np.array([c for _, c in pairs], dtype=np.int64)
+    assert _entropy_counted(values, counts) == _expanded_fsum(values, counts.tolist())
 
 
 def test_sample_matches_distribution():
