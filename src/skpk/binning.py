@@ -94,6 +94,8 @@ class BinningCodebook:
 
     def _check(self, seq):
         seq = np.asarray(seq)
+        if seq.dtype.kind not in "biu":
+            raise UsageError(f"sequence symbols must be integers, got dtype {seq.dtype}")
         if seq.shape != (self.n,):
             raise UsageError(f"sequence length {seq.shape} does not match n={self.n}")
         if len(seq) and (seq.min() < 0 or seq.max() >= self.alphabet_size):
@@ -138,15 +140,27 @@ class BinningCodebook:
         return self._table_sub[acc]
 
     def bins_of_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Bin indices for sequences given by integer code. Table mode only."""
+        """Bin indices for sequences given by integer code, in any signed or
+        unsigned integer type. Table mode only.
+        """
         if self.mode != MODE_TABLE:
             raise UsageError("bins_of_indices requires an ExplicitTable codebook")
-        return self._table_bin[np.asarray(idx, dtype=np.int64)]
+        return self._table_bin[_codes(idx)]
 
     def sub_bins_of_indices(self, idx: np.ndarray) -> np.ndarray:
         if self.mode != MODE_TABLE:
             raise UsageError("sub_bins_of_indices requires an ExplicitTable codebook")
-        return self._table_sub[np.asarray(idx, dtype=np.int64)]
+        return self._table_sub[_codes(idx)]
+
+
+def _codes(idx) -> np.ndarray:
+    """idx as an array of sequence codes, indexed as it is: an array of
+    another kind than integers (floats, a bool mask) is refused, not read.
+    """
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise UsageError(f"sequence codes must be integers, got dtype {idx.dtype}")
+    return idx
 
 
 def make_codebook(mode, n, alphabet_size, bin_rate, sub_rate, seed,

@@ -115,6 +115,47 @@ def test_sequence_validation():
         cb.bin_index(np.array([0, 1]))
 
 
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+@pytest.mark.parametrize("seq", [
+    [0.5, 1.2, 0, 1], np.array([0.0, 1.0, 0.0, 1.0]), np.array([0, 1, 0, 1], dtype=complex),
+    np.array([0, 1, 0, 1], dtype=object)], ids=["floats", "whole-floats", "complex", "object"])
+def test_sequences_of_non_integers_are_refused(mode, seq):
+    """A float symbol is refused, not truncated: [0.5, 1.2, 0, 1] once read
+    as [0, 1, 0, 1], whose bin it returned. Whole floats are refused too,
+    by their type alone.
+    """
+    cb = make_codebook(mode, 4, 2, 1.0, 0.5, seed=0, purpose="Z")
+    for lookup in (cb.bin_index, cb.sub_bin_index):
+        with pytest.raises(UsageError, match="symbols must be integers"):
+            lookup(seq)
+    assert cb.bin_index(np.array([0, 1, 0, 1], dtype=np.uint8)) == cb.bin_index([0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([1.7, 3.2]), np.array([1.0, 3.0]), np.array([1, 3], dtype=complex),
+    np.array([1, 3], dtype=object), np.array([False, True, False, True])],
+    ids=["floats", "whole-floats", "complex", "object", "bool-mask"])
+def test_codes_of_non_integers_are_refused(codes):
+    """bins_of_indices(np.array([1.7, 3.2])) once read codes 1 and 3; an
+    array that is not of integers is refused by its type, and a bool array
+    is not taken for a mask.
+    """
+    cb = make_codebook(MODE_TABLE, 4, 2, 1.0, 0.5, seed=0, purpose="Z")
+    for lookup in (cb.bins_of_indices, cb.sub_bins_of_indices):
+        with pytest.raises(UsageError, match="codes must be integers"):
+            lookup(codes)
+
+
+def test_codes_of_every_integer_type_read_the_same_bins():
+    cb = make_codebook(MODE_TABLE, 4, 2, 1.0, 0.5, seed=0, purpose="Z")
+    codes = np.arange(16)
+    for lookup in (cb.bins_of_indices, cb.sub_bins_of_indices):
+        want = lookup(codes)
+        for dtype in (np.uint8, np.int16, np.uint32, np.uint64):
+            assert np.array_equal(lookup(codes.astype(dtype)), want)
+        assert np.array_equal(lookup(list(range(16))), want)
+
+
 @st.composite
 def _codebooks_and_sequences(draw, mode):
     """A codebook with random shape, rates and seed, and one of its sequences.
