@@ -730,6 +730,88 @@ def test_members_do_not_depend_on_earlier_members(scheme, dist, n, kw):
     assert repr(warm.member()) == repr(ExactEvaluator(cfg).member())
 
 
+def _every_code_domain(self, v):
+    """Every code below size**n as letter v's domain, whatever occurs."""
+    return np.arange(self.size[v] ** self.n, dtype=self.idx[v].dtype), self.idx[v]
+
+
+@pytest.mark.parametrize("scheme", ["PointE", "PointT", "PointP", "PointQ"])
+def test_members_do_not_depend_on_the_letter_domains(scheme, monkeypatch):
+    """x takes two of its four symbols over three atoms, so at n = 6 its
+    4**6 codes outnumber the 3**6 elements, and its domain is the 2**6 codes
+    that occur. Labelling every code instead gives the same members, bit
+    for bit, and the oracle agrees with both.
+    """
+    pmf = np.zeros((4, 2, 2))
+    pmf[0, 0, 0], pmf[3, 1, 0], pmf[3, 1, 1] = 0.4, 0.3, 0.3
+    cfg = _config(scheme, JointDistribution((4, 2, 2), pmf), n=6, eps=0.5, delta=0.02)
+    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(RunContext(cfg).rates,
+                                                             r_s=0.3, r_p=0.3))
+    evaluator = ExactEvaluator(cfg)
+    codes, at = evaluator.enum.domain("x")
+    assert len(codes) == 2 ** 6 and len(evaluator.enum.prob) == 3 ** 6
+    assert np.array_equal(codes[at], evaluator.enum.idx["x"])
+    members = evaluator.evaluate(3).per_codebook
+    assert any(0 < m.status_mass["Y"]["OK"] < 1 for m in members)
+    for k, stats in enumerate(members):
+        ref = oracle_secrecy(cfg, oracle_codebooks(cfg, k))
+        for name in ("leak_ks", "leak_kp", "h_ks", "h_kp"):
+            assert getattr(stats, name) == pytest.approx(ref[name], abs=1e-12), name
+    monkeypatch.setattr(_Enumeration, "domain", _every_code_domain)
+    every = ExactEvaluator(cfg)
+    assert len(every.enum.domain("x")[0]) == 4 ** 6
+    assert [repr(m) for m in every.evaluate(3).per_codebook] == [repr(m) for m in members]
+
+
+def test_a_key_no_terminal_decodes_agrees_everywhere(monkeypatch):
+    """A scheme in which no terminal decodes the private key's owner: the
+    owner's sub-bin agrees on every element, inside the reach and out, so
+    its agreement is the total mass.
+    """
+    point_p = skpk.protocol.SCHEME_TABLE["PointP"]
+    monkeypatch.setitem(skpk.protocol.SCHEME_TABLE, "PointP",
+                        dataclasses.replace(point_p, decodes=point_p.decodes[:1]))
+    evaluator = ExactEvaluator(_config("PointP", xor_triple(), n=6, eps=0.5, delta=0.02))
+    member = evaluator.member(0)
+    assert len(evaluator._reach[0]) < len(evaluator.enum.prob)
+    assert member.agree_kp == math.fsum(evaluator.enum.prob)
+    assert 0 < member.agree_ks < 1
+    assert set(member.recovery_error) == {"z_at_X"}
+
+
+@pytest.mark.parametrize("view", [
+    {"x": [None], "z": [None]},
+    {"y": ["bins"], "z": [None], "x": ["bins", "subs"]},
+    {"x": ["subs"], "y": ["bins"]},
+    {"z": ["wide"], "x": ["wide", "bins"], "y": ["wide"]},
+], ids=["two-sequences", "mixed", "tables", "wide"])
+def test_view_labels_partition_the_elements_as_their_columns_do(view):
+    """_labels gives two elements one label exactly when they agree on every
+    column of the view, read per element: sequences themselves in any
+    position of the pack, bins and sub-bins, and columns whose labels
+    outnumber the elements (ranked instead of packed).
+    """
+    cfg = _config("PointQ", xor_triple(), n=5)
+    rates = dataclasses.replace(RunContext(cfg).rates, r_s=0.4, r_p=0.4)
+    evaluator = ExactEvaluator(dataclasses.replace(cfg, rates=rates))
+    e, cbs = evaluator.enum, _draw_member_codebooks(evaluator.ctx, 0)
+    assert cbs["X"].num_sub_bins > 1 and cbs["Y"].num_bins > 1
+    cols, per_element = {}, []
+    for v, names in view.items():
+        codes, at = e.domain(v)
+        cb = cbs[v.upper()]
+        columns = {None: (None, None), "bins": (cb.bins_of_indices(codes), cb.num_bins),
+                   "subs": (cb.sub_bins_of_indices(codes), cb.num_sub_bins),
+                   "wide": (codes.astype(np.uint64) * 2 ** 40, 2 ** 50)}
+        cols[v] = [columns[name] for name in names]
+        per_element += [e.idx[v] if c is None else c[at] for c, _ in cols[v]]
+    labels = evaluator._labels(cols)
+    assert len(labels) == len(e.prob)
+    _, expected = np.unique(np.stack(per_element, axis=1), axis=0, return_inverse=True)
+    pairs = np.unique(np.stack([labels.astype(np.int64), expected.ravel()], axis=1), axis=0)
+    assert len(pairs) == len(np.unique(labels)) == len(np.unique(expected))
+
+
 def test_wide_key_laws_match_the_oracle():
     """Key laws whose joint code spans 2**62 or more: PointQ with 2**21
     bins per codebook makes the K_P law (sub-bin, three bins, Z^n) span
