@@ -152,12 +152,12 @@ class _DecodeTable:
     elements it runs on, in one flat table. It depends on the codebooks only
     through the observed sequences and the terminal's earlier statuses.
 
-    members are the elements it runs on whose observed sequences admit a
-    candidate, sorted by group: each one's observed sequences, numbered by
-    ascending code. A candidate holds a sequence code per decoded letter:
-    cands has one aligned code array per letter, and cand_group the group
-    of each candidate. Index arrays use the narrowest integer type that
-    holds them.
+    members are the rows it runs on (positions in its observed columns)
+    whose observed sequences admit a candidate, sorted by group: each one's
+    observed sequences, numbered by ascending code. A candidate holds a
+    sequence code per decoded letter: cands has one aligned code array per
+    letter, and cand_group the group of each candidate. Code and index
+    arrays use the narrowest integer type that holds them.
     """
 
     members: np.ndarray
@@ -270,7 +270,6 @@ class ExactEvaluator:
         # decode tables of every terminal's first step, whose observed
         # sequences no codebook draw changes, by step index
         self._tables = {}
-        self._reached = {}
 
     # -- exact decode tables -----------------------------------------------
 
@@ -329,16 +328,14 @@ class ExactEvaluator:
         return (_narrow(elements, len(inside)),
                 {i: _narrow(slot[t.members], len(elements)) for i, t in self._tables.items()})
 
-    def _reach_codes(self, v):
-        """Letter v's sequence code and domain position (enum.domain) at each
-        reach element.
+    @functools.cached_property
+    def _reach_codes(self):
+        """Per letter, its sequence code and its domain position (enum.domain)
+        at each reach element.
         """
-        if v not in self._reached:
-            elements = self._reach[0]
-            code, at = self.enum.idx[v], self.enum.domain(v)[1]
-            reached = code[elements]
-            self._reached[v] = reached, reached if at is code else at[elements]
-        return self._reached[v]
+        elements = self._reach[0]
+        return {v: (self.enum.idx[v][elements], self.enum.domain(v)[1][elements])
+                for v in "xyz"}
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
         """Decode step i at each reach element whose terminal has not failed
@@ -361,7 +358,7 @@ class ExactEvaluator:
             t, own = step.terminal, step.terminal.lower()
             run = np.flatnonzero(prior == _ST_OK)
             table = self._step_table(step, [
-                (self._reach_codes(v)[0] if v == own else recovered[f"{v}_at_{t}"][1])[run]
+                (self._reach_codes[v][0] if v == own else recovered[f"{v}_at_{t}"][1])[run]
                 for v in step.observed if v not in step.decoded])
             slots = run[table.members]
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
@@ -370,7 +367,7 @@ class ExactEvaluator:
         for cand, v, b in zip(table.cands, step.decoded, bits):
             cb = cbs[v.upper()]
             code = (code << b) | cb.bins_of_indices(cand)
-            query = (query << b) | values[v.upper()][self._reach_codes(v)[1][slots]]
+            query = (query << b) | values[v.upper()][self._reach_codes[v][1][slots]]
             top = (top << b) | (cb.num_bins - 1)
         status[slots], pick = _match(table, code, top + 1, query, 8 * len(self.enum.prob))
         # where no candidate is picked, -1 reads the last one; its status
@@ -531,7 +528,7 @@ class ExactEvaluator:
                 transcript.setdefault(letter, []).append((values[m.sender], cb.num_bins))
             else:
                 transcript.setdefault(letter, []).append((None, None))
-                recovered.update((f"{letter}_at_{t}", (None, self._reach_codes(letter)[0]))
+                recovered.update((f"{letter}_at_{t}", (None, self._reach_codes[letter][0]))
                                  for t in TERMINALS if t != m.sender)
         terminal_status = {}
         for i, step in enumerate(desc.decodes):
@@ -558,7 +555,7 @@ class ExactEvaluator:
                 if name[0] == letter and st is not None:
                     agree &= st == _ST_OK
                     if cb.num_sub_bins > 1:
-                        agree &= cb.sub_bins_of_indices(rec) == key[self._reach_codes(letter)[1]]
+                        agree &= cb.sub_bins_of_indices(rec) == key[self._reach_codes[letter][1]]
                     decoded = True
             h, leak = self._law_entropy(letter, key, cb.num_sub_bins, view)
             # separately rounded entropies can land a hair below 0
@@ -577,7 +574,7 @@ class ExactEvaluator:
         copies = [key for key, (st, _) in recovered.items() if st is not None]
         masses = iter(self._mass(
             [terminal_status[t] for t in decoding] + [a for a, _ in agreements]
-            + [(recovered[key][0] == _ST_OK) & (recovered[key][1] == self._reach_codes(key[0])[0])
+            + [(recovered[key][0] == _ST_OK) & (recovered[key][1] == self._reach_codes[key[0]][0])
                for key in copies],
             [3] * len(decoding) + [2] * (len(agreements) + len(copies)),
             [_ST_NONE] * len(decoding) + [r for _, r in agreements] + [0] * len(copies)))
