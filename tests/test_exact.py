@@ -13,7 +13,7 @@ import pytest
 
 import skpk
 from conftest import mirrored_noisy_copy, random_distribution
-from skpk.binning import MODE_HASH, MODE_TABLE
+from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
 from skpk.errors import CapacityError, UsageError
 from skpk.exact import (_ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator, _DecodeTable,
                         _draw_member_codebooks, _Enumeration, _label_rows, _match,
@@ -826,6 +826,86 @@ def test_wide_key_laws_match_the_oracle():
         for name in ("leak_ks", "leak_kp", "h_ks", "h_kp"):
             assert getattr(stats, name) == pytest.approx(ref[name], abs=1e-12), name
         assert stats.leak_kp > 0.1
+
+
+def _with_rates(cfg, **rates):
+    return dataclasses.replace(cfg, rates=dataclasses.replace(RunContext(cfg).rates, **rates))
+
+
+# sha256 of the repr of every oracle output of the sweep below, in sweep order
+_ORACLE_SWEEP_DIGEST = "443d5e0d4fa0c8d93b9874c54b652f5bedbc76c8f9d771aecacd3cf42aa1fc24"
+
+
+def test_oracle_sweep_is_pinned():
+    """The oracle's outputs on members 0-2 of PointE, PointT, PointP and
+    PointQ, with the derived rates and with both keys at rate 0.4, at
+    n = 3..6 on xor, a noisy copy and a pmf with structural zeros
+    (enumerations above 2**12 triples skipped); PointP in orientation Y on
+    the mirrored noisy copy at n = 3..6; and PointQ on xor at n = 3 with
+    2**21 and about 2**59.7 bins per codebook. Any change to a law's
+    partition, its masses or their rounding changes the digest.
+    """
+    sources = [xor_triple(), noisy_copy_triple(0.1, 0.3),
+               random_distribution(np.random.default_rng(12), (3, 2, 2), zero_frac=0.3)]
+    configs = []
+    for dist in sources:
+        m = len(dist.support_atoms())
+        for n in (n for n in range(3, 7) if m ** n <= 2 ** 12):
+            for scheme, keys in itertools.product(("PointE", "PointT", "PointP", "PointQ"),
+                                                  (False, True)):
+                cfg = _config(scheme, dist, n=n, seed=5, eps=0.25, delta=0.02)
+                configs.append(_with_rates(cfg, r_s=0.4, r_p=0.4) if keys else cfg)
+    for n in range(3, 7):
+        cfg = _config("PointP", mirrored_noisy_copy(0.25, 0.0), n=n, seed=5, eps=0.25,
+                      delta=0.02)
+        assert RunContext(cfg).swapped
+        configs += [cfg, _with_rates(cfg, r_s=0.4, r_p=0.4)]
+    for rate in (7.0, 19.9):
+        configs.append(_with_rates(_config("PointQ", xor_triple(), n=3), r_z=rate, r_x=rate,
+                                   r_y=rate, r_s=0.5, r_p=0.5))
+    assert oracle_codebooks(configs[-1], 0)["X"].num_bins > 2 ** 59
+    digest, count = hashlib.sha256(), 0
+    for cfg in configs:
+        for k in range(3):
+            digest.update(repr(oracle_secrecy(cfg, oracle_codebooks(cfg, k))).encode())
+            count += 1
+    assert count == 222
+    assert digest.hexdigest() == _ORACLE_SWEEP_DIGEST
+
+
+def test_the_oracle_and_the_evaluator_read_sub_bins_apart(monkeypatch):
+    """Merging two of X's sub-bins in one lookup path moves that path's
+    h_kp and leaves the other's: the evaluator reads sub-bins only through
+    the vectorized sub_bins_of_indices, the oracle only through the
+    per-sequence sub_bin_index, so a fault in either shows as a difference.
+    """
+    cfg = _with_rates(_config("PointP", xor_triple(), n=4), r_p=0.5)
+    cb = oracle_codebooks(cfg, 0)["X"]
+    subs = cb.sub_bins_of_indices(np.arange(2 ** 4))
+    # every x sequence has mass 2**-4; fold sub-bin b into sub-bin a
+    a, b = np.unique(subs)[:2].tolist()
+    ours = ExactEvaluator(cfg).member(0).h_kp
+    ref = oracle_secrecy(cfg, oracle_codebooks(cfg, 0))["h_kp"]
+    assert ours == pytest.approx(ref, abs=1e-12)
+
+    def merged(out):
+        return np.where(out == b, a, out).astype(out.dtype)
+
+    vectorized = BinningCodebook.sub_bins_of_indices
+    with monkeypatch.context() as patch:
+        patch.setattr(BinningCodebook, "sub_bins_of_indices",
+                      lambda self, idx: (merged(vectorized(self, idx))
+                                         if self.purpose == cb.purpose else vectorized(self, idx)))
+        moved = ExactEvaluator(cfg).member(0).h_kp
+        assert oracle_secrecy(cfg, oracle_codebooks(cfg, 0))["h_kp"] == ref
+    assert moved < ours and abs(moved - ref) > 1e-12
+
+    cbs = oracle_codebooks(cfg, 0)
+    per_sequence = cbs["X"].sub_bin_index
+    cbs["X"].sub_bin_index = lambda seq: int(merged(np.uint64(per_sequence(seq))))
+    moved = oracle_secrecy(cfg, cbs)["h_kp"]
+    assert ExactEvaluator(cfg).member(0).h_kp == ours
+    assert moved < ref and abs(moved - ours) > 1e-12
 
 
 def test_pair_decode_bin_width_limit():
