@@ -9,19 +9,19 @@ entropy, agreement, and recovery-error numbers are exact for each codebook.
 Three layers:
 
 ExactEvaluator   vectorized path used by the harness; table codebooks only.
-oracle_secrecy   deliberately independent brute-force path: pure-Python
-                 iteration over sequences, per-sequence public bin_index
-                 calls, dict-accumulated laws. Exists to cross-check the
-                 vectorized path, so it shares no law-building code with it.
+oracle_secrecy   deliberately independent brute-force path: its own
+                 enumeration of the support triples, one public
+                 bin_index / sub_bin_index call per distinct sequence, and
+                 per law one bincount over ranks of its columns, in triple
+                 order. Exists to cross-check the vectorized path, so it
+                 shares nothing with it but the entropy of a list of masses.
 lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
                  index, against the achievability bound that the binning
                  argument needs, with the proof's occupancy diagnostics.
 """
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -668,105 +668,98 @@ def _mean_stats(per) -> CodebookExact:
 # Brute-force oracle: a second, deliberately naive computation of the laws
 
 
-class _Lookups(dict):
-    """Sequence -> lookup result, computing each missing entry once."""
+def _ranks(values) -> np.ndarray:
+    """Each value's rank among the distinct values."""
+    return np.unique(values, return_inverse=True)[1].reshape(-1)
 
-    def __init__(self, lookup):
-        super().__init__()
-        self._lookup = lookup
 
-    def __missing__(self, seq):
-        value = self[seq] = self._lookup(seq)
-        return value
+def _pair(a, b) -> np.ndarray:
+    """Ranks of the pairs of two rank columns. Ranks stay below 2**24, so a
+    packed pair fits in 48 bits; packed raw bins (to 2**63 - 1) would not.
+    """
+    return _ranks(a * (int(b.max()) + 1) + b)
 
 
 def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
-    """Recompute leakage and key entropy by direct sequence iteration.
+    """Recompute leakage and key entropy from every support triple.
 
-    Walks every source sequence triple in pure Python, calls the public
-    bin_index / sub_bin_index once per distinct sequence and codebook,
-    accumulates the joint laws in dictionaries, and takes entropies with
-    compensated summation. Shares no law construction with ExactEvaluator,
-    which is the point. Returns normalized {leak_ks, leak_kp, h_ks, h_kp}.
-    Only support atoms are iterated, so a zero-probability symbol is never
-    looked up. In PointP's orientation Y the middle terminal is Y: its
-    codebook is codebooks["Y"] and its symbol the atom's second coordinate.
+    Triples come in itertools.product(atoms, repeat=n) order, one outer
+    product per position, so a probability is the left-to-right product of
+    its atoms'; triples of probability 0 are dropped. Each distinct support
+    sequence of a letter the scheme reads is decoded by a digit loop and
+    passed to the public bin_index / sub_bin_index once. A law's masses are
+    one np.bincount over ranks of its columns: it adds each cell's
+    probabilities in triple order from 0.0, as a dict accumulation does, so
+    every mass is the same float whatever the labels. Nothing is shared
+    with ExactEvaluator but _entropy_masses: not its enumeration, digits,
+    vectorized bins_of_indices / sub_bins_of_indices or labels, which is the
+    point. Returns normalized {leak_ks, leak_kp, h_ks, h_kp}. In PointP's
+    orientation Y the middle terminal is Y: its codebook is codebooks["Y"]
+    and its symbol the atom's second coordinate. More support triples than
+    EXACT_PRODUCT_CAP, which bounds the evaluator's default cube too, are
+    refused before anything is allocated.
     """
+    dist, n = config.dist, config.n
+    atoms = dist.support_atoms()
+    if len(atoms) ** n > EXACT_PRODUCT_CAP:
+        raise CapacityError(f"the oracle's {len(atoms)}**{n} support triples exceed "
+                            f"the {EXACT_PRODUCT_CAP} cap")
     ctx = RunContext(config)
     if ctx.scheme == "TimeShare":
         raise UsageError("the oracle covers one-shot schemes only")
-    middle, middle_axis = ("Y", 1) if ctx.swapped else ("X", 0)
-    dist = config.dist
-    n = config.n
-    az = dist.alphabet("Z")
-    atoms = dist.support_atoms()
-    pmf = {a: float(dist.pmf[a]) for a in atoms}
     scheme = ctx.scheme
-    cbz = codebooks.get("Z")
+    middle, middle_axis = ("Y", 1) if ctx.swapped else ("X", 0)
+    # per letter read, its support symbols; a code's digits index them
+    symbols = {axis: sorted({a[axis] for a in atoms})
+               for axis in {middle_axis, 2} | ({1} if scheme == "PointQ" else set())}
+    digits = {axis: np.array([syms.index(a[axis]) for a in atoms], dtype=np.uint32)
+              for axis, syms in symbols.items()}
+    p = np.array([float(dist.pmf[a]) for a in atoms])
+    prob, codes = np.ones(1), {axis: np.zeros(1, dtype=np.uint32) for axis in symbols}
+    for _ in range(n):
+        prob = np.multiply.outer(prob, p).ravel()
+        for axis, syms in symbols.items():
+            codes[axis] = np.add.outer(codes[axis] * len(syms), digits[axis]).ravel()
+    live = prob > 0
+    prob = prob[live]
+
+    def looked_up(axis, *lookups):
+        """Each triple's rank of its sequence, then of each lookup's result."""
+        seqs, at = np.unique(codes.pop(axis)[live], return_inverse=True)
+        syms, results = symbols[axis], []
+        for code in seqs.tolist():
+            seq = [0] * n
+            for t in reversed(range(n)):
+                code, digit = divmod(code, len(syms))
+                seq[t] = syms[digit]
+            results.append([lookup(tuple(seq)) for lookup in lookups])
+        at = at.reshape(-1)
+        return [at] + [_ranks(np.array(col, dtype=np.uint64))[at] for col in zip(*results)]
+
     cbx = codebooks[middle]
-    cby = codebooks.get("Y")
-
-    def z_code(zs):
-        code = 0
-        for v in zs:
-            code = code * az + v
-        return code
-
-    # one public lookup per distinct sequence and codebook
-    x_keys = _Lookups(lambda xs: (cbx.bin_index(xs), cbx.sub_bin_index(xs)))
+    _, g, psi = looked_up(middle_axis, cbx.bin_index, cbx.sub_bin_index)
     if scheme == "PointE":
-        z_keys = _Lookups(z_code)
+        (zc,) = looked_up(2)
+        f, phi = zc, None
     else:
-        z_keys = _Lookups(lambda zs: (z_code(zs), cbz.bin_index(zs),
-                                      cbz.sub_bin_index(zs)))
-    y_keys = _Lookups(cby.bin_index) if scheme == "PointQ" else None
-    x_of, y_of, z_of = (operator.itemgetter(i) for i in (middle_axis, 1, 2))
-    law_key_f = {}
-    law_f = {}
-    law_kp_fz = {}
-    law_fz = {}
-    law_phi = {}
-    law_psi = {}
-    for combo in itertools.product(atoms, repeat=n):
-        prob = 1.0
-        for a in combo:
-            prob *= pmf[a]
-        if prob <= 0.0:
-            continue
-        g, psi = x_keys[tuple(map(x_of, combo))]
-        zs = tuple(map(z_of, combo))
-        if scheme == "PointE":
-            zc = z_keys[zs]
-            f_tuple = (zc, g)
-            phi = None
-        else:
-            zc, f, phi = z_keys[zs]
-            if scheme == "PointQ":
-                f_tuple = (f, g, y_keys[tuple(map(y_of, combo))])
-            else:
-                f_tuple = (f, g)
-        fz_tuple = f_tuple + (zc,)
-        law_f[f_tuple] = law_f.get(f_tuple, 0.0) + prob
-        law_fz[fz_tuple] = law_fz.get(fz_tuple, 0.0) + prob
-        law_psi[psi] = law_psi.get(psi, 0.0) + prob
-        kp_key = (psi,) + fz_tuple
-        law_kp_fz[kp_key] = law_kp_fz.get(kp_key, 0.0) + prob
-        if phi is not None:
-            law_phi[phi] = law_phi.get(phi, 0.0) + prob
-            ks_key = (phi,) + f_tuple
-            law_key_f[ks_key] = law_key_f.get(ks_key, 0.0) + prob
+        zc, f, phi = looked_up(2, codebooks["Z"].bin_index, codebooks["Z"].sub_bin_index)
+    # the transcript F: Z^n (PointE) or Z's bin, the middle bin, PointQ's Y bin
+    f = _pair(f, g)
+    if scheme == "PointQ":
+        f = _pair(f, looked_up(1, codebooks["Y"].bin_index)[1])
+    fz = _pair(f, zc)
 
-    def ent(d):
-        return _entropy_masses(d.values())
+    def ent(label):
+        return _entropy_masses(np.bincount(label, weights=prob))
 
-    leak_ks = None
-    h_ks = None
-    if law_phi:
-        leak_ks = (ent(law_phi) + ent(law_f) - ent(law_key_f)) / n
-        h_ks = ent(law_phi) / n
-    leak_kp = (ent(law_psi) + ent(law_fz) - ent(law_kp_fz)) / n
-    return {"leak_ks": leak_ks, "leak_kp": leak_kp,
-            "h_ks": h_ks, "h_kp": ent(law_psi) / n}
+    h_kp = ent(psi)
+    leak_kp = (h_kp + ent(fz) - ent(_pair(psi, fz))) / n
+    leak_ks = h_ks = None
+    if phi is not None:
+        h_ks = ent(phi)
+        leak_ks = (h_ks + ent(f) - ent(_pair(phi, f))) / n
+        h_ks /= n
+    return {"leak_ks": leak_ks, "leak_kp": leak_kp, "h_ks": h_ks, "h_kp": h_kp / n}
 
 
 def oracle_codebooks(config: SchemeConfig, k: int) -> dict:

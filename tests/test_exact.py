@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import skpk
-from conftest import mirrored_noisy_copy, random_distribution
+from conftest import identical_bits, mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
 from skpk.errors import CapacityError, UsageError
 from skpk.exact import (_ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator, _DecodeTable,
@@ -20,8 +20,7 @@ from skpk.exact import (_ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator, _DecodeTable,
                         lemma1_check, oracle_codebooks, oracle_secrecy)
 from skpk.harness import _trial_stats
 from skpk.protocol import RunContext, SchemeConfig
-from skpk.sources import (JointDistribution, identical_bits, noisy_copy_triple,
-                          sequence_code, xor_triple)
+from skpk.sources import JointDistribution, noisy_copy_triple, sequence_code, xor_triple
 
 
 def _config(scheme, dist, n, seed=7, eps=0.9, delta=0.01, **kw):
@@ -328,6 +327,29 @@ def test_oracle_lookups_still_validate():
     mismatched = oracle_codebooks(_config("PointP", xor_triple(), n=4), 0)
     with pytest.raises(UsageError, match="does not match n=4"):
         oracle_secrecy(cfg, mismatched)
+
+
+def test_oracle_refuses_more_support_triples_than_the_cap(monkeypatch):
+    """xor at n = 13 has 4**13 = 2**26 support triples, past the 2**24 cap:
+    refused before the run context is built or any array allocated. The
+    default evaluator, whose cap bounds the whole cube, refuses it too.
+    """
+    cfg = _config("PointP", xor_triple(), n=13)
+    with pytest.raises(CapacityError):
+        ExactEvaluator(cfg)
+
+    def no_context(config):
+        raise AssertionError("RunContext built before the cap check")
+
+    monkeypatch.setattr(skpk.exact, "RunContext", no_context)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"4\*\*13 support triples exceed"):
+            oracle_secrecy(cfg, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 @pytest.mark.parametrize("scheme", ["PointP", "PointQ", "PointT", "PointE"])
