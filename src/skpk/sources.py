@@ -375,15 +375,3 @@ def doubly_symmetric_xz(crossover=0.1) -> JointDistribution:
         for z in range(2):
             pmf[x, 0, z] = 0.5 * (crossover if z != x else 1 - crossover)
     return JointDistribution.create((2, 1, 2), pmf)
-
-
-def identical_bits() -> JointDistribution:
-    """X = Y = Z, a single shared uniform bit."""
-    pmf = np.zeros((2, 2, 2))
-    pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
-    return JointDistribution.create((2, 2, 2), pmf)
-
-
-def independent_bits() -> JointDistribution:
-    """Three mutually independent uniform bits."""
-    return JointDistribution.create((2, 2, 2), np.full((2, 2, 2), 1 / 8))

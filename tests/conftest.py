@@ -29,6 +29,18 @@ def random_distribution(rng, shape, zero_frac=0.0) -> JointDistribution:
     return JointDistribution(shape, random_pmf(rng, shape, zero_frac))
 
 
+def identical_bits() -> JointDistribution:
+    """X = Y = Z, a single shared uniform bit."""
+    pmf = np.zeros((2, 2, 2))
+    pmf[0, 0, 0] = pmf[1, 1, 1] = 0.5
+    return JointDistribution.create((2, 2, 2), pmf)
+
+
+def independent_bits() -> JointDistribution:
+    """Three mutually independent uniform bits."""
+    return JointDistribution.create((2, 2, 2), np.full((2, 2, 2), 1 / 8))
+
+
 def mirrored_noisy_copy(flip_y, flip_z) -> JointDistribution:
     """noisy_copy_triple with X and Y swapped: Y is the better-correlated
     terminal, so PointP runs in orientation Y.

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mirrored_noisy_copy
+from conftest import identical_bits, mirrored_noisy_copy
 from skpk import harness
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.errors import UsageError
 from skpk.exact import CodebookExact
 from skpk.harness import (MODE_EXACT, MODE_MONTE_CARLO, ExperimentConfig,
                           emit_report, region_csv, region_summary, run_trials)
-from skpk.sources import identical_bits, noisy_copy_triple, xor_triple
+from skpk.sources import noisy_copy_triple, xor_triple
 
 
 def _mc_config(**kw):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mirrored_noisy_copy, random_distribution
+from conftest import identical_bits, mirrored_noisy_copy, random_distribution
 from skpk import protocol, typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import SearchOverflowError, UsageError
@@ -15,8 +15,7 @@ from skpk.protocol import (STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
                            STATUS_OVERFLOW, RunContext, SchemeConfig, _pair_decode,
                            _unique_decode, derive_rates)
 from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
-                          identical_bits, info_profile, noisy_copy_triple,
-                          xor_triple)
+                          info_profile, noisy_copy_triple, xor_triple)
 from skpk.typicality import CandidateEngine, TypicalityParams, conditional_candidates
 
 

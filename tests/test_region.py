@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distribution
+from conftest import identical_bits, independent_bits, random_distribution
 from skpk.errors import UsageError
 from skpk.protocol import derive_rates
 from skpk.region import (TOL, classify_case, halfplanes, label_vertices,
                          rate_region, region_constants,
                          require_point_in_region)
-from skpk.sources import (JointDistribution, identical_bits, independent_bits,
-                          info_profile, noisy_copy_triple, xor_triple)
+from skpk.sources import JointDistribution, info_profile, noisy_copy_triple, xor_triple
 
 
 def test_xor_region_exact():

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_distribution
+from conftest import identical_bits, random_distribution
 from skpk.errors import UsageError
 from skpk.sources import (InfoProfile, JointDistribution, _entropy_counted,
-                          _entropy_masses, code_digits,
-                          dump_pmf, identical_bits, info_profile, load_pmf,
+                          _entropy_masses, code_digits, dump_pmf, info_profile, load_pmf,
                           noisy_copy_triple, place_values, sample, sequence_code, xor_triple)
 
 
