@@ -668,16 +668,24 @@ def _mean_stats(per) -> CodebookExact:
 # Brute-force oracle: a second, deliberately naive computation of the laws
 
 
-def _ranks(values) -> np.ndarray:
-    """Each value's rank among the distinct values."""
-    return np.unique(values, return_inverse=True)[1].reshape(-1)
+def _distinct(values):
+    """The distinct values, ascending, and each value's rank among them in
+    the narrowest unsigned type that holds it.
+    """
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return distinct, ranks.reshape(-1).astype(np.min_scalar_type(len(distinct) - 1))
 
 
 def _pair(a, b) -> np.ndarray:
-    """Ranks of the pairs of two rank columns. Ranks stay below 2**24, so a
-    packed pair fits in 48 bits; packed raw bins (to 2**63 - 1) would not.
+    """Ranks of the pairs of two rank columns, packed in the narrowest type
+    that holds them. Ranks stay below 2**24, so a pair fits in 48 bits;
+    packed raw bins (to 2**63 - 1) would not.
     """
-    return _ranks(a * (int(b.max()) + 1) + b)
+    size = int(b.max()) + 1
+    packed = a.astype(np.min_scalar_type((int(a.max()) + 1) * size))
+    packed *= size
+    packed += b
+    return _distinct(packed)[1]
 
 
 def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
@@ -709,13 +717,15 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
         raise UsageError("the oracle covers one-shot schemes only")
     scheme = ctx.scheme
     middle, middle_axis = ("Y", 1) if ctx.swapped else ("X", 0)
-    # per letter read, its support symbols; a code's digits index them
+    # per letter read, its support symbols; a code's digits index them, so
+    # codes stay below the number of support triples
     symbols = {axis: sorted({a[axis] for a in atoms})
                for axis in {middle_axis, 2} | ({1} if scheme == "PointQ" else set())}
-    digits = {axis: np.array([syms.index(a[axis]) for a in atoms], dtype=np.uint32)
+    digits = {axis: np.array([syms.index(a[axis]) for a in atoms],
+                             dtype=np.min_scalar_type(len(syms) ** n))
               for axis, syms in symbols.items()}
     p = np.array([float(dist.pmf[a]) for a in atoms])
-    prob, codes = np.ones(1), {axis: np.zeros(1, dtype=np.uint32) for axis in symbols}
+    prob, codes = np.ones(1), {axis: np.zeros(1, d.dtype) for axis, d in digits.items()}
     for _ in range(n):
         prob = np.multiply.outer(prob, p).ravel()
         for axis, syms in symbols.items():
@@ -725,7 +735,7 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
 
     def looked_up(axis, *lookups):
         """Each triple's rank of its sequence, then of each lookup's result."""
-        seqs, at = np.unique(codes.pop(axis)[live], return_inverse=True)
+        seqs, at = _distinct(codes.pop(axis)[live])
         syms, results = symbols[axis], []
         for code in seqs.tolist():
             seq = [0] * n
@@ -733,8 +743,8 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
                 code, digit = divmod(code, len(syms))
                 seq[t] = syms[digit]
             results.append([lookup(tuple(seq)) for lookup in lookups])
-        at = at.reshape(-1)
-        return [at] + [_ranks(np.array(col, dtype=np.uint64))[at] for col in zip(*results)]
+        return [at] + [_distinct(np.array(col, dtype=np.uint64))[1][at]
+                       for col in zip(*results)]
 
     cbx = codebooks[middle]
     _, g, psi = looked_up(middle_axis, cbx.bin_index, cbx.sub_bin_index)
