@@ -676,13 +676,19 @@ def _distinct(values):
     return distinct, ranks.reshape(-1).astype(np.min_scalar_type(len(distinct) - 1))
 
 
+def _sortable(bound):
+    """int32, or int64 if bound needs it: numpy sorts 8- and 16-bit integers
+    several times slower.
+    """
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
 def _pair(a, b) -> np.ndarray:
-    """Ranks of the pairs of two rank columns, packed in the narrowest type
-    that holds them. Ranks stay below 2**24, so a pair fits in 48 bits;
-    packed raw bins (to 2**63 - 1) would not.
+    """Ranks of the pairs of two rank columns. Ranks stay below 2**24, so a
+    packed pair fits in 48 bits; packed raw bins (to 2**63 - 1) would not.
     """
     size = int(b.max()) + 1
-    packed = a.astype(np.min_scalar_type((int(a.max()) + 1) * size))
+    packed = a.astype(_sortable((int(a.max()) + 1) * size))
     packed *= size
     packed += b
     return _distinct(packed)[1]
@@ -722,7 +728,7 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     symbols = {axis: sorted({a[axis] for a in atoms})
                for axis in {middle_axis, 2} | ({1} if scheme == "PointQ" else set())}
     digits = {axis: np.array([syms.index(a[axis]) for a in atoms],
-                             dtype=np.min_scalar_type(len(syms) ** n))
+                             dtype=_sortable(len(syms) ** n))
               for axis, syms in symbols.items()}
     p = np.array([float(dist.pmf[a]) for a in atoms])
     prob, codes = np.ones(1), {axis: np.zeros(1, d.dtype) for axis, d in digits.items()}
