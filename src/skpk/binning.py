@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .sources import place_values, sequence_code
+from .sources import place_values
 
 MODE_TABLE = "ExplicitTable"
 MODE_HASH = "KeyedHash"
@@ -89,32 +89,33 @@ class BinningCodebook:
             shape = (self.n, self.alphabet_size)
             self._key_bin = rng_bin.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
             self._key_sub = rng_sub.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+            self._table_bin = self._table_sub = None
+        # the contribution tables as Python ints, for single-sequence lookups
+        self._rows = (self.contribution_table().tolist(), self.sub_contribution_table().tolist())
 
     # -- single-sequence interface ---------------------------------------
 
-    def _check(self, seq):
+    def _lookup(self, seq, rows, table, num_bins) -> int:
+        """One sequence's index, refused unless it is n integers in
+        range(alphabet_size): the Python-int sum of rows[t][seq[t]], then
+        as finalize_bins does, read from table or (none) mod 2**64, num_bins.
+        """
         seq = np.asarray(seq)
         if seq.dtype.kind not in "biu":
             raise UsageError(f"sequence symbols must be integers, got dtype {seq.dtype}")
         if seq.shape != (self.n,):
             raise UsageError(f"sequence length {seq.shape} does not match n={self.n}")
-        if len(seq) and (seq.min() < 0 or seq.max() >= self.alphabet_size):
+        syms = seq.tolist()
+        if min(syms) < 0 or max(syms) >= self.alphabet_size:
             raise UsageError("sequence symbol outside the alphabet")
-        return seq.astype(np.int64)
+        acc = sum(map(list.__getitem__, rows, syms))
+        return acc % 2 ** 64 % num_bins if table is None else table.item(acc)
 
     def bin_index(self, seq) -> int:
-        seq = self._check(seq)
-        if self.mode == MODE_TABLE:
-            return int(self._table_bin[sequence_code(seq, self.alphabet_size)])
-        h = np.add.reduce(self._key_bin[np.arange(self.n), seq], dtype=np.uint64)
-        return int(h % np.uint64(self.num_bins))
+        return self._lookup(seq, self._rows[0], self._table_bin, self.num_bins)
 
     def sub_bin_index(self, seq) -> int:
-        seq = self._check(seq)
-        if self.mode == MODE_TABLE:
-            return int(self._table_sub[sequence_code(seq, self.alphabet_size)])
-        h = np.add.reduce(self._key_sub[np.arange(self.n), seq], dtype=np.uint64)
-        return int(h % np.uint64(self.num_sub_bins))
+        return self._lookup(seq, self._rows[1], self._table_sub, self.num_sub_bins)
 
     # -- vectorized interface used by decoders and exact evaluation ------
 

@@ -12,9 +12,10 @@ ExactEvaluator   vectorized path used by the harness; table codebooks only.
 oracle_secrecy   deliberately independent brute-force path: its own
                  enumeration of the support triples, one public
                  bin_index / sub_bin_index call per distinct sequence, and
-                 per law one bincount over ranks of its columns, in triple
-                 order. Exists to cross-check the vectorized path, so it
-                 shares nothing with it but the entropy of a list of masses.
+                 per law one bincount, in triple order, over ranks of its
+                 columns from a presence bitmap or, for bins, a sort. Exists
+                 to cross-check the vectorized path, so it shares nothing
+                 with it but the entropy of a list of masses.
 lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
                  index, against the achievability bound that the binning
                  argument needs, with the proof's occupancy diagnostics.
@@ -668,11 +669,25 @@ def _mean_stats(per) -> CodebookExact:
 # Brute-force oracle: a second, deliberately naive computation of the laws
 
 
+# columns whose values stay below this many times their length are ranked by
+# a bitmap. On 2**10-2**18 uniform int32 values (2-core x86-64) a bitmap took
+# 0.4-0.7x a sort's time at 4 times the length and 0.8-1.7x at 8
+_BITMAP_SPAN = 4
+
+
 def _distinct(values):
-    """The distinct values, ascending, and each value's rank among them in
-    the narrowest unsigned type that holds it.
+    """np.unique's distinct values of a non-negative integer column and their
+    ranks, in the narrowest unsigned type: from a presence bitmap's running
+    count, or past _BITMAP_SPAN (bins reach 2**63 - 1) from np.unique.
     """
-    distinct, ranks = np.unique(values, return_inverse=True)
+    bound = int(values.max()) + 1
+    if bound > _BITMAP_SPAN * len(values):
+        distinct, ranks = np.unique(values, return_inverse=True)
+    else:
+        present = np.zeros(bound, dtype=bool)
+        present[values] = True
+        distinct = np.flatnonzero(present).astype(values.dtype)
+        ranks = np.cumsum(present, dtype=_sortable(bound))[values] - 1
     return distinct, ranks.reshape(-1).astype(np.min_scalar_type(len(distinct) - 1))
 
 
@@ -700,14 +715,16 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     Triples come in itertools.product(atoms, repeat=n) order, one outer
     product per position, so a probability is the left-to-right product of
     its atoms'; triples of probability 0 are dropped. Each distinct support
-    sequence of a letter the scheme reads is decoded by a digit loop and
-    passed to the public bin_index / sub_bin_index once. A law's masses are
-    one np.bincount over ranks of its columns: it adds each cell's
-    probabilities in triple order from 0.0, as a dict accumulation does, so
-    every mass is the same float whatever the labels. Nothing is shared
-    with ExactEvaluator but _entropy_masses: not its enumeration, digits,
-    vectorized bins_of_indices / sub_bins_of_indices or labels, which is the
-    point. Returns normalized {leak_ks, leak_kp, h_ks, h_kp}. In PointP's
+    sequence of a letter the scheme reads is spelled out from its code's
+    digits and passed to the public bin_index / sub_bin_index once. A law's
+    masses are one np.bincount over ranks of its columns, np.unique's, read
+    off a presence bitmap for small values (codes, packed rank pairs) and a
+    sort for bins: it adds each cell's probabilities in triple order from
+    0.0, as a dict accumulation does, so every mass is the same float
+    whatever the labels. Nothing is shared with ExactEvaluator but
+    _entropy_masses: not its enumeration, digits, vectorized
+    bins_of_indices / sub_bins_of_indices or labels, which is the point.
+    Returns normalized {leak_ks, leak_kp, h_ks, h_kp}. In PointP's
     orientation Y the middle terminal is Y: its codebook is codebooks["Y"]
     and its symbol the atom's second coordinate. More support triples than
     EXACT_PRODUCT_CAP, which bounds the evaluator's default cube too, are
@@ -742,13 +759,12 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     def looked_up(axis, *lookups):
         """Each triple's rank of its sequence, then of each lookup's result."""
         seqs, at = _distinct(codes.pop(axis)[live])
-        syms, results = symbols[axis], []
-        for code in seqs.tolist():
-            seq = [0] * n
-            for t in reversed(range(n)):
-                code, digit = divmod(code, len(syms))
-                seq[t] = syms[digit]
-            results.append([lookup(tuple(seq)) for lookup in lookups])
+        syms = np.array(symbols[axis])
+        places, results = len(syms) ** np.arange(n - 1, -1, -1), []
+        # by blocks of sequences, so no (sequences, n) symbol table outgrows the laws
+        for block in np.split(seqs, range(4096, len(seqs), 4096)):
+            results += ([lookup(seq) for lookup in lookups]
+                        for seq in syms[block[:, None] // places % len(syms)].tolist())
         return [at] + [_distinct(np.array(col, dtype=np.uint64))[1][at]
                        for col in zip(*results)]
 

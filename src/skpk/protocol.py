@@ -23,6 +23,7 @@ PointQ  every terminal bins; X and Y each recover the other two sequences
         rate.
 """
 
+import functools
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -385,14 +386,18 @@ class RunContext:
                                     sub_rate.get(m.sender, 0.0), config.master_seed,
                                     purpose=m.role)
             for m in desc.messages if m.role}
-        self.engines = {
-            key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
-                                 cap=DEFAULT_SEARCH_CAP)
-            for step in desc.decodes for key in step.engine_keys()}
         self.ks_owner = "Z" if "Z" in self.codebooks else None
         self.kp_owner = desc.kp_owner
         self.ks_size = self.codebooks["Z"].num_sub_bins if self.ks_owner else 1
         self.kp_size = self.codebooks[self.kp_owner].num_sub_bins
+
+    @functools.cached_property
+    def engines(self) -> dict:
+        """Candidate engines by engine key, built on first use."""
+        config = self.config
+        keys = dict.fromkeys(key for step in self.desc.decodes for key in step.engine_keys())
+        return {key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
+                                     cap=DEFAULT_SEARCH_CAP) for key in keys}
 
     def _init_time_share(self):
         cfg = self.config

@@ -510,15 +510,6 @@ class CandidateEngine:
         fits = ((counts >= self._forced_lo) & (counts <= self._forced_hi)).all(axis=-1)
         return fits, sizes[..., self._free_cells]
 
-    def _one_row(self, observed):
-        """Cell codes of observed sequences without a row axis, and the free
-        cells' class sizes (None when a forced class rules out every
-        candidate).
-        """
-        codes = _cell_codes(_as_seq_tuple(observed), self.obs_shape, self.params.n)
-        fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
-        return codes, (sizes.tolist() if fits else None)
-
     def _class_tables(self, codes, sizes):
         """[(positions, arrangement table), ...] per free class of one row of
         cell codes with the given free-cell sizes, by ascending cell code with
@@ -588,16 +579,6 @@ class CandidateEngine:
 
     # -- enumeration ------------------------------------------------------
 
-    def _candidates(self, observed) -> list:
-        """Every candidate of observed sequences without a row axis, in
-        candidate order, as int64 arrays.
-        """
-        codes, sizes = self._one_row(observed)
-        tables, total = self._class_tables(codes, sizes)
-        if tables is None:
-            return []
-        return list(self._reconstruct(np.arange(total), tables, codes))
-
     def candidate_indices(self, observed):
         """Sequence codes (sources.sequence_code) of every row's candidates,
         and each row's count: (codes, counts), the rows in order and each
@@ -660,7 +641,10 @@ class CandidateEngine:
         without a row axis whose bin under codebook (a BinningCodebook) is
         target, as the rows of an (H, n) int64 array in candidate order.
         """
-        return self._scan_row(*self._one_row(observed), codebook, target, limit)
+        codes = _cell_codes(_as_seq_tuple(observed), self.obs_shape, self.params.n)
+        # the free cells' class sizes, None when a forced class fits no window
+        fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
+        return self._scan_row(codes, sizes.tolist() if fits else None, codebook, target, limit)
 
     def scan_bin_filter_rows(self, observed, codebook, target):
         """scan_bin_filter(row, codebook, target, limit=2) for every row of
@@ -713,11 +697,3 @@ class CandidateEngine:
             first = self._reconstruct(first_hit[row:row + 1], tables, codes[row])[0]
         # a copy, so the match does not keep the scan's arrays alive
         return counts, first.copy()
-
-
-def conditional_candidates(observed, joint_pmf, params: TypicalityParams):
-    """Sequences of the last pmf axis jointly typical with the observed
-    sequences (earlier axes, in order). Returns a list; deterministic order.
-    Raises SearchOverflowError past DEFAULT_SEARCH_CAP candidates.
-    """
-    return CandidateEngine(joint_pmf, params)._candidates(observed)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from skpk.sources import JointDistribution, noisy_copy_triple
+from skpk.sources import JointDistribution, code_digits, noisy_copy_triple
+from skpk.typicality import CandidateEngine
 
 # property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run is deterministic
@@ -27,6 +28,18 @@ def random_pmf(rng, shape, zero_frac=0.0) -> np.ndarray:
 def random_distribution(rng, shape, zero_frac=0.0) -> JointDistribution:
     """random_pmf wrapped as a three-variable source."""
     return JointDistribution(shape, random_pmf(rng, shape, zero_frac))
+
+
+def listed_candidates(observed, joint_pmf, params) -> list:
+    """Sequences of the last pmf axis jointly typical with the observed
+    sequences (earlier axes, in order, without a row axis), in candidate
+    order, as int64 arrays: candidate_indices' codes spelled out by
+    code_digits. Raises SearchOverflowError past DEFAULT_SEARCH_CAP
+    candidates.
+    """
+    eng = CandidateEngine(joint_pmf, params)
+    codes, _ = eng.candidate_indices(observed)
+    return list(np.stack(list(code_digits(codes, eng.q, params.n)), axis=-1))
 
 
 def identical_bits() -> JointDistribution:

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 import skpk
-from conftest import random_distribution
+from conftest import listed_candidates, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE
 from skpk.exact import ExactEvaluator, lemma1_check, oracle_codebooks, oracle_secrecy
 from skpk.protocol import RunContext, SchemeConfig, derive_rates
 from skpk.region import halfplanes, rate_region
 from skpk.sources import (InfoProfile, dump_pmf, info_profile, noisy_copy_triple,
                           xor_triple, doubly_symmetric_xz)
-from skpk.typicality import TypicalityParams, conditional_candidates, is_strongly_typical
+from skpk.typicality import TypicalityParams, is_strongly_typical
 
 
 def _verdict(name, ok, detail=""):
@@ -114,7 +114,7 @@ def test_criterion_4_typicality_oracle():
         pmf = w / w.sum()
         params = TypicalityParams(epsilon=float(rng.uniform(0.15, 0.95)), n=n)
         observed = rng.integers(0, 2, size=n)
-        got = {tuple(s) for s in conditional_candidates((observed,), pmf, params)}
+        got = {tuple(s) for s in listed_candidates((observed,), pmf, params)}
         want = set()
         for tail in itertools.product(range(2), repeat=n):
             seqs = (observed, np.array(tail, dtype=np.int64))

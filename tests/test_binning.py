@@ -107,12 +107,46 @@ def test_table_capacity_guard():
         make_codebook(MODE_TABLE, 30, 3, 0.5, 0.0, seed=0, purpose="Z")
 
 
-def test_sequence_validation():
-    cb = make_codebook(MODE_HASH, 4, 2, 1.0, 0.0, seed=0, purpose="Z")
-    with pytest.raises(UsageError):
-        cb.bin_index(np.array([0, 1, 2, 0]))
-    with pytest.raises(UsageError):
-        cb.bin_index(np.array([0, 1]))
+def _checked_by_arrays(seq, n, q) -> bool:
+    """Whether seq passes the lookups' checks done on a numpy array: integer
+    dtype, shape (n,), every symbol in range(q).
+    """
+    seq = np.asarray(seq)
+    return (seq.dtype.kind in "biu" and seq.shape == (n,)
+            and not (seq.min() < 0 or seq.max() >= q))
+
+
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+def test_sequence_validation(mode):
+    """Both lookups refuse a negative symbol, a uint64 symbol of 2**63 or
+    more, a symbol equal to the alphabet size and a wrong length; a tuple,
+    a list and uint8 symbols read the same bin as an int64 array. Over
+    these and other inputs they refuse exactly what array checks refuse.
+    """
+    cb = make_codebook(mode, 4, 3, 1.0, 0.5, seed=0, purpose="Z")
+    refused = {
+        "outside the alphabet": [
+            np.array([0, -1, 2, 0]), [0, 1, 2, -1], np.array([1, 0, 0, -1], dtype=np.int8),
+            np.array([0, 2 ** 63, 1, 0], dtype=np.uint64),
+            np.array([2, 1, 0, 2 ** 64 - 1], dtype=np.uint64), np.array([0, 1, 3, 0]),
+            (3, 0, 0, 0)],
+        "does not match n=4": [np.array([0, 1]), [0, 1, 2, 0, 1], np.zeros((1, 4), dtype=int),
+                               np.int64(2)],
+        # numpy reads these as floats or objects
+        "symbols must be integers": [[0, 1, 2 ** 64, 0], [0, 1, 2 ** 63, 0], []]}
+    seq = np.array([2, 1, 0, 2])
+    for lookup in (cb.bin_index, cb.sub_bin_index):
+        for message, seqs in refused.items():
+            for bad in seqs:
+                assert not _checked_by_arrays(bad, 4, 3)
+                with pytest.raises(UsageError, match=message):
+                    lookup(bad)
+        want = lookup(seq)
+        for same in (tuple(seq.tolist()), seq.tolist(), seq.astype(np.uint8),
+                     seq.astype(np.uint64), [np.int16(s) for s in seq]):
+            assert _checked_by_arrays(same, 4, 3)
+            assert lookup(same) == want
+        assert lookup([True, False, True, True]) == lookup([1, 0, 1, 1])
 
 
 @pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])

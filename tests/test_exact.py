@@ -15,12 +15,13 @@ import skpk
 from conftest import identical_bits, mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
 from skpk.errors import CapacityError, UsageError
-from skpk.exact import (_ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator, _DecodeTable,
-                        _draw_member_codebooks, _Enumeration, _label_rows, _match,
-                        lemma1_check, oracle_codebooks, oracle_secrecy)
-from skpk.harness import _trial_stats
+from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator,
+                        _DecodeTable, _distinct, _draw_member_codebooks, _Enumeration,
+                        _label_rows, _match, lemma1_check, oracle_codebooks, oracle_secrecy)
+from skpk.harness import _trial_stats, run_trials
 from skpk.protocol import RunContext, SchemeConfig
 from skpk.sources import JointDistribution, noisy_copy_triple, sequence_code, xor_triple
+from skpk.typicality import CandidateEngine
 
 
 def _config(scheme, dist, n, seed=7, eps=0.9, delta=0.01, **kw):
@@ -350,6 +351,76 @@ def test_oracle_refuses_more_support_triples_than_the_cap(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 16
+
+
+@pytest.mark.parametrize("scheme", ["PointP", "PointQ"])
+def test_engines_are_built_on_first_use(monkeypatch, scheme):
+    """The oracle and its codebooks build no candidate engine, while
+    ExactEvaluator.evaluate and run_trials build each engine key's engine
+    once per context, PointQ's shared key "xyz" included.
+    """
+    cfg = _config(scheme, xor_triple(), n=4)
+    init, built = CandidateEngine.__init__, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate engine was built")
+
+    def record(engine, *args, **kwargs):
+        built.append(engine)
+        init(engine, *args, **kwargs)
+
+    monkeypatch.setattr(CandidateEngine, "__init__", refuse)
+    oracle_secrecy(cfg, oracle_codebooks(cfg, 1))
+    monkeypatch.setattr(CandidateEngine, "__init__", record)
+    evaluator = ExactEvaluator(cfg)
+    evaluator.evaluate(3)
+    keys = {key for step in evaluator.ctx.desc.decodes for key in step.engine_keys()}
+    assert len(keys) == 3 and set(evaluator.ctx.engines) == keys
+    assert sorted(map(id, built)) == sorted(map(id, evaluator.ctx.engines.values()))
+    built.clear()
+    monkeypatch.setenv("SKPK_WORKERS", "1")
+    run_trials(skpk.ExperimentConfig(scheme=scheme, dist=xor_triple(), n_values=(4, 6),
+                                     trials=4, epsilon=0.9, delta=0.01, master_seed=7))
+    assert len(built) == 2 * len(keys)
+
+
+def _packed(rng, size_a, size_b, rows):
+    """Packed pairs of rank columns, as the oracle's _pair packs them."""
+    return rng.integers(0, size_a, rows) * size_b + rng.integers(0, size_b, rows)
+
+
+_RNG = np.random.default_rng(11)
+RANKED_COLUMNS = {
+    # (column, whether it is ranked by the bitmap)
+    "dense-codes": (_RNG.integers(0, 128, 16384).astype(np.int32), True),
+    "dense-pairs": (_packed(_RNG, 16, 128, 4096).astype(np.int32), True),
+    "sparse-pairs": (_packed(_RNG, 300, 5000, 1000), False),
+    "bins-past-2**63": (np.array([2 ** 63 + 5, 3, 2 ** 64 - 1, 3, 2 ** 63 + 5],
+                                 dtype=np.uint64), False),
+    "one-value": (np.full(9, 5, dtype=np.int32), True),
+    "one-large-value": (np.full(3, 2 ** 40), False),
+    # four values, the largest just within the span and just past it
+    "at-the-span": (np.array([0, 7, 4 * _BITMAP_SPAN - 1, 7]), True),
+    "past-the-span": (np.array([0, 7, 4 * _BITMAP_SPAN, 7]), False)}
+
+
+@pytest.mark.parametrize("name", RANKED_COLUMNS)
+def test_oracle_ranks_are_np_uniques(monkeypatch, name):
+    """The oracle's ranking gives np.unique's distinct values and ranks,
+    with the ranks in the narrowest unsigned type, by the bitmap where the
+    values stay within _BITMAP_SPAN times the column's length and by a sort
+    past it.
+    """
+    values, by_bitmap = RANKED_COLUMNS[name]
+    want, want_ranks = np.unique(values, return_inverse=True)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(a) or unique(*a, **kw))
+    distinct, ranks = _distinct(values)
+    assert len(sorts) == (not by_bitmap)
+    assert distinct.dtype == want.dtype and np.array_equal(distinct, want)
+    assert ranks.dtype == np.min_scalar_type(len(want) - 1)
+    assert np.array_equal(ranks, want_ranks)
 
 
 @pytest.mark.parametrize("scheme", ["PointP", "PointQ", "PointT", "PointE"])

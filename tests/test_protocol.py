@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import identical_bits, mirrored_noisy_copy, random_distribution
+from conftest import (identical_bits, listed_candidates, mirrored_noisy_copy,
+                      random_distribution)
 from skpk import protocol, typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import SearchOverflowError, UsageError
@@ -16,7 +17,7 @@ from skpk.protocol import (STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
                            _unique_decode, derive_rates)
 from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
                           info_profile, noisy_copy_triple, xor_triple)
-from skpk.typicality import CandidateEngine, TypicalityParams, conditional_candidates
+from skpk.typicality import CandidateEngine, TypicalityParams
 
 
 def _config(scheme, dist, n, eps, delta, seed, mode=MODE_HASH, **kw):
@@ -577,8 +578,8 @@ def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_firs
     assert cb2.num_bins >= typicality.JOIN_MIN_BINS
     obs2 = (_OWN, None) if own_first else (None, _OWN)
     helpers = np.array([_SMALL, _LARGE, _LARGE_TOO])
-    z = conditional_candidates(_placed(obs2, _LARGE), np.full((2, 2, 2), 1 / 8),
-                               eng2.params)[0]
+    z = listed_candidates(_placed(obs2, _LARGE), np.full((2, 2, 2), 1 / 8),
+                          eng2.params)[0]
     target = cb2.bin_index(z)
     want_counts, want_first = _reference_rows(eng2, helpers, obs2, cb2, target)
     scanned, joins = [], []

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_distribution, random_pmf
+from conftest import listed_candidates, random_distribution, random_pmf
 from skpk import typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import CapacityError, SearchOverflowError, UsageError
 from skpk.sources import STRUCTURAL_ZERO, place_values, sequence_code, xor_triple
-from skpk.typicality import (CandidateEngine, TypicalityParams,
-                             conditional_candidates, count_window,
+from skpk.typicality import (CandidateEngine, TypicalityParams, count_window,
                              is_strongly_typical, joint_counts)
 
 
@@ -123,7 +122,7 @@ def test_candidates_match_brute_force(rng):
     cases.append((np.array([[0.1, 0.2], [0.3, 0.4]]).ravel(),
                   TypicalityParams(epsilon=0.9, n=6), ()))
     for pmf, params, observed in cases:
-        got = {tuple(s) for s in conditional_candidates(observed, pmf, params)}
+        got = {tuple(s) for s in listed_candidates(observed, pmf, params)}
         want = {tuple(s) for s in brute_force_candidates(pmf, params, observed)}
         assert got == want
     assert want     # the last case's typical set is not empty
@@ -134,7 +133,7 @@ def test_three_variable_candidates(rng):
     params = TypicalityParams(epsilon=0.6, n=6)
     x = rng.integers(0, 2, size=6)
     y = rng.integers(0, 2, size=6)
-    got = {tuple(s) for s in conditional_candidates((x, y), d.pmf, params)}
+    got = {tuple(s) for s in listed_candidates((x, y), d.pmf, params)}
     want = {tuple(s) for s in brute_force_candidates(d.pmf, params, (x, y))}
     assert got == want
 
@@ -143,7 +142,7 @@ def test_candidates_are_typical(rng):
     pmf = random_pmf(rng, (2, 3), zero_frac=0.1)
     params = TypicalityParams(epsilon=0.5, n=7)
     x = rng.integers(0, 2, size=7)
-    for cand in conditional_candidates((x,), pmf, params):
+    for cand in listed_candidates((x,), pmf, params):
         assert is_strongly_typical((x, cand), pmf, params)
 
 
@@ -171,7 +170,7 @@ def concentrated_pmf(rng, shape, active=2):
 
 
 def _check_bin_filter(eng, observed, cb, cands):
-    """scan_bin_filter against conditional_candidates plus bin_index, on up
+    """scan_bin_filter against listed_candidates plus bin_index, on up
     to ten occupied bins and two bins that may be empty."""
     by_bin = {}
     for c in cands:
@@ -197,7 +196,7 @@ def _run_bin_filter_cases(rng):
         for _ in range(3):
             cells = rng.choice(pmf.size, size=n, p=pmf.ravel())
             observed = np.unravel_index(cells, shape)[:-1]
-            cands = conditional_candidates(observed, pmf, params)
+            cands = listed_candidates(observed, pmf, params)
             sizes.append(len(cands))
             _check_bin_filter(eng, observed, cb, cands)
     assert sum(size > 0 for size in sizes) >= len(sizes) // 2
@@ -234,7 +233,7 @@ def test_bin_filter_table_codebook(rng):
     eng = CandidateEngine(pmf, params)
     cb = make_codebook(MODE_TABLE, 8, 3, 0.6, 0.0, seed=5, purpose="Z")
     x = np.unravel_index(rng.choice(9, size=8, p=pmf.ravel()), (3, 3))[0]
-    cands = conditional_candidates((x,), pmf, params)
+    cands = listed_candidates((x,), pmf, params)
     assert cands
     _check_bin_filter(eng, (x,), cb, cands)
 
@@ -331,11 +330,11 @@ def test_cells_with_equal_windows_share_arrangement_tables(rng, monkeypatch):
     """On xor's XZ marginal both cells of X have the same windows, so the
     engine builds one arrangement table per class size, not one per cell
     and class size, and candidate_indices and scan_bin_filter still give
-    conditional_candidates' candidates."""
+    listed_candidates' candidates."""
     pmf = xor_triple().marginal("XZ")
     params = TypicalityParams(epsilon=0.5, n=12)
     rows = rng.integers(0, 2, size=(20, 12))
-    listed = [conditional_candidates((row,), pmf, params) for row in rows]
+    listed = [listed_candidates((row,), pmf, params) for row in rows]
     eng = CandidateEngine(pmf, params)
     assert np.array_equal(eng.lo[0], eng.lo[1]) and np.array_equal(eng.hi[0], eng.hi[1])
     built = []
@@ -572,10 +571,10 @@ def test_row_batched_candidate_indices_match_one_row_calls(rng):
     """Observed sequences with a leading row axis give every row's
     candidates, in that row's candidate order, as the call on that row
     alone (no row axis, one row) does, and as the sequence codes of
-    conditional_candidates' list of that row's candidates: rows sampled from the pmf, uniform rows and constant rows, on random
-    pmfs with zero atoms and one or two observed axes. Rows with candidates,
-    rows whose absent cell must occur and rows whose windows admit nothing
-    all appear.
+    listed_candidates' list of that row's candidates: rows sampled from the
+    pmf, uniform rows and constant rows, on random pmfs with zero atoms and
+    one or two observed axes. Rows with candidates, rows whose absent cell
+    must occur and rows whose windows admit nothing all appear.
     """
     kinds = {"some": 0, "none": 0, "must_occur": 0}
     for trial in range(30):
@@ -600,7 +599,7 @@ def test_row_batched_candidate_indices_match_one_row_calls(rng):
             want, count = eng.candidate_indices(row)
             assert count.tolist() == [len(want)]
             assert np.array_equal(codes[start:start + counts[r]], want)
-            listed = conditional_candidates(row, pmf, params)
+            listed = listed_candidates(row, pmf, params)
             assert want.tolist() == [sequence_code(c, shape[-1]) for c in listed]
             if len(want):
                 kinds["some"] += 1
