@@ -29,7 +29,7 @@ import numpy as np
 
 from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, stream_tag
 from .errors import CapacityError, UsageError
-from .protocol import TERMINALS, RunContext, SchemeConfig
+from .protocol import STATUS_OK, STATUSES, TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
                       _integers, _split26, code_digits)
 from .typicality import TypicalityParams, count_windows
@@ -41,8 +41,9 @@ _EXACT_COUNT_LIMIT = 2 ** 27
 _ENSEMBLE_TAG = stream_tag("codebook-ensemble")
 _LEMMA_TAG = stream_tag("lemma1-codebook")
 
+# a status code is its name's position in STATUSES; no exact decode overflows
 _ST_OK, _ST_NONE, _ST_AMB = 0, 1, 2
-_STATUS_NAMES = {_ST_OK: "OK", _ST_NONE: "NoCandidate", _ST_AMB: "Ambiguous"}
+_STATUS_NAMES = STATUSES[:3]
 
 
 @dataclass
@@ -239,14 +240,12 @@ def _label_rows(cols, sizes, labels, num):
     return labels, num
 
 
-def _draw_member_codebooks(ctx: RunContext, k: int) -> dict:
-    """Explicit-table codebooks of the k-th ensemble member: the native
-    codebooks' shapes and rates, redrawn from a seed derived from k.
-    """
-    seed = child_seed(ctx.config.master_seed, _ENSEMBLE_TAG, int(k))
-    return {terminal: make_codebook(MODE_TABLE, cb.n, cb.alphabet_size, cb.bin_rate,
-                                    cb.sub_rate, seed, purpose=cb.purpose)
-            for terminal, cb in ctx.codebooks.items()}
+def _member_seed(config: SchemeConfig, k) -> int:
+    """The seed of the k-th ensemble member's codebooks; k is an integer >= 0."""
+    (k,) = _integers("the member index", (k,))
+    if k < 0:
+        raise UsageError(f"the member index must be >= 0, got {k}")
+    return child_seed(config.master_seed, _ENSEMBLE_TAG, k)
 
 
 class ExactEvaluator:
@@ -257,20 +256,27 @@ class ExactEvaluator:
     def __init__(self, config: SchemeConfig, exact_cap: int = EXACT_PRODUCT_CAP):
         if config.codebook_mode != MODE_TABLE:
             raise UsageError("exact evaluation requires ExplicitTable codebooks")
-        self.config = config
-        self.ctx = RunContext(config)
-        if self.ctx.scheme == "TimeShare":
-            self.parts = [None if p is None else ExactEvaluator(p.config, exact_cap)
-                          for p in self.ctx.parts]
+        self._bind(RunContext(config), exact_cap)
+
+    def _bind(self, ctx: RunContext, exact_cap):
+        """Evaluates ctx, and returns self; a time share evaluates the part
+        contexts ctx holds, each by an evaluator built around it.
+        """
+        self.config, self.ctx = ctx.config, ctx
+        if ctx.scheme == "TimeShare":
+            new = ExactEvaluator.__new__
+            self.parts = [None if p is None else new(ExactEvaluator)._bind(p, exact_cap)
+                          for p in ctx.parts]
             self.enum = None
-            return
+            return self
         self.parts = None
         # the middle terminal's coordinate leads the atom order
-        axes = (1, 0, 2) if self.ctx.desc.kp_owner == "Y" else (0, 1, 2)
-        self.enum = _Enumeration(config.dist, config.n, exact_cap, axes)
+        axes = (1, 0, 2) if ctx.desc.kp_owner == "Y" else (0, 1, 2)
+        self.enum = _Enumeration(self.config.dist, self.config.n, exact_cap, axes)
         # decode tables of every terminal's first step, whose observed
         # sequences no codebook draw changes, by step index
         self._tables = {}
+        return self
 
     # -- exact decode tables -----------------------------------------------
 
@@ -579,13 +585,13 @@ class ExactEvaluator:
                for key in copies],
             [3] * len(decoding) + [2] * (len(agreements) + len(copies)),
             [_ST_NONE] * len(decoding) + [r for _, r in agreements] + [0] * len(copies)))
-        status = {t: dict(zip(_STATUS_NAMES.values(), next(masses))) for t in decoding}
+        # a terminal that decodes nothing is OK
+        status = {t: dict(zip(_STATUS_NAMES, next(masses) if t in terminal_status
+                              else (1.0, 0.0, 0.0))) for t in TERMINALS}
         agree_ks, agree_kp = (None if a is None else next(masses)[1] for a in (agree_ks, agree_kp))
-        ok = {"OK": 1.0, "NoCandidate": 0.0, "Ambiguous": 0.0}
         return CodebookExact(
             leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
-            agree_ks=agree_ks, agree_kp=agree_kp,
-            status_mass={t: status[t] if t in status else dict(ok) for t in TERMINALS},
+            agree_ks=agree_ks, agree_kp=agree_kp, status_mass=status,
             recovery_error={key: 0.0 if st is None else 1.0 - next(masses)[1]
                             for key, (st, _) in recovered.items()})
 
@@ -598,8 +604,8 @@ class ExactEvaluator:
         if self.parts is not None:
             live = [p for p in self.parts if p is not None]
             return _combine_parts([p.member(k) for p in live], [p.config.n for p in live])
-        return self._eval_one(self.ctx.codebooks if k is None
-                              else _draw_member_codebooks(self.ctx, k))
+        return self._eval_one(self.ctx.codebooks if k is None else
+                              self.ctx.draw_codebooks(MODE_TABLE, _member_seed(self.config, k)))
 
     def evaluate(self, num_codebooks: int) -> ExactResult:
         (num_codebooks,) = _integers("num_codebooks", (num_codebooks,))
@@ -636,7 +642,7 @@ def _combine_parts(members, lengths) -> CodebookExact:
         return (1.0 if x is None else x) * (1.0 if y is None else y)
 
     def status(sa, sb):
-        return {t: {s: ma[s] * sb[t][s] if s == "OK" else ma[s] + ma["OK"] * sb[t][s]
+        return {t: {s: ma[s] * sb[t][s] if s == STATUS_OK else ma[s] + ma[STATUS_OK] * sb[t][s]
                     for s in ma} for t, ma in sa.items()}
 
     def recovery(ra, rb):
@@ -724,26 +730,28 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     whatever the labels. Nothing is shared with ExactEvaluator but
     _entropy_masses: not its enumeration, digits, vectorized
     bins_of_indices / sub_bins_of_indices or labels, which is the point.
-    Returns normalized {leak_ks, leak_kp, h_ks, h_kp}. In PointP's
-    orientation Y the middle terminal is Y: its codebook is codebooks["Y"]
-    and its symbol the atom's second coordinate. More support triples than
-    EXACT_PRODUCT_CAP, which bounds the evaluator's default cube too, are
-    refused before anything is allocated.
+    Returns normalized {leak_ks, leak_kp, h_ks, h_kp}. The transcript and
+    the key owners are read off the codebook set, not off a run context:
+    the transcript is every codebook's bin, and Z^n without a Z codebook;
+    K_S is Z's sub-bin and K_P X's, or Y's without an X codebook. More
+    support triples than EXACT_PRODUCT_CAP, which bounds the evaluator's
+    default cube too, are refused before anything is allocated.
     """
     dist, n = config.dist, config.n
     atoms = dist.support_atoms()
     if len(atoms) ** n > EXACT_PRODUCT_CAP:
         raise CapacityError(f"the oracle's {len(atoms)}**{n} support triples exceed "
                             f"the {EXACT_PRODUCT_CAP} cap")
-    ctx = RunContext(config)
-    if ctx.scheme == "TimeShare":
+    if config.scheme == "TimeShare":
         raise UsageError("the oracle covers one-shot schemes only")
-    scheme = ctx.scheme
-    middle, middle_axis = ("Y", 1) if ctx.swapped else ("X", 0)
+    if not {"X", "Y"} & set(codebooks):
+        raise UsageError(f"the oracle reads K_P off an X or a Y codebook, got {sorted(codebooks)}")
+    kp_owner = "X" if "X" in codebooks else "Y"
+    # the letters read and their axes, Z always: Z^n is in K_P's view
+    axis_of = {v: "XYZ".index(v) for v in "ZXY" if v == "Z" or v in codebooks}
     # per letter read, its support symbols; a code's digits index them, so
     # codes stay below the number of support triples
-    symbols = {axis: sorted({a[axis] for a in atoms})
-               for axis in {middle_axis, 2} | ({1} if scheme == "PointQ" else set())}
+    symbols = {axis: sorted({a[axis] for a in atoms}) for axis in axis_of.values()}
     digits = {axis: np.array([syms.index(a[axis]) for a in atoms],
                              dtype=_sortable(len(syms) ** n))
               for axis, syms in symbols.items()}
@@ -768,18 +776,20 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
         return [at] + [_distinct(np.array(col, dtype=np.uint64))[1][at]
                        for col in zip(*results)]
 
-    cbx = codebooks[middle]
-    _, g, psi = looked_up(middle_axis, cbx.bin_index, cbx.sub_bin_index)
-    if scheme == "PointE":
-        (zc,) = looked_up(2)
-        f, phi = zc, None
-    else:
-        zc, f, phi = looked_up(2, codebooks["Z"].bin_index, codebooks["Z"].sub_bin_index)
-    # the transcript F: Z^n (PointE) or Z's bin, the middle bin, PointQ's Y bin
-    f = _pair(f, g)
-    if scheme == "PointQ":
-        f = _pair(f, looked_up(1, codebooks["Y"].bin_index)[1])
+    # per letter read, the ranks of its sequence, its bin and a key's sub-bin
+    ranks = {}
+    for v, axis in axis_of.items():
+        cb, lookups = codebooks.get(v), []
+        if cb is not None:
+            lookups = [cb.bin_index] + ([cb.sub_bin_index] if v in ("Z", kp_owner) else [])
+        ranks[v] = looked_up(axis, *lookups)
+    zc = ranks["Z"][0]
+    # the transcript F: Z^n without a Z codebook, then the bins in Z, X, Y order
+    bins = [ranks[v][1] for v in axis_of if v in codebooks]
+    f = functools.reduce(_pair, bins if "Z" in codebooks else [zc] + bins)
     fz = _pair(f, zc)
+    psi = ranks[kp_owner][2]
+    phi = ranks["Z"][2] if "Z" in codebooks else None
 
     def ent(label):
         return _entropy_masses(np.bincount(label, weights=prob))
@@ -798,7 +808,10 @@ def oracle_codebooks(config: SchemeConfig, k: int) -> dict:
     """The k-th ensemble member's codebooks, as the evaluator draws them."""
     if config.codebook_mode != MODE_TABLE:
         raise UsageError("exact evaluation requires ExplicitTable codebooks")
-    return _draw_member_codebooks(RunContext(config), k)
+    if config.scheme == "TimeShare":
+        raise UsageError("the oracle covers one-shot schemes only")
+    seed = _member_seed(config, k)
+    return RunContext(config).draw_codebooks(MODE_TABLE, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,12 @@ from .binning import MODE_TABLE
 from .errors import UsageError
 from .exact import (EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _combine_parts,
                     _mean_stats)
-from .protocol import RunContext, SchemeConfig, SchemeFields
+from .protocol import STATUSES, RunContext, SchemeConfig, SchemeFields
 from .region import label_vertices, rate_region
 from .sources import JointDistribution, _entropy_masses, _integers
 
 MODE_MONTE_CARLO = "MonteCarlo"
 MODE_EXACT = "Exact"
-
-_STATUS_FIELDS = ("OK", "NoCandidate", "Ambiguous", "SearchOverflow")
 
 
 @dataclass(kw_only=True)
@@ -134,9 +132,8 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 def _rates_echo(ctx: RunContext) -> dict:
     if ctx.scheme == "TimeShare":
-        parts = {}
-        for name, part in zip(("A", "B"), ctx.parts):
-            parts[name] = None if part is None else _rates_echo(part)
+        parts = {name: None if part is None else _rates_echo(part)
+                 for name, part in zip("AB", ctx.parts)}
         return {"parts": parts, "split": list(ctx.split)}
     return {**asdict(ctx.rates), "scheme": ctx.scheme, "redirected": ctx.redirected}
 
@@ -172,7 +169,7 @@ def _trial_stats(ctx: RunContext, run):
     member = CodebookExact(
         leak_ks=None, leak_kp=None, h_ks=None, h_kp=None,
         agree_ks=agreement(out.ks_claims), agree_kp=agreement(out.kp_claims),
-        status_mass={t: {name: float(name == status) for name in _STATUS_FIELDS}
+        status_mass={t: {name: float(name == status) for name in STATUSES}
                      for t, status in out.statuses.items()},
         recovery_error={key: float(got is None or not np.array_equal(got, truth[key[0]]))
                         for key, got in run.recovered.items()})

@@ -39,6 +39,8 @@ STATUS_OK = "OK"
 STATUS_NO_CANDIDATE = "NoCandidate"
 STATUS_AMBIGUOUS = "Ambiguous"
 STATUS_OVERFLOW = "SearchOverflow"
+# every status a decode can end with, in report order
+STATUSES = (STATUS_OK, STATUS_NO_CANDIDATE, STATUS_AMBIGUOUS, STATUS_OVERFLOW)
 
 SCHEMES = ("PointE", "PointT", "PointP", "PointQ", "TimeShare")
 
@@ -364,32 +366,32 @@ class RunContext:
             self._init_time_share()
             return
         profile = info_profile(config.dist)
-        rates = config.rates
-        requested = config.scheme
-        redirected = False
-        if requested == "PointQ" and profile.h("Y", "X") <= profile.h("Y", "XZ") + REDIRECT_TOL:
-            requested = "PointP"
-            redirected = True
-        if rates is None:
-            rates = derive_rates(requested, profile, config.epsilon, config.delta)
-        self.scheme = requested
-        self.redirected = redirected
-        self.rates = rates
-        self.swapped = (requested == "PointP" and rates.orientation == "Y")
-        desc = SCHEME_TABLE[requested]
+        self.redirected = (config.scheme == "PointQ" and
+                           profile.h("Y", "X") <= profile.h("Y", "XZ") + REDIRECT_TOL)
+        self.scheme = scheme = "PointP" if self.redirected else config.scheme
+        self.rates = rates = (derive_rates(scheme, profile, config.epsilon, config.delta)
+                              if config.rates is None else config.rates)
+        self.swapped = (scheme == "PointP" and rates.orientation == "Y")
+        desc = SCHEME_TABLE[scheme]
         self.desc = desc = desc.renamed() if self.swapped else desc
-        bin_rate = {"Z": rates.r_z, "X": rates.r_x, "Y": rates.r_y}
-        sub_rate = {"Z": rates.r_s, desc.kp_owner: rates.r_p}
-        self.codebooks = {
-            m.sender: make_codebook(config.codebook_mode, config.n,
-                                    config.dist.alphabet(m.sender), bin_rate[m.sender],
-                                    sub_rate.get(m.sender, 0.0), config.master_seed,
-                                    purpose=m.role)
-            for m in desc.messages if m.role}
+        self.codebooks = self.draw_codebooks(config.codebook_mode, config.master_seed)
         self.ks_owner = "Z" if "Z" in self.codebooks else None
         self.kp_owner = desc.kp_owner
         self.ks_size = self.codebooks["Z"].num_sub_bins if self.ks_owner else 1
         self.kp_size = self.codebooks[self.kp_owner].num_sub_bins
+
+    def draw_codebooks(self, mode, seed) -> dict:
+        """The scheme's codebook set in mode, drawn from seed: a codebook per
+        binned message, keyed by sender, at the sender's bin rate and its
+        key's sub-bin rate (K_S for Z, K_P for kp_owner, else 0).
+        """
+        config, rates, desc = self.config, self.rates, self.desc
+        bin_rate = {"Z": rates.r_z, "X": rates.r_x, "Y": rates.r_y}
+        sub_rate = {"Z": rates.r_s, desc.kp_owner: rates.r_p}
+        return {m.sender: make_codebook(mode, config.n, config.dist.alphabet(m.sender),
+                                        bin_rate[m.sender], sub_rate.get(m.sender, 0.0),
+                                        seed, purpose=m.role)
+                for m in desc.messages if m.role}
 
     @functools.cached_property
     def engines(self) -> dict:
@@ -407,15 +409,10 @@ class RunContext:
         self.redirected = False
         self.rates = None
         self.split = (n_a, n_b)
-        self.parts = []
-        for part_name, part_n, tag in ((cfg.ts_schemes[0], n_a, "ts-A"),
-                                       (cfg.ts_schemes[1], n_b, "ts-B")):
-            if part_n == 0:
-                self.parts.append(None)
-                continue
-            self.parts.append(RunContext(replace(
-                cfg, scheme=part_name, n=part_n, rates=None, ts_schemes=None,
-                ts_lambda=None, master_seed=child_seed(cfg.master_seed, stream_tag(tag)))))
+        self.parts = [None if part_n == 0 else RunContext(replace(
+            cfg, scheme=name, n=part_n, rates=None, ts_schemes=None, ts_lambda=None,
+            master_seed=child_seed(cfg.master_seed, stream_tag(tag))))
+            for name, part_n, tag in zip(cfg.ts_schemes, self.split, ("ts-A", "ts-B"))]
         live = [p for p in self.parts if p is not None]
         self.ks_size = math.prod(p.ks_size for p in live)
         self.kp_size = math.prod(p.kp_size for p in live)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
 from .sources import InfoProfile, JointDistribution, info_profile
 
 # slack for membership, vertex feasibility and matching named points
@@ -168,11 +167,3 @@ def label_vertices(region: RateRegion):
         out.append((label, s, p))
     return out
 
-
-def require_point_in_region(dist: JointDistribution, r_s: float, r_p: float):
-    region = rate_region(dist)
-    if not region.contains(r_s, r_p):
-        raise UsageError(
-            f"rate pair ({r_s}, {r_p}) lies outside the achievable region "
-            f"(case {region.case_label}, constants {region.constants})")
-    return region

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import skpk
+import skpk.binning
 import skpk.exact
 import skpk.harness
 
@@ -70,6 +71,32 @@ def test_every_traced_layer_records_a_span(monkeypatch):
         tracer.close()
     recorded = {name for name, *_ in tracer.spans}
     assert sorted(set(spans.LAYERS) - recorded) == []
+
+
+def test_codebook_builds_are_traced_on_the_exact_path(monkeypatch):
+    """Every codebook an exact evaluation draws, native or ensemble member,
+    is one binning.build span: the draws go through the names the tracer
+    wraps.
+    """
+    spans = _load_bench("spans")
+    cfg = skpk.SchemeConfig(scheme="PointP", dist=skpk.xor_triple(), n=4, epsilon=0.25,
+                            delta=0.05, master_seed=1, codebook_mode=skpk.MODE_TABLE)
+    init, drawn = skpk.binning.BinningCodebook.__init__, []
+
+    def record(cb, *args, **kwargs):
+        drawn.append(cb)
+        init(cb, *args, **kwargs)
+
+    monkeypatch.setattr(skpk.binning.BinningCodebook, "__init__", record)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.span(spans.ROOT_SPAN, lambda: skpk.ExactEvaluator(cfg).evaluate(2))
+    finally:
+        tracer.close()
+    builds = [s for s in tracer.spans if s[0] == "binning.build"]
+    # the two native codebooks and two per member
+    assert len(builds) == len(drawn) == 6
 
 
 def _attribute_chain(node):

@@ -16,9 +16,9 @@ from conftest import identical_bits, mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
 from skpk.errors import CapacityError, UsageError
 from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator,
-                        _DecodeTable, _distinct, _draw_member_codebooks, _Enumeration,
+                        _DecodeTable, _distinct, _Enumeration,
                         _label_rows, _match, lemma1_check, oracle_codebooks, oracle_secrecy)
-from skpk.harness import _trial_stats, run_trials
+from skpk.harness import MODE_EXACT, _trial_stats, run_trials
 from skpk.protocol import RunContext, SchemeConfig
 from skpk.sources import JointDistribution, noisy_copy_triple, sequence_code, xor_triple
 from skpk.typicality import CandidateEngine
@@ -317,10 +317,45 @@ def test_oracle_refuses_what_it_does_not_cover():
     share = _config("TimeShare", xor_triple(), n=4, ts_schemes=("PointT", "PointE"))
     with pytest.raises(UsageError, match="one-shot schemes only"):
         oracle_secrecy(share, {})
+    with pytest.raises(UsageError, match="one-shot schemes only"):
+        oracle_codebooks(share, 0)
     keyed = dataclasses.replace(_config("PointT", xor_triple(), n=4),
                                 codebook_mode=MODE_HASH)
     with pytest.raises(UsageError, match="requires ExplicitTable codebooks"):
         oracle_codebooks(keyed, 0)
+    # with neither an X nor a Y codebook there is no private key to read
+    cfg = _config("PointT", xor_triple(), n=4)
+    with pytest.raises(UsageError, match="an X or a Y codebook"):
+        oracle_secrecy(cfg, {"Z": oracle_codebooks(cfg, 0)["Z"]})
+
+
+@pytest.mark.parametrize("k", [1.7, True, "2", 2.9, -1])
+def test_member_index_must_be_a_non_negative_integer(k):
+    """A member index that is not an integer (a float, a bool, a string) is
+    refused, not rounded, and so is a negative one, by the evaluator and by
+    the oracle's codebooks alike.
+    """
+    cfg = _config("PointP", xor_triple(), n=4)
+    evaluator = ExactEvaluator(cfg)
+    share = ExactEvaluator(_config("TimeShare", xor_triple(), n=4,
+                                   ts_schemes=("PointP", "PointE")))
+    message = "must be >= 0" if k == -1 else "must be integers"
+    for draw in (evaluator.member, share.member, lambda k: oracle_codebooks(cfg, k)):
+        with pytest.raises(UsageError, match=message):
+            draw(k)
+
+
+def test_oracle_reads_the_scheme_off_its_codebooks():
+    """The oracle reads which letters to look up off the codebook set it is
+    handed, not off the config's scheme: PointP's codebooks give the same
+    laws under a PointT or PointQ config, and PointE's under any config.
+    """
+    for scheme, others in (("PointP", ("PointT", "PointQ")), ("PointE", ("PointP", "PointQ"))):
+        cfg = _config(scheme, xor_triple(), n=4)
+        cbs = oracle_codebooks(cfg, 2)
+        ref = oracle_secrecy(cfg, cbs)
+        for other in others:
+            assert oracle_secrecy(dataclasses.replace(cfg, scheme=other), cbs) == ref
 
 
 def test_oracle_lookups_still_validate():
@@ -353,32 +388,64 @@ def test_oracle_refuses_more_support_triples_than_the_cap(monkeypatch):
     assert peak < 2 ** 16
 
 
-@pytest.mark.parametrize("scheme", ["PointP", "PointQ"])
+def _record_inits(monkeypatch, cls) -> list:
+    """Every instance of cls built from here on, in order."""
+    init, built = cls.__init__, []
+
+    def record(obj, *args, **kwargs):
+        built.append(obj)
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", record)
+    return built
+
+
+@pytest.mark.parametrize("scheme", ["PointP", "PointQ", "TimeShare"])
 def test_engines_are_built_on_first_use(monkeypatch, scheme):
-    """The oracle and its codebooks build no candidate engine, while
-    ExactEvaluator.evaluate and run_trials build each engine key's engine
-    once per context, PointQ's shared key "xyz" included.
+    """An oracle call builds no candidate engine and no run context;
+    oracle_codebooks builds one context, with its native codebooks, and
+    draws the member's set. ExactEvaluator.evaluate and run_trials build each
+    engine key's engine once per context, PointQ's shared key "xyz"
+    included. A time-shared exact campaign builds its context and the two
+    part contexts it holds, their native codebooks and one codebook set per
+    part and member, and each part's engines once (TimeShare(PointP,
+    PointE) at n = 8 with 2 members: 3 contexts, 9 codebooks, 4 engines).
     """
-    cfg = _config(scheme, xor_triple(), n=4)
-    init, built = CandidateEngine.__init__, []
-
     def refuse(*args, **kwargs):
-        raise AssertionError("a candidate engine was built")
+        raise AssertionError(f"{args[0]!r} was built")
 
-    def record(engine, *args, **kwargs):
-        built.append(engine)
-        init(engine, *args, **kwargs)
-
-    monkeypatch.setattr(CandidateEngine, "__init__", refuse)
-    oracle_secrecy(cfg, oracle_codebooks(cfg, 1))
-    monkeypatch.setattr(CandidateEngine, "__init__", record)
+    contexts = _record_inits(monkeypatch, RunContext)
+    codebooks = _record_inits(monkeypatch, BinningCodebook)
+    cfg = _config("PointP" if scheme == "TimeShare" else scheme, xor_triple(), n=7)
+    with monkeypatch.context() as patch:
+        patch.setattr(CandidateEngine, "__init__", refuse)
+        cbs = oracle_codebooks(cfg, 1)
+        patch.setattr(skpk.exact, "RunContext", refuse)
+        oracle_secrecy(cfg, cbs)
+    assert len(contexts) == 1 and len(codebooks) == 2 * len(cbs) == 2 * len(contexts[0].codebooks)
+    contexts.clear()
+    codebooks.clear()
+    built = _record_inits(monkeypatch, CandidateEngine)
+    monkeypatch.setenv("SKPK_WORKERS", "1")
+    if scheme == "TimeShare":
+        run_trials(skpk.ExperimentConfig(
+            scheme=scheme, dist=xor_triple(), n_values=(8,), trials=2, epsilon=0.9,
+            delta=0.01, master_seed=7, codebook_mode=MODE_TABLE, evaluation_mode=MODE_EXACT,
+            ts_schemes=("PointP", "PointE")))
+        parts = contexts[1:]
+        assert len(contexts) == 3 and contexts[0].parts == parts
+        assert len(codebooks) == 3 * sum(len(p.codebooks) for p in parts) == 9
+        assert len(built) == 4
+        assert sorted(map(id, built)) == sorted(id(e) for p in parts for e in p.engines.values())
+        return
+    cfg = _config(scheme, xor_triple(), n=4)
     evaluator = ExactEvaluator(cfg)
     evaluator.evaluate(3)
+    assert contexts == [evaluator.ctx] and len(codebooks) == 4 * len(evaluator.ctx.codebooks)
     keys = {key for step in evaluator.ctx.desc.decodes for key in step.engine_keys()}
     assert len(keys) == 3 and set(evaluator.ctx.engines) == keys
     assert sorted(map(id, built)) == sorted(map(id, evaluator.ctx.engines.values()))
     built.clear()
-    monkeypatch.setenv("SKPK_WORKERS", "1")
     run_trials(skpk.ExperimentConfig(scheme=scheme, dist=xor_triple(), n_values=(4, 6),
                                      trials=4, epsilon=0.9, delta=0.01, master_seed=7))
     assert len(built) == 2 * len(keys)
@@ -425,19 +492,22 @@ def test_oracle_ranks_are_np_uniques(monkeypatch, name):
 
 @pytest.mark.parametrize("scheme", ["PointP", "PointQ", "PointT", "PointE"])
 def test_oracle_codebooks_match_evaluator_members(scheme):
+    """oracle_codebooks(config, k) is the evaluator's k-th member: its laws
+    are that member's, and each codebook has the native codebook's sender,
+    role and bin and sub-bin counts, drawn as tables from another seed.
+    """
     cfg = _config(scheme, xor_triple(), n=4)
     evaluator = ExactEvaluator(cfg)
+    native = evaluator.ctx.codebooks
     for k in (0, 1, 7):
         ours = oracle_codebooks(cfg, k)
-        theirs = _draw_member_codebooks(evaluator.ctx, k)
-        assert list(ours) == list(theirs)
+        assert evaluator._eval_one(ours) == evaluator.member(k)
+        assert list(ours) == list(native)
         for terminal, cb in ours.items():
-            ref = theirs[terminal]
-            codes = np.arange(cb.alphabet_size ** cb.n)
-            assert (cb.num_bins, cb.num_sub_bins) == (ref.num_bins, ref.num_sub_bins)
-            assert np.array_equal(cb.bins_of_indices(codes), ref.bins_of_indices(codes))
-            assert np.array_equal(cb.sub_bins_of_indices(codes),
-                                  ref.sub_bins_of_indices(codes))
+            ref = native[terminal]
+            assert (cb.mode, cb.purpose, cb.num_bins, cb.num_sub_bins) == (
+                MODE_TABLE, ref.purpose, ref.num_bins, ref.num_sub_bins)
+            assert cb.seed != ref.seed
 
 
 @pytest.mark.parametrize("scheme,dist,n,eps,trials,orientation,kw", [
@@ -887,7 +957,7 @@ def test_view_labels_partition_the_elements_as_their_columns_do(view):
     cfg = _config("PointQ", xor_triple(), n=5)
     rates = dataclasses.replace(RunContext(cfg).rates, r_s=0.4, r_p=0.4)
     evaluator = ExactEvaluator(dataclasses.replace(cfg, rates=rates))
-    e, cbs = evaluator.enum, _draw_member_codebooks(evaluator.ctx, 0)
+    e, cbs = evaluator.enum, oracle_codebooks(evaluator.config, 0)
     assert cbs["X"].num_sub_bins > 1 and cbs["Y"].num_bins > 1
     cols, per_element = {}, []
     for v, names in view.items():

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identical_bits, independent_bits, random_distribution
-from skpk.errors import UsageError
 from skpk.protocol import derive_rates
 from skpk.region import (TOL, classify_case, halfplanes, label_vertices,
-                         rate_region, region_constants,
-                         require_point_in_region)
+                         rate_region, region_constants)
 from skpk.sources import JointDistribution, info_profile, noisy_copy_triple, xor_triple
 
 
@@ -117,9 +115,8 @@ def test_contains_and_gatekeeper():
     assert region.contains(0.0, 0.0)
     assert region.contains(0.0, 1.0)
     assert not region.contains(0.6, 0.6)
-    require_point_in_region(d, 0.25, 0.25)
-    with pytest.raises(UsageError):
-        require_point_in_region(d, 2.0, 2.0)
+    assert region.contains(0.25, 0.25)
+    assert not region.contains(2.0, 2.0)
 
 
 def test_vertex_labels():
