@@ -123,17 +123,11 @@ class _Enumeration:
 
     def domain(self, v):
         """The sequence codes letter v takes, in ascending order, and each
-        element's position among them: every code below size**n when there
-        are no more of those than elements (the position is then the code),
-        else the codes that occur.
+        element's position among them (_ranked). Where every code below
+        size**n occurs, the position is the code.
         """
         if v not in self._domains:
-            code = self.idx[v]
-            if self.size[v] ** self.n <= len(code):
-                self._domains[v] = np.arange(self.size[v] ** self.n, dtype=code.dtype), code
-            else:
-                codes, at = np.unique(code, return_inverse=True)
-                self._domains[v] = codes, _narrow(at, len(codes) - 1)
+            self._domains[v] = _ranked(self.idx[v], self.size[v] ** self.n)
         return self._domains[v]
 
     @functools.cached_property
@@ -170,18 +164,40 @@ class _DecodeTable:
 
 
 def _narrow(a, bound):
-    """a as the narrowest unsigned integer type that holds 0..bound."""
-    return a.astype(np.min_scalar_type(bound))
+    """a as the narrowest unsigned integer type that holds 0..bound, a itself
+    if it has that type.
+    """
+    return a.astype(np.min_scalar_type(max(bound, 0)), copy=False)
+
+
+def _ranked(values, span):
+    """np.unique's distinct values and inverse of a non-negative integer
+    column with values in range(span), the inverse in the narrowest unsigned
+    type. Where span is at most the column's length, a presence bitmap
+    gives them: the inverse is its running count, or the values themselves
+    when all of range(span) occurs. Past that, np.unique sorts.
+    """
+    if span > len(values):
+        distinct, ranks = np.unique(values, return_inverse=True)
+        return distinct, _narrow(ranks, len(distinct) - 1)
+    present = np.zeros(span, dtype=bool)
+    present[values] = True
+    distinct = np.flatnonzero(present).astype(values.dtype, copy=False)
+    if len(distinct) == span:
+        return distinct, _narrow(values, span - 1)
+    ranks = np.cumsum(present, dtype=np.min_scalar_type(span))[values]
+    ranks -= 1
+    return distinct, _narrow(ranks, len(distinct) - 1)
 
 
 def _match(table, code, span, query, dense_slots):
     """Status of each member's query among its group's candidate codes (OK
-    when exactly one equals it) and the index of that one candidate, -1
-    elsewhere. Codes lie in range(span). With at most dense_slots (group,
-    code) keys, an int32 slot per key holds its candidate's index, or -2
-    when several candidates share it. Otherwise one sort keys every
-    candidate by (group, code) packed into a uint64, or by (group, dense
-    rank of the code) where the pack leaves no room.
+    when exactly one equals it), as uint8, and the index of that one
+    candidate, -1 elsewhere. Codes lie in range(span). With at most
+    dense_slots (group, code) keys, an int32 slot per key holds its
+    candidate's index, or -2 when several candidates share it. Otherwise one
+    sort keys every candidate by (group, code) packed into a uint64, or by
+    (group, dense rank of the code) where the pack leaves no room.
     """
     if len(code) == 0:     # then there are no members either
         return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
@@ -193,8 +209,9 @@ def _match(table, code, span, query, dense_slots):
         slot[key] = own
         slot[key[slot[key] != own]] = -2
         hit = slot[table.group.astype(np.intp) * span + query.astype(np.intp)]
-        status = np.where(hit >= 0, _ST_OK, np.where(hit == -1, _ST_NONE, _ST_AMB))
-        return status, np.maximum(hit, -1)
+        # max(-hit, 0) is OK (0) at a slot's candidate, NoCandidate (1) at
+        # -1 and Ambiguous (2) at -2
+        return np.maximum(-hit, 0).astype(np.uint8), np.maximum(hit, -1)
     if table.num_groups * span >= 2 ** 64:
         ranks, code = np.unique(code, return_inverse=True)
         at = np.minimum(np.searchsorted(ranks, query), len(ranks) - 1)
@@ -210,33 +227,28 @@ def _match(table, code, span, query, dense_slots):
     q = table.group.astype(np.uint64) * span + query.astype(np.uint64)
     run = np.minimum(np.searchsorted(run_key, q), len(starts) - 1)
     cnt = np.where(run_key[run] == q, np.diff(starts, append=len(key))[run], 0)
-    status = np.where(cnt == 0, _ST_NONE, np.where(cnt == 1, _ST_OK, _ST_AMB))
+    status = np.array([_ST_NONE, _ST_OK, _ST_AMB], dtype=np.uint8)[np.minimum(cnt, 2)]
     return status, np.where(cnt == 1, so[starts[run]], -1)
 
 
 def _label_rows(cols, sizes, labels, num):
     """Labels in range(count) of the rows of the integer columns cols (column
     i in range(sizes[i])) within the given labelling of num labels, and their
-    count. One column at a time, label * size + col is compacted by its
-    present values, or by np.unique where those outnumber the rows; a column
-    with more values than rows is ranked first, so no code reaches 2**63.
+    count. One column at a time, label * size + col is ranked (_ranked); a
+    column with more values than rows is ranked first, so no code reaches
+    2**63.
     """
     for col, size in zip(cols, sizes):
         size = int(size)
         if size == 1:
             continue
         if size > len(labels):
-            ranks, col = np.unique(col, return_inverse=True)
+            ranks, col = _ranked(col, size)
             size = len(ranks)
-        code = labels * size + col.astype(np.intp)
-        if num * size <= len(labels):
-            present = np.zeros(num * size, dtype=bool)
-            present[code] = True
-            rank = np.cumsum(present) - 1
-            labels, num = rank[code], int(rank[-1]) + 1
-        else:
-            ranks, labels = np.unique(code, return_inverse=True)
-            num = len(ranks)
+        code = labels.astype(np.intp) * size
+        code += col.astype(np.intp, copy=False)
+        ranks, labels = _ranked(code, num * size)
+        num = len(ranks)
     return labels, num
 
 
@@ -290,11 +302,12 @@ class ExactEvaluator:
         """
         e = self.enum
         letters = [v for v in step.observed if v not in step.decoded]
-        code = np.zeros(len(observed[0]), dtype=np.int64)
-        for col, v in zip(observed, letters):
-            code = code * e.size[v] ** e.n + col
-        rest, group = np.unique(code, return_inverse=True)
-        num_groups, rows = len(rest), {}
+        code, span = observed[0], e.size[letters[0]] ** e.n
+        for col, v in zip(observed[1:], letters[1:]):
+            code = code.astype(np.int64) * e.size[v] ** e.n + col.astype(np.int64)
+            span *= e.size[v] ** e.n
+        rest, group = _ranked(code, span)
+        rest, num_groups, rows = rest.astype(np.int64), len(rest), {}
         for v in reversed(letters):
             rest, last = np.divmod(rest, e.size[v] ** e.n)
             rows[v] = np.stack(list(code_digits(last, e.size[v], e.n)), axis=-1)
@@ -306,9 +319,10 @@ class ExactEvaluator:
             cand_group, cands = cand_group[at], [c[at] for c in cands] + [found]
             rows = {v: s[at] for v, s in rows.items()}
             rows[key[-1]] = np.stack(list(code_digits(found, e.size[key[-1]], e.n)), axis=-1)
-        # grouped members make the per-member searches nearly sorted
-        order = np.argsort(group, kind="stable")
-        order = order[np.bincount(cand_group, minlength=num_groups)[group[order]] > 0]
+        # grouped members make the per-member searches nearly sorted; group
+        # ids are narrow, which numpy's stable sort radix-sorts up to 16 bits
+        order = np.flatnonzero(np.bincount(cand_group, minlength=num_groups)[group] > 0)
+        order = order[np.argsort(group[order], kind="stable")]
         return _DecodeTable(
             _narrow(order, len(code)), _narrow(group[order], num_groups), num_groups,
             _narrow(cand_group, num_groups),
@@ -318,22 +332,26 @@ class ExactEvaluator:
     def _reach(self):
         """The elements some terminal's first decode step can decode, its
         table's members, in ascending order; and per first step, its
-        members' positions among them. Outside them every decoding terminal
-        stays NoCandidate and recovers nothing, so every decode-dependent
-        labelling is constant there. Builds the first steps' tables.
+        members' positions among them and, per decoded letter, their true
+        sequences' domain positions (enum.domain), which no codebook draw
+        changes. Outside the reach every decoding terminal stays NoCandidate
+        and recovers nothing, so every decode-dependent labelling is
+        constant there. Builds the first steps' tables.
         """
-        e, seen = self.enum, set()
+        e, seen, truth = self.enum, set(), {}
         inside = np.zeros(len(e.prob), dtype=bool)
         for i, step in enumerate(self.ctx.desc.decodes):
             if step.terminal not in seen:
                 seen.add(step.terminal)
-                self._tables[i] = self._step_table(
+                t = self._tables[i] = self._step_table(
                     step, [e.idx[v] for v in step.observed if v not in step.decoded])
-                inside[self._tables[i].members] = True
+                inside[t.members] = True
+                truth[i] = [e.domain(v)[1][t.members] for v in step.decoded]
         slot = np.cumsum(inside) - 1
         elements = np.flatnonzero(inside)
         return (_narrow(elements, len(inside)),
-                {i: _narrow(slot[t.members], len(elements)) for i, t in self._tables.items()})
+                {i: _narrow(slot[t.members], len(elements)) for i, t in self._tables.items()},
+                truth)
 
     @functools.cached_property
     def _reach_codes(self):
@@ -358,9 +376,9 @@ class ExactEvaluator:
         if sum(bits) > 64:
             raise CapacityError(" x ".join(str(cbs[v.upper()].num_bins) for v in step.decoded)
                                 + " bins do not pack into 64 bits")
-        elements, first = self._reach
+        elements, first, truth = self._reach
         if prior is None:
-            table, slots = self._tables[i], first[i]
+            table, slots, truth = self._tables[i], first[i], truth[i]
         else:
             t, own = step.terminal, step.terminal.lower()
             run = np.flatnonzero(prior == _ST_OK)
@@ -368,14 +386,22 @@ class ExactEvaluator:
                 (self._reach_codes[v][0] if v == own else recovered[f"{v}_at_{t}"][1])[run]
                 for v in step.observed if v not in step.decoded])
             slots = run[table.members]
+            truth = [self._reach_codes[v][1][slots] if b else None
+                     for v, b in zip(step.decoded, bits)]
+        # one conversion for every scatter below; numpy converts narrow
+        # positions to intp on each use
+        slots = slots.astype(np.intp)
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
         found = [np.zeros(len(elements), dtype=cand.dtype) for cand in table.cands]
         code = query = top = 0
-        for cand, v, b in zip(table.cands, step.decoded, bits):
-            cb = cbs[v.upper()]
-            code = (code << b) | cb.bins_of_indices(cand)
-            query = (query << b) | values[v.upper()][self._reach_codes[v][1][slots]]
-            top = (top << b) | (cb.num_bins - 1)
+        for cand, v, b, at in zip(table.cands, step.decoded, bits, truth):
+            if b:   # a letter of one bin matches every candidate
+                cb = cbs[v.upper()]
+                code = (code << b) | cb.bins_of_indices(cand)
+                query = (query << b) | np.take(values[v.upper()], at)
+                top = (top << b) | (cb.num_bins - 1)
+        if not top:
+            code, query = np.zeros(len(table.cand_group), np.uint8), np.zeros(len(slots), np.uint8)
         status[slots], pick = _match(table, code, top + 1, query, 8 * len(self.enum.prob))
         # where no candidate is picked, -1 reads the last one; its status
         # excludes it
@@ -481,8 +507,9 @@ class ExactEvaluator:
             if lab is None and radix == 1:
                 term = at
             else:
-                lab = np.arange(num) if lab is None else lab
-                term = (lab * radix).astype(dtype)[at]
+                lab = np.arange(num) if lab is None else lab.astype(np.intp)
+                # np.take gathers by narrow positions faster than indexing
+                term = np.take((lab * radix).astype(dtype), at)
             labels = term if labels is None else np.add(labels, term, out=labels)
         return np.zeros(len(e.prob), dtype=np.uint8) if labels is None else labels
 

@@ -15,12 +15,14 @@ import skpk
 from conftest import identical_bits, mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
 from skpk.errors import CapacityError, UsageError
+from skpk import exact
 from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator,
-                        _DecodeTable, _distinct, _Enumeration,
-                        _label_rows, _match, lemma1_check, oracle_codebooks, oracle_secrecy)
+                        _DecodeTable, _distinct, _Enumeration, _label_rows, _match,
+                        _ranked, lemma1_check, oracle_codebooks, oracle_secrecy)
 from skpk.harness import MODE_EXACT, _trial_stats, run_trials
 from skpk.protocol import RunContext, SchemeConfig
-from skpk.sources import JointDistribution, noisy_copy_triple, sequence_code, xor_triple
+from skpk.sources import (JointDistribution, code_digits, noisy_copy_triple, sequence_code,
+                          xor_triple)
 from skpk.typicality import CandidateEngine
 
 
@@ -1088,12 +1090,23 @@ def _brute_force_match(table, code, query):
     return status, pick
 
 
+def _assert_match(table, code, span, query, slots, expected):
+    """_match's statuses and picks are the expected ones, the statuses as
+    uint8, and a pick is -1 wherever its status is not OK.
+    """
+    status, pick = _match(table, code, span, query, slots)
+    assert status.dtype == np.uint8, slots
+    assert status.tolist() == expected[0], slots
+    assert pick.tolist() == expected[1], slots
+    assert (pick[status != _ST_OK] == -1).all(), slots
+
+
 @pytest.mark.parametrize("span", [5, 40, 2 ** 63])
 def test_match_agrees_with_a_brute_force_count(span, rng):
     """Random tables whose candidates share keys (ambiguous) and leave some
     groups without candidates, matched through the dense slots (as many
     slots allowed as there are keys), the sorted pack (one fewer), and, with
-    2**63 codes, the dense ranks.
+    2**63 codes, the dense ranks; and a table without candidates.
     """
     num_groups, top = 12, min(span, 8) - 1
     scale = np.uint64(span // 8 if span > 8 else 1)
@@ -1107,9 +1120,9 @@ def test_match_agrees_with_a_brute_force_count(span, rng):
     assert {_ST_OK, _ST_NONE, _ST_AMB} <= set(expected[0])
     dense = num_groups * span
     for slots in ((dense, dense - 1) if dense < 2 ** 64 else (2 ** 20,)):
-        status, pick = _match(table, code, span, query, slots)
-        assert status.tolist() == expected[0], slots
-        assert pick.tolist() == expected[1], slots
+        _assert_match(table, code, span, query, slots, expected)
+    empty = _DecodeTable(np.arange(0), group[:0], num_groups, cand_group[:0], [code[:0]])
+    _assert_match(empty, code[:0], span, query[:0], 2 ** 20, ([], []))
 
 
 @pytest.mark.parametrize("sizes", [
@@ -1135,3 +1148,145 @@ def test_row_labels_are_the_ranks_of_the_stacked_columns(sizes, rng):
     ranks, expected = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
     assert num == len(ranks)
     assert np.array_equal(labels, expected.ravel())
+
+
+_RANK_RNG = np.random.default_rng(5)
+RANKED_BY_SPAN = {
+    # (column, span, whether it is ranked by the bitmap)
+    "every-code": (np.tile(np.arange(256, dtype=np.uint16), 4)[::-1], 256, True),
+    "dense-codes": (_RANK_RNG.integers(0, 200, 1000).astype(np.uint16) * 3, 600, True),
+    "sparse-packed": (_packed(_RANK_RNG, 300, 5000, 1000), 300 * 5000, False),
+    "one-value": (np.full(9, 5, dtype=np.uint8), 6, True),
+    "one-value-past": (np.full(9, 5, dtype=np.uint8), 10, False),
+    "empty": (np.zeros(0, dtype=np.uint8), 0, True),
+    "empty-past": (np.zeros(0, dtype=np.int64), 4, False),
+    # the span equal to the column's length, and one past it
+    "at-the-bound": (np.array([0, 7, 3, 7, 3, 0, 6, 7]), 8, True),
+    "past-the-bound": (np.array([0, 7, 3, 7, 3, 0, 6, 7]), 9, False)}
+
+
+@pytest.mark.parametrize("name", RANKED_BY_SPAN)
+def test_ranked_is_np_unique(monkeypatch, name):
+    """_ranked gives np.unique's distinct values and inverse, the inverse in
+    the narrowest unsigned type, by the bitmap where the span is at most the
+    column's length and by np.unique past it.
+    """
+    values, span, by_bitmap = RANKED_BY_SPAN[name]
+    want, want_inverse = np.unique(values, return_inverse=True)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(a) or unique(*a, **kw))
+    distinct, inverse = _ranked(values, span)
+    assert len(sorts) == (not by_bitmap)
+    assert distinct.dtype == want.dtype and np.array_equal(distinct, want)
+    assert inverse.dtype == np.min_scalar_type(max(len(want) - 1, 0))
+    assert np.array_equal(inverse, want_inverse)
+
+
+def _reference_table(evaluator, step, observed):
+    """A decode step's members, group and cand_group and its candidates'
+    codes, with groups ranked by np.unique, members ordered by an int64
+    stable argsort and candidates listed one group at a time.
+    """
+    e = evaluator.enum
+    letters = [v for v in step.observed if v not in step.decoded]
+    code = np.zeros(len(observed[0]), dtype=np.int64)
+    for col, v in zip(observed, letters):
+        code = code * e.size[v] ** e.n + col.astype(np.int64)
+    rest, group = np.unique(code, return_inverse=True)
+
+    def digits(c, v):
+        return np.stack(list(code_digits(np.array([c]), e.size[v], e.n)), axis=-1)
+
+    per_group = []      # each group's candidates, as {decoded letter: code}
+    for c in rest.tolist():
+        row = {}
+        for v in reversed(letters):
+            c, row[v] = divmod(c, e.size[v] ** e.n)
+        found = [row]
+        for key in step.engine_keys():
+            engine = evaluator.ctx.engines[key]
+            found = [{**f, key[-1]: int(x)} for f in found
+                     for x in engine.candidate_indices(tuple(digits(f[v], v)
+                                                             for v in key[:-1]))[0]]
+        per_group.append(found)
+    counts = np.array([len(f) for f in per_group])
+    order = np.argsort(group.astype(np.int64), kind="stable")
+    members = order[counts[group[order]] > 0]
+    cands = [[f[v] for found in per_group for f in found] for v in step.decoded]
+    return (members, group[members], len(rest), np.repeat(np.arange(len(rest)), counts),
+            cands)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("dist,found", [
+    (xor_triple(), [True] * 6),
+    (noisy_copy_triple(0.1, 0.3), [True, False, True, True, False, False]),
+], ids=["xor", "noisy"])
+def test_step_tables_match_a_sorted_reference(monkeypatch, dist, found, n):
+    """Every decode table of two PointP and two PointT members (PointP's two
+    first steps, PointT's two first steps and its later yz -> x step per
+    member) has the members, groups, candidate groups and candidates of a
+    reference that ranks with np.unique and sorts int64 group ids. On the
+    noisy source, PointP's xy -> xz step and PointT's later step find no
+    candidates.
+    """
+    built = []
+    step_table = ExactEvaluator._step_table
+
+    def recording(self, step, observed):
+        table = step_table(self, step, observed)
+        built.append((self, step, observed, table))
+        return table
+
+    monkeypatch.setattr(ExactEvaluator, "_step_table", recording)
+    for scheme in ("PointP", "PointT"):
+        ExactEvaluator(_config(scheme, dist, n)).evaluate(2)
+    assert [step.observed for _, step, _, _ in built] == ["x", "xy", "x", "y", "yz", "yz"]
+    assert [len(t.members) > 0 for _, _, _, t in built] == found
+    for evaluator, step, observed, table in built:
+        members, group, num_groups, cand_group, cands = _reference_table(
+            evaluator, step, observed)
+        assert np.array_equal(table.members, members), step
+        assert np.array_equal(table.group, group), step
+        assert table.num_groups == num_groups, step
+        assert np.array_equal(table.cand_group, cand_group), step
+        assert [c.tolist() for c in table.cands] == cands, step
+
+
+@pytest.mark.parametrize("scheme", ["PointP", "PointT"])
+def test_wide_stable_sorts_get_narrow_group_ids(monkeypatch, scheme):
+    """Over 262,144 support triples (noisy_copy_triple at n = 6), no stable
+    argsort the evaluator runs on more than 4,096 entries sorts integers
+    wider than 16 bits, which numpy radix-sorts, and no integer column of
+    more than 4,096 entries is ranked by np.unique: the first steps' group
+    ids come off a presence bitmap.
+    """
+    calls = []
+
+    class Recording:
+        """numpy as skpk.exact sees it, with argsort and unique recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argsort(self, a, *args, **kw):
+            calls.append(("argsort", kw.get("kind"), a.dtype, a.size))
+            return np.argsort(a, *args, **kw)
+
+        def unique(self, a, *args, **kw):
+            calls.append(("unique", None, a.dtype, a.size))
+            return np.unique(a, *args, **kw)
+
+    monkeypatch.setattr(exact, "np", Recording())
+    cfg = _config(scheme, noisy_copy_triple(0.1, 0.3), n=6, eps=0.25, delta=0.05)
+    evaluator = ExactEvaluator(cfg)
+    evaluator.evaluate(2)
+    assert len(evaluator.enum.prob) == 2 ** 18
+    wide = [(name, kind, dtype) for name, kind, dtype, size in calls if size > 4096]
+    for name, kind, dtype in wide:
+        if name == "argsort" and kind == "stable" and dtype.kind in "iu":
+            assert dtype.itemsize <= 2, dtype
+        if name == "unique":
+            assert dtype.kind == "f", dtype
+    assert ("argsort", "stable", np.dtype(np.uint8)) in wide
