@@ -376,9 +376,9 @@ class ExactEvaluator:
         if sum(bits) > 64:
             raise CapacityError(" x ".join(str(cbs[v.upper()].num_bins) for v in step.decoded)
                                 + " bins do not pack into 64 bits")
-        elements, first, truth = self._reach
+        elements, first, truths = self._reach
         if prior is None:
-            table, slots, truth = self._tables[i], first[i], truth[i]
+            table, slots, truth = self._tables[i], first[i], truths[i]
         else:
             t, own = step.terminal, step.terminal.lower()
             run = np.flatnonzero(prior == _ST_OK)
@@ -390,7 +390,7 @@ class ExactEvaluator:
                      for v, b in zip(step.decoded, bits)]
         # one conversion for every scatter below; numpy converts narrow
         # positions to intp on each use
-        slots = slots.astype(np.intp)
+        slots = slots.astype(np.intp, copy=False)
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
         found = [np.zeros(len(elements), dtype=cand.dtype) for cand in table.cands]
         code = query = top = 0
