@@ -150,10 +150,11 @@ class _DecodeTable:
 
     members are the rows it runs on (positions in its observed columns)
     whose observed sequences admit a candidate, sorted by group: each one's
-    observed sequences, numbered by ascending code. A candidate holds a
-    sequence code per decoded letter: cands has one aligned code array per
-    letter, and cand_group the group of each candidate. Code and index
-    arrays use the narrowest integer type that holds them.
+    observed sequences, numbered in lexicographic order of their codes
+    (_label_rows). A candidate holds a sequence code per decoded letter:
+    cands has one aligned code array per letter, and cand_group the group
+    of each candidate. Code and index arrays use the narrowest integer type
+    that holds them.
     """
 
     members: np.ndarray
@@ -180,51 +181,55 @@ def _ranked(values, span):
     if span > len(values):
         distinct, ranks = np.unique(values, return_inverse=True)
         return distinct, _narrow(ranks, len(distinct) - 1)
+    # numpy indexes by intp about 3 times as fast as by uint16 (2-core x86-64)
+    at = values.astype(np.intp, copy=False)
     present = np.zeros(span, dtype=bool)
-    present[values] = True
+    present[at] = True
     distinct = np.flatnonzero(present).astype(values.dtype, copy=False)
     if len(distinct) == span:
         return distinct, _narrow(values, span - 1)
-    ranks = np.cumsum(present, dtype=np.min_scalar_type(span))[values]
+    ranks = np.cumsum(present, dtype=np.min_scalar_type(span))[at]
     ranks -= 1
     return distinct, _narrow(ranks, len(distinct) - 1)
 
 
-def _match(table, code, span, query, dense_slots):
-    """Status of each member's query among its group's candidate codes (OK
-    when exactly one equals it), as uint8, and the index of that one
-    candidate, -1 elsewhere. Codes lie in range(span). With at most
-    dense_slots (group, code) keys, an int32 slot per key holds its
-    candidate's index, or -2 when several candidates share it. Otherwise one
-    sort keys every candidate by (group, code) packed into a uint64, or by
-    (group, dense rank of the code) where the pack leaves no room.
+def _match(table, cols, queries, spans, dense_slots):
+    """Status of each member's queries among its group's candidates (OK when
+    exactly one has them as its columns cols, column i in range(spans[i])),
+    as uint8, and the index of that one candidate, -1 elsewhere. Keys
+    (group, columns) are packed mixed-radix below 2**64 keys, else labelled
+    jointly for candidates and members (_label_rows). With at most
+    dense_slots keys, an int32 slot per key holds its candidate's index, or
+    -2 when several candidates share it; otherwise one sort orders the keys.
     """
-    if len(code) == 0:     # then there are no members either
+    if len(table.cand_group) == 0:     # then there are no members either
         return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    if table.num_groups * span <= dense_slots and len(code) < 2 ** 31:
-        key = table.cand_group.astype(np.intp) * span + code.astype(np.intp)
-        slot = np.full(table.num_groups * span, -1, dtype=np.int32)
+    key, q, total = table.cand_group, table.group, table.num_groups * math.prod(spans)
+    if total >= 2 ** 64:
+        labels, total = _label_rows(
+            [np.concatenate(pair) for pair in [(key, q), *zip(cols, queries)]],
+            [table.num_groups, *spans], np.zeros(len(key) + len(q), dtype=np.intp), 1)
+        key, q, cols, queries = labels[:len(key)], labels[len(key):], [], []
+    dense = total <= dense_slots and len(key) < 2 ** 31
+    key, q = (a.astype(np.intp if dense else np.uint64) for a in (key, q))
+    for col, query, span in zip(cols, queries, spans):
+        key = key * span + col.astype(key.dtype)
+        q = q * span + query.astype(q.dtype)
+    if dense:
+        slot = np.full(total, -1, dtype=np.int32)
         own = np.arange(len(key), dtype=np.int32)
         # whichever candidate a shared key keeps, the others see it
         slot[key] = own
         slot[key[slot[key] != own]] = -2
-        hit = slot[table.group.astype(np.intp) * span + query.astype(np.intp)]
+        hit = slot[q]
         # max(-hit, 0) is OK (0) at a slot's candidate, NoCandidate (1) at
         # -1 and Ambiguous (2) at -2
         return np.maximum(-hit, 0).astype(np.uint8), np.maximum(hit, -1)
-    if table.num_groups * span >= 2 ** 64:
-        ranks, code = np.unique(code, return_inverse=True)
-        at = np.minimum(np.searchsorted(ranks, query), len(ranks) - 1)
-        query = np.where(ranks[at] == query, at, len(ranks))
-        span = len(ranks) + 1
-    span = np.uint64(span)
-    key = table.cand_group.astype(np.uint64) * span + code.astype(np.uint64)
     # a pick is read only where its key is unique, so any sort order serves
     so = np.argsort(key)
     key = key[so]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     run_key = key[starts]
-    q = table.group.astype(np.uint64) * span + query.astype(np.uint64)
     run = np.minimum(np.searchsorted(run_key, q), len(starts) - 1)
     cnt = np.where(run_key[run] == q, np.diff(starts, append=len(key))[run], 0)
     status = np.array([_ST_NONE, _ST_OK, _ST_AMB], dtype=np.uint8)[np.minimum(cnt, 2)]
@@ -234,21 +239,21 @@ def _match(table, code, span, query, dense_slots):
 def _label_rows(cols, sizes, labels, num):
     """Labels in range(count) of the rows of the integer columns cols (column
     i in range(sizes[i])) within the given labelling of num labels, and their
-    count. One column at a time, label * size + col is ranked (_ranked); a
-    column with more values than rows is ranked first, so no code reaches
-    2**63.
+    count, in the lexicographic order of (label, columns). One column at a
+    time, label * size + col is ranked (_ranked), or col alone while num is
+    1; a column with more values than rows is ranked first, so no code
+    reaches 2**63.
     """
     for col, size in zip(cols, sizes):
         size = int(size)
-        if size == 1:
-            continue
-        if size > len(labels):
+        if num == 1 or size > len(labels):
             ranks, col = _ranked(col, size)
             size = len(ranks)
-        code = labels.astype(np.intp) * size
-        code += col.astype(np.intp, copy=False)
-        ranks, labels = _ranked(code, num * size)
-        num = len(ranks)
+        if num > 1:
+            code = labels.astype(np.intp) * size
+            code += col.astype(np.intp, copy=False)
+            ranks, col = _ranked(code, num * size)
+        labels, num = col, len(ranks)
     return labels, num
 
 
@@ -268,6 +273,9 @@ class ExactEvaluator:
     def __init__(self, config: SchemeConfig, exact_cap: int = EXACT_PRODUCT_CAP):
         if config.codebook_mode != MODE_TABLE:
             raise UsageError("exact evaluation requires ExplicitTable codebooks")
+        (exact_cap,) = _integers("exact_cap", (exact_cap,))
+        if exact_cap < 1:
+            raise UsageError(f"exact_cap must be >= 1, got {exact_cap}")
         self._bind(RunContext(config), exact_cap)
 
     def _bind(self, ctx: RunContext, exact_cap):
@@ -302,15 +310,13 @@ class ExactEvaluator:
         """
         e = self.enum
         letters = [v for v in step.observed if v not in step.decoded]
-        code, span = observed[0], e.size[letters[0]] ** e.n
-        for col, v in zip(observed[1:], letters[1:]):
-            code = code.astype(np.int64) * e.size[v] ** e.n + col.astype(np.int64)
-            span *= e.size[v] ** e.n
-        rest, group = _ranked(code, span)
-        rest, num_groups, rows = rest.astype(np.int64), len(rest), {}
-        for v in reversed(letters):
-            rest, last = np.divmod(rest, e.size[v] ** e.n)
-            rows[v] = np.stack(list(code_digits(last, e.size[v], e.n)), axis=-1)
+        group, num_groups = _label_rows(observed, [e.size[v] ** e.n for v in letters],
+                                        np.zeros(len(observed[0]), dtype=np.intp), 1)
+        # each group's observed sequences, read at one of its rows
+        first = np.zeros(num_groups, dtype=np.intp)
+        first[group.astype(np.intp)] = np.arange(len(group))
+        rows = {v: np.stack(list(code_digits(col[first], e.size[v], e.n)), axis=-1)
+                for v, col in zip(letters, observed)}
         cand_group, cands = np.arange(num_groups), []
         for key in step.engine_keys():
             found, per_row = self.ctx.engines[key].candidate_indices(
@@ -324,7 +330,7 @@ class ExactEvaluator:
         order = np.flatnonzero(np.bincount(cand_group, minlength=num_groups)[group] > 0)
         order = order[np.argsort(group[order], kind="stable")]
         return _DecodeTable(
-            _narrow(order, len(code)), _narrow(group[order], num_groups), num_groups,
+            _narrow(order, len(group)), _narrow(group[order], num_groups), num_groups,
             _narrow(cand_group, num_groups),
             [_narrow(c, e.size[v] ** e.n - 1) for c, v in zip(cands, step.decoded)])
 
@@ -371,11 +377,9 @@ class ExactEvaluator:
         reach, NoCandidate where the step did not run, and per decoded letter
         the recovered code, which only an OK status makes meaningful.
         """
-        # the decoded letters' bins pack into one uint64 in order
-        bits = [(cbs[v.upper()].num_bins - 1).bit_length() for v in step.decoded]
-        if sum(bits) > 64:
-            raise CapacityError(" x ".join(str(cbs[v.upper()].num_bins) for v in step.decoded)
-                                + " bins do not pack into 64 bits")
+        # a decoded letter of one bin matches every candidate and is left out
+        binned = [(i, v.upper()) for i, v in enumerate(step.decoded)
+                  if cbs[v.upper()].num_bins > 1]
         elements, first, truths = self._reach
         if prior is None:
             table, slots, truth = self._tables[i], first[i], truths[i]
@@ -386,23 +390,16 @@ class ExactEvaluator:
                 (self._reach_codes[v][0] if v == own else recovered[f"{v}_at_{t}"][1])[run]
                 for v in step.observed if v not in step.decoded])
             slots = run[table.members]
-            truth = [self._reach_codes[v][1][slots] if b else None
-                     for v, b in zip(step.decoded, bits)]
+            truth = {i: self._reach_codes[v.lower()][1][slots] for i, v in binned}
         # one conversion for every scatter below; numpy converts narrow
         # positions to intp on each use
         slots = slots.astype(np.intp, copy=False)
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
         found = [np.zeros(len(elements), dtype=cand.dtype) for cand in table.cands]
-        code = query = top = 0
-        for cand, v, b, at in zip(table.cands, step.decoded, bits, truth):
-            if b:   # a letter of one bin matches every candidate
-                cb = cbs[v.upper()]
-                code = (code << b) | cb.bins_of_indices(cand)
-                query = (query << b) | np.take(values[v.upper()], at)
-                top = (top << b) | (cb.num_bins - 1)
-        if not top:
-            code, query = np.zeros(len(table.cand_group), np.uint8), np.zeros(len(slots), np.uint8)
-        status[slots], pick = _match(table, code, top + 1, query, 8 * len(self.enum.prob))
+        status[slots], pick = _match(
+            table, [cbs[v].bins_of_indices(table.cands[i]) for i, v in binned],
+            [np.take(values[v], truth[i]) for i, v in binned],
+            [cbs[v].num_bins for _, v in binned], 8 * len(self.enum.prob))
         # where no candidate is picked, -1 reads the last one; its status
         # excludes it
         for rec, cand in zip(found, table.cands):

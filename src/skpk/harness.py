@@ -59,9 +59,11 @@ class ExperimentConfig(SchemeFields):
             raise UsageError(f"unknown evaluation mode {self.evaluation_mode!r}")
         if not self.n_values:
             raise UsageError("at least one blocklength is required")
-        _integers("n_values and trials", (*self.n_values, self.trials))
+        _integers("n_values, trials and exact_cap", (*self.n_values, self.trials, self.exact_cap))
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        if self.exact_cap < 1:
+            raise UsageError(f"exact_cap must be >= 1, got {self.exact_cap}")
         self._check(self.n_values)
         if self.evaluation_mode == MODE_EXACT and self.codebook_mode != MODE_TABLE:
             raise UsageError("Exact mode requires ExplicitTable codebooks")

@@ -127,6 +127,14 @@ def test_secrecy_exact_names_a_lowered_cap(xor_file, capsys):
     assert "exceed the exact-mode cap 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_secrecy_exact_refuses_a_cap_below_one(value, xor_file, capsys):
+    argv = ["secrecy-exact", "--pmf", xor_file, "--scheme", "pointP", "--n", "4",
+            "--trials", "1", "--epsilon", "0.5", "--delta", "0.02", "--exact-cap", value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: exact_cap must be >= 1, got {value}")
+
+
 def test_lemma1_command(tmp_path, capsys):
     from skpk.sources import JointDistribution
     import numpy as np

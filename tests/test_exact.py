@@ -16,9 +16,9 @@ from conftest import identical_bits, mirrored_noisy_copy, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
 from skpk.errors import CapacityError, UsageError
 from skpk import exact
-from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, ExactEvaluator,
-                        _DecodeTable, _distinct, _Enumeration, _label_rows, _match,
-                        _ranked, lemma1_check, oracle_codebooks, oracle_secrecy)
+from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, EXACT_PRODUCT_CAP,
+                        ExactEvaluator, _DecodeTable, _distinct, _Enumeration, _label_rows,
+                        _match, _ranked, lemma1_check, oracle_codebooks, oracle_secrecy)
 from skpk.harness import MODE_EXACT, _trial_stats, run_trials
 from skpk.protocol import RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, code_digits, noisy_copy_triple, sequence_code,
@@ -512,27 +512,44 @@ def test_oracle_codebooks_match_evaluator_members(scheme):
             assert cb.seed != ref.seed
 
 
-@pytest.mark.parametrize("scheme,dist,n,eps,trials,orientation,kw", [
-    ("PointP", xor_triple(), 4, 0.9, 10000, "X", {}),
-    ("PointT", xor_triple(), 6, 0.5, 5000, "X", {}),
-    ("PointQ", xor_triple(), 5, 0.9, 5000, "X", {}),
-    ("PointE", xor_triple(), 6, 0.5, 5000, "X", {}),
-    ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, 0.5, 5000, "Y", {}),
+def _atoms(sizes, *atoms) -> JointDistribution:
+    """Equal masses on the given atoms."""
+    pmf = np.zeros(sizes)
+    for atom in atoms:
+        pmf[atom] = 1 / len(atoms)
+    return JointDistribution(sizes, pmf)
+
+
+@pytest.mark.parametrize("scheme,dist,n,eps,trials,orientation,kw,cap", [
+    ("PointP", xor_triple(), 4, 0.9, 10000, "X", {}, None),
+    ("PointT", xor_triple(), 6, 0.5, 5000, "X", {}, None),
+    ("PointQ", xor_triple(), 5, 0.9, 5000, "X", {}, None),
+    ("PointE", xor_triple(), 6, 0.5, 5000, "X", {}, None),
+    ("PointP", mirrored_noisy_copy(0.25, 0.0), 6, 0.5, 5000, "Y", {}, None),
     ("TimeShare", xor_triple(), 12, 0.5, 5000, None,
-     {"ts_schemes": ("PointE", "PointT"), "ts_lambda": 0.5}),
+     {"ts_schemes": ("PointE", "PointT"), "ts_lambda": 0.5}, None),
     # neither part has a secret key
     ("TimeShare", xor_triple(), 12, 0.5, 5000, None,
-     {"ts_schemes": ("PointE", "PointE"), "ts_lambda": 0.5}),
+     {"ts_schemes": ("PointE", "PointE"), "ts_lambda": 0.5}, None),
+    # under a raised cap, steps that observe two letters, one of an alphabet
+    # that is not a power of two, whose sequence codes pack past 2**64
+    ("PointE", _atoms((2, 7, 7), (0, 0, 0), (1, 6, 5)), 12, 0.25, 2000, "X", {"delta": 0.05},
+     2 ** 128),
+    ("PointT", _atoms((2, 7, 2), (0, 0, 0), (1, 6, 1)), 17, 0.25, 2000, "X", {"delta": 0.05},
+     2 ** 128),
+    # y's one sequence has code 8**21 - 1: a (y, z) code packs past 2**63
+    ("PointT", _atoms((2, 8, 2), (1, 7, 1)), 21, 0.25, 2000, "X", {"delta": 0.05}, 2 ** 128),
 ], ids=["PointP-xor", "PointT-xor", "PointQ-xor", "PointE-xor", "PointP-mirrored",
-        "TimeShare-xor", "TimeShare-PointE-PointE-xor"])
-def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw):
+        "TimeShare-xor", "TimeShare-PointE-PointE-xor", "PointE-wide-codes",
+        "PointT-wide-codes", "PointT-codes-past-int64"])
+def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw, cap):
     """Exact masses against sampled frequencies on the same codebooks: key
     agreement, and each decoding terminal's OK rate, counted from the
     sampled members the reports average. For time sharing this checks the
     sampled combination of the parts against the exact one.
     """
     cfg = _config(scheme, dist, n=n, seed=3, eps=eps, **kw)
-    exact = ExactEvaluator(cfg).member()
+    exact = ExactEvaluator(cfg, cap or EXACT_PRODUCT_CAP).member()
     ctx = RunContext(cfg)
     assert (ctx.scheme, ctx.redirected) == (scheme, False)
     # a time-shared context has no rates of its own
@@ -842,6 +859,15 @@ def test_evaluate_refuses_non_integer_codebook_count(count, message):
         evaluator.evaluate(count)
 
 
+@pytest.mark.parametrize("cap,message", [
+    ("abc", "must be integers"), (2.5, "must be integers"), (True, "must be integers"),
+    (0, "exact_cap must be >= 1, got 0"), (-4, "exact_cap must be >= 1, got -4")],
+    ids=["abc", "2.5", "True", "0", "-4"])
+def test_evaluator_refuses_a_bad_cap(cap, message):
+    with pytest.raises(UsageError, match=message):
+        ExactEvaluator(_config("PointT", xor_triple(), n=4), exact_cap=cap)
+
+
 def test_pair_decode_packs_wide_bins():
     """Z bins wider than 32 bits pack next to the helper bin without loss: at
     n=4 both 2**20 and 2**36 bins give the 16 Z sequences distinct bins, so
@@ -851,8 +877,8 @@ def test_pair_decode_packs_wide_bins():
 
 def test_pair_decode_ranks_bins_that_fill_64_bits():
     """With 2**28 helper bins next to 2**36 Z bins the bin pair takes all 64
-    bits and leaves no room for the group, so each candidate is keyed by the
-    dense rank of its bin pair; it decodes as 2**20 Z bins do."""
+    bits and leaves no room for the group, so the candidates' and members'
+    keys are labelled together; it decodes as 2**20 Z bins do."""
     _check_wide_bins(7.0)
 
 
@@ -1073,56 +1099,94 @@ def test_the_oracle_and_the_evaluator_read_sub_bins_apart(monkeypatch):
     assert moved < ref and abs(moved - ours) > 1e-12
 
 
-def test_pair_decode_bin_width_limit():
-    base = RunContext(_config("PointP", xor_triple(), n=4)).rates
-    rates = dataclasses.replace(base, r_x=8.0, r_z=9.0)   # 32 + 36 bits
-    cfg = _config("PointP", xor_triple(), n=4, rates=rates)
-    with pytest.raises(CapacityError, match="64 bits"):
-        ExactEvaluator(cfg).evaluate(1)
+@pytest.mark.parametrize("dist", [xor_triple(), noisy_copy_triple(0.1, 0.3)],
+                         ids=["xor", "noisy"])
+def test_pair_decode_keys_past_64_bits(dist, monkeypatch):
+    """PointP with 2**32 helper bins beside 2**36 Z bins at n = 4, and both
+    keys at rate 0.4: Y's pair decode keys span 2**68 or more, so its
+    candidates' and members' keys are labelled together. The key laws match
+    the oracle, and Y's statuses match Monte Carlo on the same codebooks (on
+    the noisy copy no sequence pair is typical at n = 4).
+    """
+    cfg = _with_rates(_config("PointP", dist, n=4), r_x=8.0, r_z=9.0, r_s=0.4, r_p=0.4)
+    keys, match = [], exact._match
+
+    def recording(table, cols, queries, spans, slots):
+        keys.append(table.num_groups * math.prod(spans))
+        return match(table, cols, queries, spans, slots)
+
+    monkeypatch.setattr(exact, "_match", recording)
+    evaluator = ExactEvaluator(cfg)
+    for k in range(2):
+        stats, ref = evaluator.member(k), oracle_secrecy(cfg, oracle_codebooks(cfg, k))
+        for name in ("leak_ks", "leak_kp", "h_ks", "h_kp"):
+            assert getattr(stats, name) == pytest.approx(ref[name], abs=1e-12), name
+    assert max(keys) >= 2 ** 68
+    exact_y, ctx, trials = evaluator.member().status_mass["Y"], RunContext(cfg), 2000
+    hits = dict.fromkeys(exact_y, 0.0)
+    for i in range(trials):
+        sampled = _trial_stats(ctx, ctx.run(i))[0].status_mass["Y"]
+        for name in hits:
+            hits[name] += sampled[name]
+    for name, p in exact_y.items():
+        sigma = math.sqrt(max(p * (1 - p), 1e-9) / trials)
+        assert abs(hits[name] / trials - p) <= 3 * sigma, name
 
 
-def _brute_force_match(table, code, query):
+def _brute_force_match(table, cols, queries):
     status, pick = [], []
-    for g, q in zip(table.group, query):
-        hits = [c for c in range(len(code)) if table.cand_group[c] == g and code[c] == q]
+    for m, g in enumerate(table.group):
+        hits = [c for c in range(len(table.cand_group)) if table.cand_group[c] == g
+                and all(col[c] == query[m] for col, query in zip(cols, queries))]
         status.append(_ST_OK if len(hits) == 1 else _ST_NONE if not hits else _ST_AMB)
         pick.append(hits[0] if len(hits) == 1 else -1)
     return status, pick
 
 
-def _assert_match(table, code, span, query, slots, expected):
+def _assert_match(table, cols, queries, spans, slots, expected):
     """_match's statuses and picks are the expected ones, the statuses as
     uint8, and a pick is -1 wherever its status is not OK.
     """
-    status, pick = _match(table, code, span, query, slots)
+    status, pick = _match(table, cols, queries, spans, slots)
     assert status.dtype == np.uint8, slots
     assert status.tolist() == expected[0], slots
     assert pick.tolist() == expected[1], slots
     assert (pick[status != _ST_OK] == -1).all(), slots
 
 
-@pytest.mark.parametrize("span", [5, 40, 2 ** 63])
-def test_match_agrees_with_a_brute_force_count(span, rng):
-    """Random tables whose candidates share keys (ambiguous) and leave some
-    groups without candidates, matched through the dense slots (as many
-    slots allowed as there are keys), the sorted pack (one fewer), and, with
-    2**63 codes, the dense ranks; and a table without candidates.
+@pytest.mark.parametrize("spans", [(), (5,), (40,), (3, 7), (2 ** 20, 2 ** 30), (2 ** 63,),
+                                   (2 ** 40, 2 ** 30)],
+                         ids=["no-columns", "5", "40", "3x7", "2**20x2**30",
+                              "9223372036854775808", "2**40x2**30"])
+def test_match_agrees_with_a_brute_force_count(spans, rng):
+    """Random tables keyed by their group and 0, 1 or 2 columns, whose
+    candidates share keys (ambiguous) and leave some groups without
+    candidates (group 0 has one), matched through the dense slots (as many
+    slots allowed as there are keys), the sorted pack (one fewer, or far
+    fewer past 2**16 keys), and past 2**64 keys the joint labels, then the
+    dense slots or the sort; and a table without candidates.
     """
-    num_groups, top = 12, min(span, 8) - 1
-    scale = np.uint64(span // 8 if span > 8 else 1)
-    cand_group = rng.integers(0, num_groups - 3, size=60).astype(np.uint8)
-    code = rng.integers(0, top, size=60).astype(np.uint64) * scale
+    num_groups = 12
+    cand_group = rng.integers(1, num_groups - 3, size=60).astype(np.uint8)
+    cand_group[0] = 0
     group = rng.integers(0, num_groups, size=200).astype(np.uint8)
-    query = code[rng.integers(0, len(code), size=200)]
-    query[::7] = top * scale     # a code no candidate has
-    table = _DecodeTable(np.arange(200), group, num_groups, cand_group, [code])
-    expected = _brute_force_match(table, code, query)
+    picked = rng.integers(0, len(cand_group), size=200)
+    cols, queries = [], []
+    for span in spans:
+        top, scale = min(span, 4) - 1, np.uint64(span // 4 if span > 4 else 1)
+        cols.append(rng.integers(0, top, size=60).astype(np.uint64) * scale)
+        queries.append(cols[-1][picked])
+        queries[-1][::7] = top * scale     # a code no candidate has
+    table = _DecodeTable(np.arange(200), group, num_groups, cand_group, cols)
+    expected = _brute_force_match(table, cols, queries)
     assert {_ST_OK, _ST_NONE, _ST_AMB} <= set(expected[0])
-    dense = num_groups * span
-    for slots in ((dense, dense - 1) if dense < 2 ** 64 else (2 ** 20,)):
-        _assert_match(table, code, span, query, slots, expected)
-    empty = _DecodeTable(np.arange(0), group[:0], num_groups, cand_group[:0], [code[:0]])
-    _assert_match(empty, code[:0], span, query[:0], 2 ** 20, ([], []))
+    keys = num_groups * math.prod(spans)
+    for slots in ((keys, keys - 1) if keys <= 2 ** 16 else (2 ** 20,) if keys < 2 ** 64
+                  else (2 ** 20, 0)):
+        _assert_match(table, cols, queries, spans, slots, expected)
+    empty = _DecodeTable(np.arange(0), group[:0], num_groups, cand_group[:0],
+                         [c[:0] for c in cols])
+    _assert_match(empty, empty.cands, [q[:0] for q in queries], spans, 2 ** 20, ([], []))
 
 
 @pytest.mark.parametrize("sizes", [
@@ -1252,6 +1316,39 @@ def test_step_tables_match_a_sorted_reference(monkeypatch, dist, found, n):
         assert table.num_groups == num_groups, step
         assert np.array_equal(table.cand_group, cand_group), step
         assert [c.tolist() for c in table.cands] == cands, step
+
+
+def test_step_tables_read_codes_past_int64(rng):
+    """PointT's later step observes y and z. With y's alphabet of 8 at
+    n = 21, y's codes reach 8**21 - 1 and a (y, z) pair spans 2**84 codes.
+    Over 40 random elements and the one whose y code is 8**21 - 1, the table
+    groups the rows by (y, z) in lexicographic order and lists each group's
+    candidates as the engine does for its sequences.
+    """
+    cfg = _config("PointT", _atoms((2, 8, 2), (0, 0, 0), (1, 7, 1)), n=21, seed=3,
+                  eps=0.25, delta=0.05)
+    evaluator = ExactEvaluator(cfg, exact_cap=2 ** 128)
+    e, step = evaluator.enum, evaluator.ctx.desc.decodes[-1]
+    assert (step.observed, step.decoded) == ("yz", "x")
+    rows = np.append(rng.integers(0, len(e.prob), size=40), len(e.prob) - 1)
+    y, z = e.idx["y"][rows], e.idx["z"][rows]
+    assert int(y.max()) == 8 ** 21 - 1
+    table = evaluator._step_table(step, [y, z])
+    pairs = sorted(set(zip(y.tolist(), z.tolist())))
+    group = [pairs.index(pair) for pair in zip(y.tolist(), z.tolist())]
+    assert table.num_groups == len(pairs)
+
+    def digits(code, q):
+        return np.array([[code // q ** (20 - t) % q for t in range(21)]])
+
+    engine, found = evaluator.ctx.engines[step.engine_keys()[0]], []
+    for g, (yc, zc) in enumerate(pairs):
+        found.append(engine.candidate_indices((digits(yc, 8), digits(zc, 2)))[0].tolist())
+        assert table.cands[0][table.cand_group == g].tolist() == found[-1]
+    assert 0 < sum(map(bool, found)) < len(pairs)
+    members = sorted((r for r in range(len(rows)) if found[group[r]]), key=lambda r: group[r])
+    assert table.members.tolist() == members
+    assert table.group.tolist() == [group[r] for r in members]
 
 
 @pytest.mark.parametrize("scheme", ["PointP", "PointT"])

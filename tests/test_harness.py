@@ -37,6 +37,9 @@ def test_config_validation():
         _mc_config(evaluation_mode=MODE_EXACT)  # hash codebooks
     with pytest.raises(UsageError):
         _mc_config(evaluation_mode="sometimes")
+    for cap in (0, -5):
+        with pytest.raises(UsageError, match=f"exact_cap must be >= 1, got {cap}"):
+            _mc_config(exact_cap=cap)
     # the scheme setting is checked when the config is built, not at the
     # first record
     for kw in ({"scheme": "Bogus"}, {"epsilon": 1.2}, {"delta": -0.1},
@@ -61,6 +64,7 @@ def test_time_share_split_defaults_to_half():
     {"n_values": (4, 6.0)}, {"n_values": ("4",)}, {"n_values": (True,)},
     {"trials": 2.5}, {"trials": "25"}, {"trials": True},
     {"master_seed": 9.0}, {"master_seed": "9"}, {"master_seed": False},
+    {"exact_cap": "abc"}, {"exact_cap": 2.0 ** 30},
 ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_config_refuses_non_integers(kw):
     with pytest.raises(UsageError, match="must be integers"):
