@@ -123,11 +123,13 @@ class _Enumeration:
 
     def domain(self, v):
         """The sequence codes letter v takes, in ascending order, and each
-        element's position among them (_ranked). Where every code below
+        element's position among them (_ranked) as intp, which numpy gathers
+        by about 3 times as fast as by a narrow type. Where every code below
         size**n occurs, the position is the code.
         """
         if v not in self._domains:
-            self._domains[v] = _ranked(self.idx[v], self.size[v] ** self.n)
+            codes, at = _ranked(self.idx[v], self.size[v] ** self.n)
+            self._domains[v] = codes, at.astype(np.intp)
         return self._domains[v]
 
     @functools.cached_property
@@ -164,6 +166,24 @@ class _DecodeTable:
     cands: list
 
 
+@dataclass
+class _Picks:
+    """A decode step's outcome at its table's members (slots: their reach
+    positions): per member, the index of the candidate it picked (-1 where
+    not OK) and of the true one (-1 where no candidate is the truth).
+    """
+
+    table: _DecodeTable
+    slots: np.ndarray
+    pick: np.ndarray
+    truth: np.ndarray
+
+
+# a recovered copy that holds the true codes: a copy sent verbatim, or a
+# terminal's own sequence
+_VERBATIM = (None, None, 0)
+
+
 def _narrow(a, bound):
     """a as the narrowest unsigned integer type that holds 0..bound, a itself
     if it has that type.
@@ -193,14 +213,24 @@ def _ranked(values, span):
     return distinct, _narrow(ranks, len(distinct) - 1)
 
 
-def _match(table, cols, queries, spans, dense_slots):
+class _Slots:
+    """Dense int32 slots for _match, for at most limit keys: one array kept
+    across calls, grown to the largest key range asked for, -1 between calls.
+    """
+
+    def __init__(self, limit):
+        self.limit, self.array = limit, np.zeros(0, dtype=np.int32)
+
+
+def _match(table, cols, queries, spans, slots):
     """Status of each member's queries among its group's candidates (OK when
     exactly one has them as its columns cols, column i in range(spans[i])),
     as uint8, and the index of that one candidate, -1 elsewhere. Keys
     (group, columns) are packed mixed-radix below 2**64 keys, else labelled
     jointly for candidates and members (_label_rows). With at most
-    dense_slots keys, an int32 slot per key holds its candidate's index, or
-    -2 when several candidates share it; otherwise one sort orders the keys.
+    slots.limit keys, a dense slot per key (_Slots) holds its candidate's
+    index, or -2 when several candidates share it, and is reset to -1
+    after; otherwise one sort orders the keys.
     """
     if len(table.cand_group) == 0:     # then there are no members either
         return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
@@ -208,23 +238,26 @@ def _match(table, cols, queries, spans, dense_slots):
     if total >= 2 ** 64:
         labels, total = _label_rows(
             [np.concatenate(pair) for pair in [(key, q), *zip(cols, queries)]],
-            [table.num_groups, *spans], np.zeros(len(key) + len(q), dtype=np.intp), 1)
+            [table.num_groups, *spans])
         key, q, cols, queries = labels[:len(key)], labels[len(key):], [], []
-    dense = total <= dense_slots and len(key) < 2 ** 31
+    dense = total <= slots.limit and len(key) < 2 ** 31
     key, q = (a.astype(np.intp if dense else np.uint64) for a in (key, q))
     for col, query, span in zip(cols, queries, spans):
         key = key * span + col.astype(key.dtype)
         q = q * span + query.astype(q.dtype)
     if dense:
-        slot = np.full(total, -1, dtype=np.int32)
+        if len(slots.array) < total:
+            slots.array = np.full(total, -1, dtype=np.int32)
+        slot = slots.array
         own = np.arange(len(key), dtype=np.int32)
         # whichever candidate a shared key keeps, the others see it
         slot[key] = own
         slot[key[slot[key] != own]] = -2
         hit = slot[q]
+        slot[key] = -1
         # max(-hit, 0) is OK (0) at a slot's candidate, NoCandidate (1) at
         # -1 and Ambiguous (2) at -2
-        return np.maximum(-hit, 0).astype(np.uint8), np.maximum(hit, -1)
+        return np.maximum(-hit, 0).astype(np.uint8), np.maximum(hit, -1).astype(np.intp)
     # a pick is read only where its key is unique, so any sort order serves
     so = np.argsort(key)
     key = key[so]
@@ -236,17 +269,17 @@ def _match(table, cols, queries, spans, dense_slots):
     return status, np.where(cnt == 1, so[starts[run]], -1)
 
 
-def _label_rows(cols, sizes, labels, num):
+def _label_rows(cols, sizes, labels=None, num=1):
     """Labels in range(count) of the rows of the integer columns cols (column
-    i in range(sizes[i])) within the given labelling of num labels, and their
-    count, in the lexicographic order of (label, columns). One column at a
-    time, label * size + col is ranked (_ranked), or col alone while num is
-    1; a column with more values than rows is ranked first, so no code
-    reaches 2**63.
+    i in range(sizes[i])) within the given labelling of num labels (by
+    default, one label for every row), and their count, in the
+    lexicographic order of (label, columns). One column at a time, label *
+    size + col is ranked (_ranked), or col alone while num is 1; a column
+    with more values than rows is ranked first, so no code reaches 2**63.
     """
     for col, size in zip(cols, sizes):
         size = int(size)
-        if num == 1 or size > len(labels):
+        if num == 1 or size > len(col):
             ranks, col = _ranked(col, size)
             size = len(ranks)
         if num > 1:
@@ -293,9 +326,8 @@ class ExactEvaluator:
         # the middle terminal's coordinate leads the atom order
         axes = (1, 0, 2) if ctx.desc.kp_owner == "Y" else (0, 1, 2)
         self.enum = _Enumeration(self.config.dist, self.config.n, exact_cap, axes)
-        # decode tables of every terminal's first step, whose observed
-        # sequences no codebook draw changes, by step index
-        self._tables = {}
+        self._slots = _Slots(8 * len(self.enum.prob))
+        self._view_entropy = {}     # of the views no codebook draw changes
         return self
 
     # -- exact decode tables -----------------------------------------------
@@ -310,24 +342,26 @@ class ExactEvaluator:
         """
         e = self.enum
         letters = [v for v in step.observed if v not in step.decoded]
-        group, num_groups = _label_rows(observed, [e.size[v] ** e.n for v in letters],
-                                        np.zeros(len(observed[0]), dtype=np.intp), 1)
+        group, num_groups = _label_rows(observed, [e.size[v] ** e.n for v in letters])
+        # numpy indexes by intp about 3 times as fast as by a narrow type
+        ids = group.astype(np.intp)
         # each group's observed sequences, read at one of its rows
         first = np.zeros(num_groups, dtype=np.intp)
-        first[group.astype(np.intp)] = np.arange(len(group))
+        first[ids] = np.arange(len(group))
         rows = {v: np.stack(list(code_digits(col[first], e.size[v], e.n)), axis=-1)
                 for v, col in zip(letters, observed)}
         cand_group, cands = np.arange(num_groups), []
         for key in step.engine_keys():
-            found, per_row = self.ctx.engines[key].candidate_indices(
-                tuple(rows[v] for v in key[:-1]))
+            # an engine observes its candidates' groups and earlier decoded letters
+            found, per_row = self.ctx.engines[key].candidate_indices(tuple(
+                rows[v][cand_group] if v in rows else np.stack(list(code_digits(
+                    cands[step.decoded.index(v)], e.size[v], e.n)), axis=-1)
+                for v in key[:-1]))
             at = np.repeat(np.arange(len(per_row)), per_row)
             cand_group, cands = cand_group[at], [c[at] for c in cands] + [found]
-            rows = {v: s[at] for v, s in rows.items()}
-            rows[key[-1]] = np.stack(list(code_digits(found, e.size[key[-1]], e.n)), axis=-1)
         # grouped members make the per-member searches nearly sorted; group
         # ids are narrow, which numpy's stable sort radix-sorts up to 16 bits
-        order = np.flatnonzero(np.bincount(cand_group, minlength=num_groups)[group] > 0)
+        order = np.flatnonzero((np.bincount(cand_group, minlength=num_groups) > 0)[ids])
         order = order[np.argsort(group[order], kind="stable")]
         return _DecodeTable(
             _narrow(order, len(group)), _narrow(group[order], num_groups), num_groups,
@@ -337,36 +371,48 @@ class ExactEvaluator:
     @functools.cached_property
     def _reach(self):
         """The elements some terminal's first decode step can decode, its
-        table's members, in ascending order; and per first step, its
-        members' positions among them and, per decoded letter, their true
-        sequences' domain positions (enum.domain), which no codebook draw
-        changes. Outside the reach every decoding terminal stays NoCandidate
-        and recovers nothing, so every decode-dependent labelling is
-        constant there. Builds the first steps' tables.
+        table's members, in ascending order; and per first step, its table,
+        its members' positions among them and their truths (_truths), none
+        of which a codebook draw changes. Outside the reach every decoding
+        terminal stays NoCandidate and recovers nothing, so every
+        decode-dependent labelling is constant there.
         """
-        e, seen, truth = self.enum, set(), {}
+        e, seen, first = self.enum, set(), {}
         inside = np.zeros(len(e.prob), dtype=bool)
         for i, step in enumerate(self.ctx.desc.decodes):
             if step.terminal not in seen:
                 seen.add(step.terminal)
-                t = self._tables[i] = self._step_table(
+                table = self._step_table(
                     step, [e.idx[v] for v in step.observed if v not in step.decoded])
-                inside[t.members] = True
-                truth[i] = [e.domain(v)[1][t.members] for v in step.decoded]
-        slot = np.cumsum(inside) - 1
-        elements = np.flatnonzero(inside)
-        return (_narrow(elements, len(inside)),
-                {i: _narrow(slot[t.members], len(elements)) for i, t in self._tables.items()},
-                truth)
+                first[i] = step, table, table.members.astype(np.intp)
+                inside[first[i][2]] = True
+        slot = np.cumsum(inside)
+        return np.flatnonzero(inside), {i: (t, slot[rows] - 1, *self._truths(step, t, rows))
+                                        for i, (step, t, rows) in first.items()}
 
-    @functools.cached_property
-    def _reach_codes(self):
-        """Per letter, its sequence code and its domain position (enum.domain)
-        at each reach element.
+    def _truths(self, step, table, rows):
+        """Per decoded letter, the true sequences' domain positions at a
+        step's table members (rows: their elements); and per member, the
+        index of its group's candidate with the true codes (candidates are
+        distinct), -1 where none has them.
         """
-        elements = self._reach[0]
-        return {v: (self.enum.idx[v][elements], self.enum.domain(v)[1][elements])
-                for v in "xyz"}
+        e = self.enum
+        _, truth = _match(table, table.cands, [e.idx[v][rows] for v in step.decoded],
+                          [e.size[v] ** e.n for v in step.decoded], self._slots)
+        return [e.domain(v)[1][rows] for v in step.decoded], truth
+
+    def _copy_codes(self, v, copy, at):
+        """Letter v's codes at the reach positions at as a recovered copy
+        holds them: the picked candidates', which only an OK status of the
+        copy's step makes meaningful, or the true codes for _VERBATIM.
+        """
+        _, picks, j = copy
+        if picks is None:
+            return self.enum.idx[v][self._reach[0][at]]
+        codes = np.zeros(len(self._reach[0]), dtype=picks.table.cands[j].dtype)
+        # where no candidate is picked, -1 reads the last one
+        codes[picks.slots] = picks.table.cands[j][picks.pick]
+        return codes[at]
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
         """Decode step i at each reach element whose terminal has not failed
@@ -374,37 +420,41 @@ class ExactEvaluator:
         first). A candidate matches when every decoded letter's bin is the
         announced one (values: a binned sender's bins over its letter's
         domain); unique means one match overall. Returns the status over the
-        reach, NoCandidate where the step did not run, and per decoded letter
-        the recovered code, which only an OK status makes meaningful.
+        reach, NoCandidate where the step did not run, and its picks.
         """
         # a decoded letter of one bin matches every candidate and is left out
-        binned = [(i, v.upper()) for i, v in enumerate(step.decoded)
+        binned = [(j, v.upper()) for j, v in enumerate(step.decoded)
                   if cbs[v.upper()].num_bins > 1]
-        elements, first, truths = self._reach
+        elements, first = self._reach
         if prior is None:
-            table, slots, truth = self._tables[i], first[i], truths[i]
+            table, slots, truth, truth_pick = first[i]
         else:
             t, own = step.terminal, step.terminal.lower()
             run = np.flatnonzero(prior == _ST_OK)
             table = self._step_table(step, [
-                (self._reach_codes[v][0] if v == own else recovered[f"{v}_at_{t}"][1])[run]
+                self._copy_codes(v, _VERBATIM if v == own else recovered[f"{v}_at_{t}"], run)
                 for v in step.observed if v not in step.decoded])
             slots = run[table.members]
-            truth = {i: self._reach_codes[v.lower()][1][slots] for i, v in binned}
-        # one conversion for every scatter below; numpy converts narrow
-        # positions to intp on each use
-        slots = slots.astype(np.intp, copy=False)
+            truth, truth_pick = self._truths(step, table, elements[slots])
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
-        found = [np.zeros(len(elements), dtype=cand.dtype) for cand in table.cands]
         status[slots], pick = _match(
-            table, [cbs[v].bins_of_indices(table.cands[i]) for i, v in binned],
-            [np.take(values[v], truth[i]) for i, v in binned],
-            [cbs[v].num_bins for _, v in binned], 8 * len(self.enum.prob))
-        # where no candidate is picked, -1 reads the last one; its status
-        # excludes it
-        for rec, cand in zip(found, table.cands):
-            rec[slots] = cand[pick]
-        return status, found
+            table, [cbs[v].bins_of_indices(table.cands[j]) for j, v in binned],
+            [np.take(values[v], truth[j]) for j, v in binned],
+            [cbs[v].num_bins for _, v in binned], self._slots)
+        return status, _Picks(table, slots, pick, truth_pick)
+
+    def _right(self, copy, same):
+        """Over the reach, where a recovered copy's step decoded OK and, with
+        same, its picked code c passes same(c, at) at reach positions at: a
+        true pick passes, so only the others are asked.
+        """
+        status, picks, j = copy
+        right = status == _ST_OK
+        if same is not None:
+            wrong = np.flatnonzero((picks.pick != picks.truth) & (picks.pick >= 0))
+            at = picks.slots[wrong]
+            right[at[~same(picks.table.cands[j][picks.pick[wrong]], at)]] = False
+        return right
 
     # every decode step runs through _unique_exact; the benchmark's tracer
     # still wraps these two names
@@ -487,8 +537,7 @@ class ExactEvaluator:
             if any(col is None for col, _ in cols):
                 parts.append((None, len(codes), at))
                 continue
-            lab, num = _label_rows([c for c, _ in cols], [s for _, s in cols],
-                                   np.zeros(len(codes), dtype=np.intp), 1)
+            lab, num = _label_rows([c for c, _ in cols], [s for _, s in cols])
             if num > 1:
                 parts.append((lab, num, at))
         # a sequence itself goes last, where its position is its label
@@ -496,17 +545,17 @@ class ExactEvaluator:
         total = math.prod(num for _, num, _ in parts)
         if total > len(e.prob):
             return _label_rows([at if lab is None else lab[at] for lab, _, at in parts],
-                               [num for _, num, _ in parts],
-                               np.zeros(len(e.prob), dtype=np.intp), 1)[0]
-        dtype, labels, radix = np.min_scalar_type(total - 1), None, total
+                               [num for _, num, _ in parts])[0]
+        # intp labels, gathered by intp positions: numpy gathers and counts
+        # them faster than narrow ones
+        labels, radix = None, total
         for lab, num, at in parts:
             radix //= num
             if lab is None and radix == 1:
                 term = at
             else:
                 lab = np.arange(num) if lab is None else lab.astype(np.intp)
-                # np.take gathers by narrow positions faster than indexing
-                term = np.take((lab * radix).astype(dtype), at)
+                term = np.take(lab * radix, at)
             labels = term if labels is None else np.add(labels, term, out=labels)
         return np.zeros(len(e.prob), dtype=np.uint8) if labels is None else labels
 
@@ -518,23 +567,26 @@ class ExactEvaluator:
         order by one bincount, so no entropy depends on how the labels are
         numbered, only on which elements share one. A key of one value is
         not read: its law is the total mass, and it leaks its own entropy.
+        A law that reads each letter verbatim or only through one-valued
+        columns labels the elements alike for every codebook draw, so its
+        entropy is computed once per evaluator.
         """
-        if key_size == 1:
-            return self._one_value_entropy, self._one_value_entropy
-        prob = self.enum.prob
-
         def entropy(view):
-            return _entropy_masses(np.bincount(self._labels(view), weights=prob))
+            verbatim = frozenset(v for v, cols in view.items() if any(c is None for c, _ in cols))
+            fixed = all(size == 1 for v, cols in view.items() if v not in verbatim
+                        for _, size in cols)
+            if not (fixed and verbatim in self._view_entropy):
+                h = _entropy_masses(np.bincount(self._labels(view), weights=self.enum.prob))
+                if not fixed:
+                    return h
+                self._view_entropy[verbatim] = h
+            return self._view_entropy[verbatim]
 
+        if key_size == 1:
+            return entropy({}), entropy({})
         h = entropy({letter: [(key, key_size)]})
         joint = {**view, letter: [*view.get(letter, ()), (key, key_size)]}
         return h, h + entropy(view) - entropy(joint)
-
-    @functools.cached_property
-    def _one_value_entropy(self):
-        """Entropy of a one-valued key: of the total mass, summed like every law."""
-        prob = self.enum.prob
-        return _entropy_masses(np.bincount(np.zeros(len(prob), dtype=np.intp), weights=prob))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -549,7 +601,7 @@ class ExactEvaluator:
         # sequence itself); per binned sender, its bins over its domain
         transcript, values = {}, {}
         # "v_at_T" -> (status over the reach of the step that recovered it,
-        # recovered codes there); the status of a copy sent verbatim is None
+        # its picks, v's place among its decoded letters), or _VERBATIM
         recovered = {}
         for m in desc.messages:
             letter = m.sender.lower()
@@ -559,18 +611,18 @@ class ExactEvaluator:
                 transcript.setdefault(letter, []).append((values[m.sender], cb.num_bins))
             else:
                 transcript.setdefault(letter, []).append((None, None))
-                recovered.update((f"{letter}_at_{t}", (None, self._reach_codes[letter][0]))
+                recovered.update((f"{letter}_at_{t}", _VERBATIM)
                                  for t in TERMINALS if t != m.sender)
         terminal_status = {}
         for i, step in enumerate(desc.decodes):
             t = step.terminal
             prior = terminal_status.get(t)
             # a terminal stops at its first failed step
-            st, found = self._unique_exact(i, step, cbs, values, recovered, prior)
+            st, picks = self._unique_exact(i, step, cbs, values, recovered, prior)
             terminal_status[t] = st if prior is None else np.where(prior != _ST_OK, prior, st)
-            recovered.update((f"{v}_at_{t}", (st, rec)) for v, rec in zip(step.decoded, found))
+            recovered.update((f"{v}_at_{t}", (st, picks, j)) for j, v in enumerate(step.decoded))
 
-        n = float(e.n)
+        n, elements = float(e.n), self._reach[0]
 
         def key_laws(owner, view):
             """Leakage of the owner's sub-bin to one who sees the view, and
@@ -581,12 +633,14 @@ class ExactEvaluator:
             """
             cb, letter = cbs[owner], owner.lower()
             key = cb.sub_bins_of_indices(e.domain(letter)[0])
-            agree, decoded = np.ones(len(self._reach[0]), dtype=bool), False
-            for name, (st, rec) in recovered.items():
-                if name[0] == letter and st is not None:
-                    agree &= st == _ST_OK
-                    if cb.num_sub_bins > 1:
-                        agree &= cb.sub_bins_of_indices(rec) == key[self._reach_codes[letter][1]]
+
+            def same(c, at):
+                return cb.sub_bins_of_indices(c) == key[e.domain(letter)[1][elements[at]]]
+
+            agree, decoded = np.ones(len(elements), dtype=bool), False
+            for name, copy in recovered.items():
+                if name[0] == letter and copy[0] is not None:
+                    agree &= self._right(copy, same if cb.num_sub_bins > 1 else None)
                     decoded = True
             h, leak = self._law_entropy(letter, key, cb.num_sub_bins, view)
             # separately rounded entropies can land a hair below 0
@@ -602,10 +656,10 @@ class ExactEvaluator:
         # recovered code counts where its step decoded OK
         decoding = [t for t in TERMINALS if t in terminal_status]
         agreements = [a for a in (agree_ks, agree_kp) if a is not None]
-        copies = [key for key, (st, _) in recovered.items() if st is not None]
+        copies = [key for key, (st, *_) in recovered.items() if st is not None]
         masses = iter(self._mass(
             [terminal_status[t] for t in decoding] + [a for a, _ in agreements]
-            + [(recovered[key][0] == _ST_OK) & (recovered[key][1] == self._reach_codes[key[0]][0])
+            + [self._right(recovered[key], lambda c, at, v=key[0]: c == e.idx[v][elements[at]])
                for key in copies],
             [3] * len(decoding) + [2] * (len(agreements) + len(copies)),
             [_ST_NONE] * len(decoding) + [r for _, r in agreements] + [0] * len(copies)))
@@ -617,7 +671,7 @@ class ExactEvaluator:
             leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
             agree_ks=agree_ks, agree_kp=agree_kp, status_mass=status,
             recovery_error={key: 0.0 if st is None else 1.0 - next(masses)[1]
-                            for key, (st, _) in recovered.items()})
+                            for key, (st, *_) in recovered.items()})
 
     def member(self, k=None) -> CodebookExact:
         """Exact laws of the k-th ensemble member. With k None, the laws of

@@ -18,11 +18,11 @@ from skpk.errors import CapacityError, UsageError
 from skpk import exact
 from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, EXACT_PRODUCT_CAP,
                         ExactEvaluator, _DecodeTable, _distinct, _Enumeration, _label_rows,
-                        _match, _ranked, lemma1_check, oracle_codebooks, oracle_secrecy)
+                        _match, _ranked, _Slots, lemma1_check, oracle_codebooks, oracle_secrecy)
 from skpk.harness import MODE_EXACT, _trial_stats, run_trials
 from skpk.protocol import RunContext, SchemeConfig
-from skpk.sources import (JointDistribution, code_digits, noisy_copy_triple, sequence_code,
-                          xor_triple)
+from skpk.sources import (JointDistribution, _entropy_masses, code_digits, noisy_copy_triple,
+                          sequence_code, xor_triple)
 from skpk.typicality import CandidateEngine
 
 
@@ -1145,13 +1145,18 @@ def _brute_force_match(table, cols, queries):
 
 def _assert_match(table, cols, queries, spans, slots, expected):
     """_match's statuses and picks are the expected ones, the statuses as
-    uint8, and a pick is -1 wherever its status is not OK.
+    uint8, and a pick is -1 wherever its status is not OK; with at most
+    slots keys matched in dense slots, which it leaves at -1, twice over
+    the same slots.
     """
-    status, pick = _match(table, cols, queries, spans, slots)
-    assert status.dtype == np.uint8, slots
-    assert status.tolist() == expected[0], slots
-    assert pick.tolist() == expected[1], slots
-    assert (pick[status != _ST_OK] == -1).all(), slots
+    dense = _Slots(slots)
+    for _ in range(2):
+        status, pick = _match(table, cols, queries, spans, dense)
+        assert status.dtype == np.uint8, slots
+        assert status.tolist() == expected[0], slots
+        assert pick.tolist() == expected[1], slots
+        assert (pick[status != _ST_OK] == -1).all(), slots
+        assert len(dense.array) <= slots and (dense.array == -1).all(), slots
 
 
 @pytest.mark.parametrize("spans", [(), (5,), (40,), (3, 7), (2 ** 20, 2 ** 30), (2 ** 63,),
@@ -1387,3 +1392,204 @@ def test_wide_stable_sorts_get_narrow_group_ids(monkeypatch, scheme):
         if name == "unique":
             assert dtype.kind == "f", dtype
     assert ("argsort", "stable", np.dtype(np.uint8)) in wide
+
+
+def _member_sweep_sources():
+    """The sources of test_member_sweep_is_pinned."""
+    return [xor_triple(), noisy_copy_triple(0.1, 0.3),
+            random_distribution(np.random.default_rng(11), (3, 2, 2)),
+            random_distribution(np.random.default_rng(12), (2, 2, 2), zero_frac=0.4),
+            mirrored_noisy_copy(0.25, 0.0)]
+
+
+@pytest.mark.parametrize("scheme", ["PointE", "PointT", "PointP", "PointQ"])
+def test_truth_picks_match_a_brute_force_search(scheme):
+    """Every first step's truth picks, pair steps included, on the member
+    sweep's sources at n = 4 and 5: per table member, the candidate of its
+    group whose codes are the element's true sequences, found by scanning
+    the group's candidates one by one, or -1; and the true sequences'
+    domain positions.
+    """
+    found = []
+    for dist, n in itertools.product(_member_sweep_sources(), (4, 5)):
+        evaluator = ExactEvaluator(_config(scheme, dist, n, eps=0.5, delta=0.02))
+        e, elements = evaluator.enum, evaluator._reach[0]
+        for i, (table, slots, truth, truth_pick) in evaluator._reach[1].items():
+            step = evaluator.ctx.desc.decodes[i]
+            of_group = {}
+            for c, g in enumerate(table.cand_group.tolist()):
+                of_group.setdefault(g, []).append(c)
+            rows = elements[slots]
+            codes = [e.idx[v][rows].tolist() for v in step.decoded]
+            expected = []
+            for m, g in enumerate(table.group.tolist()):
+                hits = [c for c in of_group[g]
+                        if all(int(cand[c]) == code[m] for cand, code in zip(table.cands, codes))]
+                assert len(hits) <= 1
+                expected.append(hits[0] if hits else -1)
+            assert truth_pick.tolist() == expected, (step, n)
+            for j, v in enumerate(step.decoded):
+                assert truth[j].dtype == np.intp
+                assert np.array_equal(truth[j], e.domain(v)[1][rows])
+            found += expected
+    # PointE's few members at these n all have their truth among the candidates
+    assert max(found) > 0 and (-1 in found) == (scheme != "PointE")
+
+
+def _brute_force_laws(evaluator, cbs):
+    """Recovery errors and key agreements of a member whose decode steps are
+    all first steps, from each element's picked candidate: the one
+    candidate of its group in its step's table whose every decoded letter
+    has the true sequence's bin, read code by code.
+    """
+    e, desc = evaluator.enum, evaluator.ctx.desc
+    prob = e.prob.tolist()
+    picked = {}     # "v_at_T" -> {element: picked code}
+    for i, (table, slots, _, _) in evaluator._reach[1].items():
+        step = desc.decodes[i]
+        rows = evaluator._reach[0][slots].tolist()
+        of_group = {}
+        for c, g in enumerate(table.cand_group.tolist()):
+            of_group.setdefault(g, []).append(c)
+        for m, g in enumerate(table.group.tolist()):
+            r = rows[m]
+            hits = [c for c in of_group[g] if all(
+                cbs[v.upper()].bin_index(np.array(list(code_digits(np.array([int(cand[c])]),
+                                                                   e.size[v], e.n)))[:, 0])
+                == cbs[v.upper()].bin_index(np.array(list(code_digits(e.idx[v][r:r + 1],
+                                                                      e.size[v], e.n)))[:, 0])
+                for v, cand in zip(step.decoded, table.cands))]
+            for v, cand in zip(step.decoded, table.cands):
+                if len(hits) == 1:
+                    picked.setdefault(f"{v}_at_{step.terminal}", {})[r] = int(cand[hits[0]])
+    recovery = {name: 1.0 - math.fsum(prob[r] for r, code in codes.items()
+                                      if code == int(e.idx[name[0]][r]))
+                for name, codes in picked.items()}
+
+    def agreement(owner):
+        cb, v = cbs[owner], owner.lower()
+        copies = [codes for name, codes in picked.items() if name[0] == v]
+        sub = cb.sub_bins_of_indices
+        return math.fsum(p for r, p in enumerate(prob) if all(
+            r in codes and sub(np.array([codes[r]])) == sub(e.idx[v][r:r + 1])
+            for codes in copies))
+
+    return recovery, agreement(desc.kp_owner), agreement("Z") if "Z" in cbs else None
+
+
+def test_pair_picks_wrong_in_one_letter_recover_the_other():
+    """PointP in orientation Y on a five-atom source at n = 5, with K_P at
+    4 sub-bins: X's pair decode picks candidates that are wrong in the
+    helper y and right in z, and others the other way round. Each letter's
+    recovery and K_P's agreement then compare that letter's code and
+    sub-bin with the truth, and they match a brute-force reference that
+    reads every picked candidate code by code.
+    """
+    dist = _atoms((2, 2, 2), (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1))
+    cfg = _with_rates(_config("PointP", dist, n=5, seed=3, eps=0.5, delta=0.02),
+                      r_x=0.25, r_z=0.5, r_p=0.4)
+    evaluator = ExactEvaluator(cfg)
+    assert evaluator.ctx.desc.kp_owner == "Y"
+    e, mixed = evaluator.enum, [0, 0]
+    for k in range(2):
+        cbs = oracle_codebooks(cfg, k)
+        assert cbs["Y"].num_sub_bins == 4
+        member = evaluator.member(k)
+        for i, (table, slots, _, truth_pick) in evaluator._reach[1].items():
+            step = evaluator.ctx.desc.decodes[i]
+            if len(step.decoded) == 2:
+                _, picks = evaluator._unique_exact(i, step, cbs, {
+                    v: cbs[v].bins_of_indices(e.domain(v.lower())[0]) for v in "YZ"}, {}, None)
+                wrong = (picks.pick >= 0) & (picks.pick != truth_pick)
+                right = [cand[picks.pick] == e.idx[v][evaluator._reach[0][slots]]
+                         for v, cand in zip(step.decoded, table.cands)]
+                mixed[0] += int(np.count_nonzero(wrong & right[0] & ~right[1]))
+                mixed[1] += int(np.count_nonzero(wrong & ~right[0] & right[1]))
+        recovery, agree_kp, agree_ks = _brute_force_laws(evaluator, cbs)
+        assert member.recovery_error == recovery
+        assert member.agree_kp == agree_kp and member.agree_ks == agree_ks
+    assert min(mixed) > 0, mixed
+
+
+def test_view_entropies_are_cached_only_where_no_codebook_changes_the_view():
+    """PointP on xor: X has one bin, so K_P's view (Z^n beside the
+    transcript) reads z verbatim and x only through a one-valued column.
+    Its entropy is computed once per evaluator and equals, bit for bit, an
+    uncached computation on each member's own view. With r_x > 0 and
+    r_s > 0, X has several bins and both keys several values, every law
+    depends on the codebooks, and the cache is never read or written.
+    """
+    cfg = _config("PointP", xor_triple(), n=6, eps=0.25, delta=0.05)
+    evaluator = ExactEvaluator(cfg)
+    e = evaluator.enum
+    for k in range(3):
+        evaluator.member(k)
+        cbs = oracle_codebooks(cfg, k)
+        assert cbs["X"].num_bins == 1 and cbs["X"].num_sub_bins > 1
+        view = {"z": [(None, None)], "x": [(cbs["X"].bins_of_indices(e.domain("x")[0]), 1)]}
+        uncached = _entropy_masses(np.bincount(evaluator._labels(view), weights=e.prob))
+        # K_S has one value: its law is the empty view's
+        assert evaluator._view_entropy.keys() == {frozenset(), frozenset("z")}
+        assert evaluator._view_entropy[frozenset("z")].hex() == uncached.hex()
+
+    class Refusing(dict):
+        def __contains__(self, key):
+            raise AssertionError(f"the view cache was read for {set(key)}")
+
+        def __setitem__(self, key, value):
+            raise AssertionError(f"the view cache was written for {set(key)}")
+
+    binned = _with_rates(cfg, r_x=0.5, r_s=0.3)
+    evaluator = ExactEvaluator(binned)
+    evaluator._view_entropy = Refusing()
+    members = evaluator.evaluate(3).per_codebook
+    cbs = oracle_codebooks(binned, 0)
+    assert cbs["X"].num_bins > 1 and cbs["Z"].num_sub_bins > 1
+    for k, stats in enumerate(members):
+        ref = oracle_secrecy(binned, oracle_codebooks(binned, k))
+        for name in ("leak_ks", "leak_kp", "h_ks", "h_kp"):
+            assert getattr(stats, name) == pytest.approx(ref[name], abs=1e-12), name
+
+
+def test_a_warm_member_counts_two_laws_and_reuses_its_slots(monkeypatch):
+    """A warm PointP member on xor at n = 8, as the exact_ensemble benchmark
+    runs it: K_S has one value and K_P's view entropy is cached, so two
+    weighted bincounts run over the enumeration (K_P's law and its joint law
+    with the view). Both decode steps match in the evaluator's dense slots,
+    so no array as long as a step's key range is allocated.
+    """
+    cfg = SchemeConfig(scheme="PointP", dist=xor_triple(), n=8, epsilon=0.25, delta=0.05,
+                       master_seed=1, codebook_mode=MODE_TABLE)
+    evaluator = ExactEvaluator(cfg)
+    evaluator.member(0)
+    cbs = oracle_codebooks(cfg, 1)
+    key_ranges = []
+    for i, (table, *_) in evaluator._reach[1].items():
+        bins = [cbs[v.upper()].num_bins for v in evaluator.ctx.desc.decodes[i].decoded]
+        key_ranges.append(table.num_groups * math.prod(b for b in bins if b > 1))
+    calls = []
+
+    class Recording:
+        """numpy as skpk.exact sees it, with counts and allocations recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, x, *args, **kw):
+            calls.append(("bincount", len(x), kw.get("weights") is not None))
+            return np.bincount(x, *args, **kw)
+
+        def _allocation(name):
+            def allocate(self, shape, *args, **kw):
+                calls.append((name, math.prod(np.atleast_1d(shape)), None))
+                return getattr(np, name)(shape, *args, **kw)
+            return allocate
+
+        full, zeros, empty = _allocation("full"), _allocation("zeros"), _allocation("empty")
+
+    monkeypatch.setattr(exact, "np", Recording())
+    evaluator.member(1)
+    size = len(evaluator.enum.prob)
+    assert [n for name, n, weighted in calls if name == "bincount" and weighted] == [size, size]
+    assert key_ranges == [256 * 1024, 256 * 1024]
+    assert [n for name, n, _ in calls if name != "bincount" and n >= min(key_ranges)] == []
