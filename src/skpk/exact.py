@@ -119,18 +119,24 @@ class _Enumeration:
         self.size = dict(zip("xyz", dist.alphabet_sizes))
         self.idx = idx
         self.prob = prob
-        self._domains = {}
+        self._domains, self._positions = {}, {}
 
     def domain(self, v):
         """The sequence codes letter v takes, in ascending order, and each
-        element's position among them (_ranked) as intp, which numpy gathers
-        by about 3 times as fast as by a narrow type. Where every code below
+        element's position among them (_ranked). Where every code below
         size**n occurs, the position is the code.
         """
         if v not in self._domains:
-            codes, at = _ranked(self.idx[v], self.size[v] ** self.n)
-            self._domains[v] = codes, at.astype(np.intp)
+            self._domains[v] = _ranked(self.idx[v], self.size[v] ** self.n)
         return self._domains[v]
+
+    def positions(self, v):
+        """domain(v)'s positions as intp, made on first use: numpy gathers by
+        intp about 3 times as fast as by a narrow type.
+        """
+        if v not in self._positions:
+            self._positions[v] = self.domain(v)[1].astype(np.intp)
+        return self._positions[v]
 
     @functools.cached_property
     def mass_classes(self):
@@ -168,20 +174,36 @@ class _DecodeTable:
 
 @dataclass
 class _Picks:
-    """A decode step's outcome at its table's members (slots: their reach
-    positions): per member, the index of the candidate it picked (-1 where
-    not OK) and of the true one (-1 where no candidate is the truth).
+    """A decode step's outcome: its status over the reach, and at its table's
+    members (slots: their reach positions) the index of the candidate each
+    picked (-1 where not OK) and of the true one (-1 where none is).
     """
 
+    status: np.ndarray
     table: _DecodeTable
     slots: np.ndarray
     pick: np.ndarray
     truth: np.ndarray
 
+    def codes(self, j):
+        """Decoded letter j's picked codes over the reach, which only an OK
+        status makes meaningful; where none is picked, -1 reads the last.
+        """
+        codes = np.zeros(len(self.status), dtype=self.table.cands[j].dtype)
+        codes[self.slots] = self.table.cands[j][self.pick]
+        return codes
 
-# a recovered copy that holds the true codes: a copy sent verbatim, or a
-# terminal's own sequence
-_VERBATIM = (None, None, 0)
+    def right(self, j, same):
+        """Over the reach, where the step decoded OK and, with same, letter
+        j's picked code c passes same(c, at) at reach positions at: a true
+        pick passes, so only the others are asked.
+        """
+        right = self.status == _ST_OK
+        if same is not None:
+            wrong = np.flatnonzero((self.pick != self.truth) & (self.pick >= 0))
+            at = self.slots[wrong]
+            right[at[~same(self.table.cands[j][self.pick[wrong]], at)]] = False
+        return right
 
 
 def _narrow(a, bound):
@@ -399,28 +421,15 @@ class ExactEvaluator:
         e = self.enum
         _, truth = _match(table, table.cands, [e.idx[v][rows] for v in step.decoded],
                           [e.size[v] ** e.n for v in step.decoded], self._slots)
-        return [e.domain(v)[1][rows] for v in step.decoded], truth
-
-    def _copy_codes(self, v, copy, at):
-        """Letter v's codes at the reach positions at as a recovered copy
-        holds them: the picked candidates', which only an OK status of the
-        copy's step makes meaningful, or the true codes for _VERBATIM.
-        """
-        _, picks, j = copy
-        if picks is None:
-            return self.enum.idx[v][self._reach[0][at]]
-        codes = np.zeros(len(self._reach[0]), dtype=picks.table.cands[j].dtype)
-        # where no candidate is picked, -1 reads the last one
-        codes[picks.slots] = picks.table.cands[j][picks.pick]
-        return codes[at]
+        return [e.domain(v)[1][rows].astype(np.intp) for v in step.decoded], truth
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
         """Decode step i at each reach element whose terminal has not failed
         before it (prior: the status after its earlier steps, None at its
         first). A candidate matches when every decoded letter's bin is the
         announced one (values: a binned sender's bins over its letter's
-        domain); unique means one match overall. Returns the status over the
-        reach, NoCandidate where the step did not run, and its picks.
+        domain); unique means one match overall. Returns its picks, with the
+        status NoCandidate where the step did not run.
         """
         # a decoded letter of one bin matches every candidate and is left out
         binned = [(j, v.upper()) for j, v in enumerate(step.decoded)
@@ -431,9 +440,12 @@ class ExactEvaluator:
         else:
             t, own = step.terminal, step.terminal.lower()
             run = np.flatnonzero(prior == _ST_OK)
+            # a terminal's own sequence, and a verbatim copy, hold the true codes
+            held = {v: (None, 0) if v == own else recovered[f"{v}_at_{t}"]
+                    for v in step.observed if v not in step.decoded}
             table = self._step_table(step, [
-                self._copy_codes(v, _VERBATIM if v == own else recovered[f"{v}_at_{t}"], run)
-                for v in step.observed if v not in step.decoded])
+                self.enum.idx[v][elements[run]] if picks is None else picks.codes(j)[run]
+                for v, (picks, j) in held.items()])
             slots = run[table.members]
             truth, truth_pick = self._truths(step, table, elements[slots])
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
@@ -441,20 +453,7 @@ class ExactEvaluator:
             table, [cbs[v].bins_of_indices(table.cands[j]) for j, v in binned],
             [np.take(values[v], truth[j]) for j, v in binned],
             [cbs[v].num_bins for _, v in binned], self._slots)
-        return status, _Picks(table, slots, pick, truth_pick)
-
-    def _right(self, copy, same):
-        """Over the reach, where a recovered copy's step decoded OK and, with
-        same, its picked code c passes same(c, at) at reach positions at: a
-        true pick passes, so only the others are asked.
-        """
-        status, picks, j = copy
-        right = status == _ST_OK
-        if same is not None:
-            wrong = np.flatnonzero((picks.pick != picks.truth) & (picks.pick >= 0))
-            at = picks.slots[wrong]
-            right[at[~same(picks.table.cands[j][picks.pick[wrong]], at)]] = False
-        return right
+        return _Picks(status, table, slots, pick, truth_pick)
 
     # every decode step runs through _unique_exact; the benchmark's tracer
     # still wraps these two names
@@ -531,31 +530,31 @@ class ExactEvaluator:
         exactly when they share every column.
         """
         e = self.enum
-        parts = []      # (labels over the domain or None for the code, count, positions)
+        parts = []      # (labels over the domain or None for the code, count, letter)
         for v, cols in view.items():
-            codes, at = e.domain(v)
+            codes = e.domain(v)[0]
             if any(col is None for col, _ in cols):
-                parts.append((None, len(codes), at))
+                parts.append((None, len(codes), v))
                 continue
             lab, num = _label_rows([c for c, _ in cols], [s for _, s in cols])
             if num > 1:
-                parts.append((lab, num, at))
+                parts.append((lab, num, v))
         # a sequence itself goes last, where its position is its label
         parts.sort(key=lambda p: p[0] is None)
         total = math.prod(num for _, num, _ in parts)
         if total > len(e.prob):
-            return _label_rows([at if lab is None else lab[at] for lab, _, at in parts],
-                               [num for _, num, _ in parts])[0]
+            return _label_rows([e.domain(v)[1] if lab is None else lab[e.positions(v)]
+                                for lab, _, v in parts], [num for _, num, _ in parts])[0]
         # intp labels, gathered by intp positions: numpy gathers and counts
         # them faster than narrow ones
         labels, radix = None, total
-        for lab, num, at in parts:
+        for lab, num, v in parts:
             radix //= num
             if lab is None and radix == 1:
-                term = at
+                term = e.domain(v)[1]
             else:
                 lab = np.arange(num) if lab is None else lab.astype(np.intp)
-                term = np.take(lab * radix, at)
+                term = np.take(lab * radix, e.positions(v))
             labels = term if labels is None else np.add(labels, term, out=labels)
         return np.zeros(len(e.prob), dtype=np.uint8) if labels is None else labels
 
@@ -600,8 +599,8 @@ class ExactEvaluator:
         # per letter, the transcript's columns of its sequence (None: the
         # sequence itself); per binned sender, its bins over its domain
         transcript, values = {}, {}
-        # "v_at_T" -> (status over the reach of the step that recovered it,
-        # its picks, v's place among its decoded letters), or _VERBATIM
+        # "v_at_T" -> (picks of the step that recovered it, v's place among
+        # its decoded letters); a copy sent verbatim has no picks
         recovered = {}
         for m in desc.messages:
             letter = m.sender.lower()
@@ -611,16 +610,17 @@ class ExactEvaluator:
                 transcript.setdefault(letter, []).append((values[m.sender], cb.num_bins))
             else:
                 transcript.setdefault(letter, []).append((None, None))
-                recovered.update((f"{letter}_at_{t}", _VERBATIM)
+                recovered.update((f"{letter}_at_{t}", (None, 0))
                                  for t in TERMINALS if t != m.sender)
         terminal_status = {}
         for i, step in enumerate(desc.decodes):
             t = step.terminal
             prior = terminal_status.get(t)
             # a terminal stops at its first failed step
-            st, picks = self._unique_exact(i, step, cbs, values, recovered, prior)
+            picks = self._unique_exact(i, step, cbs, values, recovered, prior)
+            st = picks.status
             terminal_status[t] = st if prior is None else np.where(prior != _ST_OK, prior, st)
-            recovered.update((f"{v}_at_{t}", (st, picks, j)) for j, v in enumerate(step.decoded))
+            recovered.update((f"{v}_at_{t}", (picks, j)) for j, v in enumerate(step.decoded))
 
         n, elements = float(e.n), self._reach[0]
 
@@ -638,9 +638,9 @@ class ExactEvaluator:
                 return cb.sub_bins_of_indices(c) == key[e.domain(letter)[1][elements[at]]]
 
             agree, decoded = np.ones(len(elements), dtype=bool), False
-            for name, copy in recovered.items():
-                if name[0] == letter and copy[0] is not None:
-                    agree &= self._right(copy, same if cb.num_sub_bins > 1 else None)
+            for name, (picks, j) in recovered.items():
+                if name[0] == letter and picks is not None:
+                    agree &= picks.right(j, same if cb.num_sub_bins > 1 else None)
                     decoded = True
             h, leak = self._law_entropy(letter, key, cb.num_sub_bins, view)
             # separately rounded entropies can land a hair below 0
@@ -656,11 +656,11 @@ class ExactEvaluator:
         # recovered code counts where its step decoded OK
         decoding = [t for t in TERMINALS if t in terminal_status]
         agreements = [a for a in (agree_ks, agree_kp) if a is not None]
-        copies = [key for key, (st, *_) in recovered.items() if st is not None]
+        copies = [(key[0], *copy) for key, copy in recovered.items() if copy[0] is not None]
         masses = iter(self._mass(
             [terminal_status[t] for t in decoding] + [a for a, _ in agreements]
-            + [self._right(recovered[key], lambda c, at, v=key[0]: c == e.idx[v][elements[at]])
-               for key in copies],
+            + [picks.right(j, lambda c, at, v=v: c == e.idx[v][elements[at]])
+               for v, picks, j in copies],
             [3] * len(decoding) + [2] * (len(agreements) + len(copies)),
             [_ST_NONE] * len(decoding) + [r for _, r in agreements] + [0] * len(copies)))
         # a terminal that decodes nothing is OK
@@ -670,8 +670,8 @@ class ExactEvaluator:
         return CodebookExact(
             leak_ks=leak_ks, leak_kp=leak_kp, h_ks=h_ks, h_kp=h_kp,
             agree_ks=agree_ks, agree_kp=agree_kp, status_mass=status,
-            recovery_error={key: 0.0 if st is None else 1.0 - next(masses)[1]
-                            for key, (st, *_) in recovered.items()})
+            recovery_error={key: 0.0 if picks is None else 1.0 - next(masses)[1]
+                            for key, (picks, _) in recovered.items()})
 
     def member(self, k=None) -> CodebookExact:
         """Exact laws of the k-th ensemble member. With k None, the laws of

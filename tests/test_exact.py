@@ -1498,7 +1498,7 @@ def test_pair_picks_wrong_in_one_letter_recover_the_other():
         for i, (table, slots, _, truth_pick) in evaluator._reach[1].items():
             step = evaluator.ctx.desc.decodes[i]
             if len(step.decoded) == 2:
-                _, picks = evaluator._unique_exact(i, step, cbs, {
+                picks = evaluator._unique_exact(i, step, cbs, {
                     v: cbs[v].bins_of_indices(e.domain(v.lower())[0]) for v in "YZ"}, {}, None)
                 wrong = (picks.pick >= 0) & (picks.pick != truth_pick)
                 right = [cand[picks.pick] == e.idx[v][evaluator._reach[0][slots]]
