@@ -119,24 +119,18 @@ class _Enumeration:
         self.size = dict(zip("xyz", dist.alphabet_sizes))
         self.idx = idx
         self.prob = prob
-        self._domains, self._positions = {}, {}
+        self._domains = {}
 
     def domain(self, v):
         """The sequence codes letter v takes, in ascending order, and each
-        element's position among them (_ranked). Where every code below
-        size**n occurs, the position is the code.
+        element's position among them (_ranked) as intp, which numpy gathers
+        and adds to intp labels faster than a narrow type. Where every code
+        below size**n occurs, the position is the code.
         """
         if v not in self._domains:
-            self._domains[v] = _ranked(self.idx[v], self.size[v] ** self.n)
+            codes, at = _ranked(self.idx[v], self.size[v] ** self.n)
+            self._domains[v] = codes, at.astype(np.intp)
         return self._domains[v]
-
-    def positions(self, v):
-        """domain(v)'s positions as intp, made on first use: numpy gathers by
-        intp about 3 times as fast as by a narrow type.
-        """
-        if v not in self._positions:
-            self._positions[v] = self.domain(v)[1].astype(np.intp)
-        return self._positions[v]
 
     @functools.cached_property
     def mass_classes(self):
@@ -421,7 +415,7 @@ class ExactEvaluator:
         e = self.enum
         _, truth = _match(table, table.cands, [e.idx[v][rows] for v in step.decoded],
                           [e.size[v] ** e.n for v in step.decoded], self._slots)
-        return [e.domain(v)[1][rows].astype(np.intp) for v in step.decoded], truth
+        return [e.domain(v)[1][rows] for v in step.decoded], truth
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
         """Decode step i at each reach element whose terminal has not failed
@@ -530,31 +524,30 @@ class ExactEvaluator:
         exactly when they share every column.
         """
         e = self.enum
-        parts = []      # (labels over the domain or None for the code, count, letter)
+        parts = []      # (labels over the domain or None for the code, count, positions)
         for v, cols in view.items():
-            codes = e.domain(v)[0]
+            codes, at = e.domain(v)
             if any(col is None for col, _ in cols):
-                parts.append((None, len(codes), v))
+                parts.append((None, len(codes), at))
                 continue
             lab, num = _label_rows([c for c, _ in cols], [s for _, s in cols])
             if num > 1:
-                parts.append((lab, num, v))
+                parts.append((lab, num, at))
         # a sequence itself goes last, where its position is its label
         parts.sort(key=lambda p: p[0] is None)
         total = math.prod(num for _, num, _ in parts)
         if total > len(e.prob):
-            return _label_rows([e.domain(v)[1] if lab is None else lab[e.positions(v)]
-                                for lab, _, v in parts], [num for _, num, _ in parts])[0]
-        # intp labels, gathered by intp positions: numpy gathers and counts
-        # them faster than narrow ones
+            return _label_rows([at if lab is None else lab[at] for lab, _, at in parts],
+                               [num for _, num, _ in parts])[0]
+        # intp labels: numpy gathers, adds and counts them faster than narrow ones
         labels, radix = None, total
-        for lab, num, v in parts:
+        for lab, num, at in parts:
             radix //= num
             if lab is None and radix == 1:
-                term = e.domain(v)[1]
+                term = at
             else:
                 lab = np.arange(num) if lab is None else lab.astype(np.intp)
-                term = np.take(lab * radix, e.positions(v))
+                term = np.take(lab * radix, at)
             labels = term if labels is None else np.add(labels, term, out=labels)
         return np.zeros(len(e.prob), dtype=np.uint8) if labels is None else labels
 
