@@ -194,10 +194,14 @@ class _Picks:
         """
         right = self.status == _ST_OK
         if same is not None:
-            wrong = np.flatnonzero((self.pick != self.truth) & (self.pick >= 0))
-            at = self.slots[wrong]
-            right[at[~same(self.table.cands[j][self.pick[wrong]], at)]] = False
+            at = self.slots[self.wrong]
+            right[at[~same(self.table.cands[j][self.pick[self.wrong]], at)]] = False
         return right
+
+    @functools.cached_property
+    def wrong(self):
+        """The members that decoded OK to another candidate than the truth."""
+        return np.flatnonzero((self.pick != self.truth) & (self.pick >= 0))
 
 
 def _narrow(a, bound):
@@ -257,10 +261,12 @@ def _match(table, cols, queries, spans, slots):
             [table.num_groups, *spans])
         key, q, cols, queries = labels[:len(key)], labels[len(key):], [], []
     dense = total <= slots.limit and len(key) < 2 ** 31
+    # in place: fresh arrays of a step's members cost more than the arithmetic
     key, q = (a.astype(np.intp if dense else np.uint64) for a in (key, q))
     for col, query, span in zip(cols, queries, spans):
-        key = key * span + col.astype(key.dtype)
-        q = q * span + query.astype(q.dtype)
+        for packed, column in ((key, col), (q, query)):
+            packed *= span
+            packed += column.astype(packed.dtype, copy=False)
     if dense:
         if len(slots.array) < total:
             slots.array = np.full(total, -1, dtype=np.int32)
@@ -271,9 +277,9 @@ def _match(table, cols, queries, spans, slots):
         slot[key[slot[key] != own]] = -2
         hit = slot[q]
         slot[key] = -1
-        # max(-hit, 0) is OK (0) at a slot's candidate, NoCandidate (1) at
-        # -1 and Ambiguous (2) at -2
-        return np.maximum(-hit, 0).astype(np.uint8), np.maximum(hit, -1).astype(np.intp)
+        # OK (0) at a slot's candidate, NoCandidate (1) at -1, Ambiguous (2) at -2
+        status = (hit < 0).view(np.uint8) + (hit < -1).view(np.uint8)
+        return status, np.maximum(hit, -1, dtype=np.intp)
     # a pick is read only where its key is unique, so any sort order serves
     so = np.argsort(key)
     key = key[so]
