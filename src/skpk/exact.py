@@ -367,11 +367,11 @@ class ExactEvaluator:
         group, num_groups = _label_rows(observed, [e.size[v] ** e.n for v in letters])
         # numpy indexes by intp about 3 times as fast as by a narrow type
         ids = group.astype(np.intp)
-        # each group's observed sequences, read at one of its rows
-        first = np.zeros(num_groups, dtype=np.intp)
-        first[ids] = np.arange(len(group))
-        rows = {v: np.stack(list(code_digits(col[first], e.size[v], e.n)), axis=-1)
-                for v, col in zip(letters, observed)}
+        rows = {}       # each group's observed sequences, scattered from its rows
+        for v, col in zip(letters, observed):
+            codes = np.empty(num_groups, dtype=col.dtype)
+            codes[ids] = col
+            rows[v] = np.stack(list(code_digits(codes, e.size[v], e.n)), axis=-1)
         cand_group, cands = np.arange(num_groups), []
         for key in step.engine_keys():
             # an engine observes its candidates' groups and earlier decoded letters
@@ -419,8 +419,15 @@ class ExactEvaluator:
         distinct), -1 where none has them.
         """
         e = self.enum
-        _, truth = _match(table, table.cands, [e.idx[v][rows] for v in step.decoded],
-                          [e.size[v] ** e.n for v in step.decoded], self._slots)
+        codes = [e.idx[v][rows] for v in step.decoded]
+        spans = [e.size[v] ** e.n for v in step.decoded]
+        # the first letter narrows the search: where no candidate of its group
+        # has the true first code, there is no truth
+        status, truth = _match(table, table.cands[:1], codes[:1], spans[:1], self._slots)
+        if len(codes) > 1:
+            at = np.flatnonzero(status != _ST_NONE)
+            sub = _DecodeTable(at, table.group[at], table.num_groups, table.cand_group, table.cands)
+            truth[at] = _match(sub, table.cands, [c[at] for c in codes], spans, self._slots)[1]
         return [e.domain(v)[1][rows] for v in step.decoded], truth
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
