@@ -400,6 +400,9 @@ class ExactEvaluator:
         decode-dependent labelling is constant there.
         """
         e, seen, first = self.enum, set(), {}
+        # the mass classes first: their np.unique's temporaries, taken before
+        # the tables and truths are held, then stay below the member's peak
+        e.mass_classes
         inside = np.zeros(len(e.prob), dtype=bool)
         for i, step in enumerate(self.ctx.desc.decodes):
             if step.terminal not in seen:
