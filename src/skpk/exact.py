@@ -424,14 +424,20 @@ class ExactEvaluator:
         e = self.enum
         codes = [e.idx[v][rows] for v in step.decoded]
         spans = [e.size[v] ** e.n for v in step.decoded]
-        # the first letter narrows the search: where no candidate of its group
-        # has the true first code, there is no truth
-        status, truth = _match(table, table.cands[:1], codes[:1], spans[:1], self._slots)
-        if len(codes) > 1:
-            at = np.flatnonzero(status != _ST_NONE)
+        positions = [e.domain(v)[1][rows] for v in step.decoded]
+        if table.num_groups * math.prod(spans) <= self._slots.limit:
+            return positions, _match(table, table.cands, codes, spans, self._slots)[1]
+        # past the dense slots, every letter but the last narrows the search
+        # first: one candidate left is the truth if its last code is, and
+        # several are matched by all their codes
+        status, truth = _match(table, table.cands[:-1], codes[:-1], spans[:-1], self._slots)
+        at = np.flatnonzero(status == _ST_OK)
+        truth[at[table.cands[-1][truth[at]] != codes[-1][at]]] = -1
+        at = np.flatnonzero(status == _ST_AMB)
+        if len(at):
             sub = _DecodeTable(at, table.group[at], table.num_groups, table.cand_group, table.cands)
             truth[at] = _match(sub, table.cands, [c[at] for c in codes], spans, self._slots)[1]
-        return [e.domain(v)[1][rows] for v in step.decoded], truth
+        return positions, truth
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
         """Decode step i at each reach element whose terminal has not failed

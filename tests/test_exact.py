@@ -1402,38 +1402,53 @@ def _member_sweep_sources():
             mirrored_noisy_copy(0.25, 0.0)]
 
 
+# five atoms on which a pair step's helper leaves several z candidates
+_FIVE_ATOMS = _atoms((2, 2, 2), (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1))
+
+
 @pytest.mark.parametrize("scheme", ["PointE", "PointT", "PointP", "PointQ"])
-def test_truth_picks_match_a_brute_force_search(scheme):
-    """Every first step's truth picks, pair steps included, on the member
-    sweep's sources at n = 4 and 5: per table member, the candidate of its
-    group whose codes are the element's true sequences, found by scanning
-    the group's candidates one by one, or -1; and the true sequences'
-    domain positions.
+def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
+    """The truth picks of every decode table two members build, first and
+    later steps, pair steps included, on the member sweep's sources and the
+    five-atom source at n = 4 and 5 and on xor at n = 6: per table member,
+    the candidate of its group whose codes are the element's true
+    sequences, found by scanning the group's candidates one by one, or -1;
+    and the true sequences' domain positions. Past the dense slots the
+    search is narrowed by every letter but the last: on the five-atom
+    source that leaves several pair candidates to match by their full
+    codes, and on PointT's later step over xor at n = 6 one candidate that
+    is not always the truth.
     """
+    calls, truths = [], ExactEvaluator._truths
+
+    def recording(self, step, table, rows):
+        result = truths(self, step, table, rows)
+        calls.append((self.enum, step, table, rows, result))
+        return result
+
+    monkeypatch.setattr(ExactEvaluator, "_truths", recording)
+    configs = [*itertools.product(_member_sweep_sources() + [_FIVE_ATOMS], (4, 5)),
+               (xor_triple(), 6)]
+    for dist, n in configs:
+        ExactEvaluator(_config(scheme, dist, n, eps=0.5, delta=0.02)).evaluate(2)
     found = []
-    for dist, n in itertools.product(_member_sweep_sources(), (4, 5)):
-        evaluator = ExactEvaluator(_config(scheme, dist, n, eps=0.5, delta=0.02))
-        e, elements = evaluator.enum, evaluator._reach[0]
-        for i, (table, slots, truth, truth_pick) in evaluator._reach[1].items():
-            step = evaluator.ctx.desc.decodes[i]
-            of_group = {}
-            for c, g in enumerate(table.cand_group.tolist()):
-                of_group.setdefault(g, []).append(c)
-            rows = elements[slots]
-            codes = [e.idx[v][rows].tolist() for v in step.decoded]
-            expected = []
-            for m, g in enumerate(table.group.tolist()):
-                hits = [c for c in of_group[g]
-                        if all(int(cand[c]) == code[m] for cand, code in zip(table.cands, codes))]
-                assert len(hits) <= 1
-                expected.append(hits[0] if hits else -1)
-            assert truth_pick.tolist() == expected, (step, n)
-            for j, v in enumerate(step.decoded):
-                assert truth[j].dtype == np.intp
-                assert np.array_equal(truth[j], e.domain(v)[1][rows])
-            found += expected
-    # PointE's few members at these n all have their truth among the candidates
-    assert max(found) > 0 and (-1 in found) == (scheme != "PointE")
+    for e, step, table, rows, (truth, truth_pick) in calls:
+        of_group = {}
+        for c, g in enumerate(table.cand_group.tolist()):
+            of_group.setdefault(g, []).append(c)
+        codes = [e.idx[v][rows].tolist() for v in step.decoded]
+        expected = []
+        for m, g in enumerate(table.group.tolist()):
+            hits = [c for c in of_group[g]
+                    if all(int(cand[c]) == code[m] for cand, code in zip(table.cands, codes))]
+            assert len(hits) <= 1
+            expected.append(hits[0] if hits else -1)
+        assert truth_pick.tolist() == expected, step
+        for j, v in enumerate(step.decoded):
+            assert truth[j].dtype == np.intp
+            assert np.array_equal(truth[j], e.domain(v)[1][rows])
+        found += expected
+    assert max(found) > 0 and -1 in found
 
 
 def _brute_force_laws(evaluator, cbs):
@@ -1485,8 +1500,7 @@ def test_pair_picks_wrong_in_one_letter_recover_the_other():
     sub-bin with the truth, and they match a brute-force reference that
     reads every picked candidate code by code.
     """
-    dist = _atoms((2, 2, 2), (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1))
-    cfg = _with_rates(_config("PointP", dist, n=5, seed=3, eps=0.5, delta=0.02),
+    cfg = _with_rates(_config("PointP", _FIVE_ATOMS, n=5, seed=3, eps=0.5, delta=0.02),
                       r_x=0.25, r_z=0.5, r_p=0.4)
     evaluator = ExactEvaluator(cfg)
     assert evaluator.ctx.desc.kp_owner == "Y"
