@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -1459,6 +1460,12 @@ def _brute_force_laws(evaluator, cbs):
     """
     e, desc = evaluator.enum, evaluator.ctx.desc
     prob = e.prob.tolist()
+
+    @functools.cache
+    def bin_of(v, code):
+        digits = np.array([int(d[0]) for d in code_digits(np.array([code]), e.size[v], e.n)])
+        return cbs[v.upper()].bin_index(digits)
+
     picked = {}     # "v_at_T" -> {element: picked code}
     for i, (table, slots, _, _) in evaluator._reach[1].items():
         step = desc.decodes[i]
@@ -1469,10 +1476,7 @@ def _brute_force_laws(evaluator, cbs):
         for m, g in enumerate(table.group.tolist()):
             r = rows[m]
             hits = [c for c in of_group[g] if all(
-                cbs[v.upper()].bin_index(np.array(list(code_digits(np.array([int(cand[c])]),
-                                                                   e.size[v], e.n)))[:, 0])
-                == cbs[v.upper()].bin_index(np.array(list(code_digits(e.idx[v][r:r + 1],
-                                                                      e.size[v], e.n)))[:, 0])
+                bin_of(v, int(cand[c])) == bin_of(v, int(e.idx[v][r]))
                 for v, cand in zip(step.decoded, table.cands))]
             for v, cand in zip(step.decoded, table.cands):
                 if len(hits) == 1:
