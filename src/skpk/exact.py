@@ -184,7 +184,8 @@ class _Picks:
         status makes meaningful; where none is picked, -1 reads the last.
         """
         codes = np.zeros(len(self.status), dtype=self.table.cands[j].dtype)
-        codes[self.slots] = self.table.cands[j][self.pick]
+        # np.take reads int32 picks without a fancy index's conversion
+        codes[self.slots] = np.take(self.table.cands[j], self.pick)
         return codes
 
     def right(self, j, same):
@@ -279,7 +280,7 @@ def _match(table, cols, queries, spans, slots):
         slot[key] = -1
         # OK (0) at a slot's candidate, NoCandidate (1) at -1, Ambiguous (2) at -2
         status = (hit < 0).view(np.uint8) + (hit < -1).view(np.uint8)
-        return status, np.maximum(hit, -1, dtype=np.intp)
+        return status, np.maximum(hit, -1)
     # a pick is read only where its key is unique, so any sort order serves
     so = np.argsort(key)
     key = key[so]
