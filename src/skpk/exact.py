@@ -251,7 +251,7 @@ def _match(table, cols, queries, spans, slots):
     jointly for candidates and members (_label_rows). With at most
     slots.limit keys, a dense slot per key (_Slots) holds its candidate's
     index, or -2 when several candidates share it, and is reset to -1
-    after; otherwise one sort orders the keys.
+    after, also when the match fails; otherwise one sort orders the keys.
     """
     if len(table.cand_group) == 0:     # then there are no members either
         return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
@@ -273,11 +273,14 @@ def _match(table, cols, queries, spans, slots):
             slots.array = np.full(total, -1, dtype=np.int32)
         slot = slots.array
         own = np.arange(len(key), dtype=np.int32)
-        # whichever candidate a shared key keeps, the others see it
-        slot[key] = own
-        slot[key[slot[key] != own]] = -2
-        hit = slot[q]
-        slot[key] = -1
+        try:
+            # whichever candidate a shared key keeps, the others see it
+            slot[key] = own
+            slot[key[slot[key] != own]] = -2
+            hit = slot[q]
+        finally:
+            # even after an error, no key of this match is left for the next
+            slot[key] = -1
         # OK (0) at a slot's candidate, NoCandidate (1) at -1, Ambiguous (2) at -2
         status = (hit < 0).view(np.uint8) + (hit < -1).view(np.uint8)
         return status, np.maximum(hit, -1)
@@ -423,22 +426,9 @@ class ExactEvaluator:
         distinct), -1 where none has them.
         """
         e = self.enum
-        codes = [e.idx[v][rows] for v in step.decoded]
-        spans = [e.size[v] ** e.n for v in step.decoded]
-        positions = [e.domain(v)[1][rows] for v in step.decoded]
-        if table.num_groups * math.prod(spans) <= self._slots.limit:
-            return positions, _match(table, table.cands, codes, spans, self._slots)[1]
-        # past the dense slots, every letter but the last narrows the search
-        # first: one candidate left is the truth if its last code is, and
-        # several are matched by all their codes
-        status, truth = _match(table, table.cands[:-1], codes[:-1], spans[:-1], self._slots)
-        at = np.flatnonzero(status == _ST_OK)
-        truth[at[table.cands[-1][truth[at]] != codes[-1][at]]] = -1
-        at = np.flatnonzero(status == _ST_AMB)
-        if len(at):
-            sub = _DecodeTable(at, table.group[at], table.num_groups, table.cand_group, table.cands)
-            truth[at] = _match(sub, table.cands, [c[at] for c in codes], spans, self._slots)[1]
-        return positions, truth
+        return [e.domain(v)[1][rows] for v in step.decoded], _match(
+            table, table.cands, [e.idx[v][rows] for v in step.decoded],
+            [e.size[v] ** e.n for v in step.decoded], self._slots)[1]
 
     def _unique_exact(self, i, step, cbs, values, recovered, prior):
         """Decode step i at each reach element whose terminal has not failed

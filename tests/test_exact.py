@@ -1195,6 +1195,22 @@ def test_match_agrees_with_a_brute_force_count(spans, rng):
     _assert_match(empty, empty.cands, [q[:0] for q in queries], spans, 2 ** 20, ([], []))
 
 
+def test_a_failed_dense_match_leaves_no_key_in_its_slots():
+    """A dense match that fails after writing its candidates' keys (here a
+    query past its column's span reaches past the slot array) still resets
+    them, so a later match on the same slots does not find those keys.
+    """
+    groups = np.array([0, 1], dtype=np.uint8)
+    table = _DecodeTable(np.arange(2), groups, 2, groups, [np.array([1, 2], dtype=np.uint8)])
+    slots = _Slots(2 * 3)
+    with pytest.raises(IndexError):
+        _match(table, table.cands, [np.array([1, 3], dtype=np.uint8)], [3], slots)
+    assert len(slots.array) == 6 and (slots.array == -1).all()
+    later = _DecodeTable(np.arange(2), groups, 2, groups, [np.zeros(2, dtype=np.uint8)])
+    status, pick = _match(later, later.cands, [np.array([1, 2], dtype=np.uint8)], [3], slots)
+    assert status.tolist() == [_ST_NONE, _ST_NONE] and pick.tolist() == [-1, -1]
+
+
 @pytest.mark.parametrize("sizes", [
     (3, 2 ** 62 + 5, 1, 50, 7),
     (2, 1000, 4, 2 ** 63 + 7),
@@ -1414,11 +1430,7 @@ def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
     five-atom source at n = 4 and 5 and on xor at n = 6: per table member,
     the candidate of its group whose codes are the element's true
     sequences, found by scanning the group's candidates one by one, or -1;
-    and the true sequences' domain positions. Past the dense slots the
-    search is narrowed by every letter but the last: on the five-atom
-    source that leaves several pair candidates to match by their full
-    codes, and on PointT's later step over xor at n = 6 one candidate that
-    is not always the truth.
+    and the true sequences' domain positions.
     """
     calls, truths = [], ExactEvaluator._truths
 
@@ -1446,7 +1458,7 @@ def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
             expected.append(hits[0] if hits else -1)
         assert truth_pick.tolist() == expected, step
         for j, v in enumerate(step.decoded):
-            assert truth[j].dtype == np.intp
+            assert truth[j].dtype == e.domain(v)[1].dtype
             assert np.array_equal(truth[j], e.domain(v)[1][rows])
         found += expected
     assert max(found) > 0 and -1 in found
