@@ -123,13 +123,11 @@ class _Enumeration:
 
     def domain(self, v):
         """The sequence codes letter v takes, in ascending order, and each
-        element's position among them (_ranked) as intp, which numpy gathers
-        and adds to intp labels faster than a narrow type. Where every code
-        below size**n occurs, the position is the code.
+        element's position among them (_ranked). Where every code below
+        size**n occurs, the position is the code.
         """
         if v not in self._domains:
-            codes, at = _ranked(self.idx[v], self.size[v] ** self.n)
-            self._domains[v] = codes, at.astype(np.intp)
+            self._domains[v] = _ranked(self.idx[v], self.size[v] ** self.n)
         return self._domains[v]
 
     @functools.cached_property
@@ -552,15 +550,15 @@ class ExactEvaluator:
         if total > len(e.prob):
             return _label_rows([at if lab is None else lab[at] for lab, _, at in parts],
                                [num for _, num, _ in parts])[0]
-        # intp labels: numpy gathers, adds and counts them faster than narrow ones
-        labels, radix = None, total
+        dtype, labels, radix = np.min_scalar_type(total - 1), None, total
         for lab, num, at in parts:
             radix //= num
             if lab is None and radix == 1:
                 term = at
             else:
                 lab = np.arange(num) if lab is None else lab.astype(np.intp)
-                term = np.take(lab * radix, at)
+                # np.take gathers by narrow positions faster than indexing
+                term = np.take((lab * radix).astype(dtype), at)
             labels = term if labels is None else np.add(labels, term, out=labels)
         return np.zeros(len(e.prob), dtype=np.uint8) if labels is None else labels
 
