@@ -95,9 +95,12 @@ def count_windows(pmf: np.ndarray, n: int, epsilon: float):
 
 
 def _as_seq_tuple(seqs):
-    if isinstance(seqs, (list, tuple)):
-        return tuple(np.asarray(s, dtype=np.int64) for s in seqs)
-    return (np.asarray(seqs, dtype=np.int64),)
+    """Sequences as int64 arrays; UsageError unless each is integers along an axis."""
+    out = tuple(map(np.asarray, seqs if isinstance(seqs, (list, tuple)) else (seqs,)))
+    for s in out:
+        if s.dtype.kind not in "biu" or s.ndim < 1:
+            raise UsageError(f"sequences are integers along an axis, not {s.dtype} {s.shape}")
+    return tuple(s.astype(np.int64, copy=False) for s in out)
 
 
 def _cell_codes(seqs, shape, n) -> np.ndarray:
@@ -533,25 +536,33 @@ class CandidateEngine:
         """
         if not self._forced_cells.size:
             return _class_sums(tables, contrib)
-        picked = contrib[np.arange(self.params.n), self._fill[codes]]
-        base = np.where(self._forced[codes], picked, np.uint64(0)).sum(
-            axis=-1, dtype=np.uint64)
-        return [base[..., None], *_class_sums(tables, contrib)]
+        return [self._base(codes, contrib)[..., None], *_class_sums(tables, contrib)]
 
-    def _row_classes(self, observed):
-        """Cell codes of observed sequences as (rows, n), and the rows grouped
-        by equal free-cell class sizes: (codes, [(rows, sizes), ...]), rows
-        ascending within a group. Rows whose forced classes rule out every
-        candidate are in no group. A sequence given as a (rows, n) array
-        holds one sequence per row; one without a row axis is shared by every
-        row, and without any row axis there is one row.
+    def _base(self, codes, contrib) -> np.ndarray:
+        """uint64 sum of contrib[t, fill] over the forced positions t, per row of codes."""
+        picked = contrib[np.arange(self.params.n), self._fill[codes]]
+        return np.where(self._forced[codes], picked, np.uint64(0)).sum(
+            axis=-1, dtype=np.uint64)
+
+    def _row_sizes(self, observed):
+        """Cell codes of observed sequences as (rows, n), and each row's
+        _free_sizes. A (rows, n) array holds one sequence per row, one without
+        a row axis is shared by every row, and without any there is one row.
         """
         codes = np.atleast_2d(_cell_codes(_as_seq_tuple(observed), self.obs_shape,
                                           self.params.n))
         rows, cells = len(codes), self.obs_cells
         offsets = np.arange(rows)[:, None] * cells
-        fits, sizes = self._free_sizes(np.bincount(
+        return codes, *self._free_sizes(np.bincount(
             (codes + offsets).ravel(), minlength=rows * cells).reshape(rows, cells))
+
+    def _row_classes(self, observed):
+        """Cell codes as _row_sizes gives them, and the rows grouped by equal
+        free-cell class sizes: (codes, [(rows, sizes), ...]), rows ascending
+        within a group. Rows whose forced classes rule out every candidate
+        are in no group.
+        """
+        codes, fits, sizes = self._row_sizes(observed)
         order = np.flatnonzero(fits)
         if not len(order):
             return codes, []
@@ -621,14 +632,17 @@ class CandidateEngine:
     def _scan_row(self, codes, sizes, codebook, target, limit):
         """The first limit candidates (None: all) of one row of cell codes
         whose bin under codebook is target, as the rows of an (H, n) int64
-        array in candidate order. The classes split into two groups whose
-        partial sums pair up into candidates; large KeyedHash spaces are
-        decoded by a residue join of the two groups, everything else by
-        checking every pair.
+        array in candidate order. A codebook of one bin holds every
+        candidate. Otherwise the classes split into two groups whose partial
+        sums pair up into candidates; large KeyedHash spaces are decoded by a
+        residue join of the two groups, everything else by checking every
+        pair.
         """
         tables, total = self._class_tables(codes, sizes)
         if tables is None:
             return np.empty((0, self.params.n), dtype=np.int64)
+        if codebook.num_bins == 1:
+            return self._reconstruct(range(total if target == 0 else 0)[:limit], tables, codes)
         vals = self._sums(codes, tables, codebook.contribution_table())
         if _joins(codebook, total):
             hits = _residue_join(vals, codebook, target, limit)
@@ -636,29 +650,51 @@ class CandidateEngine:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
         return self._reconstruct(hits[:limit], tables, codes)
 
+    def _forced_hits(self, codes, fits, codebook, target) -> np.ndarray:
+        """For an engine without free cells, per row of cell codes (rows, n):
+        whether its one candidate, its fill, exists (fits) and is in bin
+        target. SearchOverflowError if the cap is 0 and some row has it.
+        """
+        if self.cap < 1 and fits.any():
+            raise SearchOverflowError(f"1 candidates exceed the search cap {self.cap}")
+        bins = codebook.finalize_bins(self._base(codes, codebook.contribution_table()))
+        return fits & (bins == np.uint64(target))
+
     def scan_bin_filter(self, observed, codebook, target, limit=None):
         """The first limit candidates (None: all) of observed sequences
         without a row axis whose bin under codebook (a BinningCodebook) is
         target, as the rows of an (H, n) int64 array in candidate order.
         """
         codes = _cell_codes(_as_seq_tuple(observed), self.obs_shape, self.params.n)
-        # the free cells' class sizes, None when a forced class fits no window
         fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
+        if not self._free_cells:
+            hit = self._forced_hits(codes[None], fits[None], codebook, target)
+            return self._fill[codes[None][hit]][:limit]
+        # the free cells' class sizes, None when a forced class fits no window
         return self._scan_row(codes, sizes.tolist() if fits else None, codebook, target, limit)
 
     def scan_bin_filter_rows(self, observed, codebook, target):
         """scan_bin_filter(row, codebook, target, limit=2) for every row of
-        observed sequences, rows as in _row_classes.
+        observed sequences, rows as in _row_sizes.
 
         Returns (counts, first): per row the match count capped at 2, or None
         where that row's scan would raise SearchOverflowError; and the first
         match of the first row with exactly one (None without such a row),
-        as an array of its own. Rows with equal free-cell class sizes share
-        their arrangement tables and are
-        scanned in slices of rows, as candidate_indices lists them. A row
-        with more than _SCAN_CHUNK candidates, or whose candidates the
-        residue join decodes, is scanned alone.
+        as an array of its own. An engine without free cells reads each
+        row's one candidate directly. Otherwise rows with equal free-cell
+        class sizes share their arrangement tables and are scanned in slices
+        of rows, as candidate_indices lists them. A row with more than
+        _SCAN_CHUNK candidates, or whose candidates the residue join
+        decodes, is scanned alone.
         """
+        if not self._free_cells:
+            codes, fits, _ = self._row_sizes(observed)
+            try:
+                hit = self._forced_hits(codes, fits, codebook, target)
+            except SearchOverflowError:
+                return [None if f else 0 for f in fits.tolist()], None
+            first = self._fill[codes[hit.argmax()]] if hit.any() else None
+            return hit.astype(int).tolist(), first
         codes, groups = self._row_classes(observed)
         rows = len(codes)
         counts = np.zeros(rows, dtype=np.int64)     # -1: over the search cap
@@ -671,6 +707,10 @@ class CandidateEngine:
                 counts[members] = -1
                 continue
             if mats is None:
+                continue
+            if codebook.num_bins == 1:
+                # first_hit stays 0: a row's first candidate is its first match
+                counts[members] = min(total, 2) if target == 0 else 0
                 continue
             if total > _SCAN_CHUNK or _joins(codebook, total):
                 for r in members.tolist():

@@ -476,6 +476,16 @@ def _assert_same_decode(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
+def _ternary_sum(rng):
+    """x on three symbols and y on two, their pairs weighted at random in
+    [1, 2), and z = (x + y) mod 3: z is forced in every (x, y) cell."""
+    pxy = 1 + rng.random((3, 2))
+    pmf = np.zeros((3, 3, 3))
+    for x, y in itertools.product(range(3), range(2)):
+        pmf[x, y, (x + y) % 3] = pxy[x, y]
+    return JointDistribution.create((3, 3, 3), pmf / pmf.sum())
+
+
 @pytest.mark.parametrize("chunk", [None, 16], ids=["batched", "mostly-row-by-row"])
 @pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
 def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
@@ -485,11 +495,13 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     per-row counts and first match. Halved bin rates leave several survivors
     and some ambiguous ones. A 16-entry scan chunk scans rows in small
     slices and sends rows of more than 16 candidates through the single-row
-    path.
+    path. Two ternary sources with z = (x + y) mod 3 run stage 2 on engines
+    without free cells, which read each survivor's one candidate directly.
     """
     if chunk is not None:
         monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
-    seen = {"own_first": set(), "status": set(), "counts": set(), "multi_row": 0}
+    seen = {"own_first": set(), "status": set(), "counts": set(), "multi_row": 0,
+            "forced": set()}
     batched = protocol._pair_decode
 
     def checked(*args):
@@ -508,11 +520,15 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
         seen["status"].add(got[0])
         seen["counts"].update(counts)
         seen["multi_row"] += len(helpers) > 1
+        if not eng2._free_cells and len(helpers):
+            seen["forced"].add(got[0])
         return got
 
     monkeypatch.setattr(protocol, "_pair_decode", checked)
-    for _ in range(10):
-        dist = random_distribution(rng, (2, 2, 2), zero_frac=0.25)
+    sources = itertools.chain(
+        (random_distribution(rng, (2, 2, 2), zero_frac=0.25) for _ in range(10)),
+        (_ternary_sum(rng) for _ in range(2)))
+    for dist in sources:
         for scheme in ("PointP", "PointQ"):
             cfg = _config(scheme, dist, n=10, eps=0.9, delta=0.02,
                           seed=int(rng.integers(1 << 30)), mode=mode)
@@ -525,6 +541,7 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     assert seen["status"] == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
     assert seen["counts"] == {0, 1, 2}
     assert seen["multi_row"] > 0
+    assert seen["forced"] == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
 
 
 class _Survivors:

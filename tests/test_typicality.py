@@ -78,14 +78,29 @@ def test_joint_counts():
     (np.array([0, 1, 0]), np.array([1, 2, 0])),     # symbol past the alphabet
     (np.array([0, 1, 0]), np.array([1, 1])),        # length mismatch
     (np.array([0, 1, 0]),),                         # one sequence, two axes
+    (np.array([0.7, 1.2, 0.1]), np.array([1, 1, 0])),   # float symbols
+    [0, 1],                                         # scalars, not sequences
 ])
 def test_cell_code_checks(bad):
-    """joint_counts and the candidate engine share one checked cell code."""
+    """joint_counts, the membership test and the candidate engine share one
+    checked cell code."""
     with pytest.raises(UsageError):
         joint_counts(bad, (2, 2))
+    with pytest.raises(UsageError):
+        is_strongly_typical(bad, np.full((2, 2), 0.25), TypicalityParams(0.5, 3))
     engine = CandidateEngine(np.full((2, 2, 2), 0.125), TypicalityParams(0.5, 3))
     with pytest.raises(UsageError):
         engine.candidate_indices(bad)
+
+
+def test_float_symbols_are_refused_not_truncated():
+    """Cast to int64, these floats would count [2, 2] and be typical."""
+    floats = np.array([0.7, 1.2, 0.1, 1.9])
+    with pytest.raises(UsageError, match="integers"):
+        is_strongly_typical(floats, [0.5, 0.5], TypicalityParams(0.5, 4))
+    with pytest.raises(UsageError, match="integers"):
+        joint_counts(floats, (2,))
+    assert joint_counts(floats.astype(np.int64), (2,)).tolist() == [2, 2]
 
 
 def test_typicality_matches_definition(rng):
@@ -378,11 +393,20 @@ def _check_against_brute_force(eng, pmf, rows, codebooks):
     scan_bin_filter_rows on the given observed rows against the brute-force
     candidates in candidate order.
     """
-    observed = tuple(np.stack(axis) for axis in zip(*rows))
     want = [brute_force_in_candidate_order(pmf, eng.params, row) for row in rows]
-    codes, counts = eng.candidate_indices(observed)
+    codes, counts = eng.candidate_indices(tuple(np.stack(axis) for axis in zip(*rows)))
     assert counts.tolist() == [len(w) for w in want]
     assert codes.tolist() == [sequence_code(c, pmf.shape[-1]) for w in want for c in w]
+    _check_scans(eng, rows, codebooks, want)
+    return want
+
+
+def _check_scans(eng, rows, codebooks, want):
+    """scan_bin_filter (limit None and 2) and scan_bin_filter_rows on the
+    given observed rows against each row's candidates want, in candidate
+    order, in every bin of each codebook.
+    """
+    observed = tuple(np.stack(axis) for axis in zip(*rows))
     for cb in codebooks:
         in_bin = [[cb.bin_index(c) for c in w] for w in want]
         for target in range(cb.num_bins):
@@ -398,7 +422,6 @@ def _check_against_brute_force(eng, pmf, rows, codebooks):
             assert (first is None) == (not ones)
             if ones:
                 assert np.array_equal(first, ones[0]) and first.base is None
-    return want
 
 
 def _admitted_symbols(eng):
@@ -447,6 +470,47 @@ def test_forced_classes_match_brute_force(rng):
     assert max(len(w) for w in want) > 2
 
 
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+def test_one_bin_codebook_takes_candidates_in_order(rng, monkeypatch, mode):
+    """A codebook of one bin holds every candidate: on the forced and free
+    cells of test_forced_classes_match_brute_force both scans give brute
+    force's candidates in candidate order, without class sums, a full
+    product or a residue join. Target 1 matches nothing, and a search cap
+    below a row's candidate count still raises before any table is built.
+    """
+    pmf = np.array([[[0.2, 0.0], [0.25, 0.15]], [[0.0, 0.2], [0.1, 0.1]]])
+    params = TypicalityParams(epsilon=0.6, n=8)
+    eng = CandidateEngine(pmf, params)
+    cell_counts = [[2, 2, 2, 2], [1, 3, 2, 2], [1, 4, 1, 2], [3, 2, 1, 2], [0, 4, 2, 2]]
+    rows = _rows_of(rng, cell_counts, (2, 2))
+    rows += [tuple(rng.integers(0, 2, size=(2, 8))) for _ in range(4)]
+    want = [brute_force_in_candidate_order(pmf, params, row) for row in rows]
+    assert max(len(w) for w in want) > 2 and min(len(w) for w in want) == 0
+    cb = make_codebook(mode, 8, 2, 0.0, 0.0, seed=7, purpose="Z")
+    assert cb.num_bins == 1
+
+    def forbidden(*args):
+        raise AssertionError("bins formed for a one-bin codebook")
+
+    for name in ("_class_sums", "_full_product", "_residue_join"):
+        monkeypatch.setattr(typicality, name, forbidden)
+    _check_scans(eng, rows, [cb], want)
+    observed = tuple(np.stack(axis) for axis in zip(*rows))
+    assert eng.scan_bin_filter_rows(observed, cb, 1) == ([0] * len(rows), None)
+    for row in rows:
+        assert eng.scan_bin_filter(row, cb, 1).shape == (0, 8)
+    capped = CandidateEngine(pmf, params, cap=2)
+    monkeypatch.setattr(typicality, "_arrangement_matrix", forbidden)
+    over = [row for row, w in zip(rows, want) if len(w) > 2]
+    none = [row for row, w in zip(rows, want) if not w]
+    for row in over:
+        with pytest.raises(SearchOverflowError, match="exceed the search cap 2"):
+            capped.scan_bin_filter(row, cb, 0)
+    observed = tuple(np.stack(axis) for axis in zip(*over, *none))
+    assert capped.scan_bin_filter_rows(observed, cb, 0) == (
+        [None] * len(over) + [0] * len(none), None)
+
+
 def test_observed_cell_without_mass_is_forced_empty(rng):
     """An observed cell without mass admits no symbol: a row that holds it
     has no candidate, and rows that do not agree with brute force."""
@@ -464,7 +528,8 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     """On xor's XYZ marginal z is forced in every (x, y) cell: survivors of
     different class sizes build no arrangement table, a typical row is its
     own single candidate, x xor y, and with a search cap of 0 it still
-    counts one candidate and overflows."""
+    counts one candidate and overflows. Both scans read each row's candidate
+    directly, without grouping rows, class sums or reconstruction."""
     pmf = xor_triple().marginal("XYZ")
     params = TypicalityParams(epsilon=0.5, n=8)
     eng = CandidateEngine(pmf, params)
@@ -481,20 +546,37 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     codes, counts = eng.candidate_indices((x, y))
     assert counts.tolist() == [int(t) for t in typical]
     assert codes.tolist() == [sequence_code(a ^ b, 2) for a, b, t in zip(x, y, typical) if t]
-    cb = make_codebook(MODE_HASH, 8, 2, 0.25, 0.0, seed=5, purpose="Z")
-    _check_against_brute_force(eng, pmf, list(zip(x[:6], y[:6])), [cb])
-    for target in range(cb.num_bins):
-        got, first = eng.scan_bin_filter_rows((x, y), cb, target)
-        want = [int(t and cb.bin_index(a ^ b) == target) for a, b, t in zip(x, y, typical)]
-        assert got == want
-        if 1 in want:
-            r = want.index(1)
-            assert np.array_equal(first, x[r] ^ y[r])
-        assert capped.scan_bin_filter_rows((x, y), cb, target)[0] == [
-            None if t else 0 for t in typical]
-    r = typical.index(True)
-    with pytest.raises(SearchOverflowError, match="1 candidates exceed the search cap 0"):
-        capped.scan_bin_filter((x[r], y[r]), cb, 0)
+    order = sorted(range(40), key=lambda r: not typical[r])
+    picked = order[:3] + order[-3:]
+    rows = [(x[r], y[r]) for r in picked]
+    want = [brute_force_in_candidate_order(pmf, params, row) for row in rows]
+    assert [len(w) for w in want] == [1, 1, 1, 0, 0, 0]
+
+    def no_classes(*args):
+        raise AssertionError("class machinery used by a forced-only engine")
+
+    monkeypatch.setattr(CandidateEngine, "_row_classes", no_classes)
+    monkeypatch.setattr(CandidateEngine, "_reconstruct", no_classes)
+    monkeypatch.setattr(typicality, "_class_sums", no_classes)
+    codebooks = [make_codebook(mode, 8, 2, 0.25, 0.0, seed=5, purpose="Z")
+                 for mode in (MODE_HASH, MODE_TABLE)]
+    _check_scans(eng, rows, codebooks, want)
+    for cb in codebooks:
+        for target in range(cb.num_bins):
+            got, first = eng.scan_bin_filter_rows((x, y), cb, target)
+            hits = [int(t and cb.bin_index(a ^ b) == target) for a, b, t in zip(x, y, typical)]
+            assert got == hits
+            assert (first is None) == (1 not in hits)
+            if 1 in hits:
+                r = hits.index(1)
+                assert np.array_equal(first, x[r] ^ y[r])
+            assert capped.scan_bin_filter_rows((x, y), cb, target) == (
+                [None if t else 0 for t in typical], None)
+        r = typical.index(True)
+        with pytest.raises(SearchOverflowError, match="1 candidates exceed the search cap 0"):
+            capped.scan_bin_filter((x[r], y[r]), cb, 0)
+        r = typical.index(False)
+        assert capped.scan_bin_filter((x[r], y[r]), cb, 0).shape == (0, 8)
 
 
 def reference_arrangements(m, vectors, q):
