@@ -96,11 +96,13 @@ def count_windows(pmf: np.ndarray, n: int, epsilon: float):
 
 def _as_seq_tuple(seqs):
     """Sequences as int64 arrays; UsageError unless each is integers along an axis."""
-    out = tuple(map(np.asarray, seqs if isinstance(seqs, (list, tuple)) else (seqs,)))
-    for s in out:
+    out = []
+    for s in seqs if isinstance(seqs, (list, tuple)) else (seqs,):
+        s = np.asarray(s)
         if s.dtype.kind not in "biu" or s.ndim < 1:
             raise UsageError(f"sequences are integers along an axis, not {s.dtype} {s.shape}")
-    return tuple(s.astype(np.int64, copy=False) for s in out)
+        out.append(s if s.dtype == np.int64 else s.astype(np.int64))
+    return tuple(out)
 
 
 def _cell_codes(seqs, shape, n) -> np.ndarray:
@@ -650,27 +652,14 @@ class CandidateEngine:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
         return self._reconstruct(hits[:limit], tables, codes)
 
-    def _forced_hits(self, codes, fits, codebook, target) -> np.ndarray:
-        """For an engine without free cells, per row of cell codes (rows, n):
-        whether its one candidate, its fill, exists (fits) and is in bin
-        target. SearchOverflowError if the cap is 0 and some row has it.
-        """
-        if self.cap < 1 and fits.any():
-            raise SearchOverflowError(f"1 candidates exceed the search cap {self.cap}")
-        bins = codebook.finalize_bins(self._base(codes, codebook.contribution_table()))
-        return fits & (bins == np.uint64(target))
-
     def scan_bin_filter(self, observed, codebook, target, limit=None):
         """The first limit candidates (None: all) of observed sequences
         without a row axis whose bin under codebook (a BinningCodebook) is
         target, as the rows of an (H, n) int64 array in candidate order.
         """
         codes = _cell_codes(_as_seq_tuple(observed), self.obs_shape, self.params.n)
-        fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
-        if not self._free_cells:
-            hit = self._forced_hits(codes[None], fits[None], codebook, target)
-            return self._fill[codes[None][hit]][:limit]
         # the free cells' class sizes, None when a forced class fits no window
+        fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
         return self._scan_row(codes, sizes.tolist() if fits else None, codebook, target, limit)
 
     def scan_bin_filter_rows(self, observed, codebook, target):
@@ -688,11 +677,13 @@ class CandidateEngine:
         decodes, is scanned alone.
         """
         if not self._free_cells:
+            # a row's one candidate is its fill, where its classes fit (fits);
+            # a cap of 0 still counts it as one candidate
             codes, fits, _ = self._row_sizes(observed)
-            try:
-                hit = self._forced_hits(codes, fits, codebook, target)
-            except SearchOverflowError:
+            if self.cap < 1:
                 return [None if f else 0 for f in fits.tolist()], None
+            bins = codebook.finalize_bins(self._base(codes, codebook.contribution_table()))
+            hit = fits & (bins == np.uint64(target))
             first = self._fill[codes[hit.argmax()]] if hit.any() else None
             return hit.astype(int).tolist(), first
         codes, groups = self._row_classes(observed)
@@ -707,10 +698,6 @@ class CandidateEngine:
                 counts[members] = -1
                 continue
             if mats is None:
-                continue
-            if codebook.num_bins == 1:
-                # first_hit stays 0: a row's first candidate is its first match
-                counts[members] = min(total, 2) if target == 0 else 0
                 continue
             if total > _SCAN_CHUNK or _joins(codebook, total):
                 for r in members.tolist():

@@ -474,9 +474,10 @@ def test_forced_classes_match_brute_force(rng):
 def test_one_bin_codebook_takes_candidates_in_order(rng, monkeypatch, mode):
     """A codebook of one bin holds every candidate: on the forced and free
     cells of test_forced_classes_match_brute_force both scans give brute
-    force's candidates in candidate order, without class sums, a full
-    product or a residue join. Target 1 matches nothing, and a search cap
-    below a row's candidate count still raises before any table is built.
+    force's candidates in candidate order, and scan_bin_filter forms no
+    class sums, full product or residue join for them. Target 1 matches
+    nothing, and a search cap below a row's candidate count still raises
+    before any table is built.
     """
     pmf = np.array([[[0.2, 0.0], [0.25, 0.15]], [[0.0, 0.2], [0.1, 0.1]]])
     params = TypicalityParams(epsilon=0.6, n=8)
@@ -488,16 +489,19 @@ def test_one_bin_codebook_takes_candidates_in_order(rng, monkeypatch, mode):
     assert max(len(w) for w in want) > 2 and min(len(w) for w in want) == 0
     cb = make_codebook(mode, 8, 2, 0.0, 0.0, seed=7, purpose="Z")
     assert cb.num_bins == 1
+    _check_scans(eng, rows, [cb], want)
+    observed = tuple(np.stack(axis) for axis in zip(*rows))
+    assert eng.scan_bin_filter_rows(observed, cb, 1) == ([0] * len(rows), None)
 
     def forbidden(*args):
         raise AssertionError("bins formed for a one-bin codebook")
 
     for name in ("_class_sums", "_full_product", "_residue_join"):
         monkeypatch.setattr(typicality, name, forbidden)
-    _check_scans(eng, rows, [cb], want)
-    observed = tuple(np.stack(axis) for axis in zip(*rows))
-    assert eng.scan_bin_filter_rows(observed, cb, 1) == ([0] * len(rows), None)
-    for row in rows:
+    for row, w in zip(rows, want):
+        for limit in (None, 2):
+            got = eng.scan_bin_filter(row, cb, 0, limit=limit)
+            assert got.tolist() == [c.tolist() for c in w[:limit]]
         assert eng.scan_bin_filter(row, cb, 1).shape == (0, 8)
     capped = CandidateEngine(pmf, params, cap=2)
     monkeypatch.setattr(typicality, "_arrangement_matrix", forbidden)
@@ -528,8 +532,8 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     """On xor's XYZ marginal z is forced in every (x, y) cell: survivors of
     different class sizes build no arrangement table, a typical row is its
     own single candidate, x xor y, and with a search cap of 0 it still
-    counts one candidate and overflows. Both scans read each row's candidate
-    directly, without grouping rows, class sums or reconstruction."""
+    counts one candidate and overflows. scan_bin_filter_rows reads each row's
+    candidate directly, without grouping rows, class sums or reconstruction."""
     pmf = xor_triple().marginal("XYZ")
     params = TypicalityParams(epsilon=0.5, n=8)
     eng = CandidateEngine(pmf, params)
@@ -551,6 +555,15 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     rows = [(x[r], y[r]) for r in picked]
     want = [brute_force_in_candidate_order(pmf, params, row) for row in rows]
     assert [len(w) for w in want] == [1, 1, 1, 0, 0, 0]
+    codebooks = [make_codebook(mode, 8, 2, 0.25, 0.0, seed=5, purpose="Z")
+                 for mode in (MODE_HASH, MODE_TABLE)]
+    _check_scans(eng, rows, codebooks, want)
+    for cb in codebooks:
+        r = typical.index(True)
+        with pytest.raises(SearchOverflowError, match="1 candidates exceed the search cap 0"):
+            capped.scan_bin_filter((x[r], y[r]), cb, 0)
+        r = typical.index(False)
+        assert capped.scan_bin_filter((x[r], y[r]), cb, 0).shape == (0, 8)
 
     def no_classes(*args):
         raise AssertionError("class machinery used by a forced-only engine")
@@ -558,11 +571,16 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     monkeypatch.setattr(CandidateEngine, "_row_classes", no_classes)
     monkeypatch.setattr(CandidateEngine, "_reconstruct", no_classes)
     monkeypatch.setattr(typicality, "_class_sums", no_classes)
-    codebooks = [make_codebook(mode, 8, 2, 0.25, 0.0, seed=5, purpose="Z")
-                 for mode in (MODE_HASH, MODE_TABLE)]
-    _check_scans(eng, rows, codebooks, want)
+    observed = tuple(np.stack(axis) for axis in zip(*rows))
     for cb in codebooks:
         for target in range(cb.num_bins):
+            matches = [[c for c in w if cb.bin_index(c) == target] for w in want]
+            got, first = eng.scan_bin_filter_rows(observed, cb, target)
+            assert got == [len(m) for m in matches]
+            ones = [m[0] for m in matches if m]
+            assert (first is None) == (not ones)
+            if ones:
+                assert np.array_equal(first, ones[0])
             got, first = eng.scan_bin_filter_rows((x, y), cb, target)
             hits = [int(t and cb.bin_index(a ^ b) == target) for a, b, t in zip(x, y, typical)]
             assert got == hits
@@ -572,11 +590,6 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
                 assert np.array_equal(first, x[r] ^ y[r])
             assert capped.scan_bin_filter_rows((x, y), cb, target) == (
                 [None if t else 0 for t in typical], None)
-        r = typical.index(True)
-        with pytest.raises(SearchOverflowError, match="1 candidates exceed the search cap 0"):
-            capped.scan_bin_filter((x[r], y[r]), cb, 0)
-        r = typical.index(False)
-        assert capped.scan_bin_filter((x[r], y[r]), cb, 0).shape == (0, 8)
 
 
 def reference_arrangements(m, vectors, q):
