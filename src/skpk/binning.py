@@ -46,8 +46,8 @@ def child_seed(*words) -> int:
 
 def num_bins_for_rate(n: int, rate: float) -> int:
     """Bins for a target rate in bits per symbol: max(1, round(2**(n*rate)))."""
-    if rate < 0:
-        raise UsageError(f"binning rate must be >= 0, got {rate}")
+    if not rate >= 0:   # NaN compares false
+        raise UsageError(f"binning rate must be a number >= 0, got {rate}")
     if n * rate >= 63:
         raise CapacityError(f"2**({n}*{rate}) bins exceeds the 2**63 bin-count cap")
     return max(1, round(2.0 ** (n * rate)))

@@ -25,6 +25,7 @@ PointQ  every terminal bins; X and Y each recover the other two sequences
 
 import functools
 import math
+import numbers
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -69,6 +70,23 @@ class RateAssignment:
     r_p: float
     orientation: str = "X"
     clamped: tuple = ()
+
+
+def _checked_rates(rates) -> RateAssignment:
+    """An explicit rates override, refused unless it is a RateAssignment
+    whose five rates are finite real numbers >= 0 and whose orientation is
+    "X" or "Y".
+    """
+    if not isinstance(rates, RateAssignment):
+        raise UsageError(f"rates must be a RateAssignment, got {type(rates).__name__}")
+    for name in ("r_z", "r_x", "r_y", "r_s", "r_p"):
+        value = getattr(rates, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0.0 <= value < math.inf):
+            raise UsageError(f"rates.{name} must be a finite number >= 0, got {value!r}")
+    if rates.orientation not in ("X", "Y"):
+        raise UsageError(f'rates.orientation must be "X" or "Y", got {rates.orientation!r}')
+    return rates
 
 
 def _clamp(name, value, clamped):
@@ -324,8 +342,8 @@ def _unique_decode(engine, observed, cb, target):
 def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
     """Unique (helper, z) pair: helper candidates typical with own sequence
     and inside bin target1 come first, then every survivor is extended, in
-    one batched scan, by the z candidates typical with the pair and inside
-    bin target2. Unique means one (helper, z) pair overall. Survivors are
+    one scan_bin_filter_rows call, by the z candidates typical with the pair
+    and inside bin target2. Unique means one (helper, z) pair overall. Survivors are
     read in candidate order, and the first overflow or second match decides,
     as if each survivor were scanned in turn.
 
@@ -370,7 +388,7 @@ class RunContext:
                            profile.h("Y", "X") <= profile.h("Y", "XZ") + REDIRECT_TOL)
         self.scheme = scheme = "PointP" if self.redirected else config.scheme
         self.rates = rates = (derive_rates(scheme, profile, config.epsilon, config.delta)
-                              if config.rates is None else config.rates)
+                              if config.rates is None else _checked_rates(config.rates))
         self.swapped = (scheme == "PointP" and rates.orientation == "Y")
         desc = SCHEME_TABLE[scheme]
         self.desc = desc = desc.renamed() if self.swapped else desc
@@ -403,6 +421,8 @@ class RunContext:
 
     def _init_time_share(self):
         cfg = self.config
+        if cfg.rates is not None:
+            raise UsageError("TimeShare takes no rates: its parts derive their own")
         n_a = round(cfg.ts_lambda * cfg.n)
         n_b = cfg.n - n_a
         self.scheme = "TimeShare"

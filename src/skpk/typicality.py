@@ -294,12 +294,6 @@ def _row_slices(members, mats, total) -> list:
     return [members[a:a + step] for a in range(0, len(members), step)]
 
 
-def _joins(codebook, total) -> bool:
-    """Whether a space of total candidates is decoded by the residue join."""
-    return (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
-            and codebook.num_bins >= JOIN_MIN_BINS)
-
-
 def _split_sums(vals_list):
     """Group sums of the class prefix and suffix whose products are closest
     to balanced; candidate j pairs left[j // len(right)] with
@@ -515,17 +509,6 @@ class CandidateEngine:
         fits = ((counts >= self._forced_lo) & (counts <= self._forced_hi)).all(axis=-1)
         return fits, sizes[..., self._free_cells]
 
-    def _class_tables(self, codes, sizes):
-        """[(positions, arrangement table), ...] per free class of one row of
-        cell codes with the given free-cell sizes, by ascending cell code with
-        positions ascending, and the candidate count; (None, 0) when there is
-        no candidate.
-        """
-        mats, total = self._size_tables(sizes)
-        if mats is None:
-            return None, 0
-        return list(zip(self._positions(codes, sizes), mats)), total
-
     def _positions(self, codes, sizes) -> list:
         """_class_positions of the free classes of codes, one row or (rows, n)."""
         return _class_positions(self._rank[codes], sizes)
@@ -640,13 +623,16 @@ class CandidateEngine:
         residue join of the two groups, everything else by checking every
         pair.
         """
-        tables, total = self._class_tables(codes, sizes)
-        if tables is None:
+        mats, total = self._size_tables(sizes)
+        if mats is None:
             return np.empty((0, self.params.n), dtype=np.int64)
+        # (positions, arrangement table) per free class, by ascending cell code
+        tables = list(zip(self._positions(codes, sizes), mats))
         if codebook.num_bins == 1:
             return self._reconstruct(range(total if target == 0 else 0)[:limit], tables, codes)
         vals = self._sums(codes, tables, codebook.contribution_table())
-        if _joins(codebook, total):
+        if (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
+                and codebook.num_bins >= JOIN_MIN_BINS):
             hits = _residue_join(vals, codebook, target, limit)
         else:
             hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
@@ -670,11 +656,8 @@ class CandidateEngine:
         where that row's scan would raise SearchOverflowError; and the first
         match of the first row with exactly one (None without such a row),
         as an array of its own. An engine without free cells reads each
-        row's one candidate directly. Otherwise rows with equal free-cell
-        class sizes share their arrangement tables and are scanned in slices
-        of rows, as candidate_indices lists them. A row with more than
-        _SCAN_CHUNK candidates, or whose candidates the residue join
-        decodes, is scanned alone.
+        row's one candidate directly; otherwise each row is scanned on its
+        own cell codes, as scan_bin_filter scans it.
         """
         if not self._free_cells:
             # a row's one candidate is its fill, where its classes fit (fits);
@@ -686,41 +669,16 @@ class CandidateEngine:
             hit = fits & (bins == np.uint64(target))
             first = self._fill[codes[hit.argmax()]] if hit.any() else None
             return hit.astype(int).tolist(), first
-        codes, groups = self._row_classes(observed)
-        rows = len(codes)
-        counts = np.zeros(rows, dtype=np.int64)     # -1: over the search cap
-        first_hit = np.zeros(rows, dtype=np.int64)  # candidate index of a row's first match
-        alone = {}      # row -> its matches, for rows scanned alone
-        for members, shape in groups:
+        codes, fits, sizes = self._row_sizes(observed)
+        counts, first = [], None
+        for row, fit, shape in zip(codes, fits.tolist(), sizes.tolist()):
             try:
-                mats, total = self._size_tables(shape)
+                found = self._scan_row(row, shape if fit else None, codebook, target, 2)
             except SearchOverflowError:
-                counts[members] = -1
+                counts.append(None)
                 continue
-            if mats is None:
-                continue
-            if total > _SCAN_CHUNK or _joins(codebook, total):
-                for r in members.tolist():
-                    alone[r] = self._scan_row(codes[r], shape, codebook, target, 2)
-                    counts[r] = len(alone[r])
-                continue
-            for part in _row_slices(members, mats, total):
-                tables = zip(self._positions(codes[part], shape), mats)
-                sums = _group_sums(self._sums(codes[part], tables,
-                                              codebook.contribution_table()))
-                hit = codebook.finalize_bins(sums) == np.uint64(target)
-                counts[part] = np.minimum(hit.sum(axis=1), 2)
-                first_hit[part] = hit.argmax(axis=1)
-        counts = [None if c < 0 else c for c in counts.tolist()]
-        row = next((r for r, c in enumerate(counts) if c == 1), None)
-        if row is None:
-            return counts, None
-        if row in alone:
-            first = alone[row][0]
-        else:
-            # only this row's match is rebuilt as a sequence
-            shape = next(shape for members, shape in groups if row in members)
-            tables, _ = self._class_tables(codes[row], shape)
-            first = self._reconstruct(first_hit[row:row + 1], tables, codes[row])[0]
-        # a copy, so the match does not keep the scan's arrays alive
-        return counts, first.copy()
+            counts.append(len(found))
+            if first is None and len(found) == 1:
+                # a copy, so the match does not keep the scan's arrays alive
+                first = found[0].copy()
+        return counts, first

@@ -13,8 +13,9 @@ def test_num_bins_for_rate():
     assert num_bins_for_rate(10, 0.0) == 1
     assert num_bins_for_rate(4, 2.0) == 256
     assert num_bins_for_rate(10, 0.35) == round(2 ** 3.5)
-    with pytest.raises(UsageError):
-        num_bins_for_rate(4, -0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(UsageError):
+            num_bins_for_rate(4, bad)
     with pytest.raises(CapacityError):
         num_bins_for_rate(64, 1.0)
 

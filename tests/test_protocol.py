@@ -295,6 +295,29 @@ def test_custom_rates_override():
     ctx.run(0)
 
 
+@pytest.mark.parametrize("scheme,bad", [
+    ("PointP", dataclasses.asdict),
+    ("PointP", lambda r: dataclasses.replace(r, orientation="Q")),
+    ("PointP", lambda r: dataclasses.replace(r, r_z="1")),
+    ("PointP", lambda r: dataclasses.replace(r, r_x=True)),
+    ("PointP", lambda r: dataclasses.replace(r, r_y=math.nan)),
+    ("PointP", lambda r: dataclasses.replace(r, r_s=math.inf)),
+    ("PointP", lambda r: dataclasses.replace(r, r_p=-0.1)),
+    ("TimeShare", lambda r: r),
+], ids=["dict", "orientation-Q", "string-rate", "bool-rate", "nan-rate", "inf-rate",
+        "negative-rate", "time-share"])
+def test_run_context_refuses_bad_rates(scheme, bad):
+    """An explicit rates override is checked where RunContext reads it: a
+    RateAssignment of finite real rates >= 0 oriented "X" or "Y", and none
+    at all for a TimeShare, whose parts derive their own.
+    """
+    kw = {"ts_schemes": ("PointP", "PointE")} if scheme == "TimeShare" else {}
+    cfg = _config(scheme, xor_triple(), n=8, eps=0.5, delta=0.05, seed=0, **kw)
+    cfg.rates = bad(derive_rates("PointP", info_profile(xor_triple()), 0.5, 0.05))
+    with pytest.raises(UsageError, match="rates"):
+        RunContext(cfg)
+
+
 def test_mismatch_rate_decreases_with_blocklength():
     """Reconstruction of Z at X from its bin should improve with n when the
     bin rate exceeds the conditional entropy.
@@ -381,11 +404,11 @@ def test_decode_sweep_is_pinned(monkeypatch, overrides):
     private-key owners included, with KeyedHash and ExplicitTable codebooks,
     at n = 8 and 12 and epsilon 0.6, 0.9, at the derived rates and at
     halved bin rates (more survivors, more ambiguous decodes), on xor and a
-    random 2x2x2 pmf with zero atoms. A 16-entry scan chunk cuts batched
-    scans into small slices of rows and sends every row of more than 16
-    candidates through the single-row path, every class sum may be formed
-    by matrix products or by gathers, and every KeyedHash space with enough
-    bins may be decoded by the residue join; the decodes must not change.
+    random 2x2x2 pmf with zero atoms. A 16-entry scan chunk cuts full
+    products and residue joins into small blocks, every class sum may be
+    formed by matrix products or by gathers, and every KeyedHash space with
+    enough bins may be decoded by the residue join; the decodes must not
+    change.
     """
     for name, value in overrides.items():
         monkeypatch.setattr(typicality, name, value)
@@ -486,17 +509,17 @@ def _ternary_sum(rng):
     return JointDistribution.create((3, 3, 3), pmf / pmf.sum())
 
 
-@pytest.mark.parametrize("chunk", [None, 16], ids=["batched", "mostly-row-by-row"])
+@pytest.mark.parametrize("chunk", [None, 16], ids=["whole-products", "product-blocks-of-16"])
 @pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
 def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     """On random 2x2x2 sources with zero atoms, PointP's step (own sequence
     second in stage 2) and PointQ's first step (own sequence first) decode as
-    one scan per survivor does, and each batched stage 2 returns that scan's
-    per-row counts and first match. Halved bin rates leave several survivors
-    and some ambiguous ones. A 16-entry scan chunk scans rows in small
-    slices and sends rows of more than 16 candidates through the single-row
-    path. Two ternary sources with z = (x + y) mod 3 run stage 2 on engines
-    without free cells, which read each survivor's one candidate directly.
+    one scan per survivor does, and each stage-2 call of scan_bin_filter_rows
+    returns that scan's per-row counts and first match. Halved bin rates
+    leave several survivors and some ambiguous ones. A 16-entry scan chunk
+    cuts every full product of more than 16 candidates into blocks. Two
+    ternary sources with z = (x + y) mod 3 run stage 2 on engines without
+    free cells, which read each survivor's one candidate directly.
     """
     if chunk is not None:
         monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
@@ -588,9 +611,10 @@ def test_pair_decode_stops_where_a_survivor_scan_would(rows, status):
 
 @pytest.mark.parametrize("own_first", [False, True])
 def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_first):
-    """A KeyedHash row of at least JOIN_MIN_CANDIDATES candidates is scanned
-    alone by the single-row path, through the residue join, on the cell
-    codes the batched scan computed; the small row beside it is not."""
+    """Every survivor of an engine with free cells, the small one included,
+    is scanned alone by the single-row path on the cell codes _row_sizes
+    computed; the two KeyedHash survivors of at least JOIN_MIN_CANDIDATES
+    candidates go on through the residue join."""
     eng2, cb2 = _uniform_stage2(rate=2.0)
     assert cb2.num_bins >= typicality.JOIN_MIN_BINS
     obs2 = (_OWN, None) if own_first else (None, _OWN)
@@ -599,8 +623,13 @@ def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_firs
                           eng2.params)[0]
     target = cb2.bin_index(z)
     want_counts, want_first = _reference_rows(eng2, helpers, obs2, cb2, target)
-    scanned, joins = [], []
-    scan, join = CandidateEngine._scan_row, typicality._residue_join
+    sized, scanned, joins = [], [], []
+    sizes, scan, join = (CandidateEngine._row_sizes, CandidateEngine._scan_row,
+                         typicality._residue_join)
+
+    def spy_sizes(self, observed):
+        sized.append(sizes(self, observed))
+        return sized[-1]
 
     def spy_scan(self, codes, *args):
         scanned.append(codes)
@@ -610,12 +639,15 @@ def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_firs
         joins.append(args)
         return join(*args)
 
+    monkeypatch.setattr(CandidateEngine, "_row_sizes", spy_sizes)
     monkeypatch.setattr(CandidateEngine, "_scan_row", spy_scan)
     monkeypatch.setattr(typicality, "_residue_join", spy_join)
     counts, first = eng2.scan_bin_filter_rows(_placed(obs2, helpers), cb2, target)
     # z is the first candidate of the first large row; the other may hold it too
     assert counts == want_counts and counts[:2] == [0, 1]
     assert np.array_equal(first, z) and np.array_equal(want_first, z)
-    cell_codes = [2 * a + b for a, b in (_placed(obs2, h) for h in (_LARGE, _LARGE_TOO))]
+    cell_codes = [2 * a + b for a, b in (_placed(obs2, h) for h in helpers)]
+    assert len(sized) == 1 and np.array_equal(sized[0][0], cell_codes)
     assert np.array_equal(scanned, cell_codes)
+    assert all(np.shares_memory(codes, sized[0][0]) for codes in scanned)
     assert len(joins) == 2
