@@ -23,7 +23,7 @@ lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -145,16 +145,16 @@ class _Enumeration:
 @dataclass
 class _DecodeTable:
     """One decode step's candidates for every observed sequence of the
-    elements it runs on, in one flat table. It depends on the codebooks only
-    through the observed sequences and the terminal's earlier statuses.
+    elements it runs on, in one flat table, which no codebook draw changes.
+    A member runs a later step with its own members and groups (_unique_exact).
 
     members are the rows it runs on (positions in its observed columns)
     whose observed sequences admit a candidate, sorted by group: each one's
     observed sequences, numbered in lexicographic order of their codes
-    (_label_rows). A candidate holds a sequence code per decoded letter:
-    cands has one aligned code array per letter, and cand_group the group
-    of each candidate. Code and index arrays use the narrowest integer type
-    that holds them.
+    (_label_rows), or a given id. A candidate holds a sequence code per
+    decoded letter: cands has one aligned code array per letter, and
+    cand_group the group of each candidate. Code and index arrays use the
+    narrowest integer type that holds them.
     """
 
     members: np.ndarray
@@ -176,15 +176,6 @@ class _Picks:
     slots: np.ndarray
     pick: np.ndarray
     truth: np.ndarray
-
-    def codes(self, j):
-        """Decoded letter j's picked codes over the reach, which only an OK
-        status makes meaningful; where none is picked, -1 reads the last.
-        """
-        codes = np.zeros(len(self.status), dtype=self.table.cands[j].dtype)
-        # np.take reads int32 picks without a fancy index's conversion
-        codes[self.slots] = np.take(self.table.cands[j], self.pick)
-        return codes
 
     def right(self, j, same):
         """Over the reach, where the step decoded OK and, with same, letter
@@ -251,8 +242,8 @@ def _match(table, cols, queries, spans, slots):
     index, or -2 when several candidates share it, and is reset to -1
     after, also when the match fails; otherwise one sort orders the keys.
     """
-    if len(table.cand_group) == 0:     # then there are no members either
-        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    if len(table.cand_group) == 0:
+        return np.full(len(table.group), _ST_NONE, dtype=np.uint8), np.full(len(table.group), -1)
     key, q, total = table.cand_group, table.group, table.num_groups * math.prod(spans)
     if total >= 2 ** 64:
         labels, total = _label_rows(
@@ -356,17 +347,19 @@ class ExactEvaluator:
 
     # -- exact decode tables -----------------------------------------------
 
-    def _step_table(self, step, observed) -> _DecodeTable:
+    def _step_table(self, step, observed, group=None) -> _DecodeTable:
         """A decode step's table over the rows it runs on, grouped by the
         sequences the step observes (observed, one code column per letter it
-        does not decode). Each decoded letter in turn extends every candidate
-        so far by its engine's candidates, from one batched candidate_indices
-        call per letter. Rows of a group without candidates are dropped: they
-        stay NoCandidate.
+        does not decode), or by the given group ids, one distinct id per
+        row. Each decoded letter in turn extends every candidate so far by
+        its engine's candidates, from one batched candidate_indices call per
+        letter. Rows of a group without candidates are dropped: they stay
+        NoCandidate.
         """
         e = self.enum
         letters = [v for v in step.observed if v not in step.decoded]
-        group, num_groups = _label_rows(observed, [e.size[v] ** e.n for v in letters])
+        group, num_groups = (_label_rows(observed, [e.size[v] ** e.n for v in letters])
+                             if group is None else (group, len(group)))
         # numpy indexes by intp about 3 times as fast as by a narrow type
         ids = group.astype(np.intp)
         rows = {}       # each group's observed sequences, scattered from its rows
@@ -395,27 +388,38 @@ class ExactEvaluator:
     @functools.cached_property
     def _reach(self):
         """The elements some terminal's first decode step can decode, its
-        table's members, in ascending order; and per first step, its table,
-        its members' positions among them and their truths (_truths), none
-        of which a codebook draw changes. Outside the reach every decoding
-        terminal stays NoCandidate and recovers nothing, so every
-        decode-dependent labelling is constant there.
+        table's members, in ascending order; and per decode step its table,
+        with a first step's members' positions among them and their truths
+        (_truths), else None: none of which a codebook draw changes. A later
+        step's groups are its first step's candidates, whose decoded codes
+        and whose group's observed ones (read at its first member) it
+        observes. Outside the reach every decoding terminal stays
+        NoCandidate and recovers nothing, so every decode-dependent
+        labelling is constant there.
         """
-        e, seen, first = self.enum, set(), {}
+        e, first, built = self.enum, {}, {}
         # the mass classes first: their np.unique's temporaries, taken before
         # the tables and truths are held, then stay below the member's peak
         e.mass_classes
         inside = np.zeros(len(e.prob), dtype=bool)
         for i, step in enumerate(self.ctx.desc.decodes):
-            if step.terminal not in seen:
-                seen.add(step.terminal)
-                table = self._step_table(
-                    step, [e.idx[v] for v in step.observed if v not in step.decoded])
-                first[i] = step, table, table.members.astype(np.intp)
-                inside[first[i][2]] = True
+            letters = [v for v in step.observed if v not in step.decoded]
+            j = first.setdefault(step.terminal, i)
+            if j < i:
+                earlier, f, _ = built[j]
+                at = f.members[np.searchsorted(f.group, f.cand_group)]
+                built[i] = step, self._step_table(step, [
+                    f.cands[earlier.decoded.index(v)] if v in earlier.decoded else e.idx[v][at]
+                    for v in letters], np.arange(len(f.cand_group))), None
+            else:
+                table = self._step_table(step, [e.idx[v] for v in letters])
+                built[i] = step, table, table.members.astype(np.intp)
+                inside[built[i][2]] = True
         slot = np.cumsum(inside)
-        return np.flatnonzero(inside), {i: (t, slot[rows] - 1, *self._truths(step, t, rows))
-                                        for i, (step, t, rows) in first.items()}
+        return np.flatnonzero(inside), {
+            i: (t, None, None, None) if rows is None else
+            (t, slot[rows] - 1, *self._truths(step, t, rows))
+            for i, (step, t, rows) in built.items()}
 
     def _truths(self, step, table, rows):
         """Per decoded letter, the true sequences' domain positions at a
@@ -428,30 +432,24 @@ class ExactEvaluator:
             table, table.cands, [e.idx[v][rows] for v in step.decoded],
             [e.size[v] ** e.n for v in step.decoded], self._slots)[1]
 
-    def _unique_exact(self, i, step, cbs, values, recovered, prior):
-        """Decode step i at each reach element whose terminal has not failed
-        before it (prior: the status after its earlier steps, None at its
-        first). A candidate matches when every decoded letter's bin is the
-        announced one (values: a binned sender's bins over its letter's
-        domain); unique means one match overall. Returns its picks, with the
+    def _unique_exact(self, i, step, cbs, values, earlier):
+        """Decode step i: a first step (earlier None) at its table's members,
+        a later one where its terminal's first step (earlier: its picks)
+        picked a candidate, which is the element's group. A candidate
+        matches when every decoded letter's bin is the announced one
+        (values: a binned sender's bins over its letter's domain); unique
+        means one match overall. Returns its picks over the reach, with the
         status NoCandidate where the step did not run.
         """
         # a decoded letter of one bin matches every candidate and is left out
         binned = [(j, v.upper()) for j, v in enumerate(step.decoded)
                   if cbs[v.upper()].num_bins > 1]
-        elements, first = self._reach
-        if prior is None:
-            table, slots, truth, truth_pick = first[i]
-        else:
-            t, own = step.terminal, step.terminal.lower()
-            run = np.flatnonzero(prior == _ST_OK)
-            # a terminal's own sequence, and a verbatim copy, hold the true codes
-            held = {v: (None, 0) if v == own else recovered[f"{v}_at_{t}"]
-                    for v in step.observed if v not in step.decoded}
-            table = self._step_table(step, [
-                self.enum.idx[v][elements[run]] if picks is None else picks.codes(j)[run]
-                for v, (picks, j) in held.items()])
-            slots = run[table.members]
+        elements, steps = self._reach
+        table, slots, truth, truth_pick = steps[i]
+        if earlier is not None:
+            ran = earlier.pick >= 0
+            slots = earlier.slots[ran]
+            table = replace(table, members=slots, group=earlier.pick[ran])
             truth, truth_pick = self._truths(step, table, elements[slots])
         status = np.full(len(elements), _ST_NONE, dtype=np.uint8)
         status[slots], pick = _match(
@@ -616,14 +614,15 @@ class ExactEvaluator:
                 transcript.setdefault(letter, []).append((None, None))
                 recovered.update((f"{letter}_at_{t}", (None, 0))
                                  for t in TERMINALS if t != m.sender)
-        terminal_status = {}
+        terminal_status, first = {}, {}
         for i, step in enumerate(desc.decodes):
             t = step.terminal
-            prior = terminal_status.get(t)
+            earlier = first.get(t)
+            picks = self._unique_exact(i, step, cbs, values, earlier)
             # a terminal stops at its first failed step
-            picks = self._unique_exact(i, step, cbs, values, recovered, prior)
-            st = picks.status
-            terminal_status[t] = st if prior is None else np.where(prior != _ST_OK, prior, st)
+            terminal_status[t] = picks.status if earlier is None else np.where(
+                earlier.status != _ST_OK, earlier.status, picks.status)
+            first.setdefault(t, picks)
             recovered.update((f"{v}_at_{t}", (picks, j)) for j, v in enumerate(step.decoded))
 
         n, elements = float(e.n), self._reach[0]

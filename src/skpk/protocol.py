@@ -389,7 +389,9 @@ class RunContext:
         self.scheme = scheme = "PointP" if self.redirected else config.scheme
         self.rates = rates = (derive_rates(scheme, profile, config.epsilon, config.delta)
                               if config.rates is None else _checked_rates(config.rates))
-        self.swapped = (scheme == "PointP" and rates.orientation == "Y")
+        if rates.orientation == "Y" and scheme != "PointP":
+            raise UsageError(f'rates.orientation "Y" is for PointP only, not {scheme}')
+        self.swapped = rates.orientation == "Y"
         desc = SCHEME_TABLE[scheme]
         self.desc = desc = desc.renamed() if self.swapped else desc
         self.codebooks = self.draw_codebooks(config.codebook_mode, config.master_seed)

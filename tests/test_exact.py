@@ -1211,6 +1211,18 @@ def test_a_failed_dense_match_leaves_no_key_in_its_slots():
     assert status.tolist() == [_ST_NONE, _ST_NONE] and pick.tolist() == [-1, -1]
 
 
+def test_a_match_without_candidates_finds_none_for_every_member():
+    """A table whose groups have no candidates at all, as a later step's
+    can be, gives each of its members NoCandidate and the pick -1.
+    """
+    table = _DecodeTable(np.arange(3), np.array([0, 2, 2], dtype=np.uint8), 3,
+                         np.zeros(0, dtype=np.uint8), [np.zeros(0, dtype=np.uint8)])
+    status, pick = _match(table, table.cands, [np.array([1, 0, 1], dtype=np.uint8)], [2],
+                          _Slots(2 ** 20))
+    assert status.dtype == np.uint8 and status.tolist() == [_ST_NONE] * 3
+    assert pick.tolist() == [-1] * 3
+
+
 @pytest.mark.parametrize("sizes", [
     (3, 2 ** 62 + 5, 1, 50, 7),
     (2, 1000, 4, 2 ** 63 + 7),
@@ -1269,17 +1281,22 @@ def test_ranked_is_np_unique(monkeypatch, name):
     assert np.array_equal(inverse, want_inverse)
 
 
-def _reference_table(evaluator, step, observed):
+def _reference_table(evaluator, step, observed, given=None):
     """A decode step's members, group and cand_group and its candidates'
-    codes, with groups ranked by np.unique, members ordered by an int64
-    stable argsort and candidates listed one group at a time.
+    codes, with groups ranked by np.unique, or the given group ids, members
+    ordered by an int64 stable argsort and candidates listed one group at a
+    time.
     """
     e = evaluator.enum
     letters = [v for v in step.observed if v not in step.decoded]
     code = np.zeros(len(observed[0]), dtype=np.int64)
     for col, v in zip(observed, letters):
         code = code * e.size[v] ** e.n + col.astype(np.int64)
-    rest, group = np.unique(code, return_inverse=True)
+    if given is None:
+        rest, group = np.unique(code, return_inverse=True)
+    else:
+        rest, group = np.empty_like(code), given
+        rest[given] = code
 
     def digits(c, v):
         return np.stack(list(code_digits(np.array([c]), e.size[v], e.n)), axis=-1)
@@ -1306,38 +1323,66 @@ def _reference_table(evaluator, step, observed):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("dist,found", [
-    (xor_triple(), [True] * 6),
-    (noisy_copy_triple(0.1, 0.3), [True, False, True, True, False, False]),
+    (xor_triple(), [True] * 5),
+    (noisy_copy_triple(0.1, 0.3), [True, False, True, True, False]),
 ], ids=["xor", "noisy"])
 def test_step_tables_match_a_sorted_reference(monkeypatch, dist, found, n):
-    """Every decode table of two PointP and two PointT members (PointP's two
-    first steps, PointT's two first steps and its later yz -> x step per
-    member) has the members, groups, candidate groups and candidates of a
-    reference that ranks with np.unique and sorts int64 group ids. On the
-    noisy source, PointP's xy -> xz step and PointT's later step find no
-    candidates.
+    """Every decode table two PointP and two PointT members use (PointP's
+    two first steps, PointT's two first steps and its later yz -> x step)
+    is built once per evaluator, and has the members, groups, candidate
+    groups and candidates of a reference that ranks with np.unique, or
+    takes the given group ids, and sorts int64 group ids. The later step's
+    groups are the candidates of Y's first step y -> z: each observes the
+    candidate's z and its group's y. On the noisy source, PointP's xy -> xz
+    step and PointT's later step find no candidates.
     """
     built = []
     step_table = ExactEvaluator._step_table
 
-    def recording(self, step, observed):
-        table = step_table(self, step, observed)
-        built.append((self, step, observed, table))
+    def recording(self, step, observed, group=None):
+        table = step_table(self, step, observed, group)
+        built.append((self, step, observed, group, table))
         return table
 
     monkeypatch.setattr(ExactEvaluator, "_step_table", recording)
     for scheme in ("PointP", "PointT"):
         ExactEvaluator(_config(scheme, dist, n)).evaluate(2)
-    assert [step.observed for _, step, _, _ in built] == ["x", "xy", "x", "y", "yz", "yz"]
-    assert [len(t.members) > 0 for _, _, _, t in built] == found
-    for evaluator, step, observed, table in built:
+    assert [step.observed for _, step, *_ in built] == ["x", "xy", "x", "y", "yz"]
+    assert [group is not None for _, _, _, group, _ in built] == [False] * 4 + [True]
+    assert [len(t.members) > 0 for *_, t in built] == found
+    for evaluator, step, observed, group, table in built:
         members, group, num_groups, cand_group, cands = _reference_table(
-            evaluator, step, observed)
+            evaluator, step, observed, group)
         assert np.array_equal(table.members, members), step
         assert np.array_equal(table.group, group), step
         assert table.num_groups == num_groups, step
         assert np.array_equal(table.cand_group, cand_group), step
         assert [c.tolist() for c in table.cands] == cands, step
+    (evaluator, _, _, _, first), (_, _, (y, z), group, _) = built[3:]
+    assert group.tolist() == list(range(len(first.cand_group)))
+    assert z.tolist() == first.cands[0].tolist()
+    y_of = dict(zip(first.group.tolist(), evaluator.enum.idx["y"][first.members].tolist()))
+    assert y.tolist() == [y_of[g] for g in first.cand_group.tolist()]
+
+
+def test_decode_tables_are_built_once_per_evaluator(monkeypatch):
+    """A PointT evaluator builds one table per decode step, X's and Y's
+    first steps and Y's later yz -> x step, however many members it
+    evaluates: no member builds a table of its own.
+    """
+    calls = []
+    step_table = ExactEvaluator._step_table
+
+    def recording(self, step, observed, group=None):
+        calls.append(step)
+        return step_table(self, step, observed, group)
+
+    monkeypatch.setattr(ExactEvaluator, "_step_table", recording)
+    evaluator = ExactEvaluator(_config("PointT", xor_triple(), n=6, eps=0.5, delta=0.02))
+    evaluator.evaluate(4)
+    assert calls == list(evaluator.ctx.desc.decodes)
+    evaluator.member()
+    assert len(calls) == 3
 
 
 def test_step_tables_read_codes_past_int64(rng):
@@ -1425,12 +1470,14 @@ _FIVE_ATOMS = _atoms((2, 2, 2), (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (0, 
 
 @pytest.mark.parametrize("scheme", ["PointE", "PointT", "PointP", "PointQ"])
 def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
-    """The truth picks of every decode table two members build, first and
+    """The truth picks of every decode table two members match, first and
     later steps, pair steps included, on the member sweep's sources and the
     five-atom source at n = 4 and 5 and on xor at n = 6: per table member,
     the candidate of its group whose codes are the element's true
     sequences, found by scanning the group's candidates one by one, or -1;
-    and the true sequences' domain positions.
+    and the true sequences' domain positions. A later step's member whose
+    group (its first step's pick) has no candidates expects -1; PointT has
+    such members.
     """
     calls, truths = [], ExactEvaluator._truths
 
@@ -1444,15 +1491,16 @@ def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
                (xor_triple(), 6)]
     for dist, n in configs:
         ExactEvaluator(_config(scheme, dist, n, eps=0.5, delta=0.02)).evaluate(2)
-    found = []
+    found, bare = [], 0
     for e, step, table, rows, (truth, truth_pick) in calls:
         of_group = {}
         for c, g in enumerate(table.cand_group.tolist()):
             of_group.setdefault(g, []).append(c)
+        bare += sum(g not in of_group for g in table.group.tolist())
         codes = [e.idx[v][rows].tolist() for v in step.decoded]
         expected = []
         for m, g in enumerate(table.group.tolist()):
-            hits = [c for c in of_group[g]
+            hits = [c for c in of_group.get(g, [])
                     if all(int(cand[c]) == code[m] for cand, code in zip(table.cands, codes))]
             assert len(hits) <= 1
             expected.append(hits[0] if hits else -1)
@@ -1462,6 +1510,7 @@ def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
             assert np.array_equal(truth[j], e.domain(v)[1][rows])
         found += expected
     assert max(found) > 0 and -1 in found
+    assert (bare > 0) == (scheme == "PointT")
 
 
 def _brute_force_laws(evaluator, cbs):
@@ -1481,6 +1530,7 @@ def _brute_force_laws(evaluator, cbs):
     picked = {}     # "v_at_T" -> {element: picked code}
     for i, (table, slots, _, _) in evaluator._reach[1].items():
         step = desc.decodes[i]
+        assert slots is not None, "a later step's members are each member's own"
         rows = evaluator._reach[0][slots].tolist()
         of_group = {}
         for c, g in enumerate(table.cand_group.tolist()):
@@ -1529,7 +1579,7 @@ def test_pair_picks_wrong_in_one_letter_recover_the_other():
             step = evaluator.ctx.desc.decodes[i]
             if len(step.decoded) == 2:
                 picks = evaluator._unique_exact(i, step, cbs, {
-                    v: cbs[v].bins_of_indices(e.domain(v.lower())[0]) for v in "YZ"}, {}, None)
+                    v: cbs[v].bins_of_indices(e.domain(v.lower())[0]) for v in "YZ"}, None)
                 wrong = (picks.pick >= 0) & (picks.pick != truth_pick)
                 right = [cand[picks.pick] == e.idx[v][evaluator._reach[0][slots]]
                          for v, cand in zip(step.decoded, table.cands)]

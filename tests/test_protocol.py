@@ -12,7 +12,7 @@ from skpk import protocol, typicality
 from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import SearchOverflowError, UsageError
 from skpk.harness import _trial_stats
-from skpk.protocol import (STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
+from skpk.protocol import (SCHEME_TABLE, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
                            STATUS_OVERFLOW, RunContext, SchemeConfig, _pair_decode,
                            _unique_decode, derive_rates)
 from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
@@ -304,18 +304,50 @@ def test_custom_rates_override():
     ("PointP", lambda r: dataclasses.replace(r, r_s=math.inf)),
     ("PointP", lambda r: dataclasses.replace(r, r_p=-0.1)),
     ("TimeShare", lambda r: r),
+    ("PointE", lambda r: dataclasses.replace(r, orientation="Y")),
+    ("PointT", lambda r: dataclasses.replace(r, orientation="Y")),
+    ("PointQ", lambda r: dataclasses.replace(r, orientation="Y")),
 ], ids=["dict", "orientation-Q", "string-rate", "bool-rate", "nan-rate", "inf-rate",
-        "negative-rate", "time-share"])
+        "negative-rate", "time-share", "orientation-Y-PointE", "orientation-Y-PointT",
+        "orientation-Y-PointQ"])
 def test_run_context_refuses_bad_rates(scheme, bad):
     """An explicit rates override is checked where RunContext reads it: a
-    RateAssignment of finite real rates >= 0 oriented "X" or "Y", and none
-    at all for a TimeShare, whose parts derive their own.
+    RateAssignment of finite real rates >= 0 oriented "X" or "Y", "Y" only
+    where the scheme runs as PointP (on xor PointQ is not redirected), and
+    none at all for a TimeShare, whose parts derive their own.
     """
     kw = {"ts_schemes": ("PointP", "PointE")} if scheme == "TimeShare" else {}
     cfg = _config(scheme, xor_triple(), n=8, eps=0.5, delta=0.05, seed=0, **kw)
     cfg.rates = bad(derive_rates("PointP", info_profile(xor_triple()), 0.5, 0.05))
     with pytest.raises(UsageError, match="rates"):
         RunContext(cfg)
+
+
+def test_orientation_y_override_runs_a_redirected_point_q_as_point_p():
+    """A PointQ redirected to PointP (on a Markov Y-X-Z source) takes a
+    rates override in orientation Y and runs PointP with X and Y swapped.
+    """
+    cfg = _config("PointQ", noisy_copy_triple(0.1, 0.3), n=8, eps=0.5, delta=0.05, seed=0)
+    cfg.rates = dataclasses.replace(RunContext(cfg).rates, orientation="Y")
+    ctx = RunContext(cfg)
+    assert ctx.redirected and ctx.scheme == "PointP" and ctx.swapped
+    assert ctx.desc == SCHEME_TABLE["PointP"].renamed() and ctx.kp_owner == "Y"
+    assert ctx.run(0).outcome.kp_claims.keys() == {"Y", "X"}
+
+
+def test_later_decode_steps_observe_what_their_first_step_saw():
+    """The exact evaluator builds a later step's table from its terminal's
+    first step's. So in every scheme, as listed and renamed, every terminal
+    has at most two decode steps, and a later step observes only letters
+    its first step observed or decoded.
+    """
+    for scheme in SCHEME_TABLE.values():
+        for desc in (scheme, scheme.renamed()):
+            for t in "XYZ":
+                steps = [step for step in desc.decodes if step.terminal == t]
+                assert len(steps) <= 2, (desc, t)
+                for later in steps[1:]:
+                    assert set(later.observed) <= set(steps[0].observed + steps[0].decoded)
 
 
 def test_mismatch_rate_decreases_with_blocklength():
