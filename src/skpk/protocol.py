@@ -341,21 +341,26 @@ def _unique_decode(engine, observed, cb, target):
 
 def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
     """Unique (helper, z) pair: helper candidates typical with own sequence
-    and inside bin target1 come first, then every survivor is extended, in
-    one scan_bin_filter_rows call, by the z candidates typical with the pair
-    and inside bin target2. Unique means one (helper, z) pair overall. Survivors are
-    read in candidate order, and the first overflow or second match decides,
-    as if each survivor were scanned in turn.
-
-    obs2 is stage 2's observed tuple with None where the helper goes; the
-    survivors take that place as one (survivors, n) array.
+    and inside bin target1, each extended by the z candidates typical with
+    the pair and inside bin target2, read as if each survivor were scanned in
+    turn until the first overflow or second match. obs2 is stage 2's observed
+    tuple with None where the helper goes: the survivors' (survivors, n)
+    array in one scan_bin_filter_rows call, or, where eng2 is forced_only
+    and z a function of the helper, one scan_forced_pair call on stage 1.
     """
     try:
-        helpers = eng1.scan_bin_filter(obs1, cb1, target1)
+        if eng2.forced_only:
+            count, pair = eng1.scan_forced_pair(obs1, cb1, target1, eng2,
+                                                obs2[0] is not None, cb2, target2)
+            counts = [count]
+        else:
+            helpers = eng1.scan_bin_filter(obs1, cb1, target1)
+            observed = tuple(helpers if s is None else s for s in obs2)
+            counts, zseq = eng2.scan_bin_filter_rows(observed, cb2, target2)
+            # a copy: a view would keep every stage-1 survivor alive in the run
+            pair = (helpers[counts.index(1)].copy(), zseq) if 1 in counts else None
     except SearchOverflowError:
         return STATUS_OVERFLOW, None, None
-    observed = tuple(helpers if s is None else s for s in obs2)
-    counts, zseq = eng2.scan_bin_filter_rows(observed, cb2, target2)
     total = 0
     for cnt in counts:
         if cnt is None:
@@ -365,8 +370,7 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
             return STATUS_AMBIGUOUS, None, None
     if total == 0:
         return STATUS_NO_CANDIDATE, None, None
-    # a copy: a view would keep every stage-1 survivor alive in the run
-    return STATUS_OK, helpers[counts.index(1)].copy(), zseq
+    return STATUS_OK, *pair
 
 
 class RunContext:

@@ -248,16 +248,21 @@ def info_profile(dist: JointDistribution) -> InfoProfile:
 def sample(dist: JointDistribution, n: int, seed) -> SourceTriple:
     """Draw n i.i.d. triples. Identical (dist, n, seed) gives identical output.
 
-    seed is a 64-bit integer or a numpy SeedSequence (used for substreams).
+    seed is an integer >= 0 or a numpy SeedSequence (used for substreams).
     The generator is Philox, a counter-based generator, so draws never depend
     on hidden global state.
     """
+    (n,) = _integers("n", (n,))
     if n < 1:
         raise UsageError("sample requires n >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    rng = np.random.Generator(np.random.Philox(ss))
-    flat = dist.pmf.ravel()
-    atoms = rng.choice(len(flat), size=n, p=flat)
+    if not isinstance(seed, np.random.SeedSequence):
+        (seed,) = _integers("seed", (seed,))
+        if seed < 0:
+            raise UsageError(f"seed must be >= 0, got {seed}")
+    rng = np.random.Generator(np.random.Philox(seed))
+    # Generator.choice's draw from p, bit for bit, without its checks of p
+    cdf = np.cumsum(dist.pmf.ravel())
+    atoms = (cdf / cdf[-1]).searchsorted(rng.random(n), side="right")
     x, y, z = (a.astype(np.int64) for a in np.unravel_index(atoms, dist.alphabet_sizes))
     return SourceTriple(n, x, y, z)
 

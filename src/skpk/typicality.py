@@ -294,6 +294,15 @@ def _row_slices(members, mats, total) -> list:
     return [members[a:a + step] for a in range(0, len(members), step)]
 
 
+def _sums_at(vals_list, hits) -> np.ndarray:
+    """The _group_sums entries of the given candidate indices alone."""
+    j, acc = np.asarray(hits, dtype=np.int64), np.uint64(0)
+    for vals in reversed(vals_list):
+        j, i = np.divmod(j, len(vals))
+        acc = acc + vals[i]
+    return acc
+
+
 def _split_sums(vals_list):
     """Group sums of the class prefix and suffix whose products are closest
     to balanced; candidate j pairs left[j // len(right)] with
@@ -469,6 +478,8 @@ class CandidateEngine:
         _, window = np.unique(np.hstack([self.lo, self.hi]), axis=0, return_inverse=True)
         self._window = window.ravel().tolist()
         self._blocks = {}
+        self.forced_only = not self._free_cells
+        self._folds = {}    # _fold per (stage-2 engine, own_first)
 
     # -- class bookkeeping ------------------------------------------------
 
@@ -521,13 +532,9 @@ class CandidateEngine:
         """
         if not self._forced_cells.size:
             return _class_sums(tables, contrib)
-        return [self._base(codes, contrib)[..., None], *_class_sums(tables, contrib)]
-
-    def _base(self, codes, contrib) -> np.ndarray:
-        """uint64 sum of contrib[t, fill] over the forced positions t, per row of codes."""
         picked = contrib[np.arange(self.params.n), self._fill[codes]]
-        return np.where(self._forced[codes], picked, np.uint64(0)).sum(
-            axis=-1, dtype=np.uint64)
+        base = np.where(self._forced[codes], picked, np.uint64(0)).sum(axis=-1, dtype=np.uint64)
+        return [base[..., None], *_class_sums(tables, contrib)]
 
     def _row_sizes(self, observed):
         """Cell codes of observed sequences as (rows, n), and each row's
@@ -614,29 +621,32 @@ class CandidateEngine:
 
     # -- vectorized scans -------------------------------------------------
 
+    def _hits(self, codes, tables, total, contrib, codebook, target, limit):
+        """Indices of the first limit candidates (None: all) of one row of
+        cell codes and its (positions, table) classes whose bin, summed over
+        contrib, is target: one bin holds all, large KeyedHash spaces take
+        the residue join, the rest check every pair of two groups' sums."""
+        if codebook.num_bins == 1:
+            return range(total if target == 0 else 0)[:limit]
+        vals = self._sums(codes, tables, contrib)
+        if (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
+                and codebook.num_bins >= JOIN_MIN_BINS):
+            return _residue_join(vals, codebook, target, limit)
+        return _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)[:limit]
+
     def _scan_row(self, codes, sizes, codebook, target, limit):
         """The first limit candidates (None: all) of one row of cell codes
         whose bin under codebook is target, as the rows of an (H, n) int64
-        array in candidate order. A codebook of one bin holds every
-        candidate. Otherwise the classes split into two groups whose partial
-        sums pair up into candidates; large KeyedHash spaces are decoded by a
-        residue join of the two groups, everything else by checking every
-        pair.
+        array in candidate order.
         """
         mats, total = self._size_tables(sizes)
         if mats is None:
             return np.empty((0, self.params.n), dtype=np.int64)
         # (positions, arrangement table) per free class, by ascending cell code
         tables = list(zip(self._positions(codes, sizes), mats))
-        if codebook.num_bins == 1:
-            return self._reconstruct(range(total if target == 0 else 0)[:limit], tables, codes)
-        vals = self._sums(codes, tables, codebook.contribution_table())
-        if (codebook.mode == MODE_HASH and total >= JOIN_MIN_CANDIDATES
-                and codebook.num_bins >= JOIN_MIN_BINS):
-            hits = _residue_join(vals, codebook, target, limit)
-        else:
-            hits = _full_product(vals, codebook.finalize_bins, np.uint64(target), limit)
-        return self._reconstruct(hits[:limit], tables, codes)
+        hits = self._hits(codes, tables, total, codebook.contribution_table(), codebook,
+                          target, limit)
+        return self._reconstruct(hits, tables, codes)
 
     def scan_bin_filter(self, observed, codebook, target, limit=None):
         """The first limit candidates (None: all) of observed sequences
@@ -650,25 +660,13 @@ class CandidateEngine:
 
     def scan_bin_filter_rows(self, observed, codebook, target):
         """scan_bin_filter(row, codebook, target, limit=2) for every row of
-        observed sequences, rows as in _row_sizes.
+        observed sequences (rows as in _row_sizes), each on its own cell codes.
 
         Returns (counts, first): per row the match count capped at 2, or None
         where that row's scan would raise SearchOverflowError; and the first
         match of the first row with exactly one (None without such a row),
-        as an array of its own. An engine without free cells reads each
-        row's one candidate directly; otherwise each row is scanned on its
-        own cell codes, as scan_bin_filter scans it.
+        as an array of its own.
         """
-        if not self._free_cells:
-            # a row's one candidate is its fill, where its classes fit (fits);
-            # a cap of 0 still counts it as one candidate
-            codes, fits, _ = self._row_sizes(observed)
-            if self.cap < 1:
-                return [None if f else 0 for f in fits.tolist()], None
-            bins = codebook.finalize_bins(self._base(codes, codebook.contribution_table()))
-            hit = fits & (bins == np.uint64(target))
-            first = self._fill[codes[hit.argmax()]] if hit.any() else None
-            return hit.astype(int).tolist(), first
         codes, fits, sizes = self._row_sizes(observed)
         counts, first = [], None
         for row, fit, shape in zip(codes, fits.tolist(), sizes.tolist()):
@@ -682,3 +680,66 @@ class CandidateEngine:
                 # a copy, so the match does not keep the scan's arrays alive
                 first = found[0].copy()
         return counts, first
+
+    # -- pair decoding with a forced second stage ---------------------------
+
+    def scan_forced_pair(self, own, codebook, target, stage2, own_first, codebook2, target2):
+        """Pair decoding in one pass where stage2, the z engine, is forced_only
+        and z a function of the helper: helpers are this engine's candidates
+        of own (stage2's first observed sequence if own_first) in bin target
+        whose classes fit stage2's windows, with z in bin target2. Returns the
+        matches capped at 2, and (helper, z) for one match, else None. Raises
+        SearchOverflowError where scan_bin_filter would, before any sum, and
+        where stage2's cap < 1 and a helper fits."""
+        codes = _cell_codes(_as_seq_tuple(own), self.obs_shape, self.params.n)
+        counts = np.bincount(codes, minlength=self.obs_cells)
+        fits, sizes = self._free_sizes(counts)
+        sizes = sizes.tolist()
+        mats, _ = self._size_tables(sizes if fits else None)
+        fold = fill, lo2, hi2, _ = self._fold(stage2, own_first)
+        # a forced or absent class has one count vector: its size at its fill
+        vecs = counts[:, None] * (self._fill[:, None] == np.arange(self.q))
+        if mats is None or not ((vecs >= lo2) & (vecs <= hi2))[self._forced | (counts == 0)].all():
+            return 0, None
+        present = [(cell, m) for cell, m in zip(self._free_cells, sizes) if m]
+        tables = [(pos, self._kept(fold, *key, mat))
+                  for pos, key, mat in zip(self._positions(codes, sizes), present, mats)]
+        total = math.prod(len(mat) for _, mat in tables)
+        contrib = codebook.contribution_table()
+        # each helper that fits is one stage-2 candidate, over a cap below 1
+        if stage2.cap < 1 and self._hits(codes, tables, total, contrib, codebook, target, 1):
+            raise SearchOverflowError(f"1 candidates exceed the search cap {stage2.cap}")
+        # z's bin sum is a second additive hash of the helper
+        w = codebook2.contribution_table()[np.arange(self.params.n)[:, None], fill[codes]]
+        if codebook.num_bins == 1:
+            hits = [] if target else self._hits(codes, tables, total, w, codebook2, target2, 2)
+        else:
+            hits = self._hits(codes, tables, total, contrib, codebook, target, None)
+            bins = codebook2.finalize_bins(_sums_at(self._sums(codes, tables, w), hits))
+            hits = np.asarray(hits, dtype=np.int64)[bins == np.uint64(target2)][:2]
+        if len(hits) != 1:
+            return len(hits), None
+        helper = self._reconstruct(hits, tables, codes)[0].copy()
+        return 1, (helper, fill[codes, helper])
+
+    def _fold(self, stage2, own_first):
+        """Per (own cell, helper symbol) the fill of stage2's cell and its
+        window, and a cache of _kept tables; once per stage2 and own_first."""
+        key = (stage2, own_first)
+        if key not in self._folds:
+            grid = np.arange(stage2.obs_cells).reshape(stage2.obs_shape)
+            grid = grid if own_first else grid.T
+            fill = stage2._fill[grid]
+            self._folds[key] = (fill, stage2.lo[grid, fill], stage2.hi[grid, fill], {})
+        return self._folds[key]
+
+    def _kept(self, fold, cell, m, mat):
+        """mat, the class of cell and size m, without the arrangements whose
+        count vector misses the fold's windows."""
+        _, lo2, hi2, kept = fold
+        if (cell, m) not in kept:
+            vectors = self._block(cell, m).vectors
+            ok = ((np.array(vectors) >= lo2[cell]) & (np.array(vectors) <= hi2[cell])).all(axis=1)
+            kept[cell, m] = mat if ok.all() else mat[
+                np.repeat(ok, [_multinomial(m, v) for v in vectors])]
+        return kept[cell, m]

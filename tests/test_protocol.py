@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -531,14 +532,18 @@ def _assert_same_decode(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
-def _ternary_sum(rng):
-    """x on three symbols and y on two, their pairs weighted at random in
-    [1, 2), and z = (x + y) mod 3: z is forced in every (x, y) cell."""
-    pxy = 1 + rng.random((3, 2))
-    pmf = np.zeros((3, 3, 3))
-    for x, y in itertools.product(range(3), range(2)):
-        pmf[x, y, (x + y) % 3] = pxy[x, y]
-    return JointDistribution.create((3, 3, 3), pmf / pmf.sum())
+def _modular_sum(rng, q=3, sparse=False):
+    """x on q symbols and y on two, their pairs weighted at random in
+    [1, 2), and z = (x + y) mod q: z is forced in every (x, y) cell. sparse
+    keeps one x with y = 0, which forces x in that class.
+    """
+    pxy = 1 + rng.random((q, 2))
+    if sparse:
+        pxy[rng.permutation(q)[1:], 0] = 0
+    pmf = np.zeros((q, q, q))
+    for x, y in itertools.product(range(q), range(2)):
+        pmf[x, y, (x + y) % q] = pxy[x, y]
+    return JointDistribution.create((q, q, q), pmf / pmf.sum())
 
 
 @pytest.mark.parametrize("chunk", [None, 16], ids=["whole-products", "product-blocks-of-16"])
@@ -547,42 +552,63 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     """On random 2x2x2 sources with zero atoms, PointP's step (own sequence
     second in stage 2) and PointQ's first step (own sequence first) decode as
     one scan per survivor does, and each stage-2 call of scan_bin_filter_rows
-    returns that scan's per-row counts and first match. Halved bin rates
+    returns those scans' per-row counts and first match. Halved bin rates
     leave several survivors and some ambiguous ones. A 16-entry scan chunk
-    cuts every full product of more than 16 candidates into blocks. Two
-    ternary sources with z = (x + y) mod 3 run stage 2 on engines without
-    free cells, which read each survivor's one candidate directly.
+    cuts every full product of more than 16 candidates into blocks.
+
+    Sources with z = (x + y) mod 3 or mod 2 run stage 2 on engines without
+    free cells, which pair decoding folds into one pass over stage 1
+    (scan_forced_pair): with own sequence first and second, one-bin and
+    multi-bin stage-1 codebooks, stage-1 spaces above the chunk, a forced
+    stage-1 class, and a copy of each stage-2 engine with a search cap of 0, which
+    overflows where a helper in bin 1 fits stage 2's windows.
     """
     if chunk is not None:
         monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
     seen = {"own_first": set(), "status": set(), "counts": set(), "multi_row": 0,
-            "forced": set()}
+            "forced": set(), "forced_own_first": set(), "forced_one_bin": set(),
+            "forced_capped": set(), "above_chunk": 0}
     batched = protocol._pair_decode
 
     def checked(*args):
         eng1, obs1, cb1, target1, eng2, obs2, cb2, target2 = args
         got = batched(*args)
         _assert_same_decode(got, _reference_pair_decode(*args))
+        if eng2.forced_only:
+            capped = copy.copy(eng2)
+            capped.cap = 0
+            capped_args = (*args[:4], capped, *args[5:])
+            capped_got = batched(*capped_args)
+            _assert_same_decode(capped_got, _reference_pair_decode(*capped_args))
+            seen["forced_capped"].add(capped_got[0])
         try:
             helpers = eng1.scan_bin_filter(obs1, cb1, target1)
         except SearchOverflowError:
+            return got
+        seen["own_first"].add(obs2[1] is None)
+        seen["status"].add(got[0])
+        seen["multi_row"] += len(helpers) > 1
+        if eng2.forced_only:
+            if len(helpers):
+                seen["forced"].add(got[0])
+                seen["forced_own_first"].add(obs2[1] is None)
+                seen["forced_one_bin"].add(cb1.num_bins == 1)
+                seen["above_chunk"] += (eng1.candidate_indices(obs1)[1][0]
+                                        > typicality._SCAN_CHUNK)
             return got
         counts, first = eng2.scan_bin_filter_rows(_placed(obs2, helpers), cb2, target2)
         ref_counts, ref_first = _reference_rows(eng2, helpers, obs2, cb2, target2)
         assert counts == ref_counts
         assert (first is None and ref_first is None) or np.array_equal(first, ref_first)
-        seen["own_first"].add(obs2[1] is None)
-        seen["status"].add(got[0])
         seen["counts"].update(counts)
-        seen["multi_row"] += len(helpers) > 1
-        if not eng2._free_cells and len(helpers):
-            seen["forced"].add(got[0])
         return got
 
     monkeypatch.setattr(protocol, "_pair_decode", checked)
     sources = itertools.chain(
         (random_distribution(rng, (2, 2, 2), zero_frac=0.25) for _ in range(10)),
-        (_ternary_sum(rng) for _ in range(2)))
+        (_modular_sum(rng) for _ in range(2)),
+        (_modular_sum(rng, sparse=True),),
+        (_modular_sum(rng, q=2) for _ in range(2)))
     for dist in sources:
         for scheme in ("PointP", "PointQ"):
             cfg = _config(scheme, dist, n=10, eps=0.9, delta=0.02,
@@ -597,6 +623,122 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     assert seen["counts"] == {0, 1, 2}
     assert seen["multi_row"] > 0
     assert seen["forced"] == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
+    assert seen["forced_own_first"] == seen["forced_one_bin"] == {True, False}
+    assert seen["forced_capped"] == {STATUS_OVERFLOW, STATUS_NO_CANDIDATE}
+    assert (seen["above_chunk"] > 0) == (chunk is not None)
+
+
+@pytest.mark.parametrize("own_first", [False, True], ids=["own-second", "own-first"])
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+def test_forced_pair_decode_keeps_what_stage2_windows_fit(rng, monkeypatch, mode, own_first):
+    """Stage 2's windows need not be stage 1's. Here stage 2 is a forced
+    engine of the same z = (x + y) mod 3 source with its masses reweighted,
+    at epsilon 0.7 and 0.3 against stage 1's 0.9; x is forced at y = 0 in
+    both. Its windows drop some of stage 1's count vectors, and the tight
+    one rules out some sizes of the forced class outright. A third gives
+    y = 2 mass, which stage 1 and every own sequence lack, so its absent
+    class rules out every pair. With y = 1 made rarer, a stage 1 at epsilon
+    1 - 1e-13 admits a zero count everywhere, so only its stage 2 rules out
+    an absent y = 1. Over
+    own sequences with every number of zeros, and every pair of targets, the
+    fold decodes as the per-survivor reference does, and so does a stage-2
+    copy with a search cap of 0.
+    """
+    n = 8
+    d1 = _modular_sum(rng, sparse=True)
+    pmf2 = d1.pmf * (1 + rng.random((3, 3, 3)))
+    pmf2[:, 0] *= 0.4
+    pmf3 = pmf2.copy()
+    pmf3[range(3), 2, [2, 0, 1]] = 0.1
+
+    def stage2(pmf, eps):
+        pmf = np.transpose(pmf, (1, 0, 2)) if own_first else pmf
+        return CandidateEngine(pmf / pmf.sum(), TypicalityParams(eps, n))
+
+    eng1 = CandidateEngine(d1.marginal("YX"), TypicalityParams(0.9, n))
+    light = d1.pmf * [[1], [0.3], [1]]
+    loose = CandidateEngine(light.sum(axis=2).T / light.sum(), TypicalityParams(1 - 1e-13, n))
+    eng2, tight, needs2 = stage2(pmf2, 0.7), stage2(pmf2, 0.3), stage2(pmf3, 0.7)
+    needs1 = stage2(light, 0.9)
+    capped = copy.copy(eng2)
+    capped.cap = 0
+    assert all(e.forced_only for e in (eng2, tight, needs2, needs1))
+    assert not loose.lo.any()
+    cb1 = make_codebook(mode, n, 3, 0.5, 0.0, seed=3, purpose="X")
+    cb2 = make_codebook(mode, n, 3, 0.25, 0.0, seed=4, purpose="Z")
+    dropped, statuses = [], set()
+    kept = CandidateEngine._kept
+
+    def spy_kept(self, fold, cell, m, mat):
+        out = kept(self, fold, cell, m, mat)
+        dropped.append(len(mat) - len(out))
+        return out
+
+    monkeypatch.setattr(CandidateEngine, "_kept", spy_kept)
+    # own sequences with every number of zeros
+    owns = [rng.permutation(np.arange(n) >= k).astype(np.int64) for k in range(n + 1)]
+    engines = [(eng1, eng2), (eng1, tight), (eng1, capped), (eng1, needs2), (loose, needs1)]
+    for own, t1, t2, (first, second) in itertools.product(
+            owns, range(cb1.num_bins), range(cb2.num_bins), engines):
+        args = (first, (own,), cb1, t1, second, (own, None) if own_first else (None, own),
+                cb2, t2)
+        got = _pair_decode(*args)
+        _assert_same_decode(got, _reference_pair_decode(*args))
+        if second is needs2 or (first is loose and not own.any()):
+            assert got[0] == STATUS_NO_CANDIDATE
+        statuses.add(got[0])
+    assert statuses == set(protocol.STATUSES)
+    assert max(dropped) > 0 and min(dropped) == 0
+
+
+@pytest.mark.parametrize("scheme", ["PointP", "PointQ"])
+def test_forced_stage2_pair_decode_lists_no_helper(monkeypatch, scheme):
+    """On xor, z is forced in every (x, y) cell, so pair decoding runs as
+    one pass over stage 1's classes: it calls neither scan_bin_filter nor
+    scan_bin_filter_rows, runs none of stage 2's class machinery, and
+    rebuilds at most the one helper it returns. Its decodes are the
+    per-survivor reference's.
+    """
+    ctx = RunContext(_config(scheme, xor_triple(), n=10, eps=0.5, delta=0.05, seed=3))
+    stage2 = ctx.engines["xyz"]
+    assert stage2.forced_only
+    calls, rebuilt, inside = [], [], []
+    decode, reconstruct = protocol._pair_decode, CandidateEngine._reconstruct
+
+    def recording(*args):
+        inside.append(True)
+        try:
+            calls.append((args, decode(*args)))
+        finally:
+            inside.pop()
+        return calls[-1][1]
+
+    def spy_reconstruct(self, hits, *rest):
+        if inside:
+            rebuilt.append(len(hits))
+        return reconstruct(self, hits, *rest)
+
+    def guarded(name):
+        method = getattr(CandidateEngine, name)
+
+        def spy(self, *args, **kwargs):
+            if inside and (self is stage2 or name.startswith("scan_bin_filter")):
+                raise AssertionError(f"{name} called in a forced pair decode")
+            return method(self, *args, **kwargs)
+        return spy
+
+    for name in ("scan_bin_filter", "scan_bin_filter_rows", "_row_sizes", "_size_tables",
+                 "_positions", "_sums", "_hits"):
+        monkeypatch.setattr(CandidateEngine, name, guarded(name))
+    monkeypatch.setattr(CandidateEngine, "_reconstruct", spy_reconstruct)
+    monkeypatch.setattr(protocol, "_pair_decode", recording)
+    for i in range(30):
+        ctx.run(i)
+    assert {got[0] for _, got in calls} >= {STATUS_OK, STATUS_NO_CANDIDATE}
+    assert rebuilt and max(rebuilt) == 1
+    assert len(rebuilt) == sum(got[0] == STATUS_OK for _, got in calls)
+    for args, got in calls:
+        _assert_same_decode(got, _reference_pair_decode(*args))
 
 
 class _Survivors:

@@ -208,6 +208,41 @@ def test_sample_deterministic():
         sample(d, 0, seed=9)
 
 
+@pytest.mark.parametrize("n,seed,message", [
+    (8, 5.7, "seed must be integers"),
+    (8, True, "seed must be integers"),
+    (8, "5", "seed must be integers"),
+    (8, -1, "seed must be >= 0"),
+    (8.0, 5, "n must be integers"),
+    (True, 5, "n must be integers")],
+    ids=["float-seed", "bool-seed", "string-seed", "negative-seed", "float-n", "bool-n"])
+def test_sample_refuses_non_integer_arguments(n, seed, message):
+    """A float seed is refused, not truncated (5.7 drew as seed 5), and so
+    are a bool or string seed, a negative seed and a float or bool n."""
+    with pytest.raises(UsageError, match=message):
+        sample(xor_triple(), n, seed)
+
+
+def test_sample_draws_as_generator_choice():
+    """sample() draws the atoms Generator.choice(len(p), size=n, p=p) draws
+    from the same Philox stream, unravelled, over 1,000 seeds and several
+    lengths; a numpy release that changes choice fails here rather than
+    moving reports silently. Integer seeds and SeedSequences both hold.
+    """
+    dists = [xor_triple(), noisy_copy_triple(0.1, 0.3),
+             random_distribution(np.random.default_rng(36), (3, 2, 4), zero_frac=0.3)]
+    assert min(d.pmf.min() for d in dists) == 0
+    for d, seed, n in itertools.product(dists, range(1000), (1, 8, 20, 64)):
+        flat = d.pmf.ravel()
+        # even seeds go in as integers, odd ones as SeedSequences
+        entropy = seed if seed % 2 == 0 else [seed, n]
+        got = sample(d, n, seed if seed % 2 == 0 else np.random.SeedSequence(entropy))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        want = np.unravel_index(rng.choice(len(flat), size=n, p=flat), d.alphabet_sizes)
+        for a, b in zip((got.x_seq, got.y_seq, got.z_seq), want):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
 def test_pmf_file_round_trip(tmp_path):
     d = noisy_copy_triple(0.1, 0.3)
     path = tmp_path / "pmf.json"

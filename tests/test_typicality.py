@@ -532,8 +532,10 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     """On xor's XYZ marginal z is forced in every (x, y) cell: survivors of
     different class sizes build no arrangement table, a typical row is its
     own single candidate, x xor y, and with a search cap of 0 it still
-    counts one candidate and overflows. scan_bin_filter_rows reads each row's
-    candidate directly, without grouping rows, class sums or reconstruction."""
+    counts one candidate and overflows. scan_bin_filter_rows counts each
+    row's candidate and gives the first match through its per-row rule;
+    pair decoding reads a forced stage 2 without it (the no-class-machinery
+    spy is test_forced_stage2_pair_decode_lists_no_helper)."""
     pmf = xor_triple().marginal("XYZ")
     params = TypicalityParams(epsilon=0.5, n=8)
     eng = CandidateEngine(pmf, params)
@@ -564,13 +566,6 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
             capped.scan_bin_filter((x[r], y[r]), cb, 0)
         r = typical.index(False)
         assert capped.scan_bin_filter((x[r], y[r]), cb, 0).shape == (0, 8)
-
-    def no_classes(*args):
-        raise AssertionError("class machinery used by a forced-only engine")
-
-    monkeypatch.setattr(CandidateEngine, "_row_classes", no_classes)
-    monkeypatch.setattr(CandidateEngine, "_reconstruct", no_classes)
-    monkeypatch.setattr(typicality, "_class_sums", no_classes)
     observed = tuple(np.stack(axis) for axis in zip(*rows))
     for cb in codebooks:
         for target in range(cb.num_bins):
