@@ -326,51 +326,31 @@ SCHEME_TABLE = {
 }
 
 
+def _status(count):
+    """The status of a decode that found count matches, capped at 2."""
+    return (STATUS_NO_CANDIDATE, STATUS_OK, STATUS_AMBIGUOUS)[count]
+
+
 def _unique_decode(engine, observed, cb, target):
     try:
         found = engine.scan_bin_filter(observed, cb, target, limit=2)
     except SearchOverflowError:
         return STATUS_OVERFLOW, None
-    if len(found) == 0:
-        return STATUS_NO_CANDIDATE, None
-    if len(found) >= 2:
-        return STATUS_AMBIGUOUS, None
     # a copy, so no recovered sequence views a scan's array
-    return STATUS_OK, found[0].copy()
+    return _status(len(found)), found[0].copy() if len(found) == 1 else None
 
 
 def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
-    """Unique (helper, z) pair: helper candidates typical with own sequence
-    and inside bin target1, each extended by the z candidates typical with
-    the pair and inside bin target2, read as if each survivor were scanned in
-    turn until the first overflow or second match. obs2 is stage 2's observed
-    tuple with None where the helper goes: the survivors' (survivors, n)
-    array in one scan_bin_filter_rows call, or, where eng2 is forced_only
-    and z a function of the helper, one scan_forced_pair call on stage 1.
+    """Unique (helper, z) pair (CandidateEngine.scan_pair): helper candidates
+    typical with own sequence and inside bin target1, each extended by the z
+    candidates typical with the pair and inside bin target2. obs2 is stage
+    2's observed tuple with None where the helper goes.
     """
     try:
-        if eng2.forced_only:
-            count, pair = eng1.scan_forced_pair(obs1, cb1, target1, eng2,
-                                                obs2[0] is not None, cb2, target2)
-            counts = [count]
-        else:
-            helpers = eng1.scan_bin_filter(obs1, cb1, target1)
-            observed = tuple(helpers if s is None else s for s in obs2)
-            counts, zseq = eng2.scan_bin_filter_rows(observed, cb2, target2)
-            # a copy: a view would keep every stage-1 survivor alive in the run
-            pair = (helpers[counts.index(1)].copy(), zseq) if 1 in counts else None
+        count, pair = eng1.scan_pair(obs1, cb1, target1, eng2, obs2[0] is not None, cb2, target2)
     except SearchOverflowError:
         return STATUS_OVERFLOW, None, None
-    total = 0
-    for cnt in counts:
-        if cnt is None:
-            return STATUS_OVERFLOW, None, None
-        total += cnt
-        if total >= 2:
-            return STATUS_AMBIGUOUS, None, None
-    if total == 0:
-        return STATUS_NO_CANDIDATE, None, None
-    return STATUS_OK, *pair
+    return _status(count), *(pair or (None, None))
 
 
 class RunContext:

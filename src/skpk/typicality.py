@@ -658,39 +658,34 @@ class CandidateEngine:
         fits, sizes = self._free_sizes(np.bincount(codes, minlength=self.obs_cells))
         return self._scan_row(codes, sizes.tolist() if fits else None, codebook, target, limit)
 
-    def scan_bin_filter_rows(self, observed, codebook, target):
-        """scan_bin_filter(row, codebook, target, limit=2) for every row of
-        observed sequences (rows as in _row_sizes), each on its own cell codes.
+    # -- pair decoding -------------------------------------------------------
 
-        Returns (counts, first): per row the match count capped at 2, or None
-        where that row's scan would raise SearchOverflowError; and the first
-        match of the first row with exactly one (None without such a row),
-        as an array of its own.
-        """
-        codes, fits, sizes = self._row_sizes(observed)
-        counts, first = [], None
-        for row, fit, shape in zip(codes, fits.tolist(), sizes.tolist()):
-            try:
-                found = self._scan_row(row, shape if fit else None, codebook, target, 2)
-            except SearchOverflowError:
-                counts.append(None)
-                continue
-            counts.append(len(found))
-            if first is None and len(found) == 1:
-                # a copy, so the match does not keep the scan's arrays alive
-                first = found[0].copy()
-        return counts, first
-
-    # -- pair decoding with a forced second stage ---------------------------
-
-    def scan_forced_pair(self, own, codebook, target, stage2, own_first, codebook2, target2):
-        """Pair decoding in one pass where stage2, the z engine, is forced_only
-        and z a function of the helper: helpers are this engine's candidates
-        of own (stage2's first observed sequence if own_first) in bin target
-        whose classes fit stage2's windows, with z in bin target2. Returns the
-        matches capped at 2, and (helper, z) for one match, else None. Raises
-        SearchOverflowError where scan_bin_filter would, before any sum, and
-        where stage2's cap < 1 and a helper fits."""
+    def scan_pair(self, own, codebook, target, stage2, own_first, codebook2, target2):
+        """Pair decoding: helpers are this engine's candidates of own in bin
+        target, each extended by stage2's candidates of the pair (own sequence
+        first if own_first) in bin target2, read as if each helper were scanned
+        in turn until the second match. Returns the matches capped at 2, and
+        (helper, z) for one match, else None; raises SearchOverflowError where
+        such a scan would. Free-cell stage 2 scans the helpers one at a time on
+        the cell codes of one _row_sizes call. A forced_only stage2 makes z a
+        function of the helper: one pass over stage 1's classes keeps helpers
+        whose classes fit stage2's windows, with z in bin target2, and raises
+        before any sum, also where stage2's cap < 1 and a helper fits."""
+        if not stage2.forced_only:
+            helpers = self.scan_bin_filter(own, codebook, target)
+            own = _as_seq_tuple(own)
+            codes, fits, sizes = stage2._row_sizes(
+                (*own, helpers) if own_first else (helpers, *own))
+            count, pair = 0, None
+            for helper, row, fit, shape in zip(helpers, codes, fits.tolist(), sizes.tolist()):
+                found = stage2._scan_row(row, shape if fit else None, codebook2, target2, 2)
+                count += len(found)
+                if count >= 2:
+                    return 2, None
+                if len(found):
+                    # copies, so the pair does not keep the scans' arrays alive
+                    pair = helper.copy(), found[0].copy()
+            return count, pair
         codes = _cell_codes(_as_seq_tuple(own), self.obs_shape, self.params.n)
         counts = np.bincount(codes, minlength=self.obs_cells)
         fits, sizes = self._free_sizes(counts)

@@ -489,7 +489,8 @@ def _placed(obs2, helper):
 
 
 def _reference_rows(eng, helpers, obs2, cb, target):
-    """scan_bin_filter_rows as one scan_bin_filter call per helper row."""
+    """Per helper row, the match count of one scan_bin_filter call with
+    limit 2 (None where it overflows), and the first row's single match."""
     counts, first = [], None
     for row in helpers:
         try:
@@ -551,28 +552,36 @@ def _modular_sum(rng, q=3, sparse=False):
 def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     """On random 2x2x2 sources with zero atoms, PointP's step (own sequence
     second in stage 2) and PointQ's first step (own sequence first) decode as
-    one scan per survivor does, and each stage-2 call of scan_bin_filter_rows
-    returns those scans' per-row counts and first match. Halved bin rates
+    one scan per survivor does, and the stage-2 rows scan_pair scans give
+    those scans' per-row counts, in order, up to the second match or the
+    first overflow, where scan_pair stops. Halved bin rates
     leave several survivors and some ambiguous ones. A 16-entry scan chunk
     cuts every full product of more than 16 candidates into blocks.
 
     Sources with z = (x + y) mod 3 or mod 2 run stage 2 on engines without
-    free cells, which pair decoding folds into one pass over stage 1
-    (scan_forced_pair): with own sequence first and second, one-bin and
-    multi-bin stage-1 codebooks, stage-1 spaces above the chunk, a forced
-    stage-1 class, and a copy of each stage-2 engine with a search cap of 0, which
-    overflows where a helper in bin 1 fits stage 2's windows.
+    free cells, which scan_pair folds into one pass over stage 1: with own
+    sequence first and second, one-bin and multi-bin stage-1 codebooks,
+    stage-1 spaces above the chunk, a forced stage-1 class, and a copy of
+    each stage-2 engine with a search cap of 0, which overflows where a
+    helper in bin 1 fits stage 2's windows.
     """
     if chunk is not None:
         monkeypatch.setattr(typicality, "_SCAN_CHUNK", chunk)
     seen = {"own_first": set(), "status": set(), "counts": set(), "multi_row": 0,
             "forced": set(), "forced_own_first": set(), "forced_one_bin": set(),
-            "forced_capped": set(), "above_chunk": 0}
-    batched = protocol._pair_decode
+            "forced_capped": set(), "above_chunk": 0, "stopped": 0}
+    batched, scan_row, scanned = protocol._pair_decode, CandidateEngine._scan_row, []
+
+    def spy_scan_row(self, *args):
+        found = scan_row(self, *args)
+        scanned.append((self, len(found)))
+        return found
 
     def checked(*args):
         eng1, obs1, cb1, target1, eng2, obs2, cb2, target2 = args
+        scanned.clear()
         got = batched(*args)
+        counts = [count for eng, count in scanned if eng is eng2]
         _assert_same_decode(got, _reference_pair_decode(*args))
         if eng2.forced_only:
             capped = copy.copy(eng2)
@@ -596,13 +605,15 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
                 seen["above_chunk"] += (eng1.candidate_indices(obs1)[1][0]
                                         > typicality._SCAN_CHUNK)
             return got
-        counts, first = eng2.scan_bin_filter_rows(_placed(obs2, helpers), cb2, target2)
-        ref_counts, ref_first = _reference_rows(eng2, helpers, obs2, cb2, target2)
-        assert counts == ref_counts
-        assert (first is None and ref_first is None) or np.array_equal(first, ref_first)
+        ref_counts, _ = _reference_rows(eng2, helpers, obs2, cb2, target2)
+        assert counts == ref_counts[:len(counts)]
+        rest = ref_counts[len(counts):]
+        assert not rest or sum(counts) >= 2 or rest[0] is None
         seen["counts"].update(counts)
+        seen["stopped"] += bool(rest) and rest[0] is not None
         return got
 
+    monkeypatch.setattr(CandidateEngine, "_scan_row", spy_scan_row)
     monkeypatch.setattr(protocol, "_pair_decode", checked)
     sources = itertools.chain(
         (random_distribution(rng, (2, 2, 2), zero_frac=0.25) for _ in range(10)),
@@ -621,7 +632,7 @@ def test_pair_decode_matches_per_survivor_scans(rng, monkeypatch, mode, chunk):
     assert seen["own_first"] == {True, False}
     assert seen["status"] == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
     assert seen["counts"] == {0, 1, 2}
-    assert seen["multi_row"] > 0
+    assert seen["multi_row"] > 0 and seen["stopped"] > 0
     assert seen["forced"] == {STATUS_OK, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE}
     assert seen["forced_own_first"] == seen["forced_one_bin"] == {True, False}
     assert seen["forced_capped"] == {STATUS_OVERFLOW, STATUS_NO_CANDIDATE}
@@ -694,8 +705,8 @@ def test_forced_pair_decode_keeps_what_stage2_windows_fit(rng, monkeypatch, mode
 @pytest.mark.parametrize("scheme", ["PointP", "PointQ"])
 def test_forced_stage2_pair_decode_lists_no_helper(monkeypatch, scheme):
     """On xor, z is forced in every (x, y) cell, so pair decoding runs as
-    one pass over stage 1's classes: it calls neither scan_bin_filter nor
-    scan_bin_filter_rows, runs none of stage 2's class machinery, and
+    one pass over stage 1's classes: it calls no scan_bin_filter, runs none
+    of stage 2's class machinery, and
     rebuilds at most the one helper it returns. Its decodes are the
     per-survivor reference's.
     """
@@ -722,13 +733,13 @@ def test_forced_stage2_pair_decode_lists_no_helper(monkeypatch, scheme):
         method = getattr(CandidateEngine, name)
 
         def spy(self, *args, **kwargs):
-            if inside and (self is stage2 or name.startswith("scan_bin_filter")):
+            if inside and (self is stage2 or name == "scan_bin_filter"):
                 raise AssertionError(f"{name} called in a forced pair decode")
             return method(self, *args, **kwargs)
         return spy
 
-    for name in ("scan_bin_filter", "scan_bin_filter_rows", "_row_sizes", "_size_tables",
-                 "_positions", "_sums", "_hits"):
+    for name in ("scan_bin_filter", "_row_sizes", "_size_tables", "_positions", "_sums",
+                 "_hits"):
         monkeypatch.setattr(CandidateEngine, name, guarded(name))
     monkeypatch.setattr(CandidateEngine, "_reconstruct", spy_reconstruct)
     monkeypatch.setattr(protocol, "_pair_decode", recording)
@@ -739,16 +750,6 @@ def test_forced_stage2_pair_decode_lists_no_helper(monkeypatch, scheme):
     assert len(rebuilt) == sum(got[0] == STATUS_OK for _, got in calls)
     for args, got in calls:
         _assert_same_decode(got, _reference_pair_decode(*args))
-
-
-class _Survivors:
-    """Stage-1 stand-in whose bin holds the given helper rows, in order."""
-
-    def __init__(self, rows):
-        self.rows = np.array(rows, dtype=np.int64)
-
-    def scan_bin_filter(self, observed, codebook, target, limit=None):
-        return self.rows
 
 
 # n = 16 on a uniform 2x2x2 pmf at epsilon = 0.9: every (x, y, z) count lies
@@ -766,6 +767,13 @@ def _uniform_stage2(cap=typicality.DEFAULT_SEARCH_CAP, rate=0.0):
     return eng, make_codebook(MODE_HASH, 16, 2, rate, 0.0, seed=9, purpose="Z")
 
 
+def _survivors(rows):
+    """A stage-1 engine whose bin holds the given helper rows, in order."""
+    eng = CandidateEngine(np.full((2, 2), 1 / 4), TypicalityParams(0.9, 16))
+    eng.scan_bin_filter = lambda *args, **kwargs: np.array(rows, dtype=np.int64)
+    return eng
+
+
 @pytest.mark.parametrize("rows,status", [
     ([_SMALL], STATUS_AMBIGUOUS),
     ([_SMALL, _LARGE], STATUS_AMBIGUOUS),
@@ -777,26 +785,45 @@ def test_pair_decode_stops_where_a_survivor_scan_would(rows, status):
     overflows only if it comes first.
     """
     eng2, cb2 = _uniform_stage2(cap=20_000)
-    args = (_Survivors(rows), None, None, 0, eng2, (None, _OWN), cb2, 0)
+    args = (_survivors(rows), (_OWN,), None, 0, eng2, (None, _OWN), cb2, 0)
     got = _pair_decode(*args)
     assert got == (status, None, None)
     _assert_same_decode(got, _reference_pair_decode(*args))
 
 
+def test_free_cell_pair_decode_stops_at_the_second_match(monkeypatch):
+    """With one z bin every candidate matches, so the first survivor's 1,600
+    candidates make the decode Ambiguous after one stage-2 row; the
+    survivors after it are not scanned."""
+    eng2, cb2 = _uniform_stage2()
+    scanned, scan = [], CandidateEngine._scan_row
+
+    def spy_scan(self, *args):
+        scanned.append(self)
+        return scan(self, *args)
+
+    monkeypatch.setattr(CandidateEngine, "_scan_row", spy_scan)
+    args = (_survivors([_SMALL, _SMALL, _LARGE]), (_OWN,), None, 0, eng2, (None, _OWN), cb2, 0)
+    assert _pair_decode(*args) == (STATUS_AMBIGUOUS, None, None)
+    assert scanned == [eng2]
+
+
 @pytest.mark.parametrize("own_first", [False, True])
 def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_first):
-    """Every survivor of an engine with free cells, the small one included,
-    is scanned alone by the single-row path on the cell codes _row_sizes
-    computed; the two KeyedHash survivors of at least JOIN_MIN_CANDIDATES
-    candidates go on through the residue join."""
+    """Through scan_pair, every survivor of an engine with free cells, the
+    small one included, is scanned alone by the single-row path on the cell
+    codes _row_sizes computed; the two KeyedHash survivors of at least
+    JOIN_MIN_CANDIDATES candidates go on through the residue join."""
     eng2, cb2 = _uniform_stage2(rate=2.0)
     assert cb2.num_bins >= typicality.JOIN_MIN_BINS
     obs2 = (_OWN, None) if own_first else (None, _OWN)
     helpers = np.array([_SMALL, _LARGE, _LARGE_TOO])
+    eng1 = _survivors(helpers)
     z = listed_candidates(_placed(obs2, _LARGE), np.full((2, 2, 2), 1 / 8),
                           eng2.params)[0]
     target = cb2.bin_index(z)
     want_counts, want_first = _reference_rows(eng2, helpers, obs2, cb2, target)
+    want = _reference_pair_decode(eng1, (_OWN,), None, 0, eng2, obs2, cb2, target)
     sized, scanned, joins = [], [], []
     sizes, scan, join = (CandidateEngine._row_sizes, CandidateEngine._scan_row,
                          typicality._residue_join)
@@ -806,8 +833,8 @@ def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_firs
         return sized[-1]
 
     def spy_scan(self, codes, *args):
-        scanned.append(codes)
-        return scan(self, codes, *args)
+        scanned.append((codes, scan(self, codes, *args)))
+        return scanned[-1][1]
 
     def spy_join(*args):
         joins.append(args)
@@ -816,12 +843,17 @@ def test_batched_stage2_sends_join_sized_groups_row_by_row(monkeypatch, own_firs
     monkeypatch.setattr(CandidateEngine, "_row_sizes", spy_sizes)
     monkeypatch.setattr(CandidateEngine, "_scan_row", spy_scan)
     monkeypatch.setattr(typicality, "_residue_join", spy_join)
-    counts, first = eng2.scan_bin_filter_rows(_placed(obs2, helpers), cb2, target)
+    count, pair = eng1.scan_pair((_OWN,), None, 0, eng2, own_first, cb2, target)
     # z is the first candidate of the first large row; the other may hold it too
-    assert counts == want_counts and counts[:2] == [0, 1]
-    assert np.array_equal(first, z) and np.array_equal(want_first, z)
+    assert [len(found) for _, found in scanned] == want_counts and want_counts[:2] == [0, 1]
+    assert np.array_equal(scanned[1][1][0], z) and np.array_equal(want_first, z)
+    assert count == min(sum(want_counts), 2)
+    _assert_same_decode((protocol._status(count), *(pair or (None, None))), want)
+    if pair:
+        assert np.array_equal(pair[0], _LARGE) and np.array_equal(pair[1], z)
+        assert pair[0].base is None and pair[1].base is None
     cell_codes = [2 * a + b for a, b in (_placed(obs2, h) for h in helpers)]
     assert len(sized) == 1 and np.array_equal(sized[0][0], cell_codes)
-    assert np.array_equal(scanned, cell_codes)
-    assert all(np.shares_memory(codes, sized[0][0]) for codes in scanned)
+    assert np.array_equal([codes for codes, _ in scanned], cell_codes)
+    assert all(np.shares_memory(codes, sized[0][0]) for codes, _ in scanned)
     assert len(joins) == 2

@@ -389,9 +389,9 @@ def brute_force_in_candidate_order(pmf, params, observed):
 
 
 def _check_against_brute_force(eng, pmf, rows, codebooks):
-    """candidate_indices, scan_bin_filter (limit None and 2) and
-    scan_bin_filter_rows on the given observed rows against the brute-force
-    candidates in candidate order.
+    """candidate_indices, scan_bin_filter (limit None and 2) and the rows
+    of scan_pair's stage 2 on the given observed rows against the
+    brute-force candidates in candidate order.
     """
     want = [brute_force_in_candidate_order(pmf, eng.params, row) for row in rows]
     codes, counts = eng.candidate_indices(tuple(np.stack(axis) for axis in zip(*rows)))
@@ -402,11 +402,13 @@ def _check_against_brute_force(eng, pmf, rows, codebooks):
 
 
 def _check_scans(eng, rows, codebooks, want):
-    """scan_bin_filter (limit None and 2) and scan_bin_filter_rows on the
-    given observed rows against each row's candidates want, in candidate
-    order, in every bin of each codebook.
+    """scan_bin_filter (limit None and 2) on the given observed rows, and
+    each row's first two matches as scan_pair's free-cell stage 2 reads
+    them (one _row_sizes call for all rows, then _scan_row per row), against
+    each row's candidates want, in candidate order, in every bin of each
+    codebook.
     """
-    observed = tuple(np.stack(axis) for axis in zip(*rows))
+    codes, fits, sizes = eng._row_sizes(tuple(np.stack(axis) for axis in zip(*rows)))
     for cb in codebooks:
         in_bin = [[cb.bin_index(c) for c in w] for w in want]
         for target in range(cb.num_bins):
@@ -416,12 +418,9 @@ def _check_scans(eng, rows, codebooks, want):
                 for limit in (None, 2):
                     got = eng.scan_bin_filter(row, cb, target, limit=limit)
                     assert got.tolist() == [c.tolist() for c in match[:limit]]
-            got_counts, first = eng.scan_bin_filter_rows(observed, cb, target)
-            assert got_counts == [min(len(m), 2) for m in matches]
-            ones = [m[0] for m in matches if len(m) == 1]
-            assert (first is None) == (not ones)
-            if ones:
-                assert np.array_equal(first, ones[0]) and first.base is None
+            for code, fit, shape, match in zip(codes, fits.tolist(), sizes.tolist(), matches):
+                got = eng._scan_row(code, shape if fit else None, cb, target, 2)
+                assert got.tolist() == [c.tolist() for c in match[:2]]
 
 
 def _admitted_symbols(eng):
@@ -490,8 +489,6 @@ def test_one_bin_codebook_takes_candidates_in_order(rng, monkeypatch, mode):
     cb = make_codebook(mode, 8, 2, 0.0, 0.0, seed=7, purpose="Z")
     assert cb.num_bins == 1
     _check_scans(eng, rows, [cb], want)
-    observed = tuple(np.stack(axis) for axis in zip(*rows))
-    assert eng.scan_bin_filter_rows(observed, cb, 1) == ([0] * len(rows), None)
 
     def forbidden(*args):
         raise AssertionError("bins formed for a one-bin codebook")
@@ -510,9 +507,7 @@ def test_one_bin_codebook_takes_candidates_in_order(rng, monkeypatch, mode):
     for row in over:
         with pytest.raises(SearchOverflowError, match="exceed the search cap 2"):
             capped.scan_bin_filter(row, cb, 0)
-    observed = tuple(np.stack(axis) for axis in zip(*over, *none))
-    assert capped.scan_bin_filter_rows(observed, cb, 0) == (
-        [None] * len(over) + [0] * len(none), None)
+    assert none and all(capped.scan_bin_filter(row, cb, 0).shape == (0, 8) for row in none)
 
 
 def test_observed_cell_without_mass_is_forced_empty(rng):
@@ -532,10 +527,11 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
     """On xor's XYZ marginal z is forced in every (x, y) cell: survivors of
     different class sizes build no arrangement table, a typical row is its
     own single candidate, x xor y, and with a search cap of 0 it still
-    counts one candidate and overflows. scan_bin_filter_rows counts each
-    row's candidate and gives the first match through its per-row rule;
-    pair decoding reads a forced stage 2 without it (the no-class-machinery
-    spy is test_forced_stage2_pair_decode_lists_no_helper)."""
+    counts one candidate and overflows. Each of 40 rows, scanned alone,
+    holds x xor y in its bin when typical and nothing otherwise, and
+    overflows the zero cap exactly when typical; scan_pair reads a forced
+    stage 2 without these scans (the no-class-machinery spy is
+    test_forced_stage2_pair_decode_lists_no_helper)."""
     pmf = xor_triple().marginal("XYZ")
     params = TypicalityParams(epsilon=0.5, n=8)
     eng = CandidateEngine(pmf, params)
@@ -566,25 +562,19 @@ def test_forced_engine_builds_no_arrangement_table(rng, monkeypatch):
             capped.scan_bin_filter((x[r], y[r]), cb, 0)
         r = typical.index(False)
         assert capped.scan_bin_filter((x[r], y[r]), cb, 0).shape == (0, 8)
-    observed = tuple(np.stack(axis) for axis in zip(*rows))
     for cb in codebooks:
+        hits = []
         for target in range(cb.num_bins):
-            matches = [[c for c in w if cb.bin_index(c) == target] for w in want]
-            got, first = eng.scan_bin_filter_rows(observed, cb, target)
-            assert got == [len(m) for m in matches]
-            ones = [m[0] for m in matches if m]
-            assert (first is None) == (not ones)
-            if ones:
-                assert np.array_equal(first, ones[0])
-            got, first = eng.scan_bin_filter_rows((x, y), cb, target)
-            hits = [int(t and cb.bin_index(a ^ b) == target) for a, b, t in zip(x, y, typical)]
-            assert got == hits
-            assert (first is None) == (1 not in hits)
-            if 1 in hits:
-                r = hits.index(1)
-                assert np.array_equal(first, x[r] ^ y[r])
-            assert capped.scan_bin_filter_rows((x, y), cb, target) == (
-                [None if t else 0 for t in typical], None)
+            for a, b, t in zip(x, y, typical):
+                hit = bool(t and cb.bin_index(a ^ b) == target)
+                hits.append(hit)
+                assert eng.scan_bin_filter((a, b), cb, target).tolist() == [(a ^ b).tolist()] * hit
+                if t:
+                    with pytest.raises(SearchOverflowError):
+                        capped.scan_bin_filter((a, b), cb, target)
+                else:
+                    assert capped.scan_bin_filter((a, b), cb, target).shape == (0, 8)
+        assert hits.count(True) == sum(typical)
 
 
 def reference_arrangements(m, vectors, q):
