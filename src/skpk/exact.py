@@ -31,7 +31,7 @@ from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, s
 from .errors import CapacityError, UsageError
 from .protocol import STATUS_OK, STATUSES, TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
-                      _integers, _split26, code_digits)
+                      _integers, _real, _split26, code_digits)
 from .typicality import TypicalityParams, count_windows
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -944,10 +944,9 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     az = len(z_pmf)
     dist = JointDistribution.create((1, 1, az), z_pmf)
     h_z = _entropy_of(z_pmf)
-    if not 0.0 <= delta < math.inf:
-        raise UsageError(f"delta must be a finite number >= 0, got {delta}")
-    if r_s < 0 or r_z < 0:
-        raise UsageError("rates must be >= 0")
+    _real("delta", delta)
+    for name, rate in (("r_s", r_s), ("r_z", r_z)):
+        _real(name, rate)
     if codebook_count < 1:
         raise UsageError("codebook_count must be >= 1")
     if seed < 0:

@@ -57,8 +57,9 @@ class ExperimentConfig(SchemeFields):
     def __post_init__(self):
         if self.evaluation_mode not in (MODE_MONTE_CARLO, MODE_EXACT):
             raise UsageError(f"unknown evaluation mode {self.evaluation_mode!r}")
-        if not self.n_values:
-            raise UsageError("at least one blocklength is required")
+        if not isinstance(self.n_values, (tuple, list)) or not self.n_values:
+            raise UsageError(f"n_values must be a non-empty tuple or list of integers, "
+                             f"got {self.n_values!r}")
         _integers("n_values, trials and exact_cap", (*self.n_values, self.trials, self.exact_cap))
         if self.trials < 1:
             raise UsageError("trials must be >= 1")

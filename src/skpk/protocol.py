@@ -25,14 +25,13 @@ PointQ  every terminal bins; X and Y each recover the other two sequences
 
 import functools
 import math
-import numbers
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .binning import MODE_HASH, MODE_TABLE, child_seed, make_codebook, stream_tag
 from .errors import SearchOverflowError, UsageError
-from .sources import (JointDistribution, SourceTriple, _integers, info_profile, sample,
+from .sources import (JointDistribution, SourceTriple, _integers, _real, info_profile, sample,
                       sequence_code)
 from .typicality import (CandidateEngine, DEFAULT_SEARCH_CAP, TypicalityParams)
 
@@ -80,10 +79,7 @@ def _checked_rates(rates) -> RateAssignment:
     if not isinstance(rates, RateAssignment):
         raise UsageError(f"rates must be a RateAssignment, got {type(rates).__name__}")
     for name in ("r_z", "r_x", "r_y", "r_s", "r_p"):
-        value = getattr(rates, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0.0 <= value < math.inf):
-            raise UsageError(f"rates.{name} must be a finite number >= 0, got {value!r}")
+        _real(f"rates.{name}", getattr(rates, name))
     if rates.orientation not in ("X", "Y"):
         raise UsageError(f'rates.orientation must be "X" or "Y", got {rates.orientation!r}')
     return rates
@@ -103,10 +99,8 @@ def derive_rates(scheme, profile, epsilon, delta) -> RateAssignment:
     delta shaves key rates below the corresponding information quantity so
     binning arguments have slack. Key rates never go below 0.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise UsageError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
-    if not 0.0 <= delta < math.inf:
-        raise UsageError(f"delta must be a finite number >= 0, got {delta}")
+    _real("epsilon", epsilon, "(0, 1)")
+    _real("delta", delta)
     h, i = profile.h, profile.i
     clamped = []
     if scheme == "PointE":
@@ -166,6 +160,8 @@ class SchemeFields:
         """Refuses a bad setting at any of the (integer) blocklengths."""
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        if not isinstance(self.dist, JointDistribution):
+            raise UsageError(f"dist must be a JointDistribution, got {type(self.dist).__name__}")
         if self.codebook_mode not in (MODE_HASH, MODE_TABLE):
             raise UsageError(f"unknown codebook mode {self.codebook_mode!r}")
         if self.scheme == "TimeShare":
@@ -176,16 +172,14 @@ class SchemeFields:
                     raise UsageError(f"TimeShare part {s!r} must be a one-shot scheme")
             if self.ts_lambda is None:
                 self.ts_lambda = 0.5
-            if not (0.0 <= self.ts_lambda <= 1.0):
-                raise UsageError(f"ts_lambda must lie in [0, 1], got {self.ts_lambda}")
+            _real("ts_lambda", self.ts_lambda, "[0, 1]")
         else:
             for name in ("ts_schemes", "ts_lambda"):
                 if getattr(self, name) is not None:
                     raise UsageError(f"{name} is for TimeShare only, not {self.scheme}")
         for n in n_values:
             TypicalityParams(self.epsilon, n)
-        if not 0.0 <= self.delta < math.inf:
-            raise UsageError(f"delta must be a finite number >= 0, got {self.delta}")
+        _real("delta", self.delta)
         _integers("master_seed", (self.master_seed,))
         if self.master_seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.master_seed}")

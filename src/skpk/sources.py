@@ -53,6 +53,19 @@ def _integers(what, values) -> tuple:
     return tuple(int(v) for v in values)
 
 
+def _real(what, value, interval="[0, inf)"):
+    """Refuses value with UsageError unless it is a real number, not a bool,
+    in interval: "[0, inf)", "(0, 1)" or "[0, 1]", its ends open or closed
+    as written.
+    """
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value if interval[0] == "[" else low < value)
+            or not (value <= high if interval[-1] == "]" else value < high)):
+        rule = "be a finite number >= 0" if interval == "[0, inf)" else f"lie in {interval}"
+        raise UsageError(f"{what} must {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint pmf over X x Y x Z with validated invariants.

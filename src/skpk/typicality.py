@@ -31,7 +31,7 @@ import numpy as np
 
 from .binning import MODE_HASH
 from .errors import CapacityError, SearchOverflowError, UsageError
-from .sources import STRUCTURAL_ZERO, place_values
+from .sources import STRUCTURAL_ZERO, _integers, _real, place_values
 
 # absorbs float rounding in window boundaries; deviations of interest are
 # at least one count, i.e. 1/n, many orders of magnitude larger
@@ -67,9 +67,8 @@ class TypicalityParams:
     n: int
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise UsageError(f"epsilon must lie strictly in (0, 1), got {self.epsilon}")
-        if self.n < 1:
+        _real("epsilon", self.epsilon, "(0, 1)")
+        if _integers("n", (self.n,))[0] < 1:
             raise UsageError(f"n must be >= 1, got {self.n}")
 
 

@@ -812,17 +812,27 @@ def test_lemma_precondition_errors():
     with pytest.raises(CapacityError):
         lemma1_check(np.full(4, 0.25), n=20, r_s=0.1, r_z=0.1,
                      codebook_count=1, delta=0.05, seed=0)
-    with pytest.raises(UsageError, match="rates must be >= 0"):
+    with pytest.raises(UsageError, match="r_s must be a finite number >= 0"):
         lemma1_check(np.array([0.5, 0.5]), n=6, r_s=-0.1, r_z=0.3,
                      codebook_count=2, delta=0.05, seed=0)
     # a negative rate is refused as such, even beside one that breaks the
     # precondition
-    with pytest.raises(UsageError, match="rates must be >= 0"):
+    with pytest.raises(UsageError, match="r_s must be a finite number >= 0"):
         lemma1_check(np.array([0.5, 0.5]), n=6, r_s=-0.1, r_z=2.0,
                      codebook_count=2, delta=0.05, seed=0)
     with pytest.raises(UsageError, match="codebook_count must be >= 1"):
         lemma1_check(np.array([0.5, 0.5]), n=6, r_s=0.1, r_z=0.3,
                      codebook_count=0, delta=0.05, seed=0)
+
+
+@pytest.mark.parametrize("args,message", [
+    (("0.1", 0.1, 2, 0.05, 1), "r_s must be a finite number"),
+    ((0.1, True, 2, 0.05, 1), "r_z must be a finite number"),
+    ((0.1, 0.1, 2, "0.05", 1), "delta must be a finite number")], ids=["r_s", "r_z", "delta"])
+def test_lemma_refuses_a_rate_or_delta_that_is_not_a_number(args, message):
+    """lemma1_check([0.5, 0.5], 4, "0.1", ...) once raised a bare TypeError."""
+    with pytest.raises(UsageError, match=message):
+        lemma1_check([0.5, 0.5], 4, *args)
 
 
 @pytest.mark.parametrize("delta", [-0.5, -math.inf, math.inf, math.nan], ids=repr)

@@ -71,6 +71,18 @@ def test_config_refuses_non_integers(kw):
         _mc_config(**kw)
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"n_values": 4}, "n_values must be a non-empty tuple or list of integers, got 4"),
+    ({"n_values": "4"}, "n_values must be a non-empty tuple or list"),
+    ({"n_values": None}, "n_values must be a non-empty tuple or list"),
+    ({"dist": None}, "dist must be a JointDistribution, got NoneType")], ids=repr)
+def test_config_refuses_n_values_and_dist_of_the_wrong_type(kw, message):
+    """n_values=4 once raised a bare TypeError, and dist=None was accepted
+    until its first use."""
+    with pytest.raises(UsageError, match=message):
+        _mc_config(**kw)
+
+
 def test_deterministic_agreement_on_identical_bits():
     report = run_trials(_mc_config(dist=identical_bits(), trials=1,
                                    epsilon=0.5, delta=0.05, n_values=(6,)))

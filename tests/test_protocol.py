@@ -284,6 +284,32 @@ def test_config_refuses_non_integers(kw):
         _config("PointT", xor_triple(), eps=0.5, delta=0.05, **{"n": 6, "seed": 0, **kw})
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"eps": "0.1"}, "epsilon must lie in"), ({"eps": True}, "epsilon must lie in"),
+    ({"delta": "0.05"}, "delta must be a finite number"),
+    ({"delta": False}, "delta must be a finite number"),
+    ({"scheme": "TimeShare", "ts_schemes": ("PointE", "PointT"), "ts_lambda": "0.5"},
+     "ts_lambda must lie in"),
+    ({"dist": np.ones(8) / 8}, "dist must be a JointDistribution, got ndarray")],
+    ids=["epsilon-string", "epsilon-bool", "delta-string", "delta-bool", "ts_lambda-string",
+         "dist-array"])
+def test_config_refuses_settings_of_the_wrong_type(kw, message):
+    """A real-valued setting that is not a number, and a dist that is not a
+    JointDistribution, are refused by name when the config is built, not by
+    a comparison's TypeError or a later AttributeError."""
+    args = {"scheme": "PointT", "dist": xor_triple(), "n": 6, "eps": 0.5, "delta": 0.05,
+            "seed": 0, **kw}
+    with pytest.raises(UsageError, match=message):
+        _config(**args)
+
+
+@pytest.mark.parametrize("epsilon,delta,message", [
+    ("0.1", 0.05, "epsilon must lie in"), (0.1, "0.05", "delta must be a finite number")])
+def test_derived_rates_refuse_a_setting_that_is_not_a_number(epsilon, delta, message):
+    with pytest.raises(UsageError, match=message):
+        derive_rates("PointT", info_profile(xor_triple()), epsilon, delta)
+
+
 def test_custom_rates_override():
     dist = doubly_symmetric_xz(0.1)
     prof = info_profile(dist)

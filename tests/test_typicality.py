@@ -65,6 +65,17 @@ def test_params_validation():
         TypicalityParams(epsilon=0.5, n=0)
 
 
+@pytest.mark.parametrize("epsilon,n,message", [
+    (0.1, 2.5, "n must be integers"), (0.1, True, "n must be integers"),
+    ("0.1", 4, "epsilon must lie in"), (True, 4, "epsilon must lie in")], ids=repr)
+def test_params_refuse_a_setting_of_the_wrong_type(epsilon, n, message):
+    """A fractional or bool n is refused, not taken as a blocklength, and an
+    epsilon that is not a number is refused by name, not by a comparison's
+    TypeError."""
+    with pytest.raises(UsageError, match=message):
+        TypicalityParams(epsilon, n)
+
+
 def test_joint_counts():
     counts = joint_counts((np.array([0, 1, 0]), np.array([1, 1, 0])), (2, 2))
     assert counts[0, 1] == 1
