@@ -825,21 +825,21 @@ def test_lemma_precondition_errors():
                      codebook_count=0, delta=0.05, seed=0)
 
 
-@pytest.mark.parametrize("args,message", [
-    (("0.1", 0.1, 2, 0.05, 1), "r_s must be a finite number"),
-    ((0.1, True, 2, 0.05, 1), "r_z must be a finite number"),
-    ((0.1, 0.1, 2, "0.05", 1), "delta must be a finite number")], ids=["r_s", "r_z", "delta"])
-def test_lemma_refuses_a_rate_or_delta_that_is_not_a_number(args, message):
+@pytest.mark.parametrize("r_s,r_z,message", [
+    ("0.1", 0.1, "r_s must be a finite number"), (0.1, True, "r_z must be a finite number")],
+    ids=["r_s", "r_z"])
+def test_lemma_refuses_a_rate_that_is_not_a_number(r_s, r_z, message):
     """lemma1_check([0.5, 0.5], 4, "0.1", ...) once raised a bare TypeError."""
     with pytest.raises(UsageError, match=message):
-        lemma1_check([0.5, 0.5], 4, *args)
+        lemma1_check([0.5, 0.5], 4, r_s, r_z, 2, 0.05, 1)
 
 
-@pytest.mark.parametrize("delta", [-0.5, -math.inf, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("delta", [-0.5, -math.inf, math.inf, math.nan, "0.05"], ids=repr)
 def test_lemma_refuses_bad_delta(delta):
     """delta must be finite and >= 0, as in SchemeConfig: a negative one
     loosens the precondition and the bound, and a non-finite one is not a
-    JSON number. It is checked before the precondition.
+    JSON number. It is checked before the precondition. A string is
+    refused by name, not by a comparison's TypeError.
     """
     with pytest.raises(UsageError, match="delta must be a finite number >= 0"):
         lemma1_check(np.array([0.5, 0.5]), n=4, r_s=0.1, r_z=0.3,
