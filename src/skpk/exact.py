@@ -945,8 +945,8 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     dist = JointDistribution.create((1, 1, az), z_pmf)
     h_z = _entropy_of(z_pmf)
     _real("delta", delta)
-    for name, rate in (("r_s", r_s), ("r_z", r_z)):
-        _real(name, rate)
+    _real("r_s", r_s)
+    _real("r_z", r_z)
     if codebook_count < 1:
         raise UsageError("codebook_count must be >= 1")
     if seed < 0:
