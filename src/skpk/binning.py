@@ -146,21 +146,25 @@ class BinningCodebook:
         """
         if self.mode != MODE_TABLE:
             raise UsageError("bins_of_indices requires an ExplicitTable codebook")
-        return self._table_bin[_codes(idx)]
+        return self._table_bin[_codes(idx, len(self._table_bin))]
 
     def sub_bins_of_indices(self, idx: np.ndarray) -> np.ndarray:
         if self.mode != MODE_TABLE:
             raise UsageError("sub_bins_of_indices requires an ExplicitTable codebook")
-        return self._table_sub[_codes(idx)]
+        return self._table_sub[_codes(idx, len(self._table_sub))]
 
 
-def _codes(idx) -> np.ndarray:
+def _codes(idx, size) -> np.ndarray:
     """idx as an array of sequence codes, indexed as it is: an array of
-    another kind than integers (floats, a bool mask) is refused, not read.
+    another kind than integers (floats, a bool mask) is refused, not read,
+    and so is a code outside range(size), which would wrap or overrun.
     """
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         raise UsageError(f"sequence codes must be integers, got dtype {idx.dtype}")
+    if idx.size and not ((idx.dtype.kind == "u" or idx.min() >= 0) and idx.max() < size):
+        raise UsageError(f"sequence codes must lie in range({size}), got "
+                         f"{idx.min()} to {idx.max()}")
     return idx
 
 

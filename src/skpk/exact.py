@@ -10,10 +10,11 @@ Three layers:
 
 ExactEvaluator   vectorized path used by the harness; table codebooks only.
 oracle_secrecy   deliberately independent brute-force path: its own
-                 enumeration of the support triples, one public
-                 bin_index / sub_bin_index call per distinct sequence, and
-                 per law one bincount, in triple order, over ranks of its
-                 columns from a presence bitmap or, for bins, a sort. Exists
+                 enumeration of the support triples, held for the last
+                 source and n, one public bin_index / sub_bin_index call
+                 per distinct sequence, and per law one bincount, in triple
+                 order, over its columns' packed values or their ranks
+                 from a presence bitmap or, for bins, a sort. Exists
                  to cross-check the vectorized path, so it shares nothing
                  with it but the entropy of a list of masses.
 lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
@@ -27,7 +28,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, stream_tag
+from .binning import (MODE_TABLE, BinningCodebook, child_seed, make_codebook, num_bins_for_rate,
+                      stream_tag)
 from .errors import CapacityError, UsageError
 from .protocol import STATUS_OK, STATUSES, TERMINALS, RunContext, SchemeConfig
 from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
@@ -785,15 +787,46 @@ def _sortable(bound):
     return np.int32 if bound < 2 ** 31 else np.int64
 
 
-def _pair(a, b) -> np.ndarray:
-    """Ranks of the pairs of two rank columns. Ranks stay below 2**24, so a
-    packed pair fits in 48 bits; packed raw bins (to 2**63 - 1) would not.
+def _pair(a, b, ranked=True) -> np.ndarray:
+    """Ranks of the pairs of two rank columns, or with ranked False the
+    packed pairs. Ranks stay below 2**24, so a packed pair fits in 48 bits;
+    packed raw bins (to 2**63 - 1) would not.
     """
     size = int(b.max()) + 1
     packed = a.astype(_sortable((int(a.max()) + 1) * size))
     packed *= size
     packed += b
-    return _distinct(packed)[1]
+    return _distinct(packed)[1] if ranked else packed
+
+
+@functools.lru_cache(maxsize=1)
+def _support(sizes, pmf, n):
+    """The oracle's enumeration of a source's support triples at length n,
+    held for the last (alphabet sizes, pmf bytes, n) only, as read-only
+    arrays: the live triples' probabilities in triple order and, per letter,
+    its support symbols, the codes of its distinct support sequences and
+    each live triple's rank among them (_distinct).
+    """
+    dist = JointDistribution(sizes, np.frombuffer(pmf).reshape(sizes))
+    atoms = dist.support_atoms()
+    # per letter, its support symbols; a code's digits index them, so codes
+    # stay below the number of support triples
+    symbols = [sorted({a[axis] for a in atoms}) for axis in range(3)]
+    digits = [np.array([syms.index(a[axis]) for a in atoms], dtype=_sortable(len(syms) ** n))
+              for axis, syms in enumerate(symbols)]
+    p = np.array([float(dist.pmf[a]) for a in atoms])
+    prob, codes = np.ones(1), [np.zeros(1, d.dtype) for d in digits]
+    for _ in range(n):
+        prob = np.multiply.outer(prob, p).ravel()
+        codes = [np.add.outer(c * len(syms), d).ravel()
+                 for c, syms, d in zip(codes, symbols, digits)]
+    live = prob > 0
+    letters = tuple((np.array(syms, dtype=np.int64), *_distinct(c[live]))
+                    for syms, c in zip(symbols, codes))
+    prob = prob[live]
+    for a in (prob, *(a for letter in letters for a in letter)):
+        a.flags.writeable = False
+    return prob, letters
 
 
 def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
@@ -801,22 +834,27 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
 
     Triples come in itertools.product(atoms, repeat=n) order, one outer
     product per position, so a probability is the left-to-right product of
-    its atoms'; triples of probability 0 are dropped. Each distinct support
-    sequence of a letter the scheme reads is spelled out from its code's
-    digits and passed to the public bin_index / sub_bin_index once. A law's
-    masses are one np.bincount over ranks of its columns, np.unique's, read
-    off a presence bitmap for small values (codes, packed rank pairs) and a
-    sort for bins: it adds each cell's probabilities in triple order from
-    0.0, as a dict accumulation does, so every mass is the same float
-    whatever the labels. Nothing is shared with ExactEvaluator but
-    _entropy_masses: not its enumeration, digits, vectorized
-    bins_of_indices / sub_bins_of_indices or labels, which is the point.
+    its atoms'; triples of probability 0 are dropped. That enumeration
+    depends on the source and n alone, so the last one is held (_support).
+    Each distinct support sequence of a letter the scheme reads is spelled
+    out from its code's digits and passed to the public bin_index /
+    sub_bin_index once, as an int64 row. A law's masses are one np.bincount
+    over its column: a pair's packed values where they stay below the
+    column's length, else ranks, np.unique's, read off a presence bitmap
+    for small values (codes, packed rank pairs) and a sort for bins. It adds
+    each cell's probabilities in triple order from 0.0, as a dict
+    accumulation does, so every mass is the same float whatever the labels.
+    Nothing is shared with ExactEvaluator but _entropy_masses: not its
+    enumeration, digits, vectorized bins_of_indices / sub_bins_of_indices
+    or labels, which is the point.
     Returns normalized {leak_ks, leak_kp, h_ks, h_kp}. The transcript and
     the key owners are read off the codebook set, not off a run context:
     the transcript is every codebook's bin, and Z^n without a Z codebook;
-    K_S is Z's sub-bin and K_P X's, or Y's without an X codebook. More
-    support triples than EXACT_PRODUCT_CAP, which bounds the evaluator's
-    default cube too, are refused before anything is allocated.
+    K_S is Z's sub-bin and K_P X's, or Y's without an X codebook. Codebooks
+    keyed other than X, Y or Z, or not drawn for the source's alphabet at
+    n, are refused. More support triples than EXACT_PRODUCT_CAP, which
+    bounds the evaluator's default cube too, are refused before anything is
+    allocated.
     """
     dist, n = config.dist, config.n
     atoms = dist.support_atoms()
@@ -825,38 +863,32 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
                             f"the {EXACT_PRODUCT_CAP} cap")
     if config.scheme == "TimeShare":
         raise UsageError("the oracle covers one-shot schemes only")
+    for v, cb in codebooks.items():
+        if v not in TERMINALS:
+            raise UsageError(f"the oracle reads codebooks keyed X, Y or Z, got {v!r}")
+        if not isinstance(cb, BinningCodebook):
+            raise UsageError(f"codebook {v} is a {type(cb).__name__}, not a BinningCodebook")
+        if (cb.n, cb.alphabet_size) != (n, dist.alphabet(v)):
+            raise UsageError(f"{v}^n, at n={n} over {dist.alphabet(v)} letters, does not "
+                             f"match n={cb.n} over {cb.alphabet_size} letters of codebook {v}")
     if not {"X", "Y"} & set(codebooks):
         raise UsageError(f"the oracle reads K_P off an X or a Y codebook, got {sorted(codebooks)}")
     kp_owner = "X" if "X" in codebooks else "Y"
-    # the letters read and their axes, Z always: Z^n is in K_P's view
-    axis_of = {v: "XYZ".index(v) for v in "ZXY" if v == "Z" or v in codebooks}
-    # per letter read, its support symbols; a code's digits index them, so
-    # codes stay below the number of support triples
-    symbols = {axis: sorted({a[axis] for a in atoms}) for axis in axis_of.values()}
-    digits = {axis: np.array([syms.index(a[axis]) for a in atoms],
-                             dtype=_sortable(len(syms) ** n))
-              for axis, syms in symbols.items()}
-    p = np.array([float(dist.pmf[a]) for a in atoms])
-    prob, codes = np.ones(1), {axis: np.zeros(1, d.dtype) for axis, d in digits.items()}
-    for _ in range(n):
-        prob = np.multiply.outer(prob, p).ravel()
-        for axis, syms in symbols.items():
-            codes[axis] = np.add.outer(codes[axis] * len(syms), digits[axis]).ravel()
-    live = prob > 0
-    prob = prob[live]
+    prob, letters = _support(dist.alphabet_sizes, dist.pmf.tobytes(), n)
 
     def looked_up(axis, *lookups):
         """Each triple's rank of its sequence, then of each lookup's result."""
-        seqs, at = _distinct(codes.pop(axis)[live])
-        syms = np.array(symbols[axis])
+        syms, seqs, at = letters[axis]
         places, results = len(syms) ** np.arange(n - 1, -1, -1), []
         # by blocks of sequences, so no (sequences, n) symbol table outgrows the laws
         for block in np.split(seqs, range(4096, len(seqs), 4096)):
             results += ([lookup(seq) for lookup in lookups]
-                        for seq in syms[block[:, None] // places % len(syms)].tolist())
+                        for seq in syms[block[:, None] // places % len(syms)])
         return [at] + [_distinct(np.array(col, dtype=np.uint64))[1][at]
                        for col in zip(*results)]
 
+    # the letters read and their axes, Z always: Z^n is in K_P's view
+    axis_of = {v: "XYZ".index(v) for v in "ZXY" if v == "Z" or v in codebooks}
     # per letter read, the ranks of its sequence, its bin and a key's sub-bin
     ranks = {}
     for v, axis in axis_of.items():
@@ -873,14 +905,17 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
     phi = ranks["Z"][2] if "Z" in codebooks else None
 
     def ent(label):
+        # a column with values past its length is ranked: no count outgrows prob
+        if int(label.max()) >= len(label):
+            label = _distinct(label)[1]
         return _entropy_masses(np.bincount(label, weights=prob))
 
     h_kp = ent(psi)
-    leak_kp = (h_kp + ent(fz) - ent(_pair(psi, fz))) / n
+    leak_kp = (h_kp + ent(fz) - ent(_pair(psi, fz, ranked=False))) / n
     leak_ks = h_ks = None
     if phi is not None:
         h_ks = ent(phi)
-        leak_ks = (h_ks + ent(f) - ent(_pair(phi, f))) / n
+        leak_ks = (h_ks + ent(f) - ent(_pair(phi, f, ranked=False))) / n
         h_ks /= n
     return {"leak_ks": leak_ks, "leak_kp": leak_kp, "h_ks": h_ks, "h_kp": h_kp / n}
 

@@ -29,7 +29,8 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .binning import MODE_HASH, MODE_TABLE, child_seed, make_codebook, stream_tag
+from .binning import (MODE_HASH, MODE_TABLE, child_seed, make_codebook, num_bins_for_rate,
+                      stream_tag)
 from .errors import SearchOverflowError, UsageError
 from .sources import (JointDistribution, SourceTriple, _integers, _real, info_profile, sample,
                       sequence_code)
@@ -372,11 +373,18 @@ class RunContext:
         self.swapped = rates.orientation == "Y"
         desc = SCHEME_TABLE[scheme]
         self.desc = desc = desc.renamed() if self.swapped else desc
-        self.codebooks = self.draw_codebooks(config.codebook_mode, config.master_seed)
-        self.ks_owner = "Z" if "Z" in self.codebooks else None
+        self.ks_owner = "Z" if any(m.sender == "Z" and m.role for m in desc.messages) else None
         self.kp_owner = desc.kp_owner
-        self.ks_size = self.codebooks["Z"].num_sub_bins if self.ks_owner else 1
-        self.kp_size = self.codebooks[self.kp_owner].num_sub_bins
+        # the key owners' codebooks' sub-bin counts, known before any draw
+        self.ks_size = num_bins_for_rate(config.n, rates.r_s) if self.ks_owner else 1
+        self.kp_size = num_bins_for_rate(config.n, rates.r_p)
+
+    @functools.cached_property
+    def codebooks(self) -> dict:
+        """The native codebook set, in the config's mode from its master
+        seed, drawn on first read.
+        """
+        return self.draw_codebooks(self.config.codebook_mode, self.config.master_seed)
 
     def draw_codebooks(self, mode, seed) -> dict:
         """The scheme's codebook set in mode, drawn from seed: a codebook per

@@ -122,6 +122,15 @@ class JointDistribution:
         perm = [keep.index(v) for v in items]
         return np.ascontiguousarray(np.transpose(m, axes=perm))
 
+    @functools.cached_property
+    def _profile(self) -> "InfoProfile":
+        prof = InfoProfile(self)
+        # violation means a broken summation path
+        chain = prof.h("X") + prof.h("Y", "X") + prof.h("Z", "XY")
+        if abs(chain - prof.h("XYZ")) > 1e-10:
+            raise AssertionError("entropy chain rule violated beyond 1e-10")
+        return prof
+
     def alphabet(self, variable) -> int:
         return self.alphabet_sizes[_AXIS[variable]]
 
@@ -249,13 +258,10 @@ class InfoProfile:
 
 
 def info_profile(dist: JointDistribution) -> InfoProfile:
-    """The profile of dist, after a chain-rule self-check of its entropies."""
-    prof = InfoProfile(dist)
-    # violation means a broken summation path
-    chain = prof.h("X") + prof.h("Y", "X") + prof.h("Z", "XY")
-    if abs(chain - prof.h("XYZ")) > 1e-10:
-        raise AssertionError("entropy chain rule violated beyond 1e-10")
-    return prof
+    """The profile of dist, after a chain-rule self-check of its entropies;
+    built and checked once per dist, whose pmf is a read-only copy.
+    """
+    return dist._profile
 
 
 def sample(dist: JointDistribution, n: int, seed) -> SourceTriple:

@@ -74,9 +74,9 @@ def test_every_traced_layer_records_a_span(monkeypatch):
 
 
 def test_codebook_builds_are_traced_on_the_exact_path(monkeypatch):
-    """Every codebook an exact evaluation draws, native or ensemble member,
-    is one binning.build span: the draws go through the names the tracer
-    wraps.
+    """Every codebook an exact evaluation draws is one binning.build span:
+    the draws go through the names the tracer wraps. Only the members' sets
+    are drawn; the native set is drawn on first read, and evaluate reads none.
     """
     spans = _load_bench("spans")
     cfg = skpk.SchemeConfig(scheme="PointP", dist=skpk.xor_triple(), n=4, epsilon=0.25,
@@ -95,8 +95,8 @@ def test_codebook_builds_are_traced_on_the_exact_path(monkeypatch):
     finally:
         tracer.close()
     builds = [s for s in tracer.spans if s[0] == "binning.build"]
-    # the two native codebooks and two per member
-    assert len(builds) == len(drawn) == 6
+    # two codebooks per member
+    assert len(builds) == len(drawn) == 4
 
 
 def _attribute_chain(node):

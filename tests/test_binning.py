@@ -181,6 +181,20 @@ def test_codes_of_non_integers_are_refused(codes):
             lookup(codes)
 
 
+@pytest.mark.parametrize("codes", [[3, -1], [16, 0], np.array([2, 16], dtype=np.uint8),
+                                   np.array([2 ** 64 - 1], dtype=np.uint64)],
+                         ids=["minus-one", "alphabet**n", "uint8-past-the-end", "uint64-max"])
+def test_codes_out_of_range_are_refused(codes):
+    """Code -1 once read the last sequence's bin, and a code of
+    alphabet**n or more raised a bare IndexError; both methods refuse them.
+    """
+    cb = make_codebook(MODE_TABLE, 4, 2, 1.0, 0.5, seed=0, purpose="Z")
+    for lookup in (cb.bins_of_indices, cb.sub_bins_of_indices):
+        with pytest.raises(UsageError, match=r"codes must lie in range\(16\)"):
+            lookup(codes)
+        assert lookup(np.array([], dtype=np.int64)).shape == (0,)
+
+
 def test_codes_of_every_integer_type_read_the_same_bins():
     cb = make_codebook(MODE_TABLE, 4, 2, 1.0, 0.5, seed=0, purpose="Z")
     codes = np.arange(16)

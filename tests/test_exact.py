@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -14,16 +15,17 @@ import pytest
 
 import skpk
 from conftest import identical_bits, mirrored_noisy_copy, random_distribution
-from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook
+from skpk.binning import MODE_HASH, MODE_TABLE, BinningCodebook, make_codebook
 from skpk.errors import CapacityError, UsageError
 from skpk import exact
 from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, EXACT_PRODUCT_CAP,
-                        ExactEvaluator, _DecodeTable, _distinct, _Enumeration, _label_rows,
-                        _match, _ranked, _Slots, lemma1_check, oracle_codebooks, oracle_secrecy)
+                        CodebookExact, ExactEvaluator, _DecodeTable, _distinct, _Enumeration,
+                        _label_rows, _match, _ranked, _Slots, lemma1_check, oracle_codebooks,
+                        oracle_secrecy)
 from skpk.harness import MODE_EXACT, _trial_stats, run_trials
-from skpk.protocol import RunContext, SchemeConfig
-from skpk.sources import (JointDistribution, _entropy_masses, code_digits, noisy_copy_triple,
-                          sequence_code, xor_triple)
+from skpk.protocol import STATUSES, RunContext, SchemeConfig
+from skpk.sources import (JointDistribution, SourceTriple, _entropy_masses, code_digits,
+                          noisy_copy_triple, sequence_code, xor_triple)
 from skpk.typicality import CandidateEngine
 
 
@@ -368,6 +370,59 @@ def test_oracle_lookups_still_validate():
         oracle_secrecy(cfg, mismatched)
 
 
+@pytest.mark.parametrize("case", ["three-letter-X", "extra-W", "not-a-codebook"])
+def test_oracle_refuses_codebooks_not_its_sources(case):
+    """A codebook for another alphabet once gave xor at n = 4 an h_kp of
+    0.5562 and a leak_kp of -2.2e-16, an extra key was ignored, and a value
+    that is not a codebook raised a bare AttributeError: each is refused
+    before any lookup.
+    """
+    cfg = _config("PointP", xor_triple(), n=4)
+    cbs = oracle_codebooks(cfg, 0)
+    x = cbs["X"]
+    if case == "three-letter-X":
+        cbs["X"] = make_codebook(MODE_TABLE, 4, 3, x.bin_rate, x.sub_rate, x.seed, x.purpose)
+        message = "X\\^n, at n=4 over 2 letters, does not match n=4 over 3 letters"
+    elif case == "extra-W":
+        cbs["W"] = make_codebook(MODE_TABLE, 4, 2, x.bin_rate, x.sub_rate, x.seed, "W")
+        message = "keyed X, Y or Z, got 'W'"
+    else:
+        cbs["Z"] = {"bin_index": cbs["Z"].bin_index}
+        message = "codebook Z is a dict, not a BinningCodebook"
+    calls = _record_lookups({v: cb for v, cb in cbs.items() if isinstance(cb, BinningCodebook)})
+    with pytest.raises(UsageError, match=message):
+        oracle_secrecy(cfg, cbs)
+    assert not any(calls.values())
+
+
+def test_held_enumeration_changes_no_output():
+    """The oracle holds the last (source, n) enumeration: outputs over calls
+    that switch source and n are byte-identical to calls that each
+    enumerate afresh, a repeated (source, n) is not enumerated again, and
+    the held arrays are read-only.
+    """
+    noisy = noisy_copy_triple(0.1, 0.3)
+    calls = [(_config("PointP", xor_triple(), n=4), 0), (_config("PointE", noisy, n=3), 1),
+             (_config("PointQ", xor_triple(), n=4), 2), (_config("PointT", xor_triple(), n=4), 0),
+             (_config("PointP", xor_triple(), n=5), 1), (_config("PointT", noisy, n=3), 2),
+             (_config("PointP", noisy, n=3), 0)]
+    exact._support.cache_clear()
+    held = [repr(oracle_secrecy(cfg, oracle_codebooks(cfg, k))) for cfg, k in calls]
+    info = exact._support.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 5, 1)
+    fresh = []
+    for cfg, k in calls:
+        exact._support.cache_clear()
+        fresh.append(repr(oracle_secrecy(cfg, oracle_codebooks(cfg, k))))
+    assert held == fresh
+    prob, letters = exact._support(noisy.alphabet_sizes, noisy.pmf.tobytes(), 3)
+    assert exact._support.cache_info().hits == 1
+    for a in (prob, *(a for letter in letters for a in letter)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def test_oracle_refuses_more_support_triples_than_the_cap(monkeypatch):
     """xor at n = 13 has 4**13 = 2**26 support triples, past the 2**24 cap:
     refused before the run context is built or any array allocated. The
@@ -406,13 +461,14 @@ def _record_inits(monkeypatch, cls) -> list:
 @pytest.mark.parametrize("scheme", ["PointP", "PointQ", "TimeShare"])
 def test_engines_are_built_on_first_use(monkeypatch, scheme):
     """An oracle call builds no candidate engine and no run context;
-    oracle_codebooks builds one context, with its native codebooks, and
-    draws the member's set. ExactEvaluator.evaluate and run_trials build each
-    engine key's engine once per context, PointQ's shared key "xyz"
-    included. A time-shared exact campaign builds its context and the two
-    part contexts it holds, their native codebooks and one codebook set per
-    part and member, and each part's engines once (TimeShare(PointP,
-    PointE) at n = 8 with 2 members: 3 contexts, 9 codebooks, 4 engines).
+    oracle_codebooks builds one context and draws only the member's set:
+    no context draws its native codebooks before they are read.
+    ExactEvaluator.evaluate and run_trials build each engine key's engine
+    once per context, PointQ's shared key "xyz" included. A time-shared
+    exact campaign builds its context and the two part contexts it holds,
+    one codebook set per part and member, and each part's engines once
+    (TimeShare(PointP, PointE) at n = 8 with 2 members: 3 contexts, 6
+    codebooks, 4 engines).
     """
     def refuse(*args, **kwargs):
         raise AssertionError(f"{args[0]!r} was built")
@@ -425,7 +481,7 @@ def test_engines_are_built_on_first_use(monkeypatch, scheme):
         cbs = oracle_codebooks(cfg, 1)
         patch.setattr(skpk.exact, "RunContext", refuse)
         oracle_secrecy(cfg, cbs)
-    assert len(contexts) == 1 and len(codebooks) == 2 * len(cbs) == 2 * len(contexts[0].codebooks)
+    assert len(contexts) == 1 and sorted(map(id, codebooks)) == sorted(map(id, cbs.values()))
     contexts.clear()
     codebooks.clear()
     built = _record_inits(monkeypatch, CandidateEngine)
@@ -437,14 +493,17 @@ def test_engines_are_built_on_first_use(monkeypatch, scheme):
             ts_schemes=("PointP", "PointE")))
         parts = contexts[1:]
         assert len(contexts) == 3 and contexts[0].parts == parts
-        assert len(codebooks) == 3 * sum(len(p.codebooks) for p in parts) == 9
+        # counted first: reading a part's codebooks draws its native set
+        drawn = len(codebooks)
+        assert drawn == 2 * sum(len(p.codebooks) for p in parts) == 6
         assert len(built) == 4
         assert sorted(map(id, built)) == sorted(id(e) for p in parts for e in p.engines.values())
         return
     cfg = _config(scheme, xor_triple(), n=4)
     evaluator = ExactEvaluator(cfg)
     evaluator.evaluate(3)
-    assert contexts == [evaluator.ctx] and len(codebooks) == 4 * len(evaluator.ctx.codebooks)
+    drawn = len(codebooks)    # before ctx.codebooks draws the native set
+    assert contexts == [evaluator.ctx] and drawn == 3 * len(evaluator.ctx.codebooks)
     keys = {key for step in evaluator.ctx.desc.decodes for key in step.engine_keys()}
     assert len(keys) == 3 and set(evaluator.ctx.engines) == keys
     assert sorted(map(id, built)) == sorted(map(id, evaluator.ctx.engines.values()))
@@ -570,6 +629,67 @@ def test_exact_matches_monte_carlo(scheme, dist, n, eps, trials, orientation, kw
     for name, p in expected.items():
         sigma = math.sqrt(max(p * (1 - p), 1e-9) / trials)
         assert abs(hits[name] / trials - p) <= 3 * sigma, name
+
+
+def exhaustive_member(ctx, codebooks) -> CodebookExact:
+    """The decode masses of a codebook set, by the Monte Carlo decoder run on
+    every support triple: each of _trial_stats's fields math.fsum'd over
+    the triples, weighted by probability (None where a trial has none).
+    """
+    ctx = copy.copy(ctx)
+    ctx.codebooks = codebooks
+    dist, n = ctx.config.dist, ctx.config.n
+    weighted = []
+    for triple in itertools.product(dist.support_atoms(), repeat=n):
+        x, y, z = (np.array(seq, dtype=np.int64) for seq in zip(*triple))
+        member, _, _ = _trial_stats(ctx, ctx.run_on_triple(SourceTriple(n, x, y, z)))
+        weighted.append((math.prod(float(dist.pmf[a]) for a in triple), member))
+
+    def mass(read):
+        if read(weighted[0][1]) is None:
+            return None
+        return math.fsum(p * read(m) for p, m in weighted)
+
+    first = weighted[0][1]
+    return CodebookExact(
+        leak_ks=None, leak_kp=None, h_ks=None, h_kp=None,
+        agree_ks=mass(lambda m: m.agree_ks), agree_kp=mass(lambda m: m.agree_kp),
+        status_mass={t: {s: mass(lambda m: m.status_mass[t][s]) for s in STATUSES}
+                     for t in first.status_mass},
+        recovery_error={key: mass(lambda m: m.recovery_error[key])
+                        for key in first.recovery_error})
+
+
+@pytest.mark.parametrize("scheme,dist,n", [
+    ("PointP", xor_triple(), 4), ("PointQ", xor_triple(), 4), ("PointT", xor_triple(), 5),
+    ("PointE", noisy_copy_triple(0.1, 0.3), 3)], ids=["PointP", "PointQ", "PointT", "PointE"])
+def test_exact_decode_masses_match_an_exhaustive_monte_carlo_run(scheme, dist, n):
+    """Every decode mass of the native set and of member 1 is the mass the
+    Monte Carlo decoder gives when run on every support triple, to 1e-12:
+    agreement, each terminal's statuses and each recovery error.
+    """
+    cfg = _config(scheme, dist, n=n, seed=3, eps=0.9)
+    evaluator, ctx = ExactEvaluator(cfg), RunContext(cfg)
+    for k, codebooks in ((None, ctx.codebooks), (1, oracle_codebooks(cfg, 1))):
+        ours, ref = evaluator.member(k), exhaustive_member(ctx, codebooks)
+        for name in ("agree_ks", "agree_kp"):
+            got, want = getattr(ours, name), getattr(ref, name)
+            assert (got is None) == (want is None), name
+            assert got is None or abs(got - want) <= 1e-12, name
+        assert set(ours.status_mass) == set(ref.status_mass)
+        for t, masses in ref.status_mass.items():
+            for status, want in masses.items():
+                assert abs(ours.status_mass[t].get(status, 0.0) - want) <= 1e-12, (t, status)
+        assert ours.recovery_error.keys() == ref.recovery_error.keys()
+        for key, want in ref.recovery_error.items():
+            assert abs(ours.recovery_error[key] - want) <= 1e-12, key
+        # on the noisy copy at n = 3 a cell of mass 0.015 has an empty count
+        # window, so Y's every decode ends NoCandidate (criterion 8's cause)
+        if scheme == "PointE":
+            assert ref.status_mass["Y"]["NoCandidate"] == 1.0
+        else:
+            for t in ("X", "Y"):
+                assert 0 < ref.status_mass[t]["OK"] < 1, (k, t)
 
 
 def test_status_masses_are_probabilities():

@@ -128,6 +128,26 @@ def test_point_e_shape():
     assert np.array_equal(run.recovered["z_at_Y"], run.triple.z_seq)
 
 
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+def test_key_sizes_are_the_native_sub_bin_counts(mode):
+    """ks_size and kp_size, known before the native set is drawn, are its key
+    owners' sub-bin counts, for every scheme and orientation; the set is
+    drawn on first read.
+    """
+    seen = set()
+    for scheme in ("PointP", "PointQ", "PointT", "PointE"):
+        for dist in (xor_triple(), mirrored_noisy_copy(0.25, 0.0)):
+            ctx = RunContext(_config(scheme, dist, n=6, eps=0.45, delta=0.02, seed=3, mode=mode))
+            assert "codebooks" not in vars(ctx)
+            cbs = ctx.codebooks
+            ks = cbs[ctx.ks_owner].num_sub_bins if ctx.ks_owner else 1
+            assert (ctx.ks_size, ctx.kp_size) == (ks, cbs[ctx.kp_owner].num_sub_bins)
+            assert (ctx.ks_owner is None) == (scheme == "PointE") == ("Z" not in cbs)
+            seen.add((ctx.scheme, ctx.rates.orientation))
+    assert {("PointP", "X"), ("PointP", "Y"), ("PointQ", "X"), ("PointT", "X"),
+            ("PointE", "X")} <= seen
+
+
 _SWAP = str.maketrans("XYxy", "YXyx")
 
 

@@ -31,6 +31,19 @@ def test_noisy_copy_profile_value():
     assert prof.i("Z", "XY") == pytest.approx(0.11870910076930735, abs=1e-12)
 
 
+def test_profile_is_built_once_per_distribution(monkeypatch):
+    """info_profile builds and chain-rule checks a distribution's profile
+    once: its pmf is a read-only copy, so the profile cannot go stale.
+    """
+    built = []
+    init = InfoProfile.__init__
+    monkeypatch.setattr(InfoProfile, "__init__", lambda prof, d: built.append(d) or init(prof, d))
+    d, twin = noisy_copy_triple(0.1, 0.3), noisy_copy_triple(0.1, 0.3)
+    assert info_profile(d) is info_profile(d) and built == [d]
+    assert info_profile(twin) is not info_profile(d) and len(built) == 2
+    assert not d.pmf.flags.writeable
+
+
 def test_total_correlation_decompositions(rng):
     for _ in range(80):
         shape = tuple(rng.integers(1, 5, size=3))
