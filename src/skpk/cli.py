@@ -12,9 +12,9 @@ from dataclasses import asdict
 
 from .binning import MODE_HASH, MODE_TABLE
 from .errors import CapacityError, UsageError
-from .exact import lemma1_check
 from .harness import (EXACT_PRODUCT_CAP, MODE_EXACT, MODE_MONTE_CARLO,
                       ExperimentConfig, emit_report, region_summary, run_trials)
+from .lemma1 import lemma1_check
 from .sources import load_pmf
 
 _SCHEME_NAMES = {"pointE": "PointE", "pointT": "PointT", "pointP": "PointP",

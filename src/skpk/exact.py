@@ -6,7 +6,7 @@ the same codebooks and decode rules the protocol runners use. Joint laws of
 keys against transcripts come out in closed form, so mutual information,
 entropy, agreement, and recovery-error numbers are exact for each codebook.
 
-Three layers:
+Two layers, and lemma1_check (skpk.lemma1) reads this module's enumeration:
 
 ExactEvaluator   vectorized path used by the harness; table codebooks only.
 oracle_secrecy   deliberately independent brute-force path: its own
@@ -17,9 +17,6 @@ oracle_secrecy   deliberately independent brute-force path: its own
                  from a presence bitmap or, for bins, a sort. Exists
                  to cross-check the vectorized path, so it shares nothing
                  with it but the entropy of a list of masses.
-lemma1_check     exact conditional entropy of Z^n given its bin and sub-bin
-                 index, against the achievability bound that the binning
-                 argument needs, with the proof's occupancy diagnostics.
 """
 
 import functools
@@ -28,20 +25,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .binning import (MODE_TABLE, BinningCodebook, child_seed, make_codebook, num_bins_for_rate,
-                      stream_tag)
+# make_codebook as exact.make_codebook: the benchmark's tracer still wraps it
+from .binning import MODE_TABLE, BinningCodebook, child_seed, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import STATUS_OK, STATUSES, TERMINALS, RunContext, SchemeConfig
-from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _entropy_of,
-                      _integers, _real, _split26, code_digits)
-from .typicality import TypicalityParams, count_windows
+from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _integers, _split26,
+                      code_digits)
 
 EXACT_PRODUCT_CAP = 2 ** 24
 # a count up to 2**27 times a 26-bit part of a probability is exact
 _EXACT_COUNT_LIMIT = 2 ** 27
 
 _ENSEMBLE_TAG = stream_tag("codebook-ensemble")
-_LEMMA_TAG = stream_tag("lemma1-codebook")
 
 # a status code is its name's position in STATUSES; no exact decode overflows
 _ST_OK, _ST_NONE, _ST_AMB = 0, 1, 2
@@ -90,22 +85,9 @@ class _Enumeration:
     """
 
     def __init__(self, dist: JointDistribution, n: int, cap: int, axes=(0, 1, 2)):
-        ax, ay, az = dist.alphabet_sizes
-        if (ax * ay * az) ** n > cap:
-            raise CapacityError(
-                f"({ax}*{ay}*{az})**{n} sequence triples exceed the exact-mode "
-                f"cap {cap}")
-        atoms = sorted(dist.support_atoms(), key=lambda a: [a[i] for i in axes])
-        m = len(atoms)
-        if m == 0:
-            raise UsageError("distribution has empty support")
+        atoms = sorted(self.support(dist, n, cap), key=lambda a: [a[i] for i in axes])
         of = np.array(atoms, dtype=np.int64).T
         p_of = np.array([dist.pmf[a] for a in atoms], dtype=np.float64)
-        total = m ** n
-        if total > _EXACT_COUNT_LIMIT:
-            raise CapacityError(
-                f"{m}**{n} support triples exceed 2**27, the most whose masses "
-                f"are summed exactly")
         # each position appends one atom as the least significant digit, so
         # an element's index is its atom code and its probability the product
         # of its atoms' probabilities from the first
@@ -122,6 +104,25 @@ class _Enumeration:
         self.idx = idx
         self.prob = prob
         self._domains = {}
+
+    @staticmethod
+    def support(dist: JointDistribution, n: int, cap: int) -> list:
+        """The support atoms, once the cap and the count limit let dist be
+        enumerated at length n.
+        """
+        ax, ay, az = dist.alphabet_sizes
+        if (ax * ay * az) ** n > cap:
+            raise CapacityError(
+                f"({ax}*{ay}*{az})**{n} sequence triples exceed the exact-mode "
+                f"cap {cap}")
+        atoms = dist.support_atoms()
+        if not atoms:
+            raise UsageError("distribution has empty support")
+        if len(atoms) ** n > _EXACT_COUNT_LIMIT:
+            raise CapacityError(
+                f"{len(atoms)}**{n} support triples exceed 2**27, the most whose masses "
+                f"are summed exactly")
+        return atoms
 
     def domain(self, v):
         """The sequence codes letter v takes, in ascending order, and each
@@ -307,6 +308,18 @@ def _label_rows(cols, sizes, labels=None, num=1):
     return labels, num
 
 
+def _held_property(build):
+    """A property built once per signature: kept in the evaluator's held
+    state (RunContext.held), which every evaluator of the signature reads.
+    """
+    def get(self):
+        if build.__name__ not in self._held:
+            self._held[build.__name__] = build(self)
+        return self._held[build.__name__]
+
+    return property(get, doc=build.__doc__)
+
+
 def _member_seed(config: SchemeConfig, k) -> int:
     """The seed of the k-th ensemble member's codebooks; k is an integer >= 0."""
     (k,) = _integers("the member index", (k,))
@@ -340,12 +353,23 @@ class ExactEvaluator:
             self.enum = None
             return self
         self.parts = None
+        dist, n = self.config.dist, self.config.n
         # the middle terminal's coordinate leads the atom order
         axes = (1, 0, 2) if ctx.desc.kp_owner == "Y" else (0, 1, 2)
-        self.enum = _Enumeration(self.config.dist, self.config.n, exact_cap, axes)
-        self._slots = _Slots(8 * len(self.enum.prob))
-        self._view_entropy = {}     # of the views no codebook draw changes
+        # the limits come first, so no held state skips them
+        _Enumeration.support(dist, n, exact_cap)
+        # what no seed changes is built once per signature (RunContext.held)
+        self._held = ctx.held("exact", lambda: {"enum": _Enumeration(dist, n, exact_cap, axes)},
+                              exact_cap)
+        self.enum = self._held["enum"]
+        # the entropies of the views no codebook draw changes
+        self._view_entropy = self._held.setdefault("view_entropy", {})
         return self
+
+    @_held_property
+    def _slots(self):
+        """The dense slots every _match of the evaluator uses."""
+        return _Slots(8 * len(self.enum.prob))
 
     # -- exact decode tables -----------------------------------------------
 
@@ -387,7 +411,7 @@ class ExactEvaluator:
             _narrow(cand_group, num_groups),
             [_narrow(c, e.size[v] ** e.n - 1) for c, v in zip(cands, step.decoded)])
 
-    @functools.cached_property
+    @_held_property
     def _reach(self):
         """The elements some terminal's first decode step can decode, its
         table's members, in ascending order; and per decode step its table,
@@ -466,7 +490,7 @@ class ExactEvaluator:
 
     # -- law and mass helpers ----------------------------------------------
 
-    @functools.cached_property
+    @_held_property
     def _reach_classes(self):
         """The reach elements' probability classes, and per class the count
         of the elements outside the reach.
@@ -572,7 +596,7 @@ class ExactEvaluator:
         not read: its law is the total mass, and it leaks its own entropy.
         A law that reads each letter verbatim or only through one-valued
         columns labels the elements alike for every codebook draw, so its
-        entropy is computed once per evaluator.
+        entropy is computed once per signature (RunContext.held).
         """
         def entropy(view):
             verbatim = frozenset(v for v, cols in view.items() if any(c is None for c, _ in cols))
@@ -928,103 +952,3 @@ def oracle_codebooks(config: SchemeConfig, k: int) -> dict:
         raise UsageError("the oracle covers one-shot schemes only")
     seed = _member_seed(config, k)
     return RunContext(config).draw_codebooks(MODE_TABLE, seed)
-
-
-# ---------------------------------------------------------------------------
-# Conditional-entropy verifier for the sub-bin construction
-
-
-@dataclass
-class Lemma1Stats:
-    """Exact (1/n) H(Z^n | f, phi, C) per codebook against its target bound.
-
-    f is the bin index at rate r_z, phi the sub-bin index at rate r_s. The
-    diagnostics mirror the two bad events of the underlying argument:
-    e1_atypical_mass is the probability that Z^n falls outside the typical
-    set, and e2_fractions holds, per codebook, the fraction of (f, phi) cells
-    whose typical-sequence occupancy reaches twice its expectation.
-    """
-
-    n: int
-    r_s: float
-    r_z: float
-    delta: float
-    epsilon: float
-    h_z: float
-    bound: float
-    num_bins: int
-    num_sub_bins: int
-    per_codebook: tuple
-    mean: float
-    satisfied: bool
-    e1_atypical_mass: float
-    typical_count: int
-    expected_occupancy: float
-    e2_fractions: tuple
-    e2_mean: float
-
-
-def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
-                 delta: float, seed: int, epsilon: float = 0.1) -> Lemma1Stats:
-    """Exact H(Z^n | f, phi, C) for sampled explicit codebooks.
-
-    Since (f, phi) is a deterministic function of z^n, the conditional
-    entropy equals n H(Z) - H(f, phi), and H(f, phi) comes from exact cell
-    masses over the full |Z|^n enumeration. epsilon only feeds the typicality
-    diagnostics, not the entropy itself.
-    """
-    n, codebook_count, seed = _integers("n, codebook_count and seed",
-                                        (n, codebook_count, seed))
-    z_pmf = np.asarray(z_pmf, dtype=np.float64).ravel()
-    az = len(z_pmf)
-    dist = JointDistribution.create((1, 1, az), z_pmf)
-    h_z = _entropy_of(z_pmf)
-    _real("delta", delta)
-    _real("r_s", r_s)
-    _real("r_z", r_z)
-    if codebook_count < 1:
-        raise UsageError("codebook_count must be >= 1")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
-    if not (r_s + r_z < h_z - 2 * delta):
-        raise UsageError(
-            f"precondition violated: R_S + R_Z = {r_s + r_z} is not below "
-            f"H(Z) - 2*delta = {h_z - 2 * delta}")
-    TypicalityParams(epsilon, n)
-
-    enum = _Enumeration(dist, n, EXACT_PRODUCT_CAP)
-    codes, prob = enum.idx["z"], enum.prob
-    sym_counts = np.zeros((az, len(codes)), dtype=np.int16)
-    for d in code_digits(codes, az, n):
-        for sym, row in enumerate(sym_counts):
-            row += d == sym
-    lo, hi = count_windows(z_pmf, n, epsilon)
-    typical = np.all((sym_counts >= lo[:, None]) & (sym_counts <= hi[:, None]), axis=0)
-    typical_count = int(np.count_nonzero(typical))
-    e1 = 1.0 - math.fsum(prob[typical])
-    expected_occupancy = typical_count * 2.0 ** (-n * (r_s + r_z))
-
-    per = []
-    e2 = []
-    num_bins, num_sub = num_bins_for_rate(n, r_z), num_bins_for_rate(n, r_s)
-    n_cells = num_bins * num_sub
-    for k in range(codebook_count):
-        cb_seed = child_seed(seed, _LEMMA_TAG, k)
-        cb = make_codebook(MODE_TABLE, n, az, r_z, r_s, cb_seed, purpose="Z")
-        cells = (cb.bins_of_indices(codes).astype(np.int64) * num_sub
-                 + cb.sub_bins_of_indices(codes).astype(np.int64))
-        masses = np.bincount(cells, weights=prob, minlength=n_cells)
-        h_cells = _entropy_masses(masses)
-        per.append((n * h_z - h_cells) / n)
-        occupancy = np.bincount(cells[typical], minlength=n_cells)
-        e2.append(float(np.count_nonzero(occupancy >= 2.0 * expected_occupancy))
-                  / n_cells)
-    mean = math.fsum(per) / len(per)
-    bound = h_z - r_s - r_z + delta
-    return Lemma1Stats(n=n, r_s=r_s, r_z=r_z, delta=delta, epsilon=epsilon,
-                       h_z=h_z, bound=bound, num_bins=num_bins,
-                       num_sub_bins=num_sub, per_codebook=tuple(per), mean=mean,
-                       satisfied=bool(mean <= bound + 1e-12),
-                       e1_atypical_mass=e1, typical_count=typical_count,
-                       expected_occupancy=expected_occupancy,
-                       e2_fractions=tuple(e2), e2_mean=math.fsum(e2) / len(e2))

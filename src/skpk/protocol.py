@@ -51,6 +51,9 @@ REDIRECT_TOL = 1e-10
 
 _TRIAL_TAG = stream_tag("trial")
 
+# seed-independent state by context signature, then by kind (RunContext.held)
+_HELD = {}
+
 
 @dataclass(frozen=True)
 class RateAssignment:
@@ -349,8 +352,9 @@ def _pair_decode(eng1, obs1, cb1, target1, eng2, obs2, cb2, target2):
 
 
 class RunContext:
-    """Shared per-config state: codebooks, candidate engines, derived rates,
-    key sizes (for time sharing, the parts' products) and one-shot key owners.
+    """Shared per-config state: codebooks, candidate engines (shared by every
+    context of the signature, see held), derived rates, key sizes (for time
+    sharing, the parts' products) and one-shot key owners.
 
     Build once, then call run(i) per trial; trial i is fully determined by
     (config, i) regardless of how trials are batched across workers. The
@@ -378,6 +382,12 @@ class RunContext:
         # the key owners' codebooks' sub-bin counts, known before any draw
         self.ks_size = num_bins_for_rate(config.n, rates.r_s) if self.ks_owner else 1
         self.kp_size = num_bins_for_rate(config.n, rates.r_p)
+        # every input of the state no seed changes: the source, n, epsilon,
+        # the description after redirect and renaming, and the search cap
+        dist = config.dist
+        self.signature = (dist.alphabet_sizes, dist.pmf.tobytes(), config.n, config.epsilon,
+                          desc, DEFAULT_SEARCH_CAP)
+        self.group = (self.signature,)
 
     @functools.cached_property
     def codebooks(self) -> dict:
@@ -401,11 +411,33 @@ class RunContext:
 
     @functools.cached_property
     def engines(self) -> dict:
-        """Candidate engines by engine key, built on first use."""
-        config = self.config
+        """Candidate engines by engine key, built on first use and held per
+        signature, so their arrangement tables outlive the context (held).
+        """
+        # the search cap the signature read, whenever the engines are built
+        config, cap = self.config, self.signature[-1]
         keys = dict.fromkeys(key for step in self.desc.decodes for key in step.engine_keys())
-        return {key: CandidateEngine(config.dist.marginal(key.upper()), config.params,
-                                     cap=DEFAULT_SEARCH_CAP) for key in keys}
+        return self.held("engines", lambda: {
+            key: CandidateEngine(config.dist.marginal(key.upper()), config.params, cap=cap)
+            for key in keys})
+
+    def held(self, kind, build, key=None):
+        """What build() returns for this context's signature, held once per
+        process under kind for key, an input of that state outside the
+        signature. The holder keeps one context's state: one signature's, or
+        a time share's two parts'. Before it builds, it lets go of every other
+        signature's state and of the kind's state for another key, which is
+        then freed once no caller holds it.
+        """
+        if self.signature not in _HELD:
+            for other in [s for s in _HELD if s not in self.group]:
+                del _HELD[other]
+            _HELD[self.signature] = {}
+        held = _HELD[self.signature]
+        if kind not in held or held[kind][0] != key:
+            held.pop(kind, None)
+            held[kind] = key, build()
+        return held[kind][1]
 
     def _init_time_share(self):
         cfg = self.config
@@ -422,14 +454,19 @@ class RunContext:
             master_seed=child_seed(cfg.master_seed, stream_tag(tag))))
             for name, part_n, tag in zip(cfg.ts_schemes, self.split, ("ts-A", "ts-B"))]
         live = [p for p in self.parts if p is not None]
+        for p in live:
+            p.group = tuple(q.signature for q in live)
         self.ks_size = math.prod(p.ks_size for p in live)
         self.kp_size = math.prod(p.kp_size for p in live)
 
     # -- execution --------------------------------------------------------
 
     def run(self, trial_index: int):
-        ss = np.random.SeedSequence(
-            [self.config.master_seed, _TRIAL_TAG, int(trial_index)])
+        """Trial trial_index, an integer >= 0, on its own sampled triple."""
+        (trial_index,) = _integers("trial_index", (trial_index,))
+        if trial_index < 0:
+            raise UsageError(f"trial_index must be >= 0, got {trial_index}")
+        ss = np.random.SeedSequence([self.config.master_seed, _TRIAL_TAG, trial_index])
         triple = sample(self.config.dist, self.config.n, ss)
         return self.run_on_triple(triple)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .sources import InfoProfile, JointDistribution, info_profile
 
 # slack for membership, vertex feasibility and matching named points
@@ -138,6 +139,8 @@ def rate_region(dist: JointDistribution) -> RateRegion:
     Corner points come from generic halfplane intersection, not from the named
     formulas, so the two can be cross-checked against each other.
     """
+    if not isinstance(dist, JointDistribution):
+        raise UsageError(f"dist must be a JointDistribution, got {type(dist).__name__}")
     profile = info_profile(dist)
     constants = region_constants(profile)
     case_label = classify_case(constants)

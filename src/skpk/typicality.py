@@ -427,11 +427,12 @@ class _ClassBlock:
         self.matrix = None  # materialized on demand
 
     def materialize(self, m, q):
+        # checked on every call, so a table built earlier never skips the guard
+        if self.total * max(m, 1) > ARRANGE_CELL_CAP:
+            raise SearchOverflowError(
+                f"arrangement table for one class would hold {self.total} x {m} "
+                f"cells, over the {ARRANGE_CELL_CAP} materialization guard")
         if self.matrix is None:
-            if self.total * max(m, 1) > ARRANGE_CELL_CAP:
-                raise SearchOverflowError(
-                    f"arrangement table for one class would hold {self.total} x {m} "
-                    f"cells, over the {ARRANGE_CELL_CAP} materialization guard")
             self.matrix = _arrangement_matrix(m, self.vectors, q)
         return self.matrix
 

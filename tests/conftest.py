@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from skpk import protocol
 from skpk.sources import JointDistribution, code_digits, noisy_copy_triple
 from skpk.typicality import CandidateEngine
 
@@ -60,6 +61,18 @@ def mirrored_noisy_copy(flip_y, flip_z) -> JointDistribution:
     """
     base = noisy_copy_triple(flip_y, flip_z)
     return JointDistribution((2, 2, 2), np.transpose(base.pmf, (1, 0, 2)))
+
+
+@pytest.fixture
+def fresh_state():
+    """Empties the seed-independent state held per process
+    (RunContext.held) before the test and after it, and gives the test the
+    function that empties it: a test that counts what is built, or patches
+    how it is built, sees no state an earlier build left.
+    """
+    protocol._HELD.clear()
+    yield protocol._HELD.clear
+    protocol._HELD.clear()
 
 
 @pytest.fixture

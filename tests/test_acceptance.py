@@ -20,7 +20,8 @@ import numpy as np
 import skpk
 from conftest import listed_candidates, random_distribution
 from skpk.binning import MODE_HASH, MODE_TABLE
-from skpk.exact import ExactEvaluator, lemma1_check, oracle_codebooks, oracle_secrecy
+from skpk.exact import ExactEvaluator, oracle_codebooks, oracle_secrecy
+from skpk.lemma1 import lemma1_check
 from skpk.protocol import RunContext, SchemeConfig, derive_rates
 from skpk.region import halfplanes, rate_region
 from skpk.sources import (InfoProfile, dump_pmf, info_profile, noisy_copy_triple,

@@ -57,9 +57,10 @@ def _traced_work():
     skpk.harness.run_trials(cfg)
 
 
-def test_every_traced_layer_records_a_span(monkeypatch):
+def test_every_traced_layer_records_a_span(monkeypatch, fresh_state):
     """A wrapped name that stays bound but is no longer called would read 0
-    in its layer, which the resolve check above cannot see.
+    in its layer, which the resolve check above cannot see. From an empty
+    holder, the work builds its arrangement tables and decode tables.
     """
     monkeypatch.delenv("SKPK_WORKERS", raising=False)   # spans stay in this process
     spans = _load_bench("spans")

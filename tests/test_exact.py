@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ from skpk.errors import CapacityError, UsageError
 from skpk import exact
 from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, EXACT_PRODUCT_CAP,
                         CodebookExact, ExactEvaluator, _DecodeTable, _distinct, _Enumeration,
-                        _label_rows, _match, _ranked, _Slots, lemma1_check, oracle_codebooks,
+                        _label_rows, _match, _ranked, _Slots, oracle_codebooks,
                         oracle_secrecy)
 from skpk.harness import MODE_EXACT, _trial_stats, run_trials
+from skpk.lemma1 import lemma1_check
 from skpk.protocol import STATUSES, RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, SourceTriple, _entropy_masses, code_digits,
                           noisy_copy_triple, sequence_code, xor_triple)
@@ -180,10 +182,12 @@ def test_a_labelling_wider_than_the_elements_is_counted_alone(rng, monkeypatch):
     assert _assert_masses_exact(evaluator, rng, monkeypatch, (3, 2)) == 3
 
 
-def test_masses_stay_exact_where_the_low_parts_are_subnormal(rng, monkeypatch):
+def test_masses_stay_exact_where_the_low_parts_are_subnormal(rng, monkeypatch, fresh_state):
     """Probabilities near 1e-300 have low parts below the smallest normal
     float, and some probabilities are subnormal themselves; each class's two
     parts still sum to its probability and hold at most 26 significant bits.
+    The test rewrites its evaluator's enumeration, so it starts from an
+    empty holder, whose mass classes are not yet summed, and leaves none.
     """
     evaluator = ExactEvaluator(_config("PointE", xor_triple(), n=8))
     size = len(evaluator.enum.prob)
@@ -459,16 +463,17 @@ def _record_inits(monkeypatch, cls) -> list:
 
 
 @pytest.mark.parametrize("scheme", ["PointP", "PointQ", "TimeShare"])
-def test_engines_are_built_on_first_use(monkeypatch, scheme):
+def test_engines_are_built_on_first_use(monkeypatch, fresh_state, scheme):
     """An oracle call builds no candidate engine and no run context;
     oracle_codebooks builds one context and draws only the member's set:
     no context draws its native codebooks before they are read.
-    ExactEvaluator.evaluate and run_trials build each engine key's engine
-    once per context, PointQ's shared key "xyz" included. A time-shared
-    exact campaign builds its context and the two part contexts it holds,
-    one codebook set per part and member, and each part's engines once
-    (TimeShare(PointP, PointE) at n = 8 with 2 members: 3 contexts, 6
-    codebooks, 4 engines).
+    From an empty holder, ExactEvaluator.evaluate and run_trials build each
+    engine key's engine once per signature, PointQ's shared key "xyz"
+    included: a campaign at n = 4 and 6 after an evaluator at n = 4 builds
+    only n = 6's. A time-shared exact campaign builds its context and the
+    two part contexts it holds, one codebook set per part and member, and
+    each part's engines once (TimeShare(PointP, PointE) at n = 8 with 2
+    members: 3 contexts, 6 codebooks, 4 engines).
     """
     def refuse(*args, **kwargs):
         raise AssertionError(f"{args[0]!r} was built")
@@ -508,9 +513,162 @@ def test_engines_are_built_on_first_use(monkeypatch, scheme):
     assert len(keys) == 3 and set(evaluator.ctx.engines) == keys
     assert sorted(map(id, built)) == sorted(map(id, evaluator.ctx.engines.values()))
     built.clear()
+    contexts.clear()
     run_trials(skpk.ExperimentConfig(scheme=scheme, dist=xor_triple(), n_values=(4, 6),
                                      trials=4, epsilon=0.9, delta=0.01, master_seed=7))
-    assert len(built) == 2 * len(keys)
+    assert len(built) == len(keys)
+    assert contexts[0].engines is evaluator.ctx.engines
+    assert sorted(map(id, built)) == sorted(map(id, contexts[1].engines.values()))
+
+
+def _held_state(evaluator) -> list:
+    """What an evaluator reads of its signature's held state: its context's
+    engines, then its enumeration, decode tables, reach classes, slots and
+    view entropies.
+    """
+    return [evaluator.ctx.engines, evaluator.enum, evaluator._reach, evaluator._reach_classes,
+            evaluator._slots, evaluator._view_entropy]
+
+
+def test_configs_differing_in_the_master_seed_share_their_state(monkeypatch, fresh_state):
+    """Two evaluators whose configs differ only in master_seed read one held
+    state, and so do two time-shared ones, part by part, and two run
+    contexts: one set of engines, whose arrangement tables and folds the
+    second context's trials on the same triples reuse without building any.
+    """
+    first, second = (ExactEvaluator(_config("PointP", xor_triple(), n=6, seed=s)) for s in (1, 2))
+    first.member(0)
+    assert all(a is b for a, b in zip(_held_state(first), _held_state(second)))
+    first, second = (ExactEvaluator(_config("TimeShare", xor_triple(), n=9, seed=s,
+                                            ts_schemes=("PointP", "PointT"))) for s in (1, 2))
+    first.member(0)
+    for one, two in zip(first.parts, second.parts):
+        assert all(a is b for a, b in zip(_held_state(one), _held_state(two)))
+    for scheme in ("PointP", "PointT", "PointQ"):
+        one, two = (RunContext(_config(scheme, xor_triple(), n=8, eps=0.5, seed=s))
+                    for s in (1, 2))
+        triples = [one.run(i).triple for i in range(6)]
+
+        def refuse(*args):
+            raise AssertionError("an arrangement table was built again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(skpk.typicality, "_arrangement_matrix", refuse)
+            for triple in triples:
+                two.run_on_triple(triple)
+        assert two.engines is one.engines
+
+
+@pytest.mark.parametrize("field", ["n", "epsilon", "pmf", "scheme", "orientation", "exact_cap",
+                                   "search_cap"])
+def test_a_config_differing_in_one_signature_field_gets_its_own_state(
+        monkeypatch, fresh_state, field):
+    """An evaluator whose config differs from a held one's in one input of
+    the signature builds its own enumeration, decode tables, slots and view
+    entropies, and its own engines, unless only the exact cap differs, which
+    no engine reads. Its member is a cold start's. The orientation is an
+    orientation-Y rates override on the same pmf, and the search cap a
+    patched DEFAULT_SEARCH_CAP.
+    """
+    base = _config("PointP", xor_triple(), n=4)
+    held = ExactEvaluator(base)
+    held.member(0)
+    cfg, cap = base, EXACT_PRODUCT_CAP
+    if field == "n":
+        cfg = _config("PointP", xor_triple(), n=5)
+    elif field == "epsilon":
+        cfg = _config("PointP", xor_triple(), n=4, eps=0.5)
+    elif field == "pmf":
+        cfg = _config("PointP", noisy_copy_triple(0.1, 0.3), n=4)
+    elif field == "scheme":
+        cfg = _config("PointT", xor_triple(), n=4)
+    elif field == "orientation":
+        cfg = _with_rates(base, orientation="Y")
+    elif field == "exact_cap":
+        cap = 2 ** 20
+    else:
+        monkeypatch.setattr("skpk.protocol.DEFAULT_SEARCH_CAP", 2 ** 20)
+    evaluator = ExactEvaluator(cfg, cap)
+    member = repr(evaluator.member(0))
+    pairs = list(zip(_held_state(held), _held_state(evaluator)))
+    assert (pairs[0][0] is pairs[0][1]) == (field == "exact_cap")
+    assert not any(a is b for a, b in pairs[1:])
+    assert {e.cap for e in evaluator.ctx.engines.values()} == {
+        2 ** 20 if field == "search_cap" else skpk.typicality.DEFAULT_SEARCH_CAP}
+    fresh_state()
+    assert repr(ExactEvaluator(cfg, cap).member(0)) == member
+
+
+def test_held_state_gives_what_a_cold_start_gives(fresh_state):
+    """Members and trials of configs A, B and A again, and of A under
+    another master seed, each built on whatever state the one before left
+    held or released, have the reprs of a cold start's, from an empty
+    holder. B is a time share, whose two parts' states are held together.
+    """
+    configs = {"A": _config("PointP", xor_triple(), n=6, eps=0.5, seed=1),
+               "A'": _config("PointP", xor_triple(), n=6, eps=0.5, seed=2),
+               "B": _config("TimeShare", mirrored_noisy_copy(0.25, 0.0), n=9, eps=0.5,
+                            ts_schemes=("PointP", "PointT"), ts_lambda=0.4)}
+
+    def outputs(cfg):
+        ctx = RunContext(cfg)
+        trials = [repr(_trial_stats(ctx, ctx.run(i))) for i in range(6)]
+        return trials, [repr(m) for m in ExactEvaluator(cfg).evaluate(2).per_codebook]
+
+    cold = {}
+    for name, cfg in configs.items():
+        fresh_state()
+        cold[name] = outputs(cfg)
+    fresh_state()
+    for name in ("A", "B", "A", "A'", "B", "B"):
+        assert outputs(configs[name]) == cold[name], name
+
+
+def test_limits_are_checked_before_held_state_is_read(monkeypatch, fresh_state):
+    """A held state never lets a config past a limit: after an evaluator
+    under a raised exact cap, the same config under the default cap raises
+    CapacityError; with the count limit lowered below a held enumeration's
+    triples, an evaluator of its signature raises; and with ARRANGE_CELL_CAP
+    lowered, a context whose engines hold their arrangement tables
+    overflows the guard.
+    """
+    cfg = _config("PointP", xor_triple(), n=9)
+    ExactEvaluator(cfg, exact_cap=8 ** 9)
+    with pytest.raises(CapacityError, match=r"\(2\*2\*2\)\*\*9 sequence triples exceed"):
+        ExactEvaluator(cfg)
+    small = _config("PointP", xor_triple(), n=4)
+    ExactEvaluator(small).member(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_EXACT_COUNT_LIMIT", 4 ** 4 - 1)
+        with pytest.raises(CapacityError, match=r"4\*\*4 support triples exceed"):
+            ExactEvaluator(dataclasses.replace(small, master_seed=8))
+    ctx = RunContext(small)
+    # a trial whose X decode found its z among the candidates of some table
+    run = next(r for r in map(ctx.run, range(20)) if r.outcome.statuses["X"] == "OK")
+    monkeypatch.setattr(skpk.typicality, "ARRANGE_CELL_CAP", 1)
+    again = RunContext(dataclasses.replace(small, master_seed=8))
+    assert again.engines is ctx.engines
+    assert again.run_on_triple(run.triple).outcome.statuses["X"] == "SearchOverflow"
+
+
+def test_held_state_is_released_before_the_next_signature_is_built(monkeypatch, fresh_state):
+    """Once no evaluator holds a signature's state, an evaluator of another
+    signature finds its enumeration and every engine freed (dead weak
+    references) before it builds its own.
+    """
+    evaluator = ExactEvaluator(_config("PointP", xor_triple(), n=6))
+    evaluator.member(0)
+    refs = [weakref.ref(evaluator.enum), *map(weakref.ref, evaluator.ctx.engines.values())]
+    del evaluator
+    alive = []
+    for cls in (_Enumeration, CandidateEngine):
+        def recording(obj, *args, init=cls.__init__, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    ExactEvaluator(_config("PointP", xor_triple(), n=7)).member(0)
+    assert len(alive) == 4 and set(alive) == {0}
 
 
 def _packed(rng, size_a, size_b, rows):
@@ -660,16 +818,14 @@ def exhaustive_member(ctx, codebooks) -> CodebookExact:
                         for key in first.recovery_error})
 
 
-@pytest.mark.parametrize("scheme,dist,n", [
-    ("PointP", xor_triple(), 4), ("PointQ", xor_triple(), 4), ("PointT", xor_triple(), 5),
-    ("PointE", noisy_copy_triple(0.1, 0.3), 3)], ids=["PointP", "PointQ", "PointT", "PointE"])
-def test_exact_decode_masses_match_an_exhaustive_monte_carlo_run(scheme, dist, n):
-    """Every decode mass of the native set and of member 1 is the mass the
-    Monte Carlo decoder gives when run on every support triple, to 1e-12:
-    agreement, each terminal's statuses and each recovery error.
+def _exhaustive_references(cfg) -> list:
+    """Requires every decode mass of cfg's native set and of member 1 to be
+    the mass the Monte Carlo decoder gives when run on every support triple,
+    to 1e-12: agreement, each terminal's statuses and each recovery error.
+    Returns the two exhaustive members.
     """
-    cfg = _config(scheme, dist, n=n, seed=3, eps=0.9)
     evaluator, ctx = ExactEvaluator(cfg), RunContext(cfg)
+    refs = []
     for k, codebooks in ((None, ctx.codebooks), (1, oracle_codebooks(cfg, 1))):
         ours, ref = evaluator.member(k), exhaustive_member(ctx, codebooks)
         for name in ("agree_ks", "agree_kp"):
@@ -683,6 +839,19 @@ def test_exact_decode_masses_match_an_exhaustive_monte_carlo_run(scheme, dist, n
         assert ours.recovery_error.keys() == ref.recovery_error.keys()
         for key, want in ref.recovery_error.items():
             assert abs(ours.recovery_error[key] - want) <= 1e-12, key
+        refs.append(ref)
+    return refs
+
+
+@pytest.mark.parametrize("scheme,dist,n", [
+    ("PointP", xor_triple(), 4), ("PointQ", xor_triple(), 4), ("PointT", xor_triple(), 5),
+    ("PointE", noisy_copy_triple(0.1, 0.3), 3)], ids=["PointP", "PointQ", "PointT", "PointE"])
+def test_exact_decode_masses_match_an_exhaustive_monte_carlo_run(scheme, dist, n):
+    """Every decode mass of the native set and of member 1 is the mass the
+    Monte Carlo decoder gives when run on every support triple, to 1e-12:
+    agreement, each terminal's statuses and each recovery error.
+    """
+    for k, ref in enumerate(_exhaustive_references(_config(scheme, dist, n=n, seed=3, eps=0.9))):
         # on the noisy copy at n = 3 a cell of mass 0.015 has an empty count
         # window, so Y's every decode ends NoCandidate (criterion 8's cause)
         if scheme == "PointE":
@@ -690,6 +859,46 @@ def test_exact_decode_masses_match_an_exhaustive_monte_carlo_run(scheme, dist, n
         else:
             for t in ("X", "Y"):
                 assert 0 < ref.status_mass[t]["OK"] < 1, (k, t)
+
+
+# x takes three letters; its twin on two letters merges x = 2 into x = 1
+_THREE_LETTER_X = _atoms((3, 2, 2), (0, 0, 0), (1, 1, 0), (2, 1, 1), (2, 0, 1))
+_TWO_LETTER_X = _atoms((2, 2, 2), (0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1))
+
+
+@pytest.mark.parametrize("case", ["orientation-Y", "renamed", "three-letters"])
+def test_exhaustive_runs_follow_their_twins(monkeypatch, case):
+    """Orientation Y (PointP on mirrored_noisy_copy), a renamed() scheme
+    (PointT with X and Y trading places, at swapped bin rates) and a
+    3-letter alphabet (PointQ) match the exhaustive Monte Carlo run to
+    1e-12, each right after its twin in the same process: orientation X,
+    the scheme as listed, or two letters. Each pair differs in one part of
+    the held state's signature (the pmf, or the description alone), so a
+    twin's engines or decode tables serving the case would show. Every
+    case has an OK mass strictly between 0 and 1.
+    """
+    if case == "orientation-Y":
+        twin = _config("PointP", noisy_copy_triple(0.25, 0.0), n=5, seed=3)
+        cfg = _config("PointP", mirrored_noisy_copy(0.25, 0.0), n=5, seed=3)
+    elif case == "renamed":
+        twin = _config("PointT", _TWO_LETTER_X, n=5, seed=3)
+        rates = RunContext(twin).rates
+        cfg = dataclasses.replace(twin, rates=dataclasses.replace(rates, r_x=rates.r_y,
+                                                                  r_y=rates.r_x))
+    else:
+        twin = _config("PointQ", _TWO_LETTER_X, n=5, seed=3)
+        cfg = _config("PointQ", _THREE_LETTER_X, n=5, seed=3)
+    _exhaustive_references(twin)
+    twin_signature = RunContext(twin).signature
+    if case == "renamed":
+        point_t = skpk.protocol.SCHEME_TABLE["PointT"]
+        monkeypatch.setitem(skpk.protocol.SCHEME_TABLE, "PointT", point_t.renamed())
+    ctx = RunContext(cfg)
+    assert ctx.signature != twin_signature
+    assert (ctx.swapped, ctx.desc.kp_owner) == {
+        "orientation-Y": (True, "Y"), "renamed": (False, "Y"), "three-letters": (False, "X")}[case]
+    refs = _exhaustive_references(cfg)
+    assert any(0 < m["OK"] < 1 for ref in refs for m in ref.status_mass.values())
 
 
 def test_status_masses_are_probabilities():
@@ -1058,11 +1267,13 @@ def _every_code_domain(self, v):
 
 
 @pytest.mark.parametrize("scheme", ["PointE", "PointT", "PointP", "PointQ"])
-def test_members_do_not_depend_on_the_letter_domains(scheme, monkeypatch):
+def test_members_do_not_depend_on_the_letter_domains(scheme, monkeypatch, fresh_state):
     """x takes two of its four symbols over three atoms, so at n = 6 its
     4**6 codes outnumber the 3**6 elements, and its domain is the 2**6 codes
     that occur. Labelling every code instead gives the same members, bit
-    for bit, and the oracle agrees with both.
+    for bit, and the oracle agrees with both. The evaluator that labels
+    every code builds its own tables, not the held ones ranked on the
+    codes that occur.
     """
     pmf = np.zeros((4, 2, 2))
     pmf[0, 0, 0], pmf[3, 1, 0], pmf[3, 1, 1] = 0.4, 0.3, 0.3
@@ -1080,7 +1291,9 @@ def test_members_do_not_depend_on_the_letter_domains(scheme, monkeypatch):
         for name in ("leak_ks", "leak_kp", "h_ks", "h_kp"):
             assert getattr(stats, name) == pytest.approx(ref[name], abs=1e-12), name
     monkeypatch.setattr(_Enumeration, "domain", _every_code_domain)
+    fresh_state()
     every = ExactEvaluator(cfg)
+    assert every.enum is not evaluator.enum
     assert len(every.enum.domain("x")[0]) == 4 ** 6
     assert [repr(m) for m in every.evaluate(3).per_codebook] == [repr(m) for m in members]
 
@@ -1456,7 +1669,7 @@ def _reference_table(evaluator, step, observed, given=None):
     (xor_triple(), [True] * 5),
     (noisy_copy_triple(0.1, 0.3), [True, False, True, True, False]),
 ], ids=["xor", "noisy"])
-def test_step_tables_match_a_sorted_reference(monkeypatch, dist, found, n):
+def test_step_tables_match_a_sorted_reference(monkeypatch, fresh_state, dist, found, n):
     """Every decode table two PointP and two PointT members use (PointP's
     two first steps, PointT's two first steps and its later yz -> x step)
     is built once per evaluator, and has the members, groups, candidate
@@ -1495,10 +1708,11 @@ def test_step_tables_match_a_sorted_reference(monkeypatch, dist, found, n):
     assert y.tolist() == [y_of[g] for g in first.cand_group.tolist()]
 
 
-def test_decode_tables_are_built_once_per_evaluator(monkeypatch):
-    """A PointT evaluator builds one table per decode step, X's and Y's
-    first steps and Y's later yz -> x step, however many members it
-    evaluates: no member builds a table of its own.
+def test_decode_tables_are_built_once_per_evaluator(monkeypatch, fresh_state):
+    """From an empty holder, a PointT evaluator builds one table per decode
+    step, X's and Y's first steps and Y's later yz -> x step, however many
+    members it evaluates: no member builds a table of its own, and neither
+    does an evaluator of the same signature with another master seed.
     """
     calls = []
     step_table = ExactEvaluator._step_table
@@ -1512,6 +1726,7 @@ def test_decode_tables_are_built_once_per_evaluator(monkeypatch):
     evaluator.evaluate(4)
     assert calls == list(evaluator.ctx.desc.decodes)
     evaluator.member()
+    ExactEvaluator(_config("PointT", xor_triple(), n=6, eps=0.5, delta=0.02, seed=8)).member(0)
     assert len(calls) == 3
 
 
@@ -1549,7 +1764,7 @@ def test_step_tables_read_codes_past_int64(rng):
 
 
 @pytest.mark.parametrize("scheme", ["PointP", "PointT"])
-def test_wide_stable_sorts_get_narrow_group_ids(monkeypatch, scheme):
+def test_wide_stable_sorts_get_narrow_group_ids(monkeypatch, fresh_state, scheme):
     """Over 262,144 support triples (noisy_copy_triple at n = 6), no stable
     argsort the evaluator runs on more than 4,096 entries sorts integers
     wider than 16 bits, which numpy radix-sorts, and no integer column of
@@ -1599,7 +1814,7 @@ _FIVE_ATOMS = _atoms((2, 2, 2), (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (0, 
 
 
 @pytest.mark.parametrize("scheme", ["PointE", "PointT", "PointP", "PointQ"])
-def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch):
+def test_truth_picks_match_a_brute_force_search(scheme, monkeypatch, fresh_state):
     """The truth picks of every decode table two members match, first and
     later steps, pair steps included, on the member sweep's sources and the
     five-atom source at n = 4 and 5 and on xor at n = 6: per table member,

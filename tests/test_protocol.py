@@ -91,6 +91,18 @@ def test_trial_determinism():
     assert not np.array_equal(a.triple.x_seq, c.triple.x_seq)
 
 
+@pytest.mark.parametrize("index", [1.5, 1.99, True, "3", None, -1])
+def test_a_trial_index_is_an_integer_at_least_0(index):
+    """run(trial_index) refuses a float, a bool, a string or a negative
+    index with UsageError instead of running another trial; a numpy integer
+    runs the trial of its value.
+    """
+    ctx = RunContext(_config("PointP", xor_triple(), n=8, eps=0.6, delta=0.02, seed=11))
+    with pytest.raises(UsageError, match="trial_index must be"):
+        ctx.run(index)
+    assert repr(_trial_stats(ctx, ctx.run(np.int64(3)))) == repr(_trial_stats(ctx, ctx.run(3)))
+
+
 def test_point_q_redirect():
     # Z depends on X alone, so the Y codebook cannot help and PointQ
     # degenerates to PointP

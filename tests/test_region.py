@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identical_bits, independent_bits, random_distribution
+from skpk.errors import UsageError
 from skpk.protocol import derive_rates
 from skpk.region import (TOL, classify_case, halfplanes, label_vertices,
                          rate_region, region_constants)
@@ -22,6 +23,13 @@ def test_xor_region_exact():
     assert region.case_label == "Case2"
     got = sorted((round(v[0], 9), round(v[1], 9)) for v in region.vertices)
     assert got == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0)]
+
+
+@pytest.mark.parametrize("dist", [np.ones((2, 2, 2)) / 8, None, {"pmf": [1.0]}],
+                         ids=["array", "None", "dict"])
+def test_rate_region_refuses_what_is_not_a_joint_distribution(dist):
+    with pytest.raises(UsageError, match="dist must be a JointDistribution"):
+        rate_region(dist)
 
 
 def test_degenerate_regions():
