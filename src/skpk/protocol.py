@@ -425,15 +425,13 @@ class RunContext:
         """What build() returns for this context's signature, held once per
         process under kind for key, an input of that state outside the
         signature. The holder keeps one context's state: one signature's, or
-        a time share's two parts'. Before it builds, it lets go of every other
-        signature's state and of the kind's state for another key, which is
-        then freed once no caller holds it.
+        a time share's two parts'. It lets go of every other signature's
+        state, and before it builds, of the kind's state for another key,
+        which is then freed once no caller holds it.
         """
-        if self.signature not in _HELD:
-            for other in [s for s in _HELD if s not in self.group]:
-                del _HELD[other]
-            _HELD[self.signature] = {}
-        held = _HELD[self.signature]
+        for other in [s for s in _HELD if s not in self.group]:
+            del _HELD[other]
+        held = _HELD.setdefault(self.signature, {})
         if kind not in held or held[kind][0] != key:
             held.pop(kind, None)
             held[kind] = key, build()

@@ -654,7 +654,8 @@ def test_limits_are_checked_before_held_state_is_read(monkeypatch, fresh_state):
 def test_held_state_is_released_before_the_next_signature_is_built(monkeypatch, fresh_state):
     """Once no evaluator holds a signature's state, an evaluator of another
     signature finds its enumeration and every engine freed (dead weak
-    references) before it builds its own.
+    references) before it builds its own. After a time share, an evaluator
+    of one part's signature lets the other part's state go.
     """
     evaluator = ExactEvaluator(_config("PointP", xor_triple(), n=6))
     evaluator.member(0)
@@ -669,6 +670,14 @@ def test_held_state_is_released_before_the_next_signature_is_built(monkeypatch, 
         monkeypatch.setattr(cls, "__init__", recording)
     ExactEvaluator(_config("PointP", xor_triple(), n=7)).member(0)
     assert len(alive) == 4 and set(alive) == {0}
+    monkeypatch.undo()
+    shared = ExactEvaluator(_config("TimeShare", xor_triple(), n=9, ts_schemes=("PointP", "PointT"),
+                                    ts_lambda=4 / 9))
+    shared.member(0)
+    other = weakref.ref(shared.parts[1].enum)
+    del shared
+    ExactEvaluator(_config("PointP", xor_triple(), n=4))
+    assert other() is None
 
 
 def _packed(rng, size_a, size_b, rows):
