@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .sources import place_values
+from .sources import _integer, _real, place_values
 
 MODE_TABLE = "ExplicitTable"
 MODE_HASH = "KeyedHash"
@@ -59,14 +59,12 @@ class BinningCodebook:
     def __init__(self, mode, n, alphabet_size, bin_rate, sub_rate, seed, purpose=""):
         if mode not in (MODE_TABLE, MODE_HASH):
             raise UsageError(f"unknown codebook mode {mode!r}")
-        if n < 1 or alphabet_size < 1:
-            raise UsageError("n and alphabet_size must be >= 1")
         self.mode = mode
-        self.n = int(n)
-        self.alphabet_size = int(alphabet_size)
-        self.bin_rate = float(bin_rate)
-        self.sub_rate = float(sub_rate)
-        self.seed = int(seed)
+        self.n = _integer("n", n, 1)
+        self.alphabet_size = _integer("alphabet_size", alphabet_size, 1)
+        self.bin_rate = _real("bin_rate", bin_rate)
+        self.sub_rate = _real("sub_rate", sub_rate)
+        self.seed = _integer("seed", seed)
         self.purpose = str(purpose)
         self.num_bins = num_bins_for_rate(self.n, self.bin_rate)
         self.num_sub_bins = num_bins_for_rate(self.n, self.sub_rate)

@@ -29,7 +29,7 @@ import numpy as np
 from .binning import MODE_TABLE, BinningCodebook, child_seed, make_codebook, stream_tag
 from .errors import CapacityError, UsageError
 from .protocol import STATUS_OK, STATUSES, TERMINALS, RunContext, SchemeConfig
-from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _integers, _split26,
+from .sources import (JointDistribution, _clamp_mi, _entropy_masses, _integer, _split26,
                       code_digits)
 
 EXACT_PRODUCT_CAP = 2 ** 24
@@ -322,10 +322,7 @@ def _held_property(build):
 
 def _member_seed(config: SchemeConfig, k) -> int:
     """The seed of the k-th ensemble member's codebooks; k is an integer >= 0."""
-    (k,) = _integers("the member index", (k,))
-    if k < 0:
-        raise UsageError(f"the member index must be >= 0, got {k}")
-    return child_seed(config.master_seed, _ENSEMBLE_TAG, k)
+    return child_seed(config.master_seed, _ENSEMBLE_TAG, _integer("the member index", k))
 
 
 class ExactEvaluator:
@@ -334,12 +331,10 @@ class ExactEvaluator:
     """
 
     def __init__(self, config: SchemeConfig, exact_cap: int = EXACT_PRODUCT_CAP):
+        ctx = RunContext(config)
         if config.codebook_mode != MODE_TABLE:
             raise UsageError("exact evaluation requires ExplicitTable codebooks")
-        (exact_cap,) = _integers("exact_cap", (exact_cap,))
-        if exact_cap < 1:
-            raise UsageError(f"exact_cap must be >= 1, got {exact_cap}")
-        self._bind(RunContext(config), exact_cap)
+        self._bind(ctx, _integer("exact_cap", exact_cap, 1))
 
     def _bind(self, ctx: RunContext, exact_cap):
         """Evaluates ctx, and returns self; a time share evaluates the part
@@ -359,8 +354,7 @@ class ExactEvaluator:
         # the limits come first, so no held state skips them
         _Enumeration.support(dist, n, exact_cap)
         # what no seed changes is built once per signature (RunContext.held)
-        self._held = ctx.held("exact", lambda: {"enum": _Enumeration(dist, n, exact_cap, axes)},
-                              exact_cap)
+        self._held = ctx.held("exact", lambda: {"enum": _Enumeration(dist, n, exact_cap, axes)})
         self.enum = self._held["enum"]
         # the entropies of the views no codebook draw changes
         self._view_entropy = self._held.setdefault("view_entropy", {})
@@ -715,9 +709,7 @@ class ExactEvaluator:
                               self.ctx.draw_codebooks(MODE_TABLE, _member_seed(self.config, k)))
 
     def evaluate(self, num_codebooks: int) -> ExactResult:
-        (num_codebooks,) = _integers("num_codebooks", (num_codebooks,))
-        if num_codebooks < 1:
-            raise UsageError("exact evaluation needs at least one codebook")
+        num_codebooks = _integer("num_codebooks", num_codebooks, 1)
         per = [self.member(k) for k in range(num_codebooks)]
         ctx = self.ctx
         return ExactResult(scheme=ctx.scheme, redirected=ctx.redirected, n=self.config.n,
@@ -887,6 +879,8 @@ def oracle_secrecy(config: SchemeConfig, codebooks: dict) -> dict:
                             f"the {EXACT_PRODUCT_CAP} cap")
     if config.scheme == "TimeShare":
         raise UsageError("the oracle covers one-shot schemes only")
+    if not isinstance(codebooks, dict):
+        raise UsageError(f"codebooks must be a dict, got {type(codebooks).__name__}")
     for v, cb in codebooks.items():
         if v not in TERMINALS:
             raise UsageError(f"the oracle reads codebooks keyed X, Y or Z, got {v!r}")

@@ -34,7 +34,7 @@ from .exact import (EXACT_PRODUCT_CAP, CodebookExact, ExactEvaluator, _combine_p
                     _mean_stats)
 from .protocol import STATUSES, RunContext, SchemeConfig, SchemeFields
 from .region import label_vertices, rate_region
-from .sources import JointDistribution, _entropy_masses, _integers
+from .sources import JointDistribution, _entropy_masses, _integer
 
 MODE_MONTE_CARLO = "MonteCarlo"
 MODE_EXACT = "Exact"
@@ -60,12 +60,10 @@ class ExperimentConfig(SchemeFields):
         if not isinstance(self.n_values, (tuple, list)) or not self.n_values:
             raise UsageError(f"n_values must be a non-empty tuple or list of integers, "
                              f"got {self.n_values!r}")
-        _integers("n_values, trials and exact_cap", (*self.n_values, self.trials, self.exact_cap))
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
-        if self.exact_cap < 1:
-            raise UsageError(f"exact_cap must be >= 1, got {self.exact_cap}")
-        self._check(self.n_values)
+        self.n_values = tuple(_integer("n", n, 1) for n in self.n_values)
+        self.trials = _integer("trials", self.trials, 1)
+        self.exact_cap = _integer("exact_cap", self.exact_cap, 1)
+        self._check()
         if self.evaluation_mode == MODE_EXACT and self.codebook_mode != MODE_TABLE:
             raise UsageError("Exact mode requires ExplicitTable codebooks")
 
@@ -274,6 +272,8 @@ def _run_exact_record(config: ExperimentConfig, n: int) -> dict:
 
 def run_trials(config: ExperimentConfig) -> SimulationReport:
     """Execute the campaign and aggregate per-blocklength statistics."""
+    if not isinstance(config, ExperimentConfig):
+        raise UsageError(f"config must be an ExperimentConfig, got {type(config).__name__}")
     exact = config.evaluation_mode == MODE_EXACT
     if exact and config.exact_cap > EXACT_PRODUCT_CAP:
         print(f"warning: exact-mode cap raised to {config.exact_cap}; "

@@ -13,9 +13,9 @@ import numpy as np
 from .binning import MODE_TABLE, child_seed, make_codebook, num_bins_for_rate, stream_tag
 from .errors import UsageError
 from .exact import EXACT_PRODUCT_CAP, _Enumeration
-from .sources import (JointDistribution, _entropy_masses, _entropy_of, _integers, _real,
+from .sources import (JointDistribution, _entropy_masses, _entropy_of, _integer, _real,
                       code_digits)
-from .typicality import TypicalityParams, count_windows
+from .typicality import count_windows
 
 _LEMMA_TAG = stream_tag("lemma1-codebook")
 
@@ -59,24 +59,18 @@ def lemma1_check(z_pmf, n: int, r_s: float, r_z: float, codebook_count: int,
     masses over the full |Z|^n enumeration. epsilon only feeds the typicality
     diagnostics, not the entropy itself.
     """
-    n, codebook_count, seed = _integers("n, codebook_count and seed",
-                                        (n, codebook_count, seed))
+    n, seed = _integer("n", n, 1), _integer("seed", seed)
+    codebook_count = _integer("codebook_count", codebook_count, 1)
     z_pmf = np.asarray(z_pmf, dtype=np.float64).ravel()
     az = len(z_pmf)
     dist = JointDistribution.create((1, 1, az), z_pmf)
     h_z = _entropy_of(z_pmf)
-    _real("delta", delta)
-    _real("r_s", r_s)
-    _real("r_z", r_z)
-    if codebook_count < 1:
-        raise UsageError("codebook_count must be >= 1")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    delta, r_s, r_z = _real("delta", delta), _real("r_s", r_s), _real("r_z", r_z)
     if not (r_s + r_z < h_z - 2 * delta):
         raise UsageError(
             f"precondition violated: R_S + R_Z = {r_s + r_z} is not below "
             f"H(Z) - 2*delta = {h_z - 2 * delta}")
-    TypicalityParams(epsilon, n)
+    epsilon = _real("epsilon", epsilon, "(0, 1)")
 
     enum = _Enumeration(dist, n, EXACT_PRODUCT_CAP)
     codes, prob = enum.idx["z"], enum.prob

@@ -32,7 +32,7 @@ import numpy as np
 from .binning import (MODE_HASH, MODE_TABLE, child_seed, make_codebook, num_bins_for_rate,
                       stream_tag)
 from .errors import SearchOverflowError, UsageError
-from .sources import (JointDistribution, SourceTriple, _integers, _real, info_profile, sample,
+from .sources import (JointDistribution, SourceTriple, _integer, _real, info_profile, sample,
                       sequence_code)
 from .typicality import (CandidateEngine, DEFAULT_SEARCH_CAP, TypicalityParams)
 
@@ -76,17 +76,16 @@ class RateAssignment:
 
 
 def _checked_rates(rates) -> RateAssignment:
-    """An explicit rates override, refused unless it is a RateAssignment
-    whose five rates are finite real numbers >= 0 and whose orientation is
-    "X" or "Y".
+    """An explicit rates override, with its five rates as floats; refused
+    unless it is a RateAssignment whose rates are finite real numbers >= 0
+    and whose orientation is "X" or "Y".
     """
     if not isinstance(rates, RateAssignment):
         raise UsageError(f"rates must be a RateAssignment, got {type(rates).__name__}")
-    for name in ("r_z", "r_x", "r_y", "r_s", "r_p"):
-        _real(f"rates.{name}", getattr(rates, name))
     if rates.orientation not in ("X", "Y"):
         raise UsageError(f'rates.orientation must be "X" or "Y", got {rates.orientation!r}')
-    return rates
+    return replace(rates, **{name: _real(f"rates.{name}", getattr(rates, name))
+                             for name in ("r_z", "r_x", "r_y", "r_s", "r_p")})
 
 
 def _clamp(name, value, clamped):
@@ -103,8 +102,7 @@ def derive_rates(scheme, profile, epsilon, delta) -> RateAssignment:
     delta shaves key rates below the corresponding information quantity so
     binning arguments have slack. Key rates never go below 0.
     """
-    _real("epsilon", epsilon, "(0, 1)")
-    _real("delta", delta)
+    epsilon, delta = _real("epsilon", epsilon, "(0, 1)"), _real("delta", delta)
     h, i = profile.h, profile.i
     clamped = []
     if scheme == "PointE":
@@ -160,8 +158,10 @@ class SchemeFields:
     ts_schemes: tuple = None      # (scheme_a, scheme_b) for TimeShare
     ts_lambda: float = None       # fraction of symbols given to scheme_a
 
-    def _check(self, n_values):
-        """Refuses a bad setting at any of the (integer) blocklengths."""
+    def _check(self):
+        """Refuses a bad setting, and stores each number as the Python value
+        it equals.
+        """
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not isinstance(self.dist, JointDistribution):
@@ -174,19 +174,15 @@ class SchemeFields:
             for s in self.ts_schemes:
                 if s not in SCHEMES or s == "TimeShare":
                     raise UsageError(f"TimeShare part {s!r} must be a one-shot scheme")
-            if self.ts_lambda is None:
-                self.ts_lambda = 0.5
-            _real("ts_lambda", self.ts_lambda, "[0, 1]")
+            self.ts_lambda = _real("ts_lambda", 0.5 if self.ts_lambda is None else self.ts_lambda,
+                                   "[0, 1]")
         else:
             for name in ("ts_schemes", "ts_lambda"):
                 if getattr(self, name) is not None:
                     raise UsageError(f"{name} is for TimeShare only, not {self.scheme}")
-        for n in n_values:
-            TypicalityParams(self.epsilon, n)
-        _real("delta", self.delta)
-        _integers("master_seed", (self.master_seed,))
-        if self.master_seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.master_seed}")
+        self.epsilon = _real("epsilon", self.epsilon, "(0, 1)")
+        self.delta = _real("delta", self.delta)
+        self.master_seed = _integer("seed", self.master_seed)
 
 
 @dataclass(kw_only=True, eq=False)
@@ -197,8 +193,8 @@ class SchemeConfig(SchemeFields):
     rates: RateAssignment = None
 
     def __post_init__(self):
-        _integers("n", (self.n,))
-        self._check((self.n,))
+        self.n = _integer("n", self.n, 1)
+        self._check()
 
     @property
     def params(self) -> TypicalityParams:
@@ -362,6 +358,8 @@ class RunContext:
     """
 
     def __init__(self, config: SchemeConfig):
+        if not isinstance(config, SchemeConfig):
+            raise UsageError(f"config must be a SchemeConfig, got {type(config).__name__}")
         self.config = config
         if config.scheme == "TimeShare":
             self._init_time_share()
@@ -421,21 +419,18 @@ class RunContext:
             key: CandidateEngine(config.dist.marginal(key.upper()), config.params, cap=cap)
             for key in keys})
 
-    def held(self, kind, build, key=None):
+    def held(self, kind, build):
         """What build() returns for this context's signature, held once per
-        process under kind for key, an input of that state outside the
-        signature. The holder keeps one context's state: one signature's, or
-        a time share's two parts'. It lets go of every other signature's
-        state, and before it builds, of the kind's state for another key,
-        which is then freed once no caller holds it.
+        process under kind. The holder keeps one context's state: one
+        signature's, or a time share's two parts'. It lets go of every other
+        signature's state, which is then freed once no caller holds it.
         """
         for other in [s for s in _HELD if s not in self.group]:
             del _HELD[other]
         held = _HELD.setdefault(self.signature, {})
-        if kind not in held or held[kind][0] != key:
-            held.pop(kind, None)
-            held[kind] = key, build()
-        return held[kind][1]
+        if kind not in held:
+            held[kind] = build()
+        return held[kind]
 
     def _init_time_share(self):
         cfg = self.config
@@ -461,10 +456,8 @@ class RunContext:
 
     def run(self, trial_index: int):
         """Trial trial_index, an integer >= 0, on its own sampled triple."""
-        (trial_index,) = _integers("trial_index", (trial_index,))
-        if trial_index < 0:
-            raise UsageError(f"trial_index must be >= 0, got {trial_index}")
-        ss = np.random.SeedSequence([self.config.master_seed, _TRIAL_TAG, trial_index])
+        ss = np.random.SeedSequence([self.config.master_seed, _TRIAL_TAG,
+                                     _integer("trial_index", trial_index)])
         triple = sample(self.config.dist, self.config.n, ss)
         return self.run_on_triple(triple)
 

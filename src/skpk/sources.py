@@ -43,27 +43,34 @@ def as_variable_set(variables) -> frozenset:
     return frozenset(items)
 
 
-def _integers(what, values) -> tuple:
-    """values as a tuple of ints. A value that is not an integer (a float, a
-    string or a bool) is refused, not rounded.
+def _integer(what, value, least=0) -> int:
+    """value as a Python int, refused with UsageError unless it is an integer
+    >= least: a float, a string or a bool is refused, not rounded or misread.
     """
-    values = tuple(values)
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
-        raise UsageError(f"{what} must be integers, got {values!r}")
-    return tuple(int(v) for v in values)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{what} must be integers, got {value!r}")
+    if value < least:
+        raise UsageError(f"{what} must be >= {least}, got {value!r}")
+    return int(value)
 
 
-def _real(what, value, interval="[0, inf)"):
-    """Refuses value with UsageError unless it is a real number, not a bool,
-    in interval: "[0, inf)", "(0, 1)" or "[0, 1]", its ends open or closed
-    as written.
+def _real(what, value, interval="[0, inf)") -> float:
+    """value as a Python float, refused with UsageError unless it is a real
+    number, not a bool, whose float lies in interval: "[0, inf)", "(0, 1)"
+    or "[0, 1]", its ends open or closed as written.
     """
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value if interval[0] == "[" else low < value)
-            or not (value <= high if interval[-1] == "]" else value < high)):
+    low, high = map(float, interval[1:-1].split(","))
+    real = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:   # an int past the largest float
+            pass
+    if (not (low <= real if interval[0] == "[" else low < real)
+            or not (real <= high if interval[-1] == "]" else real < high)):
         rule = "be a finite number >= 0" if interval == "[0, inf)" else f"lie in {interval}"
         raise UsageError(f"{what} must {rule}, got {value!r}")
+    return real
 
 
 @dataclass(frozen=True)
@@ -78,16 +85,13 @@ class JointDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        sizes = _integers("alphabet sizes", self.alphabet_sizes)
+        sizes = tuple(_integer("alphabet sizes", s, 1) for s in self.alphabet_sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
         if len(sizes) != len(VARS):
             raise UsageError(f"need one alphabet size per variable in {VARS}, got {sizes}")
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != sizes:
             raise UsageError(f"pmf shape {pmf.shape} does not match alphabet sizes {sizes}")
-        for s in sizes:
-            if s < 1:
-                raise UsageError("alphabet sizes must be >= 1")
         if not np.isfinite(pmf).all():
             raise UsageError("pmf has a non-finite entry")
         if pmf.min() < 0:
@@ -101,11 +105,13 @@ class JointDistribution:
 
     @classmethod
     def create(cls, alphabet_sizes, pmf):
-        sizes = _integers("alphabet sizes", alphabet_sizes)
+        sizes = tuple(_integer("alphabet sizes", s, 1) for s in alphabet_sizes)
         for s in sizes:
             if s > ALPHABET_CAP:
                 raise UsageError(f"alphabet size {s} exceeds cap {ALPHABET_CAP}")
-        return cls(sizes, np.asarray(pmf, dtype=np.float64).reshape(sizes))
+        pmf = np.asarray(pmf, dtype=np.float64)
+        # a pmf of another size keeps its shape, which the check refuses
+        return cls(sizes, pmf.reshape(sizes) if pmf.size == math.prod(sizes) else pmf)
 
     def marginal(self, variables) -> np.ndarray:
         """Marginal pmf on the given variables, axes ordered as listed.
@@ -271,13 +277,9 @@ def sample(dist: JointDistribution, n: int, seed) -> SourceTriple:
     The generator is Philox, a counter-based generator, so draws never depend
     on hidden global state.
     """
-    (n,) = _integers("n", (n,))
-    if n < 1:
-        raise UsageError("sample requires n >= 1")
+    n = _integer("n", n, 1)
     if not isinstance(seed, np.random.SeedSequence):
-        (seed,) = _integers("seed", (seed,))
-        if seed < 0:
-            raise UsageError(f"seed must be >= 0, got {seed}")
+        seed = _integer("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
     # Generator.choice's draw from p, bit for bit, without its checks of p
     cdf = np.cumsum(dist.pmf.ravel())

@@ -31,7 +31,7 @@ import numpy as np
 
 from .binning import MODE_HASH
 from .errors import CapacityError, SearchOverflowError, UsageError
-from .sources import STRUCTURAL_ZERO, _integers, _real, place_values
+from .sources import STRUCTURAL_ZERO, _integer, _real, place_values
 
 # absorbs float rounding in window boundaries; deviations of interest are
 # at least one count, i.e. 1/n, many orders of magnitude larger
@@ -67,9 +67,8 @@ class TypicalityParams:
     n: int
 
     def __post_init__(self):
-        _real("epsilon", self.epsilon, "(0, 1)")
-        if _integers("n", (self.n,))[0] < 1:
-            raise UsageError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, "(0, 1)"))
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
 
 
 def count_window(n: int, p: float, epsilon: float):
@@ -453,7 +452,7 @@ class CandidateEngine:
         if pmf.ndim < 1:
             raise UsageError("joint pmf needs at least the unknown variable's axis")
         self.params = params
-        self.cap = int(cap)
+        self.cap = _integer("cap", cap)
         self.q = pmf.shape[-1]
         self.obs_shape = pmf.shape[:-1]
         self.obs_cells = int(np.prod(self.obs_shape)) if self.obs_shape else 1

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from skpk import protocol
 from skpk.sources import JointDistribution, code_digits, noisy_copy_triple
@@ -11,6 +14,19 @@ from skpk.typicality import CandidateEngine
 settings.register_profile("deterministic", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("deterministic")
+
+# values a caller may pass for one integer or real setting: bools, NaN,
+# infinities and negatives, floats with and without a fractional part,
+# numpy integer and float scalars, strings, None and dicts. No integer is
+# above 8, so a setting that accepts one stays cheap to run
+HOSTILE_SETTINGS = st.one_of(
+    st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-3, 8), st.integers(-3, 8).map(float), st.floats(-1, 2),
+    st.integers(-3, 8).map(np.int64), st.integers(-3, 8).map(np.int8),
+    st.integers(0, 8).map(np.uint8), st.integers(0, 8).map(np.uint64),
+    st.floats(-1, 2).map(np.float64), st.floats(-1, 2).map(np.float32),
+    st.sampled_from([np.float32(math.nan), np.float64(math.inf), np.float16(0.5)]),
+    st.text(max_size=3), st.none(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 
 def random_pmf(rng, shape, zero_frac=0.0) -> np.ndarray:

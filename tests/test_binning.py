@@ -96,11 +96,30 @@ def test_hash_mode_rejects_table_lookup():
 
 @pytest.mark.parametrize("mode,n,message", [
     ("bogus", 4, "unknown codebook mode 'bogus'"),
-    (MODE_HASH, 0, "n and alphabet_size must be >= 1"),
-    (MODE_TABLE, 0, "n and alphabet_size must be >= 1")])
+    (MODE_HASH, 0, "n must be >= 1, got 0"),
+    (MODE_TABLE, 0, "n must be >= 1, got 0")])
 def test_codebook_refuses_bad_shapes(mode, n, message):
     with pytest.raises(UsageError, match=message):
         BinningCodebook(mode, n, 2, 1.0, 0.0, seed=1)
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"n": 4.9}, "n must be integers"), ({"n": True}, "n must be integers"),
+    ({"alphabet_size": 2.0}, "alphabet_size must be integers"),
+    ({"bin_rate": "0.5"}, "bin_rate must be a finite number >= 0"),
+    ({"sub_rate": -0.25}, "sub_rate must be a finite number >= 0"),
+    ({"seed": 1.7}, "seed must be integers"), ({"seed": -3}, "seed must be >= 0, got -3")],
+    ids=["n=4.9", "n=True", "alphabet_size=2.0", "bin_rate='0.5'", "sub_rate=-0.25", "seed=1.7",
+         "seed=-3"])
+@pytest.mark.parametrize("mode", [MODE_HASH, MODE_TABLE])
+def test_codebook_refuses_settings_it_would_truncate(mode, kw, message):
+    """n=4.9 with seed 1.7 once built the n = 4 codebook of seed 1, n=True
+    the n = 1 codebook, and seed -3 raised numpy's bare ValueError; a
+    string rate was read as a number.
+    """
+    args = {"n": 4, "alphabet_size": 2, "bin_rate": 0.5, "sub_rate": 0.25, "seed": 1, **kw}
+    with pytest.raises(UsageError, match=message):
+        BinningCodebook(mode, purpose="Z", **args)
 
 
 def test_table_capacity_guard():

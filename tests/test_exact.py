@@ -23,7 +23,7 @@ from skpk.exact import (_BITMAP_SPAN, _ST_AMB, _ST_NONE, _ST_OK, EXACT_PRODUCT_C
                         CodebookExact, ExactEvaluator, _DecodeTable, _distinct, _Enumeration,
                         _label_rows, _match, _ranked, _Slots, oracle_codebooks,
                         oracle_secrecy)
-from skpk.harness import MODE_EXACT, _trial_stats, run_trials
+from skpk.harness import MODE_EXACT, _trial_stats, emit_report, run_trials
 from skpk.lemma1 import lemma1_check
 from skpk.protocol import STATUSES, RunContext, SchemeConfig
 from skpk.sources import (JointDistribution, SourceTriple, _entropy_masses, code_digits,
@@ -564,11 +564,11 @@ def test_configs_differing_in_the_master_seed_share_their_state(monkeypatch, fre
 def test_a_config_differing_in_one_signature_field_gets_its_own_state(
         monkeypatch, fresh_state, field):
     """An evaluator whose config differs from a held one's in one input of
-    the signature builds its own enumeration, decode tables, slots and view
-    entropies, and its own engines, unless only the exact cap differs, which
-    no engine reads. Its member is a cold start's. The orientation is an
-    orientation-Y rates override on the same pmf, and the search cap a
-    patched DEFAULT_SEARCH_CAP.
+    the signature builds its own engines, enumeration, decode tables, slots
+    and view entropies; one under another exact cap, which is not in the
+    signature, shares every held object. Its member is a cold start's. The
+    orientation is an orientation-Y rates override on the same pmf, and the
+    search cap a patched DEFAULT_SEARCH_CAP.
     """
     base = _config("PointP", xor_triple(), n=4)
     held = ExactEvaluator(base)
@@ -590,9 +590,8 @@ def test_a_config_differing_in_one_signature_field_gets_its_own_state(
         monkeypatch.setattr("skpk.protocol.DEFAULT_SEARCH_CAP", 2 ** 20)
     evaluator = ExactEvaluator(cfg, cap)
     member = repr(evaluator.member(0))
-    pairs = list(zip(_held_state(held), _held_state(evaluator)))
-    assert (pairs[0][0] is pairs[0][1]) == (field == "exact_cap")
-    assert not any(a is b for a, b in pairs[1:])
+    shared = [a is b for a, b in zip(_held_state(held), _held_state(evaluator))]
+    assert shared == [field == "exact_cap"] * len(shared)
     assert {e.cap for e in evaluator.ctx.engines.values()} == {
         2 ** 20 if field == "search_cap" else skpk.typicality.DEFAULT_SEARCH_CAP}
     fresh_state()
@@ -1201,7 +1200,7 @@ def test_lemma_refuses_non_integers(kw):
 
 @pytest.mark.parametrize("count,message", [
     (2.5, "must be integers"), (True, "must be integers"), ("2", "must be integers"),
-    (0, "needs at least one codebook")], ids=["2.5", "True", "2", "0"])
+    (0, "num_codebooks must be >= 1, got 0")], ids=["2.5", "True", "2", "0"])
 def test_evaluate_refuses_non_integer_codebook_count(count, message):
     evaluator = ExactEvaluator(_config("PointT", xor_triple(), n=4))
     with pytest.raises(UsageError, match=message):
@@ -1215,6 +1214,32 @@ def test_evaluate_refuses_non_integer_codebook_count(count, message):
 def test_evaluator_refuses_a_bad_cap(cap, message):
     with pytest.raises(UsageError, match=message):
         ExactEvaluator(_config("PointT", xor_triple(), n=4), exact_cap=cap)
+
+
+def test_lemma_report_of_numpy_settings_matches_its_python_twin():
+    """lemma1_check stores its settings as the Python values they equal: a
+    float32 r_s once made the report unwritable. float32 represents these
+    settings exactly, so the report is the Python twin's, byte for byte.
+    """
+    twin = emit_report(dataclasses.asdict(lemma1_check([0.5, 0.5], 6, 0.25, 0.25, 2, 0.0625, 1,
+                                                       epsilon=0.25)))
+    stats = lemma1_check([0.5, 0.5], np.int64(6), np.float32(0.25), np.float32(0.25),
+                         np.uint8(2), np.float32(0.0625), np.uint64(1), epsilon=np.float32(0.25))
+    assert emit_report(dataclasses.asdict(stats)) == twin
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: RunContext(None), "config must be a SchemeConfig, got NoneType"),
+    (lambda: ExactEvaluator({"scheme": "PointP"}), "config must be a SchemeConfig, got dict"),
+    (lambda: run_trials(_config("PointP", xor_triple(), n=4)),
+     "config must be an ExperimentConfig, got SchemeConfig"),
+    (lambda: oracle_secrecy(_config("PointP", xor_triple(), n=4), [1, 2]),
+     "codebooks must be a dict, got list")],
+    ids=["RunContext", "ExactEvaluator", "run_trials", "oracle_secrecy"])
+def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, message):
+    """Each of these once raised a bare AttributeError."""
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 def test_pair_decode_packs_wide_bins():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import identical_bits, mirrored_noisy_copy
@@ -81,6 +82,28 @@ def test_config_refuses_n_values_and_dist_of_the_wrong_type(kw, message):
     until its first use."""
     with pytest.raises(UsageError, match=message):
         _mc_config(**kw)
+
+
+@pytest.mark.parametrize("scheme", ["PointT", "TimeShare"])
+@pytest.mark.parametrize("mode", [MODE_MONTE_CARLO, MODE_EXACT])
+def test_numpy_settings_write_the_bytes_of_their_python_twins(mode, scheme):
+    """Settings given as numpy scalars are stored as the Python values they
+    equal. Such a campaign once failed to write its report (uint8 is not
+    JSON serializable), and a float32 epsilon made float32 rates. float32
+    represents these settings exactly, so the report is its Python twin's,
+    byte for byte.
+    """
+    def report(n, trials, seed, epsilon, delta, cap, ts_lambda):
+        split = ({"ts_schemes": ("PointE", "PointT"), "ts_lambda": ts_lambda}
+                 if scheme == "TimeShare" else {})
+        return emit_report(run_trials(_mc_config(
+            scheme=scheme, evaluation_mode=mode, codebook_mode=MODE_TABLE, n_values=(n,),
+            trials=trials, master_seed=seed, epsilon=epsilon, delta=delta, exact_cap=cap,
+            **split)))
+
+    python_typed = report(4, 2, 1, 0.25, 0.0625, 2 ** 20, 0.5)
+    assert report(np.int64(4), np.int64(2), np.uint8(1), np.float32(0.25), np.float32(0.0625),
+                  np.int32(2 ** 20), np.float32(0.5)) == python_typed
 
 
 def test_deterministic_agreement_on_identical_bits():

@@ -14,8 +14,8 @@ from skpk.binning import MODE_HASH, MODE_TABLE, make_codebook
 from skpk.errors import SearchOverflowError, UsageError
 from skpk.harness import _trial_stats
 from skpk.protocol import (SCHEME_TABLE, STATUS_AMBIGUOUS, STATUS_NO_CANDIDATE, STATUS_OK,
-                           STATUS_OVERFLOW, RunContext, SchemeConfig, _pair_decode,
-                           _unique_decode, derive_rates)
+                           STATUS_OVERFLOW, RateAssignment, RunContext, SchemeConfig,
+                           _pair_decode, _unique_decode, derive_rates)
 from skpk.sources import (JointDistribution, SourceTriple, doubly_symmetric_xz,
                           info_profile, noisy_copy_triple, xor_triple)
 from skpk.typicality import CandidateEngine, TypicalityParams
@@ -340,6 +340,30 @@ def test_config_refuses_settings_of_the_wrong_type(kw, message):
 def test_derived_rates_refuse_a_setting_that_is_not_a_number(epsilon, delta, message):
     with pytest.raises(UsageError, match=message):
         derive_rates("PointT", info_profile(xor_triple()), epsilon, delta)
+
+
+def test_a_real_setting_past_the_largest_float_is_refused():
+    """delta=10**400 once passed the check, then overflowed in the first
+    rate that subtracted it from a float."""
+    with pytest.raises(UsageError, match="delta must be a finite number >= 0, got 1000"):
+        derive_rates("PointT", info_profile(xor_triple()), 0.5, 10 ** 400)
+    with pytest.raises(UsageError, match="delta must be a finite number >= 0"):
+        _config("PointT", xor_triple(), n=4, eps=0.5, delta=10 ** 400, seed=0)
+
+
+def test_numpy_settings_derive_python_float_rates():
+    """A float32 epsilon once made every binning rate float32: PointT's r_z
+    on noisy_copy_triple(0.1, 0.3) was np.float32(1.2248187). A rates
+    override is stored with float fields too.
+    """
+    prof = info_profile(noisy_copy_triple(0.1, 0.3))
+    for scheme in ("PointE", "PointT", "PointP", "PointQ"):
+        got = derive_rates(scheme, prof, np.float32(0.25), np.float32(0.0625))
+        assert repr(got) == repr(derive_rates(scheme, prof, 0.25, 0.0625))
+    override = RateAssignment(r_z=np.float32(1.5), r_x=np.int64(1), r_y=0, r_s=0.0, r_p=0.25)
+    ctx = RunContext(_config("PointT", xor_triple(), n=4, eps=0.5, delta=0.05, seed=0,
+                             rates=override))
+    assert repr(ctx.rates) == repr(RateAssignment(r_z=1.5, r_x=1.0, r_y=0.0, r_s=0.0, r_p=0.25))
 
 
 def test_custom_rates_override():

@@ -217,7 +217,7 @@ def test_sample_deterministic():
     assert np.array_equal(a.z_seq, b.z_seq)
     c = sample(d, 64, seed=10)
     assert not (np.array_equal(a.x_seq, c.x_seq) and np.array_equal(a.y_seq, c.y_seq))
-    with pytest.raises(UsageError, match="sample requires n >= 1"):
+    with pytest.raises(UsageError, match="n must be >= 1, got 0"):
         sample(d, 0, seed=9)
 
 

@@ -76,6 +76,17 @@ def test_params_refuse_a_setting_of_the_wrong_type(epsilon, n, message):
         TypicalityParams(epsilon, n)
 
 
+@pytest.mark.parametrize("cap,message", [
+    (2.9, "cap must be integers"), ("7", "cap must be integers"), (True, "cap must be integers"),
+    (-1, "cap must be >= 0, got -1")], ids=repr)
+def test_engine_refuses_a_cap_it_would_truncate(cap, message):
+    """cap=2.9 once ran with cap 2 and cap="7" with cap 7; cap 0 stays legal."""
+    params = TypicalityParams(0.5, 3)
+    with pytest.raises(UsageError, match=message):
+        CandidateEngine(np.full((2, 2), 0.25), params, cap=cap)
+    assert CandidateEngine(np.full((2, 2), 0.25), params, cap=0).cap == 0
+
+
 def test_joint_counts():
     counts = joint_counts((np.array([0, 1, 0]), np.array([1, 1, 0])), (2, 2))
     assert counts[0, 1] == 1
